@@ -13,7 +13,7 @@
 //! shifting (§4).
 
 use pmem::{stats, NULL_OFFSET};
-use pmindex::Key;
+use pmindex::{Key, Value};
 
 use crate::layout::{NodeRef, INVALID_PTR};
 use crate::lock::WriteGuard;
@@ -70,9 +70,9 @@ pub(crate) fn enter_delete_direction(tree: &FastFairTree, node: NodeRef<'_>, cnt
     node.set_switch_counter(sc + 1);
 }
 
-/// Public delete path: removes `key` from its leaf. Returns whether the key
-/// was present.
-pub(crate) fn tree_remove(tree: &FastFairTree, key: Key) -> bool {
+/// Public delete path: removes `key` from its leaf. Returns the value it
+/// held, or `None` if the key was absent.
+pub(crate) fn tree_remove(tree: &FastFairTree, key: Key) -> Option<Value> {
     'retry: loop {
         let off = stats::timed(stats::Phase::Search, || tree.find_leaf(key));
         let mut guard = WriteGuard::lock(&tree.pool, tree.node(off).lock_word_off());
@@ -94,37 +94,36 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key) -> bool {
             }
         }
         let mut emptied = false;
-        let removed = match crate::insert::find_valid_slot(node, key) {
-            None => false,
-            Some(d) => {
-                stats::timed(stats::Phase::Update, || {
-                    let cnt = node.count_records();
-                    // The records are about to move: break the fingerprint
-                    // seal durably first, reseal after.
-                    let was_sealed = node.fp_unseal();
-                    if node.geom().circular && d < cnt / 2 {
-                        // Fewer records below the victim than above it:
-                        // shift the short left side right and advance the
-                        // head instead.
-                        circ_remove_low(tree, node, d, cnt);
-                    } else {
-                        // Readers must scan right-to-left from now on.
-                        enter_delete_direction(tree, node, cnt);
-                        // Commit: one atomic poison store invalidates the
-                        // entry.
-                        node.set_ptr(d, INVALID_PTR);
-                        tree.pool.fence_if_not_tso();
-                        // Reclaim the slot; a crash here leaves one garbage
-                        // entry for lazy recovery.
-                        shift_left_from(tree, node, d, cnt);
-                        node.set_count_hint(cnt - 1);
-                    }
-                    node.fp_reseal_after(was_sealed);
-                    emptied = cnt == 1;
-                });
-                true
-            }
-        };
+        let removed = crate::insert::find_valid_slot(node, key).map(|d| {
+            // Read the value before the poison store below overwrites it.
+            let old = node.ptr(d);
+            stats::timed(stats::Phase::Update, || {
+                let cnt = node.count_records();
+                // The records are about to move: break the fingerprint
+                // seal durably first, reseal after.
+                let was_sealed = node.fp_unseal();
+                if node.geom().circular && d < cnt / 2 {
+                    // Fewer records below the victim than above it:
+                    // shift the short left side right and advance the
+                    // head instead.
+                    circ_remove_low(tree, node, d, cnt);
+                } else {
+                    // Readers must scan right-to-left from now on.
+                    enter_delete_direction(tree, node, cnt);
+                    // Commit: one atomic poison store invalidates the
+                    // entry.
+                    node.set_ptr(d, INVALID_PTR);
+                    tree.pool.fence_if_not_tso();
+                    // Reclaim the slot; a crash here leaves one garbage
+                    // entry for lazy recovery.
+                    shift_left_from(tree, node, d, cnt);
+                    node.set_count_hint(cnt - 1);
+                }
+                node.fp_reseal_after(was_sealed);
+                emptied = cnt == 1;
+            });
+            old
+        });
         let node_off = node.offset();
         guard.unlock();
         if emptied {

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use epoch::EpochDomain;
 use pmem::{stats, PmOffset, Pool, NULL_OFFSET};
-use pmindex::{Cursor, IndexError, Key, PmIndex, Value};
+use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
 use crate::layout::{capacity, capacity_with, NodeGeom, NodeRef};
 use crate::lock::ReadGuard;
@@ -651,7 +651,7 @@ impl PmIndex for FastFairTree {
 
     fn remove(&self, key: Key) -> bool {
         let _pin = self.epoch.pin();
-        crate::delete::tree_remove(self, key)
+        crate::delete::tree_remove(self, key).is_some()
     }
 
     fn cursor(&self) -> Box<dyn Cursor + '_> {
@@ -679,6 +679,27 @@ impl PmIndex for FastFairTree {
     ) -> Result<usize, IndexError> {
         let _pin = self.epoch.pin();
         self.bulk_load_sorted(items)
+    }
+
+    /// One descent per op: `insert` already stands on the record it
+    /// overwrites and `remove` on the one it poisons, so the previous
+    /// value costs no read of its own. One epoch pin covers the batch.
+    fn apply_batch_prev(
+        &self,
+        ops: &[BatchOp],
+        prev: &mut Vec<Option<Value>>,
+    ) -> Result<(), IndexError> {
+        let _pin = self.epoch.pin();
+        for op in ops {
+            prev.push(match *op {
+                BatchOp::Put(k, v) => {
+                    pmindex::check_value(v)?;
+                    crate::insert::tree_insert(self, k, v)?
+                }
+                BatchOp::Delete(k) => crate::delete::tree_remove(self, k),
+            });
+        }
+        Ok(())
     }
 
     fn name(&self) -> &'static str {

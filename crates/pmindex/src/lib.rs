@@ -24,6 +24,7 @@
 pub mod chain;
 pub mod workload;
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -214,6 +215,22 @@ pub enum BatchOp {
     /// Remove `key` (replaying over an already-applied delete is a
     /// no-op on the absent key).
     Delete(Key),
+}
+
+impl BatchOp {
+    /// The key this op writes — what routers shard on.
+    ///
+    /// ```
+    /// use pmindex::BatchOp;
+    ///
+    /// assert_eq!(BatchOp::Put(7, 70).key(), 7);
+    /// assert_eq!(BatchOp::Delete(9).key(), 9);
+    /// ```
+    pub fn key(&self) -> Key {
+        match *self {
+            BatchOp::Put(k, _) | BatchOp::Delete(k) => k,
+        }
+    }
 }
 
 /// A persistent (or, for the B-link baseline, volatile) ordered key-value
@@ -481,6 +498,69 @@ pub trait PmIndex: Send + Sync {
         Ok(())
     }
 
+    /// Applies `ops` exactly as [`apply_batch`](PmIndex::apply_batch)
+    /// does and pushes one entry per op onto `prev`, in op order: the
+    /// value a `Put` replaced or a `Delete` removed, `None` if the key
+    /// was absent. A later op on the same key sees the earlier one (a
+    /// `Put` after a `Delete` of the same key reports `None`).
+    ///
+    /// This is how a group commit answers "what did my upsert replace?"
+    /// without a read of its own: FAST's in-place write already stands on
+    /// the record it overwrites. The default is built from what every
+    /// implementor has — one [`get`](PmIndex::get) per op (same-key ops
+    /// tracked inside the batch), then `apply_batch(ops)` — so an index
+    /// or wrapper that only overrides `apply_batch` stays correct and
+    /// batched. Single-writer-per-key callers (the `service` lanes, the
+    /// `txn` journal lock) get exact answers from it; an index that can
+    /// report the old value from the write itself (`FastFairTree`,
+    /// `shard::ShardedStore`) overrides it with a single descent per op.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use pmindex::{BatchOp, PmIndex};
+    ///
+    /// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
+    /// let tree = fastfair::FastFairTree::create(pool, fastfair::TreeOptions::new())?;
+    /// tree.insert(2, 20)?;
+    /// let mut prev = Vec::new();
+    /// tree.apply_batch_prev(
+    ///     &[
+    ///         BatchOp::Put(1, 10),  // fresh key
+    ///         BatchOp::Put(2, 21),  // replaces 20
+    ///         BatchOp::Delete(2),   // removes the 21 staged one op earlier
+    ///         BatchOp::Delete(3),   // absent
+    ///         BatchOp::Put(2, 22),  // after the delete: nothing to replace
+    ///     ],
+    ///     &mut prev,
+    /// )?;
+    /// assert_eq!(prev, vec![None, Some(20), Some(21), None, None]);
+    /// assert_eq!(tree.get(2), Some(22));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`apply_batch`](PmIndex::apply_batch); after an error the
+    /// entries pushed onto `prev` are unspecified.
+    fn apply_batch_prev(
+        &self,
+        ops: &[BatchOp],
+        prev: &mut Vec<Option<Value>>,
+    ) -> Result<(), IndexError> {
+        let mut staged: HashMap<Key, Option<Value>> = HashMap::new();
+        for op in ops {
+            let after = match *op {
+                BatchOp::Put(_, v) => Some(v),
+                BatchOp::Delete(_) => None,
+            };
+            prev.push(match staged.insert(op.key(), after) {
+                Some(before) => before,
+                None => self.get(op.key()),
+            });
+        }
+        self.apply_batch(ops)
+    }
+
     /// Short human-readable name used in benchmark tables
     /// (e.g. `"FAST+FAIR"`, `"wB+-tree"`).
     ///
@@ -530,6 +610,13 @@ macro_rules! forward_pmindex {
         }
         fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
             (**self).apply_batch(ops)
+        }
+        fn apply_batch_prev(
+            &self,
+            ops: &[BatchOp],
+            prev: &mut Vec<Option<Value>>,
+        ) -> Result<(), IndexError> {
+            (**self).apply_batch_prev(ops, prev)
         }
         fn name(&self) -> &'static str {
             (**self).name()
@@ -676,6 +763,74 @@ impl<C: Cursor> Iterator for CursorIter<C> {
     fn next(&mut self) -> Option<(Key, Value)> {
         self.0.next()
     }
+}
+
+/// The routing half of [`PmIndex::apply_batch_prev`] for anything that
+/// fans a batch out over several backing stores (`shard::ShardedStore`
+/// over its shards, `txn::apply_grouped_prev` over its tables): splits
+/// `ops` — each tagged with its bucket — into one group per bucket in
+/// batch order, hands every non-empty group to `apply(bucket, group,
+/// group_prev)` once, and scatters the group's answers back so `prev`
+/// gains one entry per op **in input order**. Buckets hold disjoint
+/// keyspaces, so regrouping cannot reorder two ops on the same key.
+///
+/// ```
+/// use pmindex::{apply_bucketed_prev, BatchOp};
+///
+/// // Two "stores": even keys hold 2, odd keys hold 1.
+/// let ops = [BatchOp::Delete(1), BatchOp::Delete(2), BatchOp::Delete(3)];
+/// let mut prev = Vec::new();
+/// apply_bucketed_prev(
+///     2,
+///     ops.iter().map(|&op| ((op.key() % 2) as usize, op)),
+///     &mut prev,
+///     |bucket, group, out| {
+///         out.extend(group.iter().map(|_| Some(if bucket == 0 { 2 } else { 1 })));
+///         Ok(())
+///     },
+/// )?;
+/// assert_eq!(prev, vec![Some(1), Some(2), Some(1)]);
+/// # Ok::<(), pmindex::IndexError>(())
+/// ```
+///
+/// # Errors
+///
+/// Propagates the first `apply` failure (later buckets are not applied);
+/// the entries pushed onto `prev` are then unspecified.
+///
+/// # Panics
+///
+/// Panics if an op names a bucket `>= buckets`, or if `apply` pushes a
+/// different number of entries than it was handed ops.
+pub fn apply_bucketed_prev(
+    buckets: usize,
+    ops: impl Iterator<Item = (usize, BatchOp)>,
+    prev: &mut Vec<Option<Value>>,
+    mut apply: impl FnMut(usize, &[BatchOp], &mut Vec<Option<Value>>) -> Result<(), IndexError>,
+) -> Result<(), IndexError> {
+    // Per bucket: its ops, and where each one sat in the input.
+    let mut groups: Vec<(Vec<BatchOp>, Vec<usize>)> = vec![Default::default(); buckets];
+    let base = prev.len();
+    let mut total = 0;
+    for (bucket, op) in ops {
+        groups[bucket].0.push(op);
+        groups[bucket].1.push(total);
+        total += 1;
+    }
+    prev.resize(base + total, None);
+    let mut group_prev = Vec::new();
+    for (bucket, (group, at)) in groups.iter().enumerate() {
+        if group.is_empty() {
+            continue;
+        }
+        group_prev.clear();
+        apply(bucket, group, &mut group_prev)?;
+        assert_eq!(group_prev.len(), group.len(), "one prev entry per op");
+        for (&at, &p) in at.iter().zip(&group_prev) {
+            prev[base + at] = p;
+        }
+    }
+    Ok(())
 }
 
 /// Checks that a value is not one of the reserved bit patterns.

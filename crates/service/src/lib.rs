@@ -12,12 +12,13 @@
 //!   [`ServiceConfig::max_group`] — under load groups grow, idle they
 //!   shrink to 1 and latency stays flat.
 //! * Writes commit through **group commit**: every drained client
-//!   write is staged into one [`txn::TxnEngine::commit_grouped`] call —
+//!   write is staged into one [`txn::TxnEngine::commit_grouped_prev`] call —
 //!   one staging persist, ONE sequence-number store + fence, one
 //!   apply-gate acquisition and one retire fence for the whole group —
 //!   the amortization lever Marathe et al. (*Persistent Memory
-//!   Transactions*) show dominates pmem transaction cost. Completions
-//!   fan back through per-request `oneshot` reply slots.
+//!   Transactions*) show dominates pmem transaction cost. An upsert's
+//!   reply (the replaced value) comes from that apply, not a pre-read.
+//!   Completions fan back through per-request `oneshot` reply slots.
 //! * **Admission control**: a full queue either rejects the submitter
 //!   with [`ServiceError::Overloaded`] ([`Admission::Shed`]) or parks it
 //!   until the worker catches up ([`Admission::Park`]).
@@ -431,7 +432,7 @@ impl<I: PmIndex + Send + Sync + 'static> fmt::Debug for Service<I> {
 impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     /// Starts a service whose writes group-commit through `engine`:
     /// every drained write in a group stages into one
-    /// [`TxnEngine::commit_grouped`] call. Single-key ops target
+    /// [`TxnEngine::commit_grouped_prev`] call. Single-key ops target
     /// `tables[0]`; [`ClientHandle::batch`] ops name any table by its
     /// index in `tables` (the same order every commit and
     /// [`TxnEngine::recover`] must use).
@@ -781,9 +782,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         let lane = batch
             .ops()
             .next()
-            .map(|(_, op)| match op {
-                BatchOp::Put(k, _) | BatchOp::Delete(k) => self.shared.lane_of(k),
-            })
+            .map(|(_, op)| self.shared.lane_of(op.key()))
             .unwrap_or(0);
         let (tx, rx) = oneshot::channel();
         self.submit(
@@ -981,6 +980,11 @@ fn process_group_engine<I: PmIndex>(
     let tables = &shared.tables;
     let mut overlay: Overlay = HashMap::new();
     let mut staged: Vec<WriteBatch> = Vec::new();
+    // Ops staged so far, i.e. the next op's index in the commit's `prev`.
+    let mut staged_ops = 0;
+    // Upserts whose replaced value only the apply knows, as (index into
+    // `dones`, index into `prev`); filled in after the commit.
+    let mut deferred: Vec<(usize, usize)> = Vec::new();
     let mut dones: Vec<Done> = Vec::with_capacity(group.len());
     for req in group {
         match req {
@@ -999,12 +1003,16 @@ fn process_group_engine<I: PmIndex>(
                 let out = match check_value(value) {
                     Err(e) => Err(e.into()),
                     Ok(()) => {
-                        let prev = peek(tables, &overlay, 0, key);
+                        // No read: the overlay or the apply knows the old value.
+                        let known = overlay.insert((0, key), Some(value));
+                        if known.is_none() {
+                            deferred.push((dones.len(), staged_ops));
+                        }
                         let mut b = WriteBatch::new();
                         b.put(0, key, value);
                         staged.push(b);
-                        overlay.insert((0, key), Some(value));
-                        Ok(prev)
+                        staged_ops += 1;
+                        Ok(known.flatten())
                     }
                 };
                 dones.push(Done::Val {
@@ -1029,6 +1037,7 @@ fn process_group_engine<I: PmIndex>(
                             let mut b = WriteBatch::new();
                             b.put(0, key, value);
                             staged.push(b);
+                            staged_ops += 1;
                             overlay.insert((0, key), Some(value));
                             Ok(Some(prev))
                         }
@@ -1047,6 +1056,7 @@ fn process_group_engine<I: PmIndex>(
                     let mut b = WriteBatch::new();
                     b.delete(0, key);
                     staged.push(b);
+                    staged_ops += 1;
                     overlay.insert((0, key), None);
                 }
                 dones.push(Done::Flag {
@@ -1083,6 +1093,7 @@ fn process_group_engine<I: PmIndex>(
                             BatchOp::Delete(k) => overlay.insert((t, k), None),
                         };
                     }
+                    staged_ops += batch.len();
                     staged.push(batch);
                 }
                 dones.push(Done::Unit {
@@ -1123,10 +1134,16 @@ fn process_group_engine<I: PmIndex>(
     let mut commit_failure: Option<ServiceError> = None;
     if !staged.is_empty() {
         let refs: Vec<&I> = tables.iter().map(|t| t.as_ref()).collect();
-        if let Err(e) = engine.commit_grouped(&staged, &refs) {
+        let mut prev = Vec::with_capacity(staged_ops);
+        if let Err(e) = engine.commit_grouped_prev(&staged, &refs, &mut prev) {
             commit_failure = Some(ServiceError::Index(e));
         } else {
             shared.stats.note_group(staged.len() as u64, backlog);
+            for (done, op) in deferred {
+                if let Done::Val { out, .. } = &mut dones[done] {
+                    *out = Ok(prev[op]);
+                }
+            }
         }
     } else {
         shared.stats.note_backlog(backlog);
@@ -1258,6 +1275,7 @@ fn process_group_direct<I: PmIndex>(shared: &Shared<I>, group: Vec<Request>, bac
 /// claim success — including reads, whose answers were computed against
 /// the group's overlay.
 fn fan_out<I>(shared: &Shared<I>, dones: Vec<Done>, group_failure: Option<ServiceError>) {
+    let failure = &group_failure;
     for done in dones {
         match done {
             Done::Val {
@@ -1265,54 +1283,36 @@ fn fan_out<I>(shared: &Shared<I>, dones: Vec<Done>, group_failure: Option<Servic
                 out,
                 class,
                 start,
-            } => {
-                let out = match &group_failure {
-                    Some(e) => Err(e.clone()),
-                    None => out,
-                };
-                shared
-                    .stats
-                    .note_done(class, out.is_ok(), start.elapsed().as_nanos() as u64);
-                let _ = reply.send(out);
-            }
+            } => finish(shared, reply, out, class, start, failure),
             Done::Flag { reply, out, start } => {
-                let out = match &group_failure {
-                    Some(e) => Err(e.clone()),
-                    None => out,
-                };
-                shared.stats.note_done(
-                    OpClass::Delete,
-                    out.is_ok(),
-                    start.elapsed().as_nanos() as u64,
-                );
-                let _ = reply.send(out);
+                finish(shared, reply, out, OpClass::Delete, start, failure)
             }
             Done::Unit { reply, out, start } => {
-                let out = match &group_failure {
-                    Some(e) => Err(e.clone()),
-                    None => out,
-                };
-                shared.stats.note_done(
-                    OpClass::Batch,
-                    out.is_ok(),
-                    start.elapsed().as_nanos() as u64,
-                );
-                let _ = reply.send(out);
+                finish(shared, reply, out, OpClass::Batch, start, failure)
             }
             Done::Rows { reply, out, start } => {
-                let out = match &group_failure {
-                    Some(e) => Err(e.clone()),
-                    None => out,
-                };
-                shared.stats.note_done(
-                    OpClass::Scan,
-                    out.is_ok(),
-                    start.elapsed().as_nanos() as u64,
-                );
-                let _ = reply.send(out);
+                finish(shared, reply, out, OpClass::Scan, start, failure)
             }
         }
     }
+}
+
+fn finish<I, T>(
+    shared: &Shared<I>,
+    reply: ReplySlot<T>,
+    out: Result<T, ServiceError>,
+    class: OpClass,
+    start: Instant,
+    group_failure: &Option<ServiceError>,
+) {
+    let out = match group_failure {
+        Some(e) => Err(e.clone()),
+        None => out,
+    };
+    shared
+        .stats
+        .note_done(class, out.is_ok(), start.elapsed().as_nanos() as u64);
+    let _ = reply.send(out);
 }
 
 #[cfg(test)]

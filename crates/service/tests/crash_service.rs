@@ -18,7 +18,7 @@
 //! live test crashes *under* a running `Service` and recovers what the
 //! workers actually committed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fastfair::FastFairTree;
@@ -191,16 +191,19 @@ fn acknowledged_service_writes_survive_a_crash() {
             },
         );
         let client = service.handle();
-        let tickets: Vec<_> = (1..=40u64)
-            .map(|k| (k, client.submit_insert(k, k * 10).unwrap()))
+        // Forty fresh inserts, then an upsert of every other key, all
+        // pipelined: each ack must also carry the value it replaced.
+        let writes = (1..=40u64)
+            .map(|k| (k, k * 10))
+            .chain((2..=40u64).step_by(2).map(|k| (k, k * 10 + 1)));
+        let tickets: Vec<_> = writes
+            .map(|(k, v)| (k, v, client.submit_insert(k, v).unwrap()))
             .collect();
-        tickets
-            .into_iter()
-            .map(|(k, t)| {
-                t.wait().unwrap();
-                (k, k * 10)
-            })
-            .collect()
+        let mut model = BTreeMap::new();
+        for (k, v, t) in tickets {
+            assert_eq!(t.wait().unwrap(), model.insert(k, v), "ack of {k} → {v}");
+        }
+        model.into_iter().collect()
         // Service drops here: queues drain, workers join.
     };
     assert_eq!(acked.len(), 40);

@@ -2,12 +2,12 @@
 //! `ClientHandle`s versus a serial `BTreeMap` oracle.
 //!
 //! Each client thread owns a DISJOINT key range and drives a seeded
-//! deterministic op stream (insert / update / delete / batch / get /
-//! scan) through the service, checking every reply against a private
-//! model as it goes — per-key traffic from one client serializes
-//! through its lane, so each reply must equal the model's answer
-//! exactly, concurrency or not. After the storm the service's table
-//! must equal the union of all models, key for key.
+//! deterministic op stream (insert / pipelined inserts / update /
+//! delete / batch / get / scan) through the service, checking every
+//! reply against a private model as it goes — per-key traffic from one
+//! client serializes through its lane, so each reply must equal the
+//! model's answer exactly, concurrency or not. After the storm the
+//! service's table must equal the union of all models, key for key.
 //!
 //! Runs against both routing backends (hash and range partitioning)
 //! and in engine (group commit) and direct mode. `FF_EPOCH_STRESS=1`
@@ -61,10 +61,28 @@ fn storm_one_client(
         let key = base + rng.next() % SPAN;
         let val = (rng.next() % 1_000_000) + 1; // avoid reserved 0
         match rng.next() % 10 {
-            // 40% insert
-            0..=3 => {
+            // 30% insert
+            0..=2 => {
                 let got = client.insert(key, val).unwrap();
                 assert_eq!(got, model.insert(key, val), "t{thread} step {step} insert");
+            }
+            // 10% pipelined upserts (a repeated key among them), waited in
+            // submission order: whether one group or several carried
+            // them, each ack reports what it replaced.
+            3 => {
+                let burst = [
+                    (key, val),
+                    (base + (key + 37) % SPAN, val + 1),
+                    (key, val + 2),
+                ];
+                let tickets = burst.map(|(k, v)| client.submit_insert(k, v).unwrap());
+                for ((k, v), t) in burst.into_iter().zip(tickets) {
+                    assert_eq!(
+                        t.wait().unwrap(),
+                        model.insert(k, v),
+                        "t{thread} step {step}"
+                    );
+                }
             }
             // 20% update (never inserts)
             4..=5 => {

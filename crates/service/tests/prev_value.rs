@@ -1,0 +1,124 @@
+//! Where an upsert's reply comes from: the engine-backed worker does not
+//! read a key before writing it — an `insert`'s "replaced value" is
+//! either what the same group already staged for the key, or what the
+//! group's apply found in the tree. Both cases, with the group boundary
+//! and the cross-lane interleaving forced rather than hoped for: a held
+//! `txn::Snapshot` stops a commit between its sequence store and its
+//! apply, and `last_committed()` says when a worker has got there.
+
+use std::sync::Arc;
+
+use fastfair::FastFairTree;
+use pmem::{Pool, PoolConfig};
+use pmindex::PmIndex;
+use service::{Service, ServiceConfig};
+use shard::{Partitioning, ShardedStore};
+use txn::{TxnEngine, WriteBatch};
+
+type Store = ShardedStore<FastFairTree>;
+
+fn rig(lanes: usize) -> (Arc<Store>, Arc<TxnEngine>, Service<Store>) {
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(16 << 20)).unwrap());
+    let store: Arc<Store> = Arc::new(
+        ShardedStore::create(
+            Arc::clone(&pool),
+            vec![Arc::clone(&pool); 2],
+            Partitioning::Hash { shards: 2 },
+        )
+        .unwrap(),
+    );
+    let engine = Arc::new(TxnEngine::create(pool).unwrap());
+    let service = Service::with_engine(
+        vec![Arc::clone(&store)],
+        Arc::clone(&engine),
+        ServiceConfig {
+            lanes,
+            affinity: Some(store.partitioning().clone()),
+            ..ServiceConfig::default()
+        },
+    );
+    (store, engine, service)
+}
+
+fn spin_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn one_group_answers_from_the_tree_then_from_itself() {
+    let (store, engine, service) = rig(1);
+    let c = service.handle();
+    store.insert(7, 70).unwrap();
+
+    // Park the worker inside a commit so the five requests below queue
+    // up behind it and are drained as ONE group.
+    let snap = engine.snapshot();
+    let parked = c.submit_insert(1_000, 1).unwrap();
+    spin_until("worker inside its commit", || engine.last_committed() == 1);
+    let t1 = c.submit_insert(7, 71).unwrap();
+    let t2 = c.submit_insert(7, 72).unwrap();
+    let t3 = c.submit_delete(7).unwrap();
+    let t4 = c.submit_insert(7, 73).unwrap();
+    let t5 = c.submit_get(7).unwrap();
+    drop(snap);
+
+    assert_eq!(parked.wait().unwrap(), None);
+    assert_eq!(
+        t1.wait().unwrap(),
+        Some(70),
+        "first touch: the tree's value"
+    );
+    assert_eq!(
+        t2.wait().unwrap(),
+        Some(71),
+        "second: what the group staged"
+    );
+    assert!(t3.wait().unwrap());
+    assert_eq!(
+        t4.wait().unwrap(),
+        None,
+        "insert after the group's own delete"
+    );
+    assert_eq!(t5.wait().unwrap(), Some(73));
+    assert_eq!(store.get(7), Some(73));
+    let stats = service.stats();
+    assert_eq!((stats.groups(), stats.largest_group()), (2, 4));
+}
+
+/// The replaced value is the one observed when the group *commits*: a
+/// client batch from the other lane that reaches the journal first has
+/// rewritten the key by then, and the reply must say so.
+#[test]
+fn reply_sees_a_cross_lane_batch_that_committed_first() {
+    let (store, engine, service) = rig(2);
+    let c = service.handle();
+    let part = store.partitioning().clone();
+    let k = (1..).find(|&k| part.shard_of(k) == 0).unwrap();
+    let other = (1..).find(|&k| part.shard_of(k) == 1).unwrap();
+    store.insert(k, 10).unwrap();
+
+    let snap = engine.snapshot();
+    // Lane 1 (routed by the batch's first key) commits a rewrite of `k`
+    // and stops before applying it, holding the journal.
+    let mut batch = WriteBatch::new();
+    batch.put(0, other, 5);
+    batch.put(0, k, 20);
+    let rewrite = c.submit_batch(batch).unwrap();
+    spin_until("lane 1 inside its commit", || engine.last_committed() == 1);
+    // Lane 0 takes an upsert of `k` and queues for the journal behind it.
+    let upsert = c.submit_insert(k, 30).unwrap();
+    spin_until("lane 0 dequeued the upsert", || service.queue_depth(0) == 0);
+    drop(snap);
+
+    rewrite.wait().unwrap();
+    assert_eq!(
+        upsert.wait().unwrap(),
+        Some(20),
+        "replaced the batch's value"
+    );
+    assert_eq!(store.get(k), Some(30));
+}

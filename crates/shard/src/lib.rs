@@ -937,11 +937,7 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
         // conflicting ops.
         let mut per_shard: Vec<Vec<BatchOp>> = vec![Vec::new(); self.shards.len()];
         for &op in ops {
-            let key = match op {
-                BatchOp::Put(k, _) => k,
-                BatchOp::Delete(k) => k,
-            };
-            per_shard[self.partitioning.shard_of(key)].push(op);
+            per_shard[self.partitioning.shard_of(op.key())].push(op);
         }
         for (i, group) in per_shard.into_iter().enumerate() {
             if group.is_empty() {
@@ -952,6 +948,27 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
             slot.current().apply_batch(&group)?;
         }
         Ok(())
+    }
+
+    fn apply_batch_prev(
+        &self,
+        ops: &[BatchOp],
+        prev: &mut Vec<Option<Value>>,
+    ) -> Result<(), IndexError> {
+        // The same per-shard grouping as `apply_batch`, one write-gate
+        // acquisition per shard, each shard's answers scattered back to
+        // where its ops sat in the input.
+        pmindex::apply_bucketed_prev(
+            self.shards.len(),
+            ops.iter()
+                .map(|&op| (self.partitioning.shard_of(op.key()), op)),
+            prev,
+            |shard, group, group_prev| {
+                let slot = &self.shards[shard];
+                let _gate = slot.write_gate.read();
+                slot.current().apply_batch_prev(group, group_prev)
+            },
+        )
     }
 
     fn name(&self) -> &'static str {

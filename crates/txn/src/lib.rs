@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use pmem::{PmOffset, Pool, NULL_OFFSET};
-use pmindex::{check_value, BatchOp, IndexError, PmIndex};
+use pmindex::{check_value, BatchOp, IndexError, PmIndex, Value};
 
 /// Journal region layout (8-byte words, little-endian):
 ///
@@ -234,6 +234,47 @@ pub fn apply_grouped<T: PmIndex + ?Sized>(
         }
     }
     Ok(())
+}
+
+/// [`apply_grouped`] that also reports what each op replaced: the same
+/// per-table regrouping, through [`PmIndex::apply_batch_prev`], with one
+/// entry pushed onto `prev` per op **in `ops` order** — the value a put
+/// replaced or a delete removed, `None` if the key was absent, later ops
+/// on a key seeing earlier ones.
+///
+/// ```
+/// use pmindex::{BatchOp, PmIndex};
+/// use std::sync::Arc;
+///
+/// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
+/// let a = fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())?;
+/// let b = fastfair::FastFairTree::create(pool, fastfair::TreeOptions::new())?;
+/// b.insert(1, 11)?;
+/// let mut prev = Vec::new();
+/// txn::apply_grouped_prev(
+///     &[(1, BatchOp::Put(1, 12)), (0, BatchOp::Put(1, 10)), (1, BatchOp::Delete(1))],
+///     &[&a, &b],
+///     &mut prev,
+/// )?;
+/// assert_eq!(prev, vec![Some(11), None, Some(12)]); // input order, not table order
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// # Errors
+///
+/// As [`apply_grouped`]; after an error the entries pushed onto `prev`
+/// are unspecified.
+pub fn apply_grouped_prev<T: PmIndex + ?Sized>(
+    ops: &[(u64, BatchOp)],
+    tables: &[&T],
+    prev: &mut Vec<Option<Value>>,
+) -> Result<(), IndexError> {
+    pmindex::apply_bucketed_prev(
+        tables.len(),
+        ops.iter().map(|&(t, op)| (t as usize, op)),
+        prev,
+        |t, group, group_prev| tables[t].apply_batch_prev(group, group_prev),
+    )
 }
 
 /// Observer of committed groups — the change-data-capture seam.
@@ -579,6 +620,64 @@ impl TxnEngine {
         batches: &[WriteBatch],
         tables: &[&T],
     ) -> Result<u64, IndexError> {
+        self.commit_group(batches, tables, None)
+    }
+
+    /// [`TxnEngine::commit_grouped`] that also reports what every write
+    /// replaced: the same stage → one sequence store → taps → apply →
+    /// retire protocol, the same validation, the same fences and
+    /// flushes — only the apply phase goes through
+    /// [`apply_grouped_prev`], pushing one entry per op onto `prev` in
+    /// flat group order (batch 0's ops, then batch 1's, …): the value a
+    /// put replaced or a delete removed *as the group applied*, `None`
+    /// if the key was absent. On an index that reports the old value
+    /// from the write itself (`FastFairTree`, `shard::ShardedStore`)
+    /// this costs no descent beyond the apply's own — which is how
+    /// `crates/service` answers upserts without reading first.
+    ///
+    /// A no-op group (empty, or rejected by validation) pushes nothing.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use pmindex::PmIndex;
+    /// use txn::{TxnEngine, WriteBatch};
+    ///
+    /// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
+    /// let tree = fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())?;
+    /// tree.insert(1, 9)?;
+    /// let engine = TxnEngine::create(Arc::clone(&pool))?;
+    /// let mut a = WriteBatch::new();
+    /// a.put(0, 1, 10);
+    /// let mut b = WriteBatch::new();
+    /// b.put(0, 2, 20);
+    /// b.delete(0, 1);
+    /// let mut prev = Vec::new();
+    /// engine.commit_grouped_prev(&[a, b], &[&tree], &mut prev)?;
+    /// assert_eq!(prev, vec![Some(9), None, Some(10)]);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`TxnEngine::commit_grouped`]; after an apply failure
+    /// the entries pushed onto `prev` are unspecified.
+    pub fn commit_grouped_prev<T: PmIndex + ?Sized>(
+        &self,
+        batches: &[WriteBatch],
+        tables: &[&T],
+        prev: &mut Vec<Option<Value>>,
+    ) -> Result<u64, IndexError> {
+        self.commit_group(batches, tables, Some(prev))
+    }
+
+    /// The one commit protocol behind [`TxnEngine::commit_grouped`]
+    /// (`prev` = `None`) and [`TxnEngine::commit_grouped_prev`].
+    fn commit_group<T: PmIndex + ?Sized>(
+        &self,
+        batches: &[WriteBatch],
+        tables: &[&T],
+        prev: Option<&mut Vec<Option<Value>>>,
+    ) -> Result<u64, IndexError> {
         for batch in batches {
             for &(t, op) in &batch.ops {
                 if t as usize >= tables.len() {
@@ -648,7 +747,10 @@ impl TxnEngine {
         // reads can observe.
         {
             let _excl = self.apply_gate.write();
-            apply_grouped(&ops, tables)?;
+            match prev {
+                Some(prev) => apply_grouped_prev(&ops, tables, prev)?,
+                None => apply_grouped(&ops, tables)?,
+            }
             self.applied.store(seq, Ordering::SeqCst);
         }
         // 4. RETIRE: mark applied so the next commit can reuse the

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use fastfair_repro::pmem::{Pool, PoolConfig};
 use fastfair_repro::pmindex::workload::{generate_keys, value_for, KeyDist};
-use fastfair_repro::pmindex::{Cursor, IndexError, PmIndex};
+use fastfair_repro::pmindex::{BatchOp, Cursor, IndexError, PmIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -214,4 +214,125 @@ fn bulk_load_then_full_scan_identical_across_indexes() {
             Some(r) => assert_eq!(&got, r, "{} diverges", idx.name()),
         }
     }
+}
+
+/// Written the way `txn`'s fail-once test double and `perf`'s `Traced`
+/// are: the required methods plus `apply_batch`, nothing else — so its
+/// `apply_batch_prev` is the trait default, which must stay correct and
+/// must still hand the whole batch to the override in one call.
+struct OnlyApplyBatch {
+    inner: fastfair_repro::fastfair::FastFairTree,
+    batches: std::sync::atomic::AtomicUsize,
+}
+
+impl PmIndex for OnlyApplyBatch {
+    fn insert(&self, key: u64, value: u64) -> Result<Option<u64>, IndexError> {
+        self.inner.insert(key, value)
+    }
+    fn update(&self, key: u64, value: u64) -> Result<Option<u64>, IndexError> {
+        self.inner.update(key, value)
+    }
+    fn get(&self, key: u64) -> Option<u64> {
+        self.inner.get(key)
+    }
+    fn remove(&self, key: u64) -> bool {
+        self.inner.remove(key)
+    }
+    fn cursor(&self) -> Box<dyn Cursor + '_> {
+        self.inner.cursor()
+    }
+    fn name(&self) -> &'static str {
+        "only-apply_batch wrapper"
+    }
+    fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
+        self.batches
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.apply_batch(ops)
+    }
+}
+
+/// What `apply_batch_prev` must push for `ops`, replayed on the model.
+fn model_prev(model: &mut BTreeMap<u64, u64>, ops: &[BatchOp]) -> Vec<Option<u64>> {
+    ops.iter()
+        .map(|&op| match op {
+            BatchOp::Put(k, v) => model.insert(k, v),
+            BatchOp::Delete(k) => model.remove(&k),
+        })
+        .collect()
+}
+
+#[test]
+fn apply_batch_prev_agrees_with_model_on_every_backend() {
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(512 << 20)).unwrap());
+    let wrapper = OnlyApplyBatch {
+        inner: fastfair_repro::fastfair::FastFairTree::create(
+            Arc::clone(&pool),
+            fastfair_repro::fastfair::TreeOptions::new(),
+        )
+        .unwrap(),
+        batches: Default::default(),
+    };
+    let mut indexes = all_indexes(&pool);
+    indexes.push(Box::new(&wrapper));
+
+    // 47 keys spread over every shard of both routers (the range router
+    // splits at 700 and 1400), so a 24-op batch repeats keys and
+    // interleaves shards; values are unique, as FAST requires.
+    let mut rng = StdRng::seed_from_u64(0x9e37);
+    let mut next_value = 0x1000u64;
+    let mut batches: Vec<Vec<BatchOp>> = vec![vec![
+        BatchOp::Delete(45),    // absent key
+        BatchOp::Put(45, 8),    // fresh
+        BatchOp::Put(1800, 16), // another shard in between
+        BatchOp::Put(45, 24),   // repeated key: sees the put above
+        BatchOp::Delete(45),    // removes the second put
+        BatchOp::Put(900, 32),
+        BatchOp::Put(45, 40), // put after delete: nothing to replace
+        BatchOp::Delete(1800),
+    ]];
+    for _ in 0..120 {
+        let n = rng.gen_range(1..25);
+        batches.push(
+            (0..n)
+                .map(|_| {
+                    let k = rng.gen_range(1..48u64) * 45;
+                    if rng.gen_range(0..10) < 6 {
+                        next_value += 8;
+                        BatchOp::Put(k, next_value)
+                    } else {
+                        BatchOp::Delete(k)
+                    }
+                })
+                .collect(),
+        );
+    }
+
+    for idx in &indexes {
+        let mut model = BTreeMap::new();
+        for (i, ops) in batches.iter().enumerate() {
+            // `prev` is appended to, never cleared.
+            let mut got = vec![Some(7)];
+            idx.apply_batch_prev(ops, &mut got).unwrap();
+            let mut want = vec![Some(7)];
+            want.extend(model_prev(&mut model, ops));
+            assert_eq!(got, want, "{}: batch {i} {ops:?}", idx.name());
+        }
+        let mut got = Vec::new();
+        idx.range(0, u64::MAX, &mut got);
+        let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(got, want, "{}: final content", idx.name());
+        // A reserved value fails the batch, as `apply_batch` does.
+        assert!(
+            idx.apply_batch_prev(&[BatchOp::Put(45, 0)], &mut Vec::new())
+                .is_err(),
+            "{}: reserved value accepted",
+            idx.name()
+        );
+    }
+    // The default path stayed batched: one `apply_batch` per call (the
+    // failing one included), never a loop of single-op applies.
+    assert_eq!(
+        wrapper.batches.load(std::sync::atomic::Ordering::Relaxed),
+        batches.len() + 1
+    );
 }
