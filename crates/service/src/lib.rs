@@ -176,7 +176,10 @@ pub struct Ticket<T> {
 }
 
 impl<T> Ticket<T> {
-    /// Blocks until the request completes.
+    /// Waits until the request completes: a bounded spin on the reply
+    /// slot (`oneshot::SPIN_BOUND` — the worker is usually mid-group,
+    /// and its reply wakes no one who is not asleep), then parked. Any
+    /// thread may wait a ticket, not only the one that submitted it.
     ///
     /// # Errors
     ///
@@ -617,7 +620,8 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
         self.shared.rotation.as_ref()
     }
 
-    /// Requests currently queued on `lane` (racy snapshot).
+    /// Requests currently queued on `lane`: exact when read, stale as
+    /// soon as a client or the worker moves.
     pub fn queue_depth(&self, lane: usize) -> usize {
         self.senders[lane].len()
     }
@@ -671,7 +675,6 @@ impl<I: PmIndex + Send + Sync + 'static> fmt::Debug for ClientHandle<I> {
 impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
     fn submit(&self, lane: usize, req: Request) -> Result<(), ServiceError> {
         let class = req.class();
-        self.shared.stats.note_submitted(class);
         if self.shared.stop.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
@@ -686,7 +689,10 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
             Admission::Park => self.senders[lane]
                 .send(req)
                 .map_err(|_| ServiceError::ShuttingDown),
-        }
+        }?;
+        // Counted once a queue holds it: sheds and refusals are not.
+        self.shared.stats.note_submitted(class);
+        Ok(())
     }
 
     /// Pipelined [`ClientHandle::get`].
@@ -918,6 +924,8 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
 
 fn worker_loop<I: PmIndex>(shared: &Shared<I>, rx: &Receiver<Request>) {
     loop {
+        // Spins (`crossbeam_channel::SPIN_BOUND`) while the clients keep
+        // pace, sleeps at once while they do not.
         let first = match rx.recv_timeout(shared.idle_timeout) {
             Ok(req) => req,
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
@@ -933,12 +941,12 @@ fn worker_loop<I: PmIndex>(shared: &Shared<I>, rx: &Receiver<Request>) {
             Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
         };
         let backlog = rx.len();
-        let mut group = vec![first];
-        while group.len() < shared.max_group {
-            match rx.try_recv() {
-                Ok(req) => group.push(req),
-                Err(_) => break,
-            }
+        let rest = backlog.min(shared.max_group - 1);
+        let mut group = Vec::with_capacity(1 + rest);
+        group.push(first);
+        if rest > 0 {
+            // The rest of the group under one acquisition of the queue.
+            group.extend(rx.try_iter().take(rest));
         }
         process_group(shared, group, backlog as u64);
         // Self-harvest this thread's persistence counters into the
