@@ -79,6 +79,15 @@ fn write_entry(
     value: Value,
     mode: WriteMode,
 ) -> Result<Option<Value>, IndexError> {
+    // A leaf-level write of a key this handle has stood on before tries
+    // the hinted leaf first; everything it cannot settle there — and every
+    // write above the leaves — takes the descent below.
+    let probe = (level == 0).then(|| tree.hints.probe(key));
+    if let Some(off) = probe.as_ref().and_then(|p| p.leaf()) {
+        if let Some(old) = overwrite_at_hint(tree, off, key, value) {
+            return Ok(Some(old));
+        }
+    }
     'retry: loop {
         // Phase 1: lock-free descent to the target level.
         let off = match stats::timed(stats::Phase::Search, || descend_to_level(tree, level, key)) {
@@ -121,22 +130,31 @@ fn write_entry(
 
         // Phase 3: the actual modification.
         let replaced = if let Some(slot) = find_valid_slot(node, key) {
-            let old = node.ptr(slot);
-            if level == 0 && old != value {
-                // In-place value overwrite: a single failure-atomic 8-byte
-                // pointer store — a crash exposes the old value or the new
-                // one, never a torn mixture.
-                stats::timed(stats::Phase::Update, || {
-                    node.set_ptr(slot, value);
-                    tree.pool.persist(node.ptr_off(slot), 8);
-                });
-            }
-            // At internal levels an existing key means the parent update
-            // already happened; nothing to do.
+            let old = match &probe {
+                Some(probe) => {
+                    // Standing on the key after a full descent: remember
+                    // where.
+                    probe.install(key, node.offset());
+                    overwrite_in_place(tree, node, slot, value)
+                }
+                // At internal levels an existing key means the parent
+                // update already happened; nothing to do.
+                None => node.ptr(slot),
+            };
             guard.unlock();
             Some(old)
         } else if mode == WriteMode::UpdateOnly {
             // Update-only contract: absent key, leave the node untouched.
+            guard.unlock();
+            None
+        } else if level > 0 && tree.node(value).is_deleted() {
+            // A routing entry for a child that was emptied, unlinked and
+            // retired while this parent update was on its way (a writer
+            // redirected through a sibling pointer reads the separator
+            // long before it gets here). The merge marks the child deleted
+            // under this same parent latch, so the check cannot race it;
+            // inserting would leave the tree routing into a block the
+            // allocator is about to hand to someone else.
             guard.unlock();
             None
         } else {
@@ -168,9 +186,55 @@ fn write_entry(
     }
 }
 
+/// Overwrites the value at `slot` of a latched leaf in place, returning the
+/// value it replaced: a single failure-atomic 8-byte pointer store — a
+/// crash exposes the old value or the new one, never a torn mixture.
+fn overwrite_in_place(tree: &FastFairTree, node: NodeRef<'_>, slot: u16, value: Value) -> Value {
+    let old = node.ptr(slot);
+    if old != value {
+        stats::timed(stats::Phase::Update, || {
+            node.set_ptr(slot, value);
+            tree.pool.persist(node.ptr_off(slot), 8);
+        });
+    }
+    old
+}
+
+/// The hinted leaf-level write: latches the leaf at `off` and runs the
+/// descent's own per-leaf protocol on it. Settles the write — returning
+/// the replaced value — only if `key` is found valid there; a leaf that was
+/// unlinked, no longer covers the key after a FAIR split, or does not hold
+/// it returns `None` and the caller descends. Charges the one hop.
+fn overwrite_at_hint(tree: &FastFairTree, off: u64, key: Key, value: Value) -> Option<Value> {
+    let node = tree.node(off);
+    stats::timed(stats::Phase::Search, || node.charge_hop());
+    if !node.is_leaf() {
+        return None;
+    }
+    let guard = WriteGuard::lock(&tree.pool, node.lock_word_off());
+    let node = tree.node(off); // framed under the latch
+    let mut old = None;
+    if !node.is_deleted() {
+        crate::delete::repair_node_locked(tree, node);
+        if tree.covering_sibling(node, key).is_none() {
+            old =
+                find_valid_slot(node, key).map(|slot| overwrite_in_place(tree, node, slot, value));
+        }
+    }
+    guard.unlock();
+    if old.is_some() {
+        stats::count_leaf_hint_hit();
+    }
+    old
+}
+
 /// Lock-free descent to the node at `level` covering `key`.
 ///
-/// Returns `None` if the root is below the requested level.
+/// Returns `None` if the root is below the requested level. Charges a PM
+/// miss for **every** level it visits, where the read path's
+/// [`FastFairTree::find_leaf`] charges only the two lowest (its rustdoc
+/// has the rationale, and ROADMAP 1(a) the plan to unify them); a write
+/// settled by [`overwrite_at_hint`] charges exactly one hop.
 fn descend_to_level(tree: &FastFairTree, level: u32, key: Key) -> Option<u64> {
     let mut off = tree.root();
     let mut node = tree.node(off);

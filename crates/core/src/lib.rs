@@ -56,6 +56,7 @@
 
 mod bulk;
 mod delete;
+mod hint;
 mod insert;
 pub mod layout;
 pub mod lock;

@@ -72,6 +72,10 @@ pub(crate) fn leaf_search_linear(
                         ret = Some(p);
                         break;
                     }
+                    // Or the same key was overwritten in place (one pointer
+                    // store, no shift, no counter bump): look at the slot
+                    // again rather than stepping past a key that is there.
+                    continue;
                 }
                 i += 1;
             }
@@ -83,11 +87,12 @@ pub(crate) fn leaf_search_linear(
                 let p = node.ptr(i);
                 if p != NULL_OFFSET && p != INVALID_PTR && node.key(i) == key {
                     // Re-read the pointer (same staleness guard as the
-                    // forward scan above).
+                    // forward scan above, same second look on a change).
                     if node.ptr(i) == p {
                         ret = Some(p);
                         break;
                     }
+                    continue;
                 }
                 if i == 0 {
                     break;
@@ -120,16 +125,22 @@ pub(crate) fn leaf_search_linear(
 fn fp_probe(tree: &FastFairTree, node: &NodeRef<'_>, key: Key) -> Option<Value> {
     let h = fp_hash(key);
     let mut ret = None;
-    for i in 0..node.slots() {
+    'slots: for i in 0..node.slots() {
         if node.fp(i) != h {
             continue;
         }
-        // Candidate: touch the record line and verify.
+        // Candidate: touch the record line and verify. A pointer that
+        // changed under the key match is looked at again: an in-place
+        // overwrite of this very key moves nothing else.
         tree.pool.charge_serial_reads(1);
-        let p = node.ptr(i);
-        if p != NULL_OFFSET && p != INVALID_PTR && node.key(i) == key && node.ptr(i) == p {
-            ret = Some(p);
-            break;
+        let mut p = node.ptr(i);
+        while p != NULL_OFFSET && p != INVALID_PTR && node.key(i) == key {
+            let again = node.ptr(i);
+            if again == p {
+                ret = Some(p);
+                break 'slots;
+            }
+            p = again;
         }
     }
     // The fingerprint lines themselves stream as adjacent parallel reads.
@@ -193,9 +204,13 @@ pub(crate) fn read_leaf_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(
             }
             if p != INVALID_PTR {
                 let k = node.key(i);
-                if node.ptr(i) == p {
-                    out.push((k, p));
+                if node.ptr(i) != p {
+                    // Rewritten between the two reads — possibly the same
+                    // key overwritten in place, which bumps no counter:
+                    // look again rather than skip a key that is there.
+                    continue;
                 }
+                out.push((k, p));
             }
             i += 1;
         }

@@ -23,17 +23,24 @@ use crate::layout::NodeRef;
 use crate::lock::{lock_write, unlock_write, WriteGuard};
 use crate::tree::{FastFairTree, META_LOCK, META_LOG_AREA, META_LOG_HEAD, META_ROOT};
 
-/// Builds and links the right sibling of a full, locked, repaired `node`;
-/// returns `(sibling offset, separator key)`.
+/// A freshly linked right sibling: its offset, the separator key, and its
+/// latch — taken before the link made it reachable.
+struct Sibling<'a> {
+    off: PmOffset,
+    split_key: Key,
+    guard: WriteGuard<'a>,
+}
+
+/// Builds and links the right sibling of a full, locked, repaired `node`.
 ///
 /// Shared by the FAIR and logging strategies — they differ only in how the
 /// steps are made failure-atomic (`ordered_persists` toggles the per-step
 /// flushes).
-fn build_and_link_sibling(
-    tree: &FastFairTree,
+fn build_and_link_sibling<'a>(
+    tree: &'a FastFairTree,
     node: NodeRef<'_>,
     ordered_persists: bool,
-) -> Result<(PmOffset, Key), IndexError> {
+) -> Result<Sibling<'a>, IndexError> {
     let pool = &tree.pool;
     let cnt = node.count_records();
     debug_assert_eq!(cnt, tree.cap);
@@ -44,6 +51,11 @@ fn build_and_link_sibling(
     let sib_off = pool.alloc(u64::from(tree.node_size), 64)?;
     let mut sib = tree.node(sib_off);
     sib.init(level);
+    // Descending writers reach the sibling only through `node`'s latch,
+    // but a lock-free reader can find a key in it the moment it is linked
+    // and leave a leaf hint, and a hinted writer latches that leaf
+    // directly: hold the sibling's latch until the pending insert is in.
+    let guard = WriteGuard::lock(pool, sib.lock_word_off());
     if level == 0 {
         let mut j = 0u16;
         for i in median..cnt {
@@ -99,29 +111,31 @@ fn build_and_link_sibling(
         node.set_fp(i, 0);
     }
     node.fp_reseal_after(was_sealed);
-    Ok((sib_off, split_key))
+    Ok(Sibling {
+        off: sib_off,
+        split_key,
+        guard,
+    })
 }
 
-/// Inserts the pending record into the correct half and releases the node.
+/// Inserts the pending record into the correct half and releases both
+/// halves, left to right like every other writer.
 fn insert_pending_and_unlock(
     tree: &FastFairTree,
     node: NodeRef<'_>,
     guard: WriteGuard<'_>,
-    sib_off: PmOffset,
-    split_key: Key,
+    sibling: Sibling<'_>,
     key: Key,
     value: Value,
 ) {
-    if key < split_key {
+    if key < sibling.split_key {
         fast_insert_locked(tree, node, key, value, node.count_records());
     } else {
-        // The sibling is invisible to other writers until this node's lock
-        // is released (they all pass through `node`), so no sibling lock is
-        // needed — mirroring the original implementation.
-        let sib = tree.node(sib_off);
+        let sib = tree.node(sibling.off);
         fast_insert_locked(tree, sib, key, value, sib.count_records());
     }
     guard.unlock();
+    sibling.guard.unlock();
 }
 
 /// FAIR split (Algorithm 2): splits the locked full `node` and inserts
@@ -135,8 +149,9 @@ pub(crate) fn fair_split_insert(
 ) -> Result<(), IndexError> {
     let level = node.level();
     let node_off = node.offset();
-    let (sib_off, split_key) = build_and_link_sibling(tree, node, true)?;
-    insert_pending_and_unlock(tree, node, guard, sib_off, split_key, key, value);
+    let sibling = build_and_link_sibling(tree, node, true)?;
+    let (sib_off, split_key) = (sibling.off, sibling.split_key);
+    insert_pending_and_unlock(tree, node, guard, sibling, key, value);
     parent_update(tree, level + 1, split_key, sib_off, node_off)
 }
 
@@ -173,8 +188,8 @@ pub(crate) fn logging_split_insert(
     // Guarded by the undo log, the split needs no ordered persists.
     // (On allocation failure the log head must be rolled back and the
     // superblock lock released before the error propagates.)
-    let (sib_off, split_key) = match build_and_link_sibling(tree, node, false) {
-        Ok(pair) => pair,
+    let sibling = match build_and_link_sibling(tree, node, false) {
+        Ok(sibling) => sibling,
         Err(e) => {
             pool.store_u64(tree.meta + META_LOG_HEAD, 0);
             pool.persist(tree.meta + META_LOG_HEAD, 8);
@@ -182,6 +197,7 @@ pub(crate) fn logging_split_insert(
             return Err(e);
         }
     };
+    let (sib_off, split_key) = (sibling.off, sibling.split_key);
     pool.persist(sib_off, u64::from(tree.node_size));
     pool.persist(node_off, u64::from(tree.node_size));
 
@@ -189,7 +205,7 @@ pub(crate) fn logging_split_insert(
     pool.persist(tree.meta + META_LOG_HEAD, 8);
     unlock_write(pool, tree.meta + META_LOCK);
 
-    insert_pending_and_unlock(tree, node, guard, sib_off, split_key, key, value);
+    insert_pending_and_unlock(tree, node, guard, sibling, key, value);
     parent_update(tree, level + 1, split_key, sib_off, node_off)
 }
 

@@ -1033,6 +1033,459 @@ fn circular_frame_cuts_shift_distance() {
     );
 }
 
+/// An in-place overwrite is one pointer store — no shift, no switch-counter
+/// bump — so a lock-free reader whose key match straddles it sees the
+/// pointer change under it. It must look again, not step past the key: a
+/// point read or a scan racing an update of a present key never misses it.
+#[test]
+fn layout_variants_readers_never_miss_a_key_being_overwritten_in_place() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tree_with(&p, opts.node_size(256));
+        for k in 1..=8u64 {
+            t.insert(k, k + 100).unwrap();
+        }
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 1_000u64;
+                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                    for k in 1..=8u64 {
+                        v += 1;
+                        assert!(t.update(k, v).unwrap().is_some());
+                    }
+                }
+            });
+            // Stop the updater however the checks below end.
+            struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, std::sync::atomic::Ordering::Release);
+                }
+            }
+            let _stop = Stop(&stop);
+            let mut rows = Vec::new();
+            for round in 0..20_000u64 {
+                let k = round % 8 + 1;
+                assert!(t.get(k).is_some(), "{name}: get missed key {k}");
+                rows.clear();
+                t.range(0, u64::MAX, &mut rows);
+                assert_eq!(rows.len(), 8, "{name}: scan missed a key: {rows:?}");
+            }
+        });
+    }
+}
+
+// ---- leaf hints ------------------------------------------------------------
+//
+// The volatile `key → leaf` table in front of the descent (`crate::hint`).
+// Every test allocates the table up front instead of serving the warm-up
+// ops first, runs on every layout variant with 256-byte nodes, and reads
+// the `leaf_hint_*` counters to tell a hinted access from a descent.
+
+fn warm_tree(pool: &Arc<Pool>, opts: TreeOptions) -> FastFairTree {
+    let t = tree_with(pool, opts.node_size(256));
+    t.hints.warm_with_limit(crate::hint::GEN_LIMIT);
+    t
+}
+
+/// Hinted accesses `f` made on this thread.
+fn hint_hits(f: impl FnOnce()) -> u64 {
+    let before = stats::snapshot().leaf_hint_hits;
+    f();
+    stats::snapshot().leaf_hint_hits - before
+}
+
+/// The keys of `keys` grouped by the leaf a descent finds them in.
+fn keys_by_leaf(t: &FastFairTree, keys: impl Iterator<Item = u64>) -> BTreeMap<u64, Vec<u64>> {
+    let mut by_leaf: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for k in keys {
+        by_leaf.entry(t.find_leaf(k)).or_default().push(k);
+    }
+    by_leaf
+}
+
+/// Removes whole leaves' worth of keys, left to right, until `n` leaves
+/// have been emptied, unlinked and retired; returns each with its keys.
+fn retire_leaves(
+    t: &FastFairTree,
+    keys: std::ops::RangeInclusive<u64>,
+    n: usize,
+) -> Vec<(u64, Vec<u64>)> {
+    let mut retired = Vec::new();
+    for (leaf, ks) in keys_by_leaf(t, keys) {
+        if retired.len() == n {
+            break;
+        }
+        for &k in &ks {
+            assert!(t.remove(k));
+        }
+        // The leftmost child of a parent is emptied but never unlinked.
+        if t.node(leaf).is_deleted() {
+            retired.push((leaf, ks));
+        }
+    }
+    assert_eq!(retired.len(), n, "not enough leaves could be unlinked");
+    retired
+}
+
+/// Invariant 1: a hint whose key a FAIR split moved to the right sibling
+/// is not believed — the access falls back to the descent, answers
+/// correctly, and re-hints the key where it now lives.
+#[test]
+fn layout_variants_hint_survives_a_split_that_moves_the_key_right() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = warm_tree(&p, opts);
+        let cap = u64::from(t.node_capacity());
+        for k in 1..=cap {
+            t.insert(k * 10, value_for(k)).unwrap();
+        }
+        assert_eq!(t.height(), 0, "{name}");
+        let (read_key, written_key) = (cap * 10, (cap - 1) * 10);
+        let root_leaf = t.find_leaf(read_key);
+        // First access descends and hints, the second goes straight there.
+        assert_eq!(hint_hits(|| assert!(t.get(read_key).is_some())), 0);
+        assert_eq!(hint_hits(|| assert!(t.get(read_key).is_some())), 1);
+        assert_eq!(
+            hint_hits(|| assert!(t.update(written_key, 7).unwrap().is_some())),
+            0
+        );
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.update(written_key, 8).unwrap(), Some(7))),
+            1
+        );
+        assert_eq!(t.hints.stored_leaf(read_key), Some(root_leaf));
+
+        // Split the leaf: its upper half, both keys included, moves right.
+        t.insert(5, 5).unwrap();
+        assert_eq!(t.height(), 1, "{name}");
+        assert_ne!(t.find_leaf(read_key), root_leaf, "{name}: key did not move");
+
+        // The stale hints cost a hop each and nothing else…
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.get(read_key), Some(value_for(cap)))),
+            0,
+            "{name}"
+        );
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.update(written_key, 9).unwrap(), Some(8))),
+            0
+        );
+        // …and the fallback re-hinted both keys at the sibling.
+        assert_eq!(t.hints.stored_leaf(read_key), Some(t.find_leaf(read_key)));
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.get(read_key), Some(value_for(cap)))),
+            1
+        );
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.insert(written_key, 10).unwrap(), Some(9))),
+            1
+        );
+        assert_eq!(t.get(written_key), Some(10));
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// Invariant 2, first half: taking a leaf off the tree bumps the
+/// generation before the block is retired, and every hint stored before —
+/// for the unlinked leaf or any other — is ignored from then on.
+#[test]
+fn layout_variants_unlinked_leaf_bumps_generation_and_hints_are_ignored() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = warm_tree(&p, opts);
+        for k in 1..=200u64 {
+            t.insert(k, value_for(k)).unwrap();
+        }
+        for k in 1..=200u64 {
+            t.get(k);
+        }
+        let before = t.hints.generation();
+        let (gone_leaf, gone_keys) = retire_leaves(&t, 40..=200, 1).remove(0);
+        assert_eq!(
+            t.hints.generation(),
+            before + 1,
+            "{name}: one retirement, one bump"
+        );
+        assert_eq!(
+            t.epoch().limbo_len(),
+            1,
+            "{name}: bumped before the block can be freed"
+        );
+
+        // The slots still name their leaves; the generation gate hides them.
+        let survivor = 10;
+        assert!(t.hints.stored_leaf(survivor).is_some());
+        assert_eq!(t.hints.stored_leaf(gone_keys[0]), Some(gone_leaf));
+        assert_eq!(t.hints.probe(survivor).leaf(), None, "{name}");
+        assert_eq!(t.hints.probe(gone_keys[0]).leaf(), None, "{name}");
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
+            0
+        );
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
+            1
+        );
+        for &k in &gone_keys {
+            assert_eq!(t.get(k), None, "{name}: key {k}");
+            assert_eq!(t.update(k, 7).unwrap(), None, "{name}: key {k}");
+        }
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// Invariant 2, second half: once the retired blocks have been through the
+/// allocator again — as the root leaf of a second tree in the same pool
+/// holding the same keys, as that tree's next leaf and as its new internal
+/// root — the first tree's slots still name them, and no hinted access
+/// reads the other tree's value, stores into it or latches its root.
+#[test]
+fn layout_variants_recycled_blocks_are_never_reached_through_a_hint() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let a = warm_tree(&p, opts);
+        let (a_val, b_val) = (|k: u64| 2 * k + 2, |k: u64| 2 * k + 3);
+        for k in 1..=200u64 {
+            a.insert(k, a_val(k)).unwrap();
+        }
+        for k in 1..=200u64 {
+            a.get(k);
+        }
+        let retired = retire_leaves(&a, 40..=200, 3);
+        while a.epoch().limbo_len() > 0 {
+            a.epoch().try_advance();
+            a.epoch().collect();
+        }
+
+        // The free list is LIFO: B's root leaf is the block retired last.
+        let b = tree_with(&p, opts.node_size(256));
+        let (b_root_leaf, shared_keys) = retired.last().unwrap();
+        assert_eq!(
+            b.find_leaf(1),
+            *b_root_leaf,
+            "{name}: root leaf not recycled"
+        );
+        for &k in shared_keys {
+            b.insert(k, b_val(k)).unwrap();
+        }
+        // Grow B until it has split and grown a root out of the other two.
+        let mut fresh = 1_000u64;
+        while b.height() == 0 {
+            b.insert(fresh, b_val(fresh)).unwrap();
+            fresh += 1;
+        }
+        let levels: Vec<u32> = retired
+            .iter()
+            .map(|&(off, _)| b.node(off).level())
+            .collect();
+        assert!(
+            levels.contains(&1),
+            "{name}: no block came back as an internal node: {levels:?}"
+        );
+        assert!(!b.node(*b_root_leaf).is_deleted());
+
+        // B's root leaf first: the block where a believed hint would read
+        // B's value for the same key.
+        for (off, keys) in retired.iter().rev() {
+            for &k in keys {
+                if a.hints.stored_leaf(k) != Some(*off) {
+                    continue; // evicted by a colliding key
+                }
+                assert_eq!(
+                    hint_hits(|| assert_eq!(a.get(k), None, "{name}: key {k}")),
+                    0
+                );
+                assert_eq!(a.update(k, a_val(k)).unwrap(), None, "{name}: key {k}");
+                assert_eq!(
+                    a.hints.probe(k).leaf(),
+                    None,
+                    "{name}: stale hint for {k} offered"
+                );
+            }
+        }
+        for &k in shared_keys {
+            assert_eq!(b.get(k), Some(b_val(k)), "{name}: B's key {k} overwritten");
+        }
+        a.check_consistency(true).unwrap();
+        b.check_consistency(true).unwrap();
+    }
+}
+
+/// A narrowed generation width: the table closes when the numbering runs
+/// out, reopens wiped, and every answer along the way matches the model.
+#[test]
+fn layout_variants_generation_limit_never_revalidates_a_hint() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tree_with(&p, opts.node_size(256));
+        let limit = 3;
+        t.hints.warm_with_limit(limit);
+        let mut model = BTreeMap::new();
+        let (mut closed, mut reopened) = (0, 0);
+        let mut was_closed = false;
+        // Bands of inserts, reads and removes: every round empties and
+        // unlinks leaves, so the generation passes the limit many times.
+        for round in 0..60u64 {
+            let base = (round % 4) * 150;
+            for k in base + 1..=base + 120 {
+                assert_eq!(
+                    t.insert(k, value_for(k + round)).unwrap(),
+                    model.insert(k, value_for(k + round))
+                );
+            }
+            for k in 1..=600u64 {
+                assert_eq!(
+                    t.get(k),
+                    model.get(&k).copied(),
+                    "{name}: round {round} key {k}"
+                );
+            }
+            for k in base + 1..=base + 120 {
+                if k % 7 != 0 {
+                    assert_eq!(t.remove(k), model.remove(&k).is_some());
+                }
+                let now_closed = t.hints.generation() >= limit;
+                closed += u32::from(now_closed && !was_closed);
+                reopened += u32::from(was_closed && !now_closed);
+                was_closed = now_closed;
+                if now_closed {
+                    assert_eq!(t.hints.probe(k).leaf(), None);
+                }
+            }
+            for k in 1..=600u64 {
+                assert_eq!(t.update(k, value_for(k)).unwrap(), model.get(&k).copied());
+                if let Some(v) = model.get_mut(&k) {
+                    *v = value_for(k);
+                }
+            }
+        }
+        assert!(
+            closed >= 2 && reopened >= 2,
+            "{name}: closed {closed}×, reopened {reopened}×"
+        );
+        let mut got = Vec::new();
+        t.range(0, u64::MAX, &mut got);
+        assert_eq!(got, model.into_iter().collect::<Vec<_>>(), "{name}");
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// A key that is deleted and inserted again while its hint is warm.
+#[test]
+fn layout_variants_hinted_get_of_a_deleted_then_reinserted_key() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = warm_tree(&p, opts);
+        for k in 1..=100u64 {
+            t.insert(k, value_for(k)).unwrap();
+        }
+        let k = 57;
+        assert_eq!(t.get(k), Some(value_for(k)));
+        assert_eq!(hint_hits(|| assert_eq!(t.get(k), Some(value_for(k)))), 1);
+        assert!(t.remove(k));
+        // The hinted leaf no longer holds the key: not believed, absent.
+        assert_eq!(hint_hits(|| assert_eq!(t.get(k), None, "{name}")), 0);
+        assert_eq!(
+            hint_hits(|| assert_eq!(t.update(k, 5).unwrap(), None, "{name}")),
+            0
+        );
+        assert_eq!(t.insert(k, 4242).unwrap(), None);
+        // Same leaf, so the old hint is right again — and reads the new value.
+        assert_eq!(hint_hits(|| assert_eq!(t.get(k), Some(4242), "{name}")), 1);
+        assert!(t.remove(k));
+        assert_eq!(t.get(k), None);
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// Invariant 3: scans, `remove`, absent keys and inserts of new keys never
+/// go through the table, and a lookup is counted per point operation.
+#[test]
+fn only_point_hits_go_through_hints() {
+    let p = pool(16);
+    let t = warm_tree(&p, TreeOptions::new());
+    for k in 1..=500u64 {
+        t.insert(k * 2, value_for(k)).unwrap();
+        t.get(k * 2);
+    }
+    let before = stats::snapshot();
+    let hits = hint_hits(|| {
+        let mut out = Vec::new();
+        t.range(0, u64::MAX, &mut out);
+        assert_eq!(out.len(), 500);
+        let mut c = t.cursor();
+        c.seek(100);
+        assert!(c.next().is_some());
+        assert_eq!(t.len(), 500);
+        for k in 1..=50u64 {
+            assert_eq!(t.get(k * 2 + 1), None); // absent
+            assert_eq!(t.insert(k * 2 + 1, 9).unwrap(), None); // new key, may split
+            assert!(t.remove(k * 2)); // warm hint, still descends
+        }
+    });
+    assert_eq!(hits, 0);
+    // 50 gets + 50 inserts looked; scans and removes did not.
+    assert_eq!(
+        stats::snapshot().leaf_hint_lookups - before.leaf_hint_lookups,
+        100
+    );
+    // An in-place overwrite issues the same store and flush either way.
+    let k = 400;
+    t.get(k); // the splits above may have moved it since it was hinted
+    stats::reset();
+    assert_eq!(hint_hits(|| assert!(t.update(k, 1).unwrap().is_some())), 1);
+    let hinted = stats::take();
+    t.hints.invalidate(t.epoch());
+    assert_eq!(hint_hits(|| assert!(t.update(k, 2).unwrap().is_some())), 0);
+    let descended = stats::take();
+    assert_eq!(
+        (hinted.flushes, hinted.fences),
+        (descended.flushes, descended.fences)
+    );
+    assert_eq!(
+        hinted.serial_misses, 1,
+        "a hinted access charges exactly one hop"
+    );
+    assert!(descended.serial_misses > 1);
+}
+
+/// A fresh handle allocates nothing: the table appears only after a few
+/// thousand point operations.
+#[test]
+fn handle_has_no_table_until_it_has_served_point_ops() {
+    let (_p, t) = small_tree();
+    for k in 1..=100u64 {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    let mut served = 100u64;
+    assert_eq!(
+        hint_hits(|| {
+            for _ in 0..30 {
+                for k in 1..=100u64 {
+                    assert_eq!(t.get(k), Some(value_for(k)));
+                }
+            }
+        }),
+        0
+    );
+    served += 3000;
+    assert!(served < 4096);
+    // Past the warm-up the table exists, fills and answers.
+    let hits = hint_hits(|| {
+        for _ in 0..30 {
+            for k in 1..=100u64 {
+                assert_eq!(t.get(k), Some(value_for(k)));
+            }
+        }
+    });
+    assert!(
+        hits >= 1900,
+        "only {hits} of the last 2000 gets were hinted"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

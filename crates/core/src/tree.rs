@@ -28,6 +28,7 @@ use epoch::EpochDomain;
 use pmem::{stats, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
+use crate::hint::LeafHints;
 use crate::layout::{capacity, capacity_with, NodeGeom, NodeRef};
 use crate::lock::ReadGuard;
 use crate::scan::TreeCursor;
@@ -196,6 +197,9 @@ pub struct FastFairTree {
     /// Limbo is volatile by design: a crash empties it and the blocks
     /// leak, matching PM allocators without offline GC.
     pub(crate) epoch: Arc<EpochDomain>,
+    /// Volatile `key → leaf` hints consulted before a descent (see
+    /// [`crate::hint`]). Empty on every `create` / `open`.
+    pub(crate) hints: LeafHints,
     name: &'static str,
 }
 
@@ -305,6 +309,7 @@ impl FastFairTree {
             cap: capacity_with(node_size, opts.geom()),
             opts,
             epoch: EpochDomain::new(),
+            hints: LeafHints::new(),
             name,
         }
     }
@@ -363,7 +368,12 @@ impl FastFairTree {
     /// Read-latency charging models the paper's testbed: the few upper
     /// levels of a B+-tree stay resident in the CPU's last-level cache
     /// (Quartz stalls only real LLC misses), so only the two lowest levels
-    /// — the large, cold ones — are charged as PM misses.
+    /// — the large, cold ones — are charged as PM misses. The write path's
+    /// descent (`insert::descend_to_level`) charges **every** level it
+    /// visits instead; the two rules are deliberately left apart until
+    /// they are unified as a model change of their own (ROADMAP 1(a)). An
+    /// access that skips either descent through a leaf hint
+    /// ([`crate::hint`]) charges exactly one hop, the hinted leaf's.
     pub(crate) fn find_leaf(&self, key: Key) -> PmOffset {
         let mut off = self.root();
         let mut node = self.node(off);
@@ -538,8 +548,11 @@ impl FastFairTree {
 
     /// Retires an unlinked node into the epoch domain: the block returns
     /// to [`Pool::free`] once two epochs have passed, while traffic is
-    /// live (see the `epoch` field docs).
+    /// live (see the `epoch` field docs). Leaf hints that may name the
+    /// node are invalidated first, so only operations already pinned can
+    /// still follow one — and those the epoch rule waits for.
     pub(crate) fn retire_node(&self, off: PmOffset) {
+        self.hints.invalidate(&self.epoch);
         self.epoch
             .retire_pm(&self.pool, off, u64::from(self.node_size));
     }
@@ -551,21 +564,39 @@ impl FastFairTree {
         self.epoch.flush()
     }
 
+    /// Exact-match search within one leaf, by the tree's reader protocol.
+    fn search_leaf(&self, leaf: NodeRef<'_>, key: Key) -> Option<Value> {
+        let _guard = self
+            .opts
+            .leaf_locks
+            .then(|| ReadGuard::lock(&self.pool, leaf.lock_word_off()));
+        match self.opts.search {
+            InNodeSearch::Linear => crate::search::leaf_search_linear(self, leaf, key),
+            InNodeSearch::Binary => crate::search::leaf_search_binary(self, leaf, key),
+        }
+    }
+
     fn get_impl(&self, key: Key) -> Option<Value> {
+        let probe = self.hints.probe(key);
+        if let Some(off) = probe.leaf() {
+            // Believed only if the key is there: a stale hint costs this
+            // hop and falls through to the descent.
+            let leaf = self.node(off);
+            leaf.charge_hop();
+            if leaf.is_leaf() {
+                if let Some(v) = self.search_leaf(leaf, key) {
+                    stats::count_leaf_hint_hit();
+                    return Some(v);
+                }
+            }
+        }
         let mut off = self.find_leaf(key);
         loop {
             let leaf = self.node(off);
-            let _guard = self
-                .opts
-                .leaf_locks
-                .then(|| ReadGuard::lock(&self.pool, leaf.lock_word_off()));
-            if let Some(v) = match self.opts.search {
-                InNodeSearch::Linear => crate::search::leaf_search_linear(self, leaf, key),
-                InNodeSearch::Binary => crate::search::leaf_search_binary(self, leaf, key),
-            } {
+            if let Some(v) = self.search_leaf(leaf, key) {
+                probe.install(key, off);
                 return Some(v);
             }
-            drop(_guard);
             match self.covering_sibling(leaf, key) {
                 Some(sib) => {
                     self.node(sib).charge_hop();
@@ -598,6 +629,8 @@ impl pmindex::PersistentIndex for FastFairTree {
     /// access; the shard router defers this call through its epoch domain
     /// so it runs only after every reader of the evacuated index is gone.
     fn reclaim_storage(&self) -> usize {
+        // Every node is about to leave the tree.
+        self.hints.invalidate(&self.epoch);
         // Limbo first: merge-retired nodes are no longer on any chain.
         let mut freed = self.epoch.flush();
         let mut seen = std::collections::BTreeSet::new();

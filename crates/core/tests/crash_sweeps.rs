@@ -50,6 +50,19 @@ fn updated_value_for(k: u64) -> u64 {
 /// Applies `ops` on a crash-logged tree, recording the event-log boundary
 /// after each op; then sweeps crash points and eviction policies.
 fn crash_sweep(opts: TreeOptions, preload: &[u64], ops: &[Op], cut_stride: usize) {
+    crash_sweep_logged(opts, preload, ops, cut_stride, false);
+}
+
+/// [`crash_sweep`], optionally with the tree's leaf-hint table warm (every
+/// preloaded key hinted) before the swept ops run; returns the swept ops'
+/// event log — with the shared baseline, it determines every image.
+fn crash_sweep_logged(
+    opts: TreeOptions,
+    preload: &[u64],
+    ops: &[Op],
+    cut_stride: usize,
+    warm_hints: bool,
+) -> Vec<pmem::crash::Event> {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL_BYTES).crash_log(true)).unwrap());
     let tree = FastFairTree::create(Arc::clone(&pool), opts).unwrap();
     let mut committed: BTreeMap<u64, u64> = BTreeMap::new();
@@ -57,12 +70,25 @@ fn crash_sweep(opts: TreeOptions, preload: &[u64], ops: &[Op], cut_stride: usize
         tree.insert(k, value_for(k)).unwrap();
         committed.insert(k, value_for(k));
     }
+    if warm_hints {
+        // A handle allocates its table after a few thousand point ops;
+        // reads store nothing, so the baseline below is the cold run's.
+        let before = pmem::stats::snapshot().leaf_hint_hits;
+        for _ in 0..=5_000 / preload.len() + 2 {
+            for &k in preload {
+                assert!(tree.get(k).is_some());
+            }
+        }
+        let hits = pmem::stats::snapshot().leaf_hint_hits - before;
+        assert!(hits >= preload.len() as u64, "hints still cold: {hits}");
+    }
     // Preload becomes the durable baseline; crash points cover only `ops`.
     let log = pool.crash_log().unwrap();
     log.set_baseline(pool.volatile_image());
 
     // State of `committed` *before* each op, plus the op itself.
     let mut boundaries: Vec<(usize, Op, BTreeMap<u64, u64>)> = Vec::new();
+    let hits_before_ops = pmem::stats::snapshot().leaf_hint_hits;
     for &op in ops {
         boundaries.push((log.len(), op, committed.clone()));
         match op {
@@ -80,7 +106,14 @@ fn crash_sweep(opts: TreeOptions, preload: &[u64], ops: &[Op], cut_stride: usize
             }
         }
     }
+    if warm_hints {
+        // Every update of a preloaded key went straight to its leaf.
+        let updates = ops.iter().filter(|op| matches!(op, Op::Update(_))).count();
+        let hits = pmem::stats::snapshot().leaf_hint_hits - hits_before_ops;
+        assert_eq!(hits, updates as u64, "updates that took the hinted path");
+    }
     let total = log.len();
+    let events = log.events();
     boundaries.push((total, Op::Insert(0), committed.clone())); // sentinel
 
     let meta = tree.meta_offset();
@@ -187,6 +220,7 @@ fn crash_sweep(opts: TreeOptions, preload: &[u64], ops: &[Op], cut_stride: usize
         }
         cut = (cut + cut_stride).min(total);
     }
+    events
 }
 
 #[test]
@@ -279,6 +313,25 @@ fn crash_during_inplace_updates() {
         .map(|&k| Op::Update(k))
         .collect();
     crash_sweep(TreeOptions::new().node_size(256), &preload, &ops, 1);
+}
+
+/// The hinted overwrite is the descent's own store and flush: with every
+/// key hinted, the same updates write the same event log — hence the same
+/// crash images at every cut — and each image passes the same sweep.
+#[test]
+fn crash_during_inplace_updates_with_warm_hints_enumerates_the_same_images() {
+    let preload: Vec<u64> = (1..=30).map(|k| k * 10).collect();
+    let ops: Vec<Op> = [100u64, 250, 10, 300, 100, 170]
+        .iter()
+        .map(|&k| Op::Update(k))
+        .collect();
+    for fingerprints in [false, true] {
+        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
+        let cold = crash_sweep_logged(opts, &preload, &ops, 1, false);
+        let warm = crash_sweep_logged(opts, &preload, &ops, 1, true);
+        assert_eq!(warm, cold, "hinted updates logged different stores");
+        assert!(!cold.is_empty());
+    }
 }
 
 #[test]

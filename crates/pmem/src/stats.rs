@@ -91,6 +91,14 @@ pub struct Snapshot {
     /// the mean shift distance — the metric the circular-layout ablation
     /// halves (Circ-Tree's N/2 → N/4 claim).
     pub shift_steps: u64,
+    /// Point operations (`get`, leaf-level `insert`/`update`) that consulted
+    /// a tree's volatile leaf-hint table before descending.
+    pub leaf_hint_lookups: u64,
+    /// Those of them answered at the hinted leaf — the key was found valid
+    /// there under the leaf's normal protocol, so the root-to-leaf descent
+    /// was skipped. `leaf_hint_hits / leaf_hint_lookups` is the share of
+    /// point operations that re-referenced a key the handle had stood on.
+    pub leaf_hint_hits: u64,
     /// Nanoseconds spent in flush operations (including injected latency).
     pub flush_ns: u64,
     /// Nanoseconds attributed to the search phase.
@@ -125,6 +133,8 @@ impl Add for Snapshot {
             txn_replays: self.txn_replays + rhs.txn_replays,
             shift_ops: self.shift_ops + rhs.shift_ops,
             shift_steps: self.shift_steps + rhs.shift_steps,
+            leaf_hint_lookups: self.leaf_hint_lookups + rhs.leaf_hint_lookups,
+            leaf_hint_hits: self.leaf_hint_hits + rhs.leaf_hint_hits,
             flush_ns: self.flush_ns + rhs.flush_ns,
             search_ns: self.search_ns + rhs.search_ns,
             update_ns: self.update_ns + rhs.update_ns,
@@ -143,6 +153,8 @@ thread_local! {
     static FLUSHES_COALESCED: Cell<u64> = const { Cell::new(0) };
     static SHIFT_OPS: Cell<u64> = const { Cell::new(0) };
     static SHIFT_STEPS: Cell<u64> = const { Cell::new(0) };
+    static HINT_LOOKUPS: Cell<u64> = const { Cell::new(0) };
+    static HINT_HITS: Cell<u64> = const { Cell::new(0) };
     static FENCES: Cell<u64> = const { Cell::new(0) };
     static DMB: Cell<u64> = const { Cell::new(0) };
     static SERIAL: Cell<u64> = const { Cell::new(0) };
@@ -176,6 +188,20 @@ pub(crate) fn count_flush_coalesced(n: u64) {
 pub fn count_shift(steps: u64) {
     SHIFT_OPS.with(|c| c.set(c.get() + 1));
     SHIFT_STEPS.with(|c| c.set(c.get() + steps));
+}
+
+/// Counts one point operation that consulted a leaf-hint table. Public
+/// for the `fastfair` crate.
+#[inline]
+pub fn count_leaf_hint_lookup() {
+    HINT_LOOKUPS.with(|c| c.set(c.get() + 1));
+}
+
+/// Counts one point operation answered at its hinted leaf. Public for the
+/// `fastfair` crate.
+#[inline]
+pub fn count_leaf_hint_hit() {
+    HINT_HITS.with(|c| c.set(c.get() + 1));
 }
 
 #[inline]
@@ -259,6 +285,8 @@ pub fn reset() {
     FLUSHES_COALESCED.with(|c| c.set(0));
     SHIFT_OPS.with(|c| c.set(0));
     SHIFT_STEPS.with(|c| c.set(0));
+    HINT_LOOKUPS.with(|c| c.set(0));
+    HINT_HITS.with(|c| c.set(0));
     FENCES.with(|c| c.set(0));
     DMB.with(|c| c.set(0));
     SERIAL.with(|c| c.set(0));
@@ -293,6 +321,8 @@ pub fn snapshot() -> Snapshot {
         txn_replays: TXN_REPLAYS.with(Cell::get),
         shift_ops: SHIFT_OPS.with(Cell::get),
         shift_steps: SHIFT_STEPS.with(Cell::get),
+        leaf_hint_lookups: HINT_LOOKUPS.with(Cell::get),
+        leaf_hint_hits: HINT_HITS.with(Cell::get),
         flush_ns: FLUSH_NS.with(Cell::get),
         search_ns: SEARCH_NS.with(Cell::get),
         update_ns: UPDATE_NS.with(Cell::get),
@@ -350,11 +380,16 @@ mod tests {
         count_flush_coalesced(2);
         count_shift(6);
         count_shift(0);
+        count_leaf_hint_lookup();
+        count_leaf_hint_lookup();
+        count_leaf_hint_hit();
         let s = take();
         assert_eq!(s.flushes, 2);
         assert_eq!(s.flushes_coalesced, 2);
         assert_eq!(s.shift_ops, 2);
         assert_eq!(s.shift_steps, 6);
+        assert_eq!(s.leaf_hint_lookups, 2);
+        assert_eq!(s.leaf_hint_hits, 1);
         assert_eq!(s.flush_ns, 15);
         assert_eq!(s.fences, 1);
         assert_eq!(s.serial_misses, 3);
@@ -422,6 +457,8 @@ mod tests {
             txn_replays: 15,
             shift_ops: 17,
             shift_steps: 18,
+            leaf_hint_lookups: 19,
+            leaf_hint_hits: 20,
             flush_ns: 6,
             search_ns: 7,
             update_ns: 8,
@@ -431,6 +468,8 @@ mod tests {
         assert_eq!(sum.flushes_coalesced, 32);
         assert_eq!(sum.shift_ops, 34);
         assert_eq!(sum.shift_steps, 36);
+        assert_eq!(sum.leaf_hint_lookups, 38);
+        assert_eq!(sum.leaf_hint_hits, 40);
         assert_eq!(sum.epoch_advances, 22);
         assert_eq!(sum.nodes_recycled_online, 26);
         assert_eq!(sum.txn_commits, 28);

@@ -17,7 +17,8 @@
 //!   apply-gate acquisition and one retire fence for the whole group —
 //!   the amortization lever Marathe et al. (*Persistent Memory
 //!   Transactions*) show dominates pmem transaction cost. An upsert's
-//!   reply (the replaced value) comes from that apply, not a pre-read.
+//!   reply (the replaced value) and a delete's (was it there) come from
+//!   that apply, not a pre-read; only `update` still reads first.
 //!   Completions fan back through per-request `oneshot` reply slots.
 //! * **Admission control**: a full queue either rejects the submitter
 //!   with [`ServiceError::Overloaded`] ([`Admission::Shed`]) or parks it
@@ -952,8 +953,7 @@ fn worker_loop<I: PmIndex>(shared: &Shared<I>, rx: &Receiver<Request>) {
         // Self-harvest this thread's persistence counters into the
         // service-level gauges (thread-local stats never leave the
         // worker otherwise).
-        let s = pmem::stats::take();
-        shared.stats.harvest_pmem(s.fences, s.flushes);
+        shared.stats.harvest_pmem(&pmem::stats::take());
     }
 }
 
@@ -990,8 +990,8 @@ fn process_group_engine<I: PmIndex>(
     let mut staged: Vec<WriteBatch> = Vec::new();
     // Ops staged so far, i.e. the next op's index in the commit's `prev`.
     let mut staged_ops = 0;
-    // Upserts whose replaced value only the apply knows, as (index into
-    // `dones`, index into `prev`); filled in after the commit.
+    // Upserts and deletes whose previous value only the apply knows, as
+    // (index into `dones`, index into `prev`); filled in after the commit.
     let mut deferred: Vec<(usize, usize)> = Vec::new();
     let mut dones: Vec<Done> = Vec::with_capacity(group.len());
     for req in group {
@@ -1059,13 +1059,20 @@ fn process_group_engine<I: PmIndex>(
                 });
             }
             Request::Delete { key, reply, start } => {
-                let present = peek(tables, &overlay, 0, key).is_some();
-                if present {
+                // No read either: a key this group has not written is
+                // deleted unconditionally — removing an absent key is a
+                // no-op in the apply, in journal replay and on replicas —
+                // and the apply reports whether it was there.
+                let known = overlay.insert((0, key), None);
+                if known.is_none() {
+                    deferred.push((dones.len(), staged_ops));
+                }
+                let present = known.flatten().is_some();
+                if known.is_none() || present {
                     let mut b = WriteBatch::new();
                     b.delete(0, key);
                     staged.push(b);
                     staged_ops += 1;
-                    overlay.insert((0, key), None);
                 }
                 dones.push(Done::Flag {
                     reply,
@@ -1148,8 +1155,10 @@ fn process_group_engine<I: PmIndex>(
         } else {
             shared.stats.note_group(staged.len() as u64, backlog);
             for (done, op) in deferred {
-                if let Done::Val { out, .. } = &mut dones[done] {
-                    *out = Ok(prev[op]);
+                match &mut dones[done] {
+                    Done::Val { out, .. } => *out = Ok(prev[op]),
+                    Done::Flag { out, .. } => *out = Ok(prev[op].is_some()),
+                    Done::Unit { .. } | Done::Rows { .. } => {}
                 }
             }
         }

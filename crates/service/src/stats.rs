@@ -210,6 +210,8 @@ pub struct ServiceStats {
     queue_high_water: AtomicU64,
     fences: AtomicU64,
     flushes: AtomicU64,
+    leaf_hint_lookups: AtomicU64,
+    leaf_hint_hits: AtomicU64,
     stale_reads: AtomicU64,
     stale_fallbacks: AtomicU64,
     repl_lag: AtomicU64,
@@ -281,6 +283,18 @@ impl ServiceStats {
         self.flushes.load(Ordering::Relaxed)
     }
 
+    /// Point operations the workers' trees looked up in a leaf-hint
+    /// table before descending (`pmem::stats`' `leaf_hint_lookups`,
+    /// harvested like [`ServiceStats::fences`]).
+    pub fn leaf_hint_lookups(&self) -> u64 {
+        self.leaf_hint_lookups.load(Ordering::Relaxed)
+    }
+
+    /// Those of them answered at the hinted leaf, the descent skipped.
+    pub fn leaf_hint_hits(&self) -> u64 {
+        self.leaf_hint_hits.load(Ordering::Relaxed)
+    }
+
     /// Stale reads ([`crate::ClientHandle::get_stale`]) answered by a
     /// read replica.
     pub fn stale_reads(&self) -> u64 {
@@ -337,9 +351,13 @@ impl ServiceStats {
         self.queue_high_water.fetch_max(backlog, Ordering::Relaxed);
     }
 
-    pub(crate) fn harvest_pmem(&self, fences: u64, flushes: u64) {
-        self.fences.fetch_add(fences, Ordering::Relaxed);
-        self.flushes.fetch_add(flushes, Ordering::Relaxed);
+    pub(crate) fn harvest_pmem(&self, s: &pmem::stats::Snapshot) {
+        self.fences.fetch_add(s.fences, Ordering::Relaxed);
+        self.flushes.fetch_add(s.flushes, Ordering::Relaxed);
+        self.leaf_hint_lookups
+            .fetch_add(s.leaf_hint_lookups, Ordering::Relaxed);
+        self.leaf_hint_hits
+            .fetch_add(s.leaf_hint_hits, Ordering::Relaxed);
     }
 
     pub(crate) fn note_stale_read(&self, from_replica: bool) {

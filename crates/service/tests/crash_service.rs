@@ -169,6 +169,87 @@ fn grouped_commit_crash_sweep_is_atomic_per_client_and_per_group() {
     );
 }
 
+/// Commits one group that *overwrites* every client's keys (its apply is
+/// all in-place stores) and returns the pool and the commit's event log.
+/// With `warm_hints` both shards' leaf-hint tables are warm and hold every
+/// key first.
+fn record_group_rewrite(warm_hints: bool) -> (Arc<Pool>, Vec<pmem::crash::Event>) {
+    let pool = crash_pool();
+    let store = crash_store(&pool);
+    let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
+    let clients = client_batches();
+    for &(k, v) in clients.iter().flatten() {
+        store.insert(k, v + 2).unwrap();
+    }
+    let mut warmup = WriteBatch::new();
+    warmup.put(0, 700_000, 700_001);
+    engine
+        .commit_grouped(std::slice::from_ref(&warmup), &[&store])
+        .unwrap();
+    if warm_hints {
+        // Each shard's tree allocates its table after a few thousand point
+        // ops; reads store nothing, so both runs share one baseline.
+        for _ in 0..5_000 {
+            for &(k, _) in clients.iter().flatten() {
+                assert!(store.get(k).is_some());
+            }
+        }
+    }
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image());
+    let hits = pmem::stats::snapshot().leaf_hint_hits;
+    let batches = as_write_batches(&clients);
+    assert_eq!(engine.commit_grouped(&batches, &[&store]).unwrap(), 2);
+    let hinted = pmem::stats::snapshot().leaf_hint_hits - hits;
+    assert_eq!(hinted, if warm_hints { 6 } else { 0 }, "hinted applies");
+    (Arc::clone(&pool), log.events())
+}
+
+/// The group apply's hinted overwrites are the descent's own stores and
+/// flushes: warm tables change nothing in the event log, so the sweep
+/// enumerates the same images — and every one of them recovers to the
+/// whole group's old rows or the whole group's new ones.
+#[test]
+fn grouped_rewrite_with_warm_hints_enumerates_the_same_images() {
+    let (_, cold) = record_group_rewrite(false);
+    let (pool, warm) = record_group_rewrite(true);
+    assert_eq!(warm, cold, "hinted applies logged different stores");
+    let clients = client_batches();
+    let mut outcomes = BTreeSet::new();
+    for cut in 0..=warm.len() {
+        for policy in [
+            Eviction::None,
+            Eviction::All,
+            Eviction::random_with_env(5000 + cut as u64),
+        ] {
+            let ctx = format!("cut {cut}/{} {policy:?}", warm.len());
+            let img = pool.crash_image(cut, policy);
+            let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
+            let s2: ShardedStore<FastFairTree> =
+                ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS]).unwrap();
+            let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
+            e2.recover(&[&s2]).unwrap();
+            let new_rows = clients
+                .iter()
+                .flatten()
+                .filter(|&&(k, v)| match s2.get(k) {
+                    Some(got) if got == v => true,
+                    Some(got) if got == v + 2 => false,
+                    got => panic!("{ctx}: key {k} reads {got:?}"),
+                })
+                .count();
+            assert!(
+                new_rows == 0 || new_rows == 6,
+                "{ctx}: group split — {new_rows}/6"
+            );
+            assert_eq!(new_rows == 6, e2.last_committed() == 2, "{ctx}");
+            outcomes.insert(new_rows);
+            assert!(!e2.pending(), "{ctx}: journal still pending");
+        }
+    }
+    assert_eq!(outcomes, BTreeSet::from([0, 6]));
+}
+
 /// Crash under a live `Service`: acknowledged writes must survive the
 /// crash image taken after shutdown (acks imply durability), and
 /// recovery finds a clean journal.

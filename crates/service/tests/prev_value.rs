@@ -1,7 +1,8 @@
-//! Where an upsert's reply comes from: the engine-backed worker does not
-//! read a key before writing it — an `insert`'s "replaced value" is
-//! either what the same group already staged for the key, or what the
-//! group's apply found in the tree. Both cases, with the group boundary
+//! Where an upsert's and a delete's reply come from: the engine-backed
+//! worker does not read a key before writing it — an `insert`'s "replaced
+//! value" (a `delete`'s "was it there") is either what the same group
+//! already staged for the key, or what the group's apply found in the
+//! tree. Both cases, with the group boundary
 //! and the cross-lane interleaving forced rather than hoped for: a held
 //! `txn::Snapshot` stops a commit between its sequence store and its
 //! apply, and `last_committed()` says when a worker has got there.
@@ -87,6 +88,52 @@ fn one_group_answers_from_the_tree_then_from_itself() {
     assert_eq!(store.get(7), Some(73));
     let stats = service.stats();
     assert_eq!((stats.groups(), stats.largest_group()), (2, 4));
+}
+
+/// A delete reads nothing either: the first touch of a key in a group is
+/// staged unconditionally and answered by the apply (present or absent),
+/// later touches by what the group itself staged.
+#[test]
+fn a_delete_is_answered_by_the_apply_not_by_a_pre_read() {
+    let (store, engine, service) = rig(1);
+    let c = service.handle();
+    store.insert(7, 70).unwrap();
+
+    let snap = engine.snapshot();
+    let parked = c.submit_insert(1_000, 1).unwrap();
+    spin_until("worker inside its commit", || engine.last_committed() == 1);
+    let present = c.submit_delete(7).unwrap();
+    let again = c.submit_delete(7).unwrap();
+    let absent = c.submit_delete(8).unwrap();
+    let read = c.submit_get(7).unwrap();
+    let reinsert = c.submit_insert(8, 80).unwrap();
+    let own = c.submit_delete(8).unwrap();
+    drop(snap);
+
+    assert_eq!(parked.wait().unwrap(), None);
+    assert!(present.wait().unwrap(), "first touch: the apply found it");
+    assert!(
+        !again.wait().unwrap(),
+        "second: the group already deleted it"
+    );
+    assert!(!absent.wait().unwrap(), "first touch of an absent key");
+    assert_eq!(read.wait().unwrap(), None);
+    assert_eq!(
+        reinsert.wait().unwrap(),
+        None,
+        "insert after the group's delete"
+    );
+    assert!(own.wait().unwrap(), "delete of the group's own insert");
+    assert_eq!((store.get(7), store.get(8)), (None, None));
+
+    // One commit carried the group's four staged ops, and the trees were
+    // reached by those applies only: a pre-read `get` would have looked a
+    // key up in a leaf-hint table, as the two upserts' applies did.
+    let stats = Arc::clone(service.stats());
+    drop(service); // joins the worker, whose counters are harvested per group
+    assert_eq!((stats.groups(), stats.largest_group()), (2, 4));
+    assert_eq!(engine.last_committed(), 2);
+    assert_eq!(stats.leaf_hint_lookups(), 2);
 }
 
 /// The replaced value is the one observed when the group *commits*: a

@@ -226,13 +226,14 @@ fn daemon_compacts_hot_shard_and_collects_limbo_under_churn() {
         "daemon never compacted the hot shard"
     );
 
-    // Collection: with client traffic quiesced, the foreground's
-    // amortized maintenance (every 32nd unpin) can no longer race the
-    // daemon to the limbo, so limbo planted now can ONLY drain through
-    // a daemon pass.
-    store.reclaim_domain().defer(|| ());
+    // Collection: with client traffic quiesced the only foreground
+    // maintenance left (every 32nd unpin) is the daemon's own — a
+    // compaction still in flight pins the domain per leaf it copies and
+    // can drain an item planted behind its pass's limbo check — so keep
+    // planting until a pass finds one.
     let deadline = Instant::now() + Duration::from_secs(10);
     while daemon.collections() == 0 && Instant::now() < deadline {
+        store.reclaim_domain().defer(|| ());
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(daemon.collections() >= 1, "daemon never collected limbo");

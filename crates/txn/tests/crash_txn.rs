@@ -136,6 +136,83 @@ fn payment_batch_crash_sweep_on_a_tree() {
     );
 }
 
+/// Commits a batch that *overwrites* the three Payment rows (so its apply
+/// is three in-place stores) on a crash-logged pool and returns the pool,
+/// the tree's superblock and the commit's event log. With `warm_hints` the
+/// tree's leaf-hint table is warm and holds all three keys first.
+fn record_payment_rewrite(warm_hints: bool) -> (Arc<Pool>, u64, Vec<pmem::crash::Event>) {
+    let pool = crash_pool();
+    let tree = FastFairTree::create(Arc::clone(&pool), TreeOptions::new()).unwrap();
+    let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
+    for k in [100_000u64, 200_000, 300_000] {
+        tree.insert(k, k + 1).unwrap();
+    }
+    let mut old = WriteBatch::new();
+    for (k, v) in payment_writes() {
+        old.put(0, k, v + 2);
+    }
+    engine.commit(old, &[&tree]).unwrap();
+    if warm_hints {
+        // A handle allocates its table after a few thousand point ops;
+        // reads store nothing, so both runs share one baseline.
+        for _ in 0..2_000 {
+            for (k, _) in payment_writes() {
+                assert!(tree.get(k).is_some());
+            }
+        }
+    }
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image());
+    let hits = pmem::stats::snapshot().leaf_hint_hits;
+    let mut batch = WriteBatch::new();
+    for (k, v) in payment_writes() {
+        batch.put(0, k, v);
+    }
+    assert_eq!(engine.commit(batch, &[&tree]).unwrap(), 2);
+    let hinted = pmem::stats::snapshot().leaf_hint_hits - hits;
+    assert_eq!(hinted, if warm_hints { 3 } else { 0 }, "hinted applies");
+    (Arc::clone(&pool), tree.superblock(), log.events())
+}
+
+/// The apply's hinted overwrite is the descent's own store and flush: a
+/// warm table changes nothing in the event log, so the sweep enumerates
+/// the same images — each of which recovers to all three old rows or all
+/// three new ones.
+#[test]
+fn payment_rewrite_with_warm_hints_enumerates_the_same_images() {
+    let (_, _, cold) = record_payment_rewrite(false);
+    let (pool, meta, warm) = record_payment_rewrite(true);
+    assert_eq!(warm, cold, "hinted applies logged different stores");
+    let mut outcomes = BTreeSet::new();
+    for cut in 0..=warm.len() {
+        for policy in [
+            Eviction::None,
+            Eviction::All,
+            Eviction::random_with_env(3000 + cut as u64),
+        ] {
+            let ctx = format!("cut {cut}/{} {policy:?}", warm.len());
+            let img = pool.crash_image(cut, policy);
+            let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
+            let t2 = FastFairTree::open(Arc::clone(&p2), meta, TreeOptions::new()).unwrap();
+            let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
+            e2.recover(&[&t2]).unwrap();
+            let new_rows = payment_writes()
+                .iter()
+                .filter(|&&(k, v)| match t2.get(k) {
+                    Some(got) if got == v => true,
+                    Some(got) if got == v + 2 => false,
+                    got => panic!("{ctx}: key {k} reads {got:?}"),
+                })
+                .count();
+            assert!(new_rows == 0 || new_rows == 3, "{ctx}: torn — {new_rows}/3");
+            assert_eq!(new_rows == 3, e2.last_committed() == 2, "{ctx}");
+            outcomes.insert(new_rows);
+            assert!(!e2.pending(), "{ctx}: journal still pending");
+        }
+    }
+    assert_eq!(outcomes, BTreeSet::from([0, 3]));
+}
+
 /// Crash DURING recovery: take the committed-but-unapplied image, replay
 /// under a fresh crash log, cut the replay at every step, crash again,
 /// recover again — the batch must still land in full (idempotent redo).
