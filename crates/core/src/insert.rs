@@ -90,7 +90,7 @@ fn write_entry(
     }
     'retry: loop {
         // Phase 1: lock-free descent to the target level.
-        let off = match stats::timed(stats::Phase::Search, || descend_to_level(tree, level, key)) {
+        let off = match stats::timed(stats::Phase::Search, || tree.descend_to_level(level, key)) {
             Some(off) => off,
             None => {
                 // The tree is shorter than `level`: the split node was the
@@ -206,8 +206,7 @@ fn overwrite_in_place(tree: &FastFairTree, node: NodeRef<'_>, slot: u16, value: 
 /// unlinked, no longer covers the key after a FAIR split, or does not hold
 /// it returns `None` and the caller descends. Charges the one hop.
 fn overwrite_at_hint(tree: &FastFairTree, off: u64, key: Key, value: Value) -> Option<Value> {
-    let node = tree.node(off);
-    stats::timed(stats::Phase::Search, || node.charge_hop());
+    let node = stats::timed(stats::Phase::Search, || tree.visit(off));
     if !node.is_leaf() {
         return None;
     }
@@ -226,28 +225,6 @@ fn overwrite_at_hint(tree: &FastFairTree, off: u64, key: Key, value: Value) -> O
         stats::count_leaf_hint_hit();
     }
     old
-}
-
-/// Lock-free descent to the node at `level` covering `key`.
-///
-/// Returns `None` if the root is below the requested level. Charges a PM
-/// miss for **every** level it visits, where the read path's
-/// [`FastFairTree::find_leaf`] charges only the two lowest (its rustdoc
-/// has the rationale, and ROADMAP 1(a) the plan to unify them); a write
-/// settled by [`overwrite_at_hint`] charges exactly one hop.
-fn descend_to_level(tree: &FastFairTree, level: u32, key: Key) -> Option<u64> {
-    let mut off = tree.root();
-    let mut node = tree.node(off);
-    node.charge_hop();
-    if node.level() < level {
-        return None;
-    }
-    while node.level() > level {
-        off = tree.route(node, key);
-        node = tree.node(off);
-        node.charge_hop();
-    }
-    Some(off)
 }
 
 /// Finds the slot of a *valid* entry with exactly `key`, scanning under the

@@ -121,19 +121,10 @@ impl FastFairTree {
     /// Lock-free descent to the level-1 node covering `key` (the parent
     /// level of the leaves). Returns `None` on a single-leaf tree.
     fn descend_to_parent(&self, key: Key) -> Option<PmOffset> {
-        let mut node = self.node(self.root());
-        if node.level() < 1 {
-            return None;
-        }
-        let mut off = self.root();
-        while node.level() > 1 {
-            off = self.route(node, key);
-            node = self.node(off);
-        }
+        let mut off = self.descend_to_level(1, key)?;
         // Move right at level 1 if the key now belongs to a sibling.
-        while let Some(sib) = self.covering_sibling(node, key) {
-            off = sib;
-            node = self.node(off);
+        while let Some(sib) = self.covering_sibling(self.node(off), key) {
+            off = self.visit(sib).offset();
         }
         Some(off)
     }

@@ -68,8 +68,7 @@ impl LeafChain for TreeChain<'_> {
         if sib == NULL_OFFSET {
             None
         } else {
-            self.tree.node(sib).charge_hop();
-            Some(sib)
+            Some(self.tree.visit(sib).offset())
         }
     }
 }

@@ -362,32 +362,46 @@ impl FastFairTree {
         NodeRef::with_geom(&self.pool, off, self.node_size, self.opts.geom())
     }
 
-    /// Descends from the root to the leaf whose key range contains `key`,
-    /// lock-free.
+    /// Lands on the node at `off`, charging the read for it. The crate's
+    /// one read-charging rule: a node on the two lowest levels costs a PM
+    /// miss, anything above is free.
     ///
-    /// Read-latency charging models the paper's testbed: the few upper
-    /// levels of a B+-tree stay resident in the CPU's last-level cache
-    /// (Quartz stalls only real LLC misses), so only the two lowest levels
-    /// — the large, cold ones — are charged as PM misses. The write path's
-    /// descent (`insert::descend_to_level`) charges **every** level it
-    /// visits instead; the two rules are deliberately left apart until
-    /// they are unified as a model change of their own (ROADMAP 1(a)). An
-    /// access that skips either descent through a leaf hint
-    /// ([`crate::hint`]) charges exactly one hop, the hinted leaf's.
-    pub(crate) fn find_leaf(&self, key: Key) -> PmOffset {
-        let mut off = self.root();
-        let mut node = self.node(off);
+    /// That models the paper's testbed (§5.1): Quartz stalls only real
+    /// last-level-cache misses, and a B+-tree's few upper levels — at
+    /// 4 M keys and 512-byte nodes the leaves are ≈ 80 MB, level 1
+    /// ≈ 3 MB, level 2 ≈ 0.1 MB — stay LLC-resident. Readers, writers,
+    /// parent updates and merges all walk the tree through this function
+    /// (as `wbtree`'s descent does for its reads and writes), so an access
+    /// the leaf directory ([`crate::hint`]) settles costs one miss and a
+    /// full descent costs two.
+    #[inline]
+    pub(crate) fn visit(&self, off: PmOffset) -> NodeRef<'_> {
+        let node = self.node(off);
         if node.level() <= 1 {
             node.charge_hop();
         }
-        while !node.is_leaf() {
-            off = self.route(node, key);
-            node = self.node(off);
-            if node.level() <= 1 {
-                node.charge_hop();
-            }
+        node
+    }
+
+    /// Lock-free descent from the root to the node at `level` whose key
+    /// range contains `key`; `None` if the root is below that level.
+    pub(crate) fn descend_to_level(&self, level: u32, key: Key) -> Option<PmOffset> {
+        let mut off = self.root();
+        let mut node = self.visit(off);
+        if node.level() < level {
+            return None;
         }
-        off
+        while node.level() > level {
+            off = self.route(node, key);
+            node = self.visit(off);
+        }
+        Some(off)
+    }
+
+    /// Descends from the root to the leaf whose key range contains `key`.
+    pub(crate) fn find_leaf(&self, key: Key) -> PmOffset {
+        self.descend_to_level(0, key)
+            .expect("every tree has a leaf level")
     }
 
     /// Chooses the next node when standing on internal node `node` looking
@@ -503,7 +517,8 @@ impl FastFairTree {
         if cnt == 0 {
             return node.leftmost();
         }
-        // Dependent probes are charged only on the cold (low) levels.
+        // Dependent probes are charged where landing on the node is (see
+        // [`visit`](Self::visit)).
         if node.level() <= 1 {
             let probes = (u32::from(cnt) * 16 / 64).max(1).ilog2() + 1;
             self.pool.charge_serial_reads(probes);
@@ -581,8 +596,7 @@ impl FastFairTree {
         if let Some(off) = probe.leaf() {
             // Believed only if the key is there: a stale hint costs this
             // hop and falls through to the descent.
-            let leaf = self.node(off);
-            leaf.charge_hop();
+            let leaf = self.visit(off);
             if leaf.is_leaf() {
                 if let Some(v) = self.search_leaf(leaf, key) {
                     stats::count_leaf_hint_hit();
@@ -598,10 +612,7 @@ impl FastFairTree {
                 return Some(v);
             }
             match self.covering_sibling(leaf, key) {
-                Some(sib) => {
-                    self.node(sib).charge_hop();
-                    off = sib;
-                }
+                Some(sib) => off = self.visit(sib).offset(),
                 None => return None,
             }
         }
