@@ -149,13 +149,14 @@ impl FastFairTree {
         &self,
         items: &mut dyn Iterator<Item = (Key, Value)>,
     ) -> Result<usize, IndexError> {
+        let pin = self.epoch.pin();
         if self.height() != 0 || !leaf_chain_is_empty(self) {
             // Non-empty tree: bulk-loading bottom-up would have to merge
             // with existing leaves; route through the normal write path.
             let mut fresh = 0;
             for (k, v) in items {
                 pmindex::check_value(v)?;
-                if crate::insert::tree_insert(self, k, v)?.is_none() {
+                if crate::insert::tree_insert(self, k, v, &pin)?.is_none() {
                     fresh += 1;
                 }
             }
@@ -202,7 +203,7 @@ impl FastFairTree {
 
         let mut fresh = packed;
         for (k, v) in stragglers {
-            if crate::insert::tree_insert(self, k, v)?.is_none() {
+            if crate::insert::tree_insert(self, k, v, &pin)?.is_none() {
                 fresh += 1;
             }
         }

@@ -12,6 +12,7 @@
 //! flight; the writer flips the node's switch counter to odd before
 //! shifting (§4).
 
+use epoch::Guard;
 use pmem::{stats, NULL_OFFSET};
 use pmindex::{Key, Value};
 
@@ -71,15 +72,25 @@ pub(crate) fn enter_delete_direction(tree: &FastFairTree, node: NodeRef<'_>, cnt
 }
 
 /// Public delete path: removes `key` from its leaf. Returns the value it
-/// held, or `None` if the key was absent.
-pub(crate) fn tree_remove(tree: &FastFairTree, key: Key) -> Option<Value> {
+/// held, or `None` if the key was absent. `pin` is the operation's pin of
+/// the tree's epoch domain; the first attempt starts from the leaf
+/// [`FastFairTree::locate_leaf`] names, a retry descends.
+pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<Value> {
+    let mut pin = Some(pin);
     'retry: loop {
-        let off = stats::timed(stats::Phase::Search, || tree.find_leaf(key));
+        let (off, directed) = stats::timed(stats::Phase::Search, || match pin.take() {
+            Some(pin) => tree.locate_leaf(key, pin),
+            None => (tree.find_leaf(key), false),
+        });
         let mut guard = WriteGuard::lock(&tree.pool, tree.node(off).lock_word_off());
         let mut node = tree.node(off);
+        let mut hops = 0;
         loop {
             if node.is_deleted() {
                 guard.unlock();
+                if directed {
+                    tree.regret_directory(1);
+                }
                 continue 'retry;
             }
             repair_node_locked(tree, node);
@@ -88,7 +99,8 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key) -> Option<Value> {
                     let next = WriteGuard::lock(&tree.pool, tree.node(sib).lock_word_off());
                     guard.unlock();
                     guard = next;
-                    node = tree.node(sib);
+                    node = tree.visit(sib);
+                    hops += 1;
                 }
                 None => break,
             }
@@ -126,6 +138,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key) -> Option<Value> {
         });
         let node_off = node.offset();
         guard.unlock();
+        tree.settle(directed, hops);
         if emptied {
             // FAIR merge (§4.2): try to unlink the now-empty leaf. Best
             // effort — any bail-out leaves a harmless pass-through node.
@@ -264,6 +277,13 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
             }
             if let Some(s) = s {
                 node.fp_unseal();
+                // Insert direction first, as the split itself does: readers
+                // must not start above the terminator this is about to set.
+                let sc = node.switch_counter();
+                if sc % 2 == 1 {
+                    node.set_switch_counter(sc + 1);
+                    pool.persist(node.sibling_field_off(), 8);
+                }
                 node.set_ptr(s, NULL_OFFSET);
                 pool.persist(node.ptr_off(s), 8);
                 node.set_count_hint(s);

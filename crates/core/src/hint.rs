@@ -1,350 +1,312 @@
-//! Volatile leaf hints: skip the root-to-leaf descent for a key this handle
-//! has stood on before.
+//! The volatile leaf directory: skip the root-to-leaf descent for every
+//! key, not only for a key seen before.
 //!
 //! Under a 300 ns persistent-memory read, most of a point operation is the
-//! chain of dependent node reads on the way down. Skewed traffic names the
-//! same keys again and again, and a B-link tree already tolerates a
-//! slightly stale entry point (sibling chain, lazy repair — §4.2), so a
-//! handle remembers `key → leaf` in DRAM and tries that leaf first. The
-//! table is a cache of *where to look*, never of *what is there*: nothing
-//! in it is persistent, nothing in it is needed for recovery, and a crash
-//! or a reopen simply starts cold.
+//! chain of dependent node reads on the way down. A B-link tree already
+//! tolerates an entry point that is *at or left of* the key's leaf — the
+//! sibling chain and lazy repair (§4.2) take it the rest of the way — so a
+//! handle keeps, in DRAM, one immutable sorted array `separator → leaf`
+//! copied from the routing entries above the leaves, binary-searches it,
+//! and starts at the leaf it names. The directory is a cache of *where to
+//! start*, never of *what is there*: nothing in it is persistent, nothing
+//! in it is needed for recovery, it is built on demand, and a crash or a
+//! reopen simply starts cold (`open` stays instant — what the FP-tree
+//! baseline gives up for the same read cost).
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::Arc;
 
-use epoch::EpochDomain;
-use pmem::{stats, PmOffset, CACHE_LINE, NULL_OFFSET};
+use epoch::{EpochDomain, Guard};
+use pmem::{stats, PmOffset};
 use pmindex::Key;
 
-/// log2 of the slot count: 16 384 slots × 16 bytes = 256 KB per handle.
-const SLOT_BITS: u32 = 14;
+use crate::search::read_entries;
+use crate::tree::FastFairTree;
 
-/// Point operations a handle serves before it allocates its table, so that
-/// `create` / `open` stay allocation-free and short-lived handles (a
-/// restart probe, a test fixture) never pay for one.
-const WARMUP_OPS: u32 = 4096;
+/// Regret a handle accumulates before it builds a directory, however
+/// small the tree: `create` / `open` / `bulk_load` build nothing, and a
+/// short-lived handle (a restart probe, a test fixture) never allocates.
+const MIN_REGRET: u64 = 4096;
 
-/// Bits of a packed slot word that hold the leaf offset in cache lines
-/// (pools up to 64 TB); the rest hold the generation.
-const OFF_BITS: u32 = 40;
-
-/// Generations a table hands out before it closes to be wiped (see
-/// [`HintTable::invalidate`]).
-pub(crate) const GEN_LIMIT: u64 = 1 << (64 - OFF_BITS);
-
-/// One direct-mapped entry: the key, and `generation << OFF_BITS | offset
-/// / 64` in one word so that an offset is never read apart from the
-/// generation it was stored under. 0 is "empty" (generation 0 is never
-/// handed out). The two words may come from different installs; the worst
-/// that does is send a lookup to some other key's leaf, where the key is
-/// not found.
-#[derive(Default)]
-struct Slot {
-    key: AtomicU64,
-    loc: AtomicU64,
+/// One build: `(separator, leaf)` ascending by separator, the first
+/// separator 0, stamped with the generation read before the first node.
+struct Directory {
+    gen: u64,
+    entries: Box<[(Key, PmOffset)]>,
 }
 
-/// The leaf offset packed in a slot word.
-fn leaf_of(loc: u64) -> PmOffset {
-    (loc & ((1 << OFF_BITS) - 1)) * CACHE_LINE as u64
-}
-
-/// A fixed-size, DRAM-only, direct-mapped table `key → (leaf offset,
-/// generation)`.
+/// A tree handle's leaf directory and the rule that (re)builds it.
 ///
 /// # Invariants
 ///
-/// 1. **A hint is acted on only after the key is found valid in the hinted
-///    leaf under that leaf's normal protocol** — the lock-free reader's
-///    scan with its switch-counter / head / seal recheck, the writer's
-///    latch → deleted check → repair → `covering_sibling` →
-///    `find_valid_slot`. Anything else falls back to the full descent. A
-///    hinted operation is therefore indistinguishable from a descending
-///    one that was slow to arrive at the leaf: a wrong hint costs a wasted
-///    hop, never an answer or a store.
-/// 2. **The generation is read after the epoch pin and bumped before any
-///    unlinked block can reach [`pmem::Pool::free`]**, and a hint stored
-///    under another generation is ignored. The installer read generation
-///    `g`, then saw the key valid in leaf `L`; `L` is unlinked only once
-///    empty, so any retirement of `L` bumps the generation past `g` after
-///    that. A reader that still reads `g` after pinning was therefore
-///    pinned before `L` was retired, and the epoch rule keeps `L`'s block
-///    out of the allocator until it unpins: a hinted block is always still
-///    this tree's node (possibly unlinked and empty), never a recycled one.
-/// 3. **Only `get` and the leaf-level overwrite of `insert` / `update`
-///    consult the table.** Scans, `remove`, inserts of a new key, answers
-///    for an absent key and inserts above the leaf level always descend.
-pub(crate) struct HintTable {
-    /// Every path that takes a node off the tree adds one. At
-    /// [`limit`](Self::limit) and above the table is closed.
+/// 1. **Anchor.** Every entry `(s, L)` of a directory stamped `g` was read,
+///    while the generation was `g`, as a routing entry one level above the
+///    leaves (or as the leftmost pointer beside the separator that routes
+///    to its parent; or `L` was the root): `L` was then a leaf of this
+///    tree with lower bound ≤ `s`.
+/// 2. **No recycle.** A directory is used only if its stamp still equals
+///    the generation read *after* the operation's epoch pin. Every path
+///    that takes a node off the tree (`retire_node` from merge, `bulk_load`
+///    and `recover`; `reclaim_storage`) bumps the generation *before* the
+///    block reaches the epoch domain, so an operation that still reads `g`
+///    pinned before any leaf of the directory was retired, and the epoch
+///    rule keeps those blocks out of the allocator until it unpins: a
+///    directed operation only ever lands on a block that is still this
+///    tree's leaf (possibly unlinked and marked deleted, never recycled).
+/// 3. **Left-of.** A linked leaf's lower bound never moves. A FAIR split
+///    (`split::build_and_link_sibling`, steps 2–3) gives the *new* right
+///    sibling the upper half and leaves the lower bound of the node it
+///    splits alone; a merge (`merge::try_unlink_empty_leaf`, steps 1–2)
+///    hands an emptied leaf's range to its left neighbour, and bumps the
+///    generation. So for as long as invariant 2 admits it, the leaf an
+///    entry with `s ≤ key` names is at or left of `key`'s leaf, which is
+///    all a B-link traversal needs: splits since the build cost sibling
+///    hops, never answers.
+/// 4. **Protocol.** A directed operation is a descending operation that
+///    arrived late. From the leaf [`FastFairTree::locate_leaf`] returns,
+///    readers run the lock-free scan with its switch-counter / head / seal
+///    recheck and `covering_sibling`, writers latch → `is_deleted` →
+///    `repair_node_locked` → `covering_sibling` → `find_valid_slot`, and a
+///    cursor moves right to the covering leaf before it reads — exactly as
+///    after a descent — and a writer that has to retry retries by descent.
+///    One rule is added for the one decision a late arrival must not make:
+///    a directed writer inserts a *fresh* key only strictly below the
+///    leaf's largest key, or into the last leaf of the chain (anything
+///    else descends), because "the next sibling's first key is above it"
+///    proves the leaf covers the key only to a writer that came through
+///    the parent just now. (A directed writer that hops right also runs
+///    the dangling-sibling repair a descending one runs, though a stale
+///    directory is the likelier reason for the hop by far: that repair
+///    heals more than crashes — see `split::ensure_parent_entry`.)
+///
+/// # Rebuild rule
+///
+/// *Regret* counts what the directory failed to settle in one hop:
+/// fallback descents and extra sibling hops. The operation that takes it
+/// to `max(entries, 4096)` rebuilds, inline and single-flight, reading
+/// every node above the leaves once and paying the model for it like any
+/// reader (one hop and one linear scan per level-1 node). A level-1 node
+/// routes to ≥ `capacity / 2` leaves (13 at 512-byte nodes, ≈ 24 at the
+/// bulk loader's fill), so a rebuild reads at most one level-1 node per
+/// 13 regretted operations, one per ≈ 24 on a bulk-loaded tree.
+pub(crate) struct LeafDirectory {
+    /// The owning tree's reclamation domain: retired directories go
+    /// through it, and lookups must be pinned in it.
+    epoch: Arc<EpochDomain>,
+    /// Bumped by every path that takes a node off the tree.
     gen: AtomicU64,
-    /// Where the generation stops fitting a slot word ([`GEN_LIMIT`];
-    /// tests narrow it).
-    limit: u64,
-    slots: Box<[Slot]>,
+    /// The directory in use; null until the first build.
+    current: AtomicPtr<Directory>,
+    regret: AtomicU64,
+    /// Regret at which the next build is due.
+    due: AtomicU64,
+    /// Single-flight latch of the build.
+    building: AtomicBool,
 }
 
-impl HintTable {
-    fn new(limit: u64) -> HintTable {
-        debug_assert!((2..=GEN_LIMIT).contains(&limit));
-        HintTable {
-            gen: AtomicU64::new(1),
-            limit,
-            slots: (0..1usize << SLOT_BITS).map(|_| Slot::default()).collect(),
+impl LeafDirectory {
+    pub(crate) fn new(epoch: Arc<EpochDomain>) -> LeafDirectory {
+        LeafDirectory {
+            epoch,
+            gen: AtomicU64::new(0),
+            current: AtomicPtr::new(std::ptr::null_mut()),
+            regret: AtomicU64::new(0),
+            due: AtomicU64::new(MIN_REGRET),
+            building: AtomicBool::new(false),
         }
     }
 
-    fn slot(&self, key: Key) -> &Slot {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOT_BITS);
-        &self.slots[h as usize]
+    /// The directory in use, borrowed for as long as `pin` is held.
+    fn current<'a>(&self, pin: &'a Guard) -> Option<&'a Directory> {
+        assert!(
+            pin.pins(&self.epoch),
+            "leaf directory read under a foreign pin"
+        );
+        // SAFETY: `current` is null or a `Box::into_raw` pointer stored by
+        // `publish`. A published directory is freed only by a closure
+        // `publish` defers through `self.epoch` *after* swapping the pointer
+        // out, which runs once every guard of that domain pinned at the
+        // swap is gone. `pin` is such a guard (asserted above) and outlives
+        // the reference, so a pointer loaded under it is not freed while
+        // the reference lives. A directory is never mutated.
+        unsafe { self.current.load(Ordering::SeqCst).as_ref() }
     }
 
-    fn probe(&self, key: Key) -> Probe<'_> {
-        // SeqCst against `invalidate`'s increment: reading `g` here, after
-        // the caller's pin, orders that pin before every later bump.
-        let gen = self.gen.load(Ordering::SeqCst);
-        if gen >= self.limit {
-            return Probe::NONE;
+    /// The leaf the directory names for `key`, if there is a directory and
+    /// no node has left the tree since it was built (invariant 2).
+    fn lookup(&self, key: Key, pin: &Guard) -> Option<PmOffset> {
+        let dir = self.current(pin)?;
+        // SeqCst against `invalidate`: reading `g` here, after the caller's
+        // pin, orders that pin before every later bump.
+        if dir.gen != self.gen.load(Ordering::SeqCst) {
+            return None;
         }
-        // The slot words publish nothing but themselves (invariant 1 checks
-        // whatever they say), so they need no ordering.
-        let slot = self.slot(key);
-        let loc = slot.loc.load(Ordering::Relaxed);
-        let leaf = if loc >> OFF_BITS == gen && slot.key.load(Ordering::Relaxed) == key {
-            leaf_of(loc)
-        } else {
-            NULL_OFFSET
-        };
-        Probe {
-            table: Some(self),
-            gen,
-            leaf,
-        }
+        // The first separator is 0 (checked by `publish`), so at least one
+        // entry is at or below any key.
+        let at = dir.entries.partition_point(|&(sep, _)| sep <= key);
+        Some(dir.entries[at - 1].1)
     }
 
-    /// Makes every hint stored so far unusable; called after a node left
-    /// the tree and before its block is handed to the epoch domain.
+    /// Adds `n` to the regret. True if a build is now due and the caller
+    /// has won the right to run it; it must then call [`publish`].
     ///
-    /// The generation that no longer fits a slot word closes the table
-    /// instead of wrapping: lookups miss and installs are dropped until a
-    /// deferred [`reopen`](Self::reopen) has run. The epoch domain runs it
-    /// only once every operation pinned at this moment has unpinned, so
-    /// nobody who read a generation of the old numbering is still about to
-    /// store a slot, and the wipe leaves nothing that a reused number
-    /// could make valid again.
-    fn invalidate(self: &Arc<Self>, epoch: &EpochDomain) {
-        if self.gen.fetch_add(1, Ordering::SeqCst) + 1 == self.limit {
-            let table = Arc::clone(self);
-            epoch.defer(move || table.reopen());
+    /// [`publish`]: Self::publish
+    fn regret(&self, n: u64) -> bool {
+        // Statistics: Relaxed. The latch's Acquire pairs with `publish`'s
+        // Release, so a builder sees its predecessor's reset.
+        self.regret.fetch_add(n, Ordering::Relaxed) + n >= self.due.load(Ordering::Relaxed)
+            && !self.building.swap(true, Ordering::Acquire)
+    }
+
+    /// Ends a build: swaps `entries` in — unless a node left the tree since
+    /// `gen` was read, which would leave them dead on arrival — retires the
+    /// directory they replace, and re-arms the rebuild rule either way.
+    fn publish(&self, gen: u64, entries: Vec<(Key, PmOffset)>) {
+        if gen == self.gen.load(Ordering::SeqCst) {
+            assert_eq!(entries.first().map(|e| e.0), Some(Key::MIN));
+            self.due
+                .store((entries.len() as u64).max(MIN_REGRET), Ordering::Relaxed);
+            let new = Box::into_raw(Box::new(Directory {
+                gen,
+                entries: entries.into_boxed_slice(),
+            }));
+            let old = self.current.swap(new, Ordering::SeqCst);
+            if !old.is_null() {
+                // An `AtomicPtr` only to carry the pointer into a `Send`
+                // closure.
+                let old = AtomicPtr::new(old);
+                // SAFETY: see `free`; the closure runs after every pin that
+                // could have loaded `old` is gone, and nothing can load it
+                // again.
+                self.epoch
+                    .defer(move || unsafe { Self::free(old.into_inner()) });
+            }
+            stats::count_leaf_hint_rebuild();
+        }
+        self.regret.store(0, Ordering::Relaxed);
+        self.building.store(false, Ordering::Release);
+    }
+
+    /// Makes the directory unusable; called after a node left the tree and
+    /// before its block is handed to the epoch domain (invariant 2).
+    pub(crate) fn invalidate(&self) {
+        self.gen.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Frees a directory.
+    ///
+    /// # Safety
+    ///
+    /// `dir` is null or came from `Box::into_raw` in [`publish`], is no
+    /// longer in `current`, and no reference into it remains.
+    ///
+    /// [`publish`]: Self::publish
+    unsafe fn free(dir: *mut Directory) {
+        if !dir.is_null() {
+            // SAFETY: the caller's contract.
+            drop(unsafe { Box::from_raw(dir) });
         }
     }
 
-    /// Wipes the closed table and restarts the numbering. A bump that
-    /// races the final store may be overwritten by it: the table was
-    /// closed and empty when that bump's node left the tree, so there was
-    /// nothing for it to invalidate.
-    fn reopen(&self) {
-        for slot in self.slots.iter() {
-            slot.loc.store(0, Ordering::Relaxed);
-        }
-        self.gen.store(1, Ordering::SeqCst);
+    /// Test hook: the generation counter.
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u64 {
+        self.gen.load(Ordering::SeqCst)
+    }
+
+    /// Test hook: regret since the last build.
+    #[cfg(test)]
+    pub(crate) fn regret_count(&self) -> u64 {
+        self.regret.load(Ordering::Relaxed)
+    }
+
+    /// Test hook: the entries of the directory in use, stale or not.
+    #[cfg(test)]
+    pub(crate) fn entries(&self, pin: &Guard) -> Option<Vec<(Key, PmOffset)>> {
+        Some(self.current(pin)?.entries.to_vec())
     }
 }
 
-/// One operation's view of the table: the generation it read on entry,
-/// the leaf hinted for its key (if any), and the right to install a hint
-/// under that generation once a full descent has found the key.
-pub(crate) struct Probe<'a> {
-    table: Option<&'a HintTable>,
-    gen: u64,
-    leaf: PmOffset,
-}
-
-impl Probe<'_> {
-    /// No table yet, or a closed one: nothing hinted, nothing installed.
-    const NONE: Probe<'static> = Probe {
-        table: None,
-        gen: 0,
-        leaf: NULL_OFFSET,
-    };
-
-    /// The leaf to try before descending.
-    pub(crate) fn leaf(&self) -> Option<PmOffset> {
-        (self.leaf != NULL_OFFSET).then_some(self.leaf)
-    }
-
-    /// Records that a full descent found `key` valid in the leaf at `off`.
-    /// Stored under the generation read *before* that descent (invariant
-    /// 2): if a node left the tree meanwhile the hint is born stale.
-    pub(crate) fn install(&self, key: Key, off: PmOffset) {
-        let Some(table) = self.table else { return };
-        let line = off / CACHE_LINE as u64;
-        if line >> OFF_BITS != 0 {
-            return;
-        }
-        let loc = self.gen << OFF_BITS | line;
-        let slot = table.slot(key);
-        slot.key.store(key, Ordering::Relaxed);
-        slot.loc.store(loc, Ordering::Relaxed);
+impl Drop for LeafDirectory {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` — no lookup is running or can start, and the
+        // pointer dies with `current` here.
+        unsafe { Self::free(*self.current.get_mut()) };
     }
 }
 
-/// A tree handle's leaf hints: nothing until the handle has served
-/// [`WARMUP_OPS`] point operations, a [`HintTable`] from then on.
-pub(crate) struct LeafHints {
-    warmup: AtomicU32,
-    table: OnceLock<Arc<HintTable>>,
-}
-
-impl LeafHints {
-    pub(crate) const fn new() -> LeafHints {
-        LeafHints {
-            warmup: AtomicU32::new(0),
-            table: OnceLock::new(),
-        }
-    }
-
-    /// Looks `key` up for one point operation. Must be called inside the
-    /// operation's epoch pin (invariant 2).
-    pub(crate) fn probe(&self, key: Key) -> Probe<'_> {
+impl FastFairTree {
+    /// The leaf a leaf-level operation on `key` starts at, and whether the
+    /// directory chose it (`true`) or a root-to-leaf descent did (`false`).
+    ///
+    /// `get`, leaf-level `insert` / `update`, `remove` and both cursor
+    /// seeks enter through here: a binary search of the directory and one
+    /// charged hop to the leaf it names — believed only if invariant 2
+    /// holds and the block is a live leaf — otherwise [`find_leaf`]. Either
+    /// way the caller moves right from there while `covering_sibling` says
+    /// so, under its own protocol, and reports how it went to [`settle`].
+    /// `pin` is the operation's pin of this tree's epoch domain.
+    ///
+    /// [`find_leaf`]: Self::find_leaf
+    /// [`settle`]: Self::settle
+    pub(crate) fn locate_leaf(&self, key: Key, pin: &Guard) -> (PmOffset, bool) {
         stats::count_leaf_hint_lookup();
-        match self.table.get() {
-            Some(table) => table.probe(key),
+        let named = self.directory.lookup(key, pin).filter(|&off| {
+            let leaf = self.visit(off);
+            leaf.is_leaf() && !leaf.is_deleted()
+        });
+        let located = match named {
+            Some(off) => (off, true),
             None => {
-                // A statistic, not a publication: Relaxed.
-                if self.warmup.fetch_add(1, Ordering::Relaxed) >= WARMUP_OPS {
-                    self.table
-                        .get_or_init(|| Arc::new(HintTable::new(GEN_LIMIT)));
-                }
-                Probe::NONE
+                self.regret_directory(1);
+                (self.find_leaf(key), false)
+            }
+        };
+        #[cfg(test)]
+        crate::tests::after_locate(located.0);
+        located
+    }
+
+    /// Books a leaf-level operation that finished where [`locate_leaf`]
+    /// started it plus `hops` sibling hops: a hit if the directory chose
+    /// the start, and the hops — splits the directory has not seen — as
+    /// regret.
+    ///
+    /// [`locate_leaf`]: Self::locate_leaf
+    pub(crate) fn settle(&self, directed: bool, hops: u64) {
+        if directed {
+            stats::count_leaf_hint_hit();
+            if hops > 0 {
+                self.regret_directory(hops);
             }
         }
     }
 
-    /// See [`HintTable::invalidate`]. Without a table there are no hints
-    /// to invalidate: whoever publishes one after this check can only hint
-    /// leaves it reaches from the root after this node was unlinked.
-    pub(crate) fn invalidate(&self, epoch: &EpochDomain) {
-        if let Some(table) = self.table.get() {
-            table.invalidate(epoch);
+    /// Counts `n` operations (or hops) the directory did not settle, and
+    /// rebuilds it if that trips the rule.
+    pub(crate) fn regret_directory(&self, n: u64) {
+        if !self.directory.regret(n) {
+            return;
         }
-    }
-
-    /// Test hook: allocates the table now, closing after `limit`
-    /// generations.
-    #[cfg(test)]
-    pub(crate) fn warm_with_limit(&self, limit: u64) {
-        assert!(self.table.set(Arc::new(HintTable::new(limit))).is_ok());
-    }
-
-    /// Test hook: the table's generation counter.
-    #[cfg(test)]
-    pub(crate) fn generation(&self) -> u64 {
-        self.table.get().expect("warm").gen.load(Ordering::SeqCst)
-    }
-
-    /// Test hook: the leaf `key`'s slot names, whatever its generation.
-    #[cfg(test)]
-    pub(crate) fn stored_leaf(&self, key: Key) -> Option<PmOffset> {
-        let slot = self.table.get().expect("warm").slot(key);
-        let loc = slot.loc.load(Ordering::Relaxed);
-        (loc != 0 && slot.key.load(Ordering::Relaxed) == key).then(|| leaf_of(loc))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hinted(t: &HintTable, key: Key) -> Option<PmOffset> {
-        t.probe(key).leaf()
-    }
-
-    #[test]
-    fn install_then_probe_roundtrip_and_generation_gate() {
-        let t = Arc::new(HintTable::new(GEN_LIMIT));
-        let e = EpochDomain::new();
-        assert_eq!(hinted(&t, 7), None);
-        let p = t.probe(7);
-        p.install(7, 4096);
-        assert_eq!(hinted(&t, 7), Some(4096));
-        // Another key mapping elsewhere (or to the same slot) never reads 7's.
-        assert_eq!(hinted(&t, 8), None);
-        // A bump hides it; an install under the old generation stays hidden.
-        t.invalidate(&e);
-        assert_eq!(hinted(&t, 7), None);
-        p.install(7, 4096);
-        assert_eq!(hinted(&t, 7), None);
-        t.probe(7).install(7, 8192);
-        assert_eq!(hinted(&t, 7), Some(8192));
-        // Offsets too large for the packed word are not stored.
-        t.probe(9).install(9, 1 << 46);
-        assert_eq!(hinted(&t, 9), None);
-    }
-
-    #[test]
-    fn colliding_keys_share_a_slot_without_aliasing() {
-        let t = HintTable::new(GEN_LIMIT);
-        let a = 1u64;
-        let b = (2..).find(|&k| std::ptr::eq(t.slot(k), t.slot(a))).unwrap();
-        t.probe(a).install(a, 64);
-        t.probe(b).install(b, 128);
-        assert_eq!(hinted(&t, a), None);
-        assert_eq!(hinted(&t, b), Some(128));
-    }
-
-    /// The numbering never wraps onto a live hint: the table closes at the
-    /// limit, stays closed while any operation from before is pinned, and
-    /// reopens empty.
-    #[test]
-    fn generation_limit_closes_wipes_and_reopens() {
-        let t = Arc::new(HintTable::new(4));
-        let e = EpochDomain::new();
-        let old = t.probe(1); // generation 1
-        old.install(1, 64);
-        let straggler = e.pin();
-        t.invalidate(&e); // 2
-        t.invalidate(&e); // 3
-        t.probe(2).install(2, 128);
-        assert_eq!(hinted(&t, 2), Some(128));
-        t.invalidate(&e); // 4 = limit: closed
-        assert_eq!(hinted(&t, 2), None);
-        t.probe(2).install(2, 128);
-        // Closed for as long as the straggler may still store a slot…
-        for _ in 0..4 {
-            e.try_advance();
-            e.collect();
-            t.invalidate(&e);
+        let gen = self.directory.gen.load(Ordering::SeqCst);
+        // Level by level from the root, carrying each node's lower bound
+        // down to its leftmost child. A node that splits under the walk
+        // hides its new sibling's children (a short directory: sibling
+        // hops) or shows them twice (dropped: separators must ascend).
+        let mut nodes = vec![(Key::MIN, self.root())];
+        for _ in 0..self.node(nodes[0].1).level() {
+            let mut below: Vec<(Key, PmOffset)> = Vec::new();
+            for &(lower, off) in &nodes {
+                let node = self.visit(off);
+                let children = std::iter::once((lower, node.leftmost()));
+                for (sep, child) in children.chain(read_entries(self, node)) {
+                    if below.last().is_none_or(|&(last, _)| last < sep) {
+                        below.push((sep, child));
+                    }
+                }
+            }
+            nodes = below;
         }
-        assert!(t.gen.load(Ordering::SeqCst) > t.limit);
-        // …which it does, under the old numbering's generation 1.
-        old.install(1, 64);
-        drop(straggler);
-        while t.gen.load(Ordering::SeqCst) >= t.limit {
-            e.try_advance();
-            e.collect();
-        }
-        // Reopened at generation 1 again, and the old generation-1 hint is gone.
-        assert_eq!(t.gen.load(Ordering::SeqCst), 1);
-        assert_eq!(hinted(&t, 1), None);
-        assert_eq!(hinted(&t, 2), None);
-        t.probe(1).install(1, 192);
-        assert_eq!(hinted(&t, 1), Some(192));
-    }
-
-    #[test]
-    fn handle_allocates_only_after_warmup() {
-        let h = LeafHints::new();
-        let e = EpochDomain::new();
-        for _ in 0..WARMUP_OPS {
-            h.probe(1).install(1, 64);
-            h.invalidate(&e);
-        }
-        assert!(h.table.get().is_none());
-        h.probe(1);
-        assert!(h.table.get().is_some());
-        h.probe(1).install(1, 64);
-        assert_eq!(h.probe(1).leaf(), Some(64));
+        self.directory.publish(gen, nodes);
     }
 }

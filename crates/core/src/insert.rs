@@ -18,6 +18,7 @@
 //! Under TSO the `fence_if_not_tso` calls compile to nothing; on non-TSO
 //! hardware they become `dmb` barriers (Fig. 5(d)).
 
+use epoch::Guard;
 use pmem::{stats, NULL_OFFSET};
 use pmindex::{IndexError, Key, Value};
 
@@ -26,13 +27,15 @@ use crate::lock::WriteGuard;
 use crate::tree::{FastFairTree, SplitStrategy};
 
 /// Public write path: upserts `key → value` at the leaf level, returning
-/// the replaced value for the [`pmindex::PmIndex::insert`] contract.
+/// the replaced value for the [`pmindex::PmIndex::insert`] contract. `pin`
+/// is the operation's pin of the tree's epoch domain.
 pub(crate) fn tree_insert(
     tree: &FastFairTree,
     key: Key,
     value: Value,
+    pin: &Guard,
 ) -> Result<Option<Value>, IndexError> {
-    write_entry(tree, 0, key, value, WriteMode::Upsert)
+    write_entry(tree, 0, key, value, WriteMode::Upsert, Some(pin))
 }
 
 /// Public update path: replaces the value of an *existing* key with one
@@ -42,8 +45,9 @@ pub(crate) fn tree_update(
     tree: &FastFairTree,
     key: Key,
     value: Value,
+    pin: &Guard,
 ) -> Result<Option<Value>, IndexError> {
-    write_entry(tree, 0, key, value, WriteMode::UpdateOnly)
+    write_entry(tree, 0, key, value, WriteMode::UpdateOnly, Some(pin))
 }
 
 /// Inserts an entry at an arbitrary tree level (FAIR parent updates).
@@ -53,7 +57,7 @@ pub(crate) fn insert_entry(
     key: Key,
     value: Value,
 ) -> Result<(), IndexError> {
-    write_entry(tree, level, key, value, WriteMode::Upsert).map(|_| ())
+    write_entry(tree, level, key, value, WriteMode::Upsert, None).map(|_| ())
 }
 
 /// How [`write_entry`] treats a missing key.
@@ -69,47 +73,50 @@ enum WriteMode {
 /// value when the key already existed.
 ///
 /// Level 0 means the leaf level; higher levels are used by FAIR parent
-/// updates, where an already-present key means another thread (or a
+/// updates, where an already-routed child means another thread (or a
 /// pre-crash writer) finished the update first — the idempotence §4.2
-/// relies on.
+/// relies on. A leaf-level write passes its `pin` and makes its first
+/// attempt from the leaf [`FastFairTree::locate_leaf`] names; every retry,
+/// and every write above the leaves, descends.
 fn write_entry(
     tree: &FastFairTree,
     level: u32,
     key: Key,
     value: Value,
     mode: WriteMode,
+    mut pin: Option<&Guard>,
 ) -> Result<Option<Value>, IndexError> {
-    // A leaf-level write of a key this handle has stood on before tries
-    // the hinted leaf first; everything it cannot settle there — and every
-    // write above the leaves — takes the descent below.
-    let probe = (level == 0).then(|| tree.hints.probe(key));
-    if let Some(off) = probe.as_ref().and_then(|p| p.leaf()) {
-        if let Some(old) = overwrite_at_hint(tree, off, key, value) {
-            return Ok(Some(old));
-        }
-    }
     'retry: loop {
-        // Phase 1: lock-free descent to the target level.
-        let off = match stats::timed(stats::Phase::Search, || tree.descend_to_level(level, key)) {
-            Some(off) => off,
-            None => {
-                // The tree is shorter than `level`: the split node was the
-                // root, so grow the tree (Algorithm 2's implicit case).
-                // Unreachable at level 0 (a leaf always exists), so the
-                // update-only mode never grows the tree.
-                debug_assert!(level > 0);
-                crate::split::grow_root(tree, level, key, value)?;
-                return Ok(None);
+        // Phase 1: lock-free arrival at the target level. `directed` says
+        // the leaf directory, not a descent, chose the node.
+        let (found, directed) = stats::timed(stats::Phase::Search, || match pin.take() {
+            Some(pin) => {
+                let (off, directed) = tree.locate_leaf(key, pin);
+                (Some(off), directed)
             }
+            None => (tree.descend_to_level(level, key), false),
+        });
+        let Some(off) = found else {
+            // The tree is shorter than `level`: the split node was the
+            // root, so grow the tree (Algorithm 2's implicit case).
+            // Unreachable at level 0 (a leaf always exists), so the
+            // update-only mode never grows the tree.
+            debug_assert!(level > 0);
+            crate::split::grow_root(tree, level, key, value)?;
+            return Ok(None);
         };
 
         // Phase 2: lock, repair leftovers, move right as needed.
         let mut guard = WriteGuard::lock(&tree.pool, tree.node(off).lock_word_off());
         let mut node = tree.node(off);
         let mut redirected = None;
+        let mut hops = 0;
         loop {
             if node.is_deleted() {
                 guard.unlock();
+                if directed {
+                    tree.regret_directory(1);
+                }
                 continue 'retry;
             }
             // Lazy recovery (§4.2): only writers repair tolerable
@@ -121,8 +128,9 @@ fn write_entry(
                     let next = WriteGuard::lock(&tree.pool, tree.node(sib).lock_word_off());
                     guard.unlock();
                     guard = next;
-                    node = tree.node(sib);
+                    node = tree.visit(sib);
                     redirected = Some(sib);
+                    hops += 1;
                 }
                 None => break,
             }
@@ -130,16 +138,12 @@ fn write_entry(
 
         // Phase 3: the actual modification.
         let replaced = if let Some(slot) = find_valid_slot(node, key) {
-            let old = match &probe {
-                Some(probe) => {
-                    // Standing on the key after a full descent: remember
-                    // where.
-                    probe.install(key, node.offset());
-                    overwrite_in_place(tree, node, slot, value)
-                }
+            let old = if level == 0 {
+                overwrite_in_place(tree, node, slot, value)
+            } else {
                 // At internal levels an existing key means the parent
                 // update already happened; nothing to do.
-                None => node.ptr(slot),
+                node.ptr(slot)
             };
             guard.unlock();
             Some(old)
@@ -147,18 +151,36 @@ fn write_entry(
             // Update-only contract: absent key, leave the node untouched.
             guard.unlock();
             None
-        } else if level > 0 && tree.node(value).is_deleted() {
-            // A routing entry for a child that was emptied, unlinked and
-            // retired while this parent update was on its way (a writer
-            // redirected through a sibling pointer reads the separator
-            // long before it gets here). The merge marks the child deleted
-            // under this same parent latch, so the check cannot race it;
-            // inserting would leave the tree routing into a block the
-            // allocator is about to hand to someone else.
+        } else if level > 0 && (routes_to(node, value) || tree.node(value).is_deleted()) {
+            // The child already has a routing entry under another
+            // separator (its first keys were deleted since, and the
+            // separator offered here is its *current* first key): a second
+            // entry would outlive the merge that unlinks the child. Or the
+            // child was emptied, unlinked and retired while this parent
+            // update was on its way (a writer redirected through a sibling
+            // pointer reads the separator long before it gets here): the
+            // merge marks it deleted under this same parent latch, so the
+            // check cannot race it, and inserting would leave the tree
+            // routing into a block the allocator is about to hand to
+            // someone else.
             guard.unlock();
             None
         } else {
             let cnt = node.count_records();
+            let inside = node.sibling() == NULL_OFFSET || (cnt > 0 && node.key(cnt - 1) > key);
+            if directed && !inside {
+                // `covering_sibling` proves this leaf covers a key only to
+                // a writer the parent routed here just now. The directory
+                // may be older than the right sibling's split, whose lower
+                // bound can sit at or below `key` with its first keys
+                // deleted since. A key below one this repaired leaf already
+                // holds is below that bound whatever it is, and the last
+                // leaf of the chain has no such sibling; any other fresh
+                // key descends (`crate::hint`, invariant 4).
+                guard.unlock();
+                tree.regret_directory(1);
+                continue 'retry;
+            }
             if cnt < tree.cap {
                 stats::timed(stats::Phase::Update, || {
                     fast_insert_locked(tree, node, key, value, cnt)
@@ -176,6 +198,7 @@ fn write_entry(
             }
             None
         };
+        tree.settle(directed, hops);
 
         // Reaching a node through its sibling pointer triggers the parent
         // update of a dangling sibling (§4.2); idempotent if already done.
@@ -184,6 +207,12 @@ fn write_entry(
         }
         return Ok(replaced);
     }
+}
+
+/// True if the latched, repaired internal `node` routes to `child` under
+/// any separator.
+fn routes_to(node: NodeRef<'_>, child: u64) -> bool {
+    node.leftmost() == child || (0..node.count_records()).any(|i| node.ptr(i) == child)
 }
 
 /// Overwrites the value at `slot` of a latched leaf in place, returning the
@@ -196,33 +225,6 @@ fn overwrite_in_place(tree: &FastFairTree, node: NodeRef<'_>, slot: u16, value: 
             node.set_ptr(slot, value);
             tree.pool.persist(node.ptr_off(slot), 8);
         });
-    }
-    old
-}
-
-/// The hinted leaf-level write: latches the leaf at `off` and runs the
-/// descent's own per-leaf protocol on it. Settles the write — returning
-/// the replaced value — only if `key` is found valid there; a leaf that was
-/// unlinked, no longer covers the key after a FAIR split, or does not hold
-/// it returns `None` and the caller descends. Charges the one hop.
-fn overwrite_at_hint(tree: &FastFairTree, off: u64, key: Key, value: Value) -> Option<Value> {
-    let node = stats::timed(stats::Phase::Search, || tree.visit(off));
-    if !node.is_leaf() {
-        return None;
-    }
-    let guard = WriteGuard::lock(&tree.pool, node.lock_word_off());
-    let node = tree.node(off); // framed under the latch
-    let mut old = None;
-    if !node.is_deleted() {
-        crate::delete::repair_node_locked(tree, node);
-        if tree.covering_sibling(node, key).is_none() {
-            old =
-                find_valid_slot(node, key).map(|slot| overwrite_in_place(tree, node, slot, value));
-        }
-    }
-    guard.unlock();
-    if old.is_some() {
-        stats::count_leaf_hint_hit();
     }
     old
 }

@@ -667,8 +667,25 @@ impl<'a> NodeRef<'a> {
         }
     }
 
+    /// The crate's one read-charging rule: reading a node on the two
+    /// lowest levels costs PM misses, anything above is free.
+    ///
+    /// That models the paper's testbed (§5.1): Quartz stalls only real
+    /// last-level-cache misses, and a B+-tree's few upper levels — at
+    /// 4 M keys and 512-byte nodes the leaves are ≈ 80 MB, level 1
+    /// ≈ 3 MB, level 2 ≈ 0.1 MB — stay LLC-resident. Readers, writers,
+    /// parent updates, merges and the leaf-directory build all land on
+    /// nodes through `FastFairTree::visit`, which asks this (as `wbtree`'s
+    /// descent does for its reads and writes): an access the leaf
+    /// directory settles costs one miss, a full descent two.
+    #[inline]
+    pub fn is_cold(&self) -> bool {
+        self.level() <= 1
+    }
+
     /// Charges the read-latency cost of landing on this node (one serial
-    /// miss for the header line).
+    /// miss for the header line). Walks call `FastFairTree::visit`, which
+    /// applies [`is_cold`](Self::is_cold) first.
     #[inline]
     pub fn charge_hop(&self) {
         self.pool.charge_serial_reads(1);

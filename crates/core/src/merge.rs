@@ -6,7 +6,8 @@
 //! 8-byte commits:
 //!
 //! 1. delete the parent's routing entry (a FAST delete in the parent —
-//!    itself a single-pointer commit). Keys that routed to the empty node
+//!    itself a single-pointer commit; repeated if the node has more than
+//!    one). Keys that routed to the empty node
 //!    now route to its left neighbour and, if needed, pass *through* the
 //!    empty node via the sibling chain, so every intermediate state is
 //!    readable;
@@ -93,14 +94,21 @@ impl FastFairTree {
             return;
         }
 
-        // Step 1: remove the parent's routing entry (FAST delete in place —
-        // we already hold the parent lock).
-        let pcnt = parent.count_records();
-        crate::delete::enter_delete_direction(self, parent, pcnt);
-        parent.set_ptr(s, crate::layout::INVALID_PTR);
-        self.pool.fence_if_not_tso();
-        crate::delete::shift_left_from(self, parent, s, pcnt);
-        parent.set_count_hint(pcnt - 1);
+        // Step 1: remove the parent's routing entries for the node (FAST
+        // deletes in place — we already hold the parent lock). Every one:
+        // a dangling-sibling repair that raced a parent update can have
+        // left a second entry under another separator, and an entry that
+        // outlived the unlink would route into a retired block.
+        for i in (s..parent.count_records()).rev() {
+            if parent.ptr(i) == node_off {
+                let pcnt = parent.count_records();
+                crate::delete::enter_delete_direction(self, parent, pcnt);
+                parent.set_ptr(i, crate::layout::INVALID_PTR);
+                self.pool.fence_if_not_tso();
+                crate::delete::shift_left_from(self, parent, i, pcnt);
+                parent.set_count_hint(pcnt - 1);
+            }
+        }
 
         // Step 2: bypass the node in the leaf chain — the visibility commit.
         left.set_sibling(node.sibling());

@@ -26,7 +26,7 @@ use pmindex::chain::{LeafChain, LeafChainCursor};
 use pmindex::{Cursor, Key, Value};
 
 use crate::lock::ReadGuard;
-use crate::search::read_leaf_entries;
+use crate::search::read_entries;
 use crate::tree::FastFairTree;
 
 /// The per-leaf read hook: lock-free leaf snapshot (taking the leaf read
@@ -40,14 +40,23 @@ use crate::tree::FastFairTree;
 /// long-lived cursor stalls reclamation, never correctness.
 struct TreeChain<'a> {
     tree: &'a FastFairTree,
-    _pin: epoch::Guard,
+    pin: epoch::Guard,
 }
 
 impl LeafChain for TreeChain<'_> {
     type Leaf = PmOffset;
 
     fn locate(&self, target: Key) -> PmOffset {
-        self.tree.find_leaf(target)
+        let (mut off, directed) = self.tree.locate_leaf(target, &self.pin);
+        // To the covering leaf before anything is read: a reverse scan
+        // reads this one leaf and has no later chance to move right.
+        let mut hops = 0;
+        while let Some(sib) = self.tree.covering_sibling(self.tree.node(off), target) {
+            off = self.tree.visit(sib).offset();
+            hops += 1;
+        }
+        self.tree.settle(directed, hops);
+        off
     }
 
     fn first(&self) -> PmOffset {
@@ -58,9 +67,9 @@ impl LeafChain for TreeChain<'_> {
         let leaf = self.tree.node(off);
         let entries = if self.tree.options().leaf_locks {
             let _g = ReadGuard::lock(self.tree.pool(), leaf.lock_word_off());
-            read_leaf_entries(self.tree, leaf)
+            read_entries(self.tree, leaf)
         } else {
-            read_leaf_entries(self.tree, leaf)
+            read_entries(self.tree, leaf)
         };
         buf.extend(entries);
         // Read the sibling only after the entries (see module docs).
@@ -77,7 +86,7 @@ impl LeafChain for TreeChain<'_> {
 ///
 /// Created by [`pmindex::PmIndex::cursor`] (or [`TreeCursor::new`])
 /// positioned before the smallest key; [`Cursor::seek`] repositions it in
-/// O(height).
+/// O(height), or in one hop through the leaf directory.
 /// Holds no locks between calls (unless the tree runs in the
 /// `FAST+FAIR+LeafLock` variant, where each per-leaf read takes the leaf's
 /// read latch for its duration only).
@@ -88,7 +97,7 @@ impl<'a> TreeCursor<'a> {
     pub fn new(tree: &'a FastFairTree) -> Self {
         TreeCursor(LeafChainCursor::new(TreeChain {
             tree,
-            _pin: tree.epoch().pin(),
+            pin: tree.epoch().pin(),
         }))
     }
 }

@@ -183,14 +183,15 @@ pub(crate) fn leaf_search_binary(
     }
 }
 
-/// Reads the valid `(key, value)` entries of a leaf with the lock-free
-/// retry protocol; used by range scans and the full-tree iterator.
+/// Reads the valid `(key, pointer)` entries of a node with the lock-free
+/// retry protocol; used by range scans and the full-tree iterator on
+/// leaves, and by the leaf-directory build on the levels above them.
 ///
 /// Entries are returned in slot order. During a shift the same key can
 /// transiently occupy two adjacent slots as an exact duplicate (same
 /// value); the key dedup below keeps one of them, and the switch-counter
 /// re-check discards any scan that overlapped a shift.
-pub(crate) fn read_leaf_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, Value)> {
+pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, Value)> {
     let cap = tree.cap;
     let mut node = node;
     loop {
@@ -214,7 +215,9 @@ pub(crate) fn read_leaf_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(
             }
             i += 1;
         }
-        node.charge_linear_scan(i);
+        if node.is_cold() {
+            node.charge_linear_scan(i);
+        }
         if node.switch_counter() == sc && node.head_unchanged() {
             // A crashed shift can leave an entry twice at adjacent slots
             // (an exact duplicate — same key, same value); keep one

@@ -85,6 +85,18 @@ fn build_and_link_sibling<'a>(
         pool.persist(sib_off, u64::from(tree.node_size));
     }
 
+    // The truncation strands the moved-out upper half above the new
+    // terminator, which is where a right-to-left reader starts: a node left
+    // in delete direction (the circular frame's low-side insert does that)
+    // would show a reader that arrives late — every directed one — stale
+    // copies of keys that now live, and change, in the sibling. Left-to-right
+    // readers stop at the terminator. The counter shares the header line
+    // with the sibling pointer, so Step 2's persist carries it.
+    let sc = node.switch_counter();
+    if sc % 2 == 1 {
+        node.set_switch_counter(sc + 1);
+    }
+
     // Step 2: visibility point.
     node.set_sibling(sib_off);
     if ordered_persists {
@@ -268,6 +280,16 @@ pub(crate) fn grow_root(
 /// entry routing to this node; no-op when it already does (only one of the
 /// racing writers succeeds, "the rest find that the parent has already
 /// been updated").
+///
+/// This repair is load-bearing without a crash, too. Above the leaves a
+/// split pushes its median key *up*, so the new sibling's first record
+/// key is above its lower bound, and `covering_sibling` — which compares
+/// with that first key, the tree has no high keys — keeps a parent update
+/// for a key in between in the left node if it arrives there after the
+/// split. Once the sibling gains a smaller first key, the next writer's
+/// `repair_node_locked` takes that entry for split residue and truncates
+/// it away; the child it routed to is dangling until a writer reaches it
+/// through the chain and comes here.
 pub(crate) fn ensure_parent_entry(
     tree: &FastFairTree,
     node_off: PmOffset,

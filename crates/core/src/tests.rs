@@ -1076,24 +1076,58 @@ fn layout_variants_readers_never_miss_a_key_being_overwritten_in_place() {
     }
 }
 
-// ---- leaf hints ------------------------------------------------------------
+// ---- leaf directory ---------------------------------------------------------
 //
-// The volatile `key → leaf` table in front of the descent (`crate::hint`).
-// Every test allocates the table up front instead of serving the warm-up
-// ops first, runs on every layout variant with 256-byte nodes, and reads
-// the `leaf_hint_*` counters to tell a hinted access from a descent.
+// The volatile `key range → leaf` directory in front of the descent
+// (`crate::hint`). The tests build it on demand instead of serving the
+// 4 096 regretted ops first, run on every layout variant with 256-byte
+// nodes, and read the `leaf_hint_*` counters to tell a directed operation
+// from a descent.
 
-fn warm_tree(pool: &Arc<Pool>, opts: TreeOptions) -> FastFairTree {
-    let t = tree_with(pool, opts.node_size(256));
-    t.hints.warm_with_limit(crate::hint::GEN_LIMIT);
-    t
+type LocateHook = Option<Box<dyn FnOnce(u64)>>;
+thread_local! {
+    /// One-shot callback `locate_leaf` runs on this thread right before it
+    /// returns: the window between choosing a leaf and latching it.
+    static AFTER_LOCATE: std::cell::RefCell<LocateHook> = const { std::cell::RefCell::new(None) };
 }
 
-/// Hinted accesses `f` made on this thread.
-fn hint_hits(f: impl FnOnce()) -> u64 {
-    let before = stats::snapshot().leaf_hint_hits;
+pub(crate) fn after_locate(leaf: u64) {
+    if let Some(f) = AFTER_LOCATE.with(|h| h.borrow_mut().take()) {
+        f(leaf);
+    }
+}
+
+fn tiny_tree(pool: &Arc<Pool>, opts: TreeOptions) -> FastFairTree {
+    tree_with(pool, opts.node_size(256))
+}
+
+/// Builds the directory now, as the op that trips the rebuild rule would.
+fn rebuild(t: &FastFairTree) {
+    let before = stats::snapshot().leaf_hint_rebuilds;
+    t.regret_directory(u64::from(u32::MAX));
+    assert_eq!(stats::snapshot().leaf_hint_rebuilds, before + 1);
+}
+
+fn directory_entries(t: &FastFairTree) -> Vec<(u64, u64)> {
+    t.directory.entries(&t.epoch().pin()).expect("no directory")
+}
+
+/// `(lookups, hits)` of the operations `f` made on this thread.
+fn directed(f: impl FnOnce()) -> (u64, u64) {
+    let before = stats::snapshot();
     f();
-    stats::snapshot().leaf_hint_hits - before
+    let after = stats::snapshot();
+    (
+        after.leaf_hint_lookups - before.leaf_hint_lookups,
+        after.leaf_hint_hits - before.leaf_hint_hits,
+    )
+}
+
+/// PM misses the model charged `f` on this thread.
+fn misses(f: impl FnOnce()) -> u64 {
+    let before = stats::snapshot().serial_misses;
+    f();
+    stats::snapshot().serial_misses - before
 }
 
 /// The keys of `keys` grouped by the leaf a descent finds them in.
@@ -1129,82 +1163,96 @@ fn retire_leaves(
     retired
 }
 
-/// Invariant 1: a hint whose key a FAIR split moved to the right sibling
-/// is not believed — the access falls back to the descent, answers
-/// correctly, and re-hints the key where it now lives.
+/// Routing entries above the leaves that name `child`.
+fn routing_entries_for(t: &FastFairTree, child: u64) -> usize {
+    t.level_chain(1)
+        .into_iter()
+        .flat_map(|p| t.node(p).valid_entries())
+        .filter(|&(_, c)| c == child)
+        .count()
+}
+
+/// Invariant 3: a key a FAIR split moved to the right sibling is found one
+/// extra charged hop from the leaf the directory names, the hop is counted
+/// as regret, and a rebuild clears it.
 #[test]
 fn layout_variants_hint_survives_a_split_that_moves_the_key_right() {
     for (name, opts) in geometry_variants() {
         let p = pool(16);
-        let t = warm_tree(&p, opts);
-        let cap = u64::from(t.node_capacity());
-        for k in 1..=cap {
-            t.insert(k * 10, value_for(k)).unwrap();
+        let t = tiny_tree(&p, opts);
+        for k in 1..=60u64 {
+            t.insert(k * 100, value_for(k)).unwrap();
         }
-        assert_eq!(t.height(), 0, "{name}");
-        let (read_key, written_key) = (cap * 10, (cap - 1) * 10);
-        let root_leaf = t.find_leaf(read_key);
-        // First access descends and hints, the second goes straight there.
-        assert_eq!(hint_hits(|| assert!(t.get(read_key).is_some())), 0);
-        assert_eq!(hint_hits(|| assert!(t.get(read_key).is_some())), 1);
+        assert!(t.height() >= 1, "{name}");
+        rebuild(&t);
+        let (leaf, keys) = keys_by_leaf(&t, (1..=60).map(|k| k * 100))
+            .into_iter()
+            .nth(3)
+            .unwrap();
+        let (low, moved) = (keys[0], *keys.last().unwrap());
+        // A fingerprint hit charges the record line it verifies.
+        let probe = u64::from(opts.fingerprints);
         assert_eq!(
-            hint_hits(|| assert!(t.update(written_key, 7).unwrap().is_some())),
-            0
-        );
-        assert_eq!(
-            hint_hits(|| assert_eq!(t.update(written_key, 8).unwrap(), Some(7))),
-            1
-        );
-        assert_eq!(t.hints.stored_leaf(read_key), Some(root_leaf));
-
-        // Split the leaf: its upper half, both keys included, moves right.
-        t.insert(5, 5).unwrap();
-        assert_eq!(t.height(), 1, "{name}");
-        assert_ne!(t.find_leaf(read_key), root_leaf, "{name}: key did not move");
-
-        // The stale hints cost a hop each and nothing else…
-        assert_eq!(
-            hint_hits(|| assert_eq!(t.get(read_key), Some(value_for(cap)))),
-            0,
+            misses(|| assert!(t.get(moved).is_some())),
+            1 + probe,
             "{name}"
         );
+
+        // Fill the leaf from below — directed fresh inserts — until it
+        // splits and its upper half, `moved` included, goes right.
+        let mut fresh = low;
+        while t.find_leaf(moved) == leaf {
+            fresh += 1;
+            assert_eq!(
+                directed(|| assert_eq!(t.insert(fresh, 5).unwrap(), None)),
+                (1, 1),
+                "{name}"
+            );
+        }
+        let regret = t.directory.regret_count();
+        let mut hits = 0;
         assert_eq!(
-            hint_hits(|| assert_eq!(t.update(written_key, 9).unwrap(), Some(8))),
-            0
+            misses(|| hits = directed(|| assert!(t.get(moved).is_some())).1),
+            2 + probe,
+            "{name}: the named leaf, then its new sibling"
         );
-        // …and the fallback re-hinted both keys at the sibling.
-        assert_eq!(t.hints.stored_leaf(read_key), Some(t.find_leaf(read_key)));
+        assert_eq!(hits, 1, "{name}: settled without a descent");
+        assert_eq!(t.directory.regret_count(), regret + 1, "{name}");
+        // A writer that hops also looks its new leaf up in the parent.
         assert_eq!(
-            hint_hits(|| assert_eq!(t.get(read_key), Some(value_for(cap)))),
-            1
+            misses(|| assert!(t.update(moved, 7).unwrap().is_some())),
+            3 + probe
         );
-        assert_eq!(
-            hint_hits(|| assert_eq!(t.insert(written_key, 10).unwrap(), Some(9))),
-            1
-        );
-        assert_eq!(t.get(written_key), Some(10));
+        assert_eq!(misses(|| assert!(t.get(low).is_some())), 1 + probe);
+
+        rebuild(&t);
+        assert_eq!(t.directory.regret_count(), 0);
+        assert_eq!(misses(|| assert_eq!(t.get(moved), Some(7))), 1 + probe);
+        assert_eq!(t.directory.regret_count(), 0, "{name}");
         t.check_consistency(true).unwrap();
     }
 }
 
 /// Invariant 2, first half: taking a leaf off the tree bumps the
-/// generation before the block is retired, and every hint stored before —
-/// for the unlinked leaf or any other — is ignored from then on.
+/// generation before the block is retired, and the directory built before
+/// — which still names it — is not consulted again.
 #[test]
 fn layout_variants_unlinked_leaf_bumps_generation_and_hints_are_ignored() {
     for (name, opts) in geometry_variants() {
         let p = pool(16);
-        let t = warm_tree(&p, opts);
+        let t = tiny_tree(&p, opts);
         for k in 1..=200u64 {
             t.insert(k, value_for(k)).unwrap();
         }
-        for k in 1..=200u64 {
-            t.get(k);
-        }
-        let before = t.hints.generation();
+        rebuild(&t);
+        assert_eq!(
+            directed(|| (1..=200).for_each(|k| assert!(t.get(k).is_some()))),
+            (200, 200)
+        );
+        let before = t.directory.generation();
         let (gone_leaf, gone_keys) = retire_leaves(&t, 40..=200, 1).remove(0);
         assert_eq!(
-            t.hints.generation(),
+            t.directory.generation(),
             before + 1,
             "{name}: one retirement, one bump"
         );
@@ -1214,24 +1262,25 @@ fn layout_variants_unlinked_leaf_bumps_generation_and_hints_are_ignored() {
             "{name}: bumped before the block can be freed"
         );
 
-        // The slots still name their leaves; the generation gate hides them.
+        // The array still names the leaf; the generation gate hides it.
+        assert!(directory_entries(&t).iter().any(|&(_, l)| l == gone_leaf));
         let survivor = 10;
-        assert!(t.hints.stored_leaf(survivor).is_some());
-        assert_eq!(t.hints.stored_leaf(gone_keys[0]), Some(gone_leaf));
-        assert_eq!(t.hints.probe(survivor).leaf(), None, "{name}");
-        assert_eq!(t.hints.probe(gone_keys[0]).leaf(), None, "{name}");
         assert_eq!(
-            hint_hits(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
-            0
-        );
-        assert_eq!(
-            hint_hits(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
-            1
+            directed(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
+            (1, 0),
+            "{name}"
         );
         for &k in &gone_keys {
-            assert_eq!(t.get(k), None, "{name}: key {k}");
+            assert_eq!(directed(|| assert_eq!(t.get(k), None)), (1, 0), "{name}");
             assert_eq!(t.update(k, 7).unwrap(), None, "{name}: key {k}");
         }
+        rebuild(&t);
+        assert!(directory_entries(&t).iter().all(|&(_, l)| l != gone_leaf));
+        assert_eq!(
+            directed(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
+            (1, 1)
+        );
+        assert_eq!(directed(|| assert_eq!(t.get(gone_keys[0]), None)), (1, 1));
         t.check_consistency(true).unwrap();
     }
 }
@@ -1239,20 +1288,18 @@ fn layout_variants_unlinked_leaf_bumps_generation_and_hints_are_ignored() {
 /// Invariant 2, second half: once the retired blocks have been through the
 /// allocator again — as the root leaf of a second tree in the same pool
 /// holding the same keys, as that tree's next leaf and as its new internal
-/// root — the first tree's slots still name them, and no hinted access
-/// reads the other tree's value, stores into it or latches its root.
+/// root — the first tree's directory still names them, and no directed
+/// access reads the other tree's value, stores into it or latches its root.
 #[test]
 fn layout_variants_recycled_blocks_are_never_reached_through_a_hint() {
     for (name, opts) in geometry_variants() {
         let p = pool(16);
-        let a = warm_tree(&p, opts);
+        let a = tiny_tree(&p, opts);
         let (a_val, b_val) = (|k: u64| 2 * k + 2, |k: u64| 2 * k + 3);
         for k in 1..=200u64 {
             a.insert(k, a_val(k)).unwrap();
         }
-        for k in 1..=200u64 {
-            a.get(k);
-        }
+        rebuild(&a);
         let retired = retire_leaves(&a, 40..=200, 3);
         while a.epoch().limbo_len() > 0 {
             a.epoch().try_advance();
@@ -1260,7 +1307,7 @@ fn layout_variants_recycled_blocks_are_never_reached_through_a_hint() {
         }
 
         // The free list is LIFO: B's root leaf is the block retired last.
-        let b = tree_with(&p, opts.node_size(256));
+        let b = tiny_tree(&p, opts);
         let (b_root_leaf, shared_keys) = retired.last().unwrap();
         assert_eq!(
             b.find_leaf(1),
@@ -1286,23 +1333,20 @@ fn layout_variants_recycled_blocks_are_never_reached_through_a_hint() {
         );
         assert!(!b.node(*b_root_leaf).is_deleted());
 
-        // B's root leaf first: the block where a believed hint would read
+        // B's root leaf first: the block where a believed entry would read
         // B's value for the same key.
+        let entries = directory_entries(&a);
         for (off, keys) in retired.iter().rev() {
+            assert!(
+                entries.iter().any(|&(_, l)| l == *off),
+                "{name}: A's array no longer names the recycled block"
+            );
             for &k in keys {
-                if a.hints.stored_leaf(k) != Some(*off) {
-                    continue; // evicted by a colliding key
-                }
                 assert_eq!(
-                    hint_hits(|| assert_eq!(a.get(k), None, "{name}: key {k}")),
-                    0
+                    directed(|| assert_eq!(a.get(k), None, "{name}: key {k}")),
+                    (1, 0)
                 );
                 assert_eq!(a.update(k, a_val(k)).unwrap(), None, "{name}: key {k}");
-                assert_eq!(
-                    a.hints.probe(k).leaf(),
-                    None,
-                    "{name}: stale hint for {k} offered"
-                );
             }
         }
         for &k in shared_keys {
@@ -1313,177 +1357,302 @@ fn layout_variants_recycled_blocks_are_never_reached_through_a_hint() {
     }
 }
 
-/// A narrowed generation width: the table closes when the numbering runs
-/// out, reopens wiped, and every answer along the way matches the model.
+/// One entry point: every leaf-level operation consults the directory
+/// once, a directed one charges one hop and issues the stores, flushes and
+/// fences of a descended one, and a fresh key above everything its leaf
+/// holds descends (invariant 4).
 #[test]
-fn layout_variants_generation_limit_never_revalidates_a_hint() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tree_with(&p, opts.node_size(256));
-        let limit = 3;
-        t.hints.warm_with_limit(limit);
-        let mut model = BTreeMap::new();
-        let (mut closed, mut reopened) = (0, 0);
-        let mut was_closed = false;
-        // Bands of inserts, reads and removes: every round empties and
-        // unlinks leaves, so the generation passes the limit many times.
-        for round in 0..60u64 {
-            let base = (round % 4) * 150;
-            for k in base + 1..=base + 120 {
-                assert_eq!(
-                    t.insert(k, value_for(k + round)).unwrap(),
-                    model.insert(k, value_for(k + round))
-                );
-            }
-            for k in 1..=600u64 {
-                assert_eq!(
-                    t.get(k),
-                    model.get(&k).copied(),
-                    "{name}: round {round} key {k}"
-                );
-            }
-            for k in base + 1..=base + 120 {
-                if k % 7 != 0 {
-                    assert_eq!(t.remove(k), model.remove(&k).is_some());
-                }
-                let now_closed = t.hints.generation() >= limit;
-                closed += u32::from(now_closed && !was_closed);
-                reopened += u32::from(was_closed && !now_closed);
-                was_closed = now_closed;
-                if now_closed {
-                    assert_eq!(t.hints.probe(k).leaf(), None);
-                }
-            }
-            for k in 1..=600u64 {
-                assert_eq!(t.update(k, value_for(k)).unwrap(), model.get(&k).copied());
-                if let Some(v) = model.get_mut(&k) {
-                    *v = value_for(k);
-                }
-            }
-        }
-        assert!(
-            closed >= 2 && reopened >= 2,
-            "{name}: closed {closed}×, reopened {reopened}×"
-        );
-        let mut got = Vec::new();
-        t.range(0, u64::MAX, &mut got);
-        assert_eq!(got, model.into_iter().collect::<Vec<_>>(), "{name}");
-        t.check_consistency(true).unwrap();
-    }
-}
-
-/// A key that is deleted and inserted again while its hint is warm.
-#[test]
-fn layout_variants_hinted_get_of_a_deleted_then_reinserted_key() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = warm_tree(&p, opts);
-        for k in 1..=100u64 {
-            t.insert(k, value_for(k)).unwrap();
-        }
-        let k = 57;
-        assert_eq!(t.get(k), Some(value_for(k)));
-        assert_eq!(hint_hits(|| assert_eq!(t.get(k), Some(value_for(k)))), 1);
-        assert!(t.remove(k));
-        // The hinted leaf no longer holds the key: not believed, absent.
-        assert_eq!(hint_hits(|| assert_eq!(t.get(k), None, "{name}")), 0);
-        assert_eq!(
-            hint_hits(|| assert_eq!(t.update(k, 5).unwrap(), None, "{name}")),
-            0
-        );
-        assert_eq!(t.insert(k, 4242).unwrap(), None);
-        // Same leaf, so the old hint is right again — and reads the new value.
-        assert_eq!(hint_hits(|| assert_eq!(t.get(k), Some(4242), "{name}")), 1);
-        assert!(t.remove(k));
-        assert_eq!(t.get(k), None);
-        t.check_consistency(true).unwrap();
-    }
-}
-
-/// Invariant 3: scans, `remove`, absent keys and inserts of new keys never
-/// go through the table, and a lookup is counted per point operation.
-#[test]
-fn only_point_hits_go_through_hints() {
+fn every_leaf_level_op_enters_through_the_directory() {
     let p = pool(16);
-    let t = warm_tree(&p, TreeOptions::new());
-    for k in 1..=500u64 {
-        t.insert(k * 2, value_for(k)).unwrap();
-        t.get(k * 2);
+    let t = tree_with(&p, TreeOptions::new());
+    for k in 1..=250u64 {
+        t.insert(k * 8, value_for(k)).unwrap();
     }
-    let before = stats::snapshot();
-    let hits = hint_hits(|| {
-        let mut out = Vec::new();
-        t.range(0, u64::MAX, &mut out);
-        assert_eq!(out.len(), 500);
-        let mut c = t.cursor();
-        c.seek(100);
-        assert!(c.next().is_some());
-        assert_eq!(t.len(), 500);
-        for k in 1..=50u64 {
-            assert_eq!(t.get(k * 2 + 1), None); // absent
-            assert_eq!(t.insert(k * 2 + 1, 9).unwrap(), None); // new key, may split
-            assert!(t.remove(k * 2)); // warm hint, still descends
-        }
-    });
-    assert_eq!(hits, 0);
-    // 50 gets + 50 inserts looked; scans and removes did not.
+    assert_eq!(t.height(), 1);
+    rebuild(&t);
+
+    // Directed against descended, op by op, on a twin without a directory.
+    let twin_pool = pool(16);
+    let twin = tree_with(&twin_pool, TreeOptions::new());
+    for k in 1..=250u64 {
+        twin.insert(k * 8, value_for(k)).unwrap();
+    }
+    type Op<'a> = &'a dyn Fn(&FastFairTree);
+    let ops: [Op; 4] = [
+        &|t| assert!(t.update(800, 77).unwrap().is_some()),
+        &|t| assert!(t.remove(800)),
+        &|t| assert_eq!(t.insert(800, 5).unwrap(), None),
+        &|t| assert_eq!(t.get(800), Some(5)),
+    ];
+    for op in ops {
+        let cost = |t: &FastFairTree| {
+            stats::reset();
+            op(t);
+            let s = stats::take();
+            (s.flushes, s.fences, s.serial_misses)
+        };
+        let (warm, cold) = (cost(&t), cost(&twin));
+        assert_eq!((warm.0, warm.1), (cold.0, cold.1));
+        assert_eq!(warm.2, 1, "a directed access charges exactly one hop");
+        assert_eq!(cold.2, 2, "a descent charges the two lowest levels");
+    }
+
+    assert_eq!(directed(|| assert!(t.get(400).is_some())), (1, 1));
+    assert_eq!(directed(|| assert_eq!(t.get(401), None)), (1, 1));
     assert_eq!(
-        stats::snapshot().leaf_hint_lookups - before.leaf_hint_lookups,
-        100
-    );
-    // An in-place overwrite issues the same store and flush either way.
-    let k = 400;
-    t.get(k); // the splits above may have moved it since it was hinted
-    stats::reset();
-    assert_eq!(hint_hits(|| assert!(t.update(k, 1).unwrap().is_some())), 1);
-    let hinted = stats::take();
-    t.hints.invalidate(t.epoch());
-    assert_eq!(hint_hits(|| assert!(t.update(k, 2).unwrap().is_some())), 0);
-    let descended = stats::take();
-    assert_eq!(
-        (hinted.flushes, hinted.fences),
-        (descended.flushes, descended.fences)
+        directed(|| assert!(t.update(400, 9).unwrap().is_some())),
+        (1, 1)
     );
     assert_eq!(
-        hinted.serial_misses, 1,
-        "a hinted access charges exactly one hop"
+        directed(|| assert_eq!(t.insert(401, 9).unwrap(), None)),
+        (1, 1)
     );
-    assert!(descended.serial_misses > 1);
+    assert_eq!(directed(|| assert!(t.remove(401))), (1, 1));
+    assert_eq!(directed(|| assert!(!t.remove(401))), (1, 1));
+    let mut c = t.cursor();
+    assert_eq!(
+        directed(|| {
+            c.seek(401);
+            assert_eq!(c.next().map(|(k, _)| k), Some(408));
+        }),
+        (1, 1)
+    );
+    assert_eq!(
+        directed(|| {
+            c.seek_for_prev(401);
+            assert_eq!(c.prev().map(|(k, _)| k), Some(400));
+        }),
+        (1, 1)
+    );
+    drop(c);
+    // A cursor that was never sought starts at the head of the chain.
+    assert_eq!(directed(|| assert_eq!(t.len(), 250)), (0, 0));
+
+    // The largest key of a leaf that is not the last: a fresh key right
+    // above it may belong to the sibling as far as this leaf can tell.
+    let leaf = t.find_leaf(400);
+    let top = (50..)
+        .map(|k| k * 8)
+        .find(|&k| t.find_leaf(k + 8) != leaf)
+        .unwrap();
+    let regret = t.directory.regret_count();
+    assert_eq!(
+        directed(|| assert_eq!(t.insert(top + 1, 9).unwrap(), None)),
+        (1, 0)
+    );
+    assert_eq!(t.directory.regret_count(), regret + 1);
+    assert_eq!(t.find_leaf(top + 1), leaf);
+    // …while the last leaf of the chain takes appended keys directed.
+    assert_eq!(
+        directed(|| assert_eq!(t.insert(9_000, 9).unwrap(), None)),
+        (1, 1)
+    );
+
+    t.check_consistency(true).unwrap();
 }
 
-/// A fresh handle allocates nothing: the table appears only after a few
-/// thousand point operations.
+/// A fresh handle allocates nothing: the first directory appears only
+/// after 4 096 operations have descended.
 #[test]
 fn handle_has_no_table_until_it_has_served_point_ops() {
     let (_p, t) = small_tree();
     for k in 1..=100u64 {
         t.insert(k, value_for(k)).unwrap();
     }
-    let mut served = 100u64;
+    let before = stats::snapshot().leaf_hint_rebuilds;
+    let read_all = || (1..=100u64).for_each(|k| assert_eq!(t.get(k), Some(value_for(k))));
+    assert_eq!(directed(|| (0..30).for_each(|_| read_all())), (3000, 0));
+    assert!(t.directory.entries(&t.epoch().pin()).is_none());
+    assert_eq!(stats::snapshot().leaf_hint_rebuilds, before);
+    // The 4 096th descent builds it; everything after is directed.
     assert_eq!(
-        hint_hits(|| {
-            for _ in 0..30 {
-                for k in 1..=100u64 {
-                    assert_eq!(t.get(k), Some(value_for(k)));
+        directed(|| (0..20).for_each(|_| read_all())),
+        (2000, 2000 - (4096 - 3100))
+    );
+    assert_eq!(stats::snapshot().leaf_hint_rebuilds, before + 1);
+}
+
+/// Invariant 4: a directed writer that finds its leaf unlinked under the
+/// latch retries by descent and never consults the directory again. The
+/// unlink runs in the window between `locate_leaf` and the latch.
+#[test]
+fn layout_variants_directed_writer_that_finds_the_leaf_deleted_retries_by_descent() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = Arc::new(tiny_tree(&p, opts));
+        for k in 1..=300u64 {
+            t.insert(k, value_for(k)).unwrap();
+        }
+        type Write<'a> = &'a dyn Fn(&FastFairTree, u64);
+        let writes: [Write; 3] = [
+            &|t, k| assert_eq!(t.update(k, 7).unwrap(), None),
+            &|t, k| assert!(!t.remove(k)),
+            &|t, k| assert_eq!(t.insert(k, 7).unwrap(), None),
+        ];
+        let mut leaves = keys_by_leaf(&t, 40..=300).into_iter().skip(1);
+        for write in writes {
+            // Not every leaf can be unlinked (a parent's leftmost child).
+            loop {
+                let (leaf, keys) = leaves.next().expect("ran out of leaves");
+                rebuild(&t);
+                let (tree, victims) = (Arc::clone(&t), keys.clone());
+                AFTER_LOCATE.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move |located| {
+                        assert_eq!(located, leaf);
+                        victims.iter().for_each(|&k| assert!(tree.remove(k)));
+                    }))
+                });
+                let counts = directed(|| write(&t, keys[0]));
+                let n = keys.len() as u64;
+                if t.node(leaf).is_deleted() {
+                    // One lookup for the write, which did not settle there.
+                    assert_eq!(counts, (1 + n, n), "{name}");
+                    break;
                 }
             }
-        }),
-        0
-    );
-    served += 3000;
-    assert!(served < 4096);
-    // Past the warm-up the table exists, fills and answers.
-    let hits = hint_hits(|| {
-        for _ in 0..30 {
-            for k in 1..=100u64 {
-                assert_eq!(t.get(k), Some(value_for(k)));
-            }
         }
-    });
-    assert!(
-        hits >= 1900,
-        "only {hits} of the last 2000 gets were hinted"
-    );
+        assert_eq!(t.get(300), Some(value_for(300)));
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// A build that races level-1 splits yields a usable, possibly short,
+/// directory: separators ascend from 0, every entry names a leaf, and
+/// every key is found through it.
+#[test]
+fn layout_variants_build_racing_level_one_splits_is_usable() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(64);
+        let t = tiny_tree(&p, opts);
+        const KEYS: u64 = 20_000;
+        let inserted = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            // Ascending inserts split the last leaf every 5 keys and the
+            // last level-1 node every 25.
+            s.spawn(|| {
+                for k in 1..=KEYS {
+                    t.insert(k, value_for(k)).unwrap();
+                    inserted.store(k, std::sync::atomic::Ordering::Release);
+                }
+            });
+            // (The inserter's own regret builds too; single-flight, so
+            // either thread's build may be the one that runs.)
+            let before = stats::snapshot().leaf_hint_rebuilds;
+            while inserted.load(std::sync::atomic::Ordering::Acquire) < KEYS {
+                let upto = inserted.load(std::sync::atomic::Ordering::Acquire);
+                t.regret_directory(u64::from(u32::MAX));
+                let Some(entries) = t.directory.entries(&t.epoch().pin()) else {
+                    continue;
+                };
+                assert_eq!(entries[0].0, 0, "{name}");
+                assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "{name}");
+                assert!(entries.iter().all(|&(_, l)| t.node(l).is_leaf()), "{name}");
+                for k in (1..=upto).step_by(97) {
+                    assert_eq!(t.get(k), Some(value_for(k)), "{name}: key {k}");
+                }
+            }
+            let builds = stats::snapshot().leaf_hint_rebuilds - before;
+            assert!(builds > 3, "{name}: only {builds} builds raced the inserts");
+        });
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// A FAIR split leaves the node it truncates in insert direction: the
+/// moved-out upper half stays above the new terminator, where a
+/// right-to-left reader starts, and a reader that arrives late — every
+/// directed one — must not find a key there that lives on, and changes,
+/// in the sibling.
+#[test]
+fn circular_split_hides_the_moved_out_half_from_late_readers() {
+    for (name, opts) in geometry_variants() {
+        if !opts.circular {
+            continue; // only the circular frame's low-side insert leaves a full node odd
+        }
+        let p = pool(16);
+        let t = tiny_tree(&p, opts);
+        let cap = u64::from(t.node_capacity());
+        for k in (1..=cap).rev() {
+            t.insert(k * 10, value_for(k)).unwrap();
+        }
+        let left = t.find_leaf(10);
+        assert_eq!(t.node(left).switch_counter() % 2, 1, "{name}: set-up");
+        // Split it, the pending key going to the new sibling. The reader
+        // starts two slots above the count hint: look for a key that close
+        // to the new terminator.
+        let moved = (cap / 2 + 2) * 10;
+        t.insert(moved + 5, 7).unwrap();
+        assert_ne!(t.find_leaf(moved), left, "{name}: key did not move");
+        assert_eq!(t.update(moved, 9).unwrap(), Some(value_for(cap / 2 + 2)));
+        let late = crate::search::leaf_search_linear(&t, t.node(left), moved);
+        assert_eq!(late, None, "{name}: stale copy left of the split");
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// `ensure_parent_entry` finds an existing routing entry by child pointer:
+/// a leaf whose first keys were deleted — its separator is no longer its
+/// first key — does not get a second one.
+#[test]
+fn layout_variants_dangling_sibling_repair_adds_no_second_routing_entry() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tiny_tree(&p, opts);
+        for k in 1..=200u64 {
+            t.insert(k, value_for(k)).unwrap();
+        }
+        let mut checked = 0;
+        for (leaf, keys) in keys_by_leaf(&t, 1..=200) {
+            if routing_entries_for(&t, leaf) == 0 || keys.len() < 2 {
+                continue; // a leftmost child
+            }
+            assert!(t.remove(keys[0]));
+            crate::split::ensure_parent_entry(&t, leaf, 1).unwrap();
+            assert_eq!(routing_entries_for(&t, leaf), 1, "{name}: leaf {leaf:#x}");
+            checked += 1;
+        }
+        assert!(checked > 10, "{name}");
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// `try_unlink_empty_leaf` removes every routing entry that names the
+/// leaf, not only the first: none may outlive the unlink and route into
+/// the retired block.
+#[test]
+fn layout_variants_unlink_removes_every_routing_entry_of_the_leaf() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tiny_tree(&p, opts);
+        for k in 1..=200u64 {
+            t.insert(k, value_for(k)).unwrap();
+        }
+        // A leaf with a routing entry, in a parent with room for a second.
+        let (leaf, keys, parent) = keys_by_leaf(&t, 1..=200)
+            .into_iter()
+            .find_map(|(leaf, keys)| {
+                let parent = t.level_chain(1).into_iter().find(|&p| {
+                    let p = t.node(p);
+                    p.count_records() < t.cap && p.valid_entries().iter().any(|e| e.1 == leaf)
+                })?;
+                (keys.len() >= 2).then_some((leaf, keys, parent))
+            })
+            .expect("no such leaf");
+        // What a repair that raced the parent update used to leave behind.
+        let parent = t.node(parent);
+        crate::insert::fast_insert_locked(&t, parent, keys[1], leaf, parent.count_records());
+        assert_eq!(routing_entries_for(&t, leaf), 2, "{name}");
+        for &k in &keys {
+            assert!(t.remove(k));
+        }
+        assert!(t.node(leaf).is_deleted(), "{name}: leaf not unlinked");
+        assert_eq!(routing_entries_for(&t, leaf), 0, "{name}");
+        for k in 1..=200u64 {
+            let want = (!keys.contains(&k)).then(|| value_for(k));
+            assert_eq!(t.get(k), want, "{name}: key {k}");
+        }
+        t.check_consistency(true).unwrap();
+    }
 }
 
 proptest! {

@@ -28,7 +28,7 @@ use epoch::EpochDomain;
 use pmem::{stats, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
-use crate::hint::LeafHints;
+use crate::hint::LeafDirectory;
 use crate::layout::{capacity, capacity_with, NodeGeom, NodeRef};
 use crate::lock::ReadGuard;
 use crate::scan::TreeCursor;
@@ -197,9 +197,9 @@ pub struct FastFairTree {
     /// Limbo is volatile by design: a crash empties it and the blocks
     /// leak, matching PM allocators without offline GC.
     pub(crate) epoch: Arc<EpochDomain>,
-    /// Volatile `key → leaf` hints consulted before a descent (see
-    /// [`crate::hint`]). Empty on every `create` / `open`.
-    pub(crate) hints: LeafHints,
+    /// Volatile `key range → leaf` directory consulted before a descent
+    /// (see [`crate::hint`]). Empty on every `create` / `open`.
+    pub(crate) directory: LeafDirectory,
     name: &'static str,
 }
 
@@ -302,14 +302,15 @@ impl FastFairTree {
                 }
             }
         };
+        let epoch = EpochDomain::new();
         FastFairTree {
             pool,
             meta,
             node_size,
             cap: capacity_with(node_size, opts.geom()),
             opts,
-            epoch: EpochDomain::new(),
-            hints: LeafHints::new(),
+            directory: LeafDirectory::new(Arc::clone(&epoch)),
+            epoch,
             name,
         }
     }
@@ -362,22 +363,13 @@ impl FastFairTree {
         NodeRef::with_geom(&self.pool, off, self.node_size, self.opts.geom())
     }
 
-    /// Lands on the node at `off`, charging the read for it. The crate's
-    /// one read-charging rule: a node on the two lowest levels costs a PM
-    /// miss, anything above is free.
-    ///
-    /// That models the paper's testbed (§5.1): Quartz stalls only real
-    /// last-level-cache misses, and a B+-tree's few upper levels — at
-    /// 4 M keys and 512-byte nodes the leaves are ≈ 80 MB, level 1
-    /// ≈ 3 MB, level 2 ≈ 0.1 MB — stay LLC-resident. Readers, writers,
-    /// parent updates and merges all walk the tree through this function
-    /// (as `wbtree`'s descent does for its reads and writes), so an access
-    /// the leaf directory ([`crate::hint`]) settles costs one miss and a
-    /// full descent costs two.
+    /// Lands on the node at `off`, charging the read for it if the node
+    /// [`is_cold`](NodeRef::is_cold) — the one place a walk of this tree
+    /// pays for a hop.
     #[inline]
     pub(crate) fn visit(&self, off: PmOffset) -> NodeRef<'_> {
         let node = self.node(off);
-        if node.level() <= 1 {
+        if node.is_cold() {
             node.charge_hop();
         }
         node
@@ -517,9 +509,7 @@ impl FastFairTree {
         if cnt == 0 {
             return node.leftmost();
         }
-        // Dependent probes are charged where landing on the node is (see
-        // [`visit`](Self::visit)).
-        if node.level() <= 1 {
+        if node.is_cold() {
             let probes = (u32::from(cnt) * 16 / 64).max(1).ilog2() + 1;
             self.pool.charge_serial_reads(probes);
         }
@@ -563,11 +553,11 @@ impl FastFairTree {
 
     /// Retires an unlinked node into the epoch domain: the block returns
     /// to [`Pool::free`] once two epochs have passed, while traffic is
-    /// live (see the `epoch` field docs). Leaf hints that may name the
-    /// node are invalidated first, so only operations already pinned can
-    /// still follow one — and those the epoch rule waits for.
+    /// live (see the `epoch` field docs). The leaf directory, which may
+    /// name the node, is invalidated first, so only operations already
+    /// pinned can still follow it — and those the epoch rule waits for.
     pub(crate) fn retire_node(&self, off: PmOffset) {
-        self.hints.invalidate(&self.epoch);
+        self.directory.invalidate();
         self.epoch
             .retire_pm(&self.pool, off, u64::from(self.node_size));
     }
@@ -591,31 +581,22 @@ impl FastFairTree {
         }
     }
 
-    fn get_impl(&self, key: Key) -> Option<Value> {
-        let probe = self.hints.probe(key);
-        if let Some(off) = probe.leaf() {
-            // Believed only if the key is there: a stale hint costs this
-            // hop and falls through to the descent.
-            let leaf = self.visit(off);
-            if leaf.is_leaf() {
-                if let Some(v) = self.search_leaf(leaf, key) {
-                    stats::count_leaf_hint_hit();
-                    return Some(v);
-                }
-            }
-        }
-        let mut off = self.find_leaf(key);
-        loop {
+    fn get_impl(&self, key: Key, pin: &epoch::Guard) -> Option<Value> {
+        let (mut off, directed) = self.locate_leaf(key, pin);
+        let mut hops = 0;
+        let found = loop {
             let leaf = self.node(off);
             if let Some(v) = self.search_leaf(leaf, key) {
-                probe.install(key, off);
-                return Some(v);
+                break Some(v);
             }
             match self.covering_sibling(leaf, key) {
                 Some(sib) => off = self.visit(sib).offset(),
-                None => return None,
+                None => break None,
             }
-        }
+            hops += 1;
+        };
+        self.settle(directed, hops);
+        found
     }
 }
 
@@ -641,7 +622,7 @@ impl pmindex::PersistentIndex for FastFairTree {
     /// so it runs only after every reader of the evacuated index is gone.
     fn reclaim_storage(&self) -> usize {
         // Every node is about to leave the tree.
-        self.hints.invalidate(&self.epoch);
+        self.directory.invalidate();
         // Limbo first: merge-retired nodes are no longer on any chain.
         let mut freed = self.epoch.flush();
         let mut seen = std::collections::BTreeSet::new();
@@ -678,24 +659,24 @@ impl Drop for FastFairTree {
 impl PmIndex for FastFairTree {
     fn insert(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
         pmindex::check_value(value)?;
-        let _pin = self.epoch.pin();
-        crate::insert::tree_insert(self, key, value)
+        let pin = self.epoch.pin();
+        crate::insert::tree_insert(self, key, value, &pin)
     }
 
     fn update(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
         pmindex::check_value(value)?;
-        let _pin = self.epoch.pin();
-        crate::insert::tree_update(self, key, value)
+        let pin = self.epoch.pin();
+        crate::insert::tree_update(self, key, value, &pin)
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let _pin = self.epoch.pin();
-        stats::timed(stats::Phase::Search, || self.get_impl(key))
+        let pin = self.epoch.pin();
+        stats::timed(stats::Phase::Search, || self.get_impl(key, &pin))
     }
 
     fn remove(&self, key: Key) -> bool {
-        let _pin = self.epoch.pin();
-        crate::delete::tree_remove(self, key).is_some()
+        let pin = self.epoch.pin();
+        crate::delete::tree_remove(self, key, &pin).is_some()
     }
 
     fn cursor(&self) -> Box<dyn Cursor + '_> {
@@ -721,7 +702,6 @@ impl PmIndex for FastFairTree {
         &self,
         items: &mut dyn Iterator<Item = (Key, Value)>,
     ) -> Result<usize, IndexError> {
-        let _pin = self.epoch.pin();
         self.bulk_load_sorted(items)
     }
 
@@ -733,14 +713,14 @@ impl PmIndex for FastFairTree {
         ops: &[BatchOp],
         prev: &mut Vec<Option<Value>>,
     ) -> Result<(), IndexError> {
-        let _pin = self.epoch.pin();
+        let pin = self.epoch.pin();
         for op in ops {
             prev.push(match *op {
                 BatchOp::Put(k, v) => {
                     pmindex::check_value(v)?;
-                    crate::insert::tree_insert(self, k, v)?
+                    crate::insert::tree_insert(self, k, v, &pin)?
                 }
-                BatchOp::Delete(k) => crate::delete::tree_remove(self, k),
+                BatchOp::Delete(k) => crate::delete::tree_remove(self, k, &pin),
             });
         }
         Ok(())

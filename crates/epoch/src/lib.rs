@@ -597,6 +597,21 @@ pub struct Guard {
     participant: Arc<Participant>,
 }
 
+impl Guard {
+    /// True if this guard pins `domain` — lets a structure that hands out
+    /// epoch-protected references check that its caller holds the right
+    /// pin.
+    ///
+    /// ```
+    /// let (a, b) = (epoch::EpochDomain::new(), epoch::EpochDomain::new());
+    /// let g = a.pin();
+    /// assert!(g.pins(&a) && !g.pins(&b));
+    /// ```
+    pub fn pins(&self, domain: &Arc<EpochDomain>) -> bool {
+        Arc::ptr_eq(&self.domain, domain)
+    }
+}
+
 impl std::fmt::Debug for Guard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Guard").finish_non_exhaustive()

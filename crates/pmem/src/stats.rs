@@ -91,14 +91,17 @@ pub struct Snapshot {
     /// the mean shift distance — the metric the circular-layout ablation
     /// halves (Circ-Tree's N/2 → N/4 claim).
     pub shift_steps: u64,
-    /// Point operations (`get`, leaf-level `insert`/`update`) that consulted
-    /// a tree's volatile leaf-hint table before descending.
+    /// Point operations (`get`, leaf-level `insert` / `update`, `remove`,
+    /// cursor seeks) that consulted a tree's volatile leaf directory.
     pub leaf_hint_lookups: u64,
-    /// Those of them answered at the hinted leaf — the key was found valid
-    /// there under the leaf's normal protocol, so the root-to-leaf descent
-    /// was skipped. `leaf_hint_hits / leaf_hint_lookups` is the share of
-    /// point operations that re-referenced a key the handle had stood on.
+    /// Those of them settled without a root-to-leaf descent: the
+    /// directory named a live leaf at or left of the key's and the
+    /// operation ran its normal per-leaf protocol from there.
+    /// `leaf_hint_hits / leaf_hint_lookups` is the share of point
+    /// operations that skipped the descent.
     pub leaf_hint_hits: u64,
+    /// Leaf directories built and swapped in — rebuild churn.
+    pub leaf_hint_rebuilds: u64,
     /// Nanoseconds spent in flush operations (including injected latency).
     pub flush_ns: u64,
     /// Nanoseconds attributed to the search phase.
@@ -135,6 +138,7 @@ impl Add for Snapshot {
             shift_steps: self.shift_steps + rhs.shift_steps,
             leaf_hint_lookups: self.leaf_hint_lookups + rhs.leaf_hint_lookups,
             leaf_hint_hits: self.leaf_hint_hits + rhs.leaf_hint_hits,
+            leaf_hint_rebuilds: self.leaf_hint_rebuilds + rhs.leaf_hint_rebuilds,
             flush_ns: self.flush_ns + rhs.flush_ns,
             search_ns: self.search_ns + rhs.search_ns,
             update_ns: self.update_ns + rhs.update_ns,
@@ -155,6 +159,7 @@ thread_local! {
     static SHIFT_STEPS: Cell<u64> = const { Cell::new(0) };
     static HINT_LOOKUPS: Cell<u64> = const { Cell::new(0) };
     static HINT_HITS: Cell<u64> = const { Cell::new(0) };
+    static HINT_REBUILDS: Cell<u64> = const { Cell::new(0) };
     static FENCES: Cell<u64> = const { Cell::new(0) };
     static DMB: Cell<u64> = const { Cell::new(0) };
     static SERIAL: Cell<u64> = const { Cell::new(0) };
@@ -190,18 +195,25 @@ pub fn count_shift(steps: u64) {
     SHIFT_STEPS.with(|c| c.set(c.get() + steps));
 }
 
-/// Counts one point operation that consulted a leaf-hint table. Public
+/// Counts one point operation that consulted a leaf directory. Public
 /// for the `fastfair` crate.
 #[inline]
 pub fn count_leaf_hint_lookup() {
     HINT_LOOKUPS.with(|c| c.set(c.get() + 1));
 }
 
-/// Counts one point operation answered at its hinted leaf. Public for the
+/// Counts one point operation settled without a descent. Public for the
 /// `fastfair` crate.
 #[inline]
 pub fn count_leaf_hint_hit() {
     HINT_HITS.with(|c| c.set(c.get() + 1));
+}
+
+/// Counts one leaf directory built and swapped in. Public for the
+/// `fastfair` crate.
+#[inline]
+pub fn count_leaf_hint_rebuild() {
+    HINT_REBUILDS.with(|c| c.set(c.get() + 1));
 }
 
 #[inline]
@@ -287,6 +299,7 @@ pub fn reset() {
     SHIFT_STEPS.with(|c| c.set(0));
     HINT_LOOKUPS.with(|c| c.set(0));
     HINT_HITS.with(|c| c.set(0));
+    HINT_REBUILDS.with(|c| c.set(0));
     FENCES.with(|c| c.set(0));
     DMB.with(|c| c.set(0));
     SERIAL.with(|c| c.set(0));
@@ -323,6 +336,7 @@ pub fn snapshot() -> Snapshot {
         shift_steps: SHIFT_STEPS.with(Cell::get),
         leaf_hint_lookups: HINT_LOOKUPS.with(Cell::get),
         leaf_hint_hits: HINT_HITS.with(Cell::get),
+        leaf_hint_rebuilds: HINT_REBUILDS.with(Cell::get),
         flush_ns: FLUSH_NS.with(Cell::get),
         search_ns: SEARCH_NS.with(Cell::get),
         update_ns: UPDATE_NS.with(Cell::get),
@@ -383,6 +397,7 @@ mod tests {
         count_leaf_hint_lookup();
         count_leaf_hint_lookup();
         count_leaf_hint_hit();
+        count_leaf_hint_rebuild();
         let s = take();
         assert_eq!(s.flushes, 2);
         assert_eq!(s.flushes_coalesced, 2);
@@ -390,6 +405,7 @@ mod tests {
         assert_eq!(s.shift_steps, 6);
         assert_eq!(s.leaf_hint_lookups, 2);
         assert_eq!(s.leaf_hint_hits, 1);
+        assert_eq!(s.leaf_hint_rebuilds, 1);
         assert_eq!(s.flush_ns, 15);
         assert_eq!(s.fences, 1);
         assert_eq!(s.serial_misses, 3);
@@ -459,6 +475,7 @@ mod tests {
             shift_steps: 18,
             leaf_hint_lookups: 19,
             leaf_hint_hits: 20,
+            leaf_hint_rebuilds: 21,
             flush_ns: 6,
             search_ns: 7,
             update_ns: 8,
@@ -470,6 +487,7 @@ mod tests {
         assert_eq!(sum.shift_steps, 36);
         assert_eq!(sum.leaf_hint_lookups, 38);
         assert_eq!(sum.leaf_hint_hits, 40);
+        assert_eq!(sum.leaf_hint_rebuilds, 42);
         assert_eq!(sum.epoch_advances, 22);
         assert_eq!(sum.nodes_recycled_online, 26);
         assert_eq!(sum.txn_commits, 28);

@@ -212,6 +212,7 @@ pub struct ServiceStats {
     flushes: AtomicU64,
     leaf_hint_lookups: AtomicU64,
     leaf_hint_hits: AtomicU64,
+    leaf_hint_rebuilds: AtomicU64,
     stale_reads: AtomicU64,
     stale_fallbacks: AtomicU64,
     repl_lag: AtomicU64,
@@ -283,16 +284,21 @@ impl ServiceStats {
         self.flushes.load(Ordering::Relaxed)
     }
 
-    /// Point operations the workers' trees looked up in a leaf-hint
-    /// table before descending (`pmem::stats`' `leaf_hint_lookups`,
-    /// harvested like [`ServiceStats::fences`]).
+    /// Point operations for which the workers' trees consulted their
+    /// leaf directory (`pmem::stats`' `leaf_hint_lookups`, harvested like
+    /// [`ServiceStats::fences`]).
     pub fn leaf_hint_lookups(&self) -> u64 {
         self.leaf_hint_lookups.load(Ordering::Relaxed)
     }
 
-    /// Those of them answered at the hinted leaf, the descent skipped.
+    /// Those of them settled without a root-to-leaf descent.
     pub fn leaf_hint_hits(&self) -> u64 {
         self.leaf_hint_hits.load(Ordering::Relaxed)
+    }
+
+    /// Leaf directories the workers built and swapped in — rebuild churn.
+    pub fn leaf_hint_rebuilds(&self) -> u64 {
+        self.leaf_hint_rebuilds.load(Ordering::Relaxed)
     }
 
     /// Stale reads ([`crate::ClientHandle::get_stale`]) answered by a
@@ -358,6 +364,8 @@ impl ServiceStats {
             .fetch_add(s.leaf_hint_lookups, Ordering::Relaxed);
         self.leaf_hint_hits
             .fetch_add(s.leaf_hint_hits, Ordering::Relaxed);
+        self.leaf_hint_rebuilds
+            .fetch_add(s.leaf_hint_rebuilds, Ordering::Relaxed);
     }
 
     pub(crate) fn note_stale_read(&self, from_replica: bool) {

@@ -171,8 +171,8 @@ fn grouped_commit_crash_sweep_is_atomic_per_client_and_per_group() {
 
 /// Commits one group that *overwrites* every client's keys (its apply is
 /// all in-place stores) and returns the pool and the commit's event log.
-/// With `warm_hints` both shards' leaf-hint tables are warm and hold every
-/// key first.
+/// With `warm_hints` both shards' leaf directories are built first, so every
+/// apply is directed.
 fn record_group_rewrite(warm_hints: bool) -> (Arc<Pool>, Vec<pmem::crash::Event>) {
     let pool = crash_pool();
     let store = crash_store(&pool);
@@ -187,7 +187,7 @@ fn record_group_rewrite(warm_hints: bool) -> (Arc<Pool>, Vec<pmem::crash::Event>
         .commit_grouped(std::slice::from_ref(&warmup), &[&store])
         .unwrap();
     if warm_hints {
-        // Each shard's tree allocates its table after a few thousand point
+        // Each shard's tree builds its directory after a few thousand point
         // ops; reads store nothing, so both runs share one baseline.
         for _ in 0..5_000 {
             for &(k, _) in clients.iter().flatten() {
@@ -201,19 +201,19 @@ fn record_group_rewrite(warm_hints: bool) -> (Arc<Pool>, Vec<pmem::crash::Event>
     let batches = as_write_batches(&clients);
     assert_eq!(engine.commit_grouped(&batches, &[&store]).unwrap(), 2);
     let hinted = pmem::stats::snapshot().leaf_hint_hits - hits;
-    assert_eq!(hinted, if warm_hints { 6 } else { 0 }, "hinted applies");
+    assert_eq!(hinted, if warm_hints { 6 } else { 0 }, "directed applies");
     (Arc::clone(&pool), log.events())
 }
 
-/// The group apply's hinted overwrites are the descent's own stores and
-/// flushes: warm tables change nothing in the event log, so the sweep
+/// The group apply's directed overwrites are the descent's own stores and
+/// flushes: warm directories change nothing in the event log, so the sweep
 /// enumerates the same images — and every one of them recovers to the
 /// whole group's old rows or the whole group's new ones.
 #[test]
 fn grouped_rewrite_with_warm_hints_enumerates_the_same_images() {
     let (_, cold) = record_group_rewrite(false);
     let (pool, warm) = record_group_rewrite(true);
-    assert_eq!(warm, cold, "hinted applies logged different stores");
+    assert_eq!(warm, cold, "directed applies logged different stores");
     let clients = client_batches();
     let mut outcomes = BTreeSet::new();
     for cut in 0..=warm.len() {

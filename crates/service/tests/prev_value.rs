@@ -127,13 +127,14 @@ fn a_delete_is_answered_by_the_apply_not_by_a_pre_read() {
     assert_eq!((store.get(7), store.get(8)), (None, None));
 
     // One commit carried the group's four staged ops, and the trees were
-    // reached by those applies only: a pre-read `get` would have looked a
-    // key up in a leaf-hint table, as the two upserts' applies did.
+    // reached by the applies only — the parked insert's and those four:
+    // every leaf-level op consults its tree's leaf directory once, so a
+    // pre-read `get` would have added a lookup.
     let stats = Arc::clone(service.stats());
     drop(service); // joins the worker, whose counters are harvested per group
     assert_eq!((stats.groups(), stats.largest_group()), (2, 4));
     assert_eq!(engine.last_committed(), 2);
-    assert_eq!(stats.leaf_hint_lookups(), 2);
+    assert_eq!(stats.leaf_hint_lookups(), 5);
 }
 
 /// The replaced value is the one observed when the group *commits*: a

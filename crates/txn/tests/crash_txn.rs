@@ -139,7 +139,7 @@ fn payment_batch_crash_sweep_on_a_tree() {
 /// Commits a batch that *overwrites* the three Payment rows (so its apply
 /// is three in-place stores) on a crash-logged pool and returns the pool,
 /// the tree's superblock and the commit's event log. With `warm_hints` the
-/// tree's leaf-hint table is warm and holds all three keys first.
+/// tree's leaf directory is built first, so all three applies are directed.
 fn record_payment_rewrite(warm_hints: bool) -> (Arc<Pool>, u64, Vec<pmem::crash::Event>) {
     let pool = crash_pool();
     let tree = FastFairTree::create(Arc::clone(&pool), TreeOptions::new()).unwrap();
@@ -153,7 +153,7 @@ fn record_payment_rewrite(warm_hints: bool) -> (Arc<Pool>, u64, Vec<pmem::crash:
     }
     engine.commit(old, &[&tree]).unwrap();
     if warm_hints {
-        // A handle allocates its table after a few thousand point ops;
+        // A handle builds its directory after a few thousand point ops;
         // reads store nothing, so both runs share one baseline.
         for _ in 0..2_000 {
             for (k, _) in payment_writes() {
@@ -170,19 +170,19 @@ fn record_payment_rewrite(warm_hints: bool) -> (Arc<Pool>, u64, Vec<pmem::crash:
     }
     assert_eq!(engine.commit(batch, &[&tree]).unwrap(), 2);
     let hinted = pmem::stats::snapshot().leaf_hint_hits - hits;
-    assert_eq!(hinted, if warm_hints { 3 } else { 0 }, "hinted applies");
+    assert_eq!(hinted, if warm_hints { 3 } else { 0 }, "directed applies");
     (Arc::clone(&pool), tree.superblock(), log.events())
 }
 
-/// The apply's hinted overwrite is the descent's own store and flush: a
-/// warm table changes nothing in the event log, so the sweep enumerates
+/// The apply's directed overwrite is the descent's own store and flush: a
+/// warm directory changes nothing in the event log, so the sweep enumerates
 /// the same images — each of which recovers to all three old rows or all
 /// three new ones.
 #[test]
 fn payment_rewrite_with_warm_hints_enumerates_the_same_images() {
     let (_, _, cold) = record_payment_rewrite(false);
     let (pool, meta, warm) = record_payment_rewrite(true);
-    assert_eq!(warm, cold, "hinted applies logged different stores");
+    assert_eq!(warm, cold, "directed applies logged different stores");
     let mut outcomes = BTreeSet::new();
     for cut in 0..=warm.len() {
         for policy in [
