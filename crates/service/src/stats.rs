@@ -208,6 +208,8 @@ pub struct ServiceStats {
     grouped_writes: AtomicU64,
     largest_group: AtomicU64,
     queue_high_water: AtomicU64,
+    inline_gets: AtomicU64,
+    conflict_gets: AtomicU64,
     fences: AtomicU64,
     flushes: AtomicU64,
     leaf_hint_lookups: AtomicU64,
@@ -271,9 +273,38 @@ impl ServiceStats {
         self.queue_high_water.load(Ordering::Relaxed)
     }
 
-    /// Store fences issued by the worker threads — harvested from
+    /// `get`s answered on the submitting thread, without a queue or a
+    /// worker (the crate docs' "Reads"). Each is also counted in
+    /// `op(OpClass::Get)` — submitted, completed, latency — so the `Get`
+    /// histogram covers every read, however it was served.
+    pub fn inline_gets(&self) -> u64 {
+        self.inline_gets.load(Ordering::Relaxed)
+    }
+
+    /// `get`s a worker answered: `op(OpClass::Get).completed()` less
+    /// [`ServiceStats::inline_gets`].
+    pub fn queued_gets(&self) -> u64 {
+        // Two loads, not one snapshot. `inline_gets` first: it is raised
+        // after `completed`, so read in this order it can only lag it.
+        let inline = self.inline_gets();
+        self.op(OpClass::Get).completed().saturating_sub(inline)
+    }
+
+    /// `get`s queued on a backlogged lane only because a write to their
+    /// key (or to a key sharing its in-flight slot) was in flight. High
+    /// beside [`ServiceStats::queued_gets`]: reads chase hot written keys;
+    /// low: the lane was idle enough that handing reads over was free.
+    pub fn conflict_gets(&self) -> u64 {
+        self.conflict_gets.load(Ordering::Relaxed)
+    }
+
+    /// Store fences issued by the **worker threads** — harvested from
     /// `pmem::stats` after every group, so `fences() / completed()` is
-    /// the amortized persistence cost per request.
+    /// the amortized persistence cost per request. This gauge and the
+    /// four below it cover workers only: a `get` answered on its
+    /// client's thread leaves its `pmem::stats` (no fences or flushes —
+    /// a search stores nothing — but its leaf-directory lookups) on that
+    /// thread.
     pub fn fences(&self) -> u64 {
         self.fences.load(Ordering::Relaxed)
     }
@@ -286,7 +317,8 @@ impl ServiceStats {
 
     /// Point operations for which the workers' trees consulted their
     /// leaf directory (`pmem::stats`' `leaf_hint_lookups`, harvested like
-    /// [`ServiceStats::fences`]).
+    /// [`ServiceStats::fences`] — worker threads only, so inline `get`s'
+    /// lookups are not in it).
     pub fn leaf_hint_lookups(&self) -> u64 {
         self.leaf_hint_lookups.load(Ordering::Relaxed)
     }
@@ -346,6 +378,18 @@ impl ServiceStats {
         op.hist.record(nanos);
     }
 
+    /// One `get` served start to finish on its submitter's thread.
+    pub(crate) fn note_inline_get(&self, nanos: u64) {
+        self.note_submitted(OpClass::Get);
+        self.note_done(OpClass::Get, true, nanos);
+        // After `completed`: `queued_gets` reads this one first.
+        self.inline_gets.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_conflict_get(&self) {
+        self.conflict_gets.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn note_group(&self, writes: u64, backlog: u64) {
         self.groups.fetch_add(1, Ordering::Relaxed);
         self.grouped_writes.fetch_add(writes, Ordering::Relaxed);
@@ -357,6 +401,9 @@ impl ServiceStats {
         self.queue_high_water.fetch_max(backlog, Ordering::Relaxed);
     }
 
+    /// Adds one worker group's thread-local `pmem::stats` to the gauges —
+    /// called by workers only; client threads' counters are never
+    /// harvested.
     pub(crate) fn harvest_pmem(&self, s: &pmem::stats::Snapshot) {
         self.fences.fetch_add(s.fences, Ordering::Relaxed);
         self.flushes.fetch_add(s.flushes, Ordering::Relaxed);

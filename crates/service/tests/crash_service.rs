@@ -18,7 +18,8 @@
 //! live test crashes *under* a running `Service` and recovers what the
 //! workers actually committed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fastfair::FastFairTree;
@@ -304,5 +305,99 @@ fn acknowledged_service_writes_survive_a_crash() {
             assert_eq!(s2.get(k), Some(v), "{ctx}: acknowledged key {k} lost");
         }
         assert!(!e2.pending(), "{ctx}: journal not clean");
+    }
+}
+
+/// A fixed history of synchronous writes — every one a commit group of
+/// its own, so the crash log is the same from run to run — through a live
+/// one-lane service over warm trees. With `readers`, two more clients
+/// pipeline `get`s throughout: the lane is backlogged, and the reads of
+/// quiet keys run on the clients' own threads, beside the worker's stores.
+/// Returns the pool, the history's event log and how many reads ran inline.
+fn record_service_history(readers: bool) -> (Arc<Pool>, Vec<pmem::crash::Event>, u64) {
+    let pool = crash_pool();
+    let store = Arc::new(crash_store(&pool));
+    let engine = Arc::new(TxnEngine::create(Arc::clone(&pool)).unwrap());
+    for k in 1..=400u64 {
+        store.insert(k * 10, k).unwrap();
+    }
+    for _ in 0..30 {
+        for k in 1..=400u64 {
+            assert_eq!(store.get(k * 10), Some(k));
+        }
+    }
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image());
+
+    let service = Service::with_engine(
+        vec![Arc::clone(&store)],
+        engine,
+        ServiceConfig {
+            lanes: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for r in 0..2 * usize::from(readers) {
+            let (client, done) = (service.handle(), &done);
+            s.spawn(move || {
+                // Keys the history never writes (it stays at or below 2 005).
+                let mut window = VecDeque::new();
+                for k in (201 + r as u64..=400).cycle() {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    if window.len() == 8 {
+                        let (k, t): (u64, service::Ticket<_>) = window.pop_front().unwrap();
+                        assert_eq!(t.wait().unwrap(), Some(k));
+                    }
+                    window.push_back((k, client.submit_get(k * 10).unwrap()));
+                }
+            });
+        }
+        let client = service.handle();
+        for k in 1..=200u64 {
+            // A fresh key beside an old one (splits included), an in-place
+            // overwrite, and a delete that empties no leaf.
+            assert_eq!(client.insert(k * 10 + 5, k).unwrap(), None);
+            assert_eq!(client.update(k * 10, k + 1).unwrap(), Some(k));
+            if k % 4 == 0 {
+                assert!(client.delete(k * 10 + 5).unwrap());
+            }
+            assert_eq!(client.get(k * 10).unwrap(), Some(k + 1));
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    let inline = service.stats().inline_gets();
+    drop(service);
+    (Arc::clone(&pool), log.events(), inline)
+}
+
+/// A read stores and flushes nothing, wherever it runs: the history's
+/// event log with hundreds of inline reads beside it EQUALS the log
+/// without them, so every crash sweep over the one enumerates the images
+/// of the other — and the last image recovers to the history's end state.
+#[test]
+fn inline_reads_leave_the_event_log_as_it_was() {
+    let (_, quiet, none) = record_service_history(false);
+    let (pool, busy, inline) = record_service_history(true);
+    assert_eq!(none, 0, "one synchronous client never backlogs its lane");
+    assert!(inline > 100, "only {inline} reads ran inline");
+    assert!(
+        quiet.len() > 2_000,
+        "the history should log a rich event stream"
+    );
+    assert!(busy == quiet, "inline reads changed what was stored");
+
+    let img = pool.crash_image(busy.len(), Eviction::None);
+    let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
+    let s2: ShardedStore<FastFairTree> =
+        ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS]).unwrap();
+    let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
+    assert_eq!(e2.recover(&[&s2]).unwrap(), 0);
+    for k in 1..=200u64 {
+        assert_eq!(s2.get(k * 10), Some(k + 1));
+        assert_eq!(s2.get(k * 10 + 5), (k % 4 != 0).then_some(k));
     }
 }
