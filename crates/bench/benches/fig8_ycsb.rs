@@ -1,12 +1,11 @@
 //! Figure 8 (extension): YCSB-style scenario sweep over the FAST+FAIR
-//! layout variants — fingerprinted probes, the circular record frame, and
-//! both combined — against the baseline.
+//! layout variants — fingerprinted probes against the baseline.
 //!
 //! Four scenarios bracket the design space:
 //!
 //! * `hotkey`  — YCSB-A/B shape: 95 % reads / 5 % in-place updates with
 //!   self-similar hot-key skew (80 % of accesses to 20 % of keys). Probe-
-//!   dominated; fingerprints shine, the circular frame is idle.
+//!   dominated; fingerprints shine.
 //! * `rmw`     — YCSB-F: every round reads a skewed key and writes it
 //!   back. Balanced probe + in-place-persist load.
 //! * `scan`    — YCSB-E: 95 % short range scans / 5 % inserts. Scans
@@ -135,8 +134,8 @@ fn main() {
     }
     report.finish();
     println!(
-        "\nexpected shape: +FP cuts lines/op on hotkey and rmw; +Circ cuts mean shift \
-         under churn; flush coalescing elides clean lines wherever splits run \
-         (coalesced/op > 0 on the insert-bearing panels)."
+        "\nexpected shape: +FP cuts lines/op on hotkey and rmw; flush coalescing \
+         elides clean lines wherever splits run (coalesced/op > 0 on the \
+         insert-bearing panels)."
     );
 }

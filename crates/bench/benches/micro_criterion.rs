@@ -1,10 +1,9 @@
 //! Criterion micro-benchmarks of the core FAST+FAIR operations at DRAM
 //! latency: per-op cost of insert, point lookup, delete and a 100-key
-//! range scan, plus per-layout-variant groups isolating the two
-//! microarchitectural levers — probe latency (fingerprints skip key
-//! lines on misses) and shift distance (the circular frame halves the
-//! average record move). Complements the figure benches with
-//! statistically sampled numbers.
+//! range scan, plus per-layout-variant groups isolating the fingerprint
+//! lever — probe latency (fingerprints skip key lines on misses) and the
+//! write cost of keeping the fingerprint array in step with every shift.
+//! Complements the figure benches with statistically sampled numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fastfair::{FastFairTree, TreeOptions};
@@ -27,19 +26,14 @@ fn setup(n: usize) -> (Arc<Pool>, FastFairTree, Vec<u64>) {
     setup_with(n, TreeOptions::new())
 }
 
-/// The Fig. 8 ablation axis: every combination of the two node-layout
-/// levers, at a node size large enough (1 KiB) for the probe cut to
-/// dominate the fingerprint line it pays for.
-fn variants() -> [(&'static str, TreeOptions); 4] {
+/// The Fig. 8 ablation axis: the baseline and fingerprinted leaves, at a
+/// node size large enough (1 KiB) for the probe cut to dominate the
+/// fingerprint line it pays for.
+fn variants() -> [(&'static str, TreeOptions); 2] {
     let ns = |o: TreeOptions| o.node_size(1024);
     [
         ("base", ns(TreeOptions::new())),
         ("fp", ns(TreeOptions::new().fingerprints(true))),
-        ("circ", ns(TreeOptions::new().circular(true))),
-        (
-            "fp+circ",
-            ns(TreeOptions::new().fingerprints(true).circular(true)),
-        ),
     ]
 }
 
@@ -101,13 +95,10 @@ fn bench_variant_probe(c: &mut Criterion) {
     g.finish();
 }
 
-/// Shift distance per variant: delete + reinsert of uniform keys, so
-/// every op lands at a uniformly distributed slot and pays the layout's
-/// mean shift — N/2 records for the linear frame, N/4 for the circular
-/// frame (an insert below the median retreats the head instead of
-/// shifting the upper half). The reported time difference between `base`
-/// and `circ` is the shift-distance cut; `pmem::stats` (shift_steps /
-/// shift_ops) gives the same answer in record moves in fig8_ycsb.
+/// Shift cost per variant: delete + reinsert of uniform keys, so every op
+/// lands at a uniformly distributed slot and pays a mean shift of N/2
+/// records; fingerprinted leaves also move one fingerprint byte per
+/// record and break and re-arm their seal around each shift.
 fn bench_variant_shift(c: &mut Criterion) {
     let mut g = c.benchmark_group("shift");
     for (name, opts) in variants() {

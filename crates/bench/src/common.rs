@@ -32,10 +32,6 @@ pub enum IndexKind {
     FastFairLeafLock,
     /// FAST+FAIR with fingerprinted leaf probes (Fig. 8 ablation).
     FastFairFp,
-    /// FAST+FAIR with the circular record frame (Fig. 8 ablation).
-    FastFairCirc,
-    /// FAST+FAIR with both microarchitecture levers (Fig. 8 ablation).
-    FastFairFpCirc,
     /// FP-tree (selective persistence + fingerprints).
     FpTree,
     /// wB+-tree (slot + bitmap).
@@ -59,12 +55,7 @@ impl IndexKind {
     ];
 
     /// The layout-variant ablation field of the Fig. 8 YCSB sweep.
-    pub const FASTFAIR_VARIANTS: [IndexKind; 4] = [
-        IndexKind::FastFair,
-        IndexKind::FastFairFp,
-        IndexKind::FastFairCirc,
-        IndexKind::FastFairFpCirc,
-    ];
+    pub const FASTFAIR_VARIANTS: [IndexKind; 2] = [IndexKind::FastFair, IndexKind::FastFairFp];
 
     /// The concurrent field of Figure 7.
     pub const CONCURRENT: [IndexKind; 5] = [
@@ -115,25 +106,6 @@ pub fn build_index(kind: IndexKind, pool: &Arc<Pool>, node_size: u32) -> Box<dyn
                     .fingerprints(true),
             )
             .expect("fastfair+fp"),
-        ),
-        IndexKind::FastFairCirc => Box::new(
-            fastfair::FastFairTree::create(
-                Arc::clone(pool),
-                fastfair::TreeOptions::new()
-                    .node_size(node_size)
-                    .circular(true),
-            )
-            .expect("fastfair+circ"),
-        ),
-        IndexKind::FastFairFpCirc => Box::new(
-            fastfair::FastFairTree::create(
-                Arc::clone(pool),
-                fastfair::TreeOptions::new()
-                    .node_size(node_size)
-                    .fingerprints(true)
-                    .circular(true),
-            )
-            .expect("fastfair+fp+circ"),
         ),
         IndexKind::FpTree => Box::new(fptree::FpTree::create(Arc::clone(pool)).expect("fptree")),
         IndexKind::WbTree => Box::new(wbtree::WbTree::create(Arc::clone(pool)).expect("wbtree")),

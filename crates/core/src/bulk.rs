@@ -68,7 +68,7 @@ impl<'a> LevelBuilder<'a> {
                     .tree
                     .pool()
                     .alloc(u64::from(self.tree.node_size()), 64)?;
-                let mut node = self.tree.node(off);
+                let node = self.tree.node(off);
                 node.init(self.level);
                 if self.level > 0 {
                     // The batch's first child routes everything below the

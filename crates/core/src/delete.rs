@@ -55,18 +55,8 @@ pub(crate) fn enter_delete_direction(tree: &FastFairTree, node: NodeRef<'_>, cnt
         i += 1;
     }
     if dirty {
-        // Flush the nulled range line by line: in circular geometry the
-        // logical range may wrap to a non-contiguous pair of physical
-        // spans, so a single contiguous persist would miss lines.
-        let mut last_line = u64::MAX;
-        for i in cnt + 1..=last_slot {
-            let line = node.rec_line(i);
-            if line != last_line {
-                pool.flush_line(node.key_off(i));
-                last_line = line;
-            }
-        }
-        pool.sfence();
+        let from = node.key_off(cnt + 1);
+        pool.persist(from, node.key_off(last_slot + 1) - from);
     }
     node.set_switch_counter(sc + 1);
 }
@@ -114,23 +104,15 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
                 // The records are about to move: break the fingerprint
                 // seal durably first, reseal after.
                 let was_sealed = node.fp_unseal();
-                if node.geom().circular && d < cnt / 2 {
-                    // Fewer records below the victim than above it:
-                    // shift the short left side right and advance the
-                    // head instead.
-                    circ_remove_low(tree, node, d, cnt);
-                } else {
-                    // Readers must scan right-to-left from now on.
-                    enter_delete_direction(tree, node, cnt);
-                    // Commit: one atomic poison store invalidates the
-                    // entry.
-                    node.set_ptr(d, INVALID_PTR);
-                    tree.pool.fence_if_not_tso();
-                    // Reclaim the slot; a crash here leaves one garbage
-                    // entry for lazy recovery.
-                    shift_left_from(tree, node, d, cnt);
-                    node.set_count_hint(cnt - 1);
-                }
+                // Readers must scan right-to-left from now on.
+                enter_delete_direction(tree, node, cnt);
+                // Commit: one atomic poison store invalidates the entry.
+                node.set_ptr(d, INVALID_PTR);
+                tree.pool.fence_if_not_tso();
+                // Reclaim the slot; a crash here leaves one garbage entry
+                // for lazy recovery.
+                shift_left_from(tree, node, d, cnt);
+                node.set_count_hint(cnt - 1);
                 node.fp_reseal_after(was_sealed);
                 emptied = cnt == 1;
             });
@@ -176,74 +158,6 @@ pub(crate) fn shift_left_from(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, c
     // new NULL terminator).
     pool.persist(node.key_off(cnt.saturating_sub(1).max(d)), 16);
     stats::count_shift(u64::from(cnt - d).saturating_sub(1));
-}
-
-/// Circular-frame delete on the *short* left side: instead of pulling the
-/// `cnt - d - 1` records above slot `d` one slot left, copy the `d` records
-/// below it one slot right and advance the head. Store/persist protocol:
-///
-/// 1. The switch counter is bumped *even* — the records move right here, so
-///    surviving readers must scan left-to-right — and bumped again before
-///    the head store so a reader that observes any post-flip store fails
-///    its head recheck (TSO orders the bumps first).
-/// 2. The poison store at `d` commits the delete.
-/// 3. Records `d-1..=0` are copied one slot right, descending, with the
-///    poison/key/commit discipline and line-crossing flushes, and the
-///    remaining dirty line is persisted — the whole right-shifted image is
-///    durable *before* the head moves, so a post-flip crash image in the
-///    new frame is complete.
-/// 4. `head' = head+1` is stored and persisted. The vacated physical slot
-///    (new logical `cap+1`, above the terminator) is nulled with plain
-///    stores: no reader reaches it (left-to-right scans stop at the
-///    terminator, right-to-left scans start at or below `cap`), and the
-///    next [`enter_delete_direction`] nulls it durably before the scan
-///    direction could expose it.
-fn circ_remove_low(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, cnt: u16) {
-    debug_assert!(d < cnt / 2);
-    let pool = node.pool();
-    let mut node = node;
-    let cap = node.capacity();
-
-    let sc = node.switch_counter();
-    node.set_switch_counter(if sc % 2 == 1 { sc + 1 } else { sc + 2 });
-
-    node.set_ptr(d, INVALID_PTR);
-    pool.fence_if_not_tso();
-
-    for j in (0..d).rev() {
-        if j + 1 < d {
-            node.set_ptr(j + 1, INVALID_PTR);
-            pool.fence_if_not_tso();
-        }
-        node.set_key(j + 1, node.key(j));
-        pool.fence_if_not_tso();
-        node.set_ptr(j + 1, node.ptr(j));
-        node.set_fp(j + 1, node.fp(j));
-        pool.fence_if_not_tso();
-        if node.rec_line(j + 1) != node.rec_line(j) {
-            // Record j+1 completed its cache line: flush before moving on.
-            pool.persist(node.key_off(j + 1), 8);
-        }
-    }
-    // Make the right-shifted image durable before the frame flips.
-    if d == 0 {
-        pool.persist(node.key_off(0), 8);
-    } else {
-        pool.persist(node.key_off(1), 16);
-    }
-
-    let sc = node.switch_counter();
-    node.set_switch_counter(sc + 2);
-    let slots = node.slots();
-    node.set_head((node.head_snapshot() + 1) % slots);
-    pool.persist(node.head_field_off(), 8);
-
-    // `node` now views the new frame; the vacated slot sits above the
-    // terminator at logical cap+1.
-    node.set_ptr(cap + 1, NULL_OFFSET);
-    node.set_fp(cap + 1, 0);
-    node.set_count_hint(cnt - 1);
-    stats::count_shift(u64::from(d));
 }
 
 /// Lazy recovery, run by every writer right after locking a node (§4.2):

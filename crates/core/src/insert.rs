@@ -281,21 +281,6 @@ pub(crate) fn fast_insert_locked(
     // unsealed from a crash).
     let was_sealed = node.fp_unseal();
 
-    if node.geom().circular && cnt > 0 {
-        // The node is locked and repaired, so slots 0..cnt are exactly the
-        // sorted valid records; find where the key goes and take the short
-        // side.
-        let mut pos = 0u16;
-        while pos < cnt && node.key(pos) < key {
-            pos += 1;
-        }
-        if pos <= cnt / 2 {
-            circ_insert_low(tree, node, key, value, cnt, pos);
-            node.fp_reseal_after(was_sealed);
-            return;
-        }
-    }
-
     // Make the switch counter even so lock-free readers scan left-to-right,
     // the direction of this right shift — and bump it on *every* shift, not
     // only on direction changes: readers re-check the counter after their
@@ -308,9 +293,8 @@ pub(crate) fn fast_insert_locked(
     // before the shift): slot cnt+1 may hold a stale record from an earlier
     // delete or FAIR truncation, and the shift is about to overwrite the
     // terminator at slot cnt. If slot cnt+1 lands on a different cache line
-    // than slot cnt (which in circular geometry includes the physical
-    // wrap), it can persist independently, so it must be flushed before the
-    // shift; otherwise TSO's per-line store order covers it.
+    // than slot cnt, it can persist independently, so it must be flushed
+    // before the shift; otherwise TSO's per-line store order covers it.
     node.set_ptr(cnt + 1, NULL_OFFSET);
     pool.fence_if_not_tso();
     if node.rec_line(cnt + 1) != node.rec_line(cnt) {
@@ -375,79 +359,4 @@ pub(crate) fn fast_insert_locked(
     node.set_count_hint(cnt + 1);
     stats::count_shift(moved);
     node.fp_reseal_after(was_sealed);
-}
-
-/// Circular-frame insert on the *short* left side: instead of shifting the
-/// `cnt - pos` records above `pos` one slot right, move the head back one
-/// and copy only the `pos` records below the insertion point one logical
-/// slot left. Store/persist protocol:
-///
-/// 1. [`crate::delete::enter_delete_direction`] — the old slack slot above
-///    the terminator is NULLed durably and the switch counter goes odd
-///    *before* the head moves, so surviving readers scan right-to-left
-///    (records move left here) and any reader that observes post-flip
-///    stores fails its head recheck (TSO orders the counter bump first).
-/// 2. The wrap slot (old logical `cap+1`, physical `head-1`) is poisoned
-///    durably — it becomes the new logical 0, and a NULL there would read
-///    as the terminator of an empty node.
-/// 3. `head' = head-1` is stored and persisted. From here every crash
-///    image is in the new frame with slot 0 poisoned: all `cnt` records
-///    are present one logical slot up, plus tolerable poison/duplicate
-///    residue from however far the copies below got.
-/// 4. Records `0..pos` are copied one slot left, ascending, with the usual
-///    poison/key/commit discipline and line-crossing flushes.
-/// 5. The new record commits at logical `pos` with a final pointer store.
-fn circ_insert_low(
-    tree: &FastFairTree,
-    node: NodeRef<'_>,
-    key: Key,
-    value: Value,
-    cnt: u16,
-    pos: u16,
-) {
-    let pool = node.pool();
-    let mut node = node;
-    let cap = node.capacity();
-
-    crate::delete::enter_delete_direction(tree, node, cnt);
-
-    node.set_ptr(cap + 1, INVALID_PTR);
-    pool.fence_if_not_tso();
-    pool.persist(node.ptr_off(cap + 1), 8);
-
-    let slots = node.slots();
-    let head = node.head_snapshot();
-    node.set_head((head + slots - 1) % slots);
-    pool.persist(node.head_field_off(), 8);
-
-    // From here `node` views the new frame: new logical j+1 = old logical j.
-    for j in 0..pos {
-        if j > 0 {
-            node.set_ptr(j, INVALID_PTR);
-            pool.fence_if_not_tso();
-        }
-        node.set_key(j, node.key(j + 1));
-        pool.fence_if_not_tso();
-        node.set_ptr(j, node.ptr(j + 1));
-        node.set_fp(j, node.fp(j + 1));
-        pool.fence_if_not_tso();
-        if node.rec_line(j) != node.rec_line(j + 1) {
-            // This copy completed the line holding slot j; flush it before
-            // dirtying the next line.
-            pool.persist(node.key_off(j), 8);
-        }
-    }
-
-    if pos > 0 {
-        node.set_ptr(pos, INVALID_PTR);
-        pool.fence_if_not_tso();
-    }
-    node.set_key(pos, key);
-    pool.fence_if_not_tso();
-    node.set_ptr(pos, value);
-    node.set_fp(pos, fp_hash(key));
-    pool.persist(node.key_off(pos), 16);
-
-    node.set_count_hint(cnt + 1);
-    stats::count_shift(u64::from(pos));
 }

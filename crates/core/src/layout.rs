@@ -18,8 +18,9 @@
 //!  48     fp_seal         (fingerprint trees only: 1 = the fingerprint
 //!                          array is consistent with the records and
 //!                          durable; 0 = under repair, probe linearly)
-//!  56     head            (circular trees only: physical slot of logical
-//!                          record 0)
+//!  56     reserved        (always 0; once the head of a removed circular
+//!                          record frame — trees that used it are rejected
+//!                          on open, see `tree.rs`)
 //!  64     fingerprints[]  (fingerprint trees only: one byte per record
 //!                          slot, rounded up to whole cache lines)
 //!  64+fp  records[0].key
@@ -27,9 +28,8 @@
 //!  80+fp  records[1].key ...
 //! ```
 //!
-//! The geometry knobs live in [`NodeGeom`]; the default layout (no
-//! fingerprints, no circular frame) is byte-identical to earlier versions
-//! of this crate.
+//! The geometry knob lives in [`NodeGeom`]; the default layout (no
+//! fingerprints) is byte-identical to earlier versions of this crate.
 //!
 //! Entry `i` is **valid** iff `ptr(i) != NULL && ptr(i) != INVALID_PTR`.
 //! A NULL pointer terminates the array; [`INVALID_PTR`] (`u64::MAX`, one of
@@ -85,13 +85,12 @@ const COUNT_OFF: u64 = 32;
 /// Offset of the volatile lock word within a node header.
 pub const LOCK_OFF: u64 = 40;
 const SEAL_OFF: u64 = 48;
-const HEAD_OFF: u64 = 56;
 
 const DELETED_BIT: u64 = 1 << 32;
 
-/// Per-tree node-layout knobs. The default (`NodeGeom::default()`) is the
-/// classic FAST+FAIR layout; the two flags are the microarchitecture
-/// ablation levers.
+/// Per-tree node-layout knob. The default (`NodeGeom::default()`) is the
+/// classic FAST+FAIR layout; the flag is the microarchitecture ablation
+/// lever.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeGeom {
     /// Reserve a 1-byte-per-slot fingerprint array between the header and
@@ -100,27 +99,12 @@ pub struct NodeGeom {
     /// onto the FAST node). Costs a little capacity: the array is rounded
     /// up to whole cache lines.
     pub fingerprints: bool,
-    /// Keep the records in a circular buffer framed by a persistent `head`
-    /// offset, so a low-position insert/delete shifts the *short* side
-    /// (Circ-Tree's N/2 → N/4 mean-shift-distance claim).
-    pub circular: bool,
 }
 
 impl NodeGeom {
     /// Geometry with fingerprint probes enabled.
     pub fn fingerprinted() -> Self {
-        NodeGeom {
-            fingerprints: true,
-            circular: false,
-        }
-    }
-
-    /// Geometry with the circular record frame enabled.
-    pub fn circular() -> Self {
-        NodeGeom {
-            fingerprints: false,
-            circular: true,
-        }
+        NodeGeom { fingerprints: true }
     }
 }
 
@@ -181,12 +165,6 @@ pub struct NodeRef<'a> {
     off: PmOffset,
     node_size: u32,
     geom: NodeGeom,
-    /// Snapshot of the circular head taken when the view was created (or
-    /// last [`reframe`](NodeRef::reframe)d). All logical→physical slot
-    /// mapping goes through this snapshot so one scan sees one consistent
-    /// frame; readers must verify [`head_unchanged`](NodeRef::head_unchanged)
-    /// alongside the switch-counter recheck and retry on a frame flip.
-    head: u16,
 }
 
 impl std::fmt::Debug for NodeRef<'_> {
@@ -206,21 +184,15 @@ impl<'a> NodeRef<'a> {
         Self::with_geom(pool, off, node_size, NodeGeom::default())
     }
 
-    /// Creates a view of the node at `off` with an explicit geometry,
-    /// snapshotting the circular head.
+    /// Creates a view of the node at `off` with an explicit geometry.
     pub fn with_geom(pool: &'a Pool, off: PmOffset, node_size: u32, geom: NodeGeom) -> Self {
         debug_assert!(off != NULL_OFFSET && off.is_multiple_of(CACHE_LINE as u64));
-        let mut n = NodeRef {
+        NodeRef {
             pool,
             off,
             node_size,
             geom,
-            head: 0,
-        };
-        if geom.circular {
-            n.reframe();
         }
-        n
     }
 
     /// The geometry this view maps records with.
@@ -248,7 +220,7 @@ impl<'a> NodeRef<'a> {
         capacity_with(self.node_size, self.geom)
     }
 
-    /// Total physical record slots (capacity + terminator + shift slack).
+    /// Total record slots (capacity + terminator + shift slack).
     #[inline]
     pub fn slots(&self) -> u16 {
         self.capacity() + 2
@@ -333,62 +305,6 @@ impl<'a> NodeRef<'a> {
         self.off + LOCK_OFF
     }
 
-    // ---- circular frame --------------------------------------------------
-
-    /// The head snapshot this view maps logical slots with.
-    #[inline]
-    pub fn head_snapshot(&self) -> u16 {
-        self.head
-    }
-
-    /// Loads the current persistent head (not the snapshot).
-    #[inline]
-    pub fn head_raw(&self) -> u16 {
-        (self.pool.load_u64(self.off + HEAD_OFF) % u64::from(self.slots())) as u16
-    }
-
-    /// Re-snapshots the head so subsequent accesses use the current frame
-    /// (no-op for non-circular geometry).
-    #[inline]
-    pub fn reframe(&mut self) {
-        if self.geom.circular {
-            self.head = self.head_raw();
-        }
-    }
-
-    /// True when the persistent head still matches this view's snapshot
-    /// (always true for non-circular geometry). Readers pair this with the
-    /// switch-counter recheck: a scan is only trusted if *both* held.
-    #[inline]
-    pub fn head_unchanged(&self) -> bool {
-        !self.geom.circular || self.head_raw() == self.head
-    }
-
-    /// Stores a new head (not flushed) and updates this view's snapshot.
-    /// Writers must bump the switch counter *before* this store so readers
-    /// on the old frame fail their head recheck (see the circular shift
-    /// protocol in `insert.rs`/`delete.rs`).
-    pub fn set_head(&mut self, h: u16) {
-        let h = h % self.slots();
-        self.pool.store_u64(self.off + HEAD_OFF, u64::from(h));
-        self.head = h;
-    }
-
-    /// Pool offset of the head field (for targeted persists).
-    pub fn head_field_off(&self) -> PmOffset {
-        self.off + HEAD_OFF
-    }
-
-    /// Maps a logical slot index to its physical slot in the record area.
-    #[inline]
-    pub fn phys(&self, i: u16) -> u16 {
-        if self.geom.circular {
-            (self.head + i) % self.slots()
-        } else {
-            i
-        }
-    }
-
     // ---- fingerprints ----------------------------------------------------
 
     /// Loads the fingerprint seal word (1 = array consistent and durable).
@@ -453,14 +369,14 @@ impl<'a> NodeRef<'a> {
         self.pool.store_u64(self.off + SEAL_OFF, 1);
     }
 
-    /// Pool offset of logical slot `i`'s fingerprint byte.
+    /// Pool offset of slot `i`'s fingerprint byte.
     #[inline]
     pub fn fp_off(&self, i: u16) -> PmOffset {
-        self.off + HEADER_SIZE + u64::from(self.phys(i))
+        self.off + HEADER_SIZE + u64::from(i)
     }
 
-    /// Loads logical slot `i`'s fingerprint byte (0 when the geometry has
-    /// no fingerprint area).
+    /// Loads slot `i`'s fingerprint byte (0 when the geometry has no
+    /// fingerprint area).
     #[inline]
     pub fn fp(&self, i: u16) -> u8 {
         if !self.geom.fingerprints {
@@ -469,7 +385,7 @@ impl<'a> NodeRef<'a> {
         self.pool.load_u8(self.fp_off(i))
     }
 
-    /// Stores logical slot `i`'s fingerprint byte (not flushed; callers
+    /// Stores slot `i`'s fingerprint byte (not flushed; callers
     /// flush the whole array in [`fp_reseal`](NodeRef::fp_reseal)). No-op
     /// when the geometry has no fingerprint area, so shift loops can keep
     /// fingerprints in lockstep unconditionally.
@@ -499,12 +415,11 @@ impl<'a> NodeRef<'a> {
     /// Pool offset of record `i`'s key field.
     #[inline]
     pub fn key_off(&self, i: u16) -> PmOffset {
-        self.off + records_base(self.node_size, self.geom) + u64::from(self.phys(i)) * RECORD_SIZE
+        self.off + records_base(self.node_size, self.geom) + u64::from(i) * RECORD_SIZE
     }
 
     /// Cache-line index of record `i` — shift loops flush when consecutive
-    /// logical slots land on different lines, which in circular geometry
-    /// also covers the physical wrap.
+    /// slots land on different lines.
     #[inline]
     pub fn rec_line(&self, i: u16) -> u64 {
         self.key_off(i) / CACHE_LINE as u64
@@ -607,20 +522,15 @@ impl<'a> NodeRef<'a> {
     /// Key of the first *valid* entry, if any.
     ///
     /// Lock-free callers (sibling routing) race with concurrent shifts, so
-    /// the scan is retried while the switch counter or circular head moves
-    /// under it; retries are bounded to stay wait-free for writers that
-    /// already hold the lock.
+    /// the scan is retried while the switch counter moves under it; retries
+    /// are bounded to stay wait-free for writers that already hold the lock.
     pub fn first_key(&self) -> Option<u64> {
-        let mut n = *self;
         let mut last = None;
-        for attempt in 0..8 {
-            let sc = n.switch_counter();
-            last = n.first_key_unvalidated();
-            if n.switch_counter() == sc && n.head_unchanged() {
-                return last;
-            }
-            if attempt < 7 {
-                n.reframe();
+        for _ in 0..8 {
+            let sc = self.switch_counter();
+            last = self.first_key_unvalidated();
+            if self.switch_counter() == sc {
+                break;
             }
         }
         last
@@ -651,11 +561,8 @@ impl<'a> NodeRef<'a> {
     /// Writes are plain stores; the caller persists the node when the
     /// algorithm requires it (e.g. FAIR flushes the whole sibling before
     /// linking it).
-    pub fn init(&mut self, level: u32) {
+    pub fn init(&self, level: u32) {
         self.pool.zero_region(self.off, u64::from(self.node_size));
-        // A recycled node may have carried a non-zero circular head; the
-        // zeroing above reset the field, so reset the view's snapshot too.
-        self.head = 0;
         self.set_level(level);
         if level == 0 {
             self.set_leftmost(LEAF_ANCHOR);
@@ -718,7 +625,7 @@ mod tests {
 
     fn fresh_geom_node(pool: &Pool, size: u32, level: u32, geom: NodeGeom) -> NodeRef<'_> {
         let off = pool.alloc(u64::from(size), 64).unwrap();
-        let mut n = NodeRef::with_geom(pool, off, size, geom);
+        let n = NodeRef::with_geom(pool, off, size, geom);
         n.init(level);
         n
     }
@@ -746,49 +653,54 @@ mod tests {
             let g = NodeGeom::fingerprinted();
             assert!(u64::from(capacity_with(ns, g)) + 2 <= fp_lines(ns) * 64);
         }
-        // The circular flag alone does not change capacity.
-        assert_eq!(capacity_with(512, NodeGeom::circular()), 26);
     }
 
     #[test]
-    fn circular_frame_maps_and_wraps() {
+    fn slot_mapping_is_the_identity() {
         let p = pool();
-        let g = NodeGeom::circular();
-        let mut n = fresh_geom_node(&p, 256, 0, g);
-        let slots = n.slots();
-        assert_eq!(n.head_snapshot(), 0);
-        // With head 0 the mapping is the identity.
-        assert_eq!(n.key_off(3), n.offset() + HEADER_SIZE + 3 * RECORD_SIZE);
-        // Move the head back one: logical 0 lands on the last physical slot.
-        n.set_head(slots - 1);
-        assert_eq!(n.phys(0), slots - 1);
-        assert_eq!(n.phys(1), 0);
-        assert!(n.rec_line(0) != n.rec_line(1));
-        // A stale view of the same node fails the head recheck.
-        let stale = NodeRef::with_geom(&p, n.offset(), 256, g);
-        assert!(stale.head_unchanged());
-        n.set_head(2);
-        assert!(!stale.head_unchanged());
-        let mut fresh = stale;
-        fresh.reframe();
-        assert!(fresh.head_unchanged());
-    }
-
-    #[test]
-    fn circular_records_roundtrip_across_wrap() {
-        let p = pool();
-        let mut n = fresh_geom_node(&p, 256, 0, NodeGeom::circular());
-        n.set_head(n.slots() - 2);
-        for i in 0..5u16 {
-            n.set_key(i, u64::from(i) * 10 + 10);
-            n.set_ptr(i, u64::from(i) + 100);
+        for geom in [NodeGeom::default(), NodeGeom::fingerprinted()] {
+            let n = fresh_geom_node(&p, 512, 0, geom);
+            let base = n.offset() + records_base(512, geom);
+            for i in 0..n.slots() {
+                assert_eq!(n.key_off(i), base + u64::from(i) * RECORD_SIZE);
+                assert_eq!(n.ptr_off(i), n.key_off(i) + 8);
+                assert_eq!(n.fp_off(i), n.offset() + HEADER_SIZE + u64::from(i));
+                // Four records to a line: the line changes every fourth slot.
+                assert_eq!(
+                    n.rec_line(i) != n.rec_line(i.saturating_sub(1)),
+                    i > 0 && i % 4 == 0,
+                    "slot {i}"
+                );
+            }
         }
-        assert_eq!(
-            n.valid_entries(),
-            vec![(10, 100), (20, 101), (30, 102), (40, 103), (50, 104)]
-        );
-        assert_eq!(n.count_records(), 5);
-        assert_eq!(n.first_key(), Some(10));
+    }
+
+    #[test]
+    fn records_roundtrip_in_every_slot() {
+        let p = pool();
+        for ns in [256u32, 512, 1024] {
+            for geom in [NodeGeom::default(), NodeGeom::fingerprinted()] {
+                let n = fresh_geom_node(&p, ns, 0, geom);
+                // The slots, terminator and slack included, tile the node
+                // up to its last byte, and the fingerprints stay below them.
+                assert_eq!(
+                    n.key_off(n.slots() - 1) + RECORD_SIZE,
+                    n.offset() + u64::from(ns)
+                );
+                assert!(n.fp_off(n.slots() - 1) < n.key_off(0) || !geom.fingerprints);
+                let cap = n.capacity();
+                for i in 0..cap {
+                    n.set_key(i, u64::from(i) * 10 + 10);
+                    n.set_ptr(i, u64::from(i) + 100);
+                }
+                let want: Vec<(u64, u64)> = (0..u64::from(cap))
+                    .map(|i| (i * 10 + 10, i + 100))
+                    .collect();
+                assert_eq!(n.valid_entries(), want, "{ns}/{geom:?}");
+                assert_eq!(n.count_records(), cap);
+                assert_eq!(n.first_key(), Some(10));
+            }
+        }
     }
 
     #[test]
@@ -922,7 +834,7 @@ mod tests {
     fn init_clears_stale_records() {
         let p = pool();
         let off = p.alloc(512, 64).unwrap();
-        let mut n = NodeRef::new(&p, off, 512);
+        let n = NodeRef::new(&p, off, 512);
         n.set_key(3, 333);
         n.set_ptr(3, 334);
         n.init(0);

@@ -40,15 +40,13 @@ pub(crate) fn leaf_search_linear(
     key: Key,
 ) -> Option<Value> {
     let cap = tree.cap;
-    let mut node = node;
     loop {
         let sc = node.switch_counter();
         if node.fp_sealed() {
             let ret = fp_probe(tree, &node, key);
-            if node.switch_counter() == sc && node.head_unchanged() && node.fp_sealed() {
+            if node.switch_counter() == sc && node.fp_sealed() {
                 return ret;
             }
-            node.reframe();
             std::hint::spin_loop();
             continue;
         }
@@ -101,21 +99,19 @@ pub(crate) fn leaf_search_linear(
             }
         }
         node.charge_linear_scan(scanned);
-        if node.switch_counter() == sc && node.head_unchanged() {
+        if node.switch_counter() == sc {
             return ret;
         }
-        // A writer changed shift direction (or flipped the circular frame)
-        // mid-scan: retry (Algorithm 3, the `until prev_switch =
-        // node.switch` loop).
-        node.reframe();
+        // A writer shifted this node mid-scan: retry (Algorithm 3, the
+        // `until prev_switch = node.switch` loop).
         std::hint::spin_loop();
     }
 }
 
 /// One fingerprint-guided probe pass over a sealed leaf. Only called while
 /// the seal is (volatively) intact; the caller revalidates the switch
-/// counter, head and seal afterwards and falls back to the linear scan on
-/// any movement.
+/// counter and seal afterwards and falls back to the linear scan on any
+/// movement.
 ///
 /// A sealed array is exact: every valid record's slot carries `fp_hash` of
 /// its key and every slot above the terminator carries 0, so a miss proves
@@ -193,7 +189,6 @@ pub(crate) fn leaf_search_binary(
 /// re-check discards any scan that overlapped a shift.
 pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, Value)> {
     let cap = tree.cap;
-    let mut node = node;
     loop {
         let sc = node.switch_counter();
         let mut out = Vec::new();
@@ -218,14 +213,13 @@ pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, 
         if node.is_cold() {
             node.charge_linear_scan(i);
         }
-        if node.switch_counter() == sc && node.head_unchanged() {
+        if node.switch_counter() == sc {
             // A crashed shift can leave an entry twice at adjacent slots
             // (an exact duplicate — same key, same value); keep one
             // occurrence of each key.
             out.dedup_by(|b, a| a.0 == b.0);
             return out;
         }
-        node.reframe();
         std::hint::spin_loop();
     }
 }

@@ -49,7 +49,7 @@ fn build_and_link_sibling<'a>(
     let split_key = node.key(median);
 
     let sib_off = pool.alloc(u64::from(tree.node_size), 64)?;
-    let mut sib = tree.node(sib_off);
+    let sib = tree.node(sib_off);
     sib.init(level);
     // Descending writers reach the sibling only through `node`'s latch,
     // but a lock-free reader can find a key in it the moment it is linked
@@ -87,11 +87,14 @@ fn build_and_link_sibling<'a>(
 
     // The truncation strands the moved-out upper half above the new
     // terminator, which is where a right-to-left reader starts: a node left
-    // in delete direction (the circular frame's low-side insert does that)
-    // would show a reader that arrives late — every directed one — stale
-    // copies of keys that now live, and change, in the sibling. Left-to-right
-    // readers stop at the terminator. The counter shares the header line
-    // with the sibling pointer, so Step 2's persist carries it.
+    // in delete direction would show a reader that arrives late — every
+    // directed one — stale copies of keys that now live, and change, in the
+    // sibling. Left-to-right readers stop at the terminator. A full node is
+    // odd after a crash that cut a delete between its counter bump (header
+    // line, persisted) and its poison store (record line, lost): repair
+    // finds no residue and the next insert splits it here. The counter
+    // shares the header line with the sibling pointer, so Step 2's persist
+    // carries it.
     let sc = node.switch_counter();
     if sc % 2 == 1 {
         node.set_switch_counter(sc + 1);
@@ -261,7 +264,7 @@ pub(crate) fn grow_root(
             return Err(e.into());
         }
     };
-    let mut nr = tree.node(nr_off);
+    let nr = tree.node(nr_off);
     nr.init(new_level);
     nr.set_leftmost(root_off);
     nr.set_key(0, key);

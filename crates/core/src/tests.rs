@@ -738,17 +738,12 @@ fn concurrent_mixed_workload() {
     t.check_consistency(true).unwrap();
 }
 
-/// The four layout variants of the microarchitecture sweep: baseline,
-/// fingerprinted probes, circular record frame, and both combined.
-fn geometry_variants() -> [(&'static str, TreeOptions); 4] {
+/// The two layout variants of the microarchitecture sweep: baseline and
+/// fingerprinted probes.
+fn geometry_variants() -> [(&'static str, TreeOptions); 2] {
     [
         ("base", TreeOptions::new()),
         ("fp", TreeOptions::new().fingerprints(true)),
-        ("circ", TreeOptions::new().circular(true)),
-        (
-            "fp+circ",
-            TreeOptions::new().fingerprints(true).circular(true),
-        ),
     ]
 }
 
@@ -757,21 +752,15 @@ fn layout_variant_names_and_capacity() {
     let p = pool(64);
     let base = tree_with(&p, TreeOptions::new());
     let fp = tree_with(&p, TreeOptions::new().fingerprints(true));
-    let circ = tree_with(&p, TreeOptions::new().circular(true));
-    let both = tree_with(&p, TreeOptions::new().fingerprints(true).circular(true));
     assert_eq!(base.name(), "FAST+FAIR");
     assert_eq!(fp.name(), "FAST+FAIR+FP");
-    assert_eq!(circ.name(), "FAST+FAIR+Circ");
-    assert_eq!(both.name(), "FAST+FAIR+FP+Circ");
     // Fingerprints cost whole reserved cache lines of record capacity.
     assert!(fp.node_capacity() < base.node_capacity());
-    assert_eq!(circ.node_capacity(), base.node_capacity());
-    assert_eq!(both.node_capacity(), fp.node_capacity());
 }
 
 /// Every layout variant matches a model under the shapes that stress its
-/// mechanics: random churn, descending inserts (slot-0 / head-retreat
-/// path), low-slot deletes (head-advance path), and equal adjacent values.
+/// mechanics: random churn, descending inserts (every insert lands in
+/// slot 0), low-slot deletes, and equal adjacent values.
 #[test]
 fn layout_variants_match_model() {
     for (name, opts) in geometry_variants() {
@@ -780,7 +769,7 @@ fn layout_variants_match_model() {
             let t = tree_with(&p, opts.node_size(node_size));
             let mut model = BTreeMap::new();
             // Descending inserts drive every insert through the lowest
-            // slot — the circular head-retreat fast path.
+            // slot — the longest FAST shift.
             for k in (1..=2000u64).rev() {
                 t.insert(k, value_for(k)).unwrap();
                 model.insert(k, value_for(k));
@@ -801,7 +790,8 @@ fn layout_variants_match_model() {
                     );
                 }
             }
-            // Low-slot deletes: removing ascending prefixes hits d < cnt/2.
+            // Low-slot deletes: removing ascending prefixes shifts whole
+            // nodes left.
             let low: Vec<u64> = model.keys().copied().take(500).collect();
             for k in low {
                 assert!(t.remove(k), "{name}/{node_size}: low delete {k}");
@@ -822,8 +812,8 @@ fn layout_variants_match_model() {
 }
 
 /// The strategy bits in the superblock reconstruct the geometry on open —
-/// a tree created with fingerprints/circular reopens correctly even when
-/// the caller passes default options.
+/// a tree created with fingerprints reopens correctly even when the caller
+/// passes default options.
 #[test]
 fn layout_variants_survive_reopen() {
     for (name, opts) in geometry_variants() {
@@ -851,6 +841,28 @@ fn layout_variants_survive_reopen() {
     }
 }
 
+/// A superblock whose strategy tag carries bit 2 — set by trees of the
+/// removed circular record frame — reopens as an error, never as a tree
+/// that would read its records from the wrong slots.
+#[test]
+fn open_rejects_the_retired_circular_frame() {
+    let p = pool(16);
+    let t = tree_with(&p, TreeOptions::new());
+    t.insert(1, value_for(1)).unwrap();
+    let meta = t.meta_offset();
+    drop(t);
+    let strategy = meta + crate::tree::META_STRATEGY;
+    p.store_u64(strategy, p.load_u64(strategy) | 4);
+    let img = p.volatile_image();
+    let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(16 << 20)).unwrap());
+    match FastFairTree::open(p2, meta, TreeOptions::new()) {
+        Err(pmindex::IndexError::Unsupported(msg)) => {
+            assert!(msg.contains("circular record frame was removed"), "{msg}");
+        }
+        other => panic!("reopened a retired-frame tree: {other:?}"),
+    }
+}
+
 /// Bulk load packs fingerprints and the variants accept the full write
 /// path afterwards.
 #[test]
@@ -872,7 +884,7 @@ fn layout_variants_bulk_load() {
 }
 
 /// Lock-free readers stay correct under concurrent writers on every
-/// variant — probes revalidate seal/head/switch-counter, scans retry.
+/// variant — probes revalidate seal and switch counter, scans retry.
 #[test]
 fn layout_variants_concurrent_readers() {
     for (name, opts) in geometry_variants() {
@@ -919,7 +931,7 @@ fn layout_variants_concurrent_readers() {
 
 /// Delete-while-scanning: cursors running concurrently with deletes never
 /// report a key twice or out of order, on every variant (the shape that
-/// stresses the circular head flip against right-to-left readers).
+/// stresses left shifts against right-to-left readers).
 #[test]
 fn layout_variants_delete_while_scanning() {
     for (name, opts) in geometry_variants() {
@@ -1003,33 +1015,6 @@ fn fingerprints_cut_probe_line_touches() {
     assert!(
         fp < base / 2.0,
         "fingerprints should cut lines touched per lookup: base {base:.2}/op vs fp {fp:.2}/op"
-    );
-}
-
-/// The circular lever, measured: taking the short side cuts the mean
-/// shift distance roughly in half on uniform-random churn.
-#[test]
-fn circular_frame_cuts_shift_distance() {
-    let mut per_variant = Vec::new();
-    for circ in [false, true] {
-        let p = pool(128);
-        let t = tree_with(&p, TreeOptions::new().circular(circ));
-        let keys = generate_keys(12_000, KeyDist::Uniform, 107);
-        stats::reset();
-        for &k in &keys {
-            t.insert(k, value_for(k)).unwrap();
-        }
-        for &k in keys.iter().step_by(2) {
-            assert!(t.remove(k));
-        }
-        let s = stats::take();
-        assert!(s.shift_ops > 0);
-        per_variant.push(s.shift_steps as f64 / s.shift_ops as f64);
-    }
-    let (base, circ) = (per_variant[0], per_variant[1]);
-    assert!(
-        circ < base * 0.75,
-        "circular frame should cut mean shift distance: base {base:.2} vs circ {circ:.2}"
     );
 }
 
@@ -1562,21 +1547,22 @@ fn layout_variants_build_racing_level_one_splits_is_usable() {
 /// moved-out upper half stays above the new terminator, where a
 /// right-to-left reader starts, and a reader that arrives late — every
 /// directed one — must not find a key there that lives on, and changes,
-/// in the sibling.
+/// in the sibling. The full node starts in delete direction, as a crash
+/// image leaves it when a delete's counter bump reached PM and its poison
+/// store did not.
 #[test]
-fn circular_split_hides_the_moved_out_half_from_late_readers() {
+fn layout_variants_split_hides_the_moved_out_half_from_late_readers() {
     for (name, opts) in geometry_variants() {
-        if !opts.circular {
-            continue; // only the circular frame's low-side insert leaves a full node odd
-        }
         let p = pool(16);
         let t = tiny_tree(&p, opts);
         let cap = u64::from(t.node_capacity());
-        for k in (1..=cap).rev() {
+        for k in 1..=cap {
             t.insert(k * 10, value_for(k)).unwrap();
         }
         let left = t.find_leaf(10);
-        assert_eq!(t.node(left).switch_counter() % 2, 1, "{name}: set-up");
+        let node = t.node(left);
+        assert_eq!(node.count_records(), t.cap, "{name}: set-up");
+        node.set_switch_counter(node.switch_counter() + 1);
         // Split it, the pending key going to the new sibling. The reader
         // starts two slots above the count hint: look for a key that close
         // to the new terminator.
@@ -1586,6 +1572,94 @@ fn circular_split_hides_the_moved_out_half_from_late_readers() {
         assert_eq!(t.update(moved, 9).unwrap(), Some(value_for(cap / 2 + 2)));
         let late = crate::search::leaf_search_linear(&t, t.node(left), moved);
         assert_eq!(late, None, "{name}: stale copy left of the split");
+        t.check_consistency(true).unwrap();
+    }
+}
+
+/// Entering delete direction nulls everything above the new terminator —
+/// here the upper half a split moved out — and makes it durable with one
+/// persist over the contiguous tail: every line it spans is flushed (or
+/// found clean) once, under a single fence. A node already in delete
+/// direction, or one with nothing above its terminator, flushes nothing.
+#[test]
+fn layout_variants_delete_direction_persists_the_nulled_tail_once() {
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tiny_tree(&p, opts);
+        let cap = u64::from(t.node_capacity());
+        for k in 1..=cap + 1 {
+            t.insert(k * 10, value_for(k)).unwrap();
+        }
+        let node = t.node(t.find_leaf(10));
+        let cnt = node.count_records();
+        assert_ne!(node.ptr(cnt + 1), 0, "{name}: no moved-out half");
+        assert_eq!(node.switch_counter() % 2, 0, "{name}: set-up");
+        let sc = node.switch_counter();
+        let (from, to) = (node.key_off(cnt + 1), node.key_off(t.cap + 2));
+        let lines = (to - 1) / 64 - from / 64 + 1;
+
+        stats::reset();
+        crate::delete::enter_delete_direction(&t, node, cnt);
+        let s = stats::take();
+        assert!((cnt + 1..t.cap + 2).all(|i| node.ptr(i) == 0), "{name}");
+        assert_eq!(node.switch_counter(), sc + 1, "{name}");
+        assert!(s.flushes >= 1, "{name}: the nulled tail was not flushed");
+        assert_eq!(s.flushes + s.flushes_coalesced, lines, "{name}");
+        assert_eq!(s.fences, 1, "{name}");
+
+        // Already odd: only the counter moves.
+        stats::reset();
+        crate::delete::enter_delete_direction(&t, node, cnt);
+        let s = stats::take();
+        assert_eq!((s.flushes, s.fences), (0, 0), "{name}");
+        assert_eq!(node.switch_counter(), sc + 3, "{name}");
+
+        // Even again, but the tail is already NULL: nothing to persist.
+        node.set_switch_counter(sc + 4);
+        stats::reset();
+        crate::delete::enter_delete_direction(&t, node, cnt);
+        let s = stats::take();
+        assert_eq!((s.flushes, s.fences), (0, 0), "{name}");
+        assert_eq!(node.switch_counter(), sc + 5, "{name}");
+    }
+}
+
+/// Header word 56 is reserved (see the format table in `layout.rs`): no
+/// write path of either layout ever sets it, so every node of a churned
+/// tree still reads 0 there.
+#[test]
+fn layout_variants_leave_the_reserved_header_word_zero() {
+    const RESERVED_OFF: u64 = 56;
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tiny_tree(&p, opts);
+        let keys = generate_keys(3_000, KeyDist::Uniform, 61);
+        for &k in &keys {
+            t.insert(k, value_for(k)).unwrap();
+        }
+        for &k in keys.iter().step_by(3) {
+            assert!(t.remove(k));
+        }
+        for &k in keys.iter().skip(1).step_by(3) {
+            assert!(t.update(k, value_for(k ^ 1)).unwrap().is_some());
+        }
+        let mut first = t.root();
+        let mut nodes = 0;
+        loop {
+            let mut off = first;
+            while off != 0 {
+                let n = t.node(off);
+                assert_eq!(p.load_u64(off + RESERVED_OFF), 0, "{name}: node {off:#x}");
+                nodes += 1;
+                off = n.sibling();
+            }
+            let head = t.node(first);
+            if head.is_leaf() {
+                break;
+            }
+            first = head.leftmost();
+        }
+        assert!(nodes > 100, "{name}: walked only {nodes} nodes");
         t.check_consistency(true).unwrap();
     }
 }

@@ -13,9 +13,11 @@
 //!                                 the commit point of a root split)
 //! 16  node size in bytes
 //! 24  strategy tag               (bit 0: logging split; bit 1: leaf
-//!                                 fingerprints; bit 2: circular frame —
-//!                                 0 = plain FAIR, kept compatible with
-//!                                 the old 0/1 encoding)
+//!                                 fingerprints — 0 = plain FAIR, kept
+//!                                 compatible with the old 0/1 encoding;
+//!                                 bit 2: reserved, rejected on open — it
+//!                                 marked the removed circular record
+//!                                 frame)
 //! 32  log head                   (logging variant: node being split, 0 = idle)
 //! 40  lock word                  (volatile; serializes root growth)
 //! 48  log area offset            (logging variant's preallocated undo buffer)
@@ -40,6 +42,10 @@ pub(crate) const META_STRATEGY: u64 = 24;
 pub(crate) const META_LOG_HEAD: u64 = 32;
 pub(crate) const META_LOCK: u64 = 40;
 pub(crate) const META_LOG_AREA: u64 = 48;
+
+/// Strategy bit 2: set by trees whose nodes used the circular record
+/// frame, a layout this crate no longer reads.
+const STRATEGY_RETIRED_FRAME: u64 = 4;
 
 /// How node splits are made failure-atomic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,8 +84,6 @@ pub struct TreeOptions {
     pub leaf_locks: bool,
     /// Leaf fingerprint probes (see [`NodeGeom::fingerprints`]).
     pub fingerprints: bool,
-    /// Circular record frame (see [`NodeGeom::circular`]).
-    pub circular: bool,
 }
 
 impl TreeOptions {
@@ -92,7 +96,6 @@ impl TreeOptions {
             search: InNodeSearch::Linear,
             leaf_locks: false,
             fingerprints: false,
-            circular: false,
         }
     }
 
@@ -136,17 +139,10 @@ impl TreeOptions {
         self
     }
 
-    /// Enables the circular record frame.
-    pub fn circular(mut self, on: bool) -> Self {
-        self.circular = on;
-        self
-    }
-
     /// The node geometry these options describe.
     pub fn geom(&self) -> NodeGeom {
         NodeGeom {
             fingerprints: self.fingerprints,
-            circular: self.circular,
         }
     }
 }
@@ -241,9 +237,6 @@ impl FastFairTree {
         if opts.fingerprints {
             strategy |= 2;
         }
-        if opts.circular {
-            strategy |= 4;
-        }
         pool.store_u64(meta + META_STRATEGY, strategy);
         if opts.split == SplitStrategy::Logging {
             // Undo buffer: 8-byte target tag + a full node image.
@@ -265,24 +258,31 @@ impl FastFairTree {
     /// # Errors
     ///
     /// Returns [`IndexError::PoolExhausted`] wrapping a description if the
-    /// superblock magic does not match.
+    /// superblock magic does not match, and [`IndexError::Unsupported`] if
+    /// the tree was created with the removed circular record frame — its
+    /// records are not where this crate looks for them.
     pub fn open(pool: Arc<Pool>, meta: PmOffset, opts: TreeOptions) -> Result<Self, IndexError> {
         if pool.load_u64(meta) != META_MAGIC {
             return Err(IndexError::PoolExhausted(format!(
                 "no tree superblock at offset {meta:#x}"
             )));
         }
+        let strategy = pool.load_u64(meta + META_STRATEGY);
+        if strategy & STRATEGY_RETIRED_FRAME != 0 {
+            return Err(IndexError::Unsupported(format!(
+                "tree at offset {meta:#x} was created with the circular record frame; \
+                 the circular record frame was removed, so its records cannot be read"
+            )));
+        }
         let node_size = pool.load_u64(meta + META_NODE_SIZE) as u32;
         let mut opts = opts;
         opts.node_size = node_size;
-        let strategy = pool.load_u64(meta + META_STRATEGY);
         opts.split = if strategy & 1 == 1 {
             SplitStrategy::Logging
         } else {
             SplitStrategy::Fair
         };
         opts.fingerprints = strategy & 2 != 0;
-        opts.circular = strategy & 4 != 0;
         let tree = Self::with_meta(pool, meta, node_size, opts);
         tree.undo_log_rollback();
         Ok(tree)
@@ -293,14 +293,10 @@ impl FastFairTree {
             (SplitStrategy::Logging, _, _) => "FAST+Logging",
             (SplitStrategy::Fair, true, _) => "FAST+FAIR+LeafLock",
             (SplitStrategy::Fair, false, InNodeSearch::Binary) => "FAST+FAIR(binary)",
-            (SplitStrategy::Fair, false, InNodeSearch::Linear) => {
-                match (opts.fingerprints, opts.circular) {
-                    (true, true) => "FAST+FAIR+FP+Circ",
-                    (true, false) => "FAST+FAIR+FP",
-                    (false, true) => "FAST+FAIR+Circ",
-                    (false, false) => "FAST+FAIR",
-                }
+            (SplitStrategy::Fair, false, InNodeSearch::Linear) if opts.fingerprints => {
+                "FAST+FAIR+FP"
             }
+            (SplitStrategy::Fair, false, InNodeSearch::Linear) => "FAST+FAIR",
         };
         let epoch = EpochDomain::new();
         FastFairTree {
@@ -435,9 +431,7 @@ impl FastFairTree {
     /// of Algorithm 3).
     fn route_linear(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
         let cap = self.cap;
-        let mut node = node;
         loop {
-            node.reframe();
             let sc = node.switch_counter();
             let mut child = node.leftmost();
             let mut scanned: u16 = 0;
@@ -491,7 +485,7 @@ impl FastFairTree {
             // Internal-node lines are LLC-resident on the modelled testbed;
             // no scan charge here (the leaf scan is charged in `search`).
             let _ = scanned;
-            if node.switch_counter() == sc && node.head_unchanged() {
+            if node.switch_counter() == sc {
                 if child == NULL_OFFSET {
                     // Transient empty view; retry.
                     std::hint::spin_loop();

@@ -346,11 +346,8 @@ fn crash_during_inplace_updates_with_warm_hints_enumerates_the_same_images() {
 #[test]
 fn crash_during_mixed_ops_with_warm_directory_enumerates_the_same_images() {
     let (preload, ops) = mixed_ops();
-    for (fingerprints, circular) in [(false, false), (true, false), (false, true)] {
-        let opts = TreeOptions::new()
-            .node_size(256)
-            .fingerprints(fingerprints)
-            .circular(circular);
+    for fingerprints in [false, true] {
+        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
         let cold = crash_sweep_logged(opts, &preload, &ops, 7, false);
         let warm = crash_sweep_logged(opts, &preload, &ops, 7, true);
         assert_eq!(warm, cold, "directed ops logged different stores");
@@ -476,68 +473,36 @@ fn crash_during_fingerprinted_deletes_and_updates() {
 }
 
 #[test]
-fn crash_during_circular_head_retreat_inserts() {
-    // Every op lands below the median of the circular leaf, driving the
-    // head-retreat path: the sweep cuts between the wrap-slot poison, the
-    // head store/persist, each ascending copy and the final insert.
+fn crash_during_front_inserts() {
+    // Every op lands in slot 0 of a filling leaf — the longest FAST shift,
+    // each copy crossing every record line — on both layouts (the
+    // fingerprinted leaf holds 6 records, so its batch also splits).
     let preload: Vec<u64> = (5..=9).map(|k| k * 100).collect();
     let ops: Vec<Op> = [450u64, 350, 250, 150, 50]
         .iter()
         .map(|&k| Op::Insert(k))
         .collect();
-    crash_sweep(
-        TreeOptions::new().node_size(256).circular(true),
-        &preload,
-        &ops,
-        1,
-    );
+    for fingerprints in [false, true] {
+        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
+        crash_sweep(opts, &preload, &ops, 1);
+    }
 }
 
 #[test]
-fn crash_during_circular_head_advance_deletes() {
-    // Deleting ascending minima keeps the victim below cnt/2, driving the
-    // head-advance path: cuts land between the poison commit, each
-    // descending copy, the pre-flip durability flush and the head persist.
-    let preload: Vec<u64> = (1..=10).map(|k| k * 100).collect();
+fn crash_during_deletes_after_a_split() {
+    // The split strands the moved-out half above the left leaf's new
+    // terminator; the first delete there enters delete direction, nulling
+    // that tail with one persist before its left shift. Deleting ascending
+    // minima makes every shift the longest one.
+    let preload: Vec<u64> = (1..=14).map(|k| k * 100).collect();
     let ops: Vec<Op> = [100u64, 200, 300, 400]
         .iter()
         .map(|&k| Op::Delete(k))
         .collect();
-    crash_sweep(
-        TreeOptions::new().node_size(256).circular(true),
-        &preload,
-        &ops,
-        1,
-    );
-}
-
-#[test]
-fn crash_during_fp_circ_mixed_ops() {
-    // Both levers on at once: lockstep fingerprint moves ride the circular
-    // copies in both directions, across splits.
-    let preload: Vec<u64> = (1..=25).map(|k| k * 8).collect();
-    let mut live: std::collections::BTreeSet<u64> = preload.iter().copied().collect();
-    let ops: Vec<Op> = (0..24u64)
-        .map(|i| match i % 3 {
-            0 => Op::Insert(i * 13 + 3),
-            1 => Op::Update(((i % 25) + 1) * 8),
-            _ => Op::Delete(((i * 7) % 25 + 1) * 8),
-        })
-        .filter(|op| match op {
-            Op::Insert(k) => live.insert(*k),
-            Op::Update(k) => live.contains(k),
-            Op::Delete(k) => live.remove(k),
-        })
-        .collect();
-    crash_sweep(
-        TreeOptions::new()
-            .node_size(256)
-            .fingerprints(true)
-            .circular(true),
-        &preload,
-        &ops,
-        3,
-    );
+    for fingerprints in [false, true] {
+        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
+        crash_sweep(opts, &preload, &ops, 1);
+    }
 }
 
 #[test]
@@ -554,12 +519,9 @@ fn crash_variant_axis_seeded() {
     for (i, &k) in preload.iter().enumerate().take(8) {
         ops.insert(i * 3 + 2, Op::Delete(k));
     }
-    for geom in [
-        TreeOptions::new().fingerprints(true),
-        TreeOptions::new().circular(true),
-        TreeOptions::new().fingerprints(true).circular(true),
-    ] {
-        crash_sweep(geom.node_size(256), &preload, &ops, 11);
+    for fingerprints in [false, true] {
+        let geom = TreeOptions::new().node_size(256).fingerprints(fingerprints);
+        crash_sweep(geom, &preload, &ops, 11);
     }
 }
 

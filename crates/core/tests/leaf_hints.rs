@@ -40,14 +40,9 @@ use pmindex::PmIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn variants() -> [(&'static str, TreeOptions); 4] {
+fn variants() -> [(&'static str, TreeOptions); 2] {
     let tiny = TreeOptions::new().node_size(256);
-    [
-        ("base", tiny),
-        ("fp", tiny.fingerprints(true)),
-        ("circ", tiny.circular(true)),
-        ("fp+circ", tiny.fingerprints(true).circular(true)),
-    ]
+    [("base", tiny), ("fp", tiny.fingerprints(true))]
 }
 
 /// Reads `keys` until reads of them are being directed.

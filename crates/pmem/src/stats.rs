@@ -88,8 +88,8 @@ pub struct Snapshot {
     /// that moved at least zero records; every call site counts one op).
     pub shift_ops: u64,
     /// Total records moved by in-node shifts. `shift_steps / shift_ops` is
-    /// the mean shift distance — the metric the circular-layout ablation
-    /// halves (Circ-Tree's N/2 → N/4 claim).
+    /// the mean shift distance: about N/2 records for uniform keys in a
+    /// node holding N, the cost FAST's in-place shift pays per write.
     pub shift_steps: u64,
     /// Point operations (`get`, leaf-level `insert` / `update`, `remove`,
     /// cursor seeks) that consulted a tree's volatile leaf directory.

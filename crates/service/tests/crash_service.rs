@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fastfair::FastFairTree;
 use pmem::crash::Eviction;
@@ -357,7 +358,14 @@ fn record_service_history(readers: bool) -> (Arc<Pool>, Vec<pmem::crash::Event>,
             });
         }
         let client = service.handle();
+        // With readers, each step first waits (until a deadline) for one
+        // more inline read, so that the reads interleave with the whole
+        // history however quickly the trees serve it.
+        let deadline = Instant::now() + Duration::from_secs(30);
         for k in 1..=200u64 {
+            while readers && service.stats().inline_gets() < k && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             // A fresh key beside an old one (splits included), an in-place
             // overwrite, and a delete that empties no leaf.
             assert_eq!(client.insert(k * 10 + 5, k).unwrap(), None);
