@@ -350,6 +350,36 @@ pub fn take() -> Snapshot {
     s
 }
 
+/// Adds `s` to this thread's counters — how work done on a helper thread
+/// on this thread's behalf is counted here: the helper [`take`]s its
+/// counters when it finishes, and the thread that handed it the work
+/// absorbs them. A harvester that later `take`s this thread's counters
+/// then sees both threads' work.
+pub fn absorb(s: Snapshot) {
+    let add = |c: &'static std::thread::LocalKey<Cell<u64>>, n: u64| c.with(|c| c.set(c.get() + n));
+    add(&FLUSHES, s.flushes);
+    add(&FLUSHES_COALESCED, s.flushes_coalesced);
+    add(&SHIFT_OPS, s.shift_ops);
+    add(&SHIFT_STEPS, s.shift_steps);
+    add(&HINT_LOOKUPS, s.leaf_hint_lookups);
+    add(&HINT_HITS, s.leaf_hint_hits);
+    add(&HINT_REBUILDS, s.leaf_hint_rebuilds);
+    add(&FENCES, s.fences);
+    add(&DMB, s.dmb_barriers);
+    add(&SERIAL, s.serial_misses);
+    add(&PARALLEL, s.parallel_lines);
+    add(&RECYCLED, s.nodes_recycled);
+    add(&MANIFEST, s.manifest_commits);
+    add(&EPOCH_ADV, s.epoch_advances);
+    add(&LIMBO, s.nodes_limbo);
+    add(&RECYCLED_ONLINE, s.nodes_recycled_online);
+    add(&TXN_COMMITS, s.txn_commits);
+    add(&TXN_REPLAYS, s.txn_replays);
+    add(&FLUSH_NS, s.flush_ns);
+    add(&SEARCH_NS, s.search_ns);
+    add(&UPDATE_NS, s.update_ns);
+}
+
 /// Runs `f`, attributing its wall-clock time to `phase`.
 ///
 /// Time spent inside nested flush operations is *also* accumulated into the
@@ -496,5 +526,41 @@ mod tests {
         let mut acc = Snapshot::default();
         acc += a;
         assert_eq!(acc, a);
+    }
+
+    #[test]
+    fn absorb_adds_every_counter() {
+        // Every field distinct, so a counter absorbed into the wrong cell
+        // or not at all shows.
+        let a = Snapshot {
+            flushes: 1,
+            flushes_coalesced: 2,
+            fences: 3,
+            dmb_barriers: 4,
+            serial_misses: 5,
+            parallel_lines: 6,
+            nodes_recycled: 7,
+            manifest_commits: 8,
+            epoch_advances: 9,
+            nodes_limbo: 10,
+            nodes_recycled_online: 11,
+            txn_commits: 12,
+            txn_replays: 13,
+            shift_ops: 14,
+            shift_steps: 15,
+            leaf_hint_lookups: 16,
+            leaf_hint_hits: 17,
+            leaf_hint_rebuilds: 18,
+            flush_ns: 19,
+            search_ns: 20,
+            update_ns: 21,
+        };
+        reset();
+        count_flush(100);
+        absorb(a);
+        let mut want = a;
+        want.flushes += 1;
+        want.flush_ns += 100;
+        assert_eq!(take(), want);
     }
 }

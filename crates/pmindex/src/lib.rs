@@ -766,8 +766,8 @@ impl<C: Cursor> Iterator for CursorIter<C> {
 }
 
 /// The routing half of [`PmIndex::apply_batch_prev`] for anything that
-/// fans a batch out over several backing stores (`shard::ShardedStore`
-/// over its shards, `txn::apply_grouped_prev` over its tables): splits
+/// fans a batch out over several backing stores one after another
+/// (`txn::apply_grouped_prev` over its tables): splits
 /// `ops` — each tagged with its bucket — into one group per bucket in
 /// batch order, hands every non-empty group to `apply(bucket, group,
 /// group_prev)` once, and scatters the group's answers back so `prev`

@@ -8,7 +8,7 @@
 //! implements [`PmIndex`], every harness in this repository (differential
 //! tests, TPC-C, the figure benches) runs against it unchanged.
 //!
-//! Three design points carry the paper's spirit upward a layer:
+//! Four design points carry the paper's spirit upward a layer:
 //!
 //! * **Scans stay streaming.** [`PmIndex::cursor`] returns a K-way merged
 //!   cursor over per-shard [`Cursor`]s: a binary-heap merge under hash
@@ -28,6 +28,16 @@
 //!   step recovers to the old shard map with the old shard intact — the
 //!   half-built replacement merely leaks, the standard PM-allocator
 //!   trade-off this repository documents on [`pmem::Pool::free`].
+//! * **A batch applies its shards in parallel.** Shards hold disjoint
+//!   keys, so only ops within one shard must keep their order.
+//!   [`PmIndex::apply_batch`] and [`PmIndex::apply_batch_prev`] route a
+//!   batch once; when two shards each get at least [`MIN_SPLIT`] ops, the
+//!   smaller such group goes to a helper thread the store owns while the
+//!   calling thread applies the rest, and the call returns once both are
+//!   done — FAST+FAIR's concurrent writers on different nodes (§5.6), used
+//!   for a redo journal's apply phase. The helper hands its `pmem::stats`
+//!   counters back at the join, so the caller's counters cover the whole
+//!   batch.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,12 +64,15 @@
 
 #![deny(missing_docs)]
 
+#[cfg(test)]
+mod apply_tests;
+mod helper;
 mod manifest;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use pmem::{PmOffset, Pool};
@@ -219,7 +232,20 @@ pub struct ShardedStore<I> {
     /// its pool online, two epochs after the last pre-flip reader let go
     /// — instead of gating on `Drop`.
     reclaim: Arc<epoch::EpochDomain>,
+    /// The thread that applies one shard's group of a split batch:
+    /// started by the first split, joined when the store drops. `None`
+    /// inside means it could not be started, and batches apply serially.
+    helper: OnceLock<Option<helper::Helper>>,
+    /// Batch applies that split (see [`ShardedStore::split_applies`]).
+    split_applies: AtomicU64,
 }
+
+/// Fewest ops that each of two shards must receive before a batch apply
+/// splits across the calling thread and the store's helper thread, so a
+/// group of one op is not worth a hand-over. On the standing benchmark's
+/// write workload (`perf`'s `svc_write`) 1, 2 and 4 measure within
+/// run-to-run noise of each other, and 96–97 % of its groups split at 2.
+pub const MIN_SPLIT: usize = 2;
 
 impl<I> std::fmt::Debug for ShardedStore<I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -262,14 +288,25 @@ impl<I: PmIndex> ShardedStore<I> {
             partitioning.shards(),
             "index count must match the partitioning's shard count"
         );
-        ShardedStore {
-            shards: indexes
-                .into_iter()
-                .map(|i| ShardSlot::new(Arc::new(i)))
-                .collect(),
+        Self::assemble(
+            indexes.into_iter().map(Arc::new).collect(),
             partitioning,
-            persist: None,
+            None,
+        )
+    }
+
+    fn assemble(
+        indexes: Vec<Arc<I>>,
+        partitioning: Partitioning,
+        persist: Option<PersistState>,
+    ) -> Self {
+        ShardedStore {
+            shards: indexes.into_iter().map(ShardSlot::new).collect(),
+            partitioning,
+            persist,
             reclaim: epoch::EpochDomain::new(),
+            helper: OnceLock::new(),
+            split_applies: AtomicU64::new(0),
         }
     }
 
@@ -408,6 +445,99 @@ impl<I: PmIndex> ShardedStore<I> {
     fn feeds(&self) -> Vec<Feed<I>> {
         self.shards.iter().map(|s| Feed::new(s.current())).collect()
     }
+
+    /// Batch applies ([`PmIndex::apply_batch`] /
+    /// [`PmIndex::apply_batch_prev`]) that split their shards' groups
+    /// across the calling thread and the store's helper thread. A split
+    /// group may still run on the calling thread, when the helper has not
+    /// picked it up by the time the caller's own groups are done.
+    ///
+    /// ```
+    /// use pmindex::{BatchOp, PmIndex};
+    /// use shard::{Partitioning, ShardedStore, MIN_SPLIT};
+    ///
+    /// let store = ShardedStore::from_indexes(
+    ///     vec![blink::BlinkTree::new(), blink::BlinkTree::new()],
+    ///     Partitioning::Range { bounds: vec![100] },
+    /// );
+    /// store.apply_batch(&[BatchOp::Put(1, 10), BatchOp::Put(200, 20)])?;
+    /// assert_eq!(store.split_applies(), 0); // one op per shard: serial
+    /// let ops: Vec<_> = (0..MIN_SPLIT as u64)
+    ///     .flat_map(|i| [BatchOp::Put(1 + i, 10), BatchOp::Put(200 + i, 20)])
+    ///     .collect();
+    /// store.apply_batch(&ops)?;
+    /// assert_eq!(store.split_applies(), 1);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn split_applies(&self) -> u64 {
+        self.split_applies.load(Ordering::Relaxed)
+    }
+
+    /// `ops` routed to their shards, in batch order within each shard.
+    fn route_batch(&self, ops: &[BatchOp]) -> Vec<Vec<BatchOp>> {
+        let mut groups = vec![Vec::new(); self.shards.len()];
+        for &op in ops {
+            groups[self.partitioning.shard_of(op.key())].push(op);
+        }
+        groups
+    }
+
+    /// Runs `apply` on every non-empty group, each under its shard's
+    /// write gate, and returns the results by shard (`None` for an empty
+    /// group). When [`ShardedStore::split_target`] names a group, it goes
+    /// to the helper while this thread applies the others. On failure,
+    /// which other groups applied is unspecified — each op is idempotent
+    /// redo — and if both threads fail, this thread's error is returned.
+    fn apply_groups<T: Send>(
+        &self,
+        groups: &[Vec<BatchOp>],
+        apply: impl Fn(&I, &[BatchOp]) -> Result<T, IndexError> + Sync,
+    ) -> Result<Vec<Option<T>>, IndexError> {
+        let run = |shard: usize| {
+            let group = &groups[shard];
+            if group.is_empty() {
+                return Ok(None);
+            }
+            let slot = &self.shards[shard];
+            let _gate = slot.write_gate.read();
+            apply(&slot.current(), group).map(Some)
+        };
+        let all_but = |skip: Option<usize>| {
+            (0..groups.len())
+                .filter(|&s| Some(s) != skip)
+                .map(run)
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let Some((posted, helper)) = self.split_target(groups) else {
+            return all_but(None);
+        };
+        self.split_applies.fetch_add(1, Ordering::Relaxed);
+        let (mine, theirs) = helper.join(|| run(posted), || all_but(Some(posted)));
+        let mut results = mine?;
+        results.insert(posted, theirs?);
+        Ok(results)
+    }
+
+    /// The group a batch apply hands to the helper, and the helper
+    /// (started here on the store's first split): the smallest group of
+    /// at least [`MIN_SPLIT`] ops, if another group is at least as large,
+    /// so the calling thread keeps the larger half. `None`: apply
+    /// serially.
+    fn split_target(&self, groups: &[Vec<BatchOp>]) -> Option<(usize, &helper::Helper)> {
+        let big = || {
+            groups
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.len() >= MIN_SPLIT)
+        };
+        big().nth(1)?;
+        let (posted, _) = big().min_by_key(|(_, g)| g.len())?;
+        let helper = self
+            .helper
+            .get_or_init(|| helper::Helper::spawn().ok())
+            .as_ref()?;
+        Some((posted, helper))
+    }
 }
 
 impl<I: PersistentIndex> ShardedStore<I> {
@@ -458,18 +588,17 @@ impl<I: PersistentIndex> ShardedStore<I> {
             .iter()
             .map(|p| I::create_in(Arc::clone(p)).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        let store = ShardedStore {
-            shards: indexes.into_iter().map(ShardSlot::new).collect(),
+        let store = Self::assemble(
+            indexes,
             partitioning,
-            persist: Some(PersistState {
+            Some(PersistState {
                 manifest_pool,
                 slots: Mutex::new((0..shard_pools.len() as u64).collect()),
                 pools: Mutex::new(shard_pools),
                 epoch: AtomicU64::new(0),
                 rebalance: Mutex::new(()),
             }),
-            reclaim: epoch::EpochDomain::new(),
-        };
+        );
         store.commit_manifest(0)?;
         Ok(store)
     }
@@ -519,7 +648,7 @@ impl<I: PersistentIndex> ShardedStore<I> {
         } else {
             Partitioning::Hash { shards: n }
         };
-        let mut shards = Vec::with_capacity(n);
+        let mut indexes = Vec::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
         for e in &rec.entries {
             let pool = pools.get(e.slot as usize).ok_or_else(|| {
@@ -529,24 +658,20 @@ impl<I: PersistentIndex> ShardedStore<I> {
                     pools.len()
                 ))
             })?;
-            shards.push(ShardSlot::new(Arc::new(I::open_in(
-                Arc::clone(pool),
-                e.meta,
-            )?)));
+            indexes.push(Arc::new(I::open_in(Arc::clone(pool), e.meta)?));
             slots.push(e.slot);
         }
-        Ok(ShardedStore {
-            shards,
+        Ok(Self::assemble(
+            indexes,
             partitioning,
-            persist: Some(PersistState {
+            Some(PersistState {
                 manifest_pool,
                 pools: Mutex::new(pools),
                 slots: Mutex::new(slots),
                 epoch: AtomicU64::new(rec.epoch),
                 rebalance: Mutex::new(()),
             }),
-            reclaim: epoch::EpochDomain::new(),
-        })
+        ))
     }
 
     /// Current manifest epoch, or `None` for a volatile router. Every
@@ -930,23 +1055,14 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
 
     fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
         // Route once, then apply per shard under a single write-gate
-        // acquisition per shard — instead of the default's gate-per-op.
-        // Within a shard the ops keep batch order, so a Put/Delete pair
-        // on the same key lands in the right final state; across shards
-        // the keyspaces are disjoint, so regrouping cannot reorder
-        // conflicting ops.
-        let mut per_shard: Vec<Vec<BatchOp>> = vec![Vec::new(); self.shards.len()];
-        for &op in ops {
-            per_shard[self.partitioning.shard_of(op.key())].push(op);
-        }
-        for (i, group) in per_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let slot = &self.shards[i];
-            let _gate = slot.write_gate.read();
-            slot.current().apply_batch(&group)?;
-        }
+        // acquisition per shard — instead of the default's gate-per-op —
+        // two shards in parallel when the batch is big enough. Within a
+        // shard the ops keep batch order, so a Put/Delete pair on the same
+        // key lands in the right final state; across shards the keyspaces
+        // are disjoint, so regrouping cannot reorder conflicting ops.
+        self.apply_groups(&self.route_batch(ops), |index, group| {
+            index.apply_batch(group)
+        })?;
         Ok(())
     }
 
@@ -955,20 +1071,24 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
         ops: &[BatchOp],
         prev: &mut Vec<Option<Value>>,
     ) -> Result<(), IndexError> {
-        // The same per-shard grouping as `apply_batch`, one write-gate
-        // acquisition per shard, each shard's answers scattered back to
-        // where its ops sat in the input.
-        pmindex::apply_bucketed_prev(
-            self.shards.len(),
-            ops.iter()
-                .map(|&op| (self.partitioning.shard_of(op.key()), op)),
-            prev,
-            |shard, group, group_prev| {
-                let slot = &self.shards[shard];
-                let _gate = slot.write_gate.read();
-                slot.current().apply_batch_prev(group, group_prev)
-            },
-        )
+        // The same grouping as `apply_batch`, each shard's answers
+        // scattered back to where its ops sat in the input.
+        let answers = self.apply_groups(&self.route_batch(ops), |index, group| {
+            let mut out = Vec::with_capacity(group.len());
+            index.apply_batch_prev(group, &mut out)?;
+            assert_eq!(out.len(), group.len(), "one prev entry per op");
+            Ok(out)
+        })?;
+        let mut answers: Vec<_> = answers
+            .into_iter()
+            .map(|a| a.unwrap_or_default().into_iter())
+            .collect();
+        prev.extend(ops.iter().map(|op| {
+            answers[self.partitioning.shard_of(op.key())]
+                .next()
+                .expect("one answer per op")
+        }));
+        Ok(())
     }
 
     fn name(&self) -> &'static str {

@@ -2,13 +2,16 @@
 //! operation-for-operation indistinguishable from a single `FastFairTree`
 //! over randomized mixed workloads — inserts, in-place updates, deletes,
 //! point gets, materialized ranges and streaming cursor scans — under both
-//! partitionings.
+//! partitionings. A last test checks the parallel batch apply against a
+//! serial model while readers and a rebalance run beside it.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fastfair::{FastFairTree, TreeOptions};
 use pmem::{Pool, PoolConfig};
-use pmindex::{Cursor, PmIndex};
+use pmindex::{BatchOp, Cursor, PmIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use shard::{Partitioning, ShardedStore};
@@ -141,4 +144,119 @@ fn sparse_keyspace_with_interleaved_rebalances() {
         assert_eq!(sharded.epoch(), Some(round as u64 + 1));
         assert_eq!(scan(&sharded, 0, u64::MAX), scan(&single, 0, u64::MAX));
     }
+}
+
+/// Values carry their key in the low bits, so a reader can tell a torn or
+/// misrouted value from a merely old one.
+const KEY_BITS: u32 = 20;
+
+fn tagged(key: u64, version: u64) -> u64 {
+    (version << KEY_BITS) | key
+}
+
+fn check_tagged(key: u64, value: u64, ctx: &str) {
+    assert_eq!(
+        value & ((1 << KEY_BITS) - 1),
+        key,
+        "{ctx}: key {key} reads {value:#x}"
+    );
+}
+
+/// One random group: puts and deletes over a small hot range (so keys
+/// repeat within and across groups), some keys twice in a row as a put
+/// then a delete or a delete then a put.
+fn random_group(rng: &mut StdRng, version: &mut u64) -> Vec<BatchOp> {
+    let mut ops = Vec::new();
+    for _ in 0..rng.gen_range(1..=20) {
+        let k = rng.gen_range(1..3_000u64);
+        *version += 1;
+        match rng.gen_range(0..10) {
+            0..=5 => ops.push(BatchOp::Put(k, tagged(k, *version))),
+            6..=7 => ops.push(BatchOp::Delete(k)),
+            8 => ops.extend([BatchOp::Put(k, tagged(k, *version)), BatchOp::Delete(k)]),
+            _ => ops.extend([BatchOp::Delete(k), BatchOp::Put(k, tagged(k, *version))]),
+        }
+    }
+    ops
+}
+
+/// Random groups through `apply_batch_prev`, split across the store's
+/// helper thread, while two readers run gets and cursor scans and one
+/// `rebalance_into` moves a shard: every `prev` entry and the final
+/// contents must equal a `BTreeMap` applying the same groups serially,
+/// and every read must see a value its key was given.
+#[test]
+fn parallel_apply_matches_a_serial_model_under_readers_and_a_rebalance() {
+    const GROUPS: usize = 5_000;
+    let p = pool(128 << 20);
+    let store: ShardedStore<FastFairTree> = ShardedStore::create(
+        Arc::clone(&p),
+        vec![Arc::clone(&p); 2],
+        Partitioning::Hash { shards: 2 },
+    )
+    .unwrap();
+    let mut model = BTreeMap::new();
+    let done = AtomicBool::new(false);
+    let applied = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while applied.load(Ordering::SeqCst) < GROUPS / 3 {
+                std::thread::yield_now();
+            }
+            store.rebalance_into(0, 2, pool(64 << 20)).unwrap();
+        });
+        for seed in 0..2u64 {
+            let (store, done) = (&store, &done);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x5eed + seed);
+                let mut reads = 0u64;
+                while !done.load(Ordering::SeqCst) || reads < 1_000 {
+                    let k = rng.gen_range(1..3_000u64);
+                    if rng.gen_range(0..4) == 0 {
+                        let mut c = store.cursor();
+                        c.seek(k);
+                        let mut last = None;
+                        for _ in 0..32 {
+                            let Some((key, value)) = c.next() else { break };
+                            assert!(
+                                key >= k && last < Some(key),
+                                "scan from {k}: {key} after {last:?}"
+                            );
+                            check_tagged(key, value, "scan");
+                            last = Some(key);
+                        }
+                    } else if let Some(value) = store.get(k) {
+                        check_tagged(k, value, "get");
+                    }
+                    reads += 1;
+                }
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(0xa991);
+        let mut version = 0;
+        for group in 0..GROUPS {
+            let ops = random_group(&mut rng, &mut version);
+            let want: Vec<Option<u64>> = ops
+                .iter()
+                .map(|&op| match op {
+                    BatchOp::Put(k, v) => model.insert(k, v),
+                    BatchOp::Delete(k) => model.remove(&k),
+                })
+                .collect();
+            let mut prev = vec![Some(0)]; // answers are appended
+            store.apply_batch_prev(&ops, &mut prev).unwrap();
+            assert_eq!(prev[1..], want[..], "group {group}: {ops:?}");
+            applied.store(group + 1, Ordering::SeqCst);
+        }
+        done.store(true, Ordering::SeqCst);
+    });
+    assert_eq!(store.epoch(), Some(1));
+    assert!(
+        store.split_applies() > GROUPS as u64 / 4,
+        "{} splits",
+        store.split_applies()
+    );
+    let got: Vec<(u64, u64)> = pmindex::CursorIter(store.cursor()).collect();
+    let want: Vec<(u64, u64)> = model.into_iter().collect();
+    assert_eq!(got, want, "final contents diverge from the serial model");
 }

@@ -1,7 +1,7 @@
 //! The spin-then-park schedule both hand-off shims wait by — one source
 //! file, compiled into `crossbeam_channel` and `oneshot` alike with
 //! `#[path]`, so the two crates share one bound without a third package
-//! in every lockfile.
+//! in every lockfile. `shard`'s apply helper waits by it too.
 //!
 //! A waiter whose peer is mid-request does not sleep: a futex wake-up
 //! costs the waker a syscall and the sleeper 20–50 µs of vCPU wake-up

@@ -20,6 +20,10 @@
 //! * the journal is clean after recovery (`pending()` false, a second
 //!   `recover` replays nothing).
 //!
+//! A group big enough for `ShardedStore` to apply its two shards on two
+//! threads gets the same zero-or-all sweep over the interleaved stores of
+//! both.
+//!
 //! A separate live (crash-free) test drives committers against
 //! snapshot readers and asserts a `Snapshot` never observes a
 //! half-applied batch.
@@ -31,8 +35,8 @@ use std::sync::Arc;
 use fastfair::{FastFairTree, TreeOptions};
 use pmem::crash::Eviction;
 use pmem::{Pool, PoolConfig};
-use pmindex::{PersistentIndex, PmIndex};
-use shard::{Partitioning, ShardedStore};
+use pmindex::{BatchOp, PersistentIndex, PmIndex};
+use shard::{Partitioning, ShardedStore, MIN_SPLIT};
 use txn::{TxnEngine, WriteBatch};
 
 const POOL: usize = 4 << 20;
@@ -337,6 +341,128 @@ fn cross_shard_payment_batch_crash_sweep() {
         }
     }
     assert_eq!(outcomes, BTreeSet::from([0, 3]));
+}
+
+/// Events one commit of [`split_group`] logs: its apply runs on two
+/// threads, whose events interleave differently from run to run, but
+/// each thread's own stores and flushes do not change, so their number
+/// is fixed.
+const SPLIT_GROUP_EVENTS: usize = 351;
+
+/// A group whose apply splits across the store's two shards: per shard,
+/// `MIN_SPLIT` + 1 fresh puts, `MIN_SPLIT` deletes of preloaded keys and
+/// a put then a delete of one more fresh key, all keys from `from` on.
+/// Returns the preloaded keys (with their values) and the group's ops.
+fn split_group(part: &Partitioning, from: u64) -> (Vec<(u64, u64)>, Vec<BatchOp>) {
+    let mut preload = Vec::new();
+    let mut ops = Vec::new();
+    for shard in 0..part.shards() {
+        let mut keys = (from..).step_by(13).filter(|&k| part.shard_of(k) == shard);
+        for _ in 0..=MIN_SPLIT {
+            let k = keys.next().unwrap();
+            ops.push(BatchOp::Put(k, k + 7));
+        }
+        for _ in 0..MIN_SPLIT {
+            let k = keys.next().unwrap();
+            preload.push((k, k + 1));
+            ops.push(BatchOp::Delete(k));
+        }
+        let k = keys.next().unwrap();
+        ops.extend([BatchOp::Put(k, k + 9), BatchOp::Delete(k)]);
+    }
+    (preload, ops)
+}
+
+/// How much of [`split_group`] a recovered image holds: the number of its
+/// puts and deletes whose effect is visible, insisting every key is in
+/// exactly its before or after state and the put-then-delete key never
+/// shows.
+fn split_group_applied(
+    get: impl Fn(u64) -> Option<u64>,
+    preload: &[(u64, u64)],
+    ops: &[BatchOp],
+    ctx: &str,
+) -> usize {
+    let mut applied = 0;
+    for (i, op) in ops.iter().enumerate() {
+        let paired = ops.iter().filter(|o| o.key() == op.key()).count() > 1;
+        let before = preload.iter().find(|p| p.0 == op.key()).map(|p| p.1);
+        let got = get(op.key());
+        if paired {
+            assert_eq!(got, None, "{ctx}: put-then-delete key {} shows", op.key());
+            continue;
+        }
+        let after = match *op {
+            BatchOp::Put(_, v) => Some(v),
+            BatchOp::Delete(_) => None,
+        };
+        match got {
+            g if g == after => applied += 1,
+            g if g == before => {}
+            g => panic!("{ctx}: op {i} key {} reads {g:?}", op.key()),
+        }
+    }
+    applied
+}
+
+#[test]
+fn split_apply_batch_crash_sweep() {
+    const SHARDS: usize = 2;
+    let part = Partitioning::Hash { shards: SHARDS };
+    let pool = crash_pool();
+    let store: ShardedStore<FastFairTree> = ShardedStore::create(
+        Arc::clone(&pool),
+        vec![Arc::clone(&pool); SHARDS],
+        part.clone(),
+    )
+    .unwrap();
+    let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
+    let (preload, ops) = split_group(&part, 700_000);
+    for &(k, v) in &preload {
+        store.insert(k, v).unwrap();
+    }
+    // A first split starts the helper thread, so the swept apply finds it
+    // waiting for work rather than still starting up.
+    store.apply_batch(&split_group(&part, 900_000).1).unwrap();
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image());
+
+    let mut batch = WriteBatch::new();
+    for &op in &ops {
+        match op {
+            BatchOp::Put(k, v) => batch.put(0, k, v),
+            BatchOp::Delete(k) => batch.delete(0, k),
+        }
+    }
+    assert_eq!(engine.commit(batch, &[&store]).unwrap(), 1);
+    assert_eq!(store.split_applies(), 2, "the group's apply did not split");
+    let total = log.len();
+    assert_eq!(total, SPLIT_GROUP_EVENTS, "events of one split commit");
+
+    let effects = ops.len() - 2 * SHARDS; // the pairs leave no trace
+    let mut outcomes = BTreeSet::new();
+    for cut in 0..=total {
+        for policy in [
+            Eviction::None,
+            Eviction::All,
+            Eviction::random_with_env(4000 + cut as u64),
+        ] {
+            let ctx = format!("cut {cut}/{total} {policy:?}");
+            let img = pool.crash_image(cut, policy);
+            let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
+            let s2: ShardedStore<FastFairTree> =
+                ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS])
+                    .unwrap_or_else(|e| panic!("{ctx}: store open failed: {e}"));
+            let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
+            e2.recover(&[&s2]).unwrap();
+            let n = split_group_applied(|k| s2.get(k), &preload, &ops, &ctx);
+            assert!(n == 0 || n == effects, "{ctx}: torn group — {n}/{effects}");
+            assert_eq!(n == effects, e2.last_committed() == 1, "{ctx}");
+            outcomes.insert(n);
+            assert!(!e2.pending(), "{ctx}");
+        }
+    }
+    assert_eq!(outcomes, BTreeSet::from([0, effects]));
 }
 
 /// Live (crash-free) consistency: while a committer applies batches
