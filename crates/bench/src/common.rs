@@ -30,8 +30,6 @@ pub enum IndexKind {
     FastLogging,
     /// FAST+FAIR with leaf read locks (serializable reads, Fig. 7).
     FastFairLeafLock,
-    /// FAST+FAIR with fingerprinted leaf probes (Fig. 8 ablation).
-    FastFairFp,
     /// FP-tree (selective persistence + fingerprints).
     FpTree,
     /// wB+-tree (slot + bitmap).
@@ -53,9 +51,6 @@ impl IndexKind {
         IndexKind::Wort,
         IndexKind::SkipList,
     ];
-
-    /// The layout-variant ablation field of the Fig. 8 YCSB sweep.
-    pub const FASTFAIR_VARIANTS: [IndexKind; 2] = [IndexKind::FastFair, IndexKind::FastFairFp];
 
     /// The concurrent field of Figure 7.
     pub const CONCURRENT: [IndexKind; 5] = [
@@ -97,15 +92,6 @@ pub fn build_index(kind: IndexKind, pool: &Arc<Pool>, node_size: u32) -> Box<dyn
                     .leaf_locks(true),
             )
             .expect("leaflock"),
-        ),
-        IndexKind::FastFairFp => Box::new(
-            fastfair::FastFairTree::create(
-                Arc::clone(pool),
-                fastfair::TreeOptions::new()
-                    .node_size(node_size)
-                    .fingerprints(true),
-            )
-            .expect("fastfair+fp"),
         ),
         IndexKind::FpTree => Box::new(fptree::FpTree::create(Arc::clone(pool)).expect("fptree")),
         IndexKind::WbTree => Box::new(wbtree::WbTree::create(Arc::clone(pool)).expect("wbtree")),
@@ -514,6 +500,26 @@ mod tests {
         for &k in &keys {
             assert_eq!(random.get(k), Some(value_for(k)));
             assert_eq!(bulk.get(k), random.get(k));
+        }
+    }
+
+    /// The FAST+FAIR kinds build the variant their table rows are labelled
+    /// with, at a non-default node size too.
+    #[test]
+    fn fastfair_kinds_build_the_named_variant() {
+        let keys = generate_keys(500, KeyDist::Uniform, 11);
+        for (kind, name) in [
+            (IndexKind::FastFair, "FAST+FAIR"),
+            (IndexKind::FastLogging, "FAST+Logging"),
+            (IndexKind::FastFairLeafLock, "FAST+FAIR+LeafLock"),
+        ] {
+            let pool = pool_with(LatencyProfile::dram(), keys.len());
+            let index = build_index(kind, &pool, 256);
+            assert_eq!(index.name(), name, "{kind:?}");
+            load_with(index.as_ref(), &keys, Warmup::Random);
+            for &k in &keys {
+                assert_eq!(index.get(k), Some(value_for(k)), "{kind:?}: key {k}");
+            }
         }
     }
 

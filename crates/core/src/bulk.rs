@@ -85,12 +85,6 @@ impl<'a> LevelBuilder<'a> {
         let node = self.tree.node(off);
         node.set_key(slot, key);
         node.set_ptr(slot, ptr);
-        if self.level == 0 {
-            // Fresh leaves are born sealed (init) and stay invisible until
-            // the root swap, so fingerprints are packed right along with
-            // the records and persisted by the node's single flush.
-            node.set_fp(slot, crate::layout::fp_hash(key));
-        }
         node.set_count_hint(slot + 1);
         Ok(())
     }

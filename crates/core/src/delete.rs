@@ -101,9 +101,6 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
             let old = node.ptr(d);
             stats::timed(stats::Phase::Update, || {
                 let cnt = node.count_records();
-                // The records are about to move: break the fingerprint
-                // seal durably first, reseal after.
-                let was_sealed = node.fp_unseal();
                 // Readers must scan right-to-left from now on.
                 enter_delete_direction(tree, node, cnt);
                 // Commit: one atomic poison store invalidates the entry.
@@ -113,7 +110,6 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
                 // for lazy recovery.
                 shift_left_from(tree, node, d, cnt);
                 node.set_count_hint(cnt - 1);
-                node.fp_reseal_after(was_sealed);
                 emptied = cnt == 1;
             });
             old
@@ -145,9 +141,6 @@ pub(crate) fn shift_left_from(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, c
         node.set_key(j, node.key(j + 1));
         pool.fence_if_not_tso();
         node.set_ptr(j, node.ptr(j + 1));
-        // Fingerprints ride along; the terminator slot's 0 propagates down
-        // with it, keeping the above-terminator-zero invariant.
-        node.set_fp(j, node.fp(j + 1));
         pool.fence_if_not_tso();
         if node.rec_line(j + 1) != node.rec_line(j) {
             // Record j completed its cache line: flush before moving on.
@@ -172,7 +165,6 @@ pub(crate) fn shift_left_from(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, c
 /// Idempotent and cheap on clean nodes (one linear scan).
 pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
     let pool = node.pool();
-    let mut repaired = false;
 
     // Step 1: complete a crashed split's truncation.
     let sib_off = node.sibling();
@@ -190,7 +182,6 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
                 }
             }
             if let Some(s) = s {
-                node.fp_unseal();
                 // Insert direction first, as the split itself does: readers
                 // must not start above the terminator this is about to set.
                 let sc = node.switch_counter();
@@ -201,7 +192,6 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
                 node.set_ptr(s, NULL_OFFSET);
                 pool.persist(node.ptr_off(s), 8);
                 node.set_count_hint(s);
-                repaired = true;
             }
         }
     }
@@ -217,11 +207,9 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
             let residue =
                 p == INVALID_PTR || (p != NULL_OFFSET && i > 0 && node.key(i) == node.key(i - 1));
             if residue {
-                node.fp_unseal();
                 enter_delete_direction(tree, node, cnt);
                 shift_left_from(tree, node, i, cnt);
                 node.set_count_hint(cnt - 1);
-                repaired = true;
                 fixed = true;
                 break;
             }
@@ -229,14 +217,5 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
         if !fixed {
             break;
         }
-    }
-
-    // Anything the node inherited from a crash (including a crash image
-    // that lost fingerprint stores but kept its seal broken) is gone now;
-    // rebuild the array from the records and re-arm the seal. Clean nodes
-    // skip this entirely, so the common write path pays nothing here.
-    if repaired && node.is_leaf() {
-        node.rebuild_fps();
-        node.fp_reseal();
     }
 }

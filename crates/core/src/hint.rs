@@ -64,8 +64,8 @@ struct Directory {
 ///    hops, never answers.
 /// 4. **Protocol.** A directed operation is a descending operation that
 ///    arrived late. From the leaf [`FastFairTree::locate_leaf`] returns,
-///    readers run the lock-free scan with its switch-counter / head / seal
-///    recheck and `covering_sibling`, writers latch → `is_deleted` →
+///    readers run the lock-free scan with its switch-counter recheck and
+///    `covering_sibling`, writers latch → `is_deleted` →
 ///    `repair_node_locked` → `covering_sibling` → `find_valid_slot`, and a
 ///    cursor moves right to the covering leaf before it reads — exactly as
 ///    after a descent — and a writer that has to retry retries by descent.

@@ -22,7 +22,7 @@ use epoch::Guard;
 use pmem::{stats, NULL_OFFSET};
 use pmindex::{IndexError, Key, Value};
 
-use crate::layout::{fp_hash, NodeRef, INVALID_PTR};
+use crate::layout::{NodeRef, INVALID_PTR};
 use crate::lock::WriteGuard;
 use crate::tree::{FastFairTree, SplitStrategy};
 
@@ -230,23 +230,8 @@ fn overwrite_in_place(tree: &FastFairTree, node: NodeRef<'_>, slot: u16, value: 
 }
 
 /// Finds the slot of a *valid* entry with exactly `key`, scanning under the
-/// node lock. A sealed fingerprint array short-circuits the scan: only
-/// slots whose fingerprint matches have their record line inspected.
+/// node lock.
 pub(crate) fn find_valid_slot(node: NodeRef<'_>, key: Key) -> Option<u16> {
-    if node.fp_sealed() && node.is_leaf() {
-        let h = fp_hash(key);
-        for i in 0..node.slots() {
-            if node.fp(i) != h {
-                continue;
-            }
-            node.pool().charge_serial_reads(1);
-            let p = node.ptr(i);
-            if p != NULL_OFFSET && p != INVALID_PTR && node.key(i) == key {
-                return Some(i);
-            }
-        }
-        return None;
-    }
     let mut i = 0u16;
     while i <= node.capacity() {
         let p = node.ptr(i);
@@ -274,12 +259,6 @@ pub(crate) fn fast_insert_locked(
 ) {
     debug_assert!(cnt < tree.cap);
     let pool = node.pool();
-
-    // Break the fingerprint seal durably before the first record store so
-    // no crash image pairs a sealed array with half-shifted records;
-    // resealed on every exit below (with a rebuild when the node came in
-    // unsealed from a crash).
-    let was_sealed = node.fp_unseal();
 
     // Make the switch counter even so lock-free readers scan left-to-right,
     // the direction of this right shift — and bump it on *every* shift, not
@@ -316,7 +295,6 @@ pub(crate) fn fast_insert_locked(
             node.set_key(iu + 1, node.key(iu));
             pool.fence_if_not_tso();
             node.set_ptr(iu + 1, node.ptr(iu));
-            node.set_fp(iu + 1, node.fp(iu));
             pool.fence_if_not_tso();
             moved += 1;
             if node.rec_line(iu + 1) != node.rec_line(iu) {
@@ -333,7 +311,6 @@ pub(crate) fn fast_insert_locked(
             node.set_key(iu + 1, key);
             pool.fence_if_not_tso();
             node.set_ptr(iu + 1, value);
-            node.set_fp(iu + 1, fp_hash(key));
             pool.persist(node.key_off(iu + 1), 16);
             inserted = true;
             break;
@@ -352,11 +329,9 @@ pub(crate) fn fast_insert_locked(
         node.set_key(0, key);
         pool.fence_if_not_tso();
         node.set_ptr(0, value);
-        node.set_fp(0, fp_hash(key));
         pool.persist(node.key_off(0), 16);
     }
 
     node.set_count_hint(cnt + 1);
     stats::count_shift(moved);
-    node.fp_reseal_after(was_sealed);
 }

@@ -15,21 +15,19 @@
 //!                          correctness always re-derives from the
 //!                          NULL-pointer terminator)
 //!  40     lock_word       (volatile embedded RW spin lock; reset on open)
-//!  48     fp_seal         (fingerprint trees only: 1 = the fingerprint
-//!                          array is consistent with the records and
-//!                          durable; 0 = under repair, probe linearly)
+//!  48     reserved        (always 0; once the seal of removed leaf
+//!                          fingerprints)
 //!  56     reserved        (always 0; once the head of a removed circular
-//!                          record frame — trees that used it are rejected
-//!                          on open, see `tree.rs`)
-//!  64     fingerprints[]  (fingerprint trees only: one byte per record
-//!                          slot, rounded up to whole cache lines)
-//!  64+fp  records[0].key
-//!  72+fp  records[0].ptr
-//!  80+fp  records[1].key ...
+//!                          record frame)
+//!  64     records[0].key
+//!  72     records[0].ptr
+//!  80     records[1].key ...
 //! ```
 //!
-//! The geometry knob lives in [`NodeGeom`]; the default layout (no
-//! fingerprints) is byte-identical to earlier versions of this crate.
+//! There is one layout: the records start right after the header line.
+//! Trees created with either removed layout are rejected on open (see
+//! `tree.rs`), so both reserved words are free for a new header field such
+//! as a high key.
 //!
 //! Entry `i` is **valid** iff `ptr(i) != NULL && ptr(i) != INVALID_PTR`.
 //! A NULL pointer terminates the array; [`INVALID_PTR`] (`u64::MAX`, one of
@@ -84,74 +82,18 @@ const LEVEL_OFF: u64 = 24;
 const COUNT_OFF: u64 = 32;
 /// Offset of the volatile lock word within a node header.
 pub const LOCK_OFF: u64 = 40;
-const SEAL_OFF: u64 = 48;
 
 const DELETED_BIT: u64 = 1 << 32;
 
-/// Per-tree node-layout knob. The default (`NodeGeom::default()`) is the
-/// classic FAST+FAIR layout; the flag is the microarchitecture ablation
-/// lever.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeGeom {
-    /// Reserve a 1-byte-per-slot fingerprint array between the header and
-    /// the records, and probe it on leaf point lookups so key cache lines
-    /// are touched only on fingerprint hits (FP-tree §3 technique grafted
-    /// onto the FAST node). Costs a little capacity: the array is rounded
-    /// up to whole cache lines.
-    pub fingerprints: bool,
-}
-
-impl NodeGeom {
-    /// Geometry with fingerprint probes enabled.
-    pub fn fingerprinted() -> Self {
-        NodeGeom { fingerprints: true }
-    }
-}
-
-/// Cache lines reserved for the fingerprint array of a `node_size` node.
-///
-/// Chosen as the smallest number of whole lines that can hold one byte per
-/// record slot: `lines * 64 >= (node_size - 64 - lines * 64) / 16`, i.e.
-/// `lines = ceil((node_size - 64) / 1088)`.
-pub fn fp_lines(node_size: u32) -> u64 {
-    (u64::from(node_size) - HEADER_SIZE).div_ceil(17 * CACHE_LINE as u64)
-}
-
-/// Byte offset of record slot 0 within a node, for the given geometry.
-pub fn records_base(node_size: u32, geom: NodeGeom) -> u64 {
-    HEADER_SIZE
-        + if geom.fingerprints {
-            fp_lines(node_size) * CACHE_LINE as u64
-        } else {
-            0
-        }
-}
-
-/// Number of record slots in a node of `node_size` bytes (default layout).
+/// Number of record slots in a node of `node_size` bytes.
 ///
 /// The last two slots are never counted as capacity: one is the permanent
 /// NULL terminator and one is slack for the terminator pre-extension done by
 /// the FAST shift (Algorithm 1 writes `records[cnt+1]` before shifting).
 pub fn capacity(node_size: u32) -> u16 {
-    capacity_with(node_size, NodeGeom::default())
-}
-
-/// Number of record slots for the given geometry (see [`capacity`]).
-pub fn capacity_with(node_size: u32, geom: NodeGeom) -> u16 {
-    let slots = (u64::from(node_size) - records_base(node_size, geom)) / RECORD_SIZE;
+    let slots = (u64::from(node_size) - HEADER_SIZE) / RECORD_SIZE;
     assert!(slots >= 4, "node size {node_size} too small");
     (slots - 2) as u16
-}
-
-/// One-byte fingerprint of a key. Never 0 — 0 marks an empty slot.
-#[inline]
-pub fn fp_hash(key: u64) -> u8 {
-    let h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8;
-    if h == 0 {
-        1
-    } else {
-        h
-    }
 }
 
 /// A borrowed view of one persistent node.
@@ -164,7 +106,6 @@ pub struct NodeRef<'a> {
     pool: &'a Pool,
     off: PmOffset,
     node_size: u32,
-    geom: NodeGeom,
 }
 
 impl std::fmt::Debug for NodeRef<'_> {
@@ -179,25 +120,14 @@ impl std::fmt::Debug for NodeRef<'_> {
 }
 
 impl<'a> NodeRef<'a> {
-    /// Creates a view of the node at `off` with the default geometry.
+    /// Creates a view of the node at `off`.
     pub fn new(pool: &'a Pool, off: PmOffset, node_size: u32) -> Self {
-        Self::with_geom(pool, off, node_size, NodeGeom::default())
-    }
-
-    /// Creates a view of the node at `off` with an explicit geometry.
-    pub fn with_geom(pool: &'a Pool, off: PmOffset, node_size: u32, geom: NodeGeom) -> Self {
         debug_assert!(off != NULL_OFFSET && off.is_multiple_of(CACHE_LINE as u64));
         NodeRef {
             pool,
             off,
             node_size,
-            geom,
         }
-    }
-
-    /// The geometry this view maps records with.
-    pub fn geom(&self) -> NodeGeom {
-        self.geom
     }
 
     /// The pool this node lives in.
@@ -217,7 +147,7 @@ impl<'a> NodeRef<'a> {
 
     /// Usable record capacity.
     pub fn capacity(&self) -> u16 {
-        capacity_with(self.node_size, self.geom)
+        capacity(self.node_size)
     }
 
     /// Total record slots (capacity + terminator + shift slack).
@@ -305,117 +235,12 @@ impl<'a> NodeRef<'a> {
         self.off + LOCK_OFF
     }
 
-    // ---- fingerprints ----------------------------------------------------
-
-    /// Loads the fingerprint seal word (1 = array consistent and durable).
-    #[inline]
-    pub fn fp_seal(&self) -> u64 {
-        self.pool.load_u64(self.off + SEAL_OFF)
-    }
-
-    /// True when leaf fingerprint probes may be trusted right now.
-    #[inline]
-    pub fn fp_sealed(&self) -> bool {
-        self.geom.fingerprints && self.fp_seal() == 1
-    }
-
-    /// Breaks the fingerprint seal durably before mutating records, so no
-    /// crash image can pair a durable seal with a half-updated array.
-    /// No-op on non-fingerprint geometry, internal nodes, and already
-    /// unsealed nodes (volatile 0 implies durable 0: the only writer of 0
-    /// persists it, and recovery starts from the durable image).
-    ///
-    /// Returns whether the array *was* sealed — i.e. consistent with the
-    /// records — which tells the writer whether incremental lockstep
-    /// maintenance suffices or the array must be rebuilt before resealing
-    /// (see [`fp_reseal_after`](NodeRef::fp_reseal_after)).
-    pub fn fp_unseal(&self) -> bool {
-        if self.geom.fingerprints && self.is_leaf() && self.fp_seal() == 1 {
-            self.pool.store_u64(self.off + SEAL_OFF, 0);
-            self.pool.persist(self.off + SEAL_OFF, 8);
-            return true;
-        }
-        false
-    }
-
-    /// Re-arms the seal after a mutation. With `was_sealed` (the array was
-    /// consistent when [`fp_unseal`](NodeRef::fp_unseal) broke it) the
-    /// writer's lockstep fingerprint stores kept it consistent and a plain
-    /// reseal suffices; otherwise — a node inherited unsealed from a crash
-    /// — the array is rebuilt from the records first.
-    pub fn fp_reseal_after(&self, was_sealed: bool) {
-        if !self.geom.fingerprints || !self.is_leaf() {
-            return;
-        }
-        if !was_sealed {
-            self.rebuild_fps();
-        }
-        self.fp_reseal();
-    }
-
-    /// Flushes the fingerprint lines, fences, then re-arms the seal with a
-    /// plain store. A crash image that includes the (unflushed) seal store
-    /// necessarily includes the earlier-flushed fingerprint lines, so a
-    /// durable seal always certifies a durable, consistent array.
-    pub fn fp_reseal(&self) {
-        if !self.geom.fingerprints || !self.is_leaf() {
-            return;
-        }
-        for l in 0..fp_lines(self.node_size) {
-            self.pool
-                .flush_line(self.off + HEADER_SIZE + l * CACHE_LINE as u64);
-        }
-        self.pool.sfence();
-        self.pool.store_u64(self.off + SEAL_OFF, 1);
-    }
-
-    /// Pool offset of slot `i`'s fingerprint byte.
-    #[inline]
-    pub fn fp_off(&self, i: u16) -> PmOffset {
-        self.off + HEADER_SIZE + u64::from(i)
-    }
-
-    /// Loads slot `i`'s fingerprint byte (0 when the geometry has no
-    /// fingerprint area).
-    #[inline]
-    pub fn fp(&self, i: u16) -> u8 {
-        if !self.geom.fingerprints {
-            return 0;
-        }
-        self.pool.load_u8(self.fp_off(i))
-    }
-
-    /// Stores slot `i`'s fingerprint byte (not flushed; callers
-    /// flush the whole array in [`fp_reseal`](NodeRef::fp_reseal)). No-op
-    /// when the geometry has no fingerprint area, so shift loops can keep
-    /// fingerprints in lockstep unconditionally.
-    #[inline]
-    pub fn set_fp(&self, i: u16, v: u8) {
-        if self.geom.fingerprints {
-            self.pool.store_u8(self.fp_off(i), v);
-        }
-    }
-
-    /// Rewrites the whole fingerprint array from the records: `fp_hash` of
-    /// the key for every slot below the terminator, 0 above it (the
-    /// invariant that lets probes skip terminator checks). Caller reseals.
-    pub fn rebuild_fps(&self) {
-        if !self.geom.fingerprints {
-            return;
-        }
-        let cnt = self.count_records();
-        for i in 0..self.slots() {
-            let v = if i < cnt { fp_hash(self.key(i)) } else { 0 };
-            self.set_fp(i, v);
-        }
-    }
-
     // ---- records ---------------------------------------------------------
 
     /// Pool offset of record `i`'s key field.
     #[inline]
     pub fn key_off(&self, i: u16) -> PmOffset {
-        self.off + records_base(self.node_size, self.geom) + u64::from(i) * RECORD_SIZE
+        self.off + HEADER_SIZE + u64::from(i) * RECORD_SIZE
     }
 
     /// Cache-line index of record `i` — shift loops flush when consecutive
@@ -566,11 +391,6 @@ impl<'a> NodeRef<'a> {
         self.set_level(level);
         if level == 0 {
             self.set_leftmost(LEAF_ANCHOR);
-            if self.geom.fingerprints {
-                // An all-zero fingerprint array is consistent with an
-                // empty node, so a fresh leaf starts sealed.
-                self.pool.store_u64(self.off + SEAL_OFF, 1);
-            }
         }
     }
 
@@ -620,12 +440,8 @@ mod tests {
     }
 
     fn fresh_node(pool: &Pool, size: u32, level: u32) -> NodeRef<'_> {
-        fresh_geom_node(pool, size, level, NodeGeom::default())
-    }
-
-    fn fresh_geom_node(pool: &Pool, size: u32, level: u32, geom: NodeGeom) -> NodeRef<'_> {
         let off = pool.alloc(u64::from(size), 64).unwrap();
-        let n = NodeRef::with_geom(pool, off, size, geom);
+        let n = NodeRef::new(pool, off, size);
         n.init(level);
         n
     }
@@ -640,38 +456,19 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_geometry_reserves_whole_lines() {
-        // One fp line covers up to 64 slots; (512-64-64)/16 = 24 slots.
-        assert_eq!(fp_lines(512), 1);
-        assert_eq!(capacity_with(512, NodeGeom::fingerprinted()), 22);
-        assert_eq!(capacity_with(1024, NodeGeom::fingerprinted()), 54);
-        // 4096 needs 4 lines: 236 slots > 3*64 bytes, <= 4*64.
-        assert_eq!(fp_lines(4096), 4);
-        assert_eq!(capacity_with(4096, NodeGeom::fingerprinted()), 234);
-        // Every geometry still holds one fp byte per physical slot.
-        for ns in [256u32, 512, 1024, 2048, 4096] {
-            let g = NodeGeom::fingerprinted();
-            assert!(u64::from(capacity_with(ns, g)) + 2 <= fp_lines(ns) * 64);
-        }
-    }
-
-    #[test]
     fn slot_mapping_is_the_identity() {
         let p = pool();
-        for geom in [NodeGeom::default(), NodeGeom::fingerprinted()] {
-            let n = fresh_geom_node(&p, 512, 0, geom);
-            let base = n.offset() + records_base(512, geom);
-            for i in 0..n.slots() {
-                assert_eq!(n.key_off(i), base + u64::from(i) * RECORD_SIZE);
-                assert_eq!(n.ptr_off(i), n.key_off(i) + 8);
-                assert_eq!(n.fp_off(i), n.offset() + HEADER_SIZE + u64::from(i));
-                // Four records to a line: the line changes every fourth slot.
-                assert_eq!(
-                    n.rec_line(i) != n.rec_line(i.saturating_sub(1)),
-                    i > 0 && i % 4 == 0,
-                    "slot {i}"
-                );
-            }
+        let n = fresh_node(&p, 512, 0);
+        let base = n.offset() + HEADER_SIZE;
+        for i in 0..n.slots() {
+            assert_eq!(n.key_off(i), base + u64::from(i) * RECORD_SIZE);
+            assert_eq!(n.ptr_off(i), n.key_off(i) + 8);
+            // Four records to a line: the line changes every fourth slot.
+            assert_eq!(
+                n.rec_line(i) != n.rec_line(i.saturating_sub(1)),
+                i > 0 && i % 4 == 0,
+                "slot {i}"
+            );
         }
     }
 
@@ -679,61 +476,24 @@ mod tests {
     fn records_roundtrip_in_every_slot() {
         let p = pool();
         for ns in [256u32, 512, 1024] {
-            for geom in [NodeGeom::default(), NodeGeom::fingerprinted()] {
-                let n = fresh_geom_node(&p, ns, 0, geom);
-                // The slots, terminator and slack included, tile the node
-                // up to its last byte, and the fingerprints stay below them.
-                assert_eq!(
-                    n.key_off(n.slots() - 1) + RECORD_SIZE,
-                    n.offset() + u64::from(ns)
-                );
-                assert!(n.fp_off(n.slots() - 1) < n.key_off(0) || !geom.fingerprints);
-                let cap = n.capacity();
-                for i in 0..cap {
-                    n.set_key(i, u64::from(i) * 10 + 10);
-                    n.set_ptr(i, u64::from(i) + 100);
-                }
-                let want: Vec<(u64, u64)> = (0..u64::from(cap))
-                    .map(|i| (i * 10 + 10, i + 100))
-                    .collect();
-                assert_eq!(n.valid_entries(), want, "{ns}/{geom:?}");
-                assert_eq!(n.count_records(), cap);
-                assert_eq!(n.first_key(), Some(10));
+            let n = fresh_node(&p, ns, 0);
+            // The slots, terminator and slack included, tile the node up
+            // to its last byte.
+            assert_eq!(
+                n.key_off(n.slots() - 1) + RECORD_SIZE,
+                n.offset() + u64::from(ns)
+            );
+            let cap = n.capacity();
+            for i in 0..cap {
+                n.set_key(i, u64::from(i) * 10 + 10);
+                n.set_ptr(i, u64::from(i) + 100);
             }
-        }
-    }
-
-    #[test]
-    fn fingerprint_seal_dance() {
-        let p = pool();
-        let n = fresh_geom_node(&p, 512, 0, NodeGeom::fingerprinted());
-        // Fresh leaf starts sealed (all-zero array matches empty node).
-        assert!(n.fp_sealed());
-        n.fp_unseal();
-        assert!(!n.fp_sealed());
-        n.set_key(0, 42);
-        n.set_ptr(0, 7);
-        n.set_fp(0, fp_hash(42));
-        n.fp_reseal();
-        assert!(n.fp_sealed());
-        assert_eq!(n.fp(0), fp_hash(42));
-        assert_eq!(n.fp(1), 0);
-        // Rebuild derives the same array from the records.
-        n.set_fp(0, 99);
-        n.rebuild_fps();
-        assert_eq!(n.fp(0), fp_hash(42));
-        assert_eq!(n.fp(3), 0);
-        // Internal nodes never participate in the dance.
-        let m = fresh_geom_node(&p, 512, 1, NodeGeom::fingerprinted());
-        assert!(!m.fp_sealed());
-        m.fp_reseal();
-        assert!(!m.fp_sealed());
-    }
-
-    #[test]
-    fn fp_hash_never_zero() {
-        for k in [0u64, 1, 42, u64::MAX, 0x123456789abcdef0] {
-            assert_ne!(fp_hash(k), 0);
+            let want: Vec<(u64, u64)> = (0..u64::from(cap))
+                .map(|i| (i * 10 + 10, i + 100))
+                .collect();
+            assert_eq!(n.valid_entries(), want, "{ns}");
+            assert_eq!(n.count_records(), cap);
+            assert_eq!(n.first_key(), Some(10));
         }
     }
 
@@ -841,5 +601,49 @@ mod tests {
         assert_eq!(n.key(3), 0);
         assert_eq!(n.ptr(3), 0);
         assert_eq!(n.count_records(), 0);
+    }
+
+    /// Header words 48 and 56 are reserved: a block recycled with stale
+    /// bytes there reads 0 in both once `init` frames it as a node, at
+    /// every level and node size.
+    #[test]
+    fn init_zeroes_the_reserved_header_words() {
+        let p = pool();
+        for ns in [256u32, 512, 1024] {
+            for level in [0u32, 1, 2] {
+                let off = p.alloc(u64::from(ns), 64).unwrap();
+                for word in [48u64, 56] {
+                    p.store_u64(off + word, 0xdead_beef);
+                }
+                NodeRef::new(&p, off, ns).init(level);
+                for word in [48u64, 56] {
+                    assert_eq!(p.load_u64(off + word), 0, "{ns}/{level}: word {word}");
+                }
+            }
+        }
+    }
+
+    /// A linear scan of `n` records streams the record lines they span, four
+    /// 16-byte records to a 64-byte line, and scanning nothing charges
+    /// nothing.
+    #[test]
+    fn charge_linear_scan_counts_whole_record_lines() {
+        let p = pool();
+        let n = fresh_node(&p, 4096, 0);
+        for (scanned, lines) in [
+            (0u16, 0u64),
+            (1, 1),
+            (4, 1),
+            (5, 2),
+            (8, 2),
+            (9, 3),
+            (250, 63),
+        ] {
+            pmem::stats::reset();
+            n.charge_linear_scan(scanned);
+            let s = pmem::stats::take();
+            assert_eq!(s.parallel_lines, lines, "{scanned} records");
+            assert_eq!(s.serial_misses, 0, "{scanned} records");
+        }
     }
 }

@@ -186,14 +186,6 @@ impl FastFairTree {
                 let had_overlap = split_overlap(self, node);
                 crate::delete::repair_node_locked(self, node);
                 node.set_count_hint(node.count_records());
-                if node.geom().fingerprints && node.is_leaf() && !node.fp_sealed() {
-                    // A crash between unseal and reseal left the seal
-                    // durably broken even though the records needed no
-                    // repair; probes would stay disabled on this leaf
-                    // forever. Recovery is quiescent, so rebuild + re-arm.
-                    node.rebuild_fps();
-                    node.fp_reseal();
-                }
                 report.garbage_removed += before_garbage;
                 if had_overlap {
                     report.splits_completed += 1;

@@ -21,19 +21,13 @@
 use pmem::NULL_OFFSET;
 use pmindex::{Key, Value};
 
-use crate::layout::{fp_hash, fp_lines, NodeRef, INVALID_PTR};
+use crate::layout::{NodeRef, INVALID_PTR};
 use crate::tree::FastFairTree;
 
 /// Lock-free exact-match search within one leaf (Algorithm 3).
 ///
 /// Returns the value for `key` or `None` if it is not in this node (the
 /// caller then consults the sibling pointer).
-///
-/// When the leaf's fingerprint array is sealed, the scan probes the packed
-/// fingerprint lines first and touches a record's cache line only on a
-/// fingerprint hit; a mutating writer breaks the seal *and* bumps the
-/// switch counter, so the ordinary recheck-and-retry protocol also covers
-/// probes against a concurrently unsealed array.
 pub(crate) fn leaf_search_linear(
     tree: &FastFairTree,
     node: NodeRef<'_>,
@@ -42,14 +36,6 @@ pub(crate) fn leaf_search_linear(
     let cap = tree.cap;
     loop {
         let sc = node.switch_counter();
-        if node.fp_sealed() {
-            let ret = fp_probe(tree, &node, key);
-            if node.switch_counter() == sc && node.fp_sealed() {
-                return ret;
-            }
-            std::hint::spin_loop();
-            continue;
-        }
         let mut ret: Option<Value> = None;
         let mut scanned: u16 = 0;
         if sc.is_multiple_of(2) {
@@ -106,43 +92,6 @@ pub(crate) fn leaf_search_linear(
         // `until prev_switch = node.switch` loop).
         std::hint::spin_loop();
     }
-}
-
-/// One fingerprint-guided probe pass over a sealed leaf. Only called while
-/// the seal is (volatively) intact; the caller revalidates the switch
-/// counter and seal afterwards and falls back to the linear scan on any
-/// movement.
-///
-/// A sealed array is exact: every valid record's slot carries `fp_hash` of
-/// its key and every slot above the terminator carries 0, so a miss proves
-/// absence and a hit only needs one record line to verify. Stale poison
-/// slots below the terminator may carry a nonzero fingerprint; the pointer
-/// validity check rejects them.
-fn fp_probe(tree: &FastFairTree, node: &NodeRef<'_>, key: Key) -> Option<Value> {
-    let h = fp_hash(key);
-    let mut ret = None;
-    'slots: for i in 0..node.slots() {
-        if node.fp(i) != h {
-            continue;
-        }
-        // Candidate: touch the record line and verify. A pointer that
-        // changed under the key match is looked at again: an in-place
-        // overwrite of this very key moves nothing else.
-        tree.pool.charge_serial_reads(1);
-        let mut p = node.ptr(i);
-        while p != NULL_OFFSET && p != INVALID_PTR && node.key(i) == key {
-            let again = node.ptr(i);
-            if again == p {
-                ret = Some(p);
-                break 'slots;
-            }
-            p = again;
-        }
-    }
-    // The fingerprint lines themselves stream as adjacent parallel reads.
-    tree.pool
-        .charge_parallel_lines(fp_lines(node.node_size()) as u32);
-    ret
 }
 
 /// Binary exact-match search within one leaf.

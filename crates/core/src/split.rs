@@ -61,9 +61,6 @@ fn build_and_link_sibling<'a>(
         for i in median..cnt {
             sib.set_key(j, node.key(i));
             sib.set_ptr(j, node.ptr(i));
-            // The sibling is born sealed (init) and invisible until linked,
-            // so its fingerprints are just written in place.
-            sib.set_fp(j, crate::layout::fp_hash(node.key(i)));
             j += 1;
         }
         sib.set_count_hint(j);
@@ -106,26 +103,12 @@ fn build_and_link_sibling<'a>(
         pool.persist(node.sibling_field_off(), 8);
     }
 
-    // The truncation is about to strand the moved-out upper half above the
-    // left node's new terminator; break its fingerprint seal first so no
-    // reader (or crash image) trusts fingerprints that still cover them.
-    // Probes that race the window below fail their seal recheck and fall
-    // back to the linear scan, whose move-right handling covers the
-    // "virtual single node" state either way.
-    let was_sealed = node.fp_unseal();
-
     // Step 3: truncation — one atomic store moves the upper half out.
     node.set_ptr(median, NULL_OFFSET);
     if ordered_persists {
         pool.persist(node.ptr_off(median), 8);
     }
     node.set_count_hint(median);
-    // Restore the above-terminator-zero fingerprint invariant, then
-    // reseal (misses for moved-out keys now route through the sibling).
-    for i in median..cnt {
-        node.set_fp(i, 0);
-    }
-    node.fp_reseal_after(was_sealed);
     Ok(Sibling {
         off: sib_off,
         split_key,

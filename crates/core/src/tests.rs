@@ -738,284 +738,291 @@ fn concurrent_mixed_workload() {
     t.check_consistency(true).unwrap();
 }
 
-/// The two layout variants of the microarchitecture sweep: baseline and
-/// fingerprinted probes.
-fn geometry_variants() -> [(&'static str, TreeOptions); 2] {
-    [
-        ("base", TreeOptions::new()),
-        ("fp", TreeOptions::new().fingerprints(true)),
-    ]
-}
-
+/// The tree matches a model under the shapes that stress the FAST shift:
+/// random churn, descending inserts (every insert lands in slot 0),
+/// low-slot deletes, and equal adjacent values.
 #[test]
-fn layout_variant_names_and_capacity() {
-    let p = pool(64);
-    let base = tree_with(&p, TreeOptions::new());
-    let fp = tree_with(&p, TreeOptions::new().fingerprints(true));
-    assert_eq!(base.name(), "FAST+FAIR");
-    assert_eq!(fp.name(), "FAST+FAIR+FP");
-    // Fingerprints cost whole reserved cache lines of record capacity.
-    assert!(fp.node_capacity() < base.node_capacity());
-}
-
-/// Every layout variant matches a model under the shapes that stress its
-/// mechanics: random churn, descending inserts (every insert lands in
-/// slot 0), low-slot deletes, and equal adjacent values.
-#[test]
-fn layout_variants_match_model() {
-    for (name, opts) in geometry_variants() {
-        for node_size in [256u32, 512, 1024] {
-            let p = pool(128);
-            let t = tree_with(&p, opts.node_size(node_size));
-            let mut model = BTreeMap::new();
-            // Descending inserts drive every insert through the lowest
-            // slot — the longest FAST shift.
-            for k in (1..=2000u64).rev() {
-                t.insert(k, value_for(k)).unwrap();
-                model.insert(k, value_for(k));
-            }
-            // Random churn with equal adjacent values (fingerprint
-            // collisions on value are irrelevant; equal *values* stress the
-            // validity test).
-            let keys = generate_keys(4000, KeyDist::Uniform, u64::from(node_size) + 7);
-            for (i, &k) in keys.iter().enumerate() {
-                t.insert(k, 7).unwrap();
-                model.insert(k, 7);
-                if i % 3 == 0 {
-                    let victim = keys[i / 2];
-                    assert_eq!(
-                        t.remove(victim),
-                        model.remove(&victim).is_some(),
-                        "{name}/{node_size}: remove {victim}"
-                    );
-                }
-            }
-            // Low-slot deletes: removing ascending prefixes shifts whole
-            // nodes left.
-            let low: Vec<u64> = model.keys().copied().take(500).collect();
-            for k in low {
-                assert!(t.remove(k), "{name}/{node_size}: low delete {k}");
-                model.remove(&k);
-            }
-            for (&k, &v) in &model {
-                assert_eq!(t.get(k), Some(v), "{name}/{node_size}: key {k}");
-            }
-            assert_eq!(t.len(), model.len(), "{name}/{node_size}");
-            let mut got = Vec::new();
-            t.range(0, u64::MAX, &mut got);
-            let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-            assert_eq!(got, want, "{name}/{node_size}: range mismatch");
-            t.check_consistency(true)
-                .unwrap_or_else(|e| panic!("{name}/{node_size}: {e}"));
+fn match_model() {
+    for node_size in [256u32, 512, 1024] {
+        let p = pool(128);
+        let t = tree_with(&p, TreeOptions::new().node_size(node_size));
+        let mut model = BTreeMap::new();
+        // Descending inserts drive every insert through the lowest
+        // slot — the longest FAST shift.
+        for k in (1..=2000u64).rev() {
+            t.insert(k, value_for(k)).unwrap();
+            model.insert(k, value_for(k));
         }
+        // Random churn with equal adjacent values (equal *values* stress
+        // the validity test).
+        let keys = generate_keys(4000, KeyDist::Uniform, u64::from(node_size) + 7);
+        for (i, &k) in keys.iter().enumerate() {
+            t.insert(k, 7).unwrap();
+            model.insert(k, 7);
+            if i % 3 == 0 {
+                let victim = keys[i / 2];
+                assert_eq!(
+                    t.remove(victim),
+                    model.remove(&victim).is_some(),
+                    "{node_size}: remove {victim}"
+                );
+            }
+        }
+        // Low-slot deletes: removing ascending prefixes shifts whole
+        // nodes left.
+        let low: Vec<u64> = model.keys().copied().take(500).collect();
+        for k in low {
+            assert!(t.remove(k), "{node_size}: low delete {k}");
+            model.remove(&k);
+        }
+        for (&k, &v) in &model {
+            assert_eq!(t.get(k), Some(v), "{node_size}: key {k}");
+        }
+        assert_eq!(t.len(), model.len(), "{node_size}");
+        let mut got = Vec::new();
+        t.range(0, u64::MAX, &mut got);
+        let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(got, want, "{node_size}: range mismatch");
+        t.check_consistency(true)
+            .unwrap_or_else(|e| panic!("{node_size}: {e}"));
     }
 }
 
-/// The strategy bits in the superblock reconstruct the geometry on open —
-/// a tree created with fingerprints reopens correctly even when the caller
-/// passes default options.
+/// The strategy bit in the superblock reconstructs the split strategy on
+/// open: a tree reopened from its image with default options keeps its
+/// name and every key, before and after an eager recover.
 #[test]
-fn layout_variants_survive_reopen() {
-    for (name, opts) in geometry_variants() {
+fn survive_reopen() {
+    for (split, expect_name) in [
+        (SplitStrategy::Fair, "FAST+FAIR"),
+        (SplitStrategy::Logging, "FAST+Logging"),
+    ] {
         let p = pool(64);
-        let t = tree_with(&p, opts);
+        let t = tree_with(&p, TreeOptions::new().split(split));
+        assert_eq!(t.name(), expect_name);
         let keys = generate_keys(3000, KeyDist::Uniform, 89);
         for &k in &keys {
             t.insert(k, value_for(k)).unwrap();
         }
-        let expect_name = t.name().to_string();
         let meta = t.meta_offset();
         drop(t);
         let img = p.volatile_image();
         let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(64 << 20)).unwrap());
         let t2 = FastFairTree::open(Arc::clone(&p2), meta, TreeOptions::new()).unwrap();
-        assert_eq!(t2.name(), expect_name, "{name}: geometry lost on reopen");
+        assert_eq!(t2.name(), expect_name, "{split:?}: strategy lost on reopen");
         for &k in &keys {
-            assert_eq!(t2.get(k), Some(value_for(k)), "{name}: key {k}");
+            assert_eq!(t2.get(k), Some(value_for(k)), "{split:?}: key {k}");
         }
         t2.recover().unwrap();
         for &k in &keys {
-            assert_eq!(t2.get(k), Some(value_for(k)), "{name}: post-recover {k}");
+            assert_eq!(t2.get(k), Some(value_for(k)), "{split:?}: post-recover {k}");
         }
         t2.check_consistency(true).unwrap();
     }
 }
 
-/// A superblock whose strategy tag carries bit 2 — set by trees of the
-/// removed circular record frame — reopens as an error, never as a tree
-/// that would read its records from the wrong slots.
+/// A superblock whose strategy tag carries bit 1 or bit 2 — set by trees
+/// of the removed leaf fingerprints and circular record frame — reopens as
+/// an error naming that layout, never as a tree that would read its
+/// records from the wrong slots.
 #[test]
 fn open_rejects_the_retired_circular_frame() {
-    let p = pool(16);
+    for (bit, layout) in [(2u64, "leaf fingerprints"), (4, "circular record frame")] {
+        let p = pool(16);
+        let t = tree_with(&p, TreeOptions::new());
+        t.insert(1, value_for(1)).unwrap();
+        let meta = t.meta_offset();
+        drop(t);
+        let strategy = meta + crate::tree::META_STRATEGY;
+        p.store_u64(strategy, p.load_u64(strategy) | bit);
+        let img = p.volatile_image();
+        let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(16 << 20)).unwrap());
+        match FastFairTree::open(p2, meta, TreeOptions::new()) {
+            Err(pmindex::IndexError::Unsupported(msg)) => {
+                assert!(msg.contains(layout), "{msg}");
+                assert!(msg.contains("node layout was removed"), "{msg}");
+            }
+            other => panic!("reopened a tree with strategy bit {bit}: {other:?}"),
+        }
+    }
+}
+
+/// The retired bits are refused whatever the live bit 0 says: a logging
+/// tree created with either removed layout, or with both bits set, is not
+/// reopened either, and the error names the layout.
+#[test]
+fn open_rejects_a_logging_tree_with_a_retired_layout() {
+    for (bits, layout) in [
+        (2u64, "leaf fingerprints"),
+        (4, "circular record frame"),
+        (2 | 4, "leaf fingerprints"),
+    ] {
+        let p = pool(16);
+        let t = tree_with(&p, TreeOptions::new().split(SplitStrategy::Logging));
+        t.insert(1, value_for(1)).unwrap();
+        let meta = t.meta_offset();
+        drop(t);
+        let strategy = meta + crate::tree::META_STRATEGY;
+        assert_eq!(p.load_u64(strategy), 1, "a logging tree sets bit 0 only");
+        p.store_u64(strategy, 1 | bits);
+        let img = p.volatile_image();
+        let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(16 << 20)).unwrap());
+        match FastFairTree::open(p2, meta, TreeOptions::new()) {
+            Err(pmindex::IndexError::Unsupported(msg)) => {
+                assert!(msg.contains(layout), "{msg}");
+            }
+            other => panic!("reopened a logging tree with strategy bits {bits}: {other:?}"),
+        }
+    }
+}
+
+/// The default tree is the paper's FAST+FAIR on 512-byte nodes whose
+/// records start right after the 64-byte header line: 26 usable slots, and
+/// a bulk load fills every leaf but the last to all 26.
+#[test]
+fn default_tree_is_fast_fair_at_full_capacity() {
+    let (_p, t) = small_tree();
+    assert_eq!(t.name(), "FAST+FAIR");
+    assert_eq!(t.node_size(), 512);
+    assert_eq!(t.node_capacity(), 26);
+    assert_eq!(t.node_capacity(), crate::layout::capacity(512));
+    let n = 26 * 40 + 5;
+    t.bulk_load(&mut (1..=n).map(|k| (k, value_for(k))))
+        .unwrap();
+    let mut leaf = t.root();
+    while !t.node(leaf).is_leaf() {
+        leaf = t.node(leaf).leftmost();
+    }
+    let mut counts = Vec::new();
+    while leaf != 0 {
+        counts.push(t.node(leaf).count_records());
+        leaf = t.node(leaf).sibling();
+    }
+    let (last, full) = counts.split_last().unwrap();
+    assert_eq!(full, vec![26; 40].as_slice());
+    assert_eq!(*last, 5);
+    for k in (1..=n).step_by(7) {
+        assert_eq!(t.get(k), Some(value_for(k)), "key {k}");
+    }
+}
+
+/// A bulk-loaded tree serves reads and accepts the full write path
+/// afterwards.
+#[test]
+fn bulk_load() {
+    let p = pool(64);
     let t = tree_with(&p, TreeOptions::new());
-    t.insert(1, value_for(1)).unwrap();
-    let meta = t.meta_offset();
-    drop(t);
-    let strategy = meta + crate::tree::META_STRATEGY;
-    p.store_u64(strategy, p.load_u64(strategy) | 4);
-    let img = p.volatile_image();
-    let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(16 << 20)).unwrap());
-    match FastFairTree::open(p2, meta, TreeOptions::new()) {
-        Err(pmindex::IndexError::Unsupported(msg)) => {
-            assert!(msg.contains("circular record frame was removed"), "{msg}");
-        }
-        other => panic!("reopened a retired-frame tree: {other:?}"),
+    let n = 8000u64;
+    t.bulk_load(&mut (1..=n).map(|k| (k, value_for(k))))
+        .unwrap();
+    for k in (1..=n).step_by(13) {
+        assert_eq!(t.get(k), Some(value_for(k)), "bulk key {k}");
     }
+    // The packed tree accepts the full write path afterwards.
+    assert_eq!(t.insert(n + 1, 42).unwrap(), None);
+    assert!(t.remove(7));
+    t.check_consistency(true).unwrap();
 }
 
-/// Bulk load packs fingerprints and the variants accept the full write
-/// path afterwards.
+/// Lock-free readers stay correct under concurrent writers: probes
+/// revalidate the switch counter and retry.
 #[test]
-fn layout_variants_bulk_load() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(64);
-        let t = tree_with(&p, opts);
-        let n = 8000u64;
-        t.bulk_load(&mut (1..=n).map(|k| (k, value_for(k))))
-            .unwrap();
-        for k in (1..=n).step_by(13) {
-            assert_eq!(t.get(k), Some(value_for(k)), "{name}: bulk key {k}");
-        }
-        // The packed tree accepts the full write path afterwards.
-        assert_eq!(t.insert(n + 1, 42).unwrap(), None);
-        assert!(t.remove(7));
-        t.check_consistency(true).unwrap();
+fn concurrent_readers() {
+    let p = pool(256);
+    let t = Arc::new(tree_with(&p, TreeOptions::new()));
+    let preload = generate_keys(8_000, KeyDist::Uniform, 101);
+    for &k in &preload {
+        t.insert(k, value_for(k)).unwrap();
     }
-}
-
-/// Lock-free readers stay correct under concurrent writers on every
-/// variant — probes revalidate seal and switch counter, scans retry.
-#[test]
-fn layout_variants_concurrent_readers() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(256);
-        let t = Arc::new(tree_with(&p, opts));
-        let preload = generate_keys(8_000, KeyDist::Uniform, 101);
-        for &k in &preload {
-            t.insert(k, value_for(k)).unwrap();
+    let fresh = generate_keys(8_000, KeyDist::Uniform, 103);
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    std::thread::scope(|s| {
+        {
+            let t = Arc::clone(&t);
+            let stop = Arc::clone(&stop);
+            let fresh = &fresh;
+            s.spawn(move || {
+                for (i, &k) in fresh.iter().enumerate() {
+                    t.insert(k, value_for(k)).unwrap();
+                    if i % 4 == 0 {
+                        t.remove(fresh[i / 2]);
+                    }
+                }
+                stop.store(true, std::sync::atomic::Ordering::Release);
+            });
         }
-        let fresh = generate_keys(8_000, KeyDist::Uniform, 103);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            {
-                let t = Arc::clone(&t);
-                let stop = Arc::clone(&stop);
-                let fresh = &fresh;
-                s.spawn(move || {
-                    for (i, &k) in fresh.iter().enumerate() {
-                        t.insert(k, value_for(k)).unwrap();
-                        if i % 4 == 0 {
-                            t.remove(fresh[i / 2]);
-                        }
-                    }
-                    stop.store(true, std::sync::atomic::Ordering::Release);
-                });
-            }
-            for _ in 0..2 {
-                let t = Arc::clone(&t);
-                let stop = Arc::clone(&stop);
-                let preload = &preload;
-                s.spawn(move || {
-                    let mut i = 0usize;
-                    while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                        let k = preload[i % preload.len()];
-                        assert_eq!(t.get(k), Some(value_for(k)), "{name}: lost key {k}");
-                        i += 1;
-                    }
-                });
-            }
-        });
-        t.check_consistency(true).unwrap();
-    }
+        for _ in 0..2 {
+            let t = Arc::clone(&t);
+            let stop = Arc::clone(&stop);
+            let preload = &preload;
+            s.spawn(move || {
+                let mut i = 0usize;
+                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                    let k = preload[i % preload.len()];
+                    assert_eq!(t.get(k), Some(value_for(k)), "lost key {k}");
+                    i += 1;
+                }
+            });
+        }
+    });
+    t.check_consistency(true).unwrap();
 }
 
 /// Delete-while-scanning: cursors running concurrently with deletes never
-/// report a key twice or out of order, on every variant (the shape that
-/// stresses left shifts against right-to-left readers).
+/// report a key twice or out of order (the shape that stresses left shifts
+/// against right-to-left readers).
 #[test]
-fn layout_variants_delete_while_scanning() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(128);
-        let t = Arc::new(tree_with(&p, opts.node_size(256)));
-        let keep: Vec<u64> = (1..=4000u64).filter(|k| k % 2 == 1).collect();
-        for k in 1..=4000u64 {
-            t.insert(k, value_for(k)).unwrap();
+fn delete_while_scanning() {
+    let p = pool(128);
+    let t = Arc::new(tree_with(&p, TreeOptions::new().node_size(256)));
+    let keep: Vec<u64> = (1..=4000u64).filter(|k| k % 2 == 1).collect();
+    for k in 1..=4000u64 {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    std::thread::scope(|s| {
+        {
+            let t = Arc::clone(&t);
+            let stop = Arc::clone(&stop);
+            s.spawn(move || {
+                for k in (2..=4000u64).step_by(2) {
+                    assert!(t.remove(k), "delete {k}");
+                }
+                stop.store(true, std::sync::atomic::Ordering::Release);
+            });
         }
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            {
-                let t = Arc::clone(&t);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || {
-                    for k in (2..=4000u64).step_by(2) {
-                        assert!(t.remove(k), "{name}: delete {k}");
-                    }
-                    stop.store(true, std::sync::atomic::Ordering::Release);
-                });
-            }
-            for _ in 0..2 {
-                let t = Arc::clone(&t);
-                let stop = Arc::clone(&stop);
-                let keep = &keep;
-                s.spawn(move || {
-                    let mut rounds = 0usize;
-                    while !stop.load(std::sync::atomic::Ordering::Acquire) || rounds == 0 {
-                        let mut c = t.cursor();
-                        c.seek(0);
-                        let mut expected = keep.iter().copied();
-                        let mut prev: Option<u64> = None;
-                        while let Some((k, v)) = c.next() {
-                            assert!(
-                                prev.is_none_or(|p| k > p),
-                                "{name}: cursor regressed at {k}"
+        for _ in 0..2 {
+            let t = Arc::clone(&t);
+            let stop = Arc::clone(&stop);
+            let keep = &keep;
+            s.spawn(move || {
+                let mut rounds = 0usize;
+                while !stop.load(std::sync::atomic::Ordering::Acquire) || rounds == 0 {
+                    let mut c = t.cursor();
+                    c.seek(0);
+                    let mut expected = keep.iter().copied();
+                    let mut prev: Option<u64> = None;
+                    while let Some((k, v)) = c.next() {
+                        assert!(prev.is_none_or(|p| k > p), "cursor regressed at {k}");
+                        prev = Some(k);
+                        if k % 2 == 1 {
+                            // Odd keys are never deleted: all present,
+                            // in order.
+                            assert_eq!(
+                                expected.next(),
+                                Some(k),
+                                "scan skipped surviving key before {k}"
                             );
-                            prev = Some(k);
-                            if k % 2 == 1 {
-                                // Odd keys are never deleted: all present,
-                                // in order.
-                                assert_eq!(
-                                    expected.next(),
-                                    Some(k),
-                                    "{name}: scan skipped surviving key before {k}"
-                                );
-                                assert_eq!(v, value_for(k));
-                            }
+                            assert_eq!(v, value_for(k));
                         }
-                        assert_eq!(expected.next(), None, "{name}: scan missed tail keys");
-                        rounds += 1;
                     }
-                });
-            }
-        });
-        t.check_consistency(true).unwrap();
-    }
-}
-
-/// The fingerprint lever, measured: sealed probes touch far fewer cache
-/// lines per lookup than the linear scan (the win grows with node size —
-/// one fingerprint line covers 64 records).
-#[test]
-fn fingerprints_cut_probe_line_touches() {
-    let n = 4000u64;
-    let mut per_variant = Vec::new();
-    for fp in [false, true] {
-        let p = pool(64);
-        let t = tree_with(&p, TreeOptions::new().node_size(4096).fingerprints(fp));
-        for k in 1..=n {
-            t.insert(k, value_for(k)).unwrap();
+                    assert_eq!(expected.next(), None, "scan missed tail keys");
+                    rounds += 1;
+                }
+            });
         }
-        stats::reset();
-        for k in 1..=n {
-            assert_eq!(t.get(k), Some(value_for(k)));
-        }
-        let s = stats::take();
-        per_variant.push((s.serial_misses + s.parallel_lines) as f64 / n as f64);
-    }
-    let (base, fp) = (per_variant[0], per_variant[1]);
-    assert!(
-        fp < base / 2.0,
-        "fingerprints should cut lines touched per lookup: base {base:.2}/op vs fp {fp:.2}/op"
-    );
+    });
+    t.check_consistency(true).unwrap();
 }
 
 /// An in-place overwrite is one pointer store — no shift, no switch-counter
@@ -1023,50 +1030,47 @@ fn fingerprints_cut_probe_line_touches() {
 /// pointer change under it. It must look again, not step past the key: a
 /// point read or a scan racing an update of a present key never misses it.
 #[test]
-fn layout_variants_readers_never_miss_a_key_being_overwritten_in_place() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tree_with(&p, opts.node_size(256));
-        for k in 1..=8u64 {
-            t.insert(k, k + 100).unwrap();
-        }
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut v = 1_000u64;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    for k in 1..=8u64 {
-                        v += 1;
-                        assert!(t.update(k, v).unwrap().is_some());
-                    }
+fn readers_never_miss_a_key_being_overwritten_in_place() {
+    let p = pool(16);
+    let t = tree_with(&p, TreeOptions::new().node_size(256));
+    for k in 1..=8u64 {
+        t.insert(k, k + 100).unwrap();
+    }
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut v = 1_000u64;
+            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                for k in 1..=8u64 {
+                    v += 1;
+                    assert!(t.update(k, v).unwrap().is_some());
                 }
-            });
-            // Stop the updater however the checks below end.
-            struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
-            impl Drop for Stop<'_> {
-                fn drop(&mut self) {
-                    self.0.store(true, std::sync::atomic::Ordering::Release);
-                }
-            }
-            let _stop = Stop(&stop);
-            let mut rows = Vec::new();
-            for round in 0..20_000u64 {
-                let k = round % 8 + 1;
-                assert!(t.get(k).is_some(), "{name}: get missed key {k}");
-                rows.clear();
-                t.range(0, u64::MAX, &mut rows);
-                assert_eq!(rows.len(), 8, "{name}: scan missed a key: {rows:?}");
             }
         });
-    }
+        // Stop the updater however the checks below end.
+        struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::Release);
+            }
+        }
+        let _stop = Stop(&stop);
+        let mut rows = Vec::new();
+        for round in 0..20_000u64 {
+            let k = round % 8 + 1;
+            assert!(t.get(k).is_some(), "get missed key {k}");
+            rows.clear();
+            t.range(0, u64::MAX, &mut rows);
+            assert_eq!(rows.len(), 8, "scan missed a key: {rows:?}");
+        }
+    });
 }
 
 // ---- leaf directory ---------------------------------------------------------
 //
 // The volatile `key range → leaf` directory in front of the descent
 // (`crate::hint`). The tests build it on demand instead of serving the
-// 4 096 regretted ops first, run on every layout variant with 256-byte
-// nodes, and read the `leaf_hint_*` counters to tell a directed operation
+// 4 096 regretted ops first, run with 256-byte nodes, and read the `leaf_hint_*` counters to tell a directed operation
 // from a descent.
 
 type LocateHook = Option<Box<dyn FnOnce(u64)>>;
@@ -1082,8 +1086,8 @@ pub(crate) fn after_locate(leaf: u64) {
     }
 }
 
-fn tiny_tree(pool: &Arc<Pool>, opts: TreeOptions) -> FastFairTree {
-    tree_with(pool, opts.node_size(256))
+fn tiny_tree(pool: &Arc<Pool>) -> FastFairTree {
+    tree_with(pool, TreeOptions::new().node_size(256))
 }
 
 /// Builds the directory now, as the op that trips the rebuild rule would.
@@ -1161,113 +1165,98 @@ fn routing_entries_for(t: &FastFairTree, child: u64) -> usize {
 /// extra charged hop from the leaf the directory names, the hop is counted
 /// as regret, and a rebuild clears it.
 #[test]
-fn layout_variants_hint_survives_a_split_that_moves_the_key_right() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        for k in 1..=60u64 {
-            t.insert(k * 100, value_for(k)).unwrap();
-        }
-        assert!(t.height() >= 1, "{name}");
-        rebuild(&t);
-        let (leaf, keys) = keys_by_leaf(&t, (1..=60).map(|k| k * 100))
-            .into_iter()
-            .nth(3)
-            .unwrap();
-        let (low, moved) = (keys[0], *keys.last().unwrap());
-        // A fingerprint hit charges the record line it verifies.
-        let probe = u64::from(opts.fingerprints);
-        assert_eq!(
-            misses(|| assert!(t.get(moved).is_some())),
-            1 + probe,
-            "{name}"
-        );
-
-        // Fill the leaf from below — directed fresh inserts — until it
-        // splits and its upper half, `moved` included, goes right.
-        let mut fresh = low;
-        while t.find_leaf(moved) == leaf {
-            fresh += 1;
-            assert_eq!(
-                directed(|| assert_eq!(t.insert(fresh, 5).unwrap(), None)),
-                (1, 1),
-                "{name}"
-            );
-        }
-        let regret = t.directory.regret_count();
-        let mut hits = 0;
-        assert_eq!(
-            misses(|| hits = directed(|| assert!(t.get(moved).is_some())).1),
-            2 + probe,
-            "{name}: the named leaf, then its new sibling"
-        );
-        assert_eq!(hits, 1, "{name}: settled without a descent");
-        assert_eq!(t.directory.regret_count(), regret + 1, "{name}");
-        // A writer that hops also looks its new leaf up in the parent.
-        assert_eq!(
-            misses(|| assert!(t.update(moved, 7).unwrap().is_some())),
-            3 + probe
-        );
-        assert_eq!(misses(|| assert!(t.get(low).is_some())), 1 + probe);
-
-        rebuild(&t);
-        assert_eq!(t.directory.regret_count(), 0);
-        assert_eq!(misses(|| assert_eq!(t.get(moved), Some(7))), 1 + probe);
-        assert_eq!(t.directory.regret_count(), 0, "{name}");
-        t.check_consistency(true).unwrap();
+fn hint_survives_a_split_that_moves_the_key_right() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    for k in 1..=60u64 {
+        t.insert(k * 100, value_for(k)).unwrap();
     }
+    assert!(t.height() >= 1);
+    rebuild(&t);
+    let (leaf, keys) = keys_by_leaf(&t, (1..=60).map(|k| k * 100))
+        .into_iter()
+        .nth(3)
+        .unwrap();
+    let (low, moved) = (keys[0], *keys.last().unwrap());
+    assert_eq!(misses(|| assert!(t.get(moved).is_some())), 1);
+
+    // Fill the leaf from below — directed fresh inserts — until it
+    // splits and its upper half, `moved` included, goes right.
+    let mut fresh = low;
+    while t.find_leaf(moved) == leaf {
+        fresh += 1;
+        assert_eq!(
+            directed(|| assert_eq!(t.insert(fresh, 5).unwrap(), None)),
+            (1, 1)
+        );
+    }
+    let regret = t.directory.regret_count();
+    let mut hits = 0;
+    assert_eq!(
+        misses(|| hits = directed(|| assert!(t.get(moved).is_some())).1),
+        2,
+        "the named leaf, then its new sibling"
+    );
+    assert_eq!(hits, 1, "settled without a descent");
+    assert_eq!(t.directory.regret_count(), regret + 1);
+    // A writer that hops also looks its new leaf up in the parent.
+    assert_eq!(misses(|| assert!(t.update(moved, 7).unwrap().is_some())), 3);
+    assert_eq!(misses(|| assert!(t.get(low).is_some())), 1);
+
+    rebuild(&t);
+    assert_eq!(t.directory.regret_count(), 0);
+    assert_eq!(misses(|| assert_eq!(t.get(moved), Some(7))), 1);
+    assert_eq!(t.directory.regret_count(), 0);
+    t.check_consistency(true).unwrap();
 }
 
 /// Invariant 2, first half: taking a leaf off the tree bumps the
 /// generation before the block is retired, and the directory built before
 /// — which still names it — is not consulted again.
 #[test]
-fn layout_variants_unlinked_leaf_bumps_generation_and_hints_are_ignored() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        for k in 1..=200u64 {
-            t.insert(k, value_for(k)).unwrap();
-        }
-        rebuild(&t);
-        assert_eq!(
-            directed(|| (1..=200).for_each(|k| assert!(t.get(k).is_some()))),
-            (200, 200)
-        );
-        let before = t.directory.generation();
-        let (gone_leaf, gone_keys) = retire_leaves(&t, 40..=200, 1).remove(0);
-        assert_eq!(
-            t.directory.generation(),
-            before + 1,
-            "{name}: one retirement, one bump"
-        );
-        assert_eq!(
-            t.epoch().limbo_len(),
-            1,
-            "{name}: bumped before the block can be freed"
-        );
-
-        // The array still names the leaf; the generation gate hides it.
-        assert!(directory_entries(&t).iter().any(|&(_, l)| l == gone_leaf));
-        let survivor = 10;
-        assert_eq!(
-            directed(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
-            (1, 0),
-            "{name}"
-        );
-        for &k in &gone_keys {
-            assert_eq!(directed(|| assert_eq!(t.get(k), None)), (1, 0), "{name}");
-            assert_eq!(t.update(k, 7).unwrap(), None, "{name}: key {k}");
-        }
-        rebuild(&t);
-        assert!(directory_entries(&t).iter().all(|&(_, l)| l != gone_leaf));
-        assert_eq!(
-            directed(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
-            (1, 1)
-        );
-        assert_eq!(directed(|| assert_eq!(t.get(gone_keys[0]), None)), (1, 1));
-        t.check_consistency(true).unwrap();
+fn unlinked_leaf_bumps_generation_and_hints_are_ignored() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    for k in 1..=200u64 {
+        t.insert(k, value_for(k)).unwrap();
     }
+    rebuild(&t);
+    assert_eq!(
+        directed(|| (1..=200).for_each(|k| assert!(t.get(k).is_some()))),
+        (200, 200)
+    );
+    let before = t.directory.generation();
+    let (gone_leaf, gone_keys) = retire_leaves(&t, 40..=200, 1).remove(0);
+    assert_eq!(
+        t.directory.generation(),
+        before + 1,
+        "one retirement, one bump"
+    );
+    assert_eq!(
+        t.epoch().limbo_len(),
+        1,
+        "bumped before the block can be freed"
+    );
+
+    // The array still names the leaf; the generation gate hides it.
+    assert!(directory_entries(&t).iter().any(|&(_, l)| l == gone_leaf));
+    let survivor = 10;
+    assert_eq!(
+        directed(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
+        (1, 0)
+    );
+    for &k in &gone_keys {
+        assert_eq!(directed(|| assert_eq!(t.get(k), None)), (1, 0));
+        assert_eq!(t.update(k, 7).unwrap(), None, "key {k}");
+    }
+    rebuild(&t);
+    assert!(directory_entries(&t).iter().all(|&(_, l)| l != gone_leaf));
+    assert_eq!(
+        directed(|| assert_eq!(t.get(survivor), Some(value_for(survivor)))),
+        (1, 1)
+    );
+    assert_eq!(directed(|| assert_eq!(t.get(gone_keys[0]), None)), (1, 1));
+    t.check_consistency(true).unwrap();
 }
 
 /// Invariant 2, second half: once the retired blocks have been through the
@@ -1276,70 +1265,61 @@ fn layout_variants_unlinked_leaf_bumps_generation_and_hints_are_ignored() {
 /// root — the first tree's directory still names them, and no directed
 /// access reads the other tree's value, stores into it or latches its root.
 #[test]
-fn layout_variants_recycled_blocks_are_never_reached_through_a_hint() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let a = tiny_tree(&p, opts);
-        let (a_val, b_val) = (|k: u64| 2 * k + 2, |k: u64| 2 * k + 3);
-        for k in 1..=200u64 {
-            a.insert(k, a_val(k)).unwrap();
-        }
-        rebuild(&a);
-        let retired = retire_leaves(&a, 40..=200, 3);
-        while a.epoch().limbo_len() > 0 {
-            a.epoch().try_advance();
-            a.epoch().collect();
-        }
-
-        // The free list is LIFO: B's root leaf is the block retired last.
-        let b = tiny_tree(&p, opts);
-        let (b_root_leaf, shared_keys) = retired.last().unwrap();
-        assert_eq!(
-            b.find_leaf(1),
-            *b_root_leaf,
-            "{name}: root leaf not recycled"
-        );
-        for &k in shared_keys {
-            b.insert(k, b_val(k)).unwrap();
-        }
-        // Grow B until it has split and grown a root out of the other two.
-        let mut fresh = 1_000u64;
-        while b.height() == 0 {
-            b.insert(fresh, b_val(fresh)).unwrap();
-            fresh += 1;
-        }
-        let levels: Vec<u32> = retired
-            .iter()
-            .map(|&(off, _)| b.node(off).level())
-            .collect();
-        assert!(
-            levels.contains(&1),
-            "{name}: no block came back as an internal node: {levels:?}"
-        );
-        assert!(!b.node(*b_root_leaf).is_deleted());
-
-        // B's root leaf first: the block where a believed entry would read
-        // B's value for the same key.
-        let entries = directory_entries(&a);
-        for (off, keys) in retired.iter().rev() {
-            assert!(
-                entries.iter().any(|&(_, l)| l == *off),
-                "{name}: A's array no longer names the recycled block"
-            );
-            for &k in keys {
-                assert_eq!(
-                    directed(|| assert_eq!(a.get(k), None, "{name}: key {k}")),
-                    (1, 0)
-                );
-                assert_eq!(a.update(k, a_val(k)).unwrap(), None, "{name}: key {k}");
-            }
-        }
-        for &k in shared_keys {
-            assert_eq!(b.get(k), Some(b_val(k)), "{name}: B's key {k} overwritten");
-        }
-        a.check_consistency(true).unwrap();
-        b.check_consistency(true).unwrap();
+fn recycled_blocks_are_never_reached_through_a_hint() {
+    let p = pool(16);
+    let a = tiny_tree(&p);
+    let (a_val, b_val) = (|k: u64| 2 * k + 2, |k: u64| 2 * k + 3);
+    for k in 1..=200u64 {
+        a.insert(k, a_val(k)).unwrap();
     }
+    rebuild(&a);
+    let retired = retire_leaves(&a, 40..=200, 3);
+    while a.epoch().limbo_len() > 0 {
+        a.epoch().try_advance();
+        a.epoch().collect();
+    }
+
+    // The free list is LIFO: B's root leaf is the block retired last.
+    let b = tiny_tree(&p);
+    let (b_root_leaf, shared_keys) = retired.last().unwrap();
+    assert_eq!(b.find_leaf(1), *b_root_leaf, "root leaf not recycled");
+    for &k in shared_keys {
+        b.insert(k, b_val(k)).unwrap();
+    }
+    // Grow B until it has split and grown a root out of the other two.
+    let mut fresh = 1_000u64;
+    while b.height() == 0 {
+        b.insert(fresh, b_val(fresh)).unwrap();
+        fresh += 1;
+    }
+    let levels: Vec<u32> = retired
+        .iter()
+        .map(|&(off, _)| b.node(off).level())
+        .collect();
+    assert!(
+        levels.contains(&1),
+        "no block came back as an internal node: {levels:?}"
+    );
+    assert!(!b.node(*b_root_leaf).is_deleted());
+
+    // B's root leaf first: the block where a believed entry would read
+    // B's value for the same key.
+    let entries = directory_entries(&a);
+    for (off, keys) in retired.iter().rev() {
+        assert!(
+            entries.iter().any(|&(_, l)| l == *off),
+            "A's array no longer names the recycled block"
+        );
+        for &k in keys {
+            assert_eq!(directed(|| assert_eq!(a.get(k), None, "key {k}")), (1, 0));
+            assert_eq!(a.update(k, a_val(k)).unwrap(), None, "key {k}");
+        }
+    }
+    for &k in shared_keys {
+        assert_eq!(b.get(k), Some(b_val(k)), "B's key {k} overwritten");
+    }
+    a.check_consistency(true).unwrap();
+    b.check_consistency(true).unwrap();
 }
 
 /// One entry point: every leaf-level operation consults the directory
@@ -1461,86 +1441,82 @@ fn handle_has_no_table_until_it_has_served_point_ops() {
 /// latch retries by descent and never consults the directory again. The
 /// unlink runs in the window between `locate_leaf` and the latch.
 #[test]
-fn layout_variants_directed_writer_that_finds_the_leaf_deleted_retries_by_descent() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = Arc::new(tiny_tree(&p, opts));
-        for k in 1..=300u64 {
-            t.insert(k, value_for(k)).unwrap();
-        }
-        type Write<'a> = &'a dyn Fn(&FastFairTree, u64);
-        let writes: [Write; 3] = [
-            &|t, k| assert_eq!(t.update(k, 7).unwrap(), None),
-            &|t, k| assert!(!t.remove(k)),
-            &|t, k| assert_eq!(t.insert(k, 7).unwrap(), None),
-        ];
-        let mut leaves = keys_by_leaf(&t, 40..=300).into_iter().skip(1);
-        for write in writes {
-            // Not every leaf can be unlinked (a parent's leftmost child).
-            loop {
-                let (leaf, keys) = leaves.next().expect("ran out of leaves");
-                rebuild(&t);
-                let (tree, victims) = (Arc::clone(&t), keys.clone());
-                AFTER_LOCATE.with(|h| {
-                    *h.borrow_mut() = Some(Box::new(move |located| {
-                        assert_eq!(located, leaf);
-                        victims.iter().for_each(|&k| assert!(tree.remove(k)));
-                    }))
-                });
-                let counts = directed(|| write(&t, keys[0]));
-                let n = keys.len() as u64;
-                if t.node(leaf).is_deleted() {
-                    // One lookup for the write, which did not settle there.
-                    assert_eq!(counts, (1 + n, n), "{name}");
-                    break;
-                }
+fn directed_writer_that_finds_the_leaf_deleted_retries_by_descent() {
+    let p = pool(16);
+    let t = Arc::new(tiny_tree(&p));
+    for k in 1..=300u64 {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    type Write<'a> = &'a dyn Fn(&FastFairTree, u64);
+    let writes: [Write; 3] = [
+        &|t, k| assert_eq!(t.update(k, 7).unwrap(), None),
+        &|t, k| assert!(!t.remove(k)),
+        &|t, k| assert_eq!(t.insert(k, 7).unwrap(), None),
+    ];
+    let mut leaves = keys_by_leaf(&t, 40..=300).into_iter().skip(1);
+    for write in writes {
+        // Not every leaf can be unlinked (a parent's leftmost child).
+        loop {
+            let (leaf, keys) = leaves.next().expect("ran out of leaves");
+            rebuild(&t);
+            let (tree, victims) = (Arc::clone(&t), keys.clone());
+            AFTER_LOCATE.with(|h| {
+                *h.borrow_mut() = Some(Box::new(move |located| {
+                    assert_eq!(located, leaf);
+                    victims.iter().for_each(|&k| assert!(tree.remove(k)));
+                }))
+            });
+            let counts = directed(|| write(&t, keys[0]));
+            let n = keys.len() as u64;
+            if t.node(leaf).is_deleted() {
+                // One lookup for the write, which did not settle there.
+                assert_eq!(counts, (1 + n, n));
+                break;
             }
         }
-        assert_eq!(t.get(300), Some(value_for(300)));
-        t.check_consistency(true).unwrap();
     }
+    assert_eq!(t.get(300), Some(value_for(300)));
+    t.check_consistency(true).unwrap();
 }
 
 /// A build that races level-1 splits yields a usable, possibly short,
 /// directory: separators ascend from 0, every entry names a leaf, and
 /// every key is found through it.
 #[test]
-fn layout_variants_build_racing_level_one_splits_is_usable() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(64);
-        let t = tiny_tree(&p, opts);
-        const KEYS: u64 = 20_000;
-        let inserted = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            // Ascending inserts split the last leaf every 5 keys and the
-            // last level-1 node every 25.
-            s.spawn(|| {
-                for k in 1..=KEYS {
-                    t.insert(k, value_for(k)).unwrap();
-                    inserted.store(k, std::sync::atomic::Ordering::Release);
-                }
-            });
-            // (The inserter's own regret builds too; single-flight, so
-            // either thread's build may be the one that runs.)
-            let before = stats::snapshot().leaf_hint_rebuilds;
-            while inserted.load(std::sync::atomic::Ordering::Acquire) < KEYS {
-                let upto = inserted.load(std::sync::atomic::Ordering::Acquire);
-                t.regret_directory(u64::from(u32::MAX));
-                let Some(entries) = t.directory.entries(&t.epoch().pin()) else {
-                    continue;
-                };
-                assert_eq!(entries[0].0, 0, "{name}");
-                assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "{name}");
-                assert!(entries.iter().all(|&(_, l)| t.node(l).is_leaf()), "{name}");
-                for k in (1..=upto).step_by(97) {
-                    assert_eq!(t.get(k), Some(value_for(k)), "{name}: key {k}");
-                }
+fn build_racing_level_one_splits_is_usable() {
+    let p = pool(64);
+    let t = tiny_tree(&p);
+    const KEYS: u64 = 20_000;
+    let inserted = std::sync::atomic::AtomicU64::new(0);
+    std::thread::scope(|s| {
+        // Ascending inserts split the last leaf every 5 keys and the
+        // last level-1 node every 25.
+        s.spawn(|| {
+            for k in 1..=KEYS {
+                t.insert(k, value_for(k)).unwrap();
+                inserted.store(k, std::sync::atomic::Ordering::Release);
             }
-            let builds = stats::snapshot().leaf_hint_rebuilds - before;
-            assert!(builds > 3, "{name}: only {builds} builds raced the inserts");
         });
-        t.check_consistency(true).unwrap();
-    }
+        // (The inserter's own regret builds too; single-flight, so
+        // either thread's build may be the one that runs.)
+        let before = stats::snapshot().leaf_hint_rebuilds;
+        while inserted.load(std::sync::atomic::Ordering::Acquire) < KEYS {
+            let upto = inserted.load(std::sync::atomic::Ordering::Acquire);
+            t.regret_directory(u64::from(u32::MAX));
+            let Some(entries) = t.directory.entries(&t.epoch().pin()) else {
+                continue;
+            };
+            assert_eq!(entries[0].0, 0);
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(entries.iter().all(|&(_, l)| t.node(l).is_leaf()));
+            for k in (1..=upto).step_by(97) {
+                assert_eq!(t.get(k), Some(value_for(k)), "key {k}");
+            }
+        }
+        let builds = stats::snapshot().leaf_hint_rebuilds - before;
+        assert!(builds > 3, "only {builds} builds raced the inserts");
+    });
+    t.check_consistency(true).unwrap();
 }
 
 /// A FAIR split leaves the node it truncates in insert direction: the
@@ -1551,29 +1527,27 @@ fn layout_variants_build_racing_level_one_splits_is_usable() {
 /// image leaves it when a delete's counter bump reached PM and its poison
 /// store did not.
 #[test]
-fn layout_variants_split_hides_the_moved_out_half_from_late_readers() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        let cap = u64::from(t.node_capacity());
-        for k in 1..=cap {
-            t.insert(k * 10, value_for(k)).unwrap();
-        }
-        let left = t.find_leaf(10);
-        let node = t.node(left);
-        assert_eq!(node.count_records(), t.cap, "{name}: set-up");
-        node.set_switch_counter(node.switch_counter() + 1);
-        // Split it, the pending key going to the new sibling. The reader
-        // starts two slots above the count hint: look for a key that close
-        // to the new terminator.
-        let moved = (cap / 2 + 2) * 10;
-        t.insert(moved + 5, 7).unwrap();
-        assert_ne!(t.find_leaf(moved), left, "{name}: key did not move");
-        assert_eq!(t.update(moved, 9).unwrap(), Some(value_for(cap / 2 + 2)));
-        let late = crate::search::leaf_search_linear(&t, t.node(left), moved);
-        assert_eq!(late, None, "{name}: stale copy left of the split");
-        t.check_consistency(true).unwrap();
+fn split_hides_the_moved_out_half_from_late_readers() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    let cap = u64::from(t.node_capacity());
+    for k in 1..=cap {
+        t.insert(k * 10, value_for(k)).unwrap();
     }
+    let left = t.find_leaf(10);
+    let node = t.node(left);
+    assert_eq!(node.count_records(), t.cap, "set-up");
+    node.set_switch_counter(node.switch_counter() + 1);
+    // Split it, the pending key going to the new sibling. The reader
+    // starts two slots above the count hint: look for a key that close
+    // to the new terminator.
+    let moved = (cap / 2 + 2) * 10;
+    t.insert(moved + 5, 7).unwrap();
+    assert_ne!(t.find_leaf(moved), left, "key did not move");
+    assert_eq!(t.update(moved, 9).unwrap(), Some(value_for(cap / 2 + 2)));
+    let late = crate::search::leaf_search_linear(&t, t.node(left), moved);
+    assert_eq!(late, None, "stale copy left of the split");
+    t.check_consistency(true).unwrap();
 }
 
 /// Entering delete direction nulls everything above the new terminator —
@@ -1582,85 +1556,167 @@ fn layout_variants_split_hides_the_moved_out_half_from_late_readers() {
 /// found clean) once, under a single fence. A node already in delete
 /// direction, or one with nothing above its terminator, flushes nothing.
 #[test]
-fn layout_variants_delete_direction_persists_the_nulled_tail_once() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        let cap = u64::from(t.node_capacity());
-        for k in 1..=cap + 1 {
-            t.insert(k * 10, value_for(k)).unwrap();
-        }
-        let node = t.node(t.find_leaf(10));
-        let cnt = node.count_records();
-        assert_ne!(node.ptr(cnt + 1), 0, "{name}: no moved-out half");
-        assert_eq!(node.switch_counter() % 2, 0, "{name}: set-up");
-        let sc = node.switch_counter();
-        let (from, to) = (node.key_off(cnt + 1), node.key_off(t.cap + 2));
-        let lines = (to - 1) / 64 - from / 64 + 1;
-
-        stats::reset();
-        crate::delete::enter_delete_direction(&t, node, cnt);
-        let s = stats::take();
-        assert!((cnt + 1..t.cap + 2).all(|i| node.ptr(i) == 0), "{name}");
-        assert_eq!(node.switch_counter(), sc + 1, "{name}");
-        assert!(s.flushes >= 1, "{name}: the nulled tail was not flushed");
-        assert_eq!(s.flushes + s.flushes_coalesced, lines, "{name}");
-        assert_eq!(s.fences, 1, "{name}");
-
-        // Already odd: only the counter moves.
-        stats::reset();
-        crate::delete::enter_delete_direction(&t, node, cnt);
-        let s = stats::take();
-        assert_eq!((s.flushes, s.fences), (0, 0), "{name}");
-        assert_eq!(node.switch_counter(), sc + 3, "{name}");
-
-        // Even again, but the tail is already NULL: nothing to persist.
-        node.set_switch_counter(sc + 4);
-        stats::reset();
-        crate::delete::enter_delete_direction(&t, node, cnt);
-        let s = stats::take();
-        assert_eq!((s.flushes, s.fences), (0, 0), "{name}");
-        assert_eq!(node.switch_counter(), sc + 5, "{name}");
+fn delete_direction_persists_the_nulled_tail_once() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    let cap = u64::from(t.node_capacity());
+    for k in 1..=cap + 1 {
+        t.insert(k * 10, value_for(k)).unwrap();
     }
+    let node = t.node(t.find_leaf(10));
+    let cnt = node.count_records();
+    assert_ne!(node.ptr(cnt + 1), 0, "no moved-out half");
+    assert_eq!(node.switch_counter() % 2, 0, "set-up");
+    let sc = node.switch_counter();
+    let (from, to) = (node.key_off(cnt + 1), node.key_off(t.cap + 2));
+    let lines = (to - 1) / 64 - from / 64 + 1;
+
+    stats::reset();
+    crate::delete::enter_delete_direction(&t, node, cnt);
+    let s = stats::take();
+    assert!((cnt + 1..t.cap + 2).all(|i| node.ptr(i) == 0));
+    assert_eq!(node.switch_counter(), sc + 1);
+    assert!(s.flushes >= 1, "the nulled tail was not flushed");
+    assert_eq!(s.flushes + s.flushes_coalesced, lines);
+    assert_eq!(s.fences, 1);
+
+    // Already odd: only the counter moves.
+    stats::reset();
+    crate::delete::enter_delete_direction(&t, node, cnt);
+    let s = stats::take();
+    assert_eq!((s.flushes, s.fences), (0, 0));
+    assert_eq!(node.switch_counter(), sc + 3);
+
+    // Even again, but the tail is already NULL: nothing to persist.
+    node.set_switch_counter(sc + 4);
+    stats::reset();
+    crate::delete::enter_delete_direction(&t, node, cnt);
+    let s = stats::take();
+    assert_eq!((s.flushes, s.fences), (0, 0));
+    assert_eq!(node.switch_counter(), sc + 5);
 }
 
-/// Header word 56 is reserved (see the format table in `layout.rs`): no
-/// write path of either layout ever sets it, so every node of a churned
-/// tree still reads 0 there.
+/// Header words 48 and 56 are reserved (see the format table in
+/// `layout.rs`): no write path ever sets them, so every node of a churned
+/// tree still reads 0 in both.
 #[test]
-fn layout_variants_leave_the_reserved_header_word_zero() {
-    const RESERVED_OFF: u64 = 56;
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        let keys = generate_keys(3_000, KeyDist::Uniform, 61);
-        for &k in &keys {
-            t.insert(k, value_for(k)).unwrap();
+fn leave_the_reserved_header_words_zero() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    let keys = generate_keys(3_000, KeyDist::Uniform, 61);
+    for &k in &keys {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    for &k in keys.iter().step_by(3) {
+        assert!(t.remove(k));
+    }
+    for &k in keys.iter().skip(1).step_by(3) {
+        assert!(t.update(k, value_for(k ^ 1)).unwrap().is_some());
+    }
+    let nodes = assert_reserved_header_words_zero(&t);
+    assert!(nodes > 100, "walked only {nodes} nodes");
+    t.check_consistency(true).unwrap();
+}
+
+/// Recovery writes neither reserved header word either: `recover` on crash
+/// images cut all through a churn of splits, deletes and updates, each
+/// repairing what the cut left half-done, leaves both at 0 on every node.
+#[test]
+fn recovery_leaves_the_reserved_header_words_zero() {
+    const BYTES: usize = 4 << 20;
+    let p = Arc::new(Pool::new(PoolConfig::new().size(BYTES).crash_log(true)).unwrap());
+    let t = tiny_tree(&p);
+    let keys = generate_keys(160, KeyDist::Uniform, 67);
+    for &k in &keys[..80] {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    let log = p.crash_log().unwrap();
+    log.set_baseline(p.volatile_image());
+    for &k in &keys[80..] {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    for &k in keys.iter().step_by(3) {
+        assert!(t.remove(k));
+    }
+    for &k in keys.iter().skip(1).step_by(3) {
+        assert!(t.update(k, value_for(k ^ 1)).unwrap().is_some());
+    }
+    let meta = t.meta_offset();
+    let total = log.len();
+    let mut repairs = 0;
+    for cut in (0..=total).step_by(total / 60 + 1) {
+        for policy in [
+            pmem::crash::Eviction::None,
+            pmem::crash::Eviction::All,
+            pmem::crash::Eviction::Random(cut as u64),
+        ] {
+            let img = p.crash_image(cut, policy);
+            let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(BYTES)).unwrap());
+            let t2 = FastFairTree::open(p2, meta, TreeOptions::new()).unwrap();
+            let r = t2.recover().unwrap();
+            repairs += r.garbage_removed + r.splits_completed + r.siblings_attached;
+            assert_reserved_header_words_zero(&t2);
+            t2.check_consistency(true)
+                .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         }
-        for &k in keys.iter().step_by(3) {
-            assert!(t.remove(k));
-        }
-        for &k in keys.iter().skip(1).step_by(3) {
-            assert!(t.update(k, value_for(k ^ 1)).unwrap().is_some());
-        }
-        let mut first = t.root();
-        let mut nodes = 0;
-        loop {
-            let mut off = first;
-            while off != 0 {
-                let n = t.node(off);
-                assert_eq!(p.load_u64(off + RESERVED_OFF), 0, "{name}: node {off:#x}");
-                nodes += 1;
-                off = n.sibling();
+    }
+    assert!(repairs > 0, "no image needed a repair");
+}
+
+/// Walks every node of `t`, level by level along the sibling chains, and
+/// asserts that both reserved header words (48 and 56, see the format
+/// table in `layout.rs`) read 0; returns the number of nodes walked.
+fn assert_reserved_header_words_zero(t: &FastFairTree) -> usize {
+    let mut first = t.root();
+    let mut nodes = 0;
+    loop {
+        let mut off = first;
+        while off != 0 {
+            for word in [48u64, 56] {
+                assert_eq!(t.pool.load_u64(off + word), 0, "node {off:#x}, word {word}");
             }
-            let head = t.node(first);
-            if head.is_leaf() {
-                break;
-            }
-            first = head.leftmost();
+            nodes += 1;
+            off = t.node(off).sibling();
         }
-        assert!(nodes > 100, "{name}: walked only {nodes} nodes");
-        t.check_consistency(true).unwrap();
+        let head = t.node(first);
+        if head.is_leaf() {
+            break;
+        }
+        first = head.leftmost();
+    }
+    nodes
+}
+
+/// The base read charge at the largest node size, where a leaf holds 250
+/// records: a lookup pays one miss for the leaf's header line and streams
+/// the record lines its scan crosses, four records to a line — up to the
+/// key's slot on a hit, every record on a miss.
+#[test]
+fn lookup_streams_one_record_line_per_four_scanned_slots() {
+    let p = pool(16);
+    let t = tree_with(&p, TreeOptions::new().node_size(4096));
+    let n = 200u64;
+    for k in 1..=n {
+        t.insert(k * 2, value_for(k)).unwrap();
+    }
+    assert_eq!(t.height(), 0, "one leaf");
+    let charge = |key: u64, want: Option<u64>| {
+        stats::reset();
+        assert_eq!(t.get(key), want, "key {key}");
+        let s = stats::take();
+        (s.serial_misses, s.parallel_lines)
+    };
+    for k in 1..=n {
+        // Key `2k` sits in slot `k - 1`: the scan reads `k` records.
+        assert_eq!(
+            charge(k * 2, Some(value_for(k))),
+            (1, k.div_ceil(4)),
+            "slot {}",
+            k - 1
+        );
+    }
+    for absent in [1, 3, 2 * n + 1] {
+        assert_eq!(charge(absent, None), (1, n / 4), "absent key {absent}");
     }
 }
 
@@ -1668,65 +1724,61 @@ fn layout_variants_leave_the_reserved_header_word_zero() {
 /// a leaf whose first keys were deleted — its separator is no longer its
 /// first key — does not get a second one.
 #[test]
-fn layout_variants_dangling_sibling_repair_adds_no_second_routing_entry() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        for k in 1..=200u64 {
-            t.insert(k, value_for(k)).unwrap();
-        }
-        let mut checked = 0;
-        for (leaf, keys) in keys_by_leaf(&t, 1..=200) {
-            if routing_entries_for(&t, leaf) == 0 || keys.len() < 2 {
-                continue; // a leftmost child
-            }
-            assert!(t.remove(keys[0]));
-            crate::split::ensure_parent_entry(&t, leaf, 1).unwrap();
-            assert_eq!(routing_entries_for(&t, leaf), 1, "{name}: leaf {leaf:#x}");
-            checked += 1;
-        }
-        assert!(checked > 10, "{name}");
-        t.check_consistency(true).unwrap();
+fn dangling_sibling_repair_adds_no_second_routing_entry() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    for k in 1..=200u64 {
+        t.insert(k, value_for(k)).unwrap();
     }
+    let mut checked = 0;
+    for (leaf, keys) in keys_by_leaf(&t, 1..=200) {
+        if routing_entries_for(&t, leaf) == 0 || keys.len() < 2 {
+            continue; // a leftmost child
+        }
+        assert!(t.remove(keys[0]));
+        crate::split::ensure_parent_entry(&t, leaf, 1).unwrap();
+        assert_eq!(routing_entries_for(&t, leaf), 1, "leaf {leaf:#x}");
+        checked += 1;
+    }
+    assert!(checked > 10);
+    t.check_consistency(true).unwrap();
 }
 
 /// `try_unlink_empty_leaf` removes every routing entry that names the
 /// leaf, not only the first: none may outlive the unlink and route into
 /// the retired block.
 #[test]
-fn layout_variants_unlink_removes_every_routing_entry_of_the_leaf() {
-    for (name, opts) in geometry_variants() {
-        let p = pool(16);
-        let t = tiny_tree(&p, opts);
-        for k in 1..=200u64 {
-            t.insert(k, value_for(k)).unwrap();
-        }
-        // A leaf with a routing entry, in a parent with room for a second.
-        let (leaf, keys, parent) = keys_by_leaf(&t, 1..=200)
-            .into_iter()
-            .find_map(|(leaf, keys)| {
-                let parent = t.level_chain(1).into_iter().find(|&p| {
-                    let p = t.node(p);
-                    p.count_records() < t.cap && p.valid_entries().iter().any(|e| e.1 == leaf)
-                })?;
-                (keys.len() >= 2).then_some((leaf, keys, parent))
-            })
-            .expect("no such leaf");
-        // What a repair that raced the parent update used to leave behind.
-        let parent = t.node(parent);
-        crate::insert::fast_insert_locked(&t, parent, keys[1], leaf, parent.count_records());
-        assert_eq!(routing_entries_for(&t, leaf), 2, "{name}");
-        for &k in &keys {
-            assert!(t.remove(k));
-        }
-        assert!(t.node(leaf).is_deleted(), "{name}: leaf not unlinked");
-        assert_eq!(routing_entries_for(&t, leaf), 0, "{name}");
-        for k in 1..=200u64 {
-            let want = (!keys.contains(&k)).then(|| value_for(k));
-            assert_eq!(t.get(k), want, "{name}: key {k}");
-        }
-        t.check_consistency(true).unwrap();
+fn unlink_removes_every_routing_entry_of_the_leaf() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    for k in 1..=200u64 {
+        t.insert(k, value_for(k)).unwrap();
     }
+    // A leaf with a routing entry, in a parent with room for a second.
+    let (leaf, keys, parent) = keys_by_leaf(&t, 1..=200)
+        .into_iter()
+        .find_map(|(leaf, keys)| {
+            let parent = t.level_chain(1).into_iter().find(|&p| {
+                let p = t.node(p);
+                p.count_records() < t.cap && p.valid_entries().iter().any(|e| e.1 == leaf)
+            })?;
+            (keys.len() >= 2).then_some((leaf, keys, parent))
+        })
+        .expect("no such leaf");
+    // What a repair that raced the parent update used to leave behind.
+    let parent = t.node(parent);
+    crate::insert::fast_insert_locked(&t, parent, keys[1], leaf, parent.count_records());
+    assert_eq!(routing_entries_for(&t, leaf), 2);
+    for &k in &keys {
+        assert!(t.remove(k));
+    }
+    assert!(t.node(leaf).is_deleted(), "leaf not unlinked");
+    assert_eq!(routing_entries_for(&t, leaf), 0);
+    for k in 1..=200u64 {
+        let want = (!keys.contains(&k)).then(|| value_for(k));
+        assert_eq!(t.get(k), want, "key {k}");
+    }
+    t.check_consistency(true).unwrap();
 }
 
 proptest! {

@@ -12,12 +12,13 @@
 //!  8  root node offset           (updated by a single persisted store —
 //!                                 the commit point of a root split)
 //! 16  node size in bytes
-//! 24  strategy tag               (bit 0: logging split; bit 1: leaf
-//!                                 fingerprints — 0 = plain FAIR, kept
-//!                                 compatible with the old 0/1 encoding;
-//!                                 bit 2: reserved, rejected on open — it
-//!                                 marked the removed circular record
-//!                                 frame)
+//! 24  strategy tag               (bit 0: logging split — 0 = plain FAIR;
+//!                                 bits 1 and 2: retired, rejected on
+//!                                 open — they marked the removed leaf
+//!                                 fingerprints and circular record
+//!                                 frame; node header words 48 and 56,
+//!                                 which those layouts used, are zero
+//!                                 and free for a new field)
 //! 32  log head                   (logging variant: node being split, 0 = idle)
 //! 40  lock word                  (volatile; serializes root growth)
 //! 48  log area offset            (logging variant's preallocated undo buffer)
@@ -31,7 +32,7 @@ use pmem::{stats, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
 use crate::hint::LeafDirectory;
-use crate::layout::{capacity, capacity_with, NodeGeom, NodeRef};
+use crate::layout::{capacity, NodeRef};
 use crate::lock::ReadGuard;
 use crate::scan::TreeCursor;
 
@@ -43,9 +44,10 @@ pub(crate) const META_LOG_HEAD: u64 = 32;
 pub(crate) const META_LOCK: u64 = 40;
 pub(crate) const META_LOG_AREA: u64 = 48;
 
-/// Strategy bit 2: set by trees whose nodes used the circular record
-/// frame, a layout this crate no longer reads.
-const STRATEGY_RETIRED_FRAME: u64 = 4;
+/// Strategy bits of node layouts this crate no longer reads: bit 1 marked
+/// leaf fingerprints (records start one or more lines later), bit 2 the
+/// circular record frame (records start at a persistent head).
+const RETIRED_STRATEGY_BITS: u64 = 2 | 4;
 
 /// How node splits are made failure-atomic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,8 +84,6 @@ pub struct TreeOptions {
     /// `FAST+FAIR+LeafLock` (§4.1): readers take leaf read locks, trading a
     /// little concurrency for serializable reads.
     pub leaf_locks: bool,
-    /// Leaf fingerprint probes (see [`NodeGeom::fingerprints`]).
-    pub fingerprints: bool,
 }
 
 impl TreeOptions {
@@ -95,7 +95,6 @@ impl TreeOptions {
             split: SplitStrategy::Fair,
             search: InNodeSearch::Linear,
             leaf_locks: false,
-            fingerprints: false,
         }
     }
 
@@ -131,19 +130,6 @@ impl TreeOptions {
     pub fn leaf_locks(mut self, on: bool) -> Self {
         self.leaf_locks = on;
         self
-    }
-
-    /// Enables leaf fingerprint probes.
-    pub fn fingerprints(mut self, on: bool) -> Self {
-        self.fingerprints = on;
-        self
-    }
-
-    /// The node geometry these options describe.
-    pub fn geom(&self) -> NodeGeom {
-        NodeGeom {
-            fingerprints: self.fingerprints,
-        }
     }
 }
 
@@ -226,17 +212,14 @@ impl FastFairTree {
         let meta = pool.alloc(64, 64)?;
         pool.zero_region(meta, 64);
         let root = pool.alloc(u64::from(node_size), 64)?;
-        NodeRef::with_geom(&pool, root, node_size, opts.geom()).init(0);
+        NodeRef::new(&pool, root, node_size).init(0);
         pool.persist(root, u64::from(node_size));
         pool.store_u64(meta, META_MAGIC);
         pool.store_u64(meta + META_NODE_SIZE, u64::from(node_size));
-        let mut strategy = match opts.split {
+        let strategy = match opts.split {
             SplitStrategy::Fair => 0,
             SplitStrategy::Logging => 1,
         };
-        if opts.fingerprints {
-            strategy |= 2;
-        }
         pool.store_u64(meta + META_STRATEGY, strategy);
         if opts.split == SplitStrategy::Logging {
             // Undo buffer: 8-byte target tag + a full node image.
@@ -259,8 +242,9 @@ impl FastFairTree {
     ///
     /// Returns [`IndexError::PoolExhausted`] wrapping a description if the
     /// superblock magic does not match, and [`IndexError::Unsupported`] if
-    /// the tree was created with the removed circular record frame — its
-    /// records are not where this crate looks for them.
+    /// the tree was created with a removed node layout (leaf fingerprints
+    /// or the circular record frame) — its records are not where this
+    /// crate looks for them.
     pub fn open(pool: Arc<Pool>, meta: PmOffset, opts: TreeOptions) -> Result<Self, IndexError> {
         if pool.load_u64(meta) != META_MAGIC {
             return Err(IndexError::PoolExhausted(format!(
@@ -268,10 +252,15 @@ impl FastFairTree {
             )));
         }
         let strategy = pool.load_u64(meta + META_STRATEGY);
-        if strategy & STRATEGY_RETIRED_FRAME != 0 {
+        if strategy & RETIRED_STRATEGY_BITS != 0 {
+            let layout = if strategy & 2 != 0 {
+                "leaf fingerprints"
+            } else {
+                "the circular record frame"
+            };
             return Err(IndexError::Unsupported(format!(
-                "tree at offset {meta:#x} was created with the circular record frame; \
-                 the circular record frame was removed, so its records cannot be read"
+                "tree at offset {meta:#x} was created with {layout}; \
+                 that node layout was removed, so its records cannot be read"
             )));
         }
         let node_size = pool.load_u64(meta + META_NODE_SIZE) as u32;
@@ -282,7 +271,6 @@ impl FastFairTree {
         } else {
             SplitStrategy::Fair
         };
-        opts.fingerprints = strategy & 2 != 0;
         let tree = Self::with_meta(pool, meta, node_size, opts);
         tree.undo_log_rollback();
         Ok(tree)
@@ -293,9 +281,6 @@ impl FastFairTree {
             (SplitStrategy::Logging, _, _) => "FAST+Logging",
             (SplitStrategy::Fair, true, _) => "FAST+FAIR+LeafLock",
             (SplitStrategy::Fair, false, InNodeSearch::Binary) => "FAST+FAIR(binary)",
-            (SplitStrategy::Fair, false, InNodeSearch::Linear) if opts.fingerprints => {
-                "FAST+FAIR+FP"
-            }
             (SplitStrategy::Fair, false, InNodeSearch::Linear) => "FAST+FAIR",
         };
         let epoch = EpochDomain::new();
@@ -303,7 +288,7 @@ impl FastFairTree {
             pool,
             meta,
             node_size,
-            cap: capacity_with(node_size, opts.geom()),
+            cap: capacity(node_size),
             opts,
             directory: LeafDirectory::new(Arc::clone(&epoch)),
             epoch,
@@ -353,10 +338,10 @@ impl FastFairTree {
         self.node(self.root()).level()
     }
 
-    /// Borrowed view of the node at `off`, framed by the tree's geometry.
+    /// Borrowed view of the node at `off`.
     #[inline]
     pub(crate) fn node(&self, off: PmOffset) -> NodeRef<'_> {
-        NodeRef::with_geom(&self.pool, off, self.node_size, self.opts.geom())
+        NodeRef::new(&self.pool, off, self.node_size)
     }
 
     /// Lands on the node at `off`, charging the read for it if the node

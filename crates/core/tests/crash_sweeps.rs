@@ -251,6 +251,21 @@ fn crash_during_fast_deletes() {
 }
 
 #[test]
+fn crash_during_deletes_and_updates_within_one_leaf() {
+    // Deletes (a left shift each, the first flipping the scan direction)
+    // interleaved with in-place updates of the keys they shift past.
+    let preload: Vec<u64> = (1..=6).map(|k| k * 100).collect();
+    let ops = vec![
+        Op::Delete(100),
+        Op::Update(400),
+        Op::Delete(600),
+        Op::Update(200),
+        Op::Delete(300),
+    ];
+    crash_sweep(TreeOptions::new().node_size(256), &preload, &ops, 1);
+}
+
+#[test]
 fn crash_during_fair_leaf_split() {
     // 256-byte nodes hold 10 records; preload 9 then insert to force the
     // first split, sweeping every store/flush of Algorithm 2.
@@ -331,13 +346,11 @@ fn crash_during_inplace_updates_with_warm_hints_enumerates_the_same_images() {
         .iter()
         .map(|&k| Op::Update(k))
         .collect();
-    for fingerprints in [false, true] {
-        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
-        let cold = crash_sweep_logged(opts, &preload, &ops, 1, false);
-        let warm = crash_sweep_logged(opts, &preload, &ops, 1, true);
-        assert_eq!(warm, cold, "directed updates logged different stores");
-        assert!(!cold.is_empty());
-    }
+    let opts = TreeOptions::new().node_size(256);
+    let cold = crash_sweep_logged(opts, &preload, &ops, 1, false);
+    let warm = crash_sweep_logged(opts, &preload, &ops, 1, true);
+    assert_eq!(warm, cold, "directed updates logged different stores");
+    assert!(!cold.is_empty());
 }
 
 /// The same for every kind of leaf-level write: directed fresh inserts
@@ -346,13 +359,11 @@ fn crash_during_inplace_updates_with_warm_hints_enumerates_the_same_images() {
 #[test]
 fn crash_during_mixed_ops_with_warm_directory_enumerates_the_same_images() {
     let (preload, ops) = mixed_ops();
-    for fingerprints in [false, true] {
-        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
-        let cold = crash_sweep_logged(opts, &preload, &ops, 7, false);
-        let warm = crash_sweep_logged(opts, &preload, &ops, 7, true);
-        assert_eq!(warm, cold, "directed ops logged different stores");
-        assert!(!cold.is_empty());
-    }
+    let opts = TreeOptions::new().node_size(256);
+    let cold = crash_sweep_logged(opts, &preload, &ops, 7, false);
+    let warm = crash_sweep_logged(opts, &preload, &ops, 7, true);
+    assert_eq!(warm, cold, "directed ops logged different stores");
+    assert!(!cold.is_empty());
 }
 
 /// A preload and a mix of inserts (enough to split), in-place updates and
@@ -433,59 +444,37 @@ fn crash_during_bulk_load_recovers_old_or_new() {
     }
 }
 
-#[test]
-fn crash_during_fingerprinted_inserts_and_split() {
-    // 256-byte fingerprinted nodes hold 6 records: the batch crosses the
-    // first split, sweeping every cut of the seal dance (unseal persist,
-    // lockstep fp stores, fp-line flushes, reseal) and of the split's
-    // truncation-window unseal/zero/reseal.
-    let preload: Vec<u64> = vec![100, 200, 300, 400, 500];
-    let ops: Vec<Op> = [250u64, 50, 450, 150, 350]
-        .iter()
-        .map(|&k| Op::Insert(k))
-        .collect();
-    crash_sweep(
-        TreeOptions::new().node_size(256).fingerprints(true),
-        &preload,
-        &ops,
-        1,
-    );
-}
-
-#[test]
-fn crash_during_fingerprinted_deletes_and_updates() {
-    // Deletes break and re-arm the seal around the left-shift; in-place
-    // updates must not disturb the fingerprint array at all.
-    let preload: Vec<u64> = (1..=6).map(|k| k * 100).collect();
-    let ops = vec![
-        Op::Delete(100),
-        Op::Update(400),
-        Op::Delete(600),
-        Op::Update(200),
-        Op::Delete(300),
-    ];
-    crash_sweep(
-        TreeOptions::new().node_size(256).fingerprints(true),
-        &preload,
-        &ops,
-        1,
-    );
+/// Tree heights before and after `inserts` on a tree holding `preload` —
+/// for sweeps whose batch must cross a split.
+fn heights(opts: TreeOptions, preload: &[u64], inserts: &[u64]) -> (u32, u32) {
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL_BYTES)).unwrap());
+    let tree = FastFairTree::create(pool, opts).unwrap();
+    for &k in preload {
+        tree.insert(k, value_for(k)).unwrap();
+    }
+    let before = tree.height();
+    for &k in inserts {
+        tree.insert(k, value_for(k)).unwrap();
+    }
+    (before, tree.height())
 }
 
 #[test]
 fn crash_during_front_inserts() {
     // Every op lands in slot 0 of a filling leaf — the longest FAST shift,
-    // each copy crossing every record line — on both layouts (the
-    // fingerprinted leaf holds 6 records, so its batch also splits).
+    // each copy crossing every record line. The 256-byte leaf holds 10
+    // records: the eleventh key splits it mid-sweep, and the last ones land
+    // in slot 0 of the split's left half.
     let preload: Vec<u64> = (5..=9).map(|k| k * 100).collect();
-    let ops: Vec<Op> = [450u64, 350, 250, 150, 50]
-        .iter()
-        .map(|&k| Op::Insert(k))
-        .collect();
-    for fingerprints in [false, true] {
-        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
-        crash_sweep(opts, &preload, &ops, 1);
-    }
+    let inserts = [450u64, 350, 250, 150, 50, 40, 30, 20];
+    let ops: Vec<Op> = inserts.iter().map(|&k| Op::Insert(k)).collect();
+    let opts = TreeOptions::new().node_size(256);
+    assert_eq!(
+        heights(opts, &preload, &inserts),
+        (0, 1),
+        "the batch must split"
+    );
+    crash_sweep(opts, &preload, &ops, 1);
 }
 
 #[test]
@@ -499,16 +488,13 @@ fn crash_during_deletes_after_a_split() {
         .iter()
         .map(|&k| Op::Delete(k))
         .collect();
-    for fingerprints in [false, true] {
-        let opts = TreeOptions::new().node_size(256).fingerprints(fingerprints);
-        crash_sweep(opts, &preload, &ops, 1);
-    }
+    crash_sweep(TreeOptions::new().node_size(256), &preload, &ops, 1);
 }
 
 #[test]
-fn crash_variant_axis_seeded() {
+fn crash_during_seeded_inserts_and_deletes() {
     // The CI seed matrix walks a different random slice of crash states
-    // for every layout variant on every leg.
+    // on every leg.
     let es = pmem::crash::env_seed();
     let preload = generate_keys(30, KeyDist::DenseShuffled, 23 ^ es)
         .into_iter()
@@ -519,10 +505,7 @@ fn crash_variant_axis_seeded() {
     for (i, &k) in preload.iter().enumerate().take(8) {
         ops.insert(i * 3 + 2, Op::Delete(k));
     }
-    for fingerprints in [false, true] {
-        let geom = TreeOptions::new().node_size(256).fingerprints(fingerprints);
-        crash_sweep(geom, &preload, &ops, 11);
-    }
+    crash_sweep(TreeOptions::new().node_size(256), &preload, &ops, 11);
 }
 
 #[test]
