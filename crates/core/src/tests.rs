@@ -1066,6 +1066,35 @@ fn readers_never_miss_a_key_being_overwritten_in_place() {
     });
 }
 
+/// §5.6's scaling rests on one mechanism: a search takes no latch. With
+/// the leaf that holds `k` write-latched by this very thread, a `get` and
+/// a cursor still return `k`, by descent and through the leaf directory;
+/// a search that took the latch would spin here forever.
+#[test]
+fn search_reads_through_a_write_latched_leaf() {
+    let (p, t) = small_tree();
+    for k in 1..=2_000u64 {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    let k = 1_000;
+    let latch = t.node(t.find_leaf(k)).lock_word_off();
+    let latched_read = || {
+        crate::lock::lock_write(&p, latch);
+        let seen = directed(|| {
+            assert_eq!(t.get(k), Some(value_for(k)));
+            let mut c = t.cursor();
+            c.seek(k);
+            assert_eq!(c.next(), Some((k, value_for(k))));
+        });
+        crate::lock::unlock_write(&p, latch);
+        seen
+    };
+    assert_eq!(latched_read(), (2, 0), "by descent");
+    rebuild(&t);
+    assert_eq!(latched_read(), (2, 2), "through the directory");
+    t.check_consistency(true).unwrap();
+}
+
 // ---- leaf directory ---------------------------------------------------------
 //
 // The volatile `key range → leaf` directory in front of the descent

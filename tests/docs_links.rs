@@ -71,7 +71,6 @@ fn architecture_doc_mentions_every_crate() {
         "pskiplist",
         "blink",
         "tpcc",
-        "bench",
         "shims",
     ] {
         assert!(
