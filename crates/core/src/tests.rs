@@ -721,15 +721,6 @@ fn concurrent_mixed_workload() {
                         pmindex::workload::Op::Delete(k) => {
                             assert!(t.remove(k));
                         }
-                        pmindex::workload::Op::Scan(lo, hi) => {
-                            let mut c = t.cursor();
-                            c.seek(lo);
-                            while let Some((k, _)) = c.next() {
-                                if k >= hi {
-                                    break;
-                                }
-                            }
-                        }
                     }
                 }
             });

@@ -46,7 +46,7 @@
 //! Setting `FF_EPOCH_STRESS=1` in the environment makes every unpin run
 //! the advance/collect maintenance step (instead of every
 //! [`MAINTENANCE_INTERVAL`]th), maximizing reclamation churn — the CI
-//! bench-smoke job runs with it on.
+//! service-soak job runs with it on.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -87,18 +87,15 @@ pub struct PoolConfig {
     size: usize,
     latency: LatencyProfile,
     crash_log: bool,
-    coalesce_flushes: bool,
 }
 
 impl PoolConfig {
-    /// Starts from the defaults: 64 MiB, DRAM latency, no crash log,
-    /// flush coalescing on.
+    /// Starts from the defaults: 64 MiB, DRAM latency, no crash log.
     pub fn new() -> Self {
         PoolConfig {
             size: 64 << 20,
             latency: LatencyProfile::dram(),
             crash_log: false,
-            coalesce_flushes: true,
         }
     }
 
@@ -117,20 +114,6 @@ impl PoolConfig {
     /// Enables the crash-simulation event log (see [`crate::crash`]).
     pub fn crash_log(mut self, enabled: bool) -> Self {
         self.crash_log = enabled;
-        self
-    }
-
-    /// Enables or disables the flush scheduler's clean-line elision
-    /// (default on).
-    ///
-    /// With coalescing on, [`Pool::flush_line`] skips a line that has not
-    /// been stored to since its previous flush — a semantic no-op under the
-    /// crash model (a clean line has no pending stores to write back) that
-    /// saves the emulated `clflush` latency. Turning it off restores the
-    /// paper-literal behaviour where every requested `clflush` is issued;
-    /// the A/B is the "coalesced flushes" lever of the benchmark sweep.
-    pub fn coalesce_flushes(mut self, enabled: bool) -> Self {
-        self.coalesce_flushes = enabled;
         self
     }
 }
@@ -200,7 +183,7 @@ pub struct Pool {
     /// (zeros, or the durable image in [`Pool::from_image`]) are durable
     /// by construction, so a line's first flush has nothing to write back
     /// until a store touches it — exactly like `clflush` of an uncached
-    /// line on real hardware. Empty when coalescing is disabled.
+    /// line on real hardware.
     dirty: Vec<AtomicU64>,
     /// Identity for the thread-local deferred-flush scope (multi-pool safe).
     pool_id: u64,
@@ -208,10 +191,7 @@ pub struct Pool {
 
 static POOL_IDS: AtomicU64 = AtomicU64::new(1);
 
-fn dirty_words(size: usize, coalesce: bool) -> Vec<AtomicU64> {
-    if !coalesce {
-        return Vec::new();
-    }
+fn dirty_words(size: usize) -> Vec<AtomicU64> {
     let lines = size.div_ceil(CACHE_LINE);
     (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
 }
@@ -251,7 +231,7 @@ impl Pool {
             freelists: Mutex::new(BTreeMap::new()),
             crash: config.crash_log.then(CrashLog::new),
             allocations: AtomicUsize::new(0),
-            dirty: dirty_words(config.size, config.coalesce_flushes),
+            dirty: dirty_words(config.size),
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
         };
         pool.raw_store(0, MAGIC);
@@ -282,7 +262,7 @@ impl Pool {
             freelists: Mutex::new(BTreeMap::new()),
             crash: config.crash_log.then(CrashLog::new),
             allocations: AtomicUsize::new(0),
-            dirty: dirty_words(size, config.coalesce_flushes),
+            dirty: dirty_words(size),
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
         };
         let cursor = pool.raw_load(CURSOR_SLOT).max(POOL_HEADER_SIZE);
@@ -329,24 +309,17 @@ impl Pool {
         self.mark_dirty(off);
     }
 
-    /// Sets the dirty bit of the line containing `off` (no-op when flush
-    /// coalescing is disabled).
+    /// Sets the dirty bit of the line containing `off`.
     #[inline]
     fn mark_dirty(&self, off: PmOffset) {
-        if self.dirty.is_empty() {
-            return;
-        }
         let line = (off as usize) / CACHE_LINE;
         self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::AcqRel);
     }
 
     /// Clears the dirty bit of `line` (a line-aligned offset); returns
-    /// whether it was set. Always reports dirty when coalescing is off.
+    /// whether it was set.
     #[inline]
     fn test_and_clear_dirty(&self, line: u64) -> bool {
-        if self.dirty.is_empty() {
-            return true;
-        }
         let idx = (line as usize) / CACHE_LINE;
         let mask = 1u64 << (idx % 64);
         self.dirty[idx / 64].fetch_and(!mask, Ordering::AcqRel) & mask != 0
@@ -470,13 +443,13 @@ impl Pool {
     /// Does **not** fence; pair with [`sfence`](Pool::sfence) or use
     /// [`persist`](Pool::persist).
     ///
-    /// With [`PoolConfig::coalesce_flushes`] (the default), a flush of a
-    /// *clean* line — no store since its previous flush — is elided and
-    /// counted in [`stats::Snapshot::flushes_coalesced`]: a clean line has
-    /// no pending stores to write back, so skipping the `clflush` leaves
-    /// the set of reachable post-crash images unchanged. Inside a
-    /// [`deferred flush scope`](Pool::deferred_flush_scope) the request is
-    /// instead queued and issued (deduplicated) when the scope closes.
+    /// A flush of a *clean* line — no store since its previous flush — is
+    /// elided and counted in [`stats::Snapshot::flushes_coalesced`]: a
+    /// clean line has no pending stores to write back, so skipping the
+    /// `clflush` leaves the set of reachable post-crash images unchanged.
+    /// Inside a [`deferred flush scope`](Pool::deferred_flush_scope) the
+    /// request is instead queued and issued (deduplicated) when the scope
+    /// closes.
     #[inline]
     pub fn flush_line(&self, off: PmOffset) {
         let line = off & !(CACHE_LINE as u64 - 1);
@@ -710,10 +683,9 @@ impl Pool {
 
     /// Zeroes `len` bytes starting at `off` (8-byte aligned, logged stores).
     ///
-    /// With [`PoolConfig::coalesce_flushes`] (the default), words that
-    /// already read zero are skipped: rewriting them would re-dirty clean
-    /// lines and force the caller's covering persist to write back cache
-    /// lines whose durable contents cannot change. Fresh bump allocations
+    /// Words that already read zero are skipped: rewriting them would
+    /// re-dirty clean lines and force the caller's covering persist to
+    /// write back cache lines whose durable contents cannot change. Fresh bump allocations
     /// (and the untouched tail of recycled nodes) thus keep their lines
     /// clean, and the node-sized persists after splits and root growth
     /// elide them — counted in [`stats::Snapshot::flushes_coalesced`].
@@ -723,10 +695,9 @@ impl Pool {
     /// reachable post-crash images is unchanged either way.
     pub fn zero_region(&self, off: PmOffset, len: u64) {
         debug_assert!(off.is_multiple_of(8) && len.is_multiple_of(8));
-        let skip_clean_zeros = !self.dirty.is_empty();
         let mut o = off;
         while o < off + len {
-            if !(skip_clean_zeros && self.raw_load(o) == 0) {
+            if self.raw_load(o) != 0 {
                 self.store_u64(o, 0);
             }
             o += 8;
@@ -1106,18 +1077,6 @@ mod tests {
         stats::reset();
         p.persist(off, 8);
         assert_eq!(stats::take().flushes, 1);
-    }
-
-    #[test]
-    fn coalescing_can_be_disabled() {
-        let p = Pool::new(PoolConfig::new().size(1 << 16).coalesce_flushes(false)).unwrap();
-        let off = p.alloc(64, 64).unwrap();
-        stats::reset();
-        p.persist(off, 8);
-        p.persist(off, 8);
-        let s = stats::take();
-        assert_eq!(s.flushes, 2);
-        assert_eq!(s.flushes_coalesced, 0);
     }
 
     #[test]

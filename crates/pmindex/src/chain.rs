@@ -1,7 +1,7 @@
 //! Shared leaf-chain cursor machinery.
 //!
 //! Every sibling-linked index in this repository (FAST+FAIR, wB+-tree,
-//! FP-tree, the volatile B-link tree) streams range scans the same way:
+//! FP-tree) streams range scans the same way:
 //! descend to the leaf covering the seek target, buffer one leaf's
 //! entries, drain them through a lower-bound filter plus a strict-
 //! monotonicity filter (which drops the duplicated upper half of an
@@ -20,8 +20,8 @@ use crate::{Cursor, Key, Value};
 ///
 /// Implementations decide their own consistency protocol inside
 /// [`LeafChain::read`] — a lock-free switch-counter retry (FAST+FAIR), a
-/// seqlock snapshot (FP-tree), or a short-lived latch (wB+-tree,
-/// B-link). Entries must come back in ascending key order; cross-leaf
+/// seqlock snapshot (FP-tree), or a short-lived latch (wB+-tree).
+/// Entries must come back in ascending key order; cross-leaf
 /// duplicates are the adapter's problem, not the hook's.
 ///
 /// ```
@@ -60,8 +60,7 @@ use crate::{Cursor, Key, Value};
 /// assert_eq!(cur.prev(), None);
 /// ```
 pub trait LeafChain {
-    /// Handle naming one leaf: a pool offset for the persistent indexes,
-    /// a raw node pointer for the volatile B-link tree.
+    /// Handle naming one leaf, such as its pool offset.
     type Leaf: Copy;
 
     /// Descends to the leaf whose key range contains `target` (the seek

@@ -1,23 +1,23 @@
-//! Common index abstractions and workload generators.
+//! Common index abstractions and the tests' key generators.
 //!
 //! Every index structure in this reproduction — FAST+FAIR, wB+-tree,
-//! FP-tree, WORT, the persistent skip list and the volatile B-link tree —
-//! implements [`PmIndex`] so the benchmark harness, the TPC-C substrate and
-//! the differential tests can treat them uniformly.
+//! FP-tree, WORT and the persistent skip list — implements [`PmIndex`] so
+//! the shard router, the transaction engine, the TPC-C substrate and the
+//! differential tests can treat them uniformly.
 //!
-//! The [`workload`] module generates the key sequences and operation mixes
-//! used by the paper's evaluation (§5): uniform random 8-byte keys, range
-//! scans with a selection ratio, and the mixed workload of Fig. 7(c)
-//! (sixteen searches : four inserts : one delete).
+//! The [`workload`] module generates the keys and operation mixes the tests
+//! and examples use: uniform random 8-byte keys (the paper's §5 setting)
+//! and the mixed workload of Fig. 7(c) (sixteen searches : four inserts :
+//! one delete).
 //!
 //! Beyond the core trait, this crate carries the *router-facing* seam that
 //! `crates/shard` builds on: [`PersistentIndex`] (create/open an index
 //! inside a [`pmem::Pool`] and name its persistent superblock) and
 //! [`CursorIter`] (drive a [`Cursor`] as an [`Iterator`], e.g. to stream
 //! one index into another through [`PmIndex::bulk_load`]) — plus the
-//! [`chain`] module, the shared leaf-chain cursor adapter that the four
-//! sibling-linked indexes (FAST+FAIR, wB+-tree, FP-tree, B-link) build
-//! their cursors from.
+//! [`chain`] module, the shared leaf-chain cursor adapter that the three
+//! sibling-linked indexes (FAST+FAIR, wB+-tree, FP-tree) build their
+//! cursors from.
 
 #![deny(missing_docs)]
 
@@ -82,7 +82,7 @@ impl From<pmem::PmError> for IndexError {
 /// smallest key*; [`Cursor::next`] then yields live `(key, value)` pairs in
 /// strictly ascending key order without materializing the result set.
 /// [`Cursor::seek`] repositions the cursor so the next call to `next`
-/// returns the first entry with `key >= target` — the B-link leaf-chain
+/// returns the first entry with `key >= target` — the sibling-linked leaf
 /// walk of the paper's §5.3 range-query evaluation.
 ///
 /// ## Consistency under concurrency
@@ -233,8 +233,7 @@ impl BatchOp {
     }
 }
 
-/// A persistent (or, for the B-link baseline, volatile) ordered key-value
-/// index.
+/// A persistent ordered key-value index.
 ///
 /// All methods take `&self`: implementations are internally synchronized,
 /// so the same trait serves the single-threaded latency experiments
@@ -561,7 +560,7 @@ pub trait PmIndex: Send + Sync {
         self.apply_batch(ops)
     }
 
-    /// Short human-readable name used in benchmark tables
+    /// Short human-readable name used in test failures and reports
     /// (e.g. `"FAST+FAIR"`, `"wB+-tree"`).
     ///
     /// ```
@@ -642,9 +641,8 @@ impl<T: PmIndex + ?Sized> PmIndex for std::sync::Arc<T> {
 /// record them in a crash-consistent manifest, and reconstruct the whole
 /// deployment after a restart.
 ///
-/// Every persistent index in this repository (FAST+FAIR, wB+-tree,
-/// FP-tree, WORT, the persistent skip list) implements it; the volatile
-/// B-link baseline does not, because it has nothing to re-open.
+/// Every index in this repository (FAST+FAIR, wB+-tree, FP-tree, WORT,
+/// the persistent skip list) implements it.
 pub trait PersistentIndex: PmIndex + Sized {
     /// Creates a fresh, empty index inside `pool` with the
     /// implementation's default configuration.

@@ -1,12 +1,11 @@
-//! Workload generators matching the paper's evaluation section.
+//! Key and operation generators shared by the tests and examples.
 //!
 //! * Uniform random 8-byte keys (§5.2–§5.4: "we index 1/10/50 million
-//!   random key-value pairs of 8 bytes each, in uniform distribution").
-//! * Range-scan start keys for a given *selection ratio* (§5.3).
+//!   random key-value pairs of 8 bytes each, in uniform distribution"),
+//!   and dense shuffled keys for exhaustive checks.
 //! * The mixed workload of Fig. 7(c): each thread alternates four inserts,
 //!   sixteen searches and one delete.
-//! * A self-similar (Zipf-like) distribution as an extension for skewed-
-//!   access experiments not in the paper.
+//! * [`partition`], which splits a key set across threads.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -36,9 +35,6 @@ pub enum KeyDist {
     Uniform,
     /// Dense keys `1..=n` shuffled; useful for exhaustive checks.
     DenseShuffled,
-    /// Self-similar skew: a fraction `h` of accesses go to a fraction
-    /// `1 - h` of the key space (extension; not used by the paper figures).
-    SelfSimilar(f64),
 }
 
 /// Generates `n` distinct keys with the given distribution and seed.
@@ -64,22 +60,6 @@ pub fn generate_keys(n: usize, dist: KeyDist, seed: u64) -> Vec<Key> {
             keys.shuffle(&mut rng);
             keys
         }
-        KeyDist::SelfSimilar(h) => {
-            let h = h.clamp(0.01, 0.99);
-            let mut set = std::collections::HashSet::with_capacity(n * 2);
-            let mut keys = Vec::with_capacity(n);
-            let space = u64::MAX as f64;
-            while keys.len() < n {
-                let u: f64 = rng.gen();
-                // Self-similar skew transform (Gray et al.).
-                let x = (space * u.powf(h.ln() / (1.0 - h).ln())) as u64;
-                let k = x.clamp(1, u64::MAX - 1);
-                if set.insert(k) {
-                    keys.push(k);
-                }
-            }
-            keys
-        }
     }
 }
 
@@ -92,8 +72,6 @@ pub enum Op {
     Search(Key),
     /// Delete.
     Delete(Key),
-    /// Range scan over `[lo, hi)`, driven through a [`crate::Cursor`].
-    Scan(Key, Key),
 }
 
 /// Builds the Fig. 7(c) mixed sequence over a preloaded key set: each round
@@ -118,260 +96,6 @@ pub fn mixed_ops(preloaded: &[Key], fresh: &[Key], rounds: usize, seed: u64) -> 
         ops.push(Op::Delete(deletable.swap_remove(idx)));
     }
     ops
-}
-
-/// Builds a scan-heavy mixed sequence: each round is one range scan, four
-/// searches and one insert (1 : 4 : 1), exercising the streaming cursor
-/// path alongside the point operations.
-///
-/// Scan bounds cover `span` consecutive keys of the preloaded (sorted)
-/// population, like the paper's selection-ratio range queries (§5.3).
-pub fn scan_mixed_ops(preloaded: &[Key], fresh: &[Key], rounds: usize, seed: u64) -> Vec<Op> {
-    assert!(!preloaded.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sorted = preloaded.to_vec();
-    sorted.sort_unstable();
-    let span = (sorted.len() / 100).max(16).min(sorted.len() - 1);
-    let mut ops = Vec::with_capacity(rounds * 6);
-    let mut fresh_iter = fresh.iter().copied().cycle();
-    for _ in 0..rounds {
-        let start = rng.gen_range(0..sorted.len() - span);
-        let lo = sorted[start];
-        let hi = sorted[start + span];
-        ops.push(Op::Scan(lo, hi));
-        for _ in 0..4 {
-            let k = preloaded[rng.gen_range(0..preloaded.len())];
-            ops.push(Op::Search(k));
-        }
-        ops.push(Op::Insert(fresh_iter.next().expect("fresh keys nonempty")));
-    }
-    ops
-}
-
-/// Draws a rank in `[0, n)` with self-similar (Zipf-like) skew: a fraction
-/// `1 - h` of draws land in the hottest `h` fraction of ranks.
-fn skewed_rank(rng: &mut StdRng, n: usize, h: f64) -> usize {
-    let u: f64 = rng.gen();
-    ((n as f64 * u.powf(h.ln() / (1.0 - h).ln())) as usize).min(n - 1)
-}
-
-/// YCSB-style hot-key workload (the A/B shapes): a read-heavy stream over a
-/// preloaded population where a small fraction of *hot* keys absorbs most
-/// accesses. Each op is a search (ratio `1 - update_ratio`) or an in-place
-/// upsert of an existing key. `skew` is the self-similar parameter: 0.2
-/// sends ~80 % of accesses to the hottest 20 % of keys.
-pub fn ycsb_hotkey_ops(
-    preloaded: &[Key],
-    count: usize,
-    update_ratio: f64,
-    skew: f64,
-    seed: u64,
-) -> Vec<Op> {
-    assert!(!preloaded.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = skew.clamp(0.01, 0.99);
-    (0..count)
-        .map(|_| {
-            let k = preloaded[skewed_rank(&mut rng, preloaded.len(), h)];
-            if rng.gen::<f64>() < update_ratio {
-                Op::Insert(k) // upsert of an existing key: in-place update
-            } else {
-                Op::Search(k)
-            }
-        })
-        .collect()
-}
-
-/// A YCSB-style Zipf(θ) rank sampler (Gray et al., *Quickly Generating
-/// Billion-Record Synthetic Databases*): rank `r` over a population of
-/// `n` ranks is drawn with probability proportional to `1 / (r+1)^θ`,
-/// so rank 0 is the hottest key. YCSB's default θ is 0.99; θ → 0
-/// approaches uniform.
-///
-/// Unlike the self-similar transform in [`ycsb_hotkey_ops`], this is the
-/// true Zipfian quantile — the head is a *few* scorching keys rather
-/// than a hot *range*, which is what makes replication lag interesting
-/// (hot keys produce long runs of same-leaf groups).
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-/// use pmindex::workload::ZipfianGenerator;
-///
-/// let zipf = ZipfianGenerator::new(1000, 0.99);
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let mut hits = [0usize; 1000];
-/// for _ in 0..10_000 {
-///     hits[zipf.next_rank(&mut rng)] += 1;
-/// }
-/// // Rank 0 is by far the hottest.
-/// assert!(hits[0] > hits[500] * 10);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ZipfianGenerator {
-    n: usize,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
-}
-
-impl ZipfianGenerator {
-    /// A sampler over `n` ranks with skew `theta` (clamped to
-    /// `[0.01, 0.995]`; θ = 1 makes the zeta sum diverge).
-    ///
-    /// Construction is O(n) (the zeta partial sum); sampling is O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0.
-    pub fn new(n: usize, theta: f64) -> ZipfianGenerator {
-        assert!(n > 0, "a zipfian needs at least one rank");
-        let theta = theta.clamp(0.01, 0.995);
-        let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-        let zeta2 = 1.0 + 0.5f64.powf(theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        ZipfianGenerator {
-            n,
-            theta,
-            alpha,
-            zetan,
-            eta,
-        }
-    }
-
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.n
-    }
-
-    /// Draws the next rank in `[0, n)`, hottest-first.
-    pub fn next_rank(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let r = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as usize;
-        r.min(self.n - 1)
-    }
-}
-
-/// Zipfian hot-key workload over a preloaded population: `count` ops,
-/// each an upsert of an existing key (ratio `update_ratio`) or a point
-/// search, with the target key drawn by a true [`ZipfianGenerator`] of
-/// skew `theta` over the population's ranks (`preloaded[0]` hottest).
-/// The replication benches drive their skewed write stream with this.
-pub fn zipfian_ops(
-    preloaded: &[Key],
-    count: usize,
-    update_ratio: f64,
-    theta: f64,
-    seed: u64,
-) -> Vec<Op> {
-    assert!(!preloaded.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipf = ZipfianGenerator::new(preloaded.len(), theta);
-    (0..count)
-        .map(|_| {
-            let k = preloaded[zipf.next_rank(&mut rng)];
-            if rng.gen::<f64>() < update_ratio {
-                Op::Insert(k) // upsert of an existing key: in-place update
-            } else {
-                Op::Search(k)
-            }
-        })
-        .collect()
-}
-
-/// YCSB-F read-modify-write: every round reads a (skewed) existing key and
-/// writes it back — a `Search` immediately followed by an upsert `Insert`
-/// of the same key, the pattern that keeps a leaf's record line hot while
-/// forcing the full in-place-update persist path.
-pub fn ycsb_rmw_ops(preloaded: &[Key], rounds: usize, skew: f64, seed: u64) -> Vec<Op> {
-    assert!(!preloaded.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = skew.clamp(0.01, 0.99);
-    let mut ops = Vec::with_capacity(rounds * 2);
-    for _ in 0..rounds {
-        let k = preloaded[skewed_rank(&mut rng, preloaded.len(), h)];
-        ops.push(Op::Search(k));
-        ops.push(Op::Insert(k));
-    }
-    ops
-}
-
-/// YCSB-E scan-heavy: 95 % short range scans (uniform start, ~`span` keys)
-/// and 5 % inserts of fresh keys.
-pub fn ycsb_scan_ops(preloaded: &[Key], fresh: &[Key], count: usize, seed: u64) -> Vec<Op> {
-    assert!(!preloaded.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sorted = preloaded.to_vec();
-    sorted.sort_unstable();
-    let span = (sorted.len() / 200).clamp(8, sorted.len() - 1);
-    let mut fresh_iter = fresh.iter().copied().cycle();
-    (0..count)
-        .map(|i| {
-            if i % 20 == 19 {
-                Op::Insert(fresh_iter.next().expect("fresh keys nonempty"))
-            } else {
-                let start = rng.gen_range(0..sorted.len() - span);
-                Op::Scan(sorted[start], sorted[start + span])
-            }
-        })
-        .collect()
-}
-
-/// Monotonic time-series append: `n` strictly ascending keys starting at
-/// `start`, separated by small random gaps — the log/append shape where
-/// every insert lands in the rightmost leaf and FAST never shifts (the
-/// best case for all layout variants, the worst case for head churn).
-pub fn monotonic_append_keys(n: usize, start: Key, seed: u64) -> Vec<Key> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut k = start.max(1);
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(k);
-        k = k.saturating_add(rng.gen_range(1..16)).min(u64::MAX - 1);
-    }
-    keys
-}
-
-/// Start keys for range queries with a given selection ratio.
-///
-/// For a sorted key population of `n` keys, a selection ratio `r` (e.g.
-/// 0.01 = 1 %) selects `n * r` consecutive keys; the returned pairs are
-/// `(lo, hi)` bounds that cover that many keys starting at a random rank.
-pub fn range_queries(
-    sorted_keys: &[Key],
-    selection_ratio: f64,
-    count: usize,
-    seed: u64,
-) -> Vec<(Key, Key)> {
-    assert!(!sorted_keys.is_empty());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let span = ((sorted_keys.len() as f64 * selection_ratio).ceil() as usize).max(1);
-    let max_start = sorted_keys.len().saturating_sub(span);
-    (0..count)
-        .map(|_| {
-            let start = if max_start == 0 {
-                0
-            } else {
-                rng.gen_range(0..=max_start)
-            };
-            let lo = sorted_keys[start];
-            let hi = if start + span < sorted_keys.len() {
-                sorted_keys[start + span]
-            } else {
-                u64::MAX
-            };
-            (lo, hi)
-        })
-        .collect()
 }
 
 /// Splits `items` into `n_threads` contiguous chunks of near-equal size
@@ -420,17 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn self_similar_skews_low() {
-        let keys = generate_keys(5000, KeyDist::SelfSimilar(0.2), 3);
-        let below_20pct = keys
-            .iter()
-            .filter(|&&k| (k as f64) < u64::MAX as f64 * 0.2)
-            .count();
-        // With h=0.2, 80% of mass should fall in the lowest 20% of the space.
-        assert!(below_20pct > keys.len() / 2, "got {below_20pct}");
-    }
-
-    #[test]
     fn values_unique_and_legal() {
         let keys = generate_keys(10_000, KeyDist::Uniform, 11);
         let vals: std::collections::HashSet<_> = keys.iter().map(|&k| value_for(k)).collect();
@@ -462,162 +175,8 @@ mod tests {
                     live.insert(k);
                 }
                 Op::Delete(k) => assert!(live.remove(&k), "deleted key that was not live"),
-                Op::Search(_) | Op::Scan(..) => {}
+                Op::Search(_) => {}
             }
-        }
-    }
-
-    #[test]
-    fn scan_mixed_ops_ratio_and_bounds() {
-        let mut pre = generate_keys(500, KeyDist::Uniform, 1);
-        let fresh = generate_keys(100, KeyDist::Uniform, 2);
-        let ops = scan_mixed_ops(&pre, &fresh, 20, 3);
-        assert_eq!(ops.len(), 120);
-        let scans = ops.iter().filter(|o| matches!(o, Op::Scan(..))).count();
-        let searches = ops.iter().filter(|o| matches!(o, Op::Search(_))).count();
-        let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
-        assert_eq!((scans, searches, inserts), (20, 80, 20));
-        pre.sort_unstable();
-        for op in &ops {
-            if let Op::Scan(lo, hi) = op {
-                assert!(lo < hi);
-                let selected = pre.iter().filter(|&&k| k >= *lo && k < *hi).count();
-                assert!(selected >= 16, "scan selects {selected} keys");
-            }
-        }
-    }
-
-    #[test]
-    fn ycsb_hotkey_ops_skew_and_ratio() {
-        let pre = generate_keys(1000, KeyDist::Uniform, 1);
-        let ops = ycsb_hotkey_ops(&pre, 5000, 0.05, 0.2, 2);
-        assert_eq!(ops.len(), 5000);
-        let updates = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
-        assert!((100..=500).contains(&updates), "update count {updates}");
-        // Hot 20 % of ranks absorb the bulk of accesses.
-        let hot: std::collections::HashSet<u64> = pre[..200].iter().copied().collect();
-        let hot_hits = ops
-            .iter()
-            .filter(|o| match o {
-                Op::Insert(k) | Op::Search(k) => hot.contains(k),
-                _ => false,
-            })
-            .count();
-        assert!(hot_hits > ops.len() / 2, "hot hits {hot_hits}");
-        // Every target is a preloaded key (updates are upserts in place).
-        let all: std::collections::HashSet<u64> = pre.iter().copied().collect();
-        assert!(ops.iter().all(|o| match o {
-            Op::Insert(k) | Op::Search(k) => all.contains(k),
-            _ => false,
-        }));
-    }
-
-    #[test]
-    fn zipfian_head_dominates_and_is_deterministic() {
-        let zipf = ZipfianGenerator::new(10_000, 0.99);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut hits = vec![0usize; 10_000];
-        for _ in 0..100_000 {
-            hits[zipf.next_rank(&mut rng)] += 1;
-        }
-        // YCSB θ=0.99 over 10k ranks: the hottest 1% of ranks absorbs
-        // roughly half the draws; rank 0 alone takes several percent.
-        let head: usize = hits[..100].iter().sum();
-        assert!(head > 30_000, "head hits {head}");
-        assert!(hits[0] > 3_000, "rank-0 hits {}", hits[0]);
-        // Same seed, same stream.
-        let mut a = StdRng::seed_from_u64(5);
-        let mut b = StdRng::seed_from_u64(5);
-        for _ in 0..1000 {
-            assert_eq!(zipf.next_rank(&mut a), zipf.next_rank(&mut b));
-        }
-    }
-
-    #[test]
-    fn zipfian_low_theta_flattens() {
-        let hot = ZipfianGenerator::new(1000, 0.99);
-        let flat = ZipfianGenerator::new(1000, 0.01);
-        let mut rng = StdRng::seed_from_u64(3);
-        let count = |z: &ZipfianGenerator, rng: &mut StdRng| {
-            (0..20_000).filter(|_| z.next_rank(rng) == 0).count()
-        };
-        let hot0 = count(&hot, &mut rng);
-        let flat0 = count(&flat, &mut rng);
-        assert!(
-            hot0 > flat0 * 5,
-            "theta should concentrate rank 0: {hot0} vs {flat0}"
-        );
-    }
-
-    #[test]
-    fn zipfian_ops_target_population_with_update_ratio() {
-        let pre = generate_keys(1000, KeyDist::Uniform, 1);
-        let ops = zipfian_ops(&pre, 5000, 0.5, 0.99, 2);
-        assert_eq!(ops.len(), 5000);
-        let updates = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count();
-        assert!((2000..=3000).contains(&updates), "update count {updates}");
-        let all: std::collections::HashSet<u64> = pre.iter().copied().collect();
-        assert!(ops.iter().all(|o| match o {
-            Op::Insert(k) | Op::Search(k) => all.contains(k),
-            _ => false,
-        }));
-        // The hottest rank (pre[0]) dominates any cold rank.
-        let hits = |key: u64| {
-            ops.iter()
-                .filter(|o| matches!(o, Op::Insert(k) | Op::Search(k) if *k == key))
-                .count()
-        };
-        assert!(hits(pre[0]) > hits(pre[900]) * 5);
-    }
-
-    #[test]
-    fn ycsb_rmw_pairs_read_with_writeback() {
-        let pre = generate_keys(100, KeyDist::Uniform, 3);
-        let ops = ycsb_rmw_ops(&pre, 50, 0.2, 4);
-        assert_eq!(ops.len(), 100);
-        for pair in ops.chunks(2) {
-            match (pair[0], pair[1]) {
-                (Op::Search(a), Op::Insert(b)) => assert_eq!(a, b),
-                other => panic!("not a read-modify-write pair: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn ycsb_scan_ops_are_scan_heavy() {
-        let pre = generate_keys(500, KeyDist::Uniform, 5);
-        let fresh = generate_keys(50, KeyDist::Uniform, 6);
-        let ops = ycsb_scan_ops(&pre, &fresh, 200, 7);
-        assert_eq!(ops.len(), 200);
-        let scans = ops.iter().filter(|o| matches!(o, Op::Scan(..))).count();
-        assert_eq!(scans, 190);
-        for op in &ops {
-            if let Op::Scan(lo, hi) = op {
-                assert!(lo < hi);
-            }
-        }
-    }
-
-    #[test]
-    fn monotonic_append_is_strictly_ascending() {
-        let keys = monotonic_append_keys(2000, 1_000_000, 8);
-        assert_eq!(keys.len(), 2000);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(keys[0], 1_000_000);
-        // Deterministic per seed.
-        assert_eq!(keys, monotonic_append_keys(2000, 1_000_000, 8));
-    }
-
-    #[test]
-    fn range_queries_cover_selection() {
-        let mut keys = generate_keys(1000, KeyDist::Uniform, 5);
-        keys.sort_unstable();
-        let qs = range_queries(&keys, 0.05, 10, 6);
-        assert_eq!(qs.len(), 10);
-        for (lo, hi) in qs {
-            assert!(lo < hi);
-            let n = keys.iter().filter(|&&k| k >= lo && k < hi).count();
-            assert!((45..=55).contains(&n), "selected {n} keys");
         }
     }
 

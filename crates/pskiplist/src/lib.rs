@@ -444,11 +444,20 @@ impl PmIndex for PSkipList {
                     return false;
                 }
                 self.pool.persist(Self::next_off(preds[0], 0), 8);
-                // Volatile express lanes: best-effort CAS, no flushes.
+                // Volatile express lanes, bottom-up, no flushes. Stop at the
+                // first level whose predecessor is dead (marked) or has
+                // moved on: a node is then in level l whenever it is in
+                // level l + 1, so a descent that drops from l + 1 at it
+                // never follows a stale `next[l]` into a recycled block.
                 for l in 1..level {
-                    let _ = self
-                        .pool
-                        .cas_u64(Self::next_off(preds[l], l), succs[l], node);
+                    if self.pool.load_u64(Self::next_off(preds[l], 0)) & MARK != 0
+                        || self
+                            .pool
+                            .cas_u64(Self::next_off(preds[l], l), succs[l], node)
+                            .is_err()
+                    {
+                        break;
+                    }
                 }
                 true
             });
@@ -484,9 +493,10 @@ impl PmIndex for PSkipList {
         let _pin = self.epoch.pin();
         stats::timed(stats::Phase::Search, || {
             let mut cur = self.head();
+            let mut nxt = NULL_OFFSET;
             for l in (0..MAX_LEVEL).rev() {
                 loop {
-                    let nxt = self.next(cur, l);
+                    nxt = self.next(cur, l);
                     if nxt != NULL_OFFSET && self.key_of(nxt) < key {
                         if l < 10 {
                             self.pool.charge_serial_reads(1);
@@ -497,7 +507,9 @@ impl PmIndex for PSkipList {
                     }
                 }
             }
-            let nxt = self.next(cur, 0);
+            // `nxt` is the level-0 successor the descent stopped at. Reading
+            // `cur`'s pointer again could return a node inserted since, below
+            // `key`, and miss a key that is present.
             if nxt != NULL_OFFSET && self.key_of(nxt) == key {
                 self.pool.charge_serial_reads(1);
                 let v = self.val_of(nxt);
@@ -558,6 +570,36 @@ mod tests {
         let p = Arc::new(Pool::new(PoolConfig::new().size(128 << 20)).unwrap());
         let t = PSkipList::create(Arc::clone(&p)).unwrap();
         (p, t)
+    }
+
+    /// The tower invariant, checked on a quiescent list: every level-l
+    /// list is a strictly ascending sublist of level l - 1, and no
+    /// reachable node carries the deletion mark. A node in level l + 1
+    /// but not in level l would hand a descent its stale `next[l]`.
+    fn assert_towers(t: &PSkipList) {
+        let head = t.head();
+        let mut below: Option<std::collections::HashSet<PmOffset>> = None;
+        for l in 0..MAX_LEVEL {
+            let mut level = std::collections::HashSet::new();
+            let mut last = None;
+            let mut cur = t.next(head, l);
+            while cur != NULL_OFFSET {
+                let k = t.key_of(cur);
+                assert!(last < Some(k), "level {l}: key {k} out of order");
+                assert_eq!(
+                    t.pool.load_u64(PSkipList::next_off(cur, 0)) & MARK,
+                    0,
+                    "level {l}: reachable node {k} is marked"
+                );
+                if let Some(below) = &below {
+                    assert!(below.contains(&cur), "key {k} in level {l}, not {}", l - 1);
+                }
+                level.insert(cur);
+                last = Some(k);
+                cur = t.next(cur, l);
+            }
+            below = Some(level);
+        }
     }
 
     #[test]
@@ -724,6 +766,39 @@ mod tests {
             }
         }
         assert_eq!(t.len() as u64, want);
+        assert_towers(&t);
+    }
+
+    #[test]
+    fn towers_stay_sublists_under_interleaved_churn() {
+        // Writers own interleaved keys, so neighbouring towers belong to
+        // different threads and express-lane links race on shared
+        // predecessors, some of them dying under a concurrent unlink.
+        let (_p, t) = mk();
+        const WRITERS: u64 = 4;
+        const KEYS: u64 = 2000;
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let t = &t;
+                s.spawn(move || {
+                    for round in 0..4u64 {
+                        for k in (w..KEYS).step_by(WRITERS as usize) {
+                            t.insert(k + 1, k + round + 1).unwrap();
+                        }
+                        for k in (w..KEYS).step_by(WRITERS as usize) {
+                            if round < 3 || k % 2 == 0 {
+                                assert!(t.remove(k + 1), "key {} vanished", k + 1);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_towers(&t);
+        for k in 0..KEYS {
+            let want = (k % 2 == 1).then_some(k + 4);
+            assert_eq!(t.get(k + 1), want, "key {}", k + 1);
+        }
     }
 
     #[test]
@@ -854,6 +929,7 @@ mod tests {
         t.range(0, u64::MAX, &mut out);
         assert_eq!(out.len(), keys.len());
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_towers(&t);
     }
 
     #[test]

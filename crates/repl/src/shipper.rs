@@ -122,12 +122,6 @@ impl LogShipper {
         self.inner.lock().last
     }
 
-    /// The oldest sequence number still in the retransmit window (0
-    /// when nothing is retained).
-    pub fn retained_floor(&self) -> u64 {
-        self.inner.lock().retained.front().map_or(0, |rec| rec.seq)
-    }
-
     /// Re-ships every retained group with `seq >= from` to subscriber
     /// `id`, returning how many were sent. This is the gap-repair path:
     /// a replica that detects a hole at `watermark + 1` asks for

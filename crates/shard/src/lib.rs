@@ -260,16 +260,20 @@ impl<I> std::fmt::Debug for ShardedStore<I> {
 impl<I: PmIndex> ShardedStore<I> {
     /// Builds a *volatile* router over caller-constructed indexes: no
     /// manifest is written, and [`ShardedStore::rebalance_into`] is
-    /// unavailable. This is the construction the benches use (the shard
-    /// map is rebuilt from scratch on every run) and the only one the
-    /// volatile B-link baseline supports.
+    /// unavailable: the shard map lives only as long as the store.
     ///
     /// ```
+    /// use std::sync::Arc;
+    /// use fastfair::{FastFairTree, TreeOptions};
+    /// use pmem::{Pool, PoolConfig};
     /// use pmindex::PmIndex;
     /// use shard::{Partitioning, ShardedStore};
     ///
+    /// // Two trees in one DRAM-latency pool.
+    /// let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new(), blink::BlinkTree::new()],
+    ///     vec![tree()?, tree()?],
     ///     Partitioning::Hash { shards: 2 },
     /// );
     /// store.insert(1, 10)?;
@@ -314,12 +318,18 @@ impl<I: PmIndex> ShardedStore<I> {
     ///
     /// ```
     /// use shard::{Partitioning, ShardedStore};
+    /// # use std::sync::Arc;
+    /// # use fastfair::{FastFairTree, TreeOptions};
+    /// # use pmem::{Pool, PoolConfig};
+    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new()],
+    ///     vec![tree()?],
     ///     Partitioning::Hash { shards: 1 },
     /// );
     /// assert_eq!(store.partitioning().shards(), 1);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
@@ -330,12 +340,18 @@ impl<I: PmIndex> ShardedStore<I> {
     ///
     /// ```
     /// use shard::{Partitioning, ShardedStore};
+    /// # use std::sync::Arc;
+    /// # use fastfair::{FastFairTree, TreeOptions};
+    /// # use pmem::{Pool, PoolConfig};
+    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new(), blink::BlinkTree::new()],
+    ///     vec![tree()?, tree()?],
     ///     Partitioning::Range { bounds: vec![500] },
     /// );
     /// assert_eq!(store.shard_count(), 2);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -348,9 +364,14 @@ impl<I: PmIndex> ShardedStore<I> {
     /// ```
     /// use pmindex::PmIndex;
     /// use shard::{Partitioning, ShardedStore};
+    /// # use std::sync::Arc;
+    /// # use fastfair::{FastFairTree, TreeOptions};
+    /// # use pmem::{Pool, PoolConfig};
+    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new(), blink::BlinkTree::new()],
+    ///     vec![tree()?, tree()?],
     ///     Partitioning::Range { bounds: vec![100] },
     /// );
     /// store.insert(5, 50)?;   // -> shard 0
@@ -395,12 +416,18 @@ impl<I: PmIndex> ShardedStore<I> {
     ///
     /// ```
     /// use shard::{Partitioning, ShardedStore};
+    /// # use std::sync::Arc;
+    /// # use fastfair::{FastFairTree, TreeOptions};
+    /// # use pmem::{Pool, PoolConfig};
+    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new()],
+    ///     vec![tree()?],
     ///     Partitioning::Hash { shards: 1 },
     /// );
     /// assert_eq!(store.reclaim_domain().limbo_len(), 0);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn reclaim_domain(&self) -> &Arc<epoch::EpochDomain> {
         &self.reclaim
@@ -417,9 +444,14 @@ impl<I: PmIndex> ShardedStore<I> {
     /// ```
     /// use pmindex::PmIndex;
     /// use shard::{Partitioning, ShardedStore};
+    /// # use std::sync::Arc;
+    /// # use fastfair::{FastFairTree, TreeOptions};
+    /// # use pmem::{Pool, PoolConfig};
+    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new(), blink::BlinkTree::new()],
+    ///     vec![tree()?, tree()?],
     ///     Partitioning::Range { bounds: vec![100] },
     /// );
     /// store.insert(5, 50)?;
@@ -455,9 +487,14 @@ impl<I: PmIndex> ShardedStore<I> {
     /// ```
     /// use pmindex::{BatchOp, PmIndex};
     /// use shard::{Partitioning, ShardedStore, MIN_SPLIT};
+    /// # use std::sync::Arc;
+    /// # use fastfair::{FastFairTree, TreeOptions};
+    /// # use pmem::{Pool, PoolConfig};
+    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
+    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
     /// let store = ShardedStore::from_indexes(
-    ///     vec![blink::BlinkTree::new(), blink::BlinkTree::new()],
+    ///     vec![tree()?, tree()?],
     ///     Partitioning::Range { bounds: vec![100] },
     /// );
     /// store.apply_batch(&[BatchOp::Put(1, 10), BatchOp::Put(200, 20)])?;

@@ -1102,18 +1102,13 @@ mod tests {
     }
 
     #[test]
-    fn runs_on_wbtree_and_blink() {
+    fn runs_on_wbtree() {
         let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(256 << 20)).unwrap());
         let db = TpccDb::build(TpccConfig::small(), || {
             wbtree::WbTree::create(Arc::clone(&pool))
         })
         .unwrap();
         assert_eq!(db.run(Mix::W2, 200, 3).unwrap().total(), 200);
-
-        let db = TpccDb::build(TpccConfig::small(), || {
-            Ok::<_, IndexError>(blink::BlinkTree::new())
-        })
-        .unwrap();
         assert_eq!(db.run(Mix::W4, 200, 3).unwrap().total(), 200);
     }
 

@@ -1,7 +1,7 @@
 //! Differential testing of `VarKeyStore` against `BTreeMap<Vec<u8>, u64>`
-//! over **all six** index backends (FAST+FAIR, wB+-tree, FP-tree, WORT,
-//! persistent skip list, volatile B-link) plus sharded routers — hash
-//! partitioned and range partitioned at byte-prefix split points. Every
+//! over all five index backends (FAST+FAIR, wB+-tree, FP-tree, WORT and
+//! the persistent skip list) plus sharded routers — hash partitioned and
+//! range partitioned at byte-prefix split points. Every
 //! backend must agree with the model (and therefore with every other
 //! backend) on identical byte-key operation sequences.
 
@@ -31,7 +31,6 @@ fn all_stores(pool: &Arc<Pool>) -> Vec<Box<dyn VarKeyIndex>> {
             pskiplist::PSkipList::create(Arc::clone(pool)).unwrap(),
             pool,
         ),
-        store(blink::BlinkTree::new(), pool),
         // Sharded routers compose transparently under the adapter.
         store(
             shard::ShardedStore::<fastfair::FastFairTree>::create(

@@ -4,7 +4,6 @@
 //! this repository can use a single dependency root. Library users should
 //! depend on the individual crates ([`fastfair`], [`pmem`], ...) directly.
 
-pub use blink;
 pub use catalog;
 pub use epoch;
 pub use fastfair;

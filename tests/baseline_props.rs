@@ -70,10 +70,4 @@ proptest! {
         let t = fastfair_repro::pskiplist::PSkipList::create(pool).unwrap();
         drive(&t, &ops)?;
     }
-
-    #[test]
-    fn blink_matches_model(ops in ops_strategy()) {
-        let t = fastfair_repro::blink::BlinkTree::new();
-        drive(&t, &ops)?;
-    }
 }

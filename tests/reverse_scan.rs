@@ -33,7 +33,6 @@ fn all_indexes(pool: &Arc<Pool>) -> Vec<Box<dyn PmIndex>> {
         Box::new(fastfair_repro::wbtree::WbTree::create(Arc::clone(pool)).unwrap()),
         Box::new(fastfair_repro::wort::Wort::create(Arc::clone(pool)).unwrap()),
         Box::new(fastfair_repro::pskiplist::PSkipList::create(Arc::clone(pool)).unwrap()),
-        Box::new(fastfair_repro::blink::BlinkTree::new()),
         Box::new(
             fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
                 Arc::clone(pool),
