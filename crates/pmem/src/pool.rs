@@ -685,10 +685,11 @@ impl Pool {
     ///
     /// Words that already read zero are skipped: rewriting them would
     /// re-dirty clean lines and force the caller's covering persist to
-    /// write back cache lines whose durable contents cannot change. Fresh bump allocations
-    /// (and the untouched tail of recycled nodes) thus keep their lines
-    /// clean, and the node-sized persists after splits and root growth
-    /// elide them — counted in [`stats::Snapshot::flushes_coalesced`].
+    /// write back cache lines whose durable contents cannot change. Fresh
+    /// bump allocations (and the untouched tail of recycled nodes) thus
+    /// keep their lines clean, and the node-sized persists after splits
+    /// and root growth elide them — counted in
+    /// [`stats::Snapshot::flushes_coalesced`].
     ///
     /// Skipping is sound: a word that reads zero is either durably zero or
     /// carries a pending zero store on a still-dirty line, so the set of

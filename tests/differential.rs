@@ -106,7 +106,7 @@ indexes! {
     },
     sharded_range {
         inserts_racing_merges: "ROADMAP item 5: lost key 677 to a racing merge once in 20 \
-            oversubscribed runs (docs/results/PR29.md)",
+            oversubscribed runs",
     } => |pool: Arc<Pool>| {
         fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
             Arc::clone(&pool),
