@@ -51,6 +51,4 @@ mod pool;
 pub mod stats;
 
 pub use latency::{spin_ns, FenceMode, LatencyProfile};
-pub use pool::{
-    FlushScope, PmError, PmOffset, Pool, PoolConfig, CACHE_LINE, NULL_OFFSET, POOL_HEADER_SIZE,
-};
+pub use pool::{PmError, PmOffset, Pool, PoolConfig, CACHE_LINE, NULL_OFFSET, POOL_HEADER_SIZE};

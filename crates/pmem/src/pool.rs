@@ -9,7 +9,6 @@
 //! log.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{compiler_fence, AtomicU64, AtomicUsize, Ordering};
 
@@ -185,20 +184,11 @@ pub struct Pool {
     /// until a store touches it — exactly like `clflush` of an uncached
     /// line on real hardware.
     dirty: Vec<AtomicU64>,
-    /// Identity for the thread-local deferred-flush scope (multi-pool safe).
-    pool_id: u64,
 }
-
-static POOL_IDS: AtomicU64 = AtomicU64::new(1);
 
 fn dirty_words(size: usize) -> Vec<AtomicU64> {
     let lines = size.div_ceil(CACHE_LINE);
     (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
-}
-
-thread_local! {
-    /// Active deferred-flush scope: `(pool_id, requested-line list)`.
-    static DEFERRED: RefCell<Option<(u64, Vec<u64>)>> = const { RefCell::new(None) };
 }
 
 impl std::fmt::Debug for Pool {
@@ -232,7 +222,6 @@ impl Pool {
             crash: config.crash_log.then(CrashLog::new),
             allocations: AtomicUsize::new(0),
             dirty: dirty_words(config.size),
-            pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
         };
         pool.raw_store(0, MAGIC);
         pool.raw_store(CURSOR_SLOT, POOL_HEADER_SIZE);
@@ -263,7 +252,6 @@ impl Pool {
             crash: config.crash_log.then(CrashLog::new),
             allocations: AtomicUsize::new(0),
             dirty: dirty_words(size),
-            pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
         };
         let cursor = pool.raw_load(CURSOR_SLOT).max(POOL_HEADER_SIZE);
         pool.cursor.store(cursor, Ordering::SeqCst);
@@ -447,31 +435,9 @@ impl Pool {
     /// elided and counted in [`stats::Snapshot::flushes_coalesced`]: a
     /// clean line has no pending stores to write back, so skipping the
     /// `clflush` leaves the set of reachable post-crash images unchanged.
-    /// Inside a [`deferred flush scope`](Pool::deferred_flush_scope) the
-    /// request is instead queued and issued (deduplicated) when the scope
-    /// closes.
     #[inline]
     pub fn flush_line(&self, off: PmOffset) {
         let line = off & !(CACHE_LINE as u64 - 1);
-        let deferred = DEFERRED.with(|d| {
-            let mut d = d.borrow_mut();
-            match d.as_mut() {
-                Some((id, lines)) if *id == self.pool_id => {
-                    lines.push(line);
-                    true
-                }
-                _ => false,
-            }
-        });
-        if deferred {
-            return;
-        }
-        self.flush_line_now(line);
-    }
-
-    /// Issues (or elides) a flush of `line` immediately, bypassing any
-    /// deferred scope.
-    fn flush_line_now(&self, line: u64) {
         match &self.crash {
             Some(log) => {
                 // The elision decision and the log event must be one
@@ -500,38 +466,6 @@ impl Pool {
         let ns = self.latency.write_ns;
         spin_ns(ns);
         stats::count_flush(u64::from(ns));
-    }
-
-    /// Opens a *deferred flush scope* on this thread: until the returned
-    /// guard drops, every [`flush_line`](Pool::flush_line) on this pool
-    /// from this thread is queued instead of issued; the guard's drop
-    /// issues the queued lines once each (duplicates counted in
-    /// [`stats::Snapshot::flushes_coalesced`]) followed by one fence.
-    ///
-    /// # Crash-ordering warning
-    ///
-    /// Deferral *removes* the intermediate flush/fence barriers the scoped
-    /// code asked for: a crash inside the scope can reorder persistence
-    /// across those barriers arbitrarily. It is only sound around code
-    /// whose recovery does not depend on intra-scope flush ordering —
-    /// e.g. staging writes into a region that a *later* (outside-scope)
-    /// failure-atomic commit publishes, such as the `txn` journal's
-    /// staging phase: until the commit store, recovery ignores the whole
-    /// region. Never wrap in-place index mutations (FAST shifts, FAIR
-    /// links) whose lazy recovery relies on their internal flush order.
-    ///
-    /// Scopes do not nest: an inner scope on the same thread is inert and
-    /// the outer one drains everything.
-    pub fn deferred_flush_scope(&self) -> FlushScope<'_> {
-        let armed = DEFERRED.with(|d| {
-            let mut d = d.borrow_mut();
-            if d.is_some() {
-                return false;
-            }
-            *d = Some((self.pool_id, Vec::new()));
-            true
-        });
-        FlushScope { pool: self, armed }
     }
 
     /// Store fence ordering prior flushes (emulated `sfence`/`mfence`).
@@ -839,47 +773,6 @@ impl Pool {
     }
 }
 
-/// RAII guard of a [`Pool::deferred_flush_scope`]. Dropping it issues every
-/// queued line once (in ascending line order) and fences.
-pub struct FlushScope<'a> {
-    pool: &'a Pool,
-    armed: bool,
-}
-
-impl FlushScope<'_> {
-    /// Closes the scope early (before drop), issuing the queued flushes.
-    pub fn flush(mut self) {
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        if !self.armed {
-            return;
-        }
-        self.armed = false;
-        let Some((_, mut lines)) = DEFERRED.with(|d| d.borrow_mut().take()) else {
-            return;
-        };
-        let requested = lines.len();
-        lines.sort_unstable();
-        lines.dedup();
-        stats::count_flush_coalesced((requested - lines.len()) as u64);
-        if lines.is_empty() {
-            return;
-        }
-        for line in lines {
-            self.pool.flush_line_now(line);
-        }
-        self.pool.sfence();
-    }
-}
-
-impl Drop for FlushScope<'_> {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,70 +970,6 @@ mod tests {
         p.store_u64(off + 8, 2);
         stats::reset();
         p.persist(off, 8);
-        assert_eq!(stats::take().flushes, 1);
-    }
-
-    #[test]
-    fn deferred_scope_dedups_and_flushes_on_close() {
-        let p = small_pool();
-        let off = p.alloc(128, 64).unwrap();
-        stats::reset();
-        {
-            let _scope = p.deferred_flush_scope();
-            p.store_u64(off, 1);
-            p.persist(off, 8);
-            p.store_u64(off, 2);
-            p.persist(off, 8); // same line again: deduplicated
-            p.store_u64(off + 64, 3);
-            p.persist(off + 64, 8);
-            // Nothing issued yet.
-            assert_eq!(stats::snapshot().flushes, 0);
-        }
-        let s = stats::take();
-        assert_eq!(s.flushes, 2); // two distinct lines
-        assert_eq!(s.flushes_coalesced, 1); // the duplicate request
-        assert_eq!(p.load_u64(off), 2);
-    }
-
-    #[test]
-    fn deferred_scope_logs_events_at_close() {
-        let p = Pool::new(PoolConfig::new().size(1 << 16).crash_log(true)).unwrap();
-        let off = p.alloc(64, 64).unwrap();
-        let scope = p.deferred_flush_scope();
-        p.store_u64(off, 9);
-        p.persist(off, 8);
-        // The flush is queued, not logged: a crash here loses the store.
-        let cut = p.crash_log().unwrap().len();
-        let img = p.crash_image(cut, crate::crash::Eviction::None);
-        assert_eq!(
-            u64::from_le_bytes(img[off as usize..][..8].try_into().unwrap()),
-            0
-        );
-        scope.flush();
-        // After the scope closes the flush is in the log and durable.
-        let cut = p.crash_log().unwrap().len();
-        let img = p.crash_image(cut, crate::crash::Eviction::None);
-        assert_eq!(
-            u64::from_le_bytes(img[off as usize..][..8].try_into().unwrap()),
-            9
-        );
-    }
-
-    #[test]
-    fn nested_deferred_scope_is_inert() {
-        let p = small_pool();
-        let off = p.alloc(64, 64).unwrap();
-        stats::reset();
-        {
-            let _outer = p.deferred_flush_scope();
-            {
-                let _inner = p.deferred_flush_scope();
-                p.store_u64(off, 1);
-                p.persist(off, 8);
-            }
-            // The inner scope must not have drained the outer's queue.
-            assert_eq!(stats::snapshot().flushes, 0);
-        }
         assert_eq!(stats::take().flushes, 1);
     }
 

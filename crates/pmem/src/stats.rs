@@ -43,9 +43,8 @@ pub enum Phase {
 pub struct Snapshot {
     /// Number of cache-line flush (`clflush`/`clwb`) operations.
     pub flushes: u64,
-    /// Number of flush requests *coalesced away* by the flush scheduler —
-    /// either elided because the line was already clean (no store since its
-    /// last flush) or deduplicated inside a deferred flush scope. Issued +
+    /// Number of flush requests *coalesced away*: elided because the line
+    /// was already clean (no store since its last flush). Issued +
     /// coalesced = flushes the algorithms *requested*.
     pub flushes_coalesced: u64,
     /// Number of persist fences (`sfence`/`mfence` guarding flushes).

@@ -1,19 +1,18 @@
 //! The inline `get` (crate docs, "Reads") with its interleavings forced,
 //! not hoped for: a held `txn::Snapshot` parks the worker between a
-//! commit's sequence store and its apply — a write provably *in flight* —
-//! and a gated index stops a search or an in-place write half way. Here,
-//! not under `tests/`, because the proofs need `inflight_is_zero()` and a
-//! pair of keys that share a slot. The statistical half is
+//! commit's sequence store and its apply — a write provably *in flight*.
+//! Here, not under `tests/`, because the proofs need `inflight_is_zero()`
+//! and a pair of keys that share a slot. The statistical half is
 //! `tests/inline_reads.rs`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastfair::FastFairTree;
 use pmem::crash::Eviction;
 use pmem::{Pool, PoolConfig};
-use pmindex::{Cursor, IndexError, Key, PersistentIndex, PmIndex, Value};
+use pmindex::{IndexError, Key, PmIndex, Value};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
 
@@ -152,122 +151,6 @@ fn collisions_only_queue_a_slot_mates_read_waits_and_is_right() {
     // Quiet again, and idle: reads queue for the plain reason.
     assert_eq!(c.get(mate).unwrap(), Some(80));
     assert_eq!(service.stats().conflict_gets(), 1);
-}
-
-/// One place a [`Gated`] index can be stopped at, once.
-struct Gate {
-    armed: AtomicBool,
-    entered: Barrier,
-    resume: Barrier,
-}
-
-impl Gate {
-    fn new() -> Gate {
-        Gate {
-            armed: AtomicBool::new(false),
-            entered: Barrier::new(2),
-            resume: Barrier::new(2),
-        }
-    }
-
-    /// The next thread to [`Gate::pass`] stops there.
-    fn arm(&self) {
-        self.armed.store(true, Ordering::SeqCst);
-    }
-
-    fn pass(&self) {
-        if self.armed.swap(false, Ordering::SeqCst) {
-            self.entered.wait();
-            self.resume.wait();
-        }
-    }
-}
-
-/// A tree whose `get` can be held after its search and whose `update` can
-/// be held after its in-place store.
-struct Gated {
-    tree: FastFairTree,
-    searched: Gate,
-    stored: Gate,
-}
-
-impl PmIndex for Gated {
-    fn name(&self) -> &'static str {
-        "gated"
-    }
-
-    fn insert(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
-        self.tree.insert(key, value)
-    }
-
-    fn update(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
-        let prev = self.tree.update(key, value);
-        self.stored.pass();
-        prev
-    }
-
-    fn get(&self, key: Key) -> Option<Value> {
-        let found = self.tree.get(key);
-        self.searched.pass();
-        found
-    }
-
-    fn remove(&self, key: Key) -> bool {
-        self.tree.remove(key)
-    }
-
-    fn cursor(&self) -> Box<dyn Cursor + '_> {
-        self.tree.cursor()
-    }
-}
-
-/// An engine-less service applies in place, so a search that overlaps a
-/// write can find a value whose group has not closed — not yet flushed,
-/// not yet acknowledged. The second look at the slot turns that read
-/// into a queued one, answered after the group.
-#[test]
-fn never_uncommitted_a_search_that_overlapped_a_write_is_not_believed() {
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL)).unwrap());
-    let index = Arc::new(Gated {
-        tree: FastFairTree::create_in(pool).unwrap(),
-        searched: Gate::new(),
-        stored: Gate::new(),
-    });
-    for (k, v) in [(7, 70), (8, 80), (9, 90)] {
-        index.insert(k, v).unwrap();
-    }
-    let config = ServiceConfig {
-        lanes: 1,
-        ..ServiceConfig::default()
-    };
-    let service = Service::direct(vec![Arc::clone(&index)], config);
-    let c = service.handle();
-
-    // Hold the worker inside a write of key 8, and queue a backlog.
-    index.stored.arm();
-    let first = c.submit_update(8, 81).unwrap();
-    index.stored.entered.wait();
-    let fill = backlog(&service, &c, 9);
-
-    // A reader finds 7 quiet, searches (70) — and stops before it looks
-    // at the slot again. Meanwhile key 7 is written.
-    index.searched.arm();
-    std::thread::scope(|s| {
-        let reader = s.spawn(|| c.submit_get(7).unwrap().wait());
-        index.searched.entered.wait();
-        let write = c.submit_update(7, 71).unwrap();
-        index.searched.resume.wait();
-        spin_until("the reader gives up on its search", || {
-            service.stats().conflict_gets() == 1
-        });
-        assert_eq!(service.stats().inline_gets(), 0);
-        index.stored.resume.wait();
-        assert_eq!(first.wait().unwrap(), Some(80));
-        assert_eq!(write.wait().unwrap(), Some(70));
-        assert_eq!(reader.join().unwrap().unwrap(), Some(71));
-    });
-    drop(fill);
-    assert_eq!(service.stats().inline_gets(), 0);
 }
 
 #[test]

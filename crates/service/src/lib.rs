@@ -114,7 +114,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, SendError, Sender, TrySendError};
 use inflight::InFlight;
-use pmem::Pool;
 use pmindex::{check_value, BatchOp, IndexError, Key, PmIndex, Value};
 use txn::{TxnEngine, WriteBatch};
 
@@ -184,12 +183,6 @@ pub struct ServiceConfig {
     /// once per request) around request execution — e.g. the backing
     /// store's `reclaim_domain()`.
     pub pin_domains: Vec<Arc<epoch::EpochDomain>>,
-    /// Engine-less services only: update-only groups wrap their
-    /// in-place stores in one `Pool::deferred_flush_scope` on this pool
-    /// — one fence per group instead of one per update. Sound because
-    /// each update is a single failure-atomic 8-byte store with no
-    /// intra-scope ordering for recovery to depend on.
-    pub coalesce_pool: Option<Arc<Pool>>,
 }
 
 impl Default for ServiceConfig {
@@ -202,7 +195,6 @@ impl Default for ServiceConfig {
             idle_timeout: Duration::from_millis(20),
             affinity: None,
             pin_domains: Vec::new(),
-            coalesce_pool: None,
         }
     }
 }
@@ -211,7 +203,7 @@ type ReplySlot<T> = oneshot::Sender<Result<T, ServiceError>>;
 
 /// A pipelined submission's completion: hold several, then
 /// [`Ticket::wait`] them — this is how a single client keeps a worker's
-/// group full (see the `fig9_service` bench).
+/// group full (see the `perf` package's `svc_*` workloads).
 pub struct Ticket<T>(Reply<T>);
 
 /// Where a ticket's answer is: still with a worker, or — a `get` the
@@ -442,7 +434,7 @@ impl ReadRotation {
 
 struct Shared<I> {
     tables: Vec<Arc<I>>,
-    engine: Option<Arc<TxnEngine>>,
+    engine: Arc<TxnEngine>,
     rotation: Option<Arc<ReadRotation>>,
     stats: Arc<ServiceStats>,
     inflight: InFlight,
@@ -453,7 +445,6 @@ struct Shared<I> {
     lanes: usize,
     affinity: Option<shard::Partitioning>,
     pin_domains: Vec<Arc<epoch::EpochDomain>>,
-    coalesce_pool: Option<Arc<Pool>>,
 }
 
 impl<I> Shared<I> {
@@ -468,12 +459,13 @@ impl<I> Shared<I> {
 
 /// The request-serving frontend over a set of [`PmIndex`] tables.
 ///
-/// Construct with [`Service::with_engine`] (writes group-commit through
-/// a [`TxnEngine`] — atomic client batches, crash-recoverable) or
-/// [`Service::direct`] (writes apply straight to the tables — each op
-/// individually failure-atomic, no cross-op atomicity). Clone handles
-/// off it with [`Service::handle`]; drop (or [`Service::shutdown`]) to
-/// stop the workers after they drain their queues.
+/// Every write group-commits through a [`TxnEngine`]: client batches are
+/// atomic and a crash is recovered from the journal. Construct with
+/// [`Service::with_engine`], with [`Service::with_replicas`] (the same,
+/// plus a read-replica rotation) or, on a warm restart, with
+/// [`Service::from_catalog`]. Clone handles off it with
+/// [`Service::handle`]; drop (or [`Service::shutdown`]) to stop the
+/// workers after they drain their queues.
 ///
 /// See the crate docs for a full walkthrough.
 pub struct Service<I: PmIndex + Send + Sync + 'static> {
@@ -487,7 +479,6 @@ impl<I: PmIndex + Send + Sync + 'static> fmt::Debug for Service<I> {
         f.debug_struct("Service")
             .field("lanes", &self.shared.lanes)
             .field("tables", &self.shared.tables.len())
-            .field("engine", &self.shared.engine.is_some())
             .finish()
     }
 }
@@ -504,7 +495,7 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     ///
     /// Panics if `tables` is empty or the config names zero lanes.
     pub fn with_engine(tables: Vec<Arc<I>>, engine: Arc<TxnEngine>, config: ServiceConfig) -> Self {
-        Service::start(tables, Some(engine), None, config)
+        Service::start(tables, engine, None, config)
     }
 
     /// Starts an engine-backed service (as [`Service::with_engine`])
@@ -527,36 +518,22 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     ) -> Self {
         Service::start(
             tables,
-            Some(engine),
+            engine,
             Some(Arc::new(ReadRotation::new(replicas))),
             config,
         )
     }
 
-    /// Starts an engine-less service: writes apply directly to the
-    /// tables, each individually failure-atomic, with update-only
-    /// groups optionally flush-coalesced through
-    /// [`ServiceConfig::coalesce_pool`]. Client batches are *not*
-    /// atomic in this mode — use [`Service::with_engine`] when they
-    /// must be.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables` is empty or the config names zero lanes.
-    pub fn direct(tables: Vec<Arc<I>>, config: ServiceConfig) -> Self {
-        Service::start(tables, None, None, config)
-    }
-
     /// Boots a service from a [`catalog::Catalog`]: every name in
     /// `tables` is re-opened by [`catalog::Catalog::open_store`] (in
     /// order — the resulting positions are the table ids client batches
-    /// use), and `engine` (if given) is re-opened with
+    /// use), and the engine named `engine` is re-opened with
     /// [`catalog::Catalog::open_txn`] and **recovered** against the
     /// tables before any request is served, so committed-but-unapplied
     /// batches from a crash are replayed first. This is the
-    /// warm-restart path: cold starts create stores, register them, and
-    /// call [`Service::with_engine`] / [`Service::direct`] directly;
-    /// every later boot goes through here with nothing but names.
+    /// warm-restart path: cold starts create stores and an engine,
+    /// register them, and call [`Service::with_engine`] directly; every
+    /// later boot goes through here with nothing but names.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -568,10 +545,12 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     /// let cat = Catalog::create(vec![Arc::clone(&pool)])?;
     /// let tree = fastfair::FastFairTree::create_in(Arc::clone(&pool))?;
     /// cat.register("kv", &StoreKind::Index { pool: 0, superblock: tree.superblock() })?;
-    /// drop(tree);
+    /// let engine = txn::TxnEngine::create(Arc::clone(&pool))?;
+    /// cat.register("txn", &StoreKind::Txn { pool: 0 })?;
+    /// drop((tree, engine));
     ///
     /// let service: Service<fastfair::FastFairTree> =
-    ///     Service::from_catalog(&cat, &["kv"], None, ServiceConfig::default())?;
+    ///     Service::from_catalog(&cat, &["kv"], Some("txn"), ServiceConfig::default())?;
     /// let client = service.handle();
     /// client.insert(1, 10)?;
     /// assert_eq!(client.get(1)?, Some(10));
@@ -580,8 +559,10 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     ///
     /// # Errors
     ///
-    /// Propagates catalog lookup, store-open, and journal-recovery
-    /// failures.
+    /// [`IndexError::Unsupported`] when `engine` is `None` — a service
+    /// commits through a txn engine, so one must be named — before any
+    /// store is opened or any worker starts. Otherwise propagates
+    /// catalog lookup, store-open, and journal-recovery failures.
     ///
     /// # Panics
     ///
@@ -595,25 +576,24 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     where
         I: pmindex::PersistentIndex,
     {
+        let Some(engine) = engine else {
+            return Err(IndexError::Unsupported(
+                "a service commits through a txn engine: name one".into(),
+            ));
+        };
         let tables = tables
             .iter()
             .map(|name| catalog.open_store::<I>(name).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        let engine = match engine {
-            Some(name) => {
-                let engine = catalog.open_txn(name)?;
-                let refs: Vec<&I> = tables.iter().map(|t| t.as_ref()).collect();
-                engine.recover(&refs)?;
-                Some(Arc::new(engine))
-            }
-            None => None,
-        };
-        Ok(Service::start(tables, engine, None, config))
+        let engine = catalog.open_txn(engine)?;
+        let refs: Vec<&I> = tables.iter().map(|t| t.as_ref()).collect();
+        engine.recover(&refs)?;
+        Ok(Service::start(tables, Arc::new(engine), None, config))
     }
 
     fn start(
         tables: Vec<Arc<I>>,
-        engine: Option<Arc<TxnEngine>>,
+        engine: Arc<TxnEngine>,
         rotation: Option<Arc<ReadRotation>>,
         config: ServiceConfig,
     ) -> Self {
@@ -633,7 +613,6 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
             lanes: config.lanes,
             affinity: config.affinity,
             pin_domains: config.pin_domains,
-            coalesce_pool: config.coalesce_pool,
         });
         let mut senders = Vec::with_capacity(config.lanes);
         let mut workers = Vec::with_capacity(config.lanes);
@@ -793,16 +772,17 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         let start = Instant::now();
         if shared.inflight.backlogged(lane) && !shared.stop.load(Ordering::SeqCst) {
             if shared.inflight.no_write_to(key) {
+                // One look at the slot is enough. A write that lands while
+                // the search runs is applied only after its group's
+                // sequence store is persisted and fenced (the engine's
+                // commit before its apply), and an apply that fails past
+                // that point is replayed by `recover`: whatever the search
+                // finds in `tables[0]` is already committed and durable.
                 let out = shared.tables[0].get(key);
-                // Asked again: a write submitted and half applied while
-                // the search ran may have shown it a value that is not
-                // durable yet (engine-less services apply in place).
-                if shared.inflight.no_write_to(key) {
-                    shared
-                        .stats
-                        .note_inline_get(start.elapsed().as_nanos() as u64);
-                    return Ok(Ticket(Reply::Ready(Ok(out))));
-                }
+                shared
+                    .stats
+                    .note_inline_get(start.elapsed().as_nanos() as u64);
+                return Ok(Ticket(Reply::Ready(Ok(out))));
             }
             shared.stats.note_conflict_get();
         }
@@ -998,9 +978,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         self.submit_delete(key)?.wait()
     }
 
-    /// Commits a multi-key, multi-table [`WriteBatch`] — all-or-nothing
-    /// when the service runs an engine ([`Service::with_engine`]);
-    /// applied op-by-op otherwise.
+    /// Commits a multi-key, multi-table [`WriteBatch`], all-or-nothing.
     ///
     /// # Errors
     ///
@@ -1058,21 +1036,6 @@ fn worker_loop<I: PmIndex>(shared: &Shared<I>, lane: usize, rx: &Receiver<Reques
     }
 }
 
-fn process_group<I: PmIndex>(
-    shared: &Shared<I>,
-    lane: usize,
-    group: Vec<Request>,
-    backlog: u64,
-    write_keys: &mut Vec<Key>,
-) {
-    write_keys.extend(group.iter().flat_map(Request::write_keys));
-    let _pins: Vec<epoch::Guard> = shared.pin_domains.iter().map(|d| d.pin()).collect();
-    match &shared.engine {
-        Some(engine) => process_group_engine(shared, engine, lane, group, backlog, write_keys),
-        None => process_group_direct(shared, lane, group, backlog, write_keys),
-    }
-}
-
 /// Overlay of the group's staged-but-uncommitted writes, keyed by
 /// `(table, key)`: `Some(v)` staged put, `None` staged delete. Reads in
 /// the group consult it first so a client that pipelines a write then a
@@ -1087,14 +1050,18 @@ fn peek<I: PmIndex>(tables: &[Arc<I>], overlay: &Overlay, table: usize, key: Key
     }
 }
 
-fn process_group_engine<I: PmIndex>(
+/// Stages every write of `group` into ONE commit through the engine,
+/// answers its reads against the group's overlay, and fans the replies
+/// out once the commit and apply have returned.
+fn process_group<I: PmIndex>(
     shared: &Shared<I>,
-    engine: &TxnEngine,
     lane: usize,
     group: Vec<Request>,
     backlog: u64,
     write_keys: &mut Vec<Key>,
 ) {
+    write_keys.extend(group.iter().flat_map(Request::write_keys));
+    let _pins: Vec<epoch::Guard> = shared.pin_domains.iter().map(|d| d.pin()).collect();
     let tables = &shared.tables;
     let mut overlay: Overlay = HashMap::new();
     let mut staged: Vec<WriteBatch> = Vec::new();
@@ -1260,7 +1227,7 @@ fn process_group_engine<I: PmIndex>(
     if !staged.is_empty() {
         let refs: Vec<&I> = tables.iter().map(|t| t.as_ref()).collect();
         let mut prev = Vec::with_capacity(staged_ops);
-        if let Err(e) = engine.commit_grouped_prev(&staged, &refs, &mut prev) {
+        if let Err(e) = shared.engine.commit_grouped_prev(&staged, &refs, &mut prev) {
             commit_failure = Some(ServiceError::Index(e));
         } else {
             shared.stats.note_group(staged.len() as u64, backlog);
@@ -1278,138 +1245,14 @@ fn process_group_engine<I: PmIndex>(
     fan_out(shared, lane, write_keys, dones, commit_failure);
 }
 
-fn process_group_direct<I: PmIndex>(
-    shared: &Shared<I>,
-    lane: usize,
-    group: Vec<Request>,
-    backlog: u64,
-    write_keys: &mut Vec<Key>,
-) {
-    let tables = &shared.tables;
-    // Update-only groups (point reads allowed) coalesce their in-place
-    // persists into one deferred flush scope: every update is still an
-    // independent failure-atomic 8-byte store, so deferral only merges
-    // the *flush* traffic — acknowledgements wait for the scope's
-    // closing fence below.
-    let coalesce = shared.coalesce_pool.as_ref().filter(|_| {
-        group.len() > 1
-            && group
-                .iter()
-                .all(|r| matches!(r, Request::Update { .. } | Request::Get { .. }))
-    });
-    let scope = coalesce.map(|p| p.deferred_flush_scope());
-    let mut writes = 0u64;
-    let mut dones: Vec<Done> = Vec::with_capacity(group.len());
-    for req in group {
-        match req {
-            Request::Get { key, reply, start } => dones.push(Done::Val {
-                reply,
-                out: Ok(tables[0].get(key)),
-                class: OpClass::Get,
-                start,
-            }),
-            Request::Insert {
-                key,
-                value,
-                reply,
-                start,
-            } => {
-                writes += 1;
-                dones.push(Done::Val {
-                    reply,
-                    out: tables[0].insert(key, value).map_err(ServiceError::from),
-                    class: OpClass::Insert,
-                    start,
-                });
-            }
-            Request::Update {
-                key,
-                value,
-                reply,
-                start,
-            } => {
-                writes += 1;
-                dones.push(Done::Val {
-                    reply,
-                    out: tables[0].update(key, value).map_err(ServiceError::from),
-                    class: OpClass::Update,
-                    start,
-                });
-            }
-            Request::Delete { key, reply, start } => {
-                writes += 1;
-                dones.push(Done::Flag {
-                    reply,
-                    out: Ok(tables[0].remove(key)),
-                    start,
-                });
-            }
-            Request::Batch {
-                batch,
-                reply,
-                start,
-            } => {
-                writes += 1;
-                let mut out = Ok(());
-                for (t, op) in batch.ops() {
-                    if t >= tables.len() {
-                        out = Err(ServiceError::Index(IndexError::Unsupported(format!(
-                            "batch names table {t} but the service holds {}",
-                            tables.len()
-                        ))));
-                        break;
-                    }
-                    let step = match op {
-                        BatchOp::Put(k, v) => tables[t].insert(k, v).map(|_| ()),
-                        BatchOp::Delete(k) => {
-                            tables[t].remove(k);
-                            Ok(())
-                        }
-                    };
-                    if let Err(e) = step {
-                        out = Err(e.into());
-                        break;
-                    }
-                }
-                dones.push(Done::Unit { reply, out, start });
-            }
-            Request::Scan {
-                lo,
-                hi,
-                reply,
-                start,
-            } => {
-                let mut rows = Vec::new();
-                tables[0].range(lo, hi, &mut rows);
-                dones.push(Done::Rows {
-                    reply,
-                    out: Ok(rows),
-                    start,
-                });
-            }
-        }
-    }
-    // Close the coalescing scope (issue the deduplicated flushes + one
-    // fence) BEFORE acknowledging: durability precedes every ack.
-    if let Some(scope) = scope {
-        scope.flush();
-    }
-    if writes > 0 {
-        shared.stats.note_group(writes, backlog);
-    } else {
-        shared.stats.note_backlog(backlog);
-    }
-    fan_out(shared, lane, write_keys, dones, None);
-}
-
 /// The one way out of a group, whose commit + apply has returned or
 /// failed: takes its requests and write keys out of the in-flight counts,
 /// and only then sends every computed reply, recording per-class latency
 /// and outcome — so once a write's ack is out, or its key's slot reads
-/// quiet, the tables hold it. `group_failure` (an engine commit that
-/// failed) overrides every member's result: the group is all-or-nothing,
-/// so no reply may claim success — including reads, whose answers were
-/// computed against the group's overlay.
+/// quiet, the tables hold it. `group_failure` (a commit that failed)
+/// overrides every member's result: the group is all-or-nothing, so no
+/// reply may claim success — including reads, whose answers were computed
+/// against the group's overlay.
 ///
 /// Called with the group's staging state still alive: freeing it is work
 /// for after the replies, while the clients are already resubmitting.
@@ -1574,6 +1417,19 @@ mod tests {
         assert!(matches!(c.get(1), Err(ServiceError::ShuttingDown)));
     }
 
+    #[test]
+    fn from_catalog_without_an_engine_is_a_typed_error() {
+        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20)).unwrap());
+        let cat = catalog::Catalog::create(vec![pool]).unwrap();
+        // Refused before any name is looked up: "kv" is not even there.
+        let refused =
+            Service::<FastFairTree>::from_catalog(&cat, &["kv"], None, ServiceConfig::default());
+        assert!(matches!(
+            refused,
+            Err(IndexError::Unsupported(why)) if why.contains("txn engine")
+        ));
+    }
+
     type ReplicaRig = (
         Arc<ShardedStore<FastFairTree>>,
         Arc<TxnEngine>,
@@ -1697,38 +1553,5 @@ mod tests {
         }
         assert_eq!(c.get_stale(1), Some(2));
         assert!(service.stats().stale_reads() >= 1);
-    }
-
-    #[test]
-    fn direct_mode_coalesces_update_only_groups() {
-        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(8 << 20)).unwrap());
-        let store: Arc<ShardedStore<FastFairTree>> = Arc::new(
-            ShardedStore::create(
-                Arc::clone(&pool),
-                vec![Arc::clone(&pool)],
-                Partitioning::Hash { shards: 1 },
-            )
-            .unwrap(),
-        );
-        for k in 1..=64u64 {
-            store.insert(k, 1).unwrap();
-        }
-        let config = ServiceConfig {
-            lanes: 1,
-            coalesce_pool: Some(Arc::clone(&pool)),
-            ..ServiceConfig::default()
-        };
-        let service = Service::direct(vec![Arc::clone(&store)], config);
-        let c = service.handle();
-        let tickets: Vec<_> = (1..=64u64)
-            .map(|k| c.submit_update(k, k + 1).unwrap())
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        for k in 1..=64u64 {
-            assert_eq!(store.get(k), Some(k + 1));
-        }
-        assert!(service.stats().mean_group_size() >= 1.0);
     }
 }

@@ -9,8 +9,8 @@
 //! model's answer exactly, concurrency or not. After the storm the
 //! service's table must equal the union of all models, key for key.
 //!
-//! Runs against both routing backends (hash and range partitioning)
-//! and in engine (group commit) and direct mode. `FF_EPOCH_STRESS=1`
+//! Runs against both routing backends (hash and range partitioning),
+//! every write group-committed through the engine. `FF_EPOCH_STRESS=1`
 //! coverage comes from the `service-soak` CI job, which re-runs this
 //! binary with the flag set.
 
@@ -121,17 +121,14 @@ fn storm_one_client(
     }
 }
 
-fn run_storm(store: Arc<ShardedStore<FastFairTree>>, engine: Option<Arc<TxnEngine>>) {
+fn run_storm(store: Arc<ShardedStore<FastFairTree>>, engine: Arc<TxnEngine>) {
     let config = ServiceConfig {
         lanes: 4,
         affinity: Some(store.partitioning().clone()),
         pin_domains: vec![Arc::clone(store.reclaim_domain())],
         ..ServiceConfig::default()
     };
-    let service = match engine {
-        Some(e) => Service::with_engine(vec![Arc::clone(&store)], e, config),
-        None => Service::direct(vec![Arc::clone(&store)], config),
-    };
+    let service = Service::with_engine(vec![Arc::clone(&store)], engine, config);
     let models: Vec<BTreeMap<u64, u64>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -165,7 +162,7 @@ fn storm_hash_backend_group_commit() {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
     let store = build_store(&pool, Partitioning::Hash { shards: 4 }, 4);
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
-    run_storm(store, Some(engine));
+    run_storm(store, engine);
 }
 
 #[test]
@@ -180,12 +177,5 @@ fn storm_range_backend_group_commit() {
         4,
     );
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
-    run_storm(store, Some(engine));
-}
-
-#[test]
-fn storm_hash_backend_direct_mode() {
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
-    let store = build_store(&pool, Partitioning::Hash { shards: 4 }, 4);
-    run_storm(store, None);
+    run_storm(store, engine);
 }

@@ -62,7 +62,9 @@ fn reopen_kv_runs_to_completion() {
         &[
             "newest order via reverse seek: (10000, 20000)",
             "orders intact",
+            "killed with 3 orders committed to the journal, unapplied",
             "second reopen: 10000 orders still intact",
+            "journal recovery replayed the 3 committed orders",
             "service booted from catalog and served the newest order",
             "reopen_kv example finished OK",
         ],
