@@ -651,8 +651,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// Repoints an existing name at a new record — e.g. after a shard
-    /// rebalance changed a deployment's pool fleet. Commits exactly
+    /// Repoints an existing name at a new record — e.g. after an operator
+    /// moved a store's pools to new slots. Commits exactly
     /// like [`Catalog::register`]: new record first, then one
     /// failure-atomic value store; readers see the old or the new
     /// coordinates, never a mix.

@@ -47,7 +47,7 @@ struct Directory {
 /// 2. **No recycle.** A directory is used only if its stamp still equals
 ///    the generation read *after* the operation's epoch pin. Every path
 ///    that takes a node off the tree (`retire_node` from merge, `bulk_load`
-///    and `recover`; `reclaim_storage`) bumps the generation *before* the
+///    and `recover`) bumps the generation *before* the
 ///    block reaches the epoch domain, so an operation that still reads `g`
 ///    pinned before any leaf of the directory was retired, and the epoch
 ///    rule keeps those blocks out of the allocator until it unpins: a

@@ -593,36 +593,6 @@ impl pmindex::PersistentIndex for FastFairTree {
     fn superblock(&self) -> PmOffset {
         self.meta_offset()
     }
-
-    /// Walks every level chain and returns the whole tree — nodes,
-    /// limbo-held retirees, superblock and (for the logging strategy) the
-    /// undo buffer — to the pool's free list. Caller guarantees exclusive
-    /// access; the shard router defers this call through its epoch domain
-    /// so it runs only after every reader of the evacuated index is gone.
-    fn reclaim_storage(&self) -> usize {
-        // Every node is about to leave the tree.
-        self.directory.invalidate();
-        // Limbo first: merge-retired nodes are no longer on any chain.
-        let mut freed = self.epoch.flush();
-        let mut seen = std::collections::BTreeSet::new();
-        for level in (0..=self.height()).rev() {
-            for off in self.level_chain(level) {
-                if seen.insert(off) {
-                    self.pool.free(off, u64::from(self.node_size));
-                    freed += 1;
-                }
-            }
-        }
-        if self.opts.split == SplitStrategy::Logging {
-            let area = self.pool.load_u64(self.meta + META_LOG_AREA);
-            if area != NULL_OFFSET {
-                self.pool.free(area, 8 + u64::from(self.node_size));
-                freed += 1;
-            }
-        }
-        self.pool.free(self.meta, 64);
-        freed + 1
-    }
 }
 
 impl Drop for FastFairTree {

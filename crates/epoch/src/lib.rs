@@ -380,8 +380,7 @@ impl EpochDomain {
     }
 
     /// Defers an arbitrary reclamation action (e.g. dropping a retired
-    /// volatile node, or tearing down a whole evacuated index) until two
-    /// epochs have passed. Counts as zero recycled blocks; use
+    /// volatile node) until two epochs have passed. Counts as zero recycled blocks; use
     /// [`EpochDomain::defer_units`] when the action frees pool blocks.
     ///
     /// ```

@@ -50,9 +50,8 @@ pub enum IndexError {
     /// The value is one of the reserved bit patterns (0 or `u64::MAX`).
     ReservedValue(Value),
     /// The operation is not supported by this store configuration, or
-    /// persistent metadata it needs is missing or corrupt (e.g. a shard
-    /// rebalance requested on a volatile router, or a pool without a valid
-    /// manifest).
+    /// persistent metadata it needs is missing or corrupt (e.g. a pool
+    /// without a valid shard manifest).
     Unsupported(String),
 }
 
@@ -699,42 +698,12 @@ pub trait PersistentIndex: PmIndex + Sized {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     fn superblock(&self) -> PmOffset;
-
-    /// Returns every pool block this index owns — nodes, metadata, any
-    /// pending limbo — to its pool's free list, and reports how many
-    /// blocks were freed. Called on an index that has been *evacuated*
-    /// (e.g. by a shard rebalance): its contents live elsewhere now and
-    /// this structure is garbage. The caller must guarantee exclusive
-    /// access — `shard::ShardedStore` defers the call through its epoch
-    /// domain so it runs only after the last reader of the old index is
-    /// gone.
-    ///
-    /// The default is a no-op (`0`): an index without a storage walk
-    /// simply leaks its old structure into the pool, the documented
-    /// PM-allocator trade-off.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmindex::{PersistentIndex, PmIndex};
-    ///
-    /// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let tree = fastfair::FastFairTree::create_in(Arc::clone(&pool))?;
-    /// tree.bulk_load(&mut (1..=500u64).map(|k| (k, k + 1)))?;
-    /// let freed = tree.reclaim_storage(); // tree is garbage from here on
-    /// assert!(freed > 0);
-    /// drop(tree);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    fn reclaim_storage(&self) -> usize {
-        0
-    }
 }
 
 /// Iterator adapter draining a [`Cursor`] — bridges the streaming-scan
 /// world into APIs that want an `Iterator`, most importantly
 /// [`PmIndex::bulk_load`]: `bulk_load(&mut CursorIter(src.cursor()))`
-/// streams one index into another without materializing it (how a shard
-/// rebalance or a compaction moves its data).
+/// streams one index into another without materializing it.
 ///
 /// ```
 /// use std::sync::Arc;

@@ -63,11 +63,6 @@
 //! calling thread, but checks nothing — it may miss the caller's own
 //! pipelined writes and acknowledged ones a replica has not applied.
 //!
-//! The same crate hosts the [`MaintenanceDaemon`]: a background thread
-//! that watches `shard::ShardedStore::hottest_shard` and epoch-limbo
-//! depth, and runs shard compaction / epoch collection off the client
-//! path — pausable around snapshots.
-//!
 //! ```
 //! use std::sync::Arc;
 //! use service::{Service, ServiceConfig};
@@ -94,13 +89,11 @@
 
 #![deny(missing_docs)]
 
-mod daemon;
 mod inflight;
 #[cfg(test)]
 mod inline_tests;
 mod stats;
 
-pub use daemon::{DaemonConfig, MaintenanceDaemon, PauseGuard, ReplWatch};
 pub use stats::{LatencyHistogram, OpClass, OpStats, ServiceStats};
 
 pub use repl::ReadReplica;
@@ -320,9 +313,8 @@ enum Done {
 
 /// The read-replica rotation a [`Service`] serves
 /// [`ClientHandle::get_stale`] from: a fixed set of
-/// [`repl::ReadReplica`]s, each pausable out of the rotation (the
-/// [`MaintenanceDaemon`] pauses lagging replicas; operators can too),
-/// picked round-robin per read.
+/// [`repl::ReadReplica`]s, each pausable out of the rotation by an
+/// operator, picked round-robin per read.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -504,9 +496,6 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     /// plumbing (shipper, transports, apply loops) — the service only
     /// *reads* from the replicas, round-robin, skipping paused slots.
     ///
-    /// Pair with [`MaintenanceDaemon::spawn_with_replication`] to keep
-    /// lagging replicas out of the rotation automatically.
-    ///
     /// # Panics
     ///
     /// Panics if `tables` is empty or the config names zero lanes.
@@ -653,9 +642,8 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     }
 
     /// The read-replica rotation, when the service was built with
-    /// [`Service::with_replicas`] — hand it to
-    /// [`MaintenanceDaemon::spawn_with_replication`] or pause slots by
-    /// hand around replica maintenance.
+    /// [`Service::with_replicas`] — pause slots through it around
+    /// replica maintenance.
     pub fn rotation(&self) -> Option<&Arc<ReadRotation>> {
         self.shared.rotation.as_ref()
     }
@@ -932,10 +920,11 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
     ///   are invisible.
     ///
     /// Use [`ClientHandle::get`] when read-your-writes or linearizable
-    /// freshness matters; use this when throughput does — the lag the
-    /// answer can trail by is [`ServiceStats::replication_lag`], and
-    /// the [`MaintenanceDaemon`] keeps replicas lagging beyond the
-    /// configured bound out of the rotation.
+    /// freshness matters; use this when throughput does. Nothing bounds
+    /// the lag a replica's answer trails by: a caller that needs a
+    /// bound compares the replica's watermark with the engine's
+    /// `last_committed` and pauses the slot through
+    /// [`Service::rotation`].
     pub fn get_stale(&self, key: Key) -> Option<Value> {
         if let Some(rotation) = &self.shared.rotation {
             if let Some((_, replica)) = rotation.pick() {
@@ -1430,23 +1419,14 @@ mod tests {
         ));
     }
 
-    type ReplicaRig = (
-        Arc<ShardedStore<FastFairTree>>,
-        Arc<TxnEngine>,
-        Arc<repl::LogShipper>,
-        Arc<repl::ChannelTransport>,
-        u64,
-        Arc<repl::Replica<FastFairTree>>,
-        Service<ShardedStore<FastFairTree>>,
-    );
-
-    /// An engine service with one subscribed read replica (not yet
-    /// caught up — tests drive `catch_up` themselves).
-    fn replica_service() -> ReplicaRig {
+    #[test]
+    fn stale_reads_serve_from_replica_and_fall_back_when_paused() {
         use repl::{ChannelTransport, LogShipper, Replica};
 
+        // An engine service with one subscribed read replica, which the
+        // test catches up by hand.
         let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(16 << 20)).unwrap());
-        let store = Arc::new(
+        let store: Arc<ShardedStore<FastFairTree>> = Arc::new(
             ShardedStore::create(
                 Arc::clone(&pool),
                 vec![Arc::clone(&pool), Arc::clone(&pool)],
@@ -1472,7 +1452,7 @@ mod tests {
             .unwrap(),
         );
         let service = Service::with_replicas(
-            vec![Arc::clone(&store)],
+            vec![store],
             Arc::clone(&engine),
             vec![Arc::clone(&replica) as Arc<dyn ReadReplica>],
             ServiceConfig {
@@ -1480,12 +1460,6 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        (store, engine, shipper, transport, sub, replica, service)
-    }
-
-    #[test]
-    fn stale_reads_serve_from_replica_and_fall_back_when_paused() {
-        let (_store, engine, shipper, transport, sub, replica, service) = replica_service();
         let c = service.handle();
         assert_eq!(c.insert(7, 70).unwrap(), None);
         replica.catch_up(transport.as_ref(), &shipper, sub).unwrap();
@@ -1503,55 +1477,5 @@ mod tests {
         assert_eq!(service.stats().stale_fallbacks(), 1);
         rotation.resume(0);
         assert!(!rotation.is_paused(0));
-    }
-
-    #[test]
-    fn daemon_pauses_lagging_replica_and_resumes_after_catch_up() {
-        let (store, engine, shipper, transport, sub, replica, service) = replica_service();
-        let rotation = Arc::clone(service.rotation().unwrap());
-        let daemon = MaintenanceDaemon::spawn_with_replication(
-            Arc::clone(&store),
-            vec![],
-            ReplWatch {
-                engine: Arc::clone(&engine),
-                rotation: Arc::clone(&rotation),
-                stats: Some(Arc::clone(service.stats())),
-            },
-            DaemonConfig {
-                interval: Duration::from_millis(1),
-                repl_lag_high_water: 4,
-                repl_lag_resume: 0,
-                ..DaemonConfig::default()
-            },
-        );
-        let c = service.handle();
-        for k in 1..=16u64 {
-            c.insert(k, k + 1).unwrap();
-        }
-        // The replica is not applying at all: lag grows past the
-        // high-water mark and the daemon benches it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !rotation.is_paused(0) {
-            assert!(Instant::now() < deadline, "daemon never paused the laggard");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(daemon.repl_pauses() >= 1);
-        assert!(service.stats().replication_lag() > 4);
-        // A paused rotation falls back to the primary.
-        assert_eq!(c.get_stale(1), Some(2));
-        assert!(service.stats().stale_fallbacks() >= 1);
-
-        // Catch the replica up; lag hits 0 and the daemon reinstates it.
-        replica.catch_up(transport.as_ref(), &shipper, sub).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while rotation.is_paused(0) {
-            assert!(
-                Instant::now() < deadline,
-                "daemon never resumed the caught-up replica"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(c.get_stale(1), Some(2));
-        assert!(service.stats().stale_reads() >= 1);
     }
 }

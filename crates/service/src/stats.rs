@@ -217,8 +217,6 @@ pub struct ServiceStats {
     leaf_hint_rebuilds: AtomicU64,
     stale_reads: AtomicU64,
     stale_fallbacks: AtomicU64,
-    repl_lag: AtomicU64,
-    repl_apply_rate: AtomicU64,
 }
 
 impl ServiceStats {
@@ -345,19 +343,6 @@ impl ServiceStats {
         self.stale_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Replication lag gauge: worst `last_committed - watermark` across
-    /// the read rotation, as of the maintenance daemon's latest pass
-    /// (0 until a replication-watching daemon runs).
-    pub fn replication_lag(&self) -> u64 {
-        self.repl_lag.load(Ordering::Relaxed)
-    }
-
-    /// Replication apply-rate gauge: groups applied per second summed
-    /// over the rotation, as of the daemon's latest pass.
-    pub fn replication_apply_rate(&self) -> u64 {
-        self.repl_apply_rate.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn note_submitted(&self, class: OpClass) {
         self.ops[class.index()]
             .submitted
@@ -421,11 +406,6 @@ impl ServiceStats {
         } else {
             self.stale_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    pub(crate) fn set_replication_gauges(&self, lag: u64, apply_rate: u64) {
-        self.repl_lag.store(lag, Ordering::Relaxed);
-        self.repl_apply_rate.store(apply_rate, Ordering::Relaxed);
     }
 }
 

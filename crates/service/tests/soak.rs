@@ -1,4 +1,4 @@
-//! Backpressure and maintenance-daemon soak.
+//! Backpressure soak.
 //!
 //! * **Shedding**: a 2-capacity lane whose worker is wedged (a held
 //!   `txn::Snapshot` blocks the apply gate) must reject overflow with
@@ -8,20 +8,14 @@
 //!   submitters instead; nothing is shed, everything completes.
 //! * **Histograms**: after real traffic, every op class satisfies
 //!   p50 ≤ p99 ≤ p999.
-//! * **Daemon**: under insert/delete churn on a deliberately skewed
-//!   range partitioning, the daemon compacts the hot shard and
-//!   collects epoch limbo off the client path; pausing it stops
-//!   maintenance passes deterministically.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
 use pmindex::PmIndex;
-use service::{
-    Admission, DaemonConfig, MaintenanceDaemon, OpClass, Service, ServiceConfig, ServiceError,
-};
+use service::{Admission, OpClass, Service, ServiceConfig, ServiceError};
 use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
 
@@ -161,100 +155,4 @@ fn histograms_are_monotone_after_traffic() {
     }
     assert!(stats.groups() > 0);
     assert!(stats.fences() > 0, "group commits must harvest fences");
-}
-
-#[test]
-fn daemon_compacts_hot_shard_and_collects_limbo_under_churn() {
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
-    // Deliberate skew: bound at 1M but every key is below it, so shard 0
-    // takes all traffic while shard 1 idles.
-    let store: Arc<ShardedStore<FastFairTree>> = Arc::new(
-        ShardedStore::create(
-            Arc::clone(&pool),
-            vec![Arc::clone(&pool); 2],
-            Partitioning::Range {
-                bounds: vec![1_000_000],
-            },
-        )
-        .unwrap(),
-    );
-    let engine = Arc::new(TxnEngine::create(Arc::clone(&pool)).unwrap());
-    let service = Service::with_engine(
-        vec![Arc::clone(&store)],
-        engine,
-        ServiceConfig {
-            lanes: 2,
-            affinity: Some(store.partitioning().clone()),
-            ..ServiceConfig::default()
-        },
-    );
-    let daemon = MaintenanceDaemon::spawn(
-        Arc::clone(&store),
-        vec![],
-        DaemonConfig {
-            interval: Duration::from_millis(1),
-            limbo_high_water: 0,
-            skew_ratio: 1.5,
-            min_shard_keys: 256,
-            ..DaemonConfig::default()
-        },
-    );
-
-    // Churn: grow the hot shard past the skew trigger, with deletes so
-    // tree nodes unlink and retire into the reclaim domain's limbo.
-    let client = service.handle();
-    for k in 1..=2_000u64 {
-        client.insert(k, k + 1).unwrap();
-        if k % 2 == 0 {
-            client.delete(k).unwrap();
-        }
-    }
-
-    // The daemon must notice the skew without any client asking: wait
-    // (bounded) for at least one compaction.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while daemon.rebalances() == 0 && Instant::now() < deadline {
-        // Keep a trickle of churn so the skew picture stays fresh.
-        for k in 2_001..=2_050u64 {
-            client.insert(k, 7).unwrap();
-            client.delete(k).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        daemon.rebalances() >= 1,
-        "daemon never compacted the hot shard"
-    );
-
-    // Collection: with client traffic quiesced the only foreground
-    // maintenance left (every 32nd unpin) is the daemon's own — a
-    // compaction still in flight pins the domain per leaf it copies and
-    // can drain an item planted behind its pass's limbo check — so keep
-    // planting until a pass finds one.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while daemon.collections() == 0 && Instant::now() < deadline {
-        store.reclaim_domain().defer(|| ());
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(daemon.collections() >= 1, "daemon never collected limbo");
-    assert!(daemon.limbo_peak() > 0);
-
-    // Pause is deterministic: once the in-flight pass finishes, no
-    // further maintenance runs while the guard lives.
-    let guard = daemon.pause();
-    std::thread::sleep(Duration::from_millis(50));
-    let (c0, r0) = (daemon.collections(), daemon.rebalances());
-    for k in 3_001..=3_100u64 {
-        client.insert(k, 7).unwrap();
-        client.delete(k).unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(daemon.collections(), c0, "collection ran while paused");
-    assert_eq!(daemon.rebalances(), r0, "rebalance ran while paused");
-    drop(guard);
-
-    // Data survived every background rebalance.
-    for k in (1..=2_000u64).filter(|k| k % 2 == 1) {
-        assert_eq!(store.get(k), Some(k + 1), "key {k} lost across rebalance");
-    }
 }

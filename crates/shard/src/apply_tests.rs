@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use fastfair::{FastFairTree, TreeOptions};
 use pmem::PoolConfig;
+use pmindex::CursorIter;
 
 use super::*;
 
@@ -127,8 +128,8 @@ fn latched_store() -> ShardedStore<Probe<FastFairTree>> {
     )
 }
 
-fn probe<I>(store: &ShardedStore<Probe<I>>, shard: usize) -> Arc<Probe<I>> {
-    store.shards[shard].current()
+fn probe<I>(store: &ShardedStore<Probe<I>>, shard: usize) -> &Probe<I> {
+    &store.shards[shard]
 }
 
 /// `MIN_SPLIT` ops for shard 0 and one more for shard 1, so shard 0 is
@@ -178,7 +179,7 @@ fn split_counters_match_the_groups_applied_shard_by_shard() {
 
     let groups = twin.route_batch(&ops);
     for (shard, group) in groups.iter().enumerate() {
-        twin.shards[shard].current().apply_batch(group).unwrap();
+        twin.shards[shard].apply_batch(group).unwrap();
     }
     let serial = pmem::stats::take();
     let counted = |s: &pmem::stats::Snapshot| {

@@ -1,4 +1,4 @@
-//! # Sharded `PmIndex` router with crash-atomic rebalancing
+//! # Sharded `PmIndex` router with a crash-atomic shard map
 //!
 //! The paper removes logging from *one* B+-tree; this crate scales the
 //! result *out*. A [`ShardedStore`] routes every operation of the
@@ -8,7 +8,7 @@
 //! implements [`PmIndex`], every harness in this repository (differential
 //! tests, TPC-C, the figure benches) runs against it unchanged.
 //!
-//! Four design points carry the paper's spirit upward a layer:
+//! Three design points carry the paper's spirit upward a layer:
 //!
 //! * **Scans stay streaming.** [`PmIndex::cursor`] returns a K-way merged
 //!   cursor over per-shard [`Cursor`]s: a binary-heap merge under hash
@@ -16,18 +16,13 @@
 //!   Per-shard entries are pulled in small refill batches, so a cross-shard
 //!   scan never materializes a result set.
 //! * **The shard map commits like a FAST store.** A persistent deployment
-//!   records its shard map in an epoch-numbered, checksummed
-//!   [manifest](self) record; the only commit point is the single
-//!   failure-atomic 8-byte pointer flip of [`pmem::Pool::set_manifest`] —
-//!   multi-structure metadata updates without reintroducing a log.
-//! * **Rebalancing is cursor + bulk load + pointer flip.**
-//!   [`ShardedStore::rebalance_into`] streams one shard out through its
-//!   cursor, [`PmIndex::bulk_load`]s it bottom-up into a fresh pool
-//!   (packed leaves, one flush per cache line), and publishes the move by
-//!   committing the next manifest epoch. A crash at *any* intermediate
-//!   step recovers to the old shard map with the old shard intact — the
-//!   half-built replacement merely leaks, the standard PM-allocator
-//!   trade-off this repository documents on [`pmem::Pool::free`].
+//!   records its shard map in a checksummed [manifest](self) record,
+//!   written once by [`ShardedStore::create`]; the only commit point is
+//!   the single failure-atomic 8-byte pointer flip of
+//!   [`pmem::Pool::set_manifest`]. A crash before the flip leaves a pool
+//!   [`ShardedStore::open`] refuses; after it, the whole map. The map
+//!   never changes after that: the shards stay compact the paper's way,
+//!   by FAIR splits and merges inside each tree.
 //! * **A batch applies its shards in parallel.** Shards hold disjoint
 //!   keys, so only ops within one shard must keep their order.
 //!   [`PmIndex::apply_batch`] and [`PmIndex::apply_batch_prev`] route a
@@ -74,9 +69,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
-use pmem::{PmOffset, Pool};
-use pmindex::{BatchOp, Cursor, CursorIter, IndexError, Key, PersistentIndex, PmIndex, Value};
+use pmem::Pool;
+use pmindex::{BatchOp, Cursor, IndexError, Key, PersistentIndex, PmIndex, Value};
 
 /// How keys are distributed across shards.
 ///
@@ -176,61 +170,18 @@ impl Partitioning {
     }
 }
 
-/// One shard: the current index plus a write gate.
-///
-/// Point/bulk writers hold the gate *shared* (they stay concurrent with
-/// each other — the underlying index is internally synchronized); a
-/// rebalance holds it *exclusively* for the duration of the copy so the
-/// streamed-out snapshot cannot miss a racing write. Readers never touch
-/// the gate: gets and cursors stay wait-free against a running rebalance.
-struct ShardSlot<I> {
-    index: RwLock<Arc<I>>,
-    write_gate: RwLock<()>,
-}
-
-impl<I> ShardSlot<I> {
-    fn new(index: Arc<I>) -> Self {
-        ShardSlot {
-            index: RwLock::new(index),
-            write_gate: RwLock::new(()),
-        }
-    }
-    fn current(&self) -> Arc<I> {
-        Arc::clone(&self.index.read())
-    }
-}
-
-/// Persistence side of a manifest-backed store.
-struct PersistState {
-    manifest_pool: Arc<Pool>,
-    /// Pool for each slot id; indexed by slot.
-    pools: Mutex<Vec<Arc<Pool>>>,
-    /// Slot id currently backing each shard.
-    slots: Mutex<Vec<u64>>,
-    epoch: AtomicU64,
-    /// Serializes rebalances (each bumps the manifest epoch).
-    rebalance: Mutex<()>,
-}
-
 /// A router over `N` per-shard [`PmIndex`] instances that is itself a
 /// [`PmIndex`].
 ///
 /// Construct it volatile with [`ShardedStore::from_indexes`] (any index,
 /// no manifest), or persistent with [`ShardedStore::create`] /
 /// [`ShardedStore::open`] (indexes implementing [`PersistentIndex`],
-/// crash-consistent manifest, online [`ShardedStore::rebalance_into`]).
+/// crash-consistent manifest). Either way the shard map is fixed for the
+/// store's lifetime.
 pub struct ShardedStore<I> {
-    shards: Vec<ShardSlot<I>>,
+    shards: Vec<I>,
     partitioning: Partitioning,
-    persist: Option<PersistState>,
-    /// Store-level *reclamation* epoch domain (`crates/epoch`) — not to
-    /// be confused with the manifest epoch of [`ShardedStore::epoch`].
-    /// Readers — gets, merged cursors, `len`/`shard_len` — pin it around
-    /// every access to a shard's current index;
-    /// [`ShardedStore::rebalance_into`] retires the *evacuated* index
-    /// into it, so the old structure's storage is walked and returned to
-    /// its pool online, two epochs after the last pre-flip reader let go
-    /// — instead of gating on `Drop`.
+    /// See [`ShardedStore::reclaim_domain`]: nothing retires into it.
     reclaim: Arc<epoch::EpochDomain>,
     /// The thread that applies one shard's group of a split batch:
     /// started by the first split, joined when the store drops. `None`
@@ -252,15 +203,14 @@ impl<I> std::fmt::Debug for ShardedStore<I> {
         f.debug_struct("ShardedStore")
             .field("shards", &self.shards.len())
             .field("partitioning", &self.partitioning)
-            .field("manifest", &self.persist.is_some())
             .finish()
     }
 }
 
 impl<I: PmIndex> ShardedStore<I> {
     /// Builds a *volatile* router over caller-constructed indexes: no
-    /// manifest is written, and [`ShardedStore::rebalance_into`] is
-    /// unavailable: the shard map lives only as long as the store.
+    /// manifest is written, so the shard map lives only as long as the
+    /// store.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -292,22 +242,9 @@ impl<I: PmIndex> ShardedStore<I> {
             partitioning.shards(),
             "index count must match the partitioning's shard count"
         );
-        Self::assemble(
-            indexes.into_iter().map(Arc::new).collect(),
-            partitioning,
-            None,
-        )
-    }
-
-    fn assemble(
-        indexes: Vec<Arc<I>>,
-        partitioning: Partitioning,
-        persist: Option<PersistState>,
-    ) -> Self {
         ShardedStore {
-            shards: indexes.into_iter().map(ShardSlot::new).collect(),
+            shards: indexes,
             partitioning,
-            persist,
             reclaim: epoch::EpochDomain::new(),
             helper: OnceLock::new(),
             split_applies: AtomicU64::new(0),
@@ -335,8 +272,7 @@ impl<I: PmIndex> ShardedStore<I> {
         &self.partitioning
     }
 
-    /// Number of shards (fixed for the lifetime of the store; rebalancing
-    /// moves a shard's *contents*, not the shard count).
+    /// Number of shards (fixed for the lifetime of the store).
     ///
     /// ```
     /// use shard::{Partitioning, ShardedStore};
@@ -358,8 +294,7 @@ impl<I: PmIndex> ShardedStore<I> {
     }
 
     /// Number of live keys in one shard — the load-balance observability
-    /// hook (a rebalancing policy watches these; the mechanism is
-    /// [`ShardedStore::rebalance_into`]).
+    /// hook.
     ///
     /// ```
     /// use pmindex::PmIndex;
@@ -380,39 +315,13 @@ impl<I: PmIndex> ShardedStore<I> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn shard_len(&self, shard: usize) -> usize {
-        self.epoch_stable(|| {
-            let _pin = self.reclaim.pin();
-            self.shards[shard].current().len()
-        })
+        self.shards[shard].len()
     }
 
-    /// Runs `f` and retries it until no rebalance committed while it ran.
-    ///
-    /// During a rebalance there is a window — evacuation done, manifest
-    /// flipped, old `Arc` not yet swapped out — where a counting walk
-    /// that grabbed the *old* shard index sees every evacuated key
-    /// there, while a later grab inside the same walk already sees them
-    /// in the *destination* shard: the sum double-counts. The epoch
-    /// counter is bumped inside the slots lock right after the swap, so
-    /// `f` observing the same epoch before and after means no flip
-    /// overlapped it and the aggregate is consistent. Volatile stores
-    /// (no manifest, no rebalancing) never retry.
-    fn epoch_stable<T>(&self, f: impl Fn() -> T) -> T {
-        let epoch_of = |p: &PersistState| p.epoch.load(Ordering::SeqCst);
-        loop {
-            let before = self.persist.as_ref().map(epoch_of);
-            let out = f();
-            if self.persist.as_ref().map(epoch_of) == before {
-                return out;
-            }
-        }
-    }
-
-    /// The store's reclamation epoch domain — where evacuated indexes
-    /// retire after a rebalance. Exposed so an external maintenance
-    /// daemon (`crates/service`) can watch its limbo depth and run
-    /// `try_advance`/`collect` off the client path, and so snapshot
-    /// readers can pin it alongside a `txn::Snapshot`.
+    /// The store's reclamation epoch domain. Nothing retires into it any
+    /// more — each shard's index reclaims through its own domain — so
+    /// pinning it protects nothing; it stays only for callers that still
+    /// pass it to `service::ServiceConfig::pin_domains`.
     ///
     /// ```
     /// use shard::{Partitioning, ShardedStore};
@@ -433,49 +342,12 @@ impl<I: PmIndex> ShardedStore<I> {
         &self.reclaim
     }
 
-    /// The most loaded shard as `(shard id, live keys)` — the
-    /// rebalance-*policy* helper built on [`ShardedStore::shard_len`]: a
-    /// daemon (or an operator) watches this and feeds the winner to
-    /// [`ShardedStore::rebalance_into`] when the imbalance crosses its
-    /// threshold. Ties resolve to the lowest shard id. O(total keys) via
-    /// the per-shard cursors, like `shard_len` itself — poll it, don't
-    /// put it on a hot path.
-    ///
-    /// ```
-    /// use pmindex::PmIndex;
-    /// use shard::{Partitioning, ShardedStore};
-    /// # use std::sync::Arc;
-    /// # use fastfair::{FastFairTree, TreeOptions};
-    /// # use pmem::{Pool, PoolConfig};
-    /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
-    /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
-    ///
-    /// let store = ShardedStore::from_indexes(
-    ///     vec![tree()?, tree()?],
-    ///     Partitioning::Range { bounds: vec![100] },
-    /// );
-    /// store.insert(5, 50)?;
-    /// store.insert(150, 51)?;
-    /// store.insert(160, 52)?;
-    /// assert_eq!(store.hottest_shard(), (1, 2));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn hottest_shard(&self) -> (usize, usize) {
-        self.epoch_stable(|| {
-            let _pin = self.reclaim.pin();
-            (0..self.shards.len())
-                .map(|i| (i, self.shards[i].current().len()))
-                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                .expect("a sharded store always has at least one shard")
-        })
-    }
-
-    fn route(&self, key: Key) -> &ShardSlot<I> {
+    fn route(&self, key: Key) -> &I {
         &self.shards[self.partitioning.shard_of(key)]
     }
 
-    fn feeds(&self) -> Vec<Feed<I>> {
-        self.shards.iter().map(|s| Feed::new(s.current())).collect()
+    fn feeds(&self) -> Vec<Feed<'_, I>> {
+        self.shards.iter().map(Feed::new).collect()
     }
 
     /// Batch applies ([`PmIndex::apply_batch`] /
@@ -519,8 +391,8 @@ impl<I: PmIndex> ShardedStore<I> {
         groups
     }
 
-    /// Runs `apply` on every non-empty group, each under its shard's
-    /// write gate, and returns the results by shard (`None` for an empty
+    /// Runs `apply` on every non-empty group against its shard, and
+    /// returns the results by shard (`None` for an empty
     /// group). When [`ShardedStore::split_target`] names a group, it goes
     /// to the helper while this thread applies the others. On failure,
     /// which other groups applied is unspecified — each op is idempotent
@@ -535,9 +407,7 @@ impl<I: PmIndex> ShardedStore<I> {
             if group.is_empty() {
                 return Ok(None);
             }
-            let slot = &self.shards[shard];
-            let _gate = slot.write_gate.read();
-            apply(&slot.current(), group).map(Some)
+            apply(&self.shards[shard], group).map(Some)
         };
         let all_but = |skip: Option<usize>| {
             (0..groups.len())
@@ -579,9 +449,9 @@ impl<I: PmIndex> ShardedStore<I> {
 
 impl<I: PersistentIndex> ShardedStore<I> {
     /// Creates a fresh persistent deployment: one empty index per pool in
-    /// `shard_pools` (pool *slot* `i` backs shard `i` initially), and an
-    /// epoch-0 manifest committed into `manifest_pool` with a single
-    /// failure-atomic pointer flip.
+    /// `shard_pools` (pool *slot* `i` backs shard `i`), and a manifest
+    /// committed into `manifest_pool` with a single failure-atomic
+    /// pointer flip — the deployment's only commit point.
     ///
     /// `manifest_pool` may be one of the shard pools (small deployments,
     /// crash tests) or a dedicated pool (a real fleet).
@@ -597,7 +467,7 @@ impl<I: PersistentIndex> ShardedStore<I> {
     ///     vec![Arc::clone(&pool), Arc::clone(&pool)], // both shards share one pool
     ///     Partitioning::Range { bounds: vec![1000] },
     /// )?;
-    /// assert_eq!(store.epoch(), Some(0));
+    /// assert_eq!(store.shard_count(), 2);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
@@ -622,29 +492,32 @@ impl<I: PersistentIndex> ShardedStore<I> {
             "pool count must match the partitioning's shard count"
         );
         let indexes = shard_pools
-            .iter()
-            .map(|p| I::create_in(Arc::clone(p)).map(Arc::new))
+            .into_iter()
+            .map(I::create_in)
             .collect::<Result<Vec<_>, _>>()?;
-        let store = Self::assemble(
-            indexes,
-            partitioning,
-            Some(PersistState {
-                manifest_pool,
-                slots: Mutex::new((0..shard_pools.len() as u64).collect()),
-                pools: Mutex::new(shard_pools),
-                epoch: AtomicU64::new(0),
-                rebalance: Mutex::new(()),
-            }),
-        );
-        store.commit_manifest(0)?;
-        Ok(store)
+        let rec = manifest::Record {
+            epoch: 0,
+            kind: partitioning.kind(),
+            entries: indexes
+                .iter()
+                .enumerate()
+                .map(|(i, index)| manifest::Entry {
+                    slot: i as u64,
+                    meta: index.superblock(),
+                    bound: partitioning.upper_bound(i),
+                })
+                .collect(),
+        };
+        manifest::commit(&manifest_pool, &rec)?;
+        Ok(Self::from_indexes(indexes, partitioning))
     }
 
     /// Re-opens a deployment from its manifest: reads the record
     /// `manifest_pool` points at, validates its checksum, reconstructs the
     /// partitioning, and re-opens every shard's index from the pool its
     /// manifest entry names (`pools[slot]`) — the sharded analogue of the
-    /// paper's instantaneous recovery.
+    /// paper's instantaneous recovery. Any record epoch is accepted, so a
+    /// map an older version of this crate rebalanced still opens.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -686,7 +559,6 @@ impl<I: PersistentIndex> ShardedStore<I> {
             Partitioning::Hash { shards: n }
         };
         let mut indexes = Vec::with_capacity(n);
-        let mut slots = Vec::with_capacity(n);
         for e in &rec.entries {
             let pool = pools.get(e.slot as usize).ok_or_else(|| {
                 IndexError::Unsupported(format!(
@@ -695,339 +567,30 @@ impl<I: PersistentIndex> ShardedStore<I> {
                     pools.len()
                 ))
             })?;
-            indexes.push(Arc::new(I::open_in(Arc::clone(pool), e.meta)?));
-            slots.push(e.slot);
+            indexes.push(I::open_in(Arc::clone(pool), e.meta)?);
         }
-        Ok(Self::assemble(
-            indexes,
-            partitioning,
-            Some(PersistState {
-                manifest_pool,
-                pools: Mutex::new(pools),
-                slots: Mutex::new(slots),
-                epoch: AtomicU64::new(rec.epoch),
-                rebalance: Mutex::new(()),
-            }),
-        ))
-    }
-
-    /// Current manifest epoch, or `None` for a volatile router. Every
-    /// committed rebalance increments it by exactly one.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmem::{Pool, PoolConfig};
-    /// use shard::{Partitioning, ShardedStore};
-    ///
-    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(1 << 20))?);
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&pool),
-    ///     vec![pool],
-    ///     Partitioning::Hash { shards: 1 },
-    /// )?;
-    /// assert_eq!(store.epoch(), Some(0));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn epoch(&self) -> Option<u64> {
-        self.persist
-            .as_ref()
-            .map(|p| p.epoch.load(Ordering::Acquire))
-    }
-
-    /// The live shard map as `(pool slot, superblock offset)` per shard,
-    /// or `None` for a volatile router — what the manifest records; used
-    /// by the crash tests to assert old-or-new, never a mixture.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmem::{Pool, PoolConfig};
-    /// use shard::{Partitioning, ShardedStore};
-    ///
-    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(1 << 20))?);
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&pool),
-    ///     vec![Arc::clone(&pool), pool],
-    ///     Partitioning::Hash { shards: 2 },
-    /// )?;
-    /// let map = store.shard_map().unwrap();
-    /// assert_eq!(map.len(), 2);
-    /// assert_eq!((map[0].0, map[1].0), (0, 1)); // initial slots
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn shard_map(&self) -> Option<Vec<(u64, PmOffset)>> {
-        let _pin = self.reclaim.pin();
-        let persist = self.persist.as_ref()?;
-        let slots = persist.slots.lock();
-        Some(
-            self.shards
-                .iter()
-                .zip(slots.iter())
-                .map(|(s, &slot)| (slot, s.current().superblock()))
-                .collect(),
-        )
-    }
-
-    /// Migrates one shard into a fresh index in `pool` (registered as pool
-    /// slot `slot`), returning the number of keys moved.
-    ///
-    /// The move is **online** for readers (gets and cursors on every shard,
-    /// including the one moving, proceed against the old index throughout)
-    /// and blocks writers *of that shard only*. Mechanically it is the
-    /// ROADMAP's cursor-compaction applied to a shard: stream the old index
-    /// through its cursor, [`PmIndex::bulk_load`] the stream bottom-up into
-    /// the fresh index (packed leaves — this doubles as defragmentation),
-    /// persist everything, then commit a manifest record with the next
-    /// epoch. The manifest pointer flip is the *only* commit point: a crash
-    /// any earlier recovers the old map with the old shard intact (the
-    /// half-built copy leaks); a crash any later recovers the new map. No
-    /// intermediate state is ever visible.
-    ///
-    /// `slot` may reuse the shard's current slot id (same-pool compaction),
-    /// name any existing slot, or extend the fleet by one
-    /// (`slot == pools.len()` at call time).
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmem::{Pool, PoolConfig};
-    /// use pmindex::PmIndex;
-    /// use shard::{Partitioning, ShardedStore};
-    ///
-    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(4 << 20))?);
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&pool),
-    ///     vec![Arc::clone(&pool), Arc::clone(&pool)],
-    ///     Partitioning::Range { bounds: vec![500] },
-    /// )?;
-    /// for k in 1..=800u64 {
-    ///     store.insert(k, k)?;
-    /// }
-    /// // Move shard 0 ([1, 500)) onto a brand-new pool as slot 2.
-    /// let fresh = Arc::new(Pool::new(PoolConfig::default().size(4 << 20))?);
-    /// let moved = store.rebalance_into(0, 2, fresh)?;
-    /// assert_eq!(moved, 499);
-    /// assert_eq!(store.epoch(), Some(1));
-    /// assert_eq!(store.get(250), Some(250)); // data follows the shard
-    /// assert_eq!(store.len(), 800);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::Unsupported`] on a volatile router, for a shard id
-    /// out of range, or for a slot id beyond one past the current fleet;
-    /// pool exhaustion propagates (and leaves the old map committed).
-    pub fn rebalance_into(
-        &self,
-        shard: usize,
-        slot: u64,
-        pool: Arc<Pool>,
-    ) -> Result<usize, IndexError>
-    where
-        I: 'static,
-    {
-        let persist = self.persist.as_ref().ok_or_else(|| {
-            IndexError::Unsupported("rebalance requires a manifest-backed store".into())
-        })?;
-        if shard >= self.shards.len() {
-            return Err(IndexError::Unsupported(format!(
-                "shard {shard} out of range (have {})",
-                self.shards.len()
-            )));
-        }
-        // One rebalance at a time: each commits its own manifest epoch.
-        let _serial = persist.rebalance.lock();
-        // Validate the slot id up front but register the pool only after
-        // the copy succeeds: a failed rebalance must leave the fleet
-        // bookkeeping exactly as it found it. The length cannot change
-        // underneath us — rebalances are serialized and nothing else grows
-        // the fleet.
-        let fleet = persist.pools.lock().len();
-        if slot as usize > fleet {
-            return Err(IndexError::Unsupported(format!(
-                "slot {slot} would leave a gap (fleet has {fleet} pools)"
-            )));
-        }
-        let target = &self.shards[shard];
-        // Exclude writers of this shard for the copy; readers continue.
-        let _quiesce = target.write_gate.write();
-        let old = target.current();
-        let fresh = I::create_in(Arc::clone(&pool))?;
-        let moved = fresh.bulk_load(&mut CursorIter(old.cursor()))?;
-        // Build the next-epoch record: identical map except this shard.
-        let epoch = persist.epoch.load(Ordering::Acquire) + 1;
-        let rec = {
-            let slots = persist.slots.lock();
-            manifest::Record {
-                epoch,
-                kind: self.partitioning.kind(),
-                entries: self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| manifest::Entry {
-                        slot: if i == shard { slot } else { slots[i] },
-                        meta: if i == shard {
-                            fresh.superblock()
-                        } else {
-                            s.current().superblock()
-                        },
-                        bound: self.partitioning.upper_bound(i),
-                    })
-                    .collect(),
-            }
-        };
-        // THE commit point. Everything the record names is already durable
-        // (bulk_load persists as it packs; create_in persisted the
-        // superblock); a crash before this flip recovers the old map.
-        manifest::commit(&persist.manifest_pool, &rec)?;
-        // Publish to the volatile side only after the durable commit —
-        // nothing below can fail. The index swap and the slot update
-        // happen under the slots lock so `shard_map` (which reads both
-        // under that lock) sees the old pair or the new pair, never a
-        // (new slot, old superblock) mixture.
-        {
-            let mut pools = persist.pools.lock();
-            if slot as usize == pools.len() {
-                pools.push(pool);
-            } else {
-                pools[slot as usize] = pool;
-            }
-        }
-        {
-            let mut slots = persist.slots.lock();
-            *target.index.write() = Arc::new(fresh);
-            slots[shard] = slot;
-            persist.epoch.store(epoch, Ordering::Release);
-        }
-        // The evacuated index is garbage the moment the manifest names
-        // its replacement — but pre-flip readers (gets that grabbed the
-        // old `Arc`, cursors whose feeds stream the old snapshot) may
-        // still be on it. Retire it through the reclamation domain: two
-        // epochs after the last such reader unpins, the old structure's
-        // storage is walked back onto its pool's free list
-        // (`PersistentIndex::reclaim_storage`) — online, instead of
-        // gating on the last `Arc` drop. Post-flip readers only ever see
-        // the fresh index, so they cannot extend the old one's life.
-        self.reclaim.defer_units(move || old.reclaim_storage());
-        // Opportunistic prompt path: with no pinned reader this reclaims
-        // the old structure before we return; otherwise the next
-        // amortized maintenance step (any reader's unpin) finishes it.
-        self.reclaim.try_advance();
-        self.reclaim.try_advance();
-        self.reclaim.collect();
-        Ok(moved)
-    }
-
-    /// Compacts one shard in place: a [`ShardedStore::rebalance_into`]
-    /// whose destination is the shard's *current* pool and slot. The
-    /// cursor-stream + `bulk_load` copy packs the shard's leaves tight
-    /// (defragmentation) and the evacuated structure is walked back onto
-    /// the same pool's free list through the reclamation domain — this
-    /// is the maintenance daemon's response to a hot shard, run entirely
-    /// off the client path (readers never block; writers of this shard
-    /// only, for the duration of the copy).
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmem::{Pool, PoolConfig};
-    /// use pmindex::PmIndex;
-    /// use shard::{Partitioning, ShardedStore};
-    ///
-    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(8 << 20))?);
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&pool),
-    ///     vec![Arc::clone(&pool), Arc::clone(&pool)],
-    ///     Partitioning::Hash { shards: 2 },
-    /// )?;
-    /// for k in 1..=500u64 {
-    ///     store.insert(k, k)?;
-    /// }
-    /// let n = store.shard_len(0);
-    /// assert_eq!(store.compact_shard(0)?, n); // every key copied
-    /// assert_eq!(store.epoch(), Some(1));     // one manifest commit
-    /// assert_eq!(store.len(), 500);           // nothing lost
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedStore::rebalance_into`]: volatile routers and
-    /// out-of-range shard ids are [`IndexError::Unsupported`]; pool
-    /// exhaustion propagates and leaves the old map committed.
-    pub fn compact_shard(&self, shard: usize) -> Result<usize, IndexError>
-    where
-        I: 'static,
-    {
-        let persist = self.persist.as_ref().ok_or_else(|| {
-            IndexError::Unsupported("compaction requires a manifest-backed store".into())
-        })?;
-        if shard >= self.shards.len() {
-            return Err(IndexError::Unsupported(format!(
-                "shard {shard} out of range (have {})",
-                self.shards.len()
-            )));
-        }
-        let (slot, pool) = {
-            let slots = persist.slots.lock();
-            let slot = slots[shard];
-            let pools = persist.pools.lock();
-            (slot, Arc::clone(&pools[slot as usize]))
-        };
-        self.rebalance_into(shard, slot, pool)
-    }
-
-    fn commit_manifest(&self, epoch: u64) -> Result<(), IndexError> {
-        let persist = self.persist.as_ref().expect("manifest-backed store");
-        let slots = persist.slots.lock();
-        let rec = manifest::Record {
-            epoch,
-            kind: self.partitioning.kind(),
-            entries: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| manifest::Entry {
-                    slot: slots[i],
-                    meta: s.current().superblock(),
-                    bound: self.partitioning.upper_bound(i),
-                })
-                .collect(),
-        };
-        manifest::commit(&persist.manifest_pool, &rec)
+        Ok(Self::from_indexes(indexes, partitioning))
     }
 }
 
 impl<I: PmIndex> PmIndex for ShardedStore<I> {
     fn insert(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
-        let slot = self.route(key);
-        let _gate = slot.write_gate.read();
-        slot.current().insert(key, value)
+        self.route(key).insert(key, value)
     }
 
     fn update(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
-        let slot = self.route(key);
-        let _gate = slot.write_gate.read();
-        slot.current().update(key, value)
+        self.route(key).update(key, value)
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        // The pin keeps an evacuated index alive between grabbing its
-        // `Arc` and finishing the read (see `reclaim`).
-        let _pin = self.reclaim.pin();
-        self.route(key).current().get(key)
+        self.route(key).get(key)
     }
 
     fn remove(&self, key: Key) -> bool {
-        let slot = self.route(key);
-        let _gate = slot.write_gate.read();
-        slot.current().remove(key)
+        self.route(key).remove(key)
     }
 
     fn cursor(&self) -> Box<dyn Cursor + '_> {
-        // Pin before cloning the per-shard Arcs: the guard travels inside
-        // the cursor, so a rebalance cannot reclaim a snapshot this scan
-        // is still streaming.
-        let pin = self.reclaim.pin();
         match &self.partitioning {
             Partitioning::Hash { .. } => Box::new(HashMergeCursor {
                 feeds: self.feeds(),
@@ -1035,32 +598,22 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
                 heap_rev: BinaryHeap::new(),
                 primed: false,
                 reverse: false,
-                _pin: pin,
             }),
             Partitioning::Range { .. } => Box::new(RangeChainCursor {
                 feeds: self.feeds(),
-                partitioning: self.partitioning.clone(),
+                partitioning: &self.partitioning,
                 active: 0,
                 reverse: false,
-                _pin: pin,
             }),
         }
     }
 
     fn len(&self) -> usize {
-        // `epoch_stable` keeps a concurrent rebalance from double-counting
-        // keys visible in both the evacuated and the destination shard.
-        self.epoch_stable(|| {
-            let _pin = self.reclaim.pin();
-            self.shards.iter().map(|s| s.current().len()).sum()
-        })
+        self.shards.iter().map(I::len).sum()
     }
 
     fn is_empty(&self) -> bool {
-        self.epoch_stable(|| {
-            let _pin = self.reclaim.pin();
-            self.shards.iter().all(|s| s.current().is_empty())
-        })
+        self.shards.iter().all(I::is_empty)
     }
 
     fn bulk_load(
@@ -1079,21 +632,17 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
             per_shard[self.partitioning.shard_of(k)].push((k, v));
         }
         let mut fresh = 0;
-        for (i, chunk) in per_shard.into_iter().enumerate() {
-            if chunk.is_empty() {
-                continue;
+        for (shard, chunk) in self.shards.iter().zip(per_shard) {
+            if !chunk.is_empty() {
+                fresh += shard.bulk_load(&mut chunk.into_iter())?;
             }
-            let slot = &self.shards[i];
-            let _gate = slot.write_gate.read();
-            fresh += slot.current().bulk_load(&mut chunk.into_iter())?;
         }
         Ok(fresh)
     }
 
     fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
-        // Route once, then apply per shard under a single write-gate
-        // acquisition per shard — instead of the default's gate-per-op —
-        // two shards in parallel when the batch is big enough. Within a
+        // Route once, then apply each shard's group with one call — two
+        // shards in parallel when the batch is big enough. Within a
         // shard the ops keep batch order, so a Put/Delete pair on the same
         // key lands in the right final state; across shards the keyspaces
         // are disjoint, so regrouping cannot reorder conflicting ops.
@@ -1141,22 +690,18 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
 /// whole batch.
 const FEED_BATCH: usize = 64;
 
-/// Buffered stream of one shard's entries.
-///
-/// Owns an `Arc` of the shard index (so a concurrent rebalance swapping
-/// the shard leaves an in-flight scan on its consistent snapshot) and
-/// re-opens a short-lived cursor per refill batch, sidestepping the
-/// self-referential borrow a long-lived `Box<dyn Cursor>` over the `Arc`
-/// would need.
-struct Feed<I> {
-    index: Arc<I>,
+/// Buffered stream of one shard's entries: re-opens a short-lived cursor
+/// per refill batch, so a merged cursor holds no per-shard cursor (or its
+/// epoch pin) between calls.
+struct Feed<'a, I> {
+    index: &'a I,
     buf: VecDeque<(Key, Value)>,
     next_seek: Key,
     exhausted: bool,
 }
 
-impl<I: PmIndex> Feed<I> {
-    fn new(index: Arc<I>) -> Self {
+impl<'a, I: PmIndex> Feed<'a, I> {
+    fn new(index: &'a I) -> Self {
         Feed {
             index,
             buf: VecDeque::new(),
@@ -1226,8 +771,8 @@ impl<I: PmIndex> Feed<I> {
 
 /// K-way heap merge over per-shard feeds (hash partitioning: every shard
 /// may hold keys from anywhere in the keyspace).
-struct HashMergeCursor<I> {
-    feeds: Vec<Feed<I>>,
+struct HashMergeCursor<'a, I> {
+    feeds: Vec<Feed<'a, I>>,
     /// Min-heap of the current head entry of each non-exhausted feed
     /// (ascending merge).
     heap: BinaryHeap<Reverse<(Key, Value, usize)>>,
@@ -1236,12 +781,9 @@ struct HashMergeCursor<I> {
     heap_rev: BinaryHeap<(Key, Value, usize)>,
     primed: bool,
     reverse: bool,
-    /// Declared after `feeds` so the Arcs release before the unpin can
-    /// trigger reclamation of an evacuated snapshot.
-    _pin: epoch::Guard,
 }
 
-impl<I: PmIndex> Cursor for HashMergeCursor<I> {
+impl<I: PmIndex> Cursor for HashMergeCursor<'_, I> {
     fn seek(&mut self, target: Key) {
         for feed in &mut self.feeds {
             feed.reset(target);
@@ -1308,17 +850,14 @@ impl<I: PmIndex> Cursor for HashMergeCursor<I> {
 /// Sequential shard chaining (range partitioning: shard order *is* key
 /// order, so no merge is needed — and only one shard is touched until it
 /// is exhausted).
-struct RangeChainCursor<I> {
-    feeds: Vec<Feed<I>>,
-    partitioning: Partitioning,
+struct RangeChainCursor<'a, I> {
+    feeds: Vec<Feed<'a, I>>,
+    partitioning: &'a Partitioning,
     active: usize,
     reverse: bool,
-    /// Declared after `feeds` so the Arcs release before the unpin can
-    /// trigger reclamation of an evacuated snapshot.
-    _pin: epoch::Guard,
 }
 
-impl<I: PmIndex> Cursor for RangeChainCursor<I> {
+impl<I: PmIndex> Cursor for RangeChainCursor<'_, I> {
     fn seek(&mut self, target: Key) {
         self.active = self.partitioning.shard_of(target);
         self.reverse = false;
@@ -1500,330 +1039,53 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_on_volatile_store_is_unsupported() {
-        let store = ShardedStore::from_indexes(
-            vec![tree_in_own_pool(), tree_in_own_pool()],
-            Partitioning::Hash { shards: 2 },
-        );
-        assert!(matches!(
-            store.rebalance_into(0, 0, pool(1 << 20)),
-            Err(IndexError::Unsupported(_))
-        ));
-        assert_eq!(store.epoch(), None);
-        assert!(store.shard_map().is_none());
-    }
-
-    #[test]
-    fn hottest_shard_tracks_load() {
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p), p],
-            Partitioning::Range {
-                bounds: vec![100, 200],
-            },
-        )
-        .unwrap();
-        // Empty store: every shard ties at 0, lowest id wins.
-        assert_eq!(store.hottest_shard(), (0, 0));
-        for k in 1..=10u64 {
-            store.insert(k, k + 1).unwrap(); // shard 0
-        }
-        for k in 100..=129u64 {
-            store.insert(k, k + 1).unwrap(); // shard 1
-        }
-        for k in 200..=204u64 {
-            store.insert(k, k + 1).unwrap(); // shard 2
-        }
-        assert_eq!(store.hottest_shard(), (1, 30));
-        // The policy drives the mechanism: rebalance the winner, load
-        // stays identical, the helper keeps answering.
-        let target = pool(32 << 20);
-        store.rebalance_into(1, 3, target).unwrap();
-        assert_eq!(store.hottest_shard(), (1, 30));
-        assert_eq!(store.len(), 45);
-    }
-
-    #[test]
-    fn evacuated_shard_storage_reclaims_online() {
-        // Same-pool compaction: the evacuated tree's nodes must return
-        // to the pool's free list under live traffic — no recover, no
-        // handle drop — so the next rebalance can reuse the space.
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p)],
-            Partitioning::Hash { shards: 1 },
-        )
-        .unwrap();
-        for k in 1..=5000u64 {
-            store.insert(k, k + 1).unwrap();
-        }
-        pmem::stats::reset();
-        store.rebalance_into(0, 0, Arc::clone(&p)).unwrap();
-        // No reader was pinned across the flip, so the prompt path in
-        // rebalance_into already walked the old structure back.
-        let s = pmem::stats::take();
-        assert!(
-            s.nodes_recycled_online > 0,
-            "evacuated tree was not reclaimed online"
-        );
-        assert_eq!(store.len(), 5000);
-        assert_eq!(store.get(2500), Some(2501));
-        // The reclaimed space is really reusable: a second same-pool
-        // compaction fits into the holes the first one freed.
-        let hw = p.high_water();
-        store.rebalance_into(0, 0, Arc::clone(&p)).unwrap();
-        assert_eq!(store.len(), 5000);
-        assert!(
-            p.high_water() == hw,
-            "second compaction should reuse freed nodes ({} -> {})",
-            hw,
-            p.high_water()
-        );
-    }
-
-    #[test]
-    fn pinned_cursor_defers_evacuated_reclaim() {
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p)],
-            Partitioning::Hash { shards: 1 },
-        )
-        .unwrap();
-        for k in 1..=2000u64 {
-            store.insert(k, k + 1).unwrap();
-        }
-        let mut cur = store.cursor();
-        for want in 1..=100u64 {
-            assert_eq!(cur.next(), Some((want, want + 1)));
-        }
-        pmem::stats::reset();
-        store.rebalance_into(0, 0, Arc::clone(&p)).unwrap();
-        // The cursor pins the reclamation domain: the old snapshot must
-        // survive the rebalance and keep streaming to the end.
-        assert_eq!(pmem::stats::take().nodes_recycled_online, 0);
-        for want in 101..=2000u64 {
-            assert_eq!(cur.next(), Some((want, want + 1)));
-        }
-        assert_eq!(cur.next(), None);
-        // The cursor's own drop may run the amortized maintenance
-        // (always under FF_EPOCH_STRESS=1): assert on the domain's
-        // cumulative counter.
-        let recycled_before = store.reclaim.recycled();
-        drop(cur);
-        // With the reader gone, driving the clock reclaims the snapshot.
-        store.reclaim.try_advance();
-        store.reclaim.try_advance();
-        store.reclaim.collect();
-        assert!(store.reclaim.recycled() > recycled_before);
-        assert_eq!(store.len(), 2000);
-    }
-
-    #[test]
-    fn rebalance_moves_data_and_bumps_epoch() {
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p)],
-            Partitioning::Range { bounds: vec![500] },
-        )
-        .unwrap();
-        for k in 1..=1000u64 {
-            store.insert(k, k + 1).unwrap();
-        }
-        let before = store.shard_map().unwrap();
-        let target = pool(32 << 20);
-        let moved = store.rebalance_into(1, 2, Arc::clone(&target)).unwrap();
-        assert_eq!(moved, 501); // keys 500..=1000
-        assert_eq!(store.epoch(), Some(1));
-        let after = store.shard_map().unwrap();
-        assert_eq!(after[0], before[0]); // untouched shard unchanged
-        assert_eq!(after[1].0, 2); // moved shard now on slot 2
-        assert_ne!(after[1].1, before[1].1);
-        // All data still present, reads route to the new pool.
-        assert_eq!(store.len(), 1000);
-        assert_eq!(store.get(750), Some(751));
-        // Writes continue to the new shard.
-        store.insert(600, 7).unwrap();
-        assert_eq!(store.get(600), Some(7));
-    }
-
-    #[test]
-    fn rebalance_bad_slot_or_shard_rejected() {
-        let p = pool(4 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p)],
-            Partitioning::Hash { shards: 1 },
-        )
-        .unwrap();
-        assert!(matches!(
-            store.rebalance_into(5, 0, Arc::clone(&p)),
-            Err(IndexError::Unsupported(_))
-        ));
-        assert!(matches!(
-            store.rebalance_into(0, 9, p),
-            Err(IndexError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn failed_rebalance_leaves_fleet_bookkeeping_intact() {
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p)],
-            Partitioning::Hash { shards: 2 },
-        )
-        .unwrap();
-        for k in 1..=2000u64 {
-            store.insert(k, k + 1).unwrap();
-        }
-        // A target pool too small for the shard: the copy fails mid-way.
-        let tiny = pool(pmem::POOL_HEADER_SIZE as usize + 128);
-        let before = store.shard_map().unwrap();
-        assert!(matches!(
-            store.rebalance_into(0, 2, tiny),
-            Err(IndexError::PoolExhausted(_))
-        ));
-        // Nothing changed: epoch, map, data — and the aborted slot was
-        // never registered, so the next extend-the-fleet rebalance still
-        // gets slot 2 (no phantom slot, no gap).
-        assert_eq!(store.epoch(), Some(0));
-        assert_eq!(store.shard_map().unwrap(), before);
-        assert_eq!(store.len(), 2000);
-        let big = pool(32 << 20);
-        store.rebalance_into(0, 2, big).unwrap();
-        assert_eq!(store.epoch(), Some(1));
-        assert_eq!(store.shard_map().unwrap()[0].0, 2);
-        assert_eq!(store.len(), 2000);
-    }
-
-    #[test]
     fn reopen_after_rebalance_uses_new_map() {
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p)],
-            Partitioning::Hash { shards: 2 },
-        )
-        .unwrap();
-        for k in 1..=400u64 {
-            store.insert(k, k + 3).unwrap();
-        }
-        store.rebalance_into(0, 0, Arc::clone(&p)).unwrap();
-        let map = store.shard_map().unwrap();
-        drop(store);
-        let again: ShardedStore<FastFairTree> =
-            ShardedStore::open(Arc::clone(&p), vec![Arc::clone(&p), p]).unwrap();
-        assert_eq!(again.epoch(), Some(1));
-        assert_eq!(again.shard_map().unwrap(), map);
-        assert_eq!(again.len(), 400);
-        for k in 1..=400u64 {
-            assert_eq!(again.get(k), Some(k + 3));
-        }
-    }
-
-    #[test]
-    fn readers_stay_live_during_rebalance() {
-        // A cursor opened before a rebalance keeps streaming its snapshot.
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p)],
-            Partitioning::Range { bounds: vec![500] },
-        )
-        .unwrap();
-        for k in 1..=1000u64 {
-            store.insert(k, k + 1).unwrap();
-        }
-        let mut cur = store.cursor();
-        for want in 1..=100u64 {
-            assert_eq!(cur.next(), Some((want, want + 1)));
-        }
-        store.rebalance_into(0, 0, Arc::clone(&p)).unwrap();
-        for want in 101..=1000u64 {
-            assert_eq!(cur.next(), Some((want, want + 1)));
-        }
-        assert_eq!(cur.next(), None);
-    }
-
-    #[test]
-    fn len_never_overcounts_across_live_rebalances() {
-        // Regression: during the evacuate -> swap window a counting walk
-        // could observe an evacuated key in BOTH the old shard snapshot
-        // and the rebalance destination, reporting len() > true count.
-        // `epoch_stable` retries the sum whenever a flip overlapped it.
-        use std::sync::atomic::AtomicBool;
-        const KEYS: u64 = 3000;
-        let p = pool(64 << 20);
-        let store: Arc<ShardedStore<FastFairTree>> = Arc::new(
-            ShardedStore::create(
-                Arc::clone(&p),
-                vec![Arc::clone(&p), Arc::clone(&p)],
-                Partitioning::Hash { shards: 2 },
-            )
-            .unwrap(),
-        );
-        for k in 1..=KEYS {
-            store.insert(k, k + 1).unwrap();
-        }
-        // `removed` counts deletions that have fully completed (used for
-        // the exact final check); `attempted` is bumped BEFORE each remove
-        // so it upper-bounds the deletes a concurrent len() may have
-        // missed — a remove can mutate the tree before the completed
-        // counter ticks, so `removed` alone would lag the tree state.
-        let removed = Arc::new(AtomicU64::new(0));
-        let attempted = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let st = Arc::clone(&store);
-            let stop2 = Arc::clone(&stop);
-            let rebalancer = s.spawn(move || {
-                // Same-pool compactions keep flipping the manifest while
-                // the observers count.
-                for round in 0..6u64 {
-                    st.rebalance_into(round as usize % 2, round % 2, Arc::clone(&p))
-                        .unwrap();
-                }
-                stop2.store(true, Ordering::SeqCst);
-            });
-            let st = Arc::clone(&store);
-            let removed2 = Arc::clone(&removed);
-            let attempted2 = Arc::clone(&attempted);
-            let stop3 = Arc::clone(&stop);
-            let deleter = s.spawn(move || {
-                for k in 1..=KEYS / 2 {
-                    if stop3.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    attempted2.fetch_add(1, Ordering::SeqCst);
-                    if st.remove(k * 2) {
-                        removed2.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            });
-            while !stop.load(Ordering::SeqCst) {
-                let n = store.len() as u64;
-                assert!(
-                    n <= KEYS,
-                    "len() overcounted: {n} > {KEYS} live keys ever inserted"
-                );
-                // Deletes *started* before len() returned are an upper
-                // bound on what the count may have missed.
-                let attempted_after = attempted.load(Ordering::SeqCst);
-                assert!(
-                    n >= KEYS - attempted_after,
-                    "len() undercounted: {n} with at most {attempted_after} removes started"
-                );
+        // A record as a rebalance before this version would have left it:
+        // epoch 3, shards moved off their initial slots, and slot 1
+        // evacuated. Each value names the pool slot it was written to.
+        let pools: Vec<Arc<Pool>> = (0..4).map(|_| pool(4 << 20)).collect();
+        let partitioning = Partitioning::Range {
+            bounds: vec![1000, 2000],
+        };
+        let slots = [2u64, 0, 3];
+        let keys =
+            |shard: usize| ((shard as u64 * 1000).max(1)..(shard as u64 + 1) * 1000).step_by(7);
+        let mut entries = Vec::new();
+        for (shard, &slot) in slots.iter().enumerate() {
+            let tree = FastFairTree::create_in(Arc::clone(&pools[slot as usize])).unwrap();
+            for k in keys(shard) {
+                tree.insert(k, k * 10 + slot).unwrap();
             }
-            rebalancer.join().unwrap();
-            deleter.join().unwrap();
-        });
-        let final_removed = removed.load(Ordering::SeqCst);
-        assert_eq!(store.len() as u64, KEYS - final_removed);
+            entries.push(manifest::Entry {
+                slot,
+                meta: tree.superblock(),
+                bound: partitioning.upper_bound(shard),
+            });
+        }
+        let rec = manifest::Record {
+            epoch: 3,
+            kind: partitioning.kind(),
+            entries,
+        };
+        manifest::commit(&pools[1], &rec).unwrap();
+
+        let store: ShardedStore<FastFairTree> =
+            ShardedStore::open(Arc::clone(&pools[1]), pools.clone()).unwrap();
+        assert_eq!(store.partitioning(), &partitioning);
+        let mut want = Vec::new();
+        for (shard, &slot) in slots.iter().enumerate() {
+            assert_eq!(store.shard_len(shard), keys(shard).count());
+            for k in keys(shard) {
+                assert_eq!(store.get(k), Some(k * 10 + slot), "key {k}");
+                want.push((k, k * 10 + slot));
+            }
+        }
+        let scanned: Vec<_> = pmindex::CursorIter(store.cursor()).collect();
+        assert_eq!(scanned, want);
+        // Writes land in the pool the record names.
+        store.insert(1500, 7).unwrap();
+        let reopened = FastFairTree::open_in(Arc::clone(&pools[0]), rec.entries[1].meta).unwrap();
+        assert_eq!(reopened.get(1500), Some(7));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! A manifest *record* is an immutable, checksummed snapshot of the shard
 //! map: which pool slot and superblock each shard lives at, how keys are
-//! partitioned, and an epoch number that increases with every change. The
+//! partitioned, and an epoch number. `ShardedStore::create` writes epoch
+//! 0; records from versions of this crate that rebalanced shards carry
+//! higher epochs, and `ShardedStore::open` accepts any. The
 //! record is written to freshly allocated pool space and fully persisted
 //! *before* it becomes reachable; the only commit point is the single
 //! failure-atomic 8-byte store of [`pmem::Pool::set_manifest`] that flips

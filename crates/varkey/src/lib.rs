@@ -1056,7 +1056,7 @@ impl<I: PmIndex> VarKeyIndex for VarKeyStore<I> {
         // On an inner-index failure the records cannot be reclaimed: the
         // inner contract loads items preceding the failure, so an unknown
         // prefix of the chains is already referenced. They leak — the
-        // same documented PM-allocator trade-off as a failed rebalance.
+        // PM-allocator trade-off documented on `pmem::Pool::free`.
         self.index.bulk_load(&mut pairs.into_iter())?;
         Ok(fresh)
     }

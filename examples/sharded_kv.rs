@@ -1,7 +1,7 @@
 //! Sharded key-value store tour: partitioned inserts across per-shard
-//! pools, a cross-shard streaming range scan, an online rebalance, and a
-//! crash injected *mid-rebalance* recovering cleanly to the pre-rebalance
-//! shard map.
+//! pools, a cross-shard streaming range scan, and a crash injected partway
+//! through populating a store, re-opened from its manifest with every
+//! acknowledged insert intact.
 //!
 //! Run with: `cargo run --release --example sharded_kv`
 
@@ -57,20 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         crossed
     );
 
-    // Online rebalance: stream shard 1 into a brand-new pool (slot 3).
-    let fresh = Arc::new(Pool::new(PoolConfig::default().size(16 << 20))?);
-    let moved = store.rebalance_into(1, 3, fresh)?;
-    println!(
-        "rebalanced shard 1: {} keys moved, manifest epoch now {}",
-        moved,
-        store.epoch().unwrap()
-    );
-    assert_eq!(store.get(50_001), Some(50_002)); // reads follow the move
-
-    // --- 2. Crash-interrupted rebalance -----------------------------------
+    // --- 2. A crash partway through population ----------------------------
     // Everything in ONE crash-logged pool so the event log totally orders
-    // the rebalance; then materialize the persistent image as if the
-    // machine had died halfway through and re-open from the manifest.
+    // the inserts; then materialize the persistent image as if the machine
+    // had died halfway through and re-open from the manifest.
     let pool = Arc::new(Pool::new(
         PoolConfig::default().size(8 << 20).crash_log(true),
     )?);
@@ -79,45 +69,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![Arc::clone(&pool), Arc::clone(&pool)],
         Partitioning::Hash { shards: 2 },
     )?;
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image()); // the committed map is durable context
+    let mut acked = Vec::new(); // log length once each insert returned
     for k in 1..=5_000u64 {
         small.insert(k, k + 7)?;
+        acked.push(log.len());
     }
-    let log = pool.crash_log().unwrap();
-    log.set_baseline(pool.volatile_image()); // population is durable context
 
-    small.rebalance_into(0, 0, Arc::clone(&pool))?;
-    let total = log.len();
-
-    // Crash halfway through the rebalance (mid bulk-load, before the
-    // manifest flip): recovery must see the OLD map with ALL the data.
-    let img = pool.crash_image(total / 2, Eviction::Random(42));
+    // Crash halfway through the event stream: every insert acknowledged
+    // before the cut must be there, the one in flight may or may not be,
+    // and nothing else.
+    let cut = log.len() / 2;
+    let durable = acked.iter().take_while(|&&at| at <= cut).count() as u64;
+    let img = pool.crash_image(cut, Eviction::Random(42));
     let half = Arc::new(Pool::from_image(&img, PoolConfig::default().size(8 << 20))?);
     let recovered: ShardedStore<FastFairTree> =
         ShardedStore::open(Arc::clone(&half), vec![Arc::clone(&half), half])?;
-    assert_eq!(
-        recovered.epoch(),
-        Some(0),
-        "old map: flip not yet persisted"
-    );
-    assert_eq!(recovered.len(), 5_000);
-    assert_eq!(recovered.get(1_234), Some(1_241));
+    assert_eq!(recovered.partitioning(), small.partitioning());
+    for k in 1..=durable {
+        assert_eq!(recovered.get(k), Some(k + 7), "acknowledged key {k} lost");
+    }
+    assert!((durable..=durable + 1).contains(&(recovered.len() as u64)));
     println!(
-        "crash mid-rebalance: recovered epoch {} with {} keys intact",
-        recovered.epoch().unwrap(),
-        recovered.len()
-    );
-
-    // Crash after the flip: the NEW map, same data.
-    let img = pool.crash_image(total, Eviction::None);
-    let done = Arc::new(Pool::from_image(&img, PoolConfig::default().size(8 << 20))?);
-    let recovered: ShardedStore<FastFairTree> =
-        ShardedStore::open(Arc::clone(&done), vec![Arc::clone(&done), done])?;
-    assert_eq!(recovered.epoch(), Some(1));
-    assert_eq!(recovered.len(), 5_000);
-    println!(
-        "crash after commit: recovered epoch {} with {} keys intact",
-        recovered.epoch().unwrap(),
-        recovered.len()
+        "crash partway through population: reopened {} shards from the manifest, \
+         all {} acknowledged inserts intact",
+        recovered.shard_count(),
+        durable
     );
 
     println!("sharded_kv example finished OK");
