@@ -12,7 +12,7 @@
 //! get its tree back:
 //!
 //! ```text
-//! root pool header ──CATALOG_SLOT──▶ catalog superblock
+//! root pool header ──CommitCell::CATALOG──▶ catalog superblock
 //!                                      ├── inner name index (varkey tree)
 //!                                      │     "orders"  → store record A
 //!                                      │     "history" → store record B
@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use fastfair::FastFairTree;
 use parking_lot::Mutex;
-use pmem::{PmOffset, Pool, NULL_OFFSET};
+use pmem::{fnv1a, CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{IndexError, PersistentIndex};
 use shard::ShardedStore;
 use txn::TxnEngine;
@@ -69,29 +69,12 @@ const TAG_VARKEY: u64 = 2;
 const TAG_SHARDED: u64 = 3;
 const TAG_TXN: u64 = 4;
 
-/// Sanity cap on decoded record payloads and intent name lengths, so a
-/// corrupt length word cannot drive an unbounded read.
+/// Sanity cap on decoded record payloads, shard counts and intent name
+/// lengths, so a corrupt length word cannot drive an unbounded read.
 const MAX_WORDS: u64 = 1 << 16;
-
-/// FNV-1a over the little-endian bytes of `words` — the same integrity
-/// check the shard manifest uses for its immutable records.
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 fn corrupt(what: &str) -> IndexError {
     IndexError::Unsupported(format!("catalog: {what}"))
-}
-
-fn pool_err(e: pmem::PmError) -> IndexError {
-    IndexError::PoolExhausted(e.to_string())
 }
 
 /// Magic word of the per-slot fleet stamps [`Catalog::provision`]
@@ -332,21 +315,21 @@ impl Catalog {
         let root = pools
             .first()
             .ok_or_else(|| corrupt("a catalog needs at least a root pool"))?;
-        if root.catalog() != NULL_OFFSET {
+        if CommitCell::CATALOG.load(root) != NULL_OFFSET {
             return Err(corrupt(
                 "root pool already holds a catalog; use Catalog::open",
             ));
         }
         let tree = FastFairTree::create_in(Arc::clone(root))?;
         let inner_sb = tree.superblock();
-        let off = root.alloc(SB_WORDS * 8, 64).map_err(pool_err)?;
+        let off = root.alloc(SB_WORDS * 8, 64)?;
         root.store_u64(off, CAT_MAGIC);
         root.store_u64(off + 8, inner_sb);
         root.store_u64(off + SB_INTENT, 0);
         root.persist(off, SB_WORDS * 8);
         // Single failure-atomic publish: before this store the pool has
         // no catalog, after it the catalog is complete.
-        root.set_catalog(off);
+        CommitCell::CATALOG.publish(root, off);
         let index = VarKeyStore::new(tree, Arc::clone(root));
         Ok(Catalog {
             pools,
@@ -394,10 +377,9 @@ impl Catalog {
         let root = pools
             .first()
             .ok_or_else(|| corrupt("a catalog needs at least a root pool"))?;
-        let off = root.catalog();
-        if off == NULL_OFFSET {
-            return Err(corrupt("root pool holds no catalog; use Catalog::create"));
-        }
+        let off = CommitCell::CATALOG
+            .target(root, SB_WORDS * 8)?
+            .ok_or_else(|| corrupt("root pool holds no catalog; use Catalog::create"))?;
         if root.load_u64(off) != CAT_MAGIC {
             return Err(corrupt("catalog superblock magic mismatch"));
         }
@@ -437,7 +419,7 @@ impl Catalog {
     pub fn open_or_create(pools: Vec<Arc<Pool>>) -> Result<Catalog, IndexError> {
         let has = pools
             .first()
-            .is_some_and(|root| root.catalog() != NULL_OFFSET);
+            .is_some_and(|root| CommitCell::CATALOG.load(root) != NULL_OFFSET);
         if has {
             Catalog::open(pools)
         } else {
@@ -495,12 +477,12 @@ impl Catalog {
         for slot in 0..slots {
             pools.push(prov.pool_for(slot)?);
         }
-        let fresh = pools[0].catalog() == NULL_OFFSET;
+        let fresh = CommitCell::CATALOG.load(&pools[0]) == NULL_OFFSET;
         let cat = Catalog::open_or_create(pools)?;
         for slot in 0..slots {
             if fresh {
                 let pool = &cat.pools[slot];
-                let off = pool.alloc(16, 8).map_err(pool_err)?;
+                let off = pool.alloc(16, 8)?;
                 pool.store_u64(off, FLEET_MAGIC);
                 pool.store_u64(off + 8, slot as u64);
                 pool.persist(off, 16);
@@ -748,12 +730,10 @@ impl Catalog {
         let root = self.root();
         // Publish the intent: from here the rename is decided and will
         // complete even if we crash before touching the name index.
-        root.store_u64(self.superblock + SB_INTENT, intent);
-        root.persist(self.superblock + SB_INTENT, 8);
+        self.intent().publish(root, intent);
         self.complete_rename(rec, old.as_bytes(), new.as_bytes())?;
         // Retire the intent; the rename is fully applied.
-        root.store_u64(self.superblock + SB_INTENT, 0);
-        root.persist(self.superblock + SB_INTENT, 8);
+        self.intent().publish(root, 0);
         Ok(())
     }
 
@@ -1023,7 +1003,7 @@ impl Catalog {
         let (tag, payload) = kind.encode();
         let words = 3 + payload.len() as u64 + 1;
         let root = self.root();
-        let off = root.alloc(words * 8, 8).map_err(pool_err)?;
+        let off = root.alloc(words * 8, 8)?;
         root.store_u64(off, REC_MAGIC);
         root.store_u64(off + 8, tag);
         root.store_u64(off + 16, payload.len() as u64);
@@ -1082,7 +1062,7 @@ impl Catalog {
             .collect();
         let words = 4 + packed.len() as u64 + 1;
         let root = self.root();
-        let off = root.alloc(words * 8, 8).map_err(pool_err)?;
+        let off = root.alloc(words * 8, 8)?;
         let mut all = vec![INTENT_MAGIC, rec, old.len() as u64, new.len() as u64];
         all.extend_from_slice(&packed);
         for (i, w) in all.iter().enumerate() {
@@ -1104,13 +1084,17 @@ impl Catalog {
         Ok(())
     }
 
+    /// The superblock's rename-intent slot.
+    fn intent(&self) -> CommitCell {
+        CommitCell::at(self.superblock + SB_INTENT)
+    }
+
     /// Replays a published-but-unretired rename intent on open.
     fn replay_intent(&self) -> Result<(), IndexError> {
         let root = self.root();
-        let off = root.load_u64(self.superblock + SB_INTENT);
-        if off == NULL_OFFSET {
+        let Some(off) = self.intent().target(root, 32)? else {
             return Ok(());
-        }
+        };
         if root.load_u64(off) != INTENT_MAGIC {
             return Err(corrupt("rename intent magic mismatch"));
         }
@@ -1121,6 +1105,9 @@ impl Catalog {
             return Err(corrupt("rename intent name length is absurd"));
         }
         let packed_words = (old_len + new_len).div_ceil(8);
+        // The lengths size the read below: the whole record, checksum
+        // included, must lie inside the pool.
+        self.intent().target(root, 8 * (4 + packed_words + 1))?;
         let mut all = vec![INTENT_MAGIC, rec, old_len, new_len];
         for i in 0..packed_words {
             all.push(root.load_u64(off + 32 + 8 * i));
@@ -1135,8 +1122,7 @@ impl Catalog {
         let old = bytes[..old_len as usize].to_vec();
         let new = bytes[old_len as usize..(old_len + new_len) as usize].to_vec();
         self.complete_rename(rec, &old, &new)?;
-        root.store_u64(self.superblock + SB_INTENT, 0);
-        root.persist(self.superblock + SB_INTENT, 8);
+        self.intent().publish(root, 0);
         Ok(())
     }
 }
@@ -1234,8 +1220,7 @@ mod tests {
         // index mutation: write + publish the intent by hand.
         let intent = cat.write_intent(rec, b"src", b"dst").unwrap();
         let root = cat.root();
-        root.store_u64(cat.superblock + SB_INTENT, intent);
-        root.persist(cat.superblock + SB_INTENT, 8);
+        cat.intent().publish(root, intent);
 
         let cat2 = Catalog::open(reopen(&pools)).unwrap();
         assert_eq!(cat2.lookup("src"), None);

@@ -20,7 +20,7 @@
 use pmem::{PmOffset, NULL_OFFSET};
 use pmindex::{IndexError, Key, Value};
 
-use crate::tree::{FastFairTree, META_ROOT};
+use crate::tree::FastFairTree;
 
 /// One finished node of the level currently being built: its fence key
 /// (smallest key of its subtree) and its offset.
@@ -184,14 +184,12 @@ impl FastFairTree {
                 fences = upper.finish();
                 level += 1;
             }
-            // Commit: one persisted 8-byte store of the root pointer. The
-            // old root leaf becomes garbage; a concurrent lock-free reader
-            // could still be standing on it, so it is retired through the
-            // epoch domain rather than freed on the spot.
-            let old_root = self.root_offset_for_bulk();
-            let new_root = fences[0].1;
-            self.pool.store_u64(self.meta + META_ROOT, new_root);
-            self.pool.persist(self.meta + META_ROOT, 8);
+            // Commit: publish the new root. The old root leaf becomes
+            // garbage; a concurrent lock-free reader could still be
+            // standing on it, so it is retired through the epoch domain
+            // rather than freed on the spot.
+            let old_root = self.root();
+            self.root_cell().publish(&self.pool, fences[0].1);
             self.retire_node(old_root);
         }
 
@@ -202,12 +200,6 @@ impl FastFairTree {
             }
         }
         Ok(fresh)
-    }
-
-    fn root_offset_for_bulk(&self) -> PmOffset {
-        let root = self.pool.load_u64(self.meta + META_ROOT);
-        debug_assert_ne!(root, NULL_OFFSET);
-        root
     }
 }
 

@@ -147,9 +147,7 @@ impl FastFairTree {
                 return shrunk;
             }
             let child = root.leftmost();
-            self.pool
-                .store_u64(self.meta + crate::tree::META_ROOT, child);
-            self.pool.persist(self.meta + crate::tree::META_ROOT, 8);
+            self.root_cell().publish(&self.pool, child);
             shrunk += 1;
         }
     }

@@ -15,13 +15,13 @@
 //!    the root. A crash before step 4 leaves a *dangling sibling* that any
 //!    later writer repairs (§4.2).
 
-use pmem::{PmOffset, NULL_OFFSET};
+use pmem::{CommitCell, PmOffset, NULL_OFFSET};
 use pmindex::{IndexError, Key, Value};
 
 use crate::insert::{fast_insert_locked, insert_entry};
 use crate::layout::NodeRef;
 use crate::lock::{lock_write, unlock_write, WriteGuard};
-use crate::tree::{FastFairTree, META_LOCK, META_LOG_AREA, META_LOG_HEAD, META_ROOT};
+use crate::tree::{FastFairTree, META_LOCK, META_LOG_AREA, META_LOG_HEAD};
 
 /// A freshly linked right sibling: its offset, the separator key, and its
 /// latch — taken before the link made it reachable.
@@ -180,8 +180,7 @@ pub(crate) fn logging_split_insert(
         pool.store_u64(area + 8 + w * 8, pool.load_u64(node_off + w * 8));
     }
     pool.persist(area, 8 + u64::from(tree.node_size));
-    pool.store_u64(tree.meta + META_LOG_HEAD, node_off);
-    pool.persist(tree.meta + META_LOG_HEAD, 8);
+    CommitCell::at(tree.meta + META_LOG_HEAD).publish(pool, node_off);
 
     // Guarded by the undo log, the split needs no ordered persists.
     // (On allocation failure the log head must be rolled back and the
@@ -189,8 +188,7 @@ pub(crate) fn logging_split_insert(
     let sibling = match build_and_link_sibling(tree, node, false) {
         Ok(sibling) => sibling,
         Err(e) => {
-            pool.store_u64(tree.meta + META_LOG_HEAD, 0);
-            pool.persist(tree.meta + META_LOG_HEAD, 8);
+            CommitCell::at(tree.meta + META_LOG_HEAD).publish(pool, 0);
             unlock_write(pool, tree.meta + META_LOCK);
             return Err(e);
         }
@@ -199,8 +197,7 @@ pub(crate) fn logging_split_insert(
     pool.persist(sib_off, u64::from(tree.node_size));
     pool.persist(node_off, u64::from(tree.node_size));
 
-    pool.store_u64(tree.meta + META_LOG_HEAD, 0);
-    pool.persist(tree.meta + META_LOG_HEAD, 8);
+    CommitCell::at(tree.meta + META_LOG_HEAD).publish(pool, 0);
     unlock_write(pool, tree.meta + META_LOCK);
 
     insert_pending_and_unlock(tree, node, guard, sibling, key, value);
@@ -254,9 +251,7 @@ pub(crate) fn grow_root(
     nr.set_ptr(0, right);
     nr.set_count_hint(1);
     pool.persist(nr_off, u64::from(tree.node_size));
-    // Commit: one persisted 8-byte store of the root pointer.
-    pool.store_u64(tree.meta + META_ROOT, nr_off);
-    pool.persist(tree.meta + META_ROOT, 8);
+    tree.root_cell().publish(pool, nr_off);
     unlock_write(pool, tree.meta + META_LOCK);
     Ok(())
 }
@@ -323,7 +318,6 @@ impl FastFairTree {
         // The lock word inside the restored image is volatile state.
         pool.store_u64_volatile(target + crate::layout::LOCK_OFF, 0);
         pool.persist(target, u64::from(self.node_size));
-        pool.store_u64(self.meta + META_LOG_HEAD, 0);
-        pool.persist(self.meta + META_LOG_HEAD, 8);
+        CommitCell::at(self.meta + META_LOG_HEAD).publish(pool, 0);
     }
 }

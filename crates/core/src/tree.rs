@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use epoch::EpochDomain;
-use pmem::{stats, PmOffset, Pool, NULL_OFFSET};
+use pmem::{stats, CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
 use crate::hint::LeafDirectory;
@@ -328,9 +328,14 @@ impl FastFairTree {
         &self.opts
     }
 
+    /// The superblock's root pointer, the commit word of a new root.
+    pub(crate) fn root_cell(&self) -> CommitCell {
+        CommitCell::at(self.meta + META_ROOT)
+    }
+
     /// Current root node offset.
     pub(crate) fn root(&self) -> PmOffset {
-        self.pool.load_u64(self.meta + META_ROOT)
+        self.root_cell().load(&self.pool)
     }
 
     /// Tree height: the root's level (0 = the tree is a single leaf).

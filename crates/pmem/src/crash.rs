@@ -235,6 +235,7 @@ impl Eviction {
 mod tests {
     use super::*;
     use crate::pool::{Pool, PoolConfig};
+    use crate::CommitCell;
 
     fn crash_pool() -> Pool {
         Pool::new(PoolConfig::new().size(1 << 16).crash_log(true)).unwrap()
@@ -340,11 +341,11 @@ mod tests {
         let off = p.alloc(64, 64).unwrap();
         p.store_u64(off, 5);
         p.persist(off, 8);
-        p.set_root(off);
+        CommitCell::MANIFEST.publish(&p, off);
         let cut = p.crash_log().unwrap().len();
         let img = p.crash_image(cut, Eviction::None);
         let p2 = Pool::from_image(&img, PoolConfig::new().size(1 << 16)).unwrap();
-        assert_eq!(p2.root(), off);
+        assert_eq!(CommitCell::MANIFEST.target(&p2, 8), Ok(Some(off)));
         assert_eq!(p2.load_u64(off), 5);
     }
 

@@ -23,6 +23,9 @@
 //!   per-phase timings, used to regenerate the Fig. 5(a) breakdown and the
 //!   flush-count claims in the text (e.g. wB+-tree calls 1.7× the flushes of
 //!   FAST+FAIR).
+//! * [`CommitCell`] — the one commit primitive: a persisted 8-byte word
+//!   published by one store, flush and fence, read back through a
+//!   bounds-checked [`CommitCell::target`].
 //! * [`crash`] — a store/flush event log plus replay machinery that can
 //!   materialize *every* reachable post-crash PM image: flushed lines are
 //!   durable, and each still-dirty line retains an arbitrary prefix of its
@@ -45,10 +48,12 @@
 
 #![warn(missing_docs)]
 
+mod commit;
 pub mod crash;
 mod latency;
 mod pool;
 pub mod stats;
 
+pub use commit::{fnv1a, CommitCell};
 pub use latency::{spin_ns, FenceMode, LatencyProfile};
 pub use pool::{PmError, PmOffset, Pool, PoolConfig, CACHE_LINE, NULL_OFFSET, POOL_HEADER_SIZE};

@@ -26,22 +26,15 @@ pub const NULL_OFFSET: PmOffset = 0;
 
 /// Bytes reserved at the start of the pool for pool metadata.
 ///
-/// Layout: `[0..8)` magic, `[8..16)` root object offset, `[16..24)`
-/// allocation cursor (high-water mark), `[24..32)` manifest offset,
-/// `[32..40)` transaction-journal offset, `[40..48)` catalog offset, rest
-/// reserved. The allocation cursor is treated as failure-atomic allocator
-/// metadata (PM allocator recovery is outside the paper's scope); the
-/// *root offset*, the *manifest offset*, the *journal offset* and the
-/// *catalog offset* participate in normal crash semantics because index
-/// structures update them with an explicit store + persist.
+/// Layout: `[0..8)` magic, `[8..16)` reserved (zero), `[16..24)`
+/// allocation cursor, `[24..48)` the [`CommitCell`](crate::CommitCell)s
+/// `MANIFEST`, `JOURNAL` and `CATALOG`; the rest is reserved. The cursor
+/// is failure-atomic allocator metadata (PM allocator recovery is
+/// outside the paper's scope); the cells follow normal crash semantics.
 pub const POOL_HEADER_SIZE: u64 = CACHE_LINE as u64;
 
 const MAGIC: u64 = 0x46_41_53_54_46_41_49_52; // "FASTFAIR"
-const ROOT_SLOT: u64 = 8;
 const CURSOR_SLOT: u64 = 16;
-const MANIFEST_SLOT: u64 = 24;
-const JOURNAL_SLOT: u64 = 32;
-const CATALOG_SLOT: u64 = 40;
 
 /// A byte offset into a [`Pool`]; the persistent analogue of a pointer.
 pub type PmOffset = u64;
@@ -60,6 +53,16 @@ pub enum PmError {
     PoolTooSmall,
     /// An alignment that is zero or not a power of two was requested.
     BadAlignment(u64),
+    /// A [`CommitCell`](crate::CommitCell) names an unaligned offset, or
+    /// one whose record does not fit the pool: a corrupt commit word.
+    BadTarget {
+        /// Offset of the commit word.
+        cell: PmOffset,
+        /// The offset it names.
+        target: u64,
+        /// Bytes the reader needed there.
+        len: u64,
+    },
 }
 
 impl std::fmt::Display for PmError {
@@ -74,6 +77,10 @@ impl std::fmt::Display for PmError {
             ),
             PmError::PoolTooSmall => write!(f, "pool size is smaller than the pool header"),
             PmError::BadAlignment(a) => write!(f, "alignment {a} is not a nonzero power of two"),
+            PmError::BadTarget { cell, target, len } => write!(
+                f,
+                "commit word at {cell:#x} names {len} bytes at {target:#x}, unaligned or outside the pool"
+            ),
         }
     }
 }
@@ -644,93 +651,6 @@ impl Pool {
         self.allocations.load(Ordering::Relaxed)
     }
 
-    /// The pool's root object offset (0 when unset).
-    ///
-    /// Index structures store the offset of their superblock/root here so a
-    /// reopened pool can find them — the paper's "instantaneous recovery"
-    /// entry point.
-    pub fn root(&self) -> PmOffset {
-        self.load_u64(ROOT_SLOT)
-    }
-
-    /// Sets and persists the root object offset.
-    pub fn set_root(&self, off: PmOffset) {
-        self.store_u64(ROOT_SLOT, off);
-        self.persist(ROOT_SLOT, 8);
-    }
-
-    /// The pool's manifest offset (0 when unset).
-    ///
-    /// A second well-known header slot, reserved for *multi-structure*
-    /// metadata: the shard router stores the offset of its current
-    /// epoch-numbered shard-map record here. Distinct from
-    /// [`root`](Pool::root) so a pool can simultaneously host an index
-    /// (whose superblock the root slot names) and act as the manifest home
-    /// of a sharded deployment.
-    pub fn manifest(&self) -> PmOffset {
-        self.load_u64(MANIFEST_SLOT)
-    }
-
-    /// Sets and persists the manifest offset — one failure-atomic 8-byte
-    /// store followed by a flush + fence.
-    ///
-    /// This is the commit primitive for multi-structure updates (the
-    /// paper-faithful alternative to a redo/undo log): prepare an
-    /// arbitrarily large record elsewhere, persist it, then publish it with
-    /// this single atomic pointer flip. A crash exposes either the old
-    /// manifest or the new one, never a mixture. Each call is counted in
-    /// [`crate::stats::Snapshot::manifest_commits`].
-    pub fn set_manifest(&self, off: PmOffset) {
-        self.store_u64(MANIFEST_SLOT, off);
-        self.persist(MANIFEST_SLOT, 8);
-        stats::count_manifest_commit();
-    }
-
-    /// The pool's transaction-journal offset (0 when unset).
-    ///
-    /// A third well-known header slot, naming the `txn` crate's redo
-    /// journal region in this pool so a reopened pool can find — and
-    /// replay — committed-but-unapplied write batches. Distinct from
-    /// [`root`](Pool::root) and [`manifest`](Pool::manifest) so one pool
-    /// can host an index, a shard manifest and a journal simultaneously.
-    pub fn txn_journal(&self) -> PmOffset {
-        self.load_u64(JOURNAL_SLOT)
-    }
-
-    /// Sets and persists the transaction-journal offset — one
-    /// failure-atomic 8-byte store followed by a flush + fence, the same
-    /// publish discipline as [`set_manifest`](Pool::set_manifest):
-    /// prepare and persist the journal region first, then name it here
-    /// with a single atomic pointer flip.
-    pub fn set_txn_journal(&self, off: PmOffset) {
-        self.store_u64(JOURNAL_SLOT, off);
-        self.persist(JOURNAL_SLOT, 8);
-    }
-
-    /// The pool's store-catalog offset (0 when unset).
-    ///
-    /// A fourth well-known header slot, naming the `catalog` crate's
-    /// superblock in this pool: the persistent name→store registry a
-    /// reopening process bootstraps from. Only the *root pool* of a
-    /// deployment uses this slot; it is distinct from
-    /// [`root`](Pool::root), [`manifest`](Pool::manifest) and
-    /// [`txn_journal`](Pool::txn_journal) so the root pool can host an
-    /// index, a shard manifest, a journal and the catalog simultaneously.
-    pub fn catalog(&self) -> PmOffset {
-        self.load_u64(CATALOG_SLOT)
-    }
-
-    /// Sets and persists the store-catalog offset — one failure-atomic
-    /// 8-byte store followed by a flush + fence, the same publish
-    /// discipline as [`set_manifest`](Pool::set_manifest): prepare and
-    /// persist the catalog superblock first, then name it here with a
-    /// single atomic pointer flip. A crash exposes either the old catalog
-    /// or the new one, never a mixture.
-    pub fn set_catalog(&self, off: PmOffset) {
-        self.store_u64(CATALOG_SLOT, off);
-        self.persist(CATALOG_SLOT, 8);
-    }
-
     /// Copies the current *volatile* contents of the pool.
     ///
     /// This is what the memory would look like if every cache line were
@@ -776,6 +696,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CommitCell;
 
     fn small_pool() -> Pool {
         Pool::new(PoolConfig::new().size(1 << 16)).unwrap()
@@ -842,59 +763,72 @@ mod tests {
     }
 
     #[test]
-    fn root_roundtrip() {
-        let p = small_pool();
-        assert_eq!(p.root(), NULL_OFFSET);
-        p.set_root(4096);
-        assert_eq!(p.root(), 4096);
-    }
-
-    #[test]
     fn manifest_roundtrip_and_commit_count() {
         let p = small_pool();
-        assert_eq!(p.manifest(), NULL_OFFSET);
+        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(None));
         stats::reset();
-        p.set_manifest(8192);
-        assert_eq!(p.manifest(), 8192);
+        CommitCell::MANIFEST.publish(&p, 8192);
         let s = stats::take();
-        assert_eq!(s.manifest_commits, 1);
-        assert_eq!(s.flushes, 1); // one 8-byte slot: one line
-                                  // Root and manifest slots are independent.
-        p.set_root(4096);
-        assert_eq!(p.manifest(), 8192);
-        assert_eq!(p.root(), 4096);
+        assert_eq!((s.flushes, s.fences), (1, 1)); // one 8-byte word: one line
+        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(Some(8192)));
+        // The manifest cell is independent of the other header cells.
+        CommitCell::JOURNAL.publish(&p, 16384);
+        CommitCell::CATALOG.publish(&p, 24576);
+        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(Some(8192)));
     }
 
     #[test]
     fn txn_journal_roundtrip_and_independence() {
         let p = small_pool();
-        assert_eq!(p.txn_journal(), NULL_OFFSET);
-        p.set_txn_journal(16384);
-        assert_eq!(p.txn_journal(), 16384);
-        // The journal slot is independent of root and manifest.
-        p.set_root(4096);
-        p.set_manifest(8192);
-        assert_eq!(p.txn_journal(), 16384);
-        assert_eq!(p.root(), 4096);
-        assert_eq!(p.manifest(), 8192);
+        assert_eq!(CommitCell::JOURNAL.target(&p, 8), Ok(None));
+        stats::reset();
+        CommitCell::JOURNAL.publish(&p, 16384);
+        let s = stats::take();
+        assert_eq!((s.flushes, s.fences), (1, 1));
+        assert_eq!(CommitCell::JOURNAL.target(&p, 8), Ok(Some(16384)));
+        // The journal cell is independent of the manifest and catalog cells.
+        CommitCell::MANIFEST.publish(&p, 8192);
+        CommitCell::CATALOG.publish(&p, 24576);
+        assert_eq!(CommitCell::JOURNAL.target(&p, 8), Ok(Some(16384)));
+        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(Some(8192)));
     }
 
     #[test]
     fn catalog_roundtrip_and_independence() {
         let p = small_pool();
-        assert_eq!(p.catalog(), NULL_OFFSET);
-        p.set_catalog(24576);
-        assert_eq!(p.catalog(), 24576);
-        // The catalog slot is independent of the other header slots, and
-        // survives a clean-image reopen like any persisted store.
-        p.set_root(4096);
-        p.set_manifest(8192);
-        p.set_txn_journal(16384);
-        assert_eq!(p.catalog(), 24576);
+        assert_eq!(CommitCell::CATALOG.target(&p, 8), Ok(None));
+        stats::reset();
+        CommitCell::CATALOG.publish(&p, 24576);
+        let s = stats::take();
+        assert_eq!((s.flushes, s.fences), (1, 1));
+        assert_eq!(CommitCell::CATALOG.target(&p, 8), Ok(Some(24576)));
+        // The catalog cell is independent of the other header cells, and
+        // all three survive a clean-image reopen like any persisted store.
+        CommitCell::MANIFEST.publish(&p, 8192);
+        CommitCell::JOURNAL.publish(&p, 16384);
+        assert_eq!(CommitCell::CATALOG.target(&p, 8), Ok(Some(24576)));
         let img = p.volatile_image();
         let p2 = Pool::from_image(&img, PoolConfig::new().size(1 << 20)).unwrap();
-        assert_eq!(p2.catalog(), 24576);
-        assert_eq!(p2.root(), 4096);
+        assert_eq!(CommitCell::CATALOG.target(&p2, 8), Ok(Some(24576)));
+        assert_eq!(CommitCell::MANIFEST.target(&p2, 8), Ok(Some(8192)));
+        assert_eq!(CommitCell::JOURNAL.target(&p2, 8), Ok(Some(16384)));
+        // Word 8 (the retired root slot) stays zero.
+        assert_eq!(p2.load_u64(8), 0);
+    }
+
+    #[test]
+    fn cell_target_refuses_what_the_pool_cannot_hold() {
+        let p = small_pool();
+        let cell = CommitCell::MANIFEST;
+        let size = p.size();
+        cell.publish(&p, size - 64);
+        assert_eq!(cell.target(&p, 64), Ok(Some(size - 64)));
+        assert!(cell.target(&p, 72).is_err()); // runs past the end
+        assert!(cell.target(&p, u64::MAX).is_err()); // end overflows
+        cell.publish(&p, 4097);
+        assert!(cell.target(&p, 8).is_err()); // unaligned
+        cell.publish(&p, u64::MAX - 7);
+        assert!(cell.target(&p, 8).is_err());
     }
 
     #[test]

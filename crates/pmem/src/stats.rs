@@ -58,10 +58,6 @@ pub struct Snapshot {
     /// Number of blocks returned to the pool's free list for recycling
     /// (e.g. leaves reclaimed by a FAIR merge).
     pub nodes_recycled: u64,
-    /// Number of failure-atomic manifest pointer flips
-    /// ([`crate::Pool::set_manifest`]) — one per committed multi-structure
-    /// update, e.g. a shard-map epoch change.
-    pub manifest_commits: u64,
     /// Number of successful global epoch advances performed by the
     /// `epoch` crate's reclamation clock.
     pub epoch_advances: u64,
@@ -127,7 +123,6 @@ impl Add for Snapshot {
             serial_misses: self.serial_misses + rhs.serial_misses,
             parallel_lines: self.parallel_lines + rhs.parallel_lines,
             nodes_recycled: self.nodes_recycled + rhs.nodes_recycled,
-            manifest_commits: self.manifest_commits + rhs.manifest_commits,
             epoch_advances: self.epoch_advances + rhs.epoch_advances,
             nodes_limbo: self.nodes_limbo + rhs.nodes_limbo,
             nodes_recycled_online: self.nodes_recycled_online + rhs.nodes_recycled_online,
@@ -164,7 +159,6 @@ thread_local! {
     static SERIAL: Cell<u64> = const { Cell::new(0) };
     static PARALLEL: Cell<u64> = const { Cell::new(0) };
     static RECYCLED: Cell<u64> = const { Cell::new(0) };
-    static MANIFEST: Cell<u64> = const { Cell::new(0) };
     static EPOCH_ADV: Cell<u64> = const { Cell::new(0) };
     static LIMBO: Cell<u64> = const { Cell::new(0) };
     static RECYCLED_ONLINE: Cell<u64> = const { Cell::new(0) };
@@ -240,11 +234,6 @@ pub(crate) fn count_recycled(n: u64) {
     RECYCLED.with(|c| c.set(c.get() + n));
 }
 
-#[inline]
-pub(crate) fn count_manifest_commit() {
-    MANIFEST.with(|c| c.set(c.get() + 1));
-}
-
 /// Counts one successful global epoch advance. Public so the `epoch`
 /// crate's reclamation clock can report into the shared counters.
 #[inline]
@@ -304,7 +293,6 @@ pub fn reset() {
     SERIAL.with(|c| c.set(0));
     PARALLEL.with(|c| c.set(0));
     RECYCLED.with(|c| c.set(0));
-    MANIFEST.with(|c| c.set(0));
     EPOCH_ADV.with(|c| c.set(0));
     LIMBO.with(|c| c.set(0));
     RECYCLED_ONLINE.with(|c| c.set(0));
@@ -325,7 +313,6 @@ pub fn snapshot() -> Snapshot {
         serial_misses: SERIAL.with(Cell::get),
         parallel_lines: PARALLEL.with(Cell::get),
         nodes_recycled: RECYCLED.with(Cell::get),
-        manifest_commits: MANIFEST.with(Cell::get),
         epoch_advances: EPOCH_ADV.with(Cell::get),
         nodes_limbo: LIMBO.with(Cell::get),
         nodes_recycled_online: RECYCLED_ONLINE.with(Cell::get),
@@ -368,7 +355,6 @@ pub fn absorb(s: Snapshot) {
     add(&SERIAL, s.serial_misses);
     add(&PARALLEL, s.parallel_lines);
     add(&RECYCLED, s.nodes_recycled);
-    add(&MANIFEST, s.manifest_commits);
     add(&EPOCH_ADV, s.epoch_advances);
     add(&LIMBO, s.nodes_limbo);
     add(&RECYCLED_ONLINE, s.nodes_recycled_online);
@@ -413,7 +399,6 @@ mod tests {
         count_serial(3);
         count_parallel(7);
         count_recycled(2);
-        count_manifest_commit();
         count_dmb();
         count_epoch_advance();
         count_nodes_limbo(4);
@@ -440,7 +425,6 @@ mod tests {
         assert_eq!(s.serial_misses, 3);
         assert_eq!(s.parallel_lines, 7);
         assert_eq!(s.nodes_recycled, 2);
-        assert_eq!(s.manifest_commits, 1);
         assert_eq!(s.dmb_barriers, 1);
         assert_eq!(s.epoch_advances, 1);
         assert_eq!(s.nodes_limbo, 4);
@@ -494,7 +478,6 @@ mod tests {
             serial_misses: 4,
             parallel_lines: 5,
             nodes_recycled: 9,
-            manifest_commits: 10,
             epoch_advances: 11,
             nodes_limbo: 12,
             nodes_recycled_online: 13,
@@ -539,7 +522,6 @@ mod tests {
             serial_misses: 5,
             parallel_lines: 6,
             nodes_recycled: 7,
-            manifest_commits: 8,
             epoch_advances: 9,
             nodes_limbo: 10,
             nodes_recycled_online: 11,

@@ -71,7 +71,11 @@ impl std::error::Error for IndexError {}
 
 impl From<pmem::PmError> for IndexError {
     fn from(e: pmem::PmError) -> Self {
-        IndexError::PoolExhausted(e.to_string())
+        match e {
+            // Corrupt metadata, like a failed magic or checksum check.
+            pmem::PmError::BadTarget { .. } => IndexError::Unsupported(e.to_string()),
+            _ => IndexError::PoolExhausted(e.to_string()),
+        }
     }
 }
 
@@ -838,6 +842,12 @@ mod tests {
         assert!(e.to_string().contains("reserved"));
         let e: IndexError = pmem::PmError::PoolTooSmall.into();
         assert!(e.to_string().contains("exhausted"));
+        let bad = pmem::PmError::BadTarget {
+            cell: 24,
+            target: 1 << 40,
+            len: 40,
+        };
+        assert!(matches!(IndexError::from(bad), IndexError::Unsupported(_)));
     }
 
     /// Minimal reference implementation used to pin down the default-method

@@ -21,8 +21,8 @@
 //!    ([`txn::apply_grouped`]). Duplicates are no-ops by sequence
 //!    check; gaps park out-of-order records and trigger a retransmit
 //!    from the shipper's retained ring.
-//! 4. **Watermark** — the replica persists its applied sequence with
-//!    the repo-wide one-8-byte-store commit discipline, so a crashed
+//! 4. **Watermark** — the replica publishes its applied sequence
+//!    through a [`pmem::CommitCell`] after each group, so a crashed
 //!    replica reopens and resumes exactly where it left off: a crash
 //!    between a group's apply and its watermark store merely re-applies
 //!    that group (idempotent redo absorbs it).
@@ -82,9 +82,7 @@ mod replica;
 mod shipper;
 mod transport;
 
-pub use replica::{
-    Applied, Promoted, ReadReplica, Replica, Watermark, PROMOTED_ENGINE_NAME, WATERMARK_NAME,
-};
+pub use replica::{Applied, Promoted, ReadReplica, Replica, PROMOTED_ENGINE_NAME, WATERMARK_NAME};
 pub use shipper::LogShipper;
 pub use transport::{ChannelTransport, FaultConfig, FaultStats, FaultTransport, Transport};
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use catalog::{Catalog, PoolProvisioner, StoreKind};
 use parking_lot::Mutex;
-use pmem::{PmOffset, Pool, NULL_OFFSET};
+use pmem::{CommitCell, Pool, NULL_OFFSET};
 use pmindex::{IndexError, PersistentIndex, PmIndex};
 use txn::TxnEngine;
 
@@ -22,94 +22,13 @@ pub const WATERMARK_NAME: &str = "__repl_watermark";
 /// promoted engine's journal.
 pub const PROMOTED_ENGINE_NAME: &str = "__repl_engine";
 
+/// First word of the 16-byte watermark record `[magic, sequence]`.
 const WM_MAGIC: u64 = u64::from_le_bytes(*b"REPLWTRM");
 
 /// Rounds of drain-then-retransmit [`Replica::catch_up`] attempts
 /// before giving up (each round re-rolls the transport's fault dice, so
 /// any loss probability < 1 converges long before this).
 const CATCH_UP_ROUNDS: usize = 4096;
-
-/// The replica's persisted apply cursor: a 16-byte pmem cell
-/// `[magic, sequence]` whose sequence word is advanced by **one
-/// failure-atomic 8-byte store** after each group's apply — the same
-/// commit discipline as the journal's committed word. A crash between a
-/// group's apply and the watermark store re-applies that group on
-/// resume; idempotent redo absorbs it.
-///
-/// ```
-/// use std::sync::Arc;
-/// use repl::Watermark;
-///
-/// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-/// let wm = Watermark::create(Arc::clone(&pool))?;
-/// assert_eq!(wm.load(), 0);
-/// wm.store(3);
-/// let again = Watermark::open(pool, wm.off())?;
-/// assert_eq!(again.load(), 3);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct Watermark {
-    pool: Arc<Pool>,
-    off: PmOffset,
-}
-
-impl std::fmt::Debug for Watermark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Watermark")
-            .field("off", &self.off)
-            .field("seq", &self.load())
-            .finish()
-    }
-}
-
-impl Watermark {
-    /// Allocates and persists a fresh cell at sequence 0.
-    ///
-    /// # Errors
-    ///
-    /// Pool exhaustion propagates.
-    pub fn create(pool: Arc<Pool>) -> Result<Watermark, IndexError> {
-        let off = pool
-            .alloc(16, 64)
-            .map_err(|e| IndexError::PoolExhausted(e.to_string()))?;
-        pool.store_u64(off, WM_MAGIC);
-        pool.store_u64(off + 8, 0);
-        pool.persist(off, 16);
-        Ok(Watermark { pool, off })
-    }
-
-    /// Re-opens the cell at `off` (as recorded in the replica's
-    /// catalog).
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::Unsupported`] if the magic does not match.
-    pub fn open(pool: Arc<Pool>, off: PmOffset) -> Result<Watermark, IndexError> {
-        if pool.load_u64(off) != WM_MAGIC {
-            return Err(IndexError::Unsupported(format!(
-                "no replica watermark at offset {off:#x}"
-            )));
-        }
-        Ok(Watermark { pool, off })
-    }
-
-    /// The cell's pmem offset — what gets registered in the catalog.
-    pub fn off(&self) -> PmOffset {
-        self.off
-    }
-
-    /// The persisted applied sequence (0 = nothing applied).
-    pub fn load(&self) -> u64 {
-        self.pool.load_u64(self.off + 8)
-    }
-
-    /// Advances the persisted sequence: one 8-byte store + flush +
-    /// fence, the cell's only commit point.
-    pub fn store(&self, seq: u64) {
-        self.pool.store_u64(self.off + 8, seq);
-        self.pool.persist(self.off + 8, 8);
-    }
-}
 
 /// Outcome of offering one [`LogRecord`] to [`Replica::apply`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +50,8 @@ pub enum Applied {
 
 /// A read replica: its **own** pool fleet and [`Catalog`], a set of
 /// tables mirroring the primary's (same order — table ids in shipped
-/// ops index this list), and a persisted [`Watermark`].
+/// ops index this list), and a persisted watermark: the last applied
+/// sequence.
 ///
 /// Records apply strictly in sequence order through
 /// [`txn::apply_grouped`] — the same idempotent redo path the primary's
@@ -140,7 +60,11 @@ pub enum Applied {
 pub struct Replica<I: PmIndex> {
     catalog: Catalog,
     tables: Vec<Arc<I>>,
-    wm: Watermark,
+    /// The watermark's pool and its sequence word, published after each
+    /// group's apply. A crash between the apply and the publish
+    /// re-applies that group on resume; idempotent redo absorbs it.
+    wm_pool: Arc<Pool>,
+    wm: CommitCell,
     /// Serializes appliers and parks out-of-order records by sequence.
     state: Mutex<BTreeMap<u64, LogRecord>>,
     /// Volatile count of groups applied this process lifetime — the
@@ -152,7 +76,7 @@ impl<I: PmIndex> std::fmt::Debug for Replica<I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replica")
             .field("tables", &self.tables.len())
-            .field("watermark", &self.wm.load())
+            .field("watermark", &self.watermark())
             .field("parked", &self.state.lock().len())
             .finish()
     }
@@ -197,18 +121,23 @@ impl<I: PersistentIndex + 'static> Replica<I> {
             )?;
             tbls.push(Arc::new(table));
         }
-        let wm = Watermark::create(Arc::clone(catalog.root()))?;
+        let root = Arc::clone(catalog.root());
+        let off = root.alloc(16, 64)?;
+        root.store_u64(off, WM_MAGIC);
+        root.store_u64(off + 8, 0);
+        root.persist(off, 16);
         catalog.register(
             WATERMARK_NAME,
             &StoreKind::Index {
                 pool: 0,
-                superblock: wm.off(),
+                superblock: off,
             },
         )?;
         Ok(Replica {
             catalog,
             tables: tbls,
-            wm,
+            wm_pool: root,
+            wm: CommitCell::at(off + 8),
             state: Mutex::new(BTreeMap::new()),
             applied_groups: AtomicU64::new(0),
         })
@@ -234,7 +163,12 @@ impl<I: PersistentIndex + 'static> Replica<I> {
                 "fleet holds no replica watermark; use Replica::create".into(),
             ));
         };
-        let wm = Watermark::open(Arc::clone(&catalog.pools()[pool]), superblock)?;
+        let wm_pool = Arc::clone(&catalog.pools()[pool]);
+        if wm_pool.load_u64(superblock) != WM_MAGIC {
+            return Err(IndexError::Unsupported(format!(
+                "no replica watermark at offset {superblock:#x}"
+            )));
+        }
         let tbls = tables
             .iter()
             .map(|name| catalog.open_store::<I>(name).map(Arc::new))
@@ -242,7 +176,8 @@ impl<I: PersistentIndex + 'static> Replica<I> {
         Ok(Replica {
             catalog,
             tables: tbls,
-            wm,
+            wm_pool,
+            wm: CommitCell::at(superblock + 8),
             state: Mutex::new(BTreeMap::new()),
             applied_groups: AtomicU64::new(0),
         })
@@ -260,7 +195,7 @@ impl<I: PersistentIndex + 'static> Replica<I> {
     /// Journal create/open/recover failures propagate.
     pub fn promote(self) -> Result<Promoted<I>, IndexError> {
         let root = Arc::clone(self.catalog.root());
-        let engine = if root.txn_journal() == NULL_OFFSET {
+        let engine = if CommitCell::JOURNAL.load(&root) == NULL_OFFSET {
             let engine = TxnEngine::create(root)?;
             self.catalog
                 .register(PROMOTED_ENGINE_NAME, &StoreKind::Txn { pool: 0 })?;
@@ -292,7 +227,7 @@ impl<I: PmIndex> Replica<I> {
     /// The persisted applied sequence: every group `<=` this value is
     /// fully applied, every group `>` it not at all.
     pub fn watermark(&self) -> u64 {
-        self.wm.load()
+        self.wm.load(&self.wm_pool)
     }
 
     /// Groups applied this process lifetime (volatile; feeds the
@@ -328,7 +263,7 @@ impl<I: PmIndex> Replica<I> {
         }
         let refs: Vec<&I> = self.tables.iter().map(|t| t.as_ref()).collect();
         txn::apply_grouped(&rec.ops, &refs)?;
-        self.wm.store(rec.seq);
+        self.wm.publish(&self.wm_pool, rec.seq);
         self.applied_groups.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -370,7 +305,7 @@ impl<I: PmIndex> Replica<I> {
     /// so the stream can be retried).
     pub fn apply(&self, rec: &LogRecord) -> Result<Applied, IndexError> {
         let mut parked = self.state.lock();
-        let wm = self.wm.load();
+        let wm = self.watermark();
         if rec.seq <= wm {
             return Ok(Applied::Duplicate);
         }
@@ -386,7 +321,7 @@ impl<I: PmIndex> Replica<I> {
             next += 1;
         }
         // Anything parked at or below the watermark is a stale duplicate.
-        let wm = self.wm.load();
+        let wm = self.watermark();
         parked.retain(|&seq, _| seq > wm);
         Ok(Applied::Advanced)
     }
@@ -398,11 +333,11 @@ impl<I: PmIndex> Replica<I> {
     ///
     /// As [`Replica::apply`].
     pub fn apply_available(&self, transport: &dyn Transport) -> Result<u64, IndexError> {
-        let before = self.wm.load();
+        let before = self.watermark();
         while let Some(rec) = transport.poll(Duration::ZERO) {
             self.apply(&rec)?;
         }
-        Ok(self.wm.load() - before)
+        Ok(self.watermark() - before)
     }
 
     /// Drains and repairs until the watermark reaches the shipper's
@@ -425,7 +360,7 @@ impl<I: PmIndex> Replica<I> {
     ) -> Result<(), IndexError> {
         for _ in 0..CATCH_UP_ROUNDS {
             self.apply_available(transport)?;
-            let wm = self.wm.load();
+            let wm = self.watermark();
             if wm >= shipper.last_shipped() {
                 return Ok(());
             }
@@ -460,7 +395,7 @@ impl<I: PmIndex> Replica<I> {
         engine: &TxnEngine,
     ) -> Result<u64, IndexError> {
         let mut parked = self.state.lock();
-        if self.wm.load() != 0 {
+        if self.watermark() != 0 {
             return Err(IndexError::Unsupported(
                 "bootstrap requires a fresh replica (watermark 0)".into(),
             ));
@@ -488,7 +423,7 @@ impl<I: PmIndex> Replica<I> {
         // One 8-byte store publishes the whole bootstrap: before it the
         // replica is "fresh, restart bootstrap", after it "caught up to
         // seq, start tailing".
-        self.wm.store(seq);
+        self.wm.publish(&self.wm_pool, seq);
         parked.retain(|&s, _| s > seq);
         Ok(seq)
     }

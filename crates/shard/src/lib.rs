@@ -18,8 +18,7 @@
 //! * **The shard map commits like a FAST store.** A persistent deployment
 //!   records its shard map in a checksummed [manifest](self) record,
 //!   written once by [`ShardedStore::create`]; the only commit point is
-//!   the single failure-atomic 8-byte pointer flip of
-//!   [`pmem::Pool::set_manifest`]. A crash before the flip leaves a pool
+//!   its publish through [`pmem::CommitCell::MANIFEST`]. A crash before the flip leaves a pool
 //!   [`ShardedStore::open`] refuses; after it, the whole map. The map
 //!   never changes after that: the shards stay compact the paper's way,
 //!   by FAIR splits and merges inside each tree.

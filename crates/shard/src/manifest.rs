@@ -6,9 +6,9 @@
 //! 0; records from versions of this crate that rebalanced shards carry
 //! higher epochs, and `ShardedStore::open` accepts any. The
 //! record is written to freshly allocated pool space and fully persisted
-//! *before* it becomes reachable; the only commit point is the single
-//! failure-atomic 8-byte store of [`pmem::Pool::set_manifest`] that flips
-//! the pool's manifest pointer onto it. A crash at any instant therefore
+//! *before* it becomes reachable; the only commit point is the
+//! [`pmem::CommitCell::MANIFEST`] publish that flips the pool's manifest
+//! pointer onto it. A crash at any instant therefore
 //! exposes the previous record or the new one — never a mixture — which is
 //! exactly the property *Persistent Memory Transactions* (Marathe et al.)
 //! obtains with a log, re-derived here FAST+FAIR-style without one.
@@ -26,7 +26,7 @@
 //!      0 / unused under hash partitioning)
 //! ```
 
-use pmem::{PmOffset, Pool, NULL_OFFSET};
+use pmem::{CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::IndexError;
 
 pub(crate) const KIND_HASH: u64 = 0;
@@ -57,26 +57,16 @@ pub(crate) struct Record {
 
 impl Record {
     fn checksum(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        let mut mix = |w: u64| {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.epoch);
-        mix(self.kind);
-        mix(self.entries.len() as u64);
-        for e in &self.entries {
-            mix(e.slot);
-            mix(e.meta);
-            mix(e.bound);
-        }
-        h
+        let mut words = vec![self.epoch, self.kind, self.entries.len() as u64];
+        words.extend(self.entries.iter().flat_map(|e| [e.slot, e.meta, e.bound]));
+        pmem::fnv1a(&words)
     }
 
+    /// Saturates, so a corrupt count word yields a length no pool holds.
     fn byte_len(n_entries: u64) -> u64 {
-        (HEADER_WORDS + ENTRY_WORDS * n_entries) * 8
+        n_entries
+            .saturating_mul(ENTRY_WORDS * 8)
+            .saturating_add(HEADER_WORDS * 8)
     }
 }
 
@@ -100,9 +90,9 @@ pub(crate) fn commit(pool: &Pool, rec: &Record) -> Result<(), IndexError> {
     }
     // Make the whole record durable before anything can point at it.
     pool.persist(off, len);
-    let old = pool.manifest();
+    let old = CommitCell::MANIFEST.load(pool);
     // THE commit point: one failure-atomic 8-byte store + persist.
-    pool.set_manifest(off);
+    CommitCell::MANIFEST.publish(pool, off);
     if old != NULL_OFFSET {
         let old_n = pool.load_u64(old + 24);
         pool.free(old, Record::byte_len(old_n));
@@ -112,12 +102,9 @@ pub(crate) fn commit(pool: &Pool, rec: &Record) -> Result<(), IndexError> {
 
 /// Reads and validates the record the pool's manifest pointer names.
 pub(crate) fn read(pool: &Pool) -> Result<Record, IndexError> {
-    let off = pool.manifest();
-    if off == NULL_OFFSET {
-        return Err(IndexError::Unsupported(
-            "pool holds no shard manifest".into(),
-        ));
-    }
+    let off = CommitCell::MANIFEST
+        .target(pool, Record::byte_len(0))?
+        .ok_or_else(|| IndexError::Unsupported("pool holds no shard manifest".into()))?;
     if pool.load_u64(off) != MAGIC {
         return Err(IndexError::Unsupported(format!(
             "no manifest record at offset {off:#x}"
@@ -126,6 +113,8 @@ pub(crate) fn read(pool: &Pool) -> Result<Record, IndexError> {
     let epoch = pool.load_u64(off + 8);
     let kind = pool.load_u64(off + 16);
     let n = pool.load_u64(off + 24);
+    // The count sizes the read below: the pool must hold that many entries.
+    CommitCell::MANIFEST.target(pool, Record::byte_len(n))?;
     let stored_sum = pool.load_u64(off + 32);
     let entries = (0..n)
         .map(|i| {
@@ -185,7 +174,7 @@ mod tests {
     fn recommit_replaces_and_recycles() {
         let pool = Pool::new(PoolConfig::new().size(1 << 16)).unwrap();
         commit(&pool, &rec(1)).unwrap();
-        let first = pool.manifest();
+        let first = CommitCell::MANIFEST.load(&pool);
         commit(&pool, &rec(2)).unwrap();
         assert_eq!(read(&pool).unwrap().epoch, 2);
         // The old record's block went back to the free list and is reused
@@ -204,7 +193,7 @@ mod tests {
     fn corrupt_checksum_detected() {
         let pool = Pool::new(PoolConfig::new().size(1 << 16)).unwrap();
         commit(&pool, &rec(3)).unwrap();
-        let off = pool.manifest();
+        let off = CommitCell::MANIFEST.load(&pool);
         pool.store_u64(off + 8, 99); // tamper with the epoch
         assert!(matches!(read(&pool), Err(IndexError::Unsupported(_))));
     }

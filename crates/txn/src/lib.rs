@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use pmem::{PmOffset, Pool, NULL_OFFSET};
+use pmem::{CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{check_value, BatchOp, IndexError, PmIndex, Value};
 
 /// Journal region layout (8-byte words, little-endian):
@@ -90,17 +90,45 @@ const OP_DELETE: u64 = 1;
 /// Entries a freshly created journal can stage before growing.
 const INITIAL_CAPACITY: u64 = 16;
 
+/// Saturates, so a corrupt capacity word yields a length no pool holds.
 fn region_bytes(cap: u64) -> u64 {
-    J_ENTRIES + cap * ENTRY_WORDS * 8
+    cap.saturating_mul(ENTRY_WORDS * 8)
+        .saturating_add(J_ENTRIES)
 }
 
 /// The current journal region; the offset moves when the journal grows
-/// (a bigger region is prepared, persisted, and published with the
-/// failure-atomic [`Pool::set_txn_journal`] pointer flip).
+/// (a bigger region is prepared, persisted, and published through
+/// [`CommitCell::JOURNAL`]).
 #[derive(Clone, Copy)]
 struct Journal {
     off: PmOffset,
     cap: u64,
+}
+
+impl Journal {
+    /// THE commit word.
+    fn committed(self) -> CommitCell {
+        CommitCell::at(self.off + J_COMMITTED)
+    }
+
+    /// The retire word.
+    fn applied(self) -> CommitCell {
+        CommitCell::at(self.off + J_APPLIED)
+    }
+
+    /// Writes and persists an empty region for `cap` entries with both
+    /// sequence words at `seq`, then publishes it.
+    fn publish(pool: &Pool, seq: u64, cap: u64) -> Result<Journal, IndexError> {
+        let off = pool.alloc(region_bytes(cap), 8)?;
+        pool.store_u64(off, J_MAGIC);
+        pool.store_u64(off + J_COMMITTED, seq);
+        pool.store_u64(off + J_APPLIED, seq);
+        pool.store_u64(off + J_COUNT, 0);
+        pool.store_u64(off + J_CAP, cap);
+        pool.persist(off, J_ENTRIES);
+        CommitCell::JOURNAL.publish(pool, off);
+        Ok(Journal { off, cap })
+    }
 }
 
 /// A staged multi-key, multi-table write batch: the ops accumulate in
@@ -381,33 +409,13 @@ impl TxnEngine {
     /// (open it instead); [`IndexError::PoolExhausted`] if the region
     /// does not fit.
     pub fn create(pool: Arc<Pool>) -> Result<Self, IndexError> {
-        if pool.txn_journal() != NULL_OFFSET {
+        if CommitCell::JOURNAL.load(&pool) != NULL_OFFSET {
             return Err(IndexError::Unsupported(
                 "pool already holds a transaction journal; use TxnEngine::open".into(),
             ));
         }
-        let off = pool.alloc(region_bytes(INITIAL_CAPACITY), 8)?;
-        pool.store_u64(off, J_MAGIC);
-        pool.store_u64(off + J_COMMITTED, 0);
-        pool.store_u64(off + J_APPLIED, 0);
-        pool.store_u64(off + J_COUNT, 0);
-        pool.store_u64(off + J_CAP, INITIAL_CAPACITY);
-        pool.persist(off, J_ENTRIES);
-        // Publish: the slot flip is failure-atomic, so a crash exposes a
-        // pool with a fully initialized journal or none at all.
-        pool.set_txn_journal(off);
-        Ok(TxnEngine {
-            pool,
-            journal: Mutex::new(Journal {
-                off,
-                cap: INITIAL_CAPACITY,
-            }),
-            seq: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            apply_gate: RwLock::new(()),
-            epoch: epoch::EpochDomain::new(),
-            taps: RwLock::new(Vec::new()),
-        })
+        Journal::publish(&pool, 0, INITIAL_CAPACITY)?;
+        TxnEngine::open(pool)
     }
 
     /// Re-opens the journal a pool's header slot names — the first step
@@ -430,28 +438,30 @@ impl TxnEngine {
     /// [`IndexError::Unsupported`] if the pool names no journal or the
     /// region fails validation.
     pub fn open(pool: Arc<Pool>) -> Result<Self, IndexError> {
-        let off = pool.txn_journal();
-        if off == NULL_OFFSET {
-            return Err(IndexError::Unsupported(
-                "pool holds no transaction journal".into(),
-            ));
-        }
+        let off = CommitCell::JOURNAL
+            .target(&pool, J_ENTRIES)?
+            .ok_or_else(|| IndexError::Unsupported("pool holds no transaction journal".into()))?;
         if pool.load_u64(off) != J_MAGIC {
             return Err(IndexError::Unsupported(format!(
                 "no transaction journal at offset {off:#x}"
             )));
         }
-        let committed = pool.load_u64(off + J_COMMITTED);
-        let applied = pool.load_u64(off + J_APPLIED);
+        let j = Journal {
+            off,
+            cap: pool.load_u64(off + J_CAP),
+        };
+        // The capacity sizes every later access to the region.
+        CommitCell::JOURNAL.target(&pool, region_bytes(j.cap))?;
+        let committed = j.committed().load(&pool);
+        let applied = j.applied().load(&pool);
         if applied > committed {
             return Err(IndexError::Unsupported(format!(
                 "journal at {off:#x} is corrupt: applied {applied} > committed {committed}"
             )));
         }
-        let cap = pool.load_u64(off + J_CAP);
         Ok(TxnEngine {
             pool,
-            journal: Mutex::new(Journal { off, cap }),
+            journal: Mutex::new(j),
             seq: AtomicU64::new(committed),
             applied: AtomicU64::new(applied),
             apply_gate: RwLock::new(()),
@@ -499,7 +509,7 @@ impl TxnEngine {
     /// ```
     pub fn pending(&self) -> bool {
         let j = self.journal.lock();
-        self.pool.load_u64(j.off + J_COMMITTED) != self.pool.load_u64(j.off + J_APPLIED)
+        j.committed().load(&self.pool) != j.applied().load(&self.pool)
     }
 
     /// The engine's epoch domain — the pin point [`Snapshot`]s use, and
@@ -512,27 +522,19 @@ impl TxnEngine {
     /// Grows the journal region to hold at least `need` entries. Only
     /// called with the journal quiescent (committed == applied), so the
     /// staged entries need not move: the fresh region carries the
-    /// committed/applied words forward and is published with the same
-    /// failure-atomic pointer flip as a shard-manifest commit. A crash
+    /// committed/applied words forward and is published through
+    /// [`CommitCell::JOURNAL`], as a shard manifest is. A crash
     /// between flip and free leaks the old region — the documented PM
     /// allocator trade-off.
     fn ensure_capacity(&self, j: &mut Journal, need: u64) -> Result<(), IndexError> {
         if need <= j.cap {
             return Ok(());
         }
-        let committed = self.pool.load_u64(j.off + J_COMMITTED);
+        let committed = j.committed().load(&self.pool);
         let cap = need.next_power_of_two().max(j.cap * 2);
-        let off = self.pool.alloc(region_bytes(cap), 8)?;
-        self.pool.store_u64(off, J_MAGIC);
-        self.pool.store_u64(off + J_COMMITTED, committed);
-        self.pool.store_u64(off + J_APPLIED, committed);
-        self.pool.store_u64(off + J_COUNT, 0);
-        self.pool.store_u64(off + J_CAP, cap);
-        self.pool.persist(off, J_ENTRIES);
         let old = *j;
-        self.pool.set_txn_journal(off);
+        *j = Journal::publish(&self.pool, committed, cap)?;
         self.pool.free(old.off, region_bytes(old.cap));
-        *j = Journal { off, cap };
         Ok(())
     }
 
@@ -692,8 +694,8 @@ impl TxnEngine {
             }
         }
         let mut j = self.journal.lock();
-        let committed = self.pool.load_u64(j.off + J_COMMITTED);
-        if committed != self.pool.load_u64(j.off + J_APPLIED) {
+        let committed = j.committed().load(&self.pool);
+        if committed != j.applied().load(&self.pool) {
             return Err(IndexError::Unsupported(
                 "journal holds a committed batch not yet applied; run recover() first".into(),
             ));
@@ -728,8 +730,7 @@ impl TxnEngine {
         // (no member batch ever happened); after it, recovery replays
         // them all.
         let seq = committed + 1;
-        self.pool.store_u64(j.off + J_COMMITTED, seq);
-        self.pool.persist(j.off + J_COMMITTED, 8);
+        j.committed().publish(&self.pool, seq);
         pmem::stats::count_txn_commit();
         self.seq.store(seq, Ordering::SeqCst);
         // 2b. SHIP: the group is durably committed, so hand it to the
@@ -756,8 +757,7 @@ impl TxnEngine {
         // 4. RETIRE: mark applied so the next commit can reuse the
         // region. Crashing before this store merely makes recovery
         // replay an already-applied batch — idempotence absorbs it.
-        self.pool.store_u64(j.off + J_APPLIED, seq);
-        self.pool.persist(j.off + J_APPLIED, 8);
+        j.applied().publish(&self.pool, seq);
         Ok(seq)
     }
 
@@ -789,8 +789,8 @@ impl TxnEngine {
     /// committed-but-unapplied, so recovery can be retried).
     pub fn recover<T: PmIndex + ?Sized>(&self, tables: &[&T]) -> Result<usize, IndexError> {
         let j = self.journal.lock();
-        let committed = self.pool.load_u64(j.off + J_COMMITTED);
-        let applied = self.pool.load_u64(j.off + J_APPLIED);
+        let committed = j.committed().load(&self.pool);
+        let applied = j.applied().load(&self.pool);
         self.seq.store(committed, Ordering::SeqCst);
         if committed == applied {
             self.applied.store(committed, Ordering::SeqCst);
@@ -798,6 +798,12 @@ impl TxnEngine {
             return Ok(0);
         }
         let n = self.pool.load_u64(j.off + J_COUNT);
+        if n > j.cap {
+            return Err(IndexError::Unsupported(format!(
+                "journal at {:#x} is corrupt: {n} entries in a region for {}",
+                j.off, j.cap
+            )));
+        }
         let mut ops = Vec::with_capacity(n as usize);
         for i in 0..n {
             let base = j.off + J_ENTRIES + i * ENTRY_WORDS * 8;
@@ -832,8 +838,7 @@ impl TxnEngine {
             self.applied.store(committed, Ordering::SeqCst);
         }
         pmem::stats::count_txn_replays(n);
-        self.pool.store_u64(j.off + J_APPLIED, committed);
-        self.pool.persist(j.off + J_APPLIED, 8);
+        j.applied().publish(&self.pool, committed);
         self.epoch.flush();
         Ok(n as usize)
     }
@@ -990,13 +995,17 @@ mod tests {
     #[test]
     fn journal_grows_past_initial_capacity() {
         let (pool, tree, engine) = mk();
-        let before = pool.txn_journal();
+        let before = CommitCell::JOURNAL.load(&pool);
         let mut b = WriteBatch::new();
         for k in 1..=(3 * INITIAL_CAPACITY) {
             b.put(0, k, k + 1);
         }
         engine.commit(b, &[&tree]).unwrap();
-        assert_ne!(pool.txn_journal(), before, "journal region did not move");
+        assert_ne!(
+            CommitCell::JOURNAL.load(&pool),
+            before,
+            "journal region did not move"
+        );
         for k in 1..=(3 * INITIAL_CAPACITY) {
             assert_eq!(tree.get(k), Some(k + 1));
         }
