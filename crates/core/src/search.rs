@@ -132,35 +132,70 @@ pub(crate) fn leaf_search_binary(
 /// retry protocol; used by range scans and the full-tree iterator on
 /// leaves, and by the leaf-directory build on the levels above them.
 ///
-/// Entries are returned in slot order. During a shift the same key can
-/// transiently occupy two adjacent slots as an exact duplicate (same
-/// value); the key dedup below keeps one of them, and the switch-counter
-/// re-check discards any scan that overlapped a shift.
+/// Entries are returned in slot order, read in the direction the switch
+/// counter names (Algorithm 3, as [`leaf_search_linear`]): a delete bumps
+/// the counter odd *before* it shifts left, so a scan that read the odd
+/// counter sees the same value at its re-check — only scanning against the
+/// shift (right to left) keeps a survivor from moving into a slot the scan
+/// has already passed. During a shift the same key can transiently occupy
+/// two adjacent slots as an exact duplicate (same value); the key dedup
+/// below keeps one of them, and the switch-counter re-check discards any
+/// scan that overlapped a later shift.
 pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, Value)> {
     let cap = tree.cap;
     loop {
         let sc = node.switch_counter();
         let mut out = Vec::new();
-        let mut i: u16 = 0;
-        while i <= cap {
-            let p = node.ptr(i);
-            if p == NULL_OFFSET {
-                break;
+        // Slot `i`, whose pointer read `p`: `None` when empty or poisoned,
+        // `Err(())` when the pointer was rewritten before the key read was
+        // confirmed — possibly the same key overwritten in place, which
+        // bumps no counter: look again rather than skip a key that is there.
+        let entry = |i: u16, p: Value| -> Result<Option<(Key, Value)>, ()> {
+            if p == NULL_OFFSET || p == INVALID_PTR {
+                return Ok(None);
             }
-            if p != INVALID_PTR {
-                let k = node.key(i);
-                if node.ptr(i) != p {
-                    // Rewritten between the two reads — possibly the same
-                    // key overwritten in place, which bumps no counter:
-                    // look again rather than skip a key that is there.
-                    continue;
+            let k = node.key(i);
+            if node.ptr(i) != p {
+                return Err(());
+            }
+            Ok(Some((k, p)))
+        };
+        let scanned = if sc.is_multiple_of(2) {
+            // Left to right, following the insert shift direction.
+            let mut i: u16 = 0;
+            while i <= cap {
+                let p = node.ptr(i);
+                if p == NULL_OFFSET {
+                    break;
                 }
-                out.push((k, p));
+                match entry(i, p) {
+                    Err(()) => continue,
+                    Ok(found) => out.extend(found),
+                }
+                i += 1;
             }
-            i += 1;
-        }
+            i
+        } else {
+            // Right to left, following the delete shift direction; slots
+            // above the terminator were nulled before the counter went odd
+            // (`enter_delete_direction`).
+            let top = cap.min(node.count_hint().saturating_add(2));
+            let mut i = top;
+            loop {
+                match entry(i, node.ptr(i)) {
+                    Err(()) => continue,
+                    Ok(found) => out.extend(found),
+                }
+                if i == 0 {
+                    break;
+                }
+                i -= 1;
+            }
+            out.reverse();
+            top + 1
+        };
         if node.is_cold() {
-            node.charge_linear_scan(i);
+            node.charge_linear_scan(scanned);
         }
         if node.switch_counter() == sc {
             // A crashed shift can leave an entry twice at adjacent slots

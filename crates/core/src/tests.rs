@@ -1016,6 +1016,60 @@ fn delete_while_scanning() {
     t.check_consistency(true).unwrap();
 }
 
+/// Algorithm 3's direction rule on the entry read behind every cursor: in
+/// one leaf, a delete of the first key shifts every survivor one slot left
+/// while scans run. Its switch counter went odd *before* the shift, so a
+/// scan that read the odd counter sees the same value at its re-check; a
+/// left-to-right scan of that window steps past a survivor the shift moves
+/// into a slot it has already read, and nothing retries it. Scanning right
+/// to left on an odd counter, as point search and routing do, cannot.
+#[test]
+fn scans_see_every_survivor_of_a_left_shift_in_one_leaf() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let p = pool(16);
+    let t = tree_with(&p, TreeOptions::new().node_size(256));
+    for k in (10..=100u64).step_by(10) {
+        t.insert(k, k + 1).unwrap();
+    }
+    assert_eq!(t.height(), 0, "the probe needs one leaf");
+    let survivors: Vec<(u64, u64)> = (20..=100u64).step_by(10).map(|k| (k, k + 1)).collect();
+    let stop = AtomicBool::new(false);
+    let bad = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..200_000 {
+                assert!(t.remove(10));
+                t.insert(10, 11).unwrap();
+            }
+            stop.store(true, Ordering::Release);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    let mut c = t.cursor();
+                    c.seek(0);
+                    let mut seen = Vec::with_capacity(10);
+                    while let Some(kv) = c.next() {
+                        if kv.0 != 10 {
+                            seen.push(kv);
+                        }
+                    }
+                    if seen != survivors {
+                        bad.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        bad.load(Ordering::Relaxed),
+        0,
+        "scans that missed a survivor"
+    );
+    t.check_consistency(true).unwrap();
+}
+
 /// An in-place overwrite is one pointer store — no shift, no switch-counter
 /// bump — so a lock-free reader whose key match straddles it sees the
 /// pointer change under it. It must look again, not step past the key: a

@@ -287,9 +287,8 @@ fn a_failed_commit_leaves_nothing_in_flight() {
     assert_eq!(c.get(2).unwrap(), None);
 }
 
-/// Shutdown with a lane full of work. (The drain loop proper only has
-/// work when a submission slips in between the worker's last timeout and
-/// its exit; it runs the same `process_group` as everything here.)
+/// Shutdown with a lane full of work: the worker serves the rest of its
+/// queue after the stop flag is up, through the same `process_group`.
 #[test]
 fn a_shutdown_over_queued_work_leaves_nothing_in_flight() {
     let (store, engine, mut service) = rig(ServiceConfig::default());

@@ -10,7 +10,11 @@
 //!   batches**: take the first request (blocking), then opportunistically
 //!   drain whatever else has queued, up to
 //!   [`ServiceConfig::max_group`] — under load groups grow, idle they
-//!   shrink to 1 and latency stays flat.
+//!   shrink to 1 and latency stays flat. Booting a service starts no
+//!   thread: a lane's worker starts on the lane's first queued request,
+//!   so a restart answers reads that skip the queue
+//!   ([`ClientHandle::get_stale`]) as soon as its tables are open and its
+//!   journal replayed.
 //! * Writes commit through **group commit**: every drained client
 //!   write is staged into one [`txn::TxnEngine::commit_grouped_prev`] call —
 //!   one staging persist, ONE sequence-number store + fence, one
@@ -92,6 +96,8 @@
 mod inflight;
 #[cfg(test)]
 mod inline_tests;
+#[cfg(test)]
+mod lifecycle_tests;
 mod stats;
 
 pub use stats::{LatencyHistogram, OpClass, OpStats, ServiceStats};
@@ -121,6 +127,10 @@ pub enum ServiceError {
     ShuttingDown,
     /// The storage layer failed the request.
     Index(IndexError),
+    /// The lane's worker thread could not be started (the operating
+    /// system refused the spawn, for the reason given): the request was
+    /// not executed, and the lane's next request tries again.
+    WorkerUnavailable(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -129,6 +139,9 @@ impl fmt::Display for ServiceError {
             ServiceError::Overloaded => write!(f, "service overloaded: request shed at admission"),
             ServiceError::ShuttingDown => write!(f, "service shutting down"),
             ServiceError::Index(e) => write!(f, "index error: {e}"),
+            ServiceError::WorkerUnavailable(why) => {
+                write!(f, "service worker did not start: {why}")
+            }
         }
     }
 }
@@ -155,9 +168,12 @@ pub enum Admission {
 /// Construction-time knobs for a [`Service`].
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (and request queues). Single-key traffic for one
-    /// key always lands on the same lane, so per-key operations
-    /// serialize per lane without any cross-lane locking.
+    /// Request queues, each with its own worker thread. Single-key
+    /// traffic for one key always lands on the same lane, so per-key
+    /// operations serialize per lane without any cross-lane locking. A
+    /// lane's worker starts on the first request queued to it — boot
+    /// starts no thread, and a lane that never queues a request never
+    /// gets one.
     pub lanes: usize,
     /// Queued requests per lane before admission control engages.
     pub queue_capacity: usize,
@@ -165,8 +181,9 @@ pub struct ServiceConfig {
     pub max_group: usize,
     /// Full-queue policy.
     pub admission: Admission,
-    /// How long an idle worker sleeps between queue checks (also the
-    /// shutdown-latency bound).
+    /// How long an idle worker waits for a request before it looks at
+    /// the stop flag again. [`Service::shutdown`] wakes a waiting worker
+    /// itself, so this bounds neither shutdown nor any request.
     pub idle_timeout: Duration,
     /// Route single-key requests with this partitioning (lane =
     /// `shard_of(key) % lanes`) so lanes align with the backing
@@ -424,6 +441,25 @@ impl ReadRotation {
     }
 }
 
+/// What a lane's queue carries: a request, or — `None` — the wake-up
+/// [`Service::shutdown`] sends a worker that may be asleep.
+type Msg = Option<Request>;
+
+/// One lane's worker, which the lane's first queued request starts.
+struct LaneWorker {
+    state: parking_lot::Mutex<WorkerState>,
+    /// Set once the worker runs: all a submit reads after that.
+    started: AtomicBool,
+}
+
+enum WorkerState {
+    /// No thread yet: the queue's consumer end waits here.
+    Unstarted(Receiver<Msg>),
+    Started(JoinHandle<()>),
+    /// Shut down (and joined, if it had started).
+    Closed,
+}
+
 struct Shared<I> {
     tables: Vec<Arc<I>>,
     engine: Arc<TxnEngine>,
@@ -434,17 +470,102 @@ struct Shared<I> {
     max_group: usize,
     admission: Admission,
     idle_timeout: Duration,
-    lanes: usize,
+    workers: Box<[LaneWorker]>,
     affinity: Option<shard::Partitioning>,
     pin_domains: Vec<Arc<epoch::EpochDomain>>,
+    /// Worker threads between their start and their return.
+    #[cfg(test)]
+    running: AtomicUsize,
+    /// Spawns still to refuse, as if the operating system had.
+    #[cfg(test)]
+    refuse_spawns: AtomicUsize,
 }
 
 impl<I> Shared<I> {
+    fn lanes(&self) -> usize {
+        self.workers.len()
+    }
+
     fn lane_of(&self, key: Key) -> usize {
         match &self.affinity {
-            Some(p) => p.shard_of(key) % self.lanes,
+            Some(p) => p.shard_of(key) % self.lanes(),
             // Fibonacci hashing: spread adjacent keys across lanes.
-            None => (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.lanes,
+            None => (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.lanes(),
+        }
+    }
+}
+
+impl<I: PmIndex + Send + Sync + 'static> Shared<I> {
+    /// Makes sure `lane` has a worker before a request is offered to its
+    /// queue: after the first start, one flag read.
+    fn start_worker(self: &Arc<Self>, lane: usize) -> Result<(), ServiceError> {
+        let worker = &self.workers[lane];
+        if worker.started.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        // Shutdown closes the lane under this lock, so a submit racing it
+        // either starts a worker shutdown then finds and joins, or finds
+        // the lane closed: never a thread nobody joins. And once the stop
+        // flag is up, nothing new starts.
+        let mut state = worker.state.lock();
+        if self.stop.load(Ordering::SeqCst) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        match std::mem::replace(&mut *state, WorkerState::Closed) {
+            WorkerState::Unstarted(rx) => match self.spawn_worker(lane, rx) {
+                Ok(handle) => {
+                    *state = WorkerState::Started(handle);
+                    worker.started.store(true, Ordering::Release);
+                    Ok(())
+                }
+                Err((rx, e)) => {
+                    *state = WorkerState::Unstarted(rx);
+                    Err(ServiceError::WorkerUnavailable(e.to_string()))
+                }
+            },
+            started @ WorkerState::Started(_) => {
+                *state = started;
+                Ok(())
+            }
+            WorkerState::Closed => Err(ServiceError::ShuttingDown),
+        }
+    }
+
+    /// Spawns `lane`'s worker, then hands it the queue: a spawn that
+    /// fails has taken nothing, and gives `rx` back.
+    fn spawn_worker(
+        self: &Arc<Self>,
+        lane: usize,
+        rx: Receiver<Msg>,
+    ) -> Result<JoinHandle<()>, (Receiver<Msg>, std::io::Error)> {
+        #[cfg(test)]
+        if self
+            .refuse_spawns
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            return Err((rx, std::io::Error::other("spawn refused by the test")));
+        }
+        let (give, take) = oneshot::channel::<Receiver<Msg>>();
+        let shared = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name(format!("service-worker-{lane}"))
+            .spawn(move || {
+                #[cfg(test)]
+                shared.running.fetch_add(1, Ordering::SeqCst);
+                if let Ok(rx) = take.recv() {
+                    worker_loop(&shared, lane, &rx);
+                }
+                #[cfg(test)]
+                shared.running.fetch_sub(1, Ordering::SeqCst);
+            });
+        match spawned {
+            Ok(handle) => {
+                // The thread is alive and waits for exactly this.
+                let _ = give.send(rx);
+                Ok(handle)
+            }
+            Err(e) => Err((rx, e)),
         }
     }
 }
@@ -457,19 +578,19 @@ impl<I> Shared<I> {
 /// plus a read-replica rotation) or, on a warm restart, with
 /// [`Service::from_catalog`]. Clone handles off it with
 /// [`Service::handle`]; drop (or [`Service::shutdown`]) to stop the
-/// workers after they drain their queues.
+/// workers after they drain their queues. Construction starts no thread:
+/// each lane's worker starts on the first request queued to that lane.
 ///
 /// See the crate docs for a full walkthrough.
 pub struct Service<I: PmIndex + Send + Sync + 'static> {
     shared: Arc<Shared<I>>,
-    senders: Vec<Sender<Request>>,
-    workers: Vec<JoinHandle<()>>,
+    senders: Vec<Sender<Msg>>,
 }
 
 impl<I: PmIndex + Send + Sync + 'static> fmt::Debug for Service<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Service")
-            .field("lanes", &self.shared.lanes)
+            .field("lanes", &self.shared.lanes())
             .field("tables", &self.shared.tables.len())
             .finish()
     }
@@ -550,7 +671,7 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     ///
     /// [`IndexError::Unsupported`] when `engine` is `None` — a service
     /// commits through a txn engine, so one must be named — before any
-    /// store is opened or any worker starts. Otherwise propagates
+    /// store is opened. Otherwise propagates
     /// catalog lookup, store-open, and journal-recovery failures.
     ///
     /// # Panics
@@ -589,6 +710,16 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
         assert!(!tables.is_empty(), "a service needs at least one table");
         assert!(config.lanes > 0, "a service needs at least one lane");
         assert!(config.max_group > 0, "max_group must be at least 1");
+        let (senders, workers): (_, Vec<_>) = (0..config.lanes)
+            .map(|_| {
+                let (tx, rx) = crossbeam_channel::bounded(config.queue_capacity);
+                let worker = LaneWorker {
+                    state: parking_lot::Mutex::new(WorkerState::Unstarted(rx)),
+                    started: AtomicBool::new(false),
+                };
+                (tx, worker)
+            })
+            .unzip();
         let shared = Arc::new(Shared {
             tables,
             engine,
@@ -599,28 +730,15 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
             max_group: config.max_group,
             admission: config.admission,
             idle_timeout: config.idle_timeout,
-            lanes: config.lanes,
+            workers: workers.into(),
             affinity: config.affinity,
             pin_domains: config.pin_domains,
+            #[cfg(test)]
+            running: AtomicUsize::new(0),
+            #[cfg(test)]
+            refuse_spawns: AtomicUsize::new(0),
         });
-        let mut senders = Vec::with_capacity(config.lanes);
-        let mut workers = Vec::with_capacity(config.lanes);
-        for lane in 0..config.lanes {
-            let (tx, rx) = crossbeam_channel::bounded(config.queue_capacity);
-            senders.push(tx);
-            let shared2 = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("service-worker-{lane}"))
-                    .spawn(move || worker_loop(&shared2, lane, &rx))
-                    .expect("spawn service worker"),
-            );
-        }
-        Service {
-            shared,
-            senders,
-            workers,
-        }
+        Service { shared, senders }
     }
 
     /// A new client handle; clone it (or call again) for more clients.
@@ -638,7 +756,7 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
 
     /// Number of worker lanes.
     pub fn lanes(&self) -> usize {
-        self.shared.lanes
+        self.shared.lanes()
     }
 
     /// The read-replica rotation, when the service was built with
@@ -662,14 +780,36 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
         self.shared.inflight.is_zero()
     }
 
-    /// Stops accepting work, drains every queue, and joins the workers.
-    /// Requests already queued are served; requests submitted after the
-    /// drain fail with [`ServiceError::ShuttingDown`]. Also invoked by
-    /// `Drop`.
+    /// Lanes whose worker has started.
+    #[cfg(test)]
+    fn started_workers(&self) -> usize {
+        let started = |w: &&LaneWorker| w.started.load(Ordering::Acquire);
+        self.shared.workers.iter().filter(started).count()
+    }
+
+    /// Stops accepting work, drains every queue, and joins the workers
+    /// that started — woken at once, not after an idle wait. Requests
+    /// already queued are served; requests submitted after the drain fail
+    /// with [`ServiceError::ShuttingDown`], and a lane whose worker never
+    /// started is closed without one. Also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        let mut started = Vec::new();
+        for (worker, tx) in self.shared.workers.iter().zip(&self.senders) {
+            // An unstarted lane's queue closes here, and is empty: a
+            // request is offered only once its lane's worker runs.
+            if let WorkerState::Started(handle) =
+                std::mem::replace(&mut *worker.state.lock(), WorkerState::Closed)
+            {
+                // A worker asleep on its queue wakes to this. On a full
+                // queue the worker has work, and looks at the stop flag
+                // after it.
+                let _ = tx.try_send(None);
+                started.push(handle);
+            }
+        }
+        for handle in started {
+            let _ = handle.join();
         }
     }
 }
@@ -688,7 +828,7 @@ impl<I: PmIndex + Send + Sync + 'static> Drop for Service<I> {
 /// client pipeline many requests into the same commit group.
 pub struct ClientHandle<I: PmIndex + Send + Sync + 'static> {
     shared: Arc<Shared<I>>,
-    senders: Vec<Sender<Request>>,
+    senders: Vec<Sender<Msg>>,
 }
 
 impl<I: PmIndex + Send + Sync + 'static> Clone for ClientHandle<I> {
@@ -709,7 +849,9 @@ impl<I: PmIndex + Send + Sync + 'static> fmt::Debug for ClientHandle<I> {
 }
 
 impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
-    /// Offers `req` to `lane`'s queue and hands back the ticket for `rx`.
+    /// Offers `req` to `lane`'s queue — starting the lane's worker first,
+    /// if this is the lane's first request — and hands back the ticket
+    /// for `rx`.
     fn submit<T>(
         &self,
         lane: usize,
@@ -721,11 +863,12 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         if shared.stop.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
+        self.shared.start_worker(lane)?;
         // Counted in flight before a worker can see it, so the counts
         // never run behind the queue; taken back if admission refuses.
         shared.inflight.admit(lane, req.write_keys());
         let refused = match shared.admission {
-            Admission::Shed => self.senders[lane].try_send(req).map_err(|e| match e {
+            Admission::Shed => self.senders[lane].try_send(Some(req)).map_err(|e| match e {
                 TrySendError::Full(req) => {
                     shared.stats.note_shed(class);
                     (req, ServiceError::Overloaded)
@@ -733,11 +876,12 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
                 TrySendError::Disconnected(req) => (req, ServiceError::ShuttingDown),
             }),
             Admission::Park => self.senders[lane]
-                .send(req)
+                .send(Some(req))
                 .map_err(|SendError(req)| (req, ServiceError::ShuttingDown)),
         };
         if let Err((req, e)) = refused {
-            shared.inflight.retire(lane, 1, req.write_keys());
+            let write_keys = req.iter().flat_map(Request::write_keys);
+            shared.inflight.retire(lane, 1, write_keys);
             return Err(e);
         }
         // Counted once a queue holds it: sheds and refusals are not.
@@ -988,39 +1132,42 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
     }
 }
 
-fn worker_loop<I: PmIndex>(shared: &Shared<I>, lane: usize, rx: &Receiver<Request>) {
+fn worker_loop<I: PmIndex>(shared: &Shared<I>, lane: usize, rx: &Receiver<Msg>) {
     // The current group's write keys, from its arrival to its retire: one
     // buffer for the worker's life, so a write allocates nothing for it.
     let mut write_keys = Vec::new();
     loop {
-        // Spins (`crossbeam_channel::SPIN_BOUND`) while the clients keep
-        // pace, sleeps at once while they do not.
-        let first = match rx.recv_timeout(shared.idle_timeout) {
-            Ok(req) => req,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    // Drain-and-exit: serve everything already queued.
-                    while let Ok(req) = rx.try_recv() {
-                        process_group(shared, lane, vec![req], 0, &mut write_keys);
-                    }
-                    return;
-                }
-                continue;
+        let first = if shared.stop.load(Ordering::SeqCst) {
+            // Shutting down: serve everything already queued, then leave.
+            match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(_) => return,
             }
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
+        } else {
+            // Spins (`crossbeam_channel::SPIN_BOUND`) while the clients
+            // keep pace, sleeps at once while they do not.
+            match rx.recv_timeout(shared.idle_timeout) {
+                Ok(msg) => msg,
+                Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
+                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
+            }
         };
+        // `None` is shutdown's wake-up: the stop flag is already set.
+        let Some(first) = first else { continue };
         let backlog = rx.len();
         let rest = backlog.min(shared.max_group - 1);
         let mut group = Vec::with_capacity(1 + rest);
         group.push(first);
         if rest > 0 {
-            // The rest of the group under one acquisition of the queue.
-            group.extend(rx.try_iter().take(rest));
+            // The rest of the group under one acquisition of the queue; a
+            // wake-up taken here is answered by the stop check above.
+            group.extend(rx.try_iter().take(rest).flatten());
         }
         process_group(shared, lane, group, backlog as u64, &mut write_keys);
         // Self-harvest this thread's persistence counters into the
         // service-level gauges (thread-local stats never leave the
-        // worker otherwise).
+        // worker otherwise) — after every group, those served once
+        // shutdown began included, so no way out leaves any behind.
         shared.stats.harvest_pmem(&pmem::stats::take());
     }
 }
