@@ -3,9 +3,10 @@
 //! [`FastFairTree::bulk_load_sorted`] builds a tree from an ascending key
 //! stream at layout level: leaves are packed record-by-record with plain
 //! stores and persisted **once** (one `clflush` per cache line — the
-//! minimum the hardware allows), siblings are linked as they are built, and
-//! each upper level is assembled from the fence keys (first key) of the
-//! level below, exactly like an offline B+-tree build. Nothing is reachable
+//! minimum the hardware allows), siblings are linked as they are built —
+//! each node's high key is the next node's fence key — and each upper
+//! level is assembled from the fence keys (first key) of the level below,
+//! exactly like an offline B+-tree build. Nothing is reachable
 //! until the very end, so the only commit point is the single persisted
 //! 8-byte store of the root pointer into the superblock — a crash at any
 //! earlier instant leaves the old (empty) tree intact and merely leaks the
@@ -89,12 +90,14 @@ impl<'a> LevelBuilder<'a> {
         Ok(())
     }
 
-    /// Closes the node being filled and queues it for linking + persist.
+    /// Closes the node being filled and queues it for linking + persist:
+    /// its fence key is the previous node's high key.
     fn finish_open(&mut self) {
         if let Some((off, fence, _)) = self.open.take() {
             if let Some(prev) = self.unflushed.take() {
                 let p = self.tree.node(prev);
                 p.set_sibling(off);
+                p.set_high_key(fence);
                 self.persist_node(prev);
             }
             self.fences.push((fence, off));

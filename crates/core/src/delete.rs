@@ -84,7 +84,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
                 continue 'retry;
             }
             repair_node_locked(tree, node);
-            match tree.covering_sibling(node, key) {
+            match node.right_of(key) {
                 Some(sib) => {
                     let next = WriteGuard::lock(&tree.pool, tree.node(sib).lock_word_off());
                     guard.unlock();
@@ -155,44 +155,56 @@ pub(crate) fn shift_left_from(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, c
 
 /// Lazy recovery, run by every writer right after locking a node (§4.2):
 ///
-/// 1. completes a half-finished FAIR split — if the right sibling's first
-///    key falls inside this node's key range (Fig. 2 state (2)), the
-///    truncation store is re-issued;
+/// 1. completes a FAIR split a crash cut short (Fig. 2 state (2)): lowers
+///    a high key the split never lowered, then re-issues the truncation
+///    of the records at or above the high key;
 /// 2. removes garbage entries — poisoned slots ([`INVALID_PTR`]) and exact
 ///    duplicates of their left neighbour (same key and pointer) — the
 ///    residue of a crashed FAST shift or delete compaction.
 ///
-/// Idempotent and cheap on clean nodes (one linear scan).
-pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
+/// Returns true if it completed a split. Idempotent and cheap on clean
+/// nodes (one linear scan).
+pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool {
     let pool = node.pool();
+    let mut completed = false;
 
-    // Step 1: complete a crashed split's truncation.
+    // Step 1: complete a crashed split. Only a crash leaves a sibling with
+    // this node's own high key: a split that never lowered it, or (the
+    // sibling empty) a merge that raised it before its bypass. The lost
+    // separator is a leaf sibling's first key — nothing reaches it but
+    // through this repair — or the key routing to its leftmost child.
     let sib_off = node.sibling();
     if sib_off != NULL_OFFSET {
         let sib = tree.node(sib_off);
-        if let Some(sfk) = sib.first_key() {
-            let cnt = node.count_records();
-            // Find the first slot whose key is >= the sibling's first key;
-            // in a clean node no such slot exists.
-            let mut s: Option<u16> = None;
-            for i in 0..cnt {
-                if node.entry_valid(i) && node.key(i) >= sfk {
-                    s = Some(i);
-                    break;
-                }
+        if sib.high_key() == node.high_key() {
+            let sep = if node.is_leaf() {
+                sib.first_key()
+            } else {
+                let child = sib.leftmost();
+                (0..node.count_records())
+                    .find(|&i| node.ptr(i) == child)
+                    .map(|i| node.key(i))
+            };
+            if let Some(sep) = sep {
+                node.set_high_key(sep);
+                node.persist_header();
+                completed = true;
             }
-            if let Some(s) = s {
-                // Insert direction first, as the split itself does: readers
-                // must not start above the terminator this is about to set.
-                let sc = node.switch_counter();
-                if sc % 2 == 1 {
-                    node.set_switch_counter(sc + 1);
-                    pool.persist(node.sibling_field_off(), 8);
-                }
-                node.set_ptr(s, NULL_OFFSET);
-                pool.persist(node.ptr_off(s), 8);
-                node.set_count_hint(s);
+        }
+        let high = node.high_key();
+        let cnt = node.count_records();
+        if let Some(s) = (0..cnt).find(|&i| node.entry_valid(i) && node.key(i) >= high) {
+            // Insert direction first, as the split itself does: readers
+            // must not start above the terminator this is about to set.
+            let sc = node.switch_counter();
+            if sc % 2 == 1 {
+                node.set_switch_counter(sc + 1);
+                node.persist_header();
             }
+            node.set_ptr(s, NULL_OFFSET);
+            pool.persist(node.ptr_off(s), 8);
+            node.set_count_hint(s);
+            completed = true;
         }
     }
 
@@ -218,4 +230,5 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) {
             break;
         }
     }
+    completed
 }

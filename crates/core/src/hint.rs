@@ -65,19 +65,15 @@ struct Directory {
 /// 4. **Protocol.** A directed operation is a descending operation that
 ///    arrived late. From the leaf [`FastFairTree::locate_leaf`] returns,
 ///    readers run the lock-free scan with its switch-counter recheck and
-///    `covering_sibling`, writers latch → `is_deleted` →
-///    `repair_node_locked` → `covering_sibling` → `find_valid_slot`, and a
-///    cursor moves right to the covering leaf before it reads — exactly as
-///    after a descent — and a writer that has to retry retries by descent.
-///    One rule is added for the one decision a late arrival must not make:
-///    a directed writer inserts a *fresh* key only strictly below the
-///    leaf's largest key, or into the last leaf of the chain (anything
-///    else descends), because "the next sibling's first key is above it"
-///    proves the leaf covers the key only to a writer that came through
-///    the parent just now. (A directed writer that hops right also runs
-///    the dangling-sibling repair a descending one runs, though a stale
-///    directory is the likelier reason for the hop by far: that repair
-///    heals more than crashes — see `split::ensure_parent_entry`.)
+///    the high-key move-right, writers latch → `is_deleted` →
+///    `repair_node_locked` → move right → `find_valid_slot`, and a cursor
+///    moves right to the covering leaf before it reads — exactly as after
+///    a descent — and a writer that has to retry retries by descent. A
+///    leaf's high key bounds it whenever the writer arrives, so a late
+///    arrival makes every decision a descending one makes. Only the
+///    dangling-sibling repair (`split::ensure_parent_entry`) is left to
+///    descending writers: a directed writer's hop says only that the
+///    directory is older than a split.
 ///
 /// # Rebuild rule
 ///
@@ -243,7 +239,7 @@ impl FastFairTree {
     /// seeks enter through here: a binary search of the directory and one
     /// charged hop to the leaf it names — believed only if invariant 2
     /// holds and the block is a live leaf — otherwise [`find_leaf`]. Either
-    /// way the caller moves right from there while `covering_sibling` says
+    /// way the caller moves right from there while the leaf's high key says
     /// so, under its own protocol, and reports how it went to [`settle`].
     /// `pin` is the operation's pin of this tree's epoch domain.
     ///

@@ -73,11 +73,12 @@ enum WriteMode {
 /// value when the key already existed.
 ///
 /// Level 0 means the leaf level; higher levels are used by FAIR parent
-/// updates, where an already-routed child means another thread (or a
+/// updates, where an existing separator means another thread (or a
 /// pre-crash writer) finished the update first — the idempotence §4.2
-/// relies on. A leaf-level write passes its `pin` and makes its first
-/// attempt from the leaf [`FastFairTree::locate_leaf`] names; every retry,
-/// and every write above the leaves, descends.
+/// relies on: a child's separator is its lower bound, which never moves.
+/// A leaf-level write passes its `pin` and makes its first attempt from
+/// the leaf [`FastFairTree::locate_leaf`] names; every retry, and every
+/// write above the leaves, descends.
 fn write_entry(
     tree: &FastFairTree,
     level: u32,
@@ -109,6 +110,8 @@ fn write_entry(
         // Phase 2: lock, repair leftovers, move right as needed.
         let mut guard = WriteGuard::lock(&tree.pool, tree.node(off).lock_word_off());
         let mut node = tree.node(off);
+        // The last node reached through a sibling pointer, with its lower
+        // bound: the high key of the node the writer moved right from.
         let mut redirected = None;
         let mut hops = 0;
         loop {
@@ -122,14 +125,14 @@ fn write_entry(
             // Lazy recovery (§4.2): only writers repair tolerable
             // inconsistency, and they do it before using the node.
             crate::delete::repair_node_locked(tree, node);
-            match tree.covering_sibling(node, key) {
+            match node.right_of(key) {
                 Some(sib) => {
                     // Hand-over-hand to the right (B-link).
                     let next = WriteGuard::lock(&tree.pool, tree.node(sib).lock_word_off());
+                    redirected = Some((sib, node.high_key()));
                     guard.unlock();
                     guard = next;
                     node = tree.visit(sib);
-                    redirected = Some(sib);
                     hops += 1;
                 }
                 None => break,
@@ -151,12 +154,8 @@ fn write_entry(
             // Update-only contract: absent key, leave the node untouched.
             guard.unlock();
             None
-        } else if level > 0 && (routes_to(node, value) || tree.node(value).is_deleted()) {
-            // The child already has a routing entry under another
-            // separator (its first keys were deleted since, and the
-            // separator offered here is its *current* first key): a second
-            // entry would outlive the merge that unlinks the child. Or the
-            // child was emptied, unlinked and retired while this parent
+        } else if level > 0 && tree.node(value).is_deleted() {
+            // The child was emptied, unlinked and retired while this parent
             // update was on its way (a writer redirected through a sibling
             // pointer reads the separator long before it gets here): the
             // merge marks it deleted under this same parent latch, so the
@@ -167,20 +166,6 @@ fn write_entry(
             None
         } else {
             let cnt = node.count_records();
-            let inside = node.sibling() == NULL_OFFSET || (cnt > 0 && node.key(cnt - 1) > key);
-            if directed && !inside {
-                // `covering_sibling` proves this leaf covers a key only to
-                // a writer the parent routed here just now. The directory
-                // may be older than the right sibling's split, whose lower
-                // bound can sit at or below `key` with its first keys
-                // deleted since. A key below one this repaired leaf already
-                // holds is below that bound whatever it is, and the last
-                // leaf of the chain has no such sibling; any other fresh
-                // key descends (`crate::hint`, invariant 4).
-                guard.unlock();
-                tree.regret_directory(1);
-                continue 'retry;
-            }
             if cnt < tree.cap {
                 stats::timed(stats::Phase::Update, || {
                     fast_insert_locked(tree, node, key, value, cnt)
@@ -200,19 +185,15 @@ fn write_entry(
         };
         tree.settle(directed, hops);
 
-        // Reaching a node through its sibling pointer triggers the parent
-        // update of a dangling sibling (§4.2); idempotent if already done.
-        if let Some(sib) = redirected {
-            crate::split::ensure_parent_entry(tree, sib, level + 1)?;
+        // A descending writer that reached a node through its sibling
+        // pointer runs the parent update of a dangling sibling (§4.2);
+        // idempotent if already done. A directed writer's hop says only
+        // that the directory is older than a split.
+        if let (Some((sib, low)), false) = (redirected, directed) {
+            crate::split::ensure_parent_entry(tree, sib, low, level + 1)?;
         }
         return Ok(replaced);
     }
-}
-
-/// True if the latched, repaired internal `node` routes to `child` under
-/// any separator.
-fn routes_to(node: NodeRef<'_>, child: u64) -> bool {
-    node.leftmost() == child || (0..node.count_records()).any(|i| node.ptr(i) == child)
 }
 
 /// Overwrites the value at `slot` of a latched leaf in place, returning the

@@ -17,17 +17,25 @@
 //!  40     lock_word       (volatile embedded RW spin lock; reset on open)
 //!  48     reserved        (always 0; once the seal of removed leaf
 //!                          fingerprints)
-//!  56     reserved        (always 0; once the head of a removed circular
-//!                          record frame)
+//!  56     high_key        (exclusive upper bound of the node's key range;
+//!                          `Key::MAX` on the rightmost node of a level,
+//!                          whose NULL sibling makes it unbounded)
 //!  64     records[0].key
 //!  72     records[0].ptr
 //!  80     records[1].key ...
 //! ```
 //!
 //! There is one layout: the records start right after the header line.
-//! Trees created with either removed layout are rejected on open (see
-//! `tree.rs`), so both reserved words are free for a new header field such
-//! as a high key.
+//! Trees created with a removed layout, or before nodes had a high key, are
+//! rejected on open (see `tree.rs`).
+//!
+//! ## The high key (Lehman–Yao)
+//!
+//! A node covers `[low, high_key)`, `low` being its left neighbour's high
+//! key; a walk moves right iff `sibling != NULL && key >= high_key`
+//! ([`NodeRef::right_of`]), one compare against the node's own header line.
+//! Splits lower it and merges raise it in the header line (`split.rs`,
+//! `merge.rs`).
 //!
 //! Entry `i` is **valid** iff `ptr(i) != NULL && ptr(i) != INVALID_PTR`.
 //! A NULL pointer terminates the array; [`INVALID_PTR`] (`u64::MAX`, one of
@@ -59,6 +67,7 @@
 //! `u64::MAX`.
 
 use pmem::{PmOffset, Pool, CACHE_LINE, NULL_OFFSET};
+use pmindex::Key;
 
 /// Size of the per-node header in bytes (one cache line).
 pub const HEADER_SIZE: u64 = 64;
@@ -82,6 +91,7 @@ const LEVEL_OFF: u64 = 24;
 const COUNT_OFF: u64 = 32;
 /// Offset of the volatile lock word within a node header.
 pub const LOCK_OFF: u64 = 40;
+const HIGH_KEY_OFF: u64 = 56;
 
 const DELETED_BIT: u64 = 1 << 32;
 
@@ -178,9 +188,35 @@ impl<'a> NodeRef<'a> {
         self.pool.store_u64(self.off + SIBLING_OFF, v);
     }
 
-    /// Pool offset of the sibling pointer field (for targeted flushes).
-    pub fn sibling_field_off(&self) -> PmOffset {
-        self.off + SIBLING_OFF
+    /// Exclusive upper bound of the node's key range; meaningful only while
+    /// the node has a sibling (the rightmost node of a level is unbounded).
+    pub fn high_key(&self) -> Key {
+        self.pool.load_u64(self.off + HIGH_KEY_OFF)
+    }
+
+    /// Stores the high key (does not flush).
+    pub fn set_high_key(&self, k: Key) {
+        self.pool.store_u64(self.off + HIGH_KEY_OFF, k);
+    }
+
+    /// The right sibling a walk for `key` moves to (B-link move-right), or
+    /// `None` if this node covers `key`.
+    ///
+    /// The high key is read before the sibling pointer. A split stores the
+    /// pointer first and lowers the high key after it, and a merge raises
+    /// the high key before it bypasses, so a lock-free reader never pairs a
+    /// lowered bound with a sibling that does not cover the keys above it.
+    #[inline]
+    pub fn right_of(&self, key: Key) -> Option<PmOffset> {
+        let high = self.high_key();
+        let sib = self.sibling();
+        (sib != NULL_OFFSET && key >= high).then_some(sib)
+    }
+
+    /// Persists the header line: one flush and one fence carry the sibling
+    /// pointer, switch counter and high key stored since the last persist.
+    pub fn persist_header(&self) {
+        self.pool.persist(self.off, HEADER_SIZE);
     }
 
     /// Current switch counter (even = insert direction, odd = delete).
@@ -301,8 +337,10 @@ impl<'a> NodeRef<'a> {
     }
 
     /// Exact number of records before the NULL terminator (counts invalid
-    /// entries too, since they occupy slots). O(n) scan; used by writers
-    /// that hold the node lock.
+    /// entries too, since they occupy slots), found from the hint in either
+    /// direction. Writers count under the node lock; a right-to-left reader
+    /// starts its scan here, not at the hint, which a crash can leave below
+    /// records an unflushed header line never counted.
     pub fn count_records(&self) -> u16 {
         let cap = self.capacity();
         // Start from the hint and self-heal in either direction.
@@ -344,41 +382,15 @@ impl<'a> NodeRef<'a> {
         out
     }
 
-    /// Key of the first *valid* entry, if any.
-    ///
-    /// Lock-free callers (sibling routing) race with concurrent shifts, so
-    /// the scan is retried while the switch counter moves under it; retries
-    /// are bounded to stay wait-free for writers that already hold the lock.
+    /// Key of the first *valid* entry, if any. Not for lock-free readers:
+    /// every caller holds the node's latch, or is the only one that can
+    /// reach it, or runs quiescent.
     pub fn first_key(&self) -> Option<u64> {
-        let mut last = None;
-        for _ in 0..8 {
-            let sc = self.switch_counter();
-            last = self.first_key_unvalidated();
-            if self.switch_counter() == sc {
-                break;
-            }
-        }
-        last
-    }
-
-    fn first_key_unvalidated(&self) -> Option<u64> {
-        let mut i = 0u16;
-        while i <= self.capacity() {
-            let p = self.ptr(i);
-            if p == NULL_OFFSET {
-                return None;
-            }
-            if p != INVALID_PTR {
-                // TOCTOU: the slot may be rewritten between the pointer
-                // check and the key load; re-validate the pointer.
-                let k = self.key(i);
-                if self.ptr(i) == p {
-                    return Some(k);
-                }
-            }
-            i += 1;
-        }
-        None
+        (0..=self.capacity())
+            .map(|i| (i, self.ptr(i)))
+            .take_while(|&(_, p)| p != NULL_OFFSET)
+            .find(|&(_, p)| p != INVALID_PTR)
+            .map(|(i, _)| self.key(i))
     }
 
     /// Initializes a freshly allocated node (zeroing all record slots).
@@ -389,6 +401,7 @@ impl<'a> NodeRef<'a> {
     pub fn init(&self, level: u32) {
         self.pool.zero_region(self.off, u64::from(self.node_size));
         self.set_level(level);
+        self.set_high_key(Key::MAX);
         if level == 0 {
             self.set_leftmost(LEAF_ANCHOR);
         }
@@ -603,11 +616,11 @@ mod tests {
         assert_eq!(n.count_records(), 0);
     }
 
-    /// Header words 48 and 56 are reserved: a block recycled with stale
-    /// bytes there reads 0 in both once `init` frames it as a node, at
-    /// every level and node size.
+    /// A block recycled with stale bytes in its header reads 0 in the
+    /// reserved word 48 and the unbounded high key `Key::MAX` in word 56
+    /// once `init` frames it as a node, at every level and node size.
     #[test]
-    fn init_zeroes_the_reserved_header_words() {
+    fn init_zeroes_word_48_and_sets_an_unbounded_high_key() {
         let p = pool();
         for ns in [256u32, 512, 1024] {
             for level in [0u32, 1, 2] {
@@ -615,12 +628,29 @@ mod tests {
                 for word in [48u64, 56] {
                     p.store_u64(off + word, 0xdead_beef);
                 }
-                NodeRef::new(&p, off, ns).init(level);
-                for word in [48u64, 56] {
-                    assert_eq!(p.load_u64(off + word), 0, "{ns}/{level}: word {word}");
-                }
+                let n = NodeRef::new(&p, off, ns);
+                n.init(level);
+                assert_eq!(p.load_u64(off + 48), 0, "{ns}/{level}");
+                assert_eq!(n.high_key(), Key::MAX, "{ns}/{level}");
+                assert_eq!(p.load_u64(off + 56), Key::MAX, "{ns}/{level}");
             }
         }
+    }
+
+    /// A node moves a walk right only for keys at or above its high key,
+    /// and never without a sibling, whatever the high key says.
+    #[test]
+    fn right_of_compares_with_the_high_key_only_when_linked() {
+        let p = pool();
+        let n = fresh_node(&p, 512, 0);
+        for key in [0, 10, Key::MAX] {
+            assert_eq!(n.right_of(key), None, "rightmost, key {key}");
+        }
+        n.set_sibling(4096);
+        n.set_high_key(10);
+        assert_eq!(n.right_of(9), None);
+        assert_eq!(n.right_of(10), Some(4096));
+        assert_eq!(n.right_of(Key::MAX), Some(4096));
     }
 
     /// A linear scan of `n` records streams the record lines they span, four

@@ -11,19 +11,21 @@
 //!    now route to its left neighbour and, if needed, pass *through* the
 //!    empty node via the sibling chain, so every intermediate state is
 //!    readable;
-//! 2. bypass the node in the leaf chain: `left.sibling = node.sibling` —
-//!    one persisted 8-byte store;
+//! 2. raise the left neighbour's high key to the node's, then bypass the
+//!    node in the leaf chain: `left.sibling = node.sibling` — two stores
+//!    in `left`'s header line, one persist, the bypass the commit;
 //! 3. mark the node logically deleted so writers blocked on its latch
 //!    retraverse.
 //!
-//! A crash between any two steps leaves an empty pass-through node that
-//! readers skip naturally and that never receives new keys (its parent
-//! entry is gone, and `covering_sibling` never redirects into an empty
-//! node). The unlinked node is *retired* rather than freed on the spot:
-//! lock-free readers may still be traversing it, so its block goes onto
-//! the tree's epoch-domain limbo list (`crates/epoch`) and returns to
-//! [`pmem::Pool::free`] once two epochs have passed — **online**, while
-//! traffic is live, counted in `pmem::stats` (`nodes_limbo`,
+//! A crash between any two steps leaves an empty node that readers pass
+//! through naturally. Before the raise it still bounds its own range, so
+//! a writer may put a key back into it and re-attach it to the parent;
+//! after the raise its left neighbour covers that range, and `recover`
+//! completes the bypass. The unlinked node is *retired* rather than freed
+//! on the spot: lock-free readers may still be traversing it, so its block
+//! goes onto the tree's epoch-domain limbo list (`crates/epoch`) and
+//! returns to [`pmem::Pool::free`] once two epochs have passed —
+//! **online**, while traffic is live, counted in `pmem::stats` (`nodes_limbo`,
 //! `nodes_recycled_online`). [`FastFairTree::recover`] and `Drop` (both
 //! quiescent) flush whatever is still in limbo. Limbo does not survive a
 //! crash — pre-crash retirees leak, matching PM allocators without
@@ -33,6 +35,7 @@
 use pmem::{PmOffset, NULL_OFFSET};
 use pmindex::Key;
 
+use crate::layout::NodeRef;
 use crate::lock::WriteGuard;
 use crate::tree::FastFairTree;
 
@@ -71,14 +74,6 @@ impl FastFairTree {
         if left_off == NULL_OFFSET || left_off == crate::layout::LEAF_ANCHOR {
             return;
         }
-        if left_off == node_off {
-            // The routing slot left of `s` is an exact duplicate entry for
-            // the same child — tolerated FAST shift residue. Locking
-            // `left_off` would take the victim's own latch and the second
-            // acquisition below would self-deadlock; there is no distinct
-            // left neighbour to splice through, so bail.
-            return;
-        }
 
         // Lock left-to-right, as all writers do.
         let left_guard = WriteGuard::lock(&self.pool, self.node(left_off).lock_word_off());
@@ -110,12 +105,8 @@ impl FastFairTree {
             }
         }
 
-        // Step 2: bypass the node in the leaf chain — the visibility commit.
-        left.set_sibling(node.sibling());
-        self.pool.persist(left.sibling_field_off(), 8);
-
-        // Step 3: writers blocked on the node's latch must retraverse.
-        node.mark_deleted();
+        // Steps 2 and 3.
+        self.bypass(left, node);
 
         node_guard.unlock();
         left_guard.unlock();
@@ -126,12 +117,24 @@ impl FastFairTree {
         self.retire_node(node_off);
     }
 
+    /// Takes the empty `node` out of the chain after `left` (both latched,
+    /// or the tree quiescent) and marks it deleted. `left`'s high key rises
+    /// to `node`'s before the bypass hands it that range; both stores share
+    /// `left`'s header line and its one persist.
+    pub(crate) fn bypass(&self, left: NodeRef<'_>, node: NodeRef<'_>) {
+        left.set_high_key(node.high_key());
+        self.pool.fence_if_not_tso();
+        left.set_sibling(node.sibling());
+        left.persist_header();
+        node.mark_deleted();
+    }
+
     /// Lock-free descent to the level-1 node covering `key` (the parent
     /// level of the leaves). Returns `None` on a single-leaf tree.
     fn descend_to_parent(&self, key: Key) -> Option<PmOffset> {
         let mut off = self.descend_to_level(1, key)?;
         // Move right at level 1 if the key now belongs to a sibling.
-        while let Some(sib) = self.covering_sibling(self.node(off), key) {
+        while let Some(sib) = self.node(off).right_of(key) {
             off = self.visit(sib).offset();
         }
         Some(off)

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use pmem::{PmOffset, NULL_OFFSET};
-use pmindex::IndexError;
+use pmindex::{IndexError, Key, Value};
 
 use crate::layout::NodeRef;
 use crate::lock::WriteGuard;
@@ -75,11 +75,12 @@ pub enum ConsistencyError {
         /// Child node offset.
         child: PmOffset,
     },
-    /// Keys across the leaf chain are not ascending (beyond the tolerated
-    /// split-duplication pattern).
-    LeafChainDisorder {
-        /// Leaf where the violation was detected.
-        leaf: PmOffset,
+    /// A node holds a key outside its bounds — at or above its own high
+    /// key, or below its left neighbour's — or the rightmost node of a
+    /// level is bounded (beyond the tolerated unfinished split).
+    OutOfBounds {
+        /// Node where the violation was detected.
+        node: PmOffset,
     },
     /// A node contains transient artifacts but strict mode was requested.
     NotStrict {
@@ -102,8 +103,8 @@ impl std::fmt::Display for ConsistencyError {
             ConsistencyError::BadChildLevel { parent, child } => {
                 write!(f, "bad child level: parent {parent:#x}, child {child:#x}")
             }
-            ConsistencyError::LeafChainDisorder { leaf } => {
-                write!(f, "leaf chain disorder at {leaf:#x}")
+            ConsistencyError::OutOfBounds { node } => {
+                write!(f, "key outside the bounds of node {node:#x}")
             }
             ConsistencyError::NotStrict { garbage, dangling } => write!(
                 f,
@@ -137,6 +138,17 @@ impl FastFairTree {
         chain
     }
 
+    /// Every child the nodes on the chain of `level` route to.
+    fn routed_children(&self, level: u32) -> BTreeSet<PmOffset> {
+        let mut kids = BTreeSet::new();
+        for p in self.level_chain(level) {
+            let parent = self.node(p);
+            kids.insert(parent.leftmost());
+            kids.extend(parent.valid_entries().into_iter().map(|(_, c)| c));
+        }
+        kids
+    }
+
     /// Eagerly repairs every transient artifact a crash may have left:
     /// resets lock words, rolls back the undo log (logging strategy),
     /// completes truncations, compacts garbage entries, re-attaches
@@ -160,7 +172,8 @@ impl FastFairTree {
             .store_u64_volatile(self.meta + crate::tree::META_LOCK, 0);
 
         // Grow the root while it has a sibling (a crash can interrupt a
-        // root split before the new root is published).
+        // root split before the new root is published), once its high key
+        // — the sibling's separator — is sure to be lowered.
         loop {
             let root = self.node(self.root());
             if root.sibling() == NULL_OFFSET {
@@ -168,8 +181,13 @@ impl FastFairTree {
             }
             // Reset the lock word before locking through the normal path.
             self.pool.store_u64_volatile(root.lock_word_off(), 0);
-            let sib = root.sibling();
-            crate::split::ensure_parent_entry(self, sib, root.level() + 1)?;
+            let guard = WriteGuard::lock(&self.pool, root.lock_word_off());
+            if crate::delete::repair_node_locked(self, root) {
+                report.splits_completed += 1;
+            }
+            guard.unlock();
+            let (sib, low) = (root.sibling(), root.high_key());
+            crate::split::ensure_parent_entry(self, sib, low, root.level() + 1)?;
             report.siblings_attached += 1;
         }
 
@@ -183,13 +201,11 @@ impl FastFairTree {
                 self.pool.store_u64_volatile(node.lock_word_off(), 0);
                 let guard = WriteGuard::lock(&self.pool, node.lock_word_off());
                 let before_garbage = count_garbage(node);
-                let had_overlap = split_overlap(self, node);
-                crate::delete::repair_node_locked(self, node);
-                node.set_count_hint(node.count_records());
-                report.garbage_removed += before_garbage;
-                if had_overlap {
+                if crate::delete::repair_node_locked(self, node) {
                     report.splits_completed += 1;
                 }
+                node.set_count_hint(node.count_records());
+                report.garbage_removed += before_garbage;
                 guard.unlock();
             }
             // Second pass: unreferenced chain nodes are either dangling
@@ -199,43 +215,29 @@ impl FastFairTree {
             // can be merged with its left node. If not, we insert the
             // pointer to the sibling node into the parent node").
             if level < height {
-                let referenced: BTreeSet<PmOffset> = self
-                    .level_chain(level + 1)
-                    .into_iter()
-                    .flat_map(|p| {
-                        let parent = self.node(p);
-                        let mut kids = vec![parent.leftmost()];
-                        kids.extend(parent.valid_entries().into_iter().map(|(_, c)| c));
-                        kids
-                    })
-                    .collect();
-                let mut prev_kept: Option<PmOffset> = None;
-                for (i, &off) in chain.iter().enumerate() {
+                let referenced = self.routed_children(level + 1);
+                // The chain's head is its parent's leftmost child; every
+                // later node follows the last node that stays in the chain,
+                // whose (repaired) high key is its lower bound.
+                let mut prev_kept = chain[0];
+                for &off in &chain[1..] {
                     if referenced.contains(&off) {
-                        prev_kept = Some(off);
+                        prev_kept = off;
                         continue;
                     }
-                    let node = self.node(off);
-                    if node.first_key().is_none() && i > 0 {
-                        // Complete the merge: bypass the empty leaf from
-                        // the last node that stays in the chain.
-                        if let Some(left_off) = prev_kept {
-                            let left = self.node(left_off);
-                            if left.sibling() == off {
-                                left.set_sibling(node.sibling());
-                                self.pool.persist(left.sibling_field_off(), 8);
-                                node.mark_deleted();
-                                report.merges_completed += 1;
-                                // Recovery is quiescent by contract: the
-                                // block can be recycled immediately.
-                                self.retire_node(off);
-                                continue;
-                            }
-                        }
+                    let (left, node) = (self.node(prev_kept), self.node(off));
+                    if node.is_leaf() && node.first_key().is_none() {
+                        // Complete the merge.
+                        self.bypass(left, node);
+                        report.merges_completed += 1;
+                        // Recovery is quiescent by contract: the block can
+                        // be recycled immediately.
+                        self.retire_node(off);
+                        continue;
                     }
-                    crate::split::ensure_parent_entry(self, off, level + 1)?;
+                    crate::split::ensure_parent_entry(self, off, left.high_key(), level + 1)?;
                     report.siblings_attached += 1;
-                    prev_kept = Some(off);
+                    prev_kept = off;
                 }
             }
         }
@@ -269,7 +271,7 @@ impl FastFairTree {
             if chain.is_empty() {
                 return Err(ConsistencyError::BrokenLink { node: self.root() });
             }
-            let mut prev_last: Option<u64> = None;
+            let mut left: Option<NodeRef<'_>> = None;
             for &off in &chain {
                 report.nodes += 1;
                 let node = self.node(off);
@@ -284,20 +286,31 @@ impl FastFairTree {
                     }
                 }
                 garbage += count_garbage(node);
-                // Chain order: each node's first key must exceed the
-                // previous node's last key — except for the tolerated
-                // "virtual single node" overlap of an in-flight split.
-                if let (Some(pl), Some((first, _))) = (prev_last, entries.first()) {
-                    // In tolerant mode an overlap is accepted: it is the
-                    // suffix-duplicate of the previous node left by an
-                    // in-flight split (split state (2)).
-                    if *first <= pl && strict {
-                        return Err(ConsistencyError::LeafChainDisorder { leaf: off });
+                // Bound rule 1: every key below the high key; the rightmost
+                // node is unbounded. Tolerated: the residue of a split the
+                // crash cut before its truncation — a copy of the records
+                // the sibling starts with ("virtual single node").
+                let high = node.high_key();
+                if node.sibling() == NULL_OFFSET {
+                    if high != Key::MAX {
+                        return Err(ConsistencyError::OutOfBounds { node: off });
+                    }
+                } else if let Some(at) = entries.iter().position(|e| e.0 >= high) {
+                    if strict || !is_split_residue(self, node, &entries[at..]) {
+                        return Err(ConsistencyError::OutOfBounds { node: off });
                     }
                 }
-                if let Some((last, _)) = entries.last() {
-                    prev_last = Some(*last);
+                // Bound rule 2: the left neighbour's high key at or below
+                // every key and this node's own bound. Tolerated: a split
+                // the crash cut before it lowered the left neighbour's
+                // high key, still this node's.
+                if let Some(low) = left.map(|l| l.high_key()) {
+                    let below = entries.first().is_some_and(|e| e.0 < low);
+                    if below && (strict || low != high) || low > high {
+                        return Err(ConsistencyError::OutOfBounds { node: off });
+                    }
                 }
+                left = Some(node);
                 // Child levels.
                 if level > 0 {
                     let mut children = vec![node.leftmost()];
@@ -321,16 +334,7 @@ impl FastFairTree {
             }
             // Dangling-sibling count: nodes not referenced from above.
             if level < report.height {
-                let referenced: BTreeSet<PmOffset> = self
-                    .level_chain(level + 1)
-                    .into_iter()
-                    .flat_map(|p| {
-                        let parent = self.node(p);
-                        let mut kids = vec![parent.leftmost()];
-                        kids.extend(parent.valid_entries().into_iter().map(|(_, c)| c));
-                        kids
-                    })
-                    .collect();
+                let referenced = self.routed_children(level + 1);
                 dangling += chain.iter().filter(|off| !referenced.contains(off)).count();
             }
         }
@@ -345,6 +349,19 @@ impl FastFairTree {
         }
         Ok(report)
     }
+}
+
+/// True if `residue`, the records of `node` at or above its high key, is
+/// what a split that linked the sibling but did not truncate leaves: each
+/// record is a copy of one in the sibling, or (internal nodes) the pushed-up
+/// median routing to the sibling's leftmost child.
+fn is_split_residue(tree: &FastFairTree, node: NodeRef<'_>, residue: &[(Key, Value)]) -> bool {
+    let sib = tree.node(node.sibling());
+    let moved = sib.valid_entries();
+    let median = (node.high_key(), sib.leftmost());
+    residue
+        .iter()
+        .all(|e| moved.contains(e) || (!node.is_leaf() && *e == median))
 }
 
 /// Counts garbage entries before the terminator: poisoned slots and exact
@@ -363,20 +380,4 @@ fn count_garbage(node: NodeRef<'_>) -> usize {
         i += 1;
     }
     n
-}
-
-/// True if the node still contains keys that belong to its right sibling
-/// (a split interrupted between linking and truncation).
-fn split_overlap(tree: &FastFairTree, node: NodeRef<'_>) -> bool {
-    let sib = node.sibling();
-    if sib == NULL_OFFSET {
-        return false;
-    }
-    match (
-        node.valid_entries().last().map(|&(k, _)| k),
-        tree.node(sib).first_key(),
-    ) {
-        (Some(last), Some(sfk)) => last >= sfk,
-        _ => false,
-    }
 }

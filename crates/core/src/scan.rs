@@ -51,7 +51,7 @@ impl LeafChain for TreeChain<'_> {
         // To the covering leaf before anything is read: a reverse scan
         // reads this one leaf and has no later chance to move right.
         let mut hops = 0;
-        while let Some(sib) = self.tree.covering_sibling(self.tree.node(off), target) {
+        while let Some(sib) = self.tree.node(off).right_of(target) {
             off = self.tree.visit(sib).offset();
             hops += 1;
         }

@@ -65,7 +65,7 @@ pub(crate) fn leaf_search_linear(
             }
         } else {
             // Scan right to left, following the delete shift direction.
-            let mut i = cap.min(node.count_hint().saturating_add(2)).min(cap);
+            let mut i = cap.min(node.count_records().saturating_add(2));
             scanned = i + 1;
             loop {
                 let p = node.ptr(i);
@@ -179,7 +179,7 @@ pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, 
             // Right to left, following the delete shift direction; slots
             // above the terminator were nulled before the counter went odd
             // (`enter_delete_direction`).
-            let top = cap.min(node.count_hint().saturating_add(2));
+            let top = cap.min(node.count_records().saturating_add(2));
             let mut i = top;
             loop {
                 match entry(i, node.ptr(i)) {

@@ -5,15 +5,19 @@
 //! A FAIR split never logs and never copies-on-write. Its persist points
 //! are ordered so every crash state is readable:
 //!
-//! 1. build the sibling off-line and flush it (invisible until linked);
-//! 2. link it: `node.sibling_ptr = sibling` — one persisted 8-byte store.
-//!    Node and sibling now form a "virtual single node" whose upper half
-//!    appears twice; readers tolerate the duplication (Fig. 2 state (2));
+//! 1. build the sibling off-line, with the node's high key, and flush it
+//!    (invisible until linked);
+//! 2. link it: `node.sibling_ptr = sibling`, then lower `node.high_key` to
+//!    the separator — two stores in the header line, one persist. Node and
+//!    sibling now form a "virtual single node" whose upper half appears
+//!    twice; readers tolerate the duplication (Fig. 2 state (2)). A crash
+//!    between the two stores leaves the high key unlowered, which the next
+//!    writer's repair completes;
 //! 3. truncate: `node.records[median].ptr = NULL` — one persisted 8-byte
 //!    store moves the upper half to the sibling atomically;
 //! 4. insert the separator into the parent with FAST, re-traversing from
 //!    the root. A crash before step 4 leaves a *dangling sibling* that any
-//!    later writer repairs (§4.2).
+//!    later descending writer repairs (§4.2).
 
 use pmem::{CommitCell, PmOffset, NULL_OFFSET};
 use pmindex::{IndexError, Key, Value};
@@ -77,6 +81,7 @@ fn build_and_link_sibling<'a>(
         sib.set_count_hint(j);
     }
     sib.set_sibling(node.sibling());
+    sib.set_high_key(node.high_key());
     if ordered_persists {
         // Sibling must be durable before it becomes reachable.
         pool.persist(sib_off, u64::from(tree.node_size));
@@ -97,10 +102,14 @@ fn build_and_link_sibling<'a>(
         node.set_switch_counter(sc + 1);
     }
 
-    // Step 2: visibility point.
+    // Step 2: visibility point, then the node's new bound. The pointer
+    // goes first: a reader that sees the lowered high key must also see
+    // the sibling that covers the keys above it.
     node.set_sibling(sib_off);
+    pool.fence_if_not_tso();
+    node.set_high_key(split_key);
     if ordered_persists {
-        pool.persist(node.sibling_field_off(), 8);
+        node.persist_header();
     }
 
     // Step 3: truncation — one atomic store moves the upper half out.
@@ -146,11 +155,10 @@ pub(crate) fn fair_split_insert(
     value: Value,
 ) -> Result<(), IndexError> {
     let level = node.level();
-    let node_off = node.offset();
     let sibling = build_and_link_sibling(tree, node, true)?;
     let (sib_off, split_key) = (sibling.off, sibling.split_key);
     insert_pending_and_unlock(tree, node, guard, sibling, key, value);
-    parent_update(tree, level + 1, split_key, sib_off, node_off)
+    insert_entry(tree, level + 1, split_key, sib_off)
 }
 
 /// Legacy logging split — the `FAST+Logging` baseline of Fig. 5(a)/(c).
@@ -201,19 +209,7 @@ pub(crate) fn logging_split_insert(
     unlock_write(pool, tree.meta + META_LOCK);
 
     insert_pending_and_unlock(tree, node, guard, sibling, key, value);
-    parent_update(tree, level + 1, split_key, sib_off, node_off)
-}
-
-/// Inserts the separator into the parent level, growing the tree if the
-/// split node was the root.
-fn parent_update(
-    tree: &FastFairTree,
-    parent_level: u32,
-    split_key: Key,
-    sib_off: PmOffset,
-    _left_off: PmOffset,
-) -> Result<(), IndexError> {
-    insert_entry(tree, parent_level, split_key, sib_off)
+    insert_entry(tree, level + 1, split_key, sib_off)
 }
 
 /// Creates a new root at `new_level` with the current root as leftmost
@@ -256,47 +252,25 @@ pub(crate) fn grow_root(
     Ok(())
 }
 
-/// Lazy dangling-sibling repair (§4.2): called when a writer reached
-/// `node_off` through a sibling pointer. Ensures the parent level has an
-/// entry routing to this node; no-op when it already does (only one of the
-/// racing writers succeeds, "the rest find that the parent has already
-/// been updated").
-///
-/// This repair is load-bearing without a crash, too. Above the leaves a
-/// split pushes its median key *up*, so the new sibling's first record
-/// key is above its lower bound, and `covering_sibling` — which compares
-/// with that first key, the tree has no high keys — keeps a parent update
-/// for a key in between in the left node if it arrives there after the
-/// split. Once the sibling gains a smaller first key, the next writer's
-/// `repair_node_locked` takes that entry for split residue and truncates
-/// it away; the child it routed to is dangling until a writer reaches it
-/// through the chain and comes here.
+/// Lazy dangling-sibling repair (§4.2): called when a descending writer,
+/// or `recover`, reached `node_off` through a sibling pointer whose node
+/// has high key `low` — the lower bound of `node_off`, and so its
+/// separator. Ensures the parent level routes `low` to this node; no-op
+/// when it already does (only one of the racing writers succeeds, "the
+/// rest find that the parent has already been updated"). Only a crash
+/// between a split's truncation and its parent update leaves a sibling
+/// that needs it: every parent update lands in the node whose range holds
+/// its separator.
 pub(crate) fn ensure_parent_entry(
     tree: &FastFairTree,
     node_off: PmOffset,
+    low: Key,
     parent_level: u32,
 ) -> Result<(), IndexError> {
-    let node = tree.node(node_off);
-    // The separator is the smallest key in this node's subtree.
-    let mut n = node;
-    let sep = loop {
-        match n.first_key() {
-            None if n.is_leaf() => return Ok(()), // empty: nothing to route
-            None => return Ok(()),                // empty internal: skip
-            Some(k) if n.is_leaf() => break k,
-            Some(_) => {
-                n = tree.node(n.leftmost());
-            }
-        }
-    };
-    let root = tree.node(tree.root());
-    if root.level() < parent_level {
-        if tree.root() == node_off {
-            return Ok(()); // the root itself has no parent
-        }
-        return grow_root(tree, parent_level, sep, node_off);
+    if tree.height() < parent_level {
+        return grow_root(tree, parent_level, low, node_off);
     }
-    insert_entry(tree, parent_level, sep, node_off)
+    insert_entry(tree, parent_level, low, node_off)
 }
 
 impl FastFairTree {

@@ -854,8 +854,12 @@ fn open_rejects_a_logging_tree_with_a_retired_layout() {
         let meta = t.meta_offset();
         drop(t);
         let strategy = meta + crate::tree::META_STRATEGY;
-        assert_eq!(p.load_u64(strategy), 1, "a logging tree sets bit 0 only");
-        p.store_u64(strategy, 1 | bits);
+        assert_eq!(
+            p.load_u64(strategy),
+            1 | 8,
+            "a logging tree sets bit 0 and the high-key bit"
+        );
+        p.store_u64(strategy, 1 | 8 | bits);
         let img = p.volatile_image();
         let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(16 << 20)).unwrap());
         match FastFairTree::open(p2, meta, TreeOptions::new()) {
@@ -863,6 +867,31 @@ fn open_rejects_a_logging_tree_with_a_retired_layout() {
                 assert!(msg.contains(layout), "{msg}");
             }
             other => panic!("reopened a logging tree with strategy bits {bits}: {other:?}"),
+        }
+    }
+}
+
+/// A superblock without strategy bit 3 belongs to a tree from before
+/// nodes kept a high key: it reopens as an error, never as a tree whose
+/// nodes would be bounded by whatever header word 56 holds.
+#[test]
+fn open_rejects_a_tree_without_high_keys() {
+    for split in [SplitStrategy::Fair, SplitStrategy::Logging] {
+        let p = pool(16);
+        let t = tree_with(&p, TreeOptions::new().split(split));
+        t.insert(1, value_for(1)).unwrap();
+        let meta = t.meta_offset();
+        drop(t);
+        let strategy = meta + crate::tree::META_STRATEGY;
+        assert_ne!(p.load_u64(strategy) & 8, 0, "{split:?}: bit 3 not set");
+        p.store_u64(strategy, p.load_u64(strategy) & !8);
+        let img = p.volatile_image();
+        let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(16 << 20)).unwrap());
+        match FastFairTree::open(p2, meta, TreeOptions::new()) {
+            Err(pmindex::IndexError::Unsupported(msg)) => {
+                assert!(msg.contains("high key"), "{msg}");
+            }
+            other => panic!("{split:?}: reopened a tree without high keys: {other:?}"),
         }
     }
 }
@@ -1273,8 +1302,9 @@ fn hint_survives_a_split_that_moves_the_key_right() {
     );
     assert_eq!(hits, 1, "settled without a descent");
     assert_eq!(t.directory.regret_count(), regret + 1);
-    // A writer that hops also looks its new leaf up in the parent.
-    assert_eq!(misses(|| assert!(t.update(moved, 7).unwrap().is_some())), 3);
+    // So does a directed writer: a hop is no sign of a dangling sibling, so
+    // it does not look its new leaf up in the parent.
+    assert_eq!(misses(|| assert!(t.update(moved, 7).unwrap().is_some())), 2);
     assert_eq!(misses(|| assert!(t.get(low).is_some())), 1);
 
     rebuild(&t);
@@ -1399,7 +1429,8 @@ fn recycled_blocks_are_never_reached_through_a_hint() {
 /// One entry point: every leaf-level operation consults the directory
 /// once, a directed one charges one hop and issues the stores, flushes and
 /// fences of a descended one, and a fresh key above everything its leaf
-/// holds descends (invariant 4).
+/// holds is inserted there directed too: the leaf's high key bounds it
+/// (invariant 4).
 #[test]
 fn every_leaf_level_op_enters_through_the_directory() {
     let p = pool(16);
@@ -1468,20 +1499,21 @@ fn every_leaf_level_op_enters_through_the_directory() {
     assert_eq!(directed(|| assert_eq!(t.len(), 250)), (0, 0));
 
     // The largest key of a leaf that is not the last: a fresh key right
-    // above it may belong to the sibling as far as this leaf can tell.
+    // above it is below the leaf's high key, the next leaf's first key.
     let leaf = t.find_leaf(400);
     let top = (50..)
         .map(|k| k * 8)
         .find(|&k| t.find_leaf(k + 8) != leaf)
         .unwrap();
+    assert_eq!(t.node(leaf).high_key(), top + 8);
     let regret = t.directory.regret_count();
     assert_eq!(
         directed(|| assert_eq!(t.insert(top + 1, 9).unwrap(), None)),
-        (1, 0)
+        (1, 1)
     );
-    assert_eq!(t.directory.regret_count(), regret + 1);
+    assert_eq!(t.directory.regret_count(), regret);
     assert_eq!(t.find_leaf(top + 1), leaf);
-    // …while the last leaf of the chain takes appended keys directed.
+    // …and the last leaf of the chain takes appended keys directed.
     assert_eq!(
         directed(|| assert_eq!(t.insert(9_000, 9).unwrap(), None)),
         (1, 1)
@@ -1670,11 +1702,11 @@ fn delete_direction_persists_the_nulled_tail_once() {
     assert_eq!(node.switch_counter(), sc + 5);
 }
 
-/// Header words 48 and 56 are reserved (see the format table in
-/// `layout.rs`): no write path ever sets them, so every node of a churned
-/// tree still reads 0 in both.
+/// Header word 48 is reserved and word 56 holds the high key (see the
+/// format table in `layout.rs`): every node of a churned tree reads 0 in
+/// the first and its exact bound in the second.
 #[test]
-fn leave_the_reserved_header_words_zero() {
+fn leave_word_48_zero_and_bound_every_node_by_its_high_key() {
     let p = pool(16);
     let t = tiny_tree(&p);
     let keys = generate_keys(3_000, KeyDist::Uniform, 61);
@@ -1687,16 +1719,17 @@ fn leave_the_reserved_header_words_zero() {
     for &k in keys.iter().skip(1).step_by(3) {
         assert!(t.update(k, value_for(k ^ 1)).unwrap().is_some());
     }
-    let nodes = assert_reserved_header_words_zero(&t);
+    let nodes = assert_word_48_zero_and_high_keys_exact(&t);
     assert!(nodes > 100, "walked only {nodes} nodes");
     t.check_consistency(true).unwrap();
 }
 
-/// Recovery writes neither reserved header word either: `recover` on crash
-/// images cut all through a churn of splits, deletes and updates, each
-/// repairing what the cut left half-done, leaves both at 0 on every node.
+/// Recovery keeps both words so: `recover` on crash images cut all through
+/// a churn of splits, deletes and updates, each repairing what the cut left
+/// half-done — a high key never lowered among them — leaves word 48 at 0
+/// and every high key exact.
 #[test]
-fn recovery_leaves_the_reserved_header_words_zero() {
+fn recovery_leaves_word_48_zero_and_every_high_key_exact() {
     const BYTES: usize = 4 << 20;
     let p = Arc::new(Pool::new(PoolConfig::new().size(BYTES).crash_log(true)).unwrap());
     let t = tiny_tree(&p);
@@ -1729,7 +1762,7 @@ fn recovery_leaves_the_reserved_header_words_zero() {
             let t2 = FastFairTree::open(p2, meta, TreeOptions::new()).unwrap();
             let r = t2.recover().unwrap();
             repairs += r.garbage_removed + r.splits_completed + r.siblings_attached;
-            assert_reserved_header_words_zero(&t2);
+            assert_word_48_zero_and_high_keys_exact(&t2);
             t2.check_consistency(true)
                 .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         }
@@ -1738,21 +1771,43 @@ fn recovery_leaves_the_reserved_header_words_zero() {
 }
 
 /// Walks every node of `t`, level by level along the sibling chains, and
-/// asserts that both reserved header words (48 and 56, see the format
-/// table in `layout.rs`) read 0; returns the number of nodes walked.
-fn assert_reserved_header_words_zero(t: &FastFairTree) -> usize {
+/// asserts that header word 48 reads 0 and word 56 the node's exact upper
+/// bound: `Key::MAX` on the last node of a level, otherwise above each of
+/// its keys, at or below each of its sibling's, and equal to the separator
+/// that routes to the sibling from the level above, if one does. Returns
+/// the number of nodes walked.
+fn assert_word_48_zero_and_high_keys_exact(t: &FastFairTree) -> usize {
     let mut first = t.root();
     let mut nodes = 0;
     loop {
+        let head = t.node(first);
+        let level = head.level();
+        let separators: BTreeMap<u64, u64> = t
+            .level_chain(level + 1)
+            .into_iter()
+            .flat_map(|p| t.node(p).valid_entries())
+            .map(|(k, child)| (child, k))
+            .collect();
         let mut off = first;
         while off != 0 {
-            for word in [48u64, 56] {
-                assert_eq!(t.pool.load_u64(off + word), 0, "node {off:#x}, word {word}");
+            let node = t.node(off);
+            assert_eq!(t.pool.load_u64(off + 48), 0, "node {off:#x}, word 48");
+            let high = t.pool.load_u64(off + 56);
+            assert_eq!(high, node.high_key());
+            let sib = node.sibling();
+            if sib == 0 {
+                assert_eq!(high, u64::MAX, "last node {off:#x} is bounded");
+            } else {
+                let keys = |n: u64| t.node(n).valid_entries().into_iter().map(|e| e.0);
+                assert!(keys(off).all(|k| k < high), "node {off:#x}");
+                assert!(keys(sib).all(|k| k >= high), "node {off:#x}");
+                if let Some(&sep) = separators.get(&sib) {
+                    assert_eq!(sep, high, "node {off:#x}: separator of its sibling");
+                }
             }
             nodes += 1;
-            off = t.node(off).sibling();
+            off = sib;
         }
-        let head = t.node(first);
         if head.is_leaf() {
             break;
         }
@@ -1794,9 +1849,10 @@ fn lookup_streams_one_record_line_per_four_scanned_slots() {
     }
 }
 
-/// `ensure_parent_entry` finds an existing routing entry by child pointer:
-/// a leaf whose first keys were deleted — its separator is no longer its
-/// first key — does not get a second one.
+/// `ensure_parent_entry` routes a leaf by its lower bound, the left
+/// neighbour's high key, which deletes do not move: a leaf whose first keys
+/// were deleted — its separator is no longer its first key — does not get a
+/// second routing entry.
 #[test]
 fn dangling_sibling_repair_adds_no_second_routing_entry() {
     let p = pool(16);
@@ -1804,13 +1860,17 @@ fn dangling_sibling_repair_adds_no_second_routing_entry() {
     for k in 1..=200u64 {
         t.insert(k, value_for(k)).unwrap();
     }
+    let chain = t.level_chain(0);
     let mut checked = 0;
     for (leaf, keys) in keys_by_leaf(&t, 1..=200) {
         if routing_entries_for(&t, leaf) == 0 || keys.len() < 2 {
             continue; // a leftmost child
         }
         assert!(t.remove(keys[0]));
-        crate::split::ensure_parent_entry(&t, leaf, 1).unwrap();
+        let at = chain.iter().position(|&l| l == leaf).unwrap();
+        let low = t.node(chain[at - 1]).high_key();
+        assert_eq!(low, keys[0], "leaf {leaf:#x}");
+        crate::split::ensure_parent_entry(&t, leaf, low, 1).unwrap();
         assert_eq!(routing_entries_for(&t, leaf), 1, "leaf {leaf:#x}");
         checked += 1;
     }
@@ -1851,6 +1911,173 @@ fn unlink_removes_every_routing_entry_of_the_leaf() {
     for k in 1..=200u64 {
         let want = (!keys.contains(&k)).then(|| value_for(k));
         assert_eq!(t.get(k), want, "key {k}");
+    }
+    t.check_consistency(true).unwrap();
+}
+
+/// The count hint is never flushed on its own, so a crash can keep a
+/// delete's odd switch counter and an old hint from the header line while
+/// the records that later inserts wrote and flushed survive above it. A
+/// right-to-left reader must still see every record: it starts from the
+/// terminator, not from the hint.
+#[test]
+fn a_stale_count_hint_hides_no_record_from_a_right_to_left_reader() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    let cap = u64::from(t.node_capacity());
+    for k in 1..=cap {
+        t.insert(k * 10, value_for(k)).unwrap();
+    }
+    assert_eq!(t.height(), 0, "set-up");
+    let leaf = t.node(t.find_leaf(10));
+    leaf.set_switch_counter(leaf.switch_counter() | 1);
+    leaf.set_count_hint(t.node_capacity() - 4);
+    for k in 1..=cap {
+        assert_eq!(t.get(k * 10), Some(value_for(k)), "key {}", k * 10);
+    }
+    assert_eq!(t.len() as u64, cap);
+}
+
+// ---- node bounds (ROADMAP item 5) -----------------------------------------
+//
+// A crash between a split's truncation and its parent update leaves the
+// new right sibling linked but unrouted. The tests below hand-build that
+// state by taking the sibling's routing entry out with a FAST delete, then
+// play the late parent update through `insert_entry` as the split would.
+
+/// Takes `child`'s routing entry out of its parent at `level`, leaving
+/// `child` linked in its level's chain but dangling; returns the separator
+/// the entry carried.
+fn unroute(t: &FastFairTree, level: u32, child: u64) -> u64 {
+    for p in t.level_chain(level) {
+        let parent = t.node(p);
+        let cnt = parent.count_records();
+        if let Some(i) = (0..cnt).find(|&i| parent.entry_valid(i) && parent.ptr(i) == child) {
+            let sep = parent.key(i);
+            crate::delete::enter_delete_direction(t, parent, cnt);
+            parent.set_ptr(i, crate::layout::INVALID_PTR);
+            crate::delete::shift_left_from(t, parent, i, cnt);
+            parent.set_count_hint(cnt - 1);
+            return sep;
+        }
+    }
+    panic!("no routing entry for {child:#x}");
+}
+
+/// Hole 2, at the leaves: leaf `S` dangles right of `L` with separator
+/// `sep`, and its smallest keys are deleted. A key `k` with
+/// `sep <= k < S.first` belongs to `S`; once the late parent update routes
+/// `[sep, …)` to `S`, `get(k)` must find it there.
+#[test]
+fn a_key_below_a_dangling_siblings_first_key_lands_in_the_sibling() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    for k in 1..=40u64 {
+        t.insert(k * 10, value_for(k)).unwrap();
+    }
+    assert_eq!(t.height(), 1, "set-up");
+    let s = t.level_chain(0)[3];
+    let sep = unroute(&t, 1, s);
+    let s_keys: Vec<u64> = t.node(s).valid_entries().iter().map(|e| e.0).collect();
+    assert_eq!(s_keys[0], sep, "set-up");
+    assert!(t.remove(s_keys[0]) && t.remove(s_keys[1]));
+    let k = sep + 1;
+    assert!(k < s_keys[2]);
+    t.insert(k, value_for(k)).unwrap();
+    crate::insert::insert_entry(&t, 1, sep, s).unwrap();
+    assert_eq!(
+        t.get(k),
+        Some(value_for(k)),
+        "key {k} lost left of its leaf"
+    );
+    t.check_consistency(true).unwrap();
+}
+
+/// Hole 1, above the leaves: an internal split pushes its median `m` up, so
+/// its new sibling `J`'s first key sits above `m`. With `J`'s own parent
+/// update late, a leaf split under `J` whose separator lies between the two
+/// must update `J`, not the node left of it — where a later writer would
+/// take the entry for split residue and truncate it.
+#[test]
+fn a_parent_update_between_a_median_and_the_siblings_first_key_lands_right() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    let mut n = 0u64;
+    while t.height() < 2 {
+        n += 1;
+        t.insert(n * 1000, value_for(n)).unwrap();
+    }
+    let j = *t.level_chain(1).last().unwrap();
+    let m = unroute(&t, 2, j);
+    let c = t.node(j).leftmost();
+    let mut keys: Vec<u64> = (1..=n).map(|k| k * 1000).collect();
+    // Split `J`'s leftmost leaf above `m + 500`, while `J` is unrouted…
+    let mut split_leaf = |from: u64| {
+        let sib = t.node(c).sibling();
+        let mut k = from;
+        while t.node(c).sibling() == sib {
+            t.insert(k, value_for(k)).unwrap();
+            keys.push(k);
+            k += 1;
+        }
+    };
+    split_leaf(m + 500);
+    // …then play `J`'s late parent update, and split the leaf again below
+    // the first split's separator, which gives `J` a smaller first key.
+    crate::insert::insert_entry(&t, 2, m, j).unwrap();
+    split_leaf(m + 1);
+    // A split of the first leaf makes a writer repair the level-1 node
+    // left of `J`.
+    for k in 1..=u64::from(t.node_capacity()) {
+        t.insert(k, value_for(k)).unwrap();
+        keys.push(k);
+    }
+    for &k in &keys {
+        assert!(t.get(k).is_some(), "key {k}");
+    }
+    t.check_consistency(true).unwrap();
+}
+
+/// Hole 3's hazard, a leaf routed from two level-1 nodes: with `J`'s
+/// parent update late, the leaf `C` that starts `J`'s range must be routed
+/// from `J` alone. Emptying `C` then cannot unlink it through a second
+/// routing entry in the node left of `J` while `J` still names it — after
+/// which the late update routes `C`'s range into a recycled block.
+#[test]
+fn a_leaf_starting_a_dangling_internal_siblings_range_is_routed_once() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    let mut n = 0u64;
+    while t.height() < 2 {
+        n += 1;
+        t.insert(n * 1000, value_for(n)).unwrap();
+    }
+    let mut keys: BTreeMap<u64, u64> = (1..=n).map(|k| (k * 1000, value_for(k))).collect();
+    let j = *t.level_chain(1).last().unwrap();
+    let m = unroute(&t, 2, j);
+    let c = t.node(j).leftmost();
+    let sib = t.node(c).sibling();
+    let mut k = m + 500;
+    while t.node(c).sibling() == sib {
+        t.insert(k, value_for(k)).unwrap();
+        keys.insert(k, value_for(k));
+        k += 1;
+    }
+    for (k, _) in t.node(c).valid_entries() {
+        assert!(t.remove(k));
+        keys.remove(&k);
+    }
+    crate::insert::insert_entry(&t, 2, m, j).unwrap();
+    // Recycle what was retired, and split the last leaf into it: a block
+    // right of every key `J` routes.
+    t.reclaim_retired();
+    let top = *keys.keys().last().unwrap();
+    for k in top + 1..=top + 2 * u64::from(t.node_capacity()) {
+        t.insert(k, value_for(k)).unwrap();
+        keys.insert(k, value_for(k));
+    }
+    for (&k, &v) in &keys {
+        assert_eq!(t.get(k), Some(v), "key {k}");
     }
     t.check_consistency(true).unwrap();
 }

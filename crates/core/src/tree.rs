@@ -16,9 +16,9 @@
 //!                                 bits 1 and 2: retired, rejected on
 //!                                 open — they marked the removed leaf
 //!                                 fingerprints and circular record
-//!                                 frame; node header words 48 and 56,
-//!                                 which those layouts used, are zero
-//!                                 and free for a new field)
+//!                                 frame; bit 3: every node keeps its
+//!                                 high key in header word 56 — a tree
+//!                                 without it is rejected on open)
 //! 32  log head                   (logging variant: node being split, 0 = idle)
 //! 40  lock word                  (volatile; serializes root growth)
 //! 48  log area offset            (logging variant's preallocated undo buffer)
@@ -48,6 +48,11 @@ pub(crate) const META_LOG_AREA: u64 = 48;
 /// leaf fingerprints (records start one or more lines later), bit 2 the
 /// circular record frame (records start at a persistent head).
 const RETIRED_STRATEGY_BITS: u64 = 2 | 4;
+
+/// Strategy bit every tree this crate creates sets: its nodes carry a high
+/// key. Trees from before it bound a node by its sibling's first key and
+/// are not read.
+const HIGH_KEY_BIT: u64 = 8;
 
 /// How node splits are made failure-atomic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,8 +222,8 @@ impl FastFairTree {
         pool.store_u64(meta, META_MAGIC);
         pool.store_u64(meta + META_NODE_SIZE, u64::from(node_size));
         let strategy = match opts.split {
-            SplitStrategy::Fair => 0,
-            SplitStrategy::Logging => 1,
+            SplitStrategy::Fair => HIGH_KEY_BIT,
+            SplitStrategy::Logging => HIGH_KEY_BIT | 1,
         };
         pool.store_u64(meta + META_STRATEGY, strategy);
         if opts.split == SplitStrategy::Logging {
@@ -244,7 +249,7 @@ impl FastFairTree {
     /// superblock magic does not match, and [`IndexError::Unsupported`] if
     /// the tree was created with a removed node layout (leaf fingerprints
     /// or the circular record frame) — its records are not where this
-    /// crate looks for them.
+    /// crate looks for them — or before nodes kept a high key.
     pub fn open(pool: Arc<Pool>, meta: PmOffset, opts: TreeOptions) -> Result<Self, IndexError> {
         if pool.load_u64(meta) != META_MAGIC {
             return Err(IndexError::PoolExhausted(format!(
@@ -261,6 +266,12 @@ impl FastFairTree {
             return Err(IndexError::Unsupported(format!(
                 "tree at offset {meta:#x} was created with {layout}; \
                  that node layout was removed, so its records cannot be read"
+            )));
+        }
+        if strategy & HIGH_KEY_BIT == 0 {
+            return Err(IndexError::Unsupported(format!(
+                "tree at offset {meta:#x} was created before nodes kept a high key; \
+                 its node bounds cannot be read"
             )));
         }
         let node_size = pool.load_u64(meta + META_NODE_SIZE) as u32;
@@ -387,34 +398,13 @@ impl FastFairTree {
     /// key lies beyond this node's range (B-link move-right).
     pub(crate) fn route(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
         // Move right first: the node may have split under us.
-        if let Some(sib) = self.covering_sibling(node, key) {
+        if let Some(sib) = node.right_of(key) {
             return sib;
         }
         match self.opts.search {
             InNodeSearch::Linear => self.route_linear(node, key),
             InNodeSearch::Binary => self.route_binary(node, key),
         }
-    }
-
-    /// If `key` lies beyond this node's key range, returns the right
-    /// sibling to move to (B-link move-right).
-    ///
-    /// The bound is the first key of the nearest *non-empty* right
-    /// sibling: empty pass-through nodes (mid-merge, or a merge bail-out)
-    /// hold no keys and never receive new ones, so they are skipped, not
-    /// entered — stopping at one would block the rightward walk and make
-    /// every live key beyond it unreachable (a reader would miss it, a
-    /// writer would insert left of it and break the chain order).
-    pub(crate) fn covering_sibling(&self, node: NodeRef<'_>, key: Key) -> Option<PmOffset> {
-        let mut sib = node.sibling();
-        while sib != NULL_OFFSET {
-            let s = self.node(sib);
-            match s.first_key() {
-                Some(fk) => return (fk <= key).then_some(sib),
-                None => sib = s.sibling(),
-            }
-        }
-        None
     }
 
     /// Direction-aware lock-free child routing (the internal-node analogue
@@ -449,7 +439,7 @@ impl FastFairTree {
                 }
             } else {
                 // Delete direction: scan right to left.
-                let hint = node.count_hint().min(cap);
+                let hint = node.count_records().min(cap);
                 let mut found = false;
                 let mut i = cap.min(hint.saturating_add(2));
                 loop {
@@ -573,7 +563,7 @@ impl FastFairTree {
             if let Some(v) = self.search_leaf(leaf, key) {
                 break Some(v);
             }
-            match self.covering_sibling(leaf, key) {
+            match leaf.right_of(key) {
                 Some(sib) => off = self.visit(sib).offset(),
                 None => break None,
             }

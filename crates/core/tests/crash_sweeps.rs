@@ -108,8 +108,8 @@ fn crash_sweep_logged(
     }
     if warm_hints {
         // Updates never leave the leaf they are directed to; inserts and
-        // deletes may (a fresh key above its leaf's largest, a directory
-        // dropped by an unlinked leaf), but not all of them.
+        // deletes may (a directory dropped by an unlinked leaf), but not
+        // all of them.
         let updates = ops.iter().filter(|op| matches!(op, Op::Update(_))).count();
         let hits = pmem::stats::snapshot().leaf_hint_hits - hits_before_ops;
         assert!(

@@ -15,16 +15,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 /// Declares the index list once: `all_indexes` builds one of each, and
-/// each entry gets a `storms::<name>` module with one test per storm. An
-/// entry may name storms it fails, in the order below, with the reason
-/// their tests are ignored.
+/// each entry gets a `storms::<name>` module with one test per storm.
 macro_rules! indexes {
-    ($($name:ident $({
-        $(concurrent_inserts: $ci:literal,)?
-        $(concurrent_reads_during_writes: $rd:literal,)?
-        $(inserts_racing_merges: $im:literal,)?
-        $(removes_and_reads_with_merges: $rr:literal,)?
-    })? => $make:expr,)*) => {
+    ($($name:ident => $make:expr,)*) => {
         fn all_indexes(pool: &Arc<Pool>) -> Vec<Box<dyn PmIndex>> {
             vec![$(storms::$name::make(pool)),*]
         }
@@ -39,25 +32,21 @@ macro_rules! indexes {
                     }
 
                     #[test]
-                    $($(#[ignore = $ci])?)?
                     fn concurrent_inserts() {
                         storm_concurrent_inserts(make);
                     }
 
                     #[test]
-                    $($(#[ignore = $rd])?)?
                     fn concurrent_reads_during_writes() {
                         storm_reads_during_writes(make);
                     }
 
                     #[test]
-                    $($(#[ignore = $im])?)?
                     fn inserts_racing_merges() {
                         storm_inserts_racing_merges(make);
                     }
 
                     #[test]
-                    $($(#[ignore = $rr])?)?
                     fn removes_and_reads_with_merges() {
                         storm_removes_and_reads_with_merges(make);
                     }
@@ -104,10 +93,7 @@ indexes! {
         )
         .unwrap()
     },
-    sharded_range {
-        inserts_racing_merges: "ROADMAP item 5: lost key 677 to a racing merge once in 20 \
-            oversubscribed runs",
-    } => |pool: Arc<Pool>| {
+    sharded_range => |pool: Arc<Pool>| {
         fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
             Arc::clone(&pool),
             vec![pool; 3],
