@@ -73,9 +73,9 @@ enum WriteMode {
 /// value when the key already existed.
 ///
 /// Level 0 means the leaf level; higher levels are used by FAIR parent
-/// updates, where an existing separator means another thread (or a
-/// pre-crash writer) finished the update first — the idempotence §4.2
-/// relies on: a child's separator is its lower bound, which never moves.
+/// updates, where an existing separator or leftmost child means another
+/// thread (or a pre-crash writer) finished the update first — the
+/// idempotence §4.2 relies on: a child's separator is its lower bound.
 /// A leaf-level write passes its `pin` and makes its first attempt from
 /// the leaf [`FastFairTree::locate_leaf`] names; every retry, and every
 /// write above the leaves, descends.
@@ -154,14 +154,17 @@ fn write_entry(
             // Update-only contract: absent key, leave the node untouched.
             guard.unlock();
             None
-        } else if level > 0 && tree.node(value).is_deleted() {
-            // The child was emptied, unlinked and retired while this parent
-            // update was on its way (a writer redirected through a sibling
-            // pointer reads the separator long before it gets here): the
-            // merge marks it deleted under this same parent latch, so the
-            // check cannot race it, and inserting would leave the tree
-            // routing into a block the allocator is about to hand to
-            // someone else.
+        } else if level > 0 && (node.leftmost() == value || tree.node(value).is_deleted()) {
+            // The child is already routed, as this node's leftmost, which no
+            // key here names (its separator went a level up when it became
+            // leftmost): a dangling-sibling repair that reached it through
+            // the chain offers that separator again. Or the child was
+            // emptied, unlinked and retired while this parent update was on
+            // its way (a writer redirected through a sibling pointer reads
+            // the separator long before it gets here): the merge marks it
+            // deleted under this same parent latch, so the check cannot race
+            // it, and inserting would leave the tree routing into a block
+            // the allocator is about to hand to someone else.
             guard.unlock();
             None
         } else {

@@ -74,6 +74,8 @@ impl FastFairTree {
         if left_off == NULL_OFFSET || left_off == crate::layout::LEAF_ANCHOR {
             return;
         }
+        // A second route to the node, left of `s`, would latch it twice.
+        debug_assert_ne!(left_off, node_off, "node routed twice");
 
         // Lock left-to-right, as all writers do.
         let left_guard = WriteGuard::lock(&self.pool, self.node(left_off).lock_word_off());
@@ -90,10 +92,10 @@ impl FastFairTree {
         }
 
         // Step 1: remove the parent's routing entries for the node (FAST
-        // deletes in place — we already hold the parent lock). Every one:
-        // a dangling-sibling repair that raced a parent update can have
-        // left a second entry under another separator, and an entry that
-        // outlived the unlink would route into a retired block.
+        // deletes in place — we already hold the parent lock). A parent
+        // update never adds a second (it stops at the child's separator or
+        // at the child as leftmost); should one exist, none may outlive the
+        // unlink and route into a retired block.
         for i in (s..parent.count_records()).rev() {
             if parent.ptr(i) == node_off {
                 let pcnt = parent.count_records();

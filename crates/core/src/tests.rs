@@ -1852,7 +1852,8 @@ fn lookup_streams_one_record_line_per_four_scanned_slots() {
 /// `ensure_parent_entry` routes a leaf by its lower bound, the left
 /// neighbour's high key, which deletes do not move: a leaf whose first keys
 /// were deleted — its separator is no longer its first key — does not get a
-/// second routing entry.
+/// second routing entry. Nor does a leftmost child, whose separator sits a
+/// level up: a second route would make the merge latch it twice.
 #[test]
 fn dangling_sibling_repair_adds_no_second_routing_entry() {
     let p = pool(16);
@@ -1861,20 +1862,36 @@ fn dangling_sibling_repair_adds_no_second_routing_entry() {
         t.insert(k, value_for(k)).unwrap();
     }
     let chain = t.level_chain(0);
-    let mut checked = 0;
+    let (mut routed, mut leftmost) = (0, 0);
     for (leaf, keys) in keys_by_leaf(&t, 1..=200) {
-        if routing_entries_for(&t, leaf) == 0 || keys.len() < 2 {
-            continue; // a leftmost child
-        }
-        assert!(t.remove(keys[0]));
         let at = chain.iter().position(|&l| l == leaf).unwrap();
+        if at == 0 || keys.len() < 2 {
+            continue; // no left neighbour to bound it
+        }
+        let entries = routing_entries_for(&t, leaf);
+        assert!(t.remove(keys[0]));
         let low = t.node(chain[at - 1]).high_key();
         assert_eq!(low, keys[0], "leaf {leaf:#x}");
         crate::split::ensure_parent_entry(&t, leaf, low, 1).unwrap();
-        assert_eq!(routing_entries_for(&t, leaf), 1, "leaf {leaf:#x}");
-        checked += 1;
+        assert_eq!(routing_entries_for(&t, leaf), entries, "leaf {leaf:#x}");
+        if entries == 0 {
+            leftmost += 1;
+        } else {
+            routed += 1;
+        }
     }
-    assert!(checked > 10);
+    assert!(
+        routed > 10 && leftmost > 0,
+        "{routed} routed, {leftmost} leftmost"
+    );
+    t.check_consistency(true).unwrap();
+    // Every routed leaf empties and unlinks through its one route; the
+    // leftmost children, and the first leaf, stay.
+    let leaves = chain.len();
+    for k in 1..=200u64 {
+        t.remove(k);
+    }
+    assert_eq!(t.level_chain(0).len(), leaves - routed);
     t.check_consistency(true).unwrap();
 }
 
