@@ -77,57 +77,6 @@ fn corrupt(what: &str) -> IndexError {
     IndexError::Unsupported(format!("catalog: {what}"))
 }
 
-/// Magic word of the per-slot fleet stamps [`Catalog::provision`]
-/// writes: each pool carries `[magic, slot]` at an offset recorded in
-/// the catalog, so reopening with the pools in the wrong order is an
-/// error instead of silent cross-pool confusion.
-const FLEET_MAGIC: u64 = u64::from_le_bytes(*b"FFFLEETS");
-
-fn fleet_slot_name(slot: usize) -> String {
-    format!("__fleet_slot_{slot}")
-}
-
-/// Supplies the pool for each fleet slot on demand — the inversion that
-/// lets [`Catalog::provision`] own the slot order instead of every
-/// caller hand-mapping a `Vec<Arc<Pool>>` and hoping it matches the
-/// order used at create time.
-///
-/// Implemented for free by any `FnMut(usize) -> Result<Arc<Pool>,
-/// IndexError>` closure (the slot is the argument), so a provisioner
-/// can create fresh pools, reopen images by slot-derived path, or mix
-/// both:
-///
-/// ```
-/// use std::sync::Arc;
-/// use catalog::Catalog;
-///
-/// let cat = Catalog::provision(
-///     &mut |slot: usize| {
-///         let _ = slot; // e.g. derive a file path from the slot id
-///         Ok(Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?))
-///     },
-///     2,
-/// )?;
-/// assert_eq!(cat.pools().len(), 2);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub trait PoolProvisioner {
-    /// Returns the pool for fleet slot `slot` (slot 0 is the root pool
-    /// that will hold — or holds — the catalog itself).
-    ///
-    /// # Errors
-    ///
-    /// Whatever acquiring the pool can fail with; propagated verbatim
-    /// by [`Catalog::provision`].
-    fn pool_for(&mut self, slot: usize) -> Result<Arc<Pool>, IndexError>;
-}
-
-impl<F: FnMut(usize) -> Result<Arc<Pool>, IndexError>> PoolProvisioner for F {
-    fn pool_for(&mut self, slot: usize) -> Result<Arc<Pool>, IndexError> {
-        self(slot)
-    }
-}
-
 /// The typed coordinates a catalog stores for one named store — enough
 /// for the matching `open_*` entry point to recover it after a restart.
 ///
@@ -397,132 +346,6 @@ impl Catalog {
         Ok(cat)
     }
 
-    /// [`Catalog::open`] if the root pool holds a catalog, otherwise
-    /// [`Catalog::create`] — the boot entry point for services that
-    /// cold-start and warm-start through the same code path.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use catalog::Catalog;
-    ///
-    /// let root = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let first = Catalog::open_or_create(vec![Arc::clone(&root)])?; // creates
-    /// drop(first);
-    /// let second = Catalog::open_or_create(vec![root])?; // opens
-    /// assert_eq!(second.len(), 0);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// As [`Catalog::open`] / [`Catalog::create`].
-    pub fn open_or_create(pools: Vec<Arc<Pool>>) -> Result<Catalog, IndexError> {
-        let has = pools
-            .first()
-            .is_some_and(|root| CommitCell::CATALOG.load(root) != NULL_OFFSET);
-        if has {
-            Catalog::open(pools)
-        } else {
-            Catalog::create(pools)
-        }
-    }
-
-    /// Catalog-driven fleet provisioning: asks `prov` for the pool of
-    /// every slot `0..slots` **in slot order**, then opens or creates
-    /// the catalog over the resulting fleet. On first provision each
-    /// pool is stamped with its slot id (`[FLEET_MAGIC, slot]` in a
-    /// cell registered as `__fleet_slot_<n>`); every later provision
-    /// verifies the stamps, so handing the pools back in a different
-    /// order — the silent-corruption hazard of the bare
-    /// [`Catalog::open`] contract — becomes a named error instead.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use catalog::Catalog;
-    ///
-    /// let fleet: Vec<_> = (0..3)
-    ///     .map(|_| Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20)).unwrap()))
-    ///     .collect();
-    /// let cat = Catalog::provision(&mut |s: usize| Ok(Arc::clone(&fleet[s])), 3)?; // creates
-    /// drop(cat);
-    /// let cat = Catalog::provision(&mut |s: usize| Ok(Arc::clone(&fleet[s])), 3)?; // verifies
-    /// assert_eq!(cat.pools().len(), 3);
-    /// // Swapping two data pools is now caught at open time:
-    /// let mut swapped = fleet.clone();
-    /// swapped.swap(1, 2);
-    /// assert!(Catalog::provision(&mut |s: usize| Ok(Arc::clone(&swapped[s])), 3).is_err());
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// Provisioning a *fresh* fleet is not crash-atomic as a whole (the
-    /// stamps land one register at a time); a fleet that crashed
-    /// mid-provision fails verification on reopen and must be
-    /// provisioned anew — the same contract as any deployment that
-    /// dies before finishing initialization.
-    ///
-    /// # Errors
-    ///
-    /// Provisioner errors propagate; [`IndexError::Unsupported`] if
-    /// `slots` is 0, if a stamp is missing (the catalog predates
-    /// provisioning, or the fleet size changed), or if a pool's stamp
-    /// names a different slot (pools out of order).
-    pub fn provision<P: PoolProvisioner + ?Sized>(
-        prov: &mut P,
-        slots: usize,
-    ) -> Result<Catalog, IndexError> {
-        if slots == 0 {
-            return Err(corrupt("a fleet needs at least a root pool"));
-        }
-        let mut pools = Vec::with_capacity(slots);
-        for slot in 0..slots {
-            pools.push(prov.pool_for(slot)?);
-        }
-        let fresh = CommitCell::CATALOG.load(&pools[0]) == NULL_OFFSET;
-        let cat = Catalog::open_or_create(pools)?;
-        for slot in 0..slots {
-            if fresh {
-                let pool = &cat.pools[slot];
-                let off = pool.alloc(16, 8)?;
-                pool.store_u64(off, FLEET_MAGIC);
-                pool.store_u64(off + 8, slot as u64);
-                pool.persist(off, 16);
-                cat.register(
-                    &fleet_slot_name(slot),
-                    &StoreKind::Index {
-                        pool: slot,
-                        superblock: off,
-                    },
-                )?;
-            } else {
-                let Some(StoreKind::Index { pool, superblock }) =
-                    cat.lookup(&fleet_slot_name(slot))
-                else {
-                    return Err(corrupt(&format!(
-                        "fleet stamp for slot {slot} is missing \
-                         (catalog predates provisioning, or provisioning crashed midway)"
-                    )));
-                };
-                let stamped = &cat.pools[pool];
-                if pool != slot
-                    || superblock + 16 > stamped.size()
-                    || stamped.load_u64(superblock) != FLEET_MAGIC
-                    || stamped.load_u64(superblock + 8) != slot as u64
-                {
-                    return Err(corrupt(&format!(
-                        "fleet slot {slot} holds the wrong pool (slot stamps disagree — \
-                         were the pools provisioned in a different order?)"
-                    )));
-                }
-            }
-        }
-        if !fresh && cat.lookup(&fleet_slot_name(slots)).is_some() {
-            return Err(corrupt(&format!(
-                "fleet was provisioned with more than {slots} slots"
-            )));
-        }
-        Ok(cat)
-    }
-
     /// The pool fleet this catalog resolves slot references against
     /// (slot 0 is the root pool).
     ///
@@ -552,23 +375,6 @@ impl Catalog {
     /// ```
     pub fn root(&self) -> &Arc<Pool> {
         &self.pools[0]
-    }
-
-    /// The fleet slot of `pool`, by pointer identity — handy when
-    /// building a [`StoreKind`] for a store you just created.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use catalog::Catalog;
-    ///
-    /// let root = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let data = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let cat = Catalog::create(vec![Arc::clone(&root), Arc::clone(&data)])?;
-    /// assert_eq!(cat.slot_of(&data), Some(1));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn slot_of(&self, pool: &Arc<Pool>) -> Option<usize> {
-        self.pools.iter().position(|p| Arc::ptr_eq(p, pool))
     }
 
     /// Number of named stores in the catalog.
@@ -1019,13 +825,26 @@ impl Catalog {
 
     fn read_record(&self, off: PmOffset) -> Result<StoreKind, IndexError> {
         let root = self.root();
-        if off == NULL_OFFSET || root.load_u64(off) != REC_MAGIC {
+        // The name index hands over a bare offset: check it before the
+        // first load, and again once the payload length sizes the record.
+        let fits = |len: u64| {
+            off.is_multiple_of(8) && off.checked_add(len).is_some_and(|end| end <= root.size())
+        };
+        if off == NULL_OFFSET || !fits(24) {
+            return Err(corrupt(&format!(
+                "store record offset {off:#x} is outside the root pool"
+            )));
+        }
+        if root.load_u64(off) != REC_MAGIC {
             return Err(corrupt("store record magic mismatch"));
         }
         let tag = root.load_u64(off + 8);
         let n = root.load_u64(off + 16);
         if n > MAX_WORDS {
             return Err(corrupt("store record payload length is absurd"));
+        }
+        if !fits(8 * (n + 4)) {
+            return Err(corrupt("store record runs past the end of the root pool"));
         }
         let mut words = vec![REC_MAGIC, tag, n];
         for i in 0..n {
@@ -1240,43 +1059,36 @@ mod tests {
     }
 
     #[test]
-    fn provision_stamps_slots_and_rejects_reordered_fleets() {
-        let fleet = vec![pool(), pool(), pool()];
-        let cat = Catalog::provision(&mut |s: usize| Ok(Arc::clone(&fleet[s])), 3).unwrap();
-        let tree = FastFairTree::create_in(Arc::clone(&fleet[2])).unwrap();
-        tree.insert(5, 50).unwrap();
-        cat.register(
-            "kv",
-            &StoreKind::Index {
-                pool: 2,
-                superblock: tree.superblock(),
-            },
-        )
-        .unwrap();
-        drop(cat);
-
-        // Same order (through a kill/reopen image cycle): fine.
-        let images = reopen(&fleet);
-        let cat2 = Catalog::provision(&mut |s: usize| Ok(Arc::clone(&images[s])), 3).unwrap();
-        let tree2: FastFairTree = cat2.open_store("kv").unwrap();
-        assert_eq!(tree2.get(5), Some(50));
-        drop(cat2);
-
-        // The regression this exists for: the two data pools swapped
-        // used to resolve records against the wrong pool silently; the
-        // slot stamps turn it into a named error.
-        let mut swapped = reopen(&fleet);
-        swapped.swap(1, 2);
-        assert!(Catalog::provision(&mut |s: usize| Ok(Arc::clone(&swapped[s])), 3).is_err());
-
-        // Fleet-size drift is named too.
-        let images = reopen(&fleet);
-        assert!(Catalog::provision(&mut |s: usize| Ok(Arc::clone(&images[s])), 2).is_err());
-
-        // And a catalog that predates provisioning has no stamps.
-        let plain = vec![pool()];
-        let _ = Catalog::create(plain.clone()).unwrap();
-        assert!(Catalog::provision(&mut |s: usize| Ok(Arc::clone(&plain[s])), 1).is_err());
+    fn a_flipped_record_offset_is_refused_not_a_panic() {
+        let pools = vec![pool()];
+        let cat = Catalog::create(pools.clone()).unwrap();
+        cat.register("kv", &StoreKind::Txn { pool: 0 }).unwrap();
+        let rec = cat.index.get(b"kv").unwrap();
+        let image = cat.root().volatile_image();
+        // The one word of the root pool that holds the record offset: the
+        // name index's value slot for "kv".
+        let at: Vec<usize> = (0..image.len())
+            .step_by(8)
+            .filter(|&i| u64::from_le_bytes(image[i..i + 8].try_into().unwrap()) == rec)
+            .collect();
+        assert_eq!(at.len(), 1, "record offset {rec:#x} stored at {at:?}");
+        let at = at[0];
+        let mut panicked = Vec::new();
+        for bit in 0..64 {
+            let mut img = image.clone();
+            let v = rec ^ (1 << bit);
+            img[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            let root = Arc::new(Pool::from_image(&img, PoolConfig::default()).unwrap());
+            match std::panic::catch_unwind(|| Catalog::open(vec![root])) {
+                Ok(Ok(_) | Err(IndexError::Unsupported(_))) => {}
+                Ok(Err(e)) => panic!("bit {bit}: untyped refusal {e:?}"),
+                Err(_) => panicked.push(bit),
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "Catalog::open panicked with bit(s) {panicked:?} flipped"
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@ use crate::pool::{PmError, PmOffset, Pool, NULL_OFFSET};
 /// [`publish`](CommitCell::publish) it with one failure-atomic 8-byte
 /// store, flushed and fenced. A crash exposes the old value or the new
 /// one, never a mixture. The pool header holds three cells; tree roots,
-/// the journal's sequence words, the catalog's rename-intent slot and the
-/// replica watermark are cells at other offsets.
+/// the journal's sequence words and the catalog's rename-intent slot are
+/// cells at other offsets.
 ///
 /// ```
 /// use pmem::{CommitCell, Pool, PoolConfig};

@@ -65,7 +65,7 @@
 //!
 //! [`ClientHandle::get_stale`] is the other thing: it also runs on the
 //! calling thread, but checks nothing — it may miss the caller's own
-//! pipelined writes and acknowledged ones a replica has not applied.
+//! pipelined writes and committed ones the worker has not applied yet.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -102,11 +102,11 @@ mod stats;
 
 pub use stats::{LatencyHistogram, OpClass, OpStats, ServiceStats};
 
-pub use repl::ReadReplica;
-
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+#[cfg(test)]
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -328,119 +328,6 @@ enum Done {
     },
 }
 
-/// The read-replica rotation a [`Service`] serves
-/// [`ClientHandle::get_stale`] from: a fixed set of
-/// [`repl::ReadReplica`]s, each pausable out of the rotation by an
-/// operator, picked round-robin per read.
-///
-/// ```
-/// use std::sync::Arc;
-/// use service::{ReadReplica, ReadRotation};
-///
-/// struct Fixed(u64);
-/// impl ReadReplica for Fixed {
-///     fn read_stale(&self, _table: usize, _key: u64) -> Option<u64> { Some(self.0) }
-///     fn watermark(&self) -> u64 { self.0 }
-///     fn applied_groups(&self) -> u64 { 0 }
-/// }
-///
-/// let rot = ReadRotation::new(vec![Arc::new(Fixed(1)) as _, Arc::new(Fixed(2)) as _]);
-/// assert_eq!(rot.len(), 2);
-/// let (slot, _) = rot.pick().expect("someone serves");
-/// rot.pause(slot);
-/// let (other, _) = rot.pick().expect("the other still serves");
-/// assert_ne!(slot, other);
-/// rot.resume(slot);
-/// assert_eq!(rot.watermarks(), vec![1, 2]);
-/// ```
-pub struct ReadRotation {
-    replicas: Vec<Arc<dyn ReadReplica>>,
-    paused: Vec<AtomicBool>,
-    cursor: AtomicUsize,
-}
-
-impl fmt::Debug for ReadRotation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReadRotation")
-            .field("replicas", &self.replicas.len())
-            .field(
-                "paused",
-                &self
-                    .paused
-                    .iter()
-                    .filter(|p| p.load(Ordering::Relaxed))
-                    .count(),
-            )
-            .finish()
-    }
-}
-
-impl ReadRotation {
-    /// A rotation over `replicas`, all initially serving.
-    pub fn new(replicas: Vec<Arc<dyn ReadReplica>>) -> ReadRotation {
-        let paused = replicas.iter().map(|_| AtomicBool::new(false)).collect();
-        ReadRotation {
-            replicas,
-            paused,
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of replicas in the rotation (paused ones included).
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// `true` when the rotation holds no replicas at all.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
-    /// The replica in `slot` (paused or not).
-    pub fn replica(&self, slot: usize) -> &Arc<dyn ReadReplica> {
-        &self.replicas[slot]
-    }
-
-    /// Picks the next serving replica round-robin, skipping paused
-    /// slots. `None` when every slot is paused (callers fall back to
-    /// the primary).
-    pub fn pick(&self) -> Option<(usize, &Arc<dyn ReadReplica>)> {
-        let n = self.replicas.len();
-        if n == 0 {
-            return None;
-        }
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        for i in 0..n {
-            let slot = (start + i) % n;
-            if !self.paused[slot].load(Ordering::Relaxed) {
-                return Some((slot, &self.replicas[slot]));
-            }
-        }
-        None
-    }
-
-    /// Takes `slot` out of the read rotation (idempotent).
-    pub fn pause(&self, slot: usize) {
-        self.paused[slot].store(true, Ordering::Relaxed);
-    }
-
-    /// Puts `slot` back into the read rotation (idempotent).
-    pub fn resume(&self, slot: usize) {
-        self.paused[slot].store(false, Ordering::Relaxed);
-    }
-
-    /// Whether `slot` is currently paused out of the rotation.
-    pub fn is_paused(&self, slot: usize) -> bool {
-        self.paused[slot].load(Ordering::Relaxed)
-    }
-
-    /// Every replica's watermark, in slot order — subtract from the
-    /// primary's `last_committed` for per-replica lag.
-    pub fn watermarks(&self) -> Vec<u64> {
-        self.replicas.iter().map(|r| r.watermark()).collect()
-    }
-}
-
 /// What a lane's queue carries: a request, or — `None` — the wake-up
 /// [`Service::shutdown`] sends a worker that may be asleep.
 type Msg = Option<Request>;
@@ -463,7 +350,6 @@ enum WorkerState {
 struct Shared<I> {
     tables: Vec<Arc<I>>,
     engine: Arc<TxnEngine>,
-    rotation: Option<Arc<ReadRotation>>,
     stats: Arc<ServiceStats>,
     inflight: InFlight,
     stop: AtomicBool,
@@ -574,8 +460,7 @@ impl<I: PmIndex + Send + Sync + 'static> Shared<I> {
 ///
 /// Every write group-commits through a [`TxnEngine`]: client batches are
 /// atomic and a crash is recovered from the journal. Construct with
-/// [`Service::with_engine`], with [`Service::with_replicas`] (the same,
-/// plus a read-replica rotation) or, on a warm restart, with
+/// [`Service::with_engine`] or, on a warm restart, with
 /// [`Service::from_catalog`]. Clone handles off it with
 /// [`Service::handle`]; drop (or [`Service::shutdown`]) to stop the
 /// workers after they drain their queues. Construction starts no thread:
@@ -608,30 +493,7 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     ///
     /// Panics if `tables` is empty or the config names zero lanes.
     pub fn with_engine(tables: Vec<Arc<I>>, engine: Arc<TxnEngine>, config: ServiceConfig) -> Self {
-        Service::start(tables, engine, None, config)
-    }
-
-    /// Starts an engine-backed service (as [`Service::with_engine`])
-    /// that additionally serves [`ClientHandle::get_stale`] from a
-    /// rotation of read replicas. The caller keeps the replication
-    /// plumbing (shipper, transports, apply loops) — the service only
-    /// *reads* from the replicas, round-robin, skipping paused slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables` is empty or the config names zero lanes.
-    pub fn with_replicas(
-        tables: Vec<Arc<I>>,
-        engine: Arc<TxnEngine>,
-        replicas: Vec<Arc<dyn ReadReplica>>,
-        config: ServiceConfig,
-    ) -> Self {
-        Service::start(
-            tables,
-            engine,
-            Some(Arc::new(ReadRotation::new(replicas))),
-            config,
-        )
+        Service::start(tables, engine, config)
     }
 
     /// Boots a service from a [`catalog::Catalog`]: every name in
@@ -698,15 +560,10 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
         let engine = catalog.open_txn(engine)?;
         let refs: Vec<&I> = tables.iter().map(|t| t.as_ref()).collect();
         engine.recover(&refs)?;
-        Ok(Service::start(tables, Arc::new(engine), None, config))
+        Ok(Service::start(tables, Arc::new(engine), config))
     }
 
-    fn start(
-        tables: Vec<Arc<I>>,
-        engine: Arc<TxnEngine>,
-        rotation: Option<Arc<ReadRotation>>,
-        config: ServiceConfig,
-    ) -> Self {
+    fn start(tables: Vec<Arc<I>>, engine: Arc<TxnEngine>, config: ServiceConfig) -> Self {
         assert!(!tables.is_empty(), "a service needs at least one table");
         assert!(config.lanes > 0, "a service needs at least one lane");
         assert!(config.max_group > 0, "max_group must be at least 1");
@@ -723,7 +580,6 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
         let shared = Arc::new(Shared {
             tables,
             engine,
-            rotation,
             stats: Arc::new(ServiceStats::new()),
             inflight: InFlight::new(config.lanes),
             stop: AtomicBool::new(false),
@@ -757,13 +613,6 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     /// Number of worker lanes.
     pub fn lanes(&self) -> usize {
         self.shared.lanes()
-    }
-
-    /// The read-replica rotation, when the service was built with
-    /// [`Service::with_replicas`] — pause slots through it around
-    /// replica maintenance.
-    pub fn rotation(&self) -> Option<&Arc<ReadRotation>> {
-        self.shared.rotation.as_ref()
     }
 
     /// Requests currently queued on `lane`: exact when read, stale as
@@ -1043,40 +892,19 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
 
     /// Stale-tolerant point lookup on table 0 that **skips group
     /// linearization**: the read never enters a lane queue, never joins
-    /// a commit group, and pays no admission control — it is answered
-    /// immediately, by a read replica when the service has one serving
-    /// ([`Service::with_replicas`]), else directly from the primary's
-    /// table.
+    /// a commit group, pays no admission control and checks no in-flight
+    /// write — it reads the table as-is, on the calling thread.
     ///
     /// # Consistency contract
     ///
-    /// The answer is a **consistent prefix, not the latest state**:
-    ///
-    /// * Served by a replica, it reflects exactly the primary's
-    ///   committed history up to that replica's watermark — a
-    ///   group-atomic prefix (never a torn group), but missing every
-    ///   commit after the watermark. Successive calls may rotate to a
-    ///   different replica at a different watermark, so stale reads are
-    ///   *not* monotonic across calls.
-    /// * Served by the primary fallback (no rotation, or every replica
-    ///   paused), it reads the table as-is: commits the workers have
-    ///   not yet applied, and writes pipelined in the caller's own lane,
-    ///   are invisible.
-    ///
-    /// Use [`ClientHandle::get`] when read-your-writes or linearizable
-    /// freshness matters; use this when throughput does. Nothing bounds
-    /// the lag a replica's answer trails by: a caller that needs a
-    /// bound compares the replica's watermark with the engine's
-    /// `last_committed` and pauses the slot through
-    /// [`Service::rotation`].
+    /// Every value it returns is committed (a group applies only after
+    /// its commit store), but it is **not the latest state**: commits
+    /// the workers have not yet applied, and writes pipelined in the
+    /// caller's own lane, are invisible, and a group being applied may
+    /// show some of its writes and not others. Use
+    /// [`ClientHandle::get`] when read-your-writes or linearizable
+    /// freshness matters; use this when throughput does.
     pub fn get_stale(&self, key: Key) -> Option<Value> {
-        if let Some(rotation) = &self.shared.rotation {
-            if let Some((_, replica)) = rotation.pick() {
-                self.shared.stats.note_stale_read(true);
-                return replica.read_stale(0, key);
-            }
-        }
-        self.shared.stats.note_stale_read(false);
         self.shared.tables[0].get(key)
     }
 
@@ -1274,7 +1102,7 @@ fn process_group<I: PmIndex>(
             Request::Delete { key, reply, start } => {
                 // No read either: a key this group has not written is
                 // deleted unconditionally — removing an absent key is a
-                // no-op in the apply, in journal replay and on replicas —
+                // no-op in the apply and in journal replay —
                 // and the apply reports whether it was there.
                 let known = overlay.insert((0, key), None);
                 if known.is_none() {
@@ -1564,65 +1392,5 @@ mod tests {
             refused,
             Err(IndexError::Unsupported(why)) if why.contains("txn engine")
         ));
-    }
-
-    #[test]
-    fn stale_reads_serve_from_replica_and_fall_back_when_paused() {
-        use repl::{ChannelTransport, LogShipper, Replica};
-
-        // An engine service with one subscribed read replica, which the
-        // test catches up by hand.
-        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(16 << 20)).unwrap());
-        let store: Arc<ShardedStore<FastFairTree>> = Arc::new(
-            ShardedStore::create(
-                Arc::clone(&pool),
-                vec![Arc::clone(&pool), Arc::clone(&pool)],
-                Partitioning::Hash { shards: 2 },
-            )
-            .unwrap(),
-        );
-        let engine = Arc::new(TxnEngine::create(pool).unwrap());
-        let shipper = LogShipper::new(1024);
-        engine.add_tap(Arc::clone(&shipper) as _);
-        let transport = ChannelTransport::new();
-        let sub = shipper.subscribe(Arc::clone(&transport) as _);
-        let replica: Arc<Replica<FastFairTree>> = Arc::new(
-            Replica::create(
-                &mut |_slot: usize| {
-                    Ok(Arc::new(pmem::Pool::new(
-                        pmem::PoolConfig::default().size(4 << 20),
-                    )?))
-                },
-                1,
-                &["kv"],
-            )
-            .unwrap(),
-        );
-        let service = Service::with_replicas(
-            vec![store],
-            Arc::clone(&engine),
-            vec![Arc::clone(&replica) as Arc<dyn ReadReplica>],
-            ServiceConfig {
-                lanes: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let c = service.handle();
-        assert_eq!(c.insert(7, 70).unwrap(), None);
-        replica.catch_up(transport.as_ref(), &shipper, sub).unwrap();
-        assert_eq!(replica.watermark(), engine.last_committed());
-
-        assert_eq!(c.get_stale(7), Some(70));
-        assert_eq!(service.stats().stale_reads(), 1);
-        assert_eq!(service.stats().stale_fallbacks(), 0);
-
-        // Every replica paused: the stale read falls back to the
-        // primary's tables (still no lane, no linearization).
-        let rotation = Arc::clone(service.rotation().unwrap());
-        rotation.pause(0);
-        assert_eq!(c.get_stale(7), Some(70));
-        assert_eq!(service.stats().stale_fallbacks(), 1);
-        rotation.resume(0);
-        assert!(!rotation.is_paused(0));
     }
 }

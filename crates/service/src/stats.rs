@@ -215,8 +215,6 @@ pub struct ServiceStats {
     leaf_hint_lookups: AtomicU64,
     leaf_hint_hits: AtomicU64,
     leaf_hint_rebuilds: AtomicU64,
-    stale_reads: AtomicU64,
-    stale_fallbacks: AtomicU64,
 }
 
 impl ServiceStats {
@@ -331,18 +329,6 @@ impl ServiceStats {
         self.leaf_hint_rebuilds.load(Ordering::Relaxed)
     }
 
-    /// Stale reads ([`crate::ClientHandle::get_stale`]) answered by a
-    /// read replica.
-    pub fn stale_reads(&self) -> u64 {
-        self.stale_reads.load(Ordering::Relaxed)
-    }
-
-    /// Stale reads that fell back to the primary's tables (no rotation
-    /// configured, or every replica paused out of it).
-    pub fn stale_fallbacks(&self) -> u64 {
-        self.stale_fallbacks.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn note_submitted(&self, class: OpClass) {
         self.ops[class.index()]
             .submitted
@@ -398,14 +384,6 @@ impl ServiceStats {
             .fetch_add(s.leaf_hint_hits, Ordering::Relaxed);
         self.leaf_hint_rebuilds
             .fetch_add(s.leaf_hint_rebuilds, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_stale_read(&self, from_replica: bool) {
-        if from_replica {
-            self.stale_reads.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stale_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 

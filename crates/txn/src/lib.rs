@@ -229,26 +229,11 @@ impl WriteBatch {
 /// acquisitions. Tables hold disjoint keyspaces, so regrouping across
 /// tables cannot reorder conflicting ops.
 ///
-/// Public because it is the redo half every journal consumer shares:
-/// `crates/repl` replays shipped groups onto replica tables through the
-/// exact same grouping the primary's apply phase used.
-///
-/// ```
-/// use pmindex::{BatchOp, PmIndex};
-/// use std::sync::Arc;
-///
-/// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-/// let tree = fastfair::FastFairTree::create(pool, fastfair::TreeOptions::new())?;
-/// txn::apply_grouped(&[(0, BatchOp::Put(1, 10))], &[&tree])?;
-/// assert_eq!(tree.get(1), Some(10));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
 /// # Errors
 ///
 /// Propagates [`PmIndex::apply_batch`] failures; a table id outside
 /// `tables` panics (callers validate ids first, as the engine does).
-pub fn apply_grouped<T: PmIndex + ?Sized>(
+fn apply_grouped<T: PmIndex + ?Sized>(
     ops: &[(u64, BatchOp)],
     tables: &[&T],
 ) -> Result<(), IndexError> {
@@ -270,29 +255,11 @@ pub fn apply_grouped<T: PmIndex + ?Sized>(
 /// replaced or a delete removed, `None` if the key was absent, later ops
 /// on a key seeing earlier ones.
 ///
-/// ```
-/// use pmindex::{BatchOp, PmIndex};
-/// use std::sync::Arc;
-///
-/// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-/// let a = fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())?;
-/// let b = fastfair::FastFairTree::create(pool, fastfair::TreeOptions::new())?;
-/// b.insert(1, 11)?;
-/// let mut prev = Vec::new();
-/// txn::apply_grouped_prev(
-///     &[(1, BatchOp::Put(1, 12)), (0, BatchOp::Put(1, 10)), (1, BatchOp::Delete(1))],
-///     &[&a, &b],
-///     &mut prev,
-/// )?;
-/// assert_eq!(prev, vec![Some(11), None, Some(12)]); // input order, not table order
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
 /// # Errors
 ///
 /// As [`apply_grouped`]; after an error the entries pushed onto `prev`
 /// are unspecified.
-pub fn apply_grouped_prev<T: PmIndex + ?Sized>(
+fn apply_grouped_prev<T: PmIndex + ?Sized>(
     ops: &[(u64, BatchOp)],
     tables: &[&T],
     prev: &mut Vec<Option<Value>>,
@@ -303,50 +270,6 @@ pub fn apply_grouped_prev<T: PmIndex + ?Sized>(
         prev,
         |t, group, group_prev| tables[t].apply_batch_prev(group, group_prev),
     )
-}
-
-/// Observer of committed groups — the change-data-capture seam.
-///
-/// A tap registered with [`TxnEngine::add_tap`] is called once per
-/// committed group, **in sequence order** (the call happens under the
-/// engine's journal lock, immediately after the group's failure-atomic
-/// commit store and *before* its apply phase), with the group's sequence
-/// number and its flattened `(table id, op)` list. `crates/repl`'s
-/// `LogShipper` is the canonical implementation; tests use closures via
-/// the blanket impl below.
-///
-/// Taps must not call back into the engine (the journal lock is held)
-/// and should return quickly — they run on the committing thread.
-///
-/// ```
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use std::sync::Arc;
-/// use txn::{TxnEngine, WriteBatch};
-///
-/// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-/// let tree = fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())?;
-/// let engine = TxnEngine::create(pool)?;
-/// let seen = Arc::new(AtomicU64::new(0));
-/// let seen2 = Arc::clone(&seen);
-/// engine.add_tap(Arc::new(move |seq: u64, _ops: &[(u64, pmindex::BatchOp)]| {
-///     seen2.store(seq, Ordering::SeqCst);
-/// }));
-/// let mut batch = WriteBatch::new();
-/// batch.put(0, 1, 10);
-/// engine.commit(batch, &[&tree])?;
-/// assert_eq!(seen.load(Ordering::SeqCst), 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub trait CommitTap: Send + Sync {
-    /// Called once per committed group with its sequence number and
-    /// flattened ops, in strictly increasing `seq` order.
-    fn on_commit(&self, seq: u64, ops: &[(u64, BatchOp)]);
-}
-
-impl<F: Fn(u64, &[(u64, BatchOp)]) + Send + Sync> CommitTap for F {
-    fn on_commit(&self, seq: u64, ops: &[(u64, BatchOp)]) {
-        self(seq, ops);
-    }
 }
 
 /// The transaction engine: owns a pmem-resident redo journal inside one
@@ -375,9 +298,6 @@ pub struct TxnEngine {
     apply_gate: RwLock<()>,
     /// Pin point for snapshot reads; drained quiescently by `recover`.
     epoch: Arc<epoch::EpochDomain>,
-    /// Change-data-capture observers, invoked per committed group under
-    /// the journal lock (so they see groups in sequence order).
-    taps: RwLock<Vec<Arc<dyn CommitTap>>>,
 }
 
 impl std::fmt::Debug for TxnEngine {
@@ -466,26 +386,7 @@ impl TxnEngine {
             applied: AtomicU64::new(applied),
             apply_gate: RwLock::new(()),
             epoch: epoch::EpochDomain::new(),
-            taps: RwLock::new(Vec::new()),
         })
-    }
-
-    /// Registers a change-data-capture observer: from now on every
-    /// committed group is handed to `tap` in sequence order. Attach taps
-    /// *before* serving writes (and after [`TxnEngine::recover`], which
-    /// also emits any group it replays) so no group slips past unseen.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use txn::TxnEngine;
-    ///
-    /// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let engine = TxnEngine::create(pool)?;
-    /// engine.add_tap(Arc::new(|_seq: u64, _ops: &[(u64, pmindex::BatchOp)]| {}));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn add_tap(&self, tap: Arc<dyn CommitTap>) {
-        self.taps.write().push(tap);
     }
 
     /// Sequence number of the most recently committed batch (0 before
@@ -626,10 +527,10 @@ impl TxnEngine {
     }
 
     /// [`TxnEngine::commit_grouped`] that also reports what every write
-    /// replaced: the same stage → one sequence store → taps → apply →
+    /// replaced: the same stage → one sequence store → apply →
     /// retire protocol, the same validation, the same fences and
     /// flushes — only the apply phase goes through
-    /// [`apply_grouped_prev`], pushing one entry per op onto `prev` in
+    /// [`PmIndex::apply_batch_prev`], pushing one entry per op onto `prev` in
     /// flat group order (batch 0's ops, then batch 1's, …): the value a
     /// put replaced or a delete removed *as the group applied*, `None`
     /// if the key was absent. On an index that reports the old value
@@ -733,15 +634,6 @@ impl TxnEngine {
         j.committed().publish(&self.pool, seq);
         pmem::stats::count_txn_commit();
         self.seq.store(seq, Ordering::SeqCst);
-        // 2b. SHIP: the group is durably committed, so hand it to the
-        // CDC taps *before* the apply — a replica may therefore apply a
-        // group its primary has not finished applying (or, if the apply
-        // below fails, one the primary will only apply on recover());
-        // both sides converge because apply is idempotent redo. Emitting
-        // under the journal lock keeps the stream in sequence order.
-        for tap in self.taps.read().iter() {
-            tap.on_commit(seq, &ops);
-        }
         // 3. APPLY: idempotent redo onto the live tables, atomically
         // with respect to snapshot readers. The applied counter advances
         // inside the gate so a snapshot's seq always matches what its
@@ -785,8 +677,11 @@ impl TxnEngine {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if a journal entry names a table
-    /// outside `tables`; apply failures propagate (the journal stays
-    /// committed-but-unapplied, so recovery can be retried).
+    /// outside `tables`, or holds an op kind other than put or delete, a
+    /// reserved put value or a delete with a nonzero value — checked for
+    /// every entry before any applies; apply failures propagate (the
+    /// journal stays committed-but-unapplied, so recovery can be
+    /// retried).
     pub fn recover<T: PmIndex + ?Sized>(&self, tables: &[&T]) -> Result<usize, IndexError> {
         let j = self.journal.lock();
         let committed = j.committed().load(&self.pool);
@@ -804,6 +699,8 @@ impl TxnEngine {
                 j.off, j.cap
             )));
         }
+        // Every entry is checked before any applies: a corrupt one
+        // refuses the replay instead of applying as something else.
         let mut ops = Vec::with_capacity(n as usize);
         for i in 0..n {
             let base = j.off + J_ENTRIES + i * ENTRY_WORDS * 8;
@@ -817,20 +714,16 @@ impl TxnEngine {
             let kind = self.pool.load_u64(base + 8);
             let key = self.pool.load_u64(base + 16);
             let value = self.pool.load_u64(base + 24);
-            ops.push((
-                t,
-                if kind == OP_PUT {
-                    BatchOp::Put(key, value)
-                } else {
-                    BatchOp::Delete(key)
-                },
-            ));
-        }
-        // A replayed group was committed, so CDC taps attached before
-        // recovery hear it too (replicas dedup by sequence, so hearing a
-        // group twice across a primary restart is harmless).
-        for tap in self.taps.read().iter() {
-            tap.on_commit(committed, &ops);
+            let op = match kind {
+                OP_PUT if check_value(value).is_ok() => BatchOp::Put(key, value),
+                OP_DELETE if value == 0 => BatchOp::Delete(key),
+                _ => {
+                    return Err(IndexError::Unsupported(format!(
+                        "journal entry {i} is corrupt: kind {kind:#x}, value {value:#x}"
+                    )))
+                }
+            };
+            ops.push((t, op));
         }
         {
             let _excl = self.apply_gate.write();
@@ -944,6 +837,33 @@ mod tests {
         let tree = FastFairTree::create(Arc::clone(&pool), TreeOptions::new()).unwrap();
         let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
         (pool, tree, engine)
+    }
+
+    #[test]
+    fn apply_grouped_applies_each_tables_ops() {
+        let (_pool, tree, _engine) = mk();
+        apply_grouped(&[(0, BatchOp::Put(1, 10))], &[&tree]).unwrap();
+        assert_eq!(tree.get(1), Some(10));
+    }
+
+    #[test]
+    fn apply_grouped_prev_reports_in_input_order() {
+        let (pool, a, _engine) = mk();
+        let b = FastFairTree::create(pool, TreeOptions::new()).unwrap();
+        b.insert(1, 11).unwrap();
+        let mut prev = Vec::new();
+        apply_grouped_prev(
+            &[
+                (1, BatchOp::Put(1, 12)),
+                (0, BatchOp::Put(1, 10)),
+                (1, BatchOp::Delete(1)),
+            ],
+            &[&a, &b],
+            &mut prev,
+        )
+        .unwrap();
+        // Input order, not table order.
+        assert_eq!(prev, vec![Some(11), None, Some(12)]);
     }
 
     #[test]

@@ -11,7 +11,6 @@ pub use fptree;
 pub use pmem;
 pub use pmindex;
 pub use pskiplist;
-pub use repl;
 pub use service;
 pub use shard;
 pub use tpcc;

@@ -11,7 +11,8 @@
 //! * the pool header's three commit cells (manifest, journal, catalog);
 //! * the shard manifest record's entry count;
 //! * the journal's entry count and capacity, with a committed batch left
-//!   unapplied so that `recover` replays it;
+//!   unapplied so that `recover` replays it, and one of its entries' op
+//!   kind, which must not replay as the other op;
 //! * the catalog superblock's rename-intent slot.
 //!
 //! The word offsets inside each record are the layouts documented in
@@ -32,10 +33,13 @@ const POOL: usize = 1 << 20;
 /// Manifest record word 3: the number of shard entries.
 const MANIFEST_COUNT: u64 = 24;
 /// Journal region words 2–4: the applied sequence, the staged entry
-/// count and the capacity.
+/// count and the capacity; entries of four words (table, kind, key,
+/// value) start at word 5.
 const J_APPLIED: u64 = 16;
 const J_COUNT: u64 = 24;
 const J_CAP: u64 = 32;
+const J_ENTRIES: u64 = 40;
+const ENTRY_BYTES: u64 = 32;
 /// Catalog superblock word 2: the rename-intent slot.
 const SB_INTENT: u64 = 16;
 
@@ -169,6 +173,50 @@ fn a_flipped_journal_slot_count_or_capacity_is_survived() {
     assert!(count.refused > 0, "{count:?}");
     let cap = flip_each_bit("journal capacity", &image, journal + J_CAP, recover);
     assert!(cap.refused > 0, "{cap:?}");
+}
+
+/// A flipped op kind must not turn the pending batch's third put into a
+/// delete (or anything else): replay refuses the batch before applying
+/// any entry, so the table keeps every row. The same goes for a put whose
+/// value word became reserved.
+#[test]
+fn a_flipped_journal_entry_kind_is_refused() {
+    let (image, tree) = pending_journal();
+    let entry = CommitCell::JOURNAL.load(&remap(&image)) + J_ENTRIES + 2 * ENTRY_BYTES;
+    let rows: Vec<(u64, u64)> = (1..=5).map(|k| (k, k * 10)).collect();
+    let replay = |img: &[u8]| {
+        let pool = remap(img);
+        let table = FastFairTree::open_in(Arc::clone(&pool), tree).unwrap();
+        let replayed = TxnEngine::open(pool).unwrap().recover(&[&table]);
+        let mut got = Vec::new();
+        table.range(0, u64::MAX, &mut got);
+        (replayed, got)
+    };
+    let mut damaged = Vec::new();
+    for bit in 0..64 {
+        let mut img = image.clone();
+        let at = (entry + 8) as usize;
+        let kind = u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) ^ (1 << bit);
+        img[at..at + 8].copy_from_slice(&kind.to_le_bytes());
+        let (replayed, got) = replay(&img);
+        if !matches!(replayed, Ok(_) | Err(IndexError::Unsupported(_))) || got != rows {
+            damaged.push((bit, replayed));
+        }
+    }
+    assert!(
+        damaged.is_empty(),
+        "flipped kind bits replayed wrongly: {damaged:?}"
+    );
+
+    let mut img = image.clone();
+    let at = (entry + 24) as usize;
+    img[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let (replayed, got) = replay(&img);
+    assert!(
+        matches!(replayed, Err(IndexError::Unsupported(_))),
+        "{replayed:?}"
+    );
+    assert_eq!(got, rows);
 }
 
 fn catalog() -> Vec<u8> {

@@ -266,8 +266,7 @@ fn spin_until(what: &str, done: impl Fn() -> bool) {
 /// (measured 1.19 against 4: 0.30 ×). A held `txn::Snapshot` parks the
 /// worker inside a commit so the sixteen queue behind it
 /// deterministically. One unsharded tree keeps every fence on the lane
-/// worker. (That a replica converges exactly is
-/// `tests/repl_differential.rs`'s check.)
+/// worker.
 #[test]
 fn group_commit_shares_fences_across_sixteen_updates() {
     let p = pool(LatencyProfile::dram());
