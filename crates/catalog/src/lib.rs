@@ -12,22 +12,33 @@
 //! get its tree back:
 //!
 //! ```text
-//! root pool header ──CommitCell::CATALOG──▶ catalog superblock
-//!                                      ├── inner name index (varkey tree)
-//!                                      │     "orders"  → store record A
-//!                                      │     "history" → store record B
-//!                                      └── rename intent slot (normally 0)
+//! root pool header ──CommitCell::CATALOG──▶ catalog record
+//!                                             "history" → StoreKind B
+//!                                             "orders"  → StoreKind A
 //! ```
 //!
-//! Store records are immutable and checksummed, committed exactly like a
-//! shard manifest: the record is written and persisted in full first,
-//! then *published* with a single failure-atomic 8-byte store (the
-//! varkey insert of `name → record offset`). A crash before the publish
-//! leaves the name unmapped (the old state); a crash after leaves it
-//! fully mapped (the new state) — there is no in-between to repair,
-//! which is why [`Catalog::open`] is instantaneous. The one two-step
-//! mutation, [`Catalog::rename`], stages an *intent record* behind its
-//! own single pointer flip and is replayed idempotently on open.
+//! The whole registry is **one** immutable, checksummed
+//! [`CommitCell::CATALOG`] record ([`CommitCell::publish_record`]).
+//! [`Catalog::open`] decodes it once into a DRAM map that serves every
+//! later read, and every mutation — [`Catalog::register`],
+//! [`Catalog::update`], [`Catalog::remove`], [`Catalog::rename`] — writes
+//! the whole new record to fresh space, persists it, and publishes it with
+//! one failure-atomic 8-byte store, freeing the record it replaces. A
+//! crash exposes the old registry or the new one, never a mixture, so
+//! `open` replays nothing and writes nothing.
+//!
+//! The trade-off: each mutation rewrites O(names) words. That fits a
+//! registry of tens of names, which is what a deployment holds.
+//!
+//! Record payload, in 8-byte words, one group per name in name order:
+//!
+//! ```text
+//! name length in bytes, name bytes packed little-endian 8 per word,
+//! kind tag (1 index, 2 varkey, 3 sharded, 4 txn),
+//! superblock offset (0 for sharded and txn: a pool header anchors them),
+//! fleet slot count n, n fleet slots (sharded: the manifest's, then each
+//! shard's in manifest slot-id order)
+//! ```
 //!
 //! Pools are identified by **fleet slot**: the position of the pool in
 //! the `Vec<Arc<Pool>>` handed to [`Catalog::create`] /
@@ -41,37 +52,26 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use fastfair::FastFairTree;
 use parking_lot::Mutex;
-use pmem::{fnv1a, CommitCell, PmOffset, Pool, NULL_OFFSET};
+use pmem::{CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{IndexError, PersistentIndex};
 use shard::ShardedStore;
 use txn::TxnEngine;
-use varkey::{VarKeyIndex, VarKeyStore};
+use varkey::VarKeyStore;
 
-/// `"FFCATLOG"` — first word of the catalog superblock.
-const CAT_MAGIC: u64 = u64::from_le_bytes(*b"FFCATLOG");
-/// `"FFSTOREC"` — first word of every store record.
-const REC_MAGIC: u64 = u64::from_le_bytes(*b"FFSTOREC");
-/// `"FFRENAME"` — first word of a rename intent record.
-const INTENT_MAGIC: u64 = u64::from_le_bytes(*b"FFRENAME");
+/// `"FFCATREC"` — the magic of the catalog record.
+const MAGIC: u64 = u64::from_le_bytes(*b"FFCATREC");
 
-/// Superblock layout (words): `[magic, inner index superblock, intent]`.
-const SB_WORDS: u64 = 3;
-/// Byte offset of the mutable rename-intent slot inside the superblock.
-const SB_INTENT: u64 = 16;
-
-/// Store-record kind tags (word 1 of a record).
+/// Kind tags: the first of a name's kind words.
 const TAG_INDEX: u64 = 1;
 const TAG_VARKEY: u64 = 2;
 const TAG_SHARDED: u64 = 3;
 const TAG_TXN: u64 = 4;
 
-/// Sanity cap on decoded record payloads, shard counts and intent name
-/// lengths, so a corrupt length word cannot drive an unbounded read.
-const MAX_WORDS: u64 = 1 << 16;
+type Names = BTreeMap<String, StoreKind>;
 
 fn corrupt(what: &str) -> IndexError {
     IndexError::Unsupported(format!("catalog: {what}"))
@@ -128,84 +128,60 @@ pub enum StoreKind {
 }
 
 impl StoreKind {
-    fn encode(&self) -> (u64, Vec<u64>) {
+    /// The kind's tag, its offset anchor (0 for the stores anchored in a
+    /// pool header) and every fleet slot it names.
+    fn parts(&self) -> (u64, PmOffset, Vec<usize>) {
         match self {
-            StoreKind::Index { pool, superblock } => (TAG_INDEX, vec![*pool as u64, *superblock]),
-            StoreKind::VarKey { pool, superblock } => (TAG_VARKEY, vec![*pool as u64, *superblock]),
+            StoreKind::Index { pool, superblock } => (TAG_INDEX, *superblock, vec![*pool]),
+            StoreKind::VarKey { pool, superblock } => (TAG_VARKEY, *superblock, vec![*pool]),
             StoreKind::Sharded {
                 manifest_pool,
                 shard_pools,
-            } => {
-                let mut p = vec![*manifest_pool as u64, shard_pools.len() as u64];
-                p.extend(shard_pools.iter().map(|&s| s as u64));
-                (TAG_SHARDED, p)
-            }
-            StoreKind::Txn { pool } => (TAG_TXN, vec![*pool as u64]),
+            } => (
+                TAG_SHARDED,
+                0,
+                [&[*manifest_pool], &shard_pools[..]].concat(),
+            ),
+            StoreKind::Txn { pool } => (TAG_TXN, 0, vec![*pool]),
         }
     }
 
-    fn decode(tag: u64, payload: &[u64]) -> Result<StoreKind, IndexError> {
-        let word = |i: usize| -> Result<u64, IndexError> {
-            payload
-                .get(i)
-                .copied()
-                .ok_or_else(|| corrupt("store record payload truncated"))
-        };
-        match tag {
-            TAG_INDEX => Ok(StoreKind::Index {
-                pool: word(0)? as usize,
-                superblock: word(1)?,
-            }),
-            TAG_VARKEY => Ok(StoreKind::VarKey {
-                pool: word(0)? as usize,
-                superblock: word(1)?,
-            }),
-            TAG_SHARDED => {
-                let n = word(1)?;
-                if n == 0 || n > MAX_WORDS {
-                    return Err(corrupt("store record names an absurd shard count"));
-                }
-                let mut shard_pools = Vec::with_capacity(n as usize);
-                for i in 0..n as usize {
-                    shard_pools.push(word(2 + i)? as usize);
-                }
-                Ok(StoreKind::Sharded {
-                    manifest_pool: word(0)? as usize,
-                    shard_pools,
-                })
-            }
-            TAG_TXN => Ok(StoreKind::Txn {
-                pool: word(0)? as usize,
-            }),
-            _ => Err(corrupt("store record carries an unknown kind tag")),
-        }
+    fn from_parts(tag: u64, anchor: PmOffset, slots: &[usize]) -> Option<StoreKind> {
+        Some(match (tag, slots) {
+            (TAG_INDEX, &[pool]) => StoreKind::Index {
+                pool,
+                superblock: anchor,
+            },
+            (TAG_VARKEY, &[pool]) => StoreKind::VarKey {
+                pool,
+                superblock: anchor,
+            },
+            (TAG_SHARDED, [manifest_pool, shards @ ..]) => StoreKind::Sharded {
+                manifest_pool: *manifest_pool,
+                shard_pools: shards.to_vec(),
+            },
+            (TAG_TXN, &[pool]) => StoreKind::Txn { pool },
+            _ => return None,
+        })
     }
+}
 
-    /// Every fleet slot this record references, for bounds validation.
-    fn slots(&self) -> Vec<usize> {
-        match self {
-            StoreKind::Index { pool, .. }
-            | StoreKind::VarKey { pool, .. }
-            | StoreKind::Txn { pool } => vec![*pool],
-            StoreKind::Sharded {
-                manifest_pool,
-                shard_pools,
-            } => {
-                let mut v = vec![*manifest_pool];
-                v.extend_from_slice(shard_pools);
-                v
-            }
-        }
-    }
+/// Splits `n` words off the front of a record payload.
+fn take<'a>(words: &mut &'a [u64], n: u64) -> Result<&'a [u64], IndexError> {
+    let (head, rest) = usize::try_from(n)
+        .ok()
+        .and_then(|n| words.split_at_checked(n))
+        .ok_or_else(|| corrupt("record is truncated"))?;
+    *words = rest;
+    Ok(head)
 }
 
 /// A persistent name→store registry rooted in a pool fleet.
 ///
-/// One catalog owns the header `CATALOG_SLOT` of its **root pool**
-/// (fleet slot 0) and maps UTF-8 names to [`StoreKind`] records. All
-/// mutations commit through a single failure-atomic 8-byte store and
-/// replay idempotently on [`Catalog::open`] — see the crate docs for
-/// the commit protocol.
+/// One catalog owns the [`CommitCell::CATALOG`] cell of its **root pool**
+/// (fleet slot 0) and maps UTF-8 names to [`StoreKind`]s. Every mutation
+/// commits the whole registry through one failure-atomic 8-byte store —
+/// see the crate docs for the record.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -222,23 +198,12 @@ impl StoreKind {
 /// assert_eq!(again.get(7), Some(70));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+#[derive(Debug)]
 pub struct Catalog {
     pools: Vec<Arc<Pool>>,
-    index: VarKeyStore<FastFairTree>,
-    superblock: PmOffset,
-    /// Serializes mutations (register/update/rename/remove); lookups
-    /// and opens stay latch-free through the inner index.
-    mutate: Mutex<()>,
-}
-
-impl std::fmt::Debug for Catalog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Catalog")
-            .field("pools", &self.pools.len())
-            .field("stores", &self.index.len())
-            .field("superblock", &self.superblock)
-            .finish()
-    }
+    /// The registry as last committed. Its lock also serializes
+    /// mutations, so the record a mutation builds is never stale.
+    names: Mutex<Names>,
 }
 
 impl Catalog {
@@ -269,29 +234,20 @@ impl Catalog {
                 "root pool already holds a catalog; use Catalog::open",
             ));
         }
-        let tree = FastFairTree::create_in(Arc::clone(root))?;
-        let inner_sb = tree.superblock();
-        let off = root.alloc(SB_WORDS * 8, 64)?;
-        root.store_u64(off, CAT_MAGIC);
-        root.store_u64(off + 8, inner_sb);
-        root.store_u64(off + SB_INTENT, 0);
-        root.persist(off, SB_WORDS * 8);
-        // Single failure-atomic publish: before this store the pool has
-        // no catalog, after it the catalog is complete.
-        CommitCell::CATALOG.publish(root, off);
-        let index = VarKeyStore::new(tree, Arc::clone(root));
-        Ok(Catalog {
+        let cat = Catalog {
             pools,
-            index,
-            superblock: off,
-            mutate: Mutex::new(()),
-        })
+            names: Mutex::new(Names::new()),
+        };
+        // Publishing the empty record is the commit: before it the pool
+        // has no catalog, after it an empty one.
+        cat.commit(&Names::new())?;
+        Ok(cat)
     }
 
-    /// Re-opens the catalog published in `pools[0]`'s header, replays
-    /// any interrupted [`Catalog::rename`], and validates every store
-    /// record (checksum and fleet-slot bounds) — the registry analogue
-    /// of the paper's instantaneous recovery.
+    /// Re-opens the catalog published in `pools[0]`'s header: reads and
+    /// checks its one record (checksum and fleet-slot bounds) and decodes
+    /// it into memory. Nothing is replayed and nothing is written — the
+    /// registry analogue of the paper's instantaneous recovery.
     ///
     /// The caller must present the same pools in the same slot order as
     /// the fleet the catalog was created over (slot indexes are the
@@ -319,31 +275,19 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Unsupported`] if the root pool holds no catalog,
-    /// the superblock or any record fails validation, or a record
-    /// references a fleet slot outside `pools`.
+    /// [`IndexError::Unsupported`] if the root pool holds no catalog, the
+    /// record fails validation (including a record in an older catalog
+    /// format), or it references a fleet slot outside `pools`.
     pub fn open(pools: Vec<Arc<Pool>>) -> Result<Catalog, IndexError> {
         let root = pools
             .first()
             .ok_or_else(|| corrupt("a catalog needs at least a root pool"))?;
-        let off = CommitCell::CATALOG
-            .target(root, SB_WORDS * 8)?
+        let names = read(root, pools.len())?
             .ok_or_else(|| corrupt("root pool holds no catalog; use Catalog::create"))?;
-        if root.load_u64(off) != CAT_MAGIC {
-            return Err(corrupt("catalog superblock magic mismatch"));
-        }
-        let inner_sb = root.load_u64(off + 8);
-        let tree = FastFairTree::open_in(Arc::clone(root), inner_sb)?;
-        let index = VarKeyStore::new(tree, Arc::clone(root));
-        let cat = Catalog {
+        Ok(Catalog {
             pools,
-            index,
-            superblock: off,
-            mutate: Mutex::new(()),
-        };
-        cat.replay_intent()?;
-        cat.verify()?;
-        Ok(cat)
+            names: Mutex::new(names),
+        })
     }
 
     /// The pool fleet this catalog resolves slot references against
@@ -390,7 +334,7 @@ impl Catalog {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.names.lock().len()
     }
 
     /// `true` if no stores are registered.
@@ -407,10 +351,9 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// Registers `name → kind`: writes and persists an immutable
-    /// checksummed record, then publishes it with one failure-atomic
-    /// insert into the name index. A crash leaves the name either
-    /// absent or fully mapped — never in between.
+    /// Registers `name → kind`: writes and persists the new registry
+    /// record, then publishes it with one failure-atomic store. A crash
+    /// leaves the name either absent or fully mapped — never in between.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -430,20 +373,17 @@ impl Catalog {
     /// if `kind` references a fleet slot outside the pool fleet.
     pub fn register(&self, name: &str, kind: &StoreKind) -> Result<(), IndexError> {
         self.check(name, kind)?;
-        let _m = self.mutate.lock();
-        if self.index.get(name.as_bytes()).is_some() {
-            return Err(corrupt("name already registered; use Catalog::update"));
-        }
-        let off = self.write_record(kind)?;
-        self.index.insert(name.as_bytes(), off)?;
-        Ok(())
+        // A failed mutation discards the copy it changed.
+        self.mutate(|names| match names.insert(name.into(), kind.clone()) {
+            Some(_) => Err(corrupt("name already registered; use Catalog::update")),
+            None => Ok(()),
+        })
     }
 
-    /// Repoints an existing name at a new record — e.g. after an operator
-    /// moved a store's pools to new slots. Commits exactly
-    /// like [`Catalog::register`]: new record first, then one
-    /// failure-atomic value store; readers see the old or the new
-    /// coordinates, never a mix.
+    /// Repoints an existing name at new coordinates — e.g. after an
+    /// operator moved a store's pools to new slots. Commits exactly like
+    /// [`Catalog::register`]: readers see the old or the new coordinates,
+    /// never a mix.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -463,18 +403,16 @@ impl Catalog {
     /// `kind` references a slot outside the fleet.
     pub fn update(&self, name: &str, kind: &StoreKind) -> Result<(), IndexError> {
         self.check(name, kind)?;
-        let _m = self.mutate.lock();
-        if self.index.get(name.as_bytes()).is_none() {
-            return Err(corrupt("name not registered; use Catalog::register"));
-        }
-        let off = self.write_record(kind)?;
-        self.index.update(name.as_bytes(), off)?;
-        Ok(())
+        self.mutate(|names| match names.insert(name.into(), kind.clone()) {
+            Some(_) => Ok(()),
+            None => Err(corrupt("name not registered; use Catalog::register")),
+        })
     }
 
-    /// Unregisters `name`, returning whether it was present. Removal is
-    /// one failure-atomic delete from the name index; the store's data
-    /// itself is untouched (drop its pools to reclaim it).
+    /// Unregisters `name`, returning whether it was removed: `false` if it
+    /// was absent, or if the root pool had no room for the new record (the
+    /// name then stays). Commits like [`Catalog::register`]; the store's
+    /// data itself is untouched (drop its pools to reclaim it).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -488,17 +426,17 @@ impl Catalog {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn remove(&self, name: &str) -> bool {
-        let _m = self.mutate.lock();
-        self.index.remove(name.as_bytes())
+        self.mutate(|names| match names.remove(name) {
+            Some(_) => Ok(()),
+            None => Err(corrupt("name not registered")),
+        })
+        .is_ok()
     }
 
-    /// Atomically renames a store. The only two-step catalog mutation:
-    /// an *intent record* (old name, new name, record offset) is
-    /// persisted and published in the superblock's intent slot before
-    /// either index mutation runs, and [`Catalog::open`] replays the
-    /// intent idempotently — so a crash anywhere inside `rename`
-    /// resolves to the old mapping (intent not yet published) or the
-    /// new one (intent published), never to both names or neither.
+    /// Atomically renames a store: one record holds both names' states,
+    /// so its one publish moves the mapping, and a crash anywhere inside
+    /// `rename` resolves to the old mapping or the new one, never to both
+    /// names or neither.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -521,32 +459,20 @@ impl Catalog {
         if new.is_empty() {
             return Err(corrupt("store names must be non-empty"));
         }
-        let _m = self.mutate.lock();
-        let rec = self
-            .index
-            .get(old.as_bytes())
-            .ok_or_else(|| corrupt("rename source is not registered"))?;
-        if old == new {
-            return Ok(());
-        }
-        if self.index.get(new.as_bytes()).is_some() {
-            return Err(corrupt("rename target is already registered"));
-        }
-        let intent = self.write_intent(rec, old.as_bytes(), new.as_bytes())?;
-        let root = self.root();
-        // Publish the intent: from here the rename is decided and will
-        // complete even if we crash before touching the name index.
-        self.intent().publish(root, intent);
-        self.complete_rename(rec, old.as_bytes(), new.as_bytes())?;
-        // Retire the intent; the rename is fully applied.
-        self.intent().publish(root, 0);
-        Ok(())
+        self.mutate(|names| {
+            if old != new && names.contains_key(new) {
+                return Err(corrupt("rename target is already registered"));
+            }
+            let kind = names
+                .remove(old)
+                .ok_or_else(|| corrupt("rename source is not registered"))?;
+            names.insert(new.into(), kind);
+            Ok(())
+        })
     }
 
     /// The registered coordinates of `name`, or `None` if the name is
-    /// unmapped (or its record fails validation — [`Catalog::open`]
-    /// rejects corrupt records up front, so that arm is unreachable on
-    /// a catalog that opened cleanly).
+    /// unmapped.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -560,8 +486,7 @@ impl Catalog {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn lookup(&self, name: &str) -> Option<StoreKind> {
-        let off = self.index.get(name.as_bytes())?;
-        self.read_record(off).ok()
+        self.names.lock().get(name).cloned()
     }
 
     /// Every registered name, in lexicographic order.
@@ -578,13 +503,7 @@ impl Catalog {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn names(&self) -> Vec<String> {
-        let mut cur = self.index.cursor();
-        cur.seek(b"");
-        let mut out = Vec::new();
-        while let Some((k, _)) = cur.next() {
-            out.push(String::from_utf8_lossy(&k).into_owned());
-        }
-        out
+        self.names.lock().keys().cloned().collect()
     }
 
     /// Re-opens the single fixed-key index registered as `name`.
@@ -746,8 +665,9 @@ impl Catalog {
         }
     }
 
-    /// Decodes and validates every registered record, returning how
-    /// many were checked. [`Catalog::open`] runs this so a reopened
+    /// Re-reads the registry record from the root pool and validates it
+    /// (checksum and fleet-slot bounds), returning how many names it
+    /// holds. [`Catalog::open`] makes the same checks, so a reopened
     /// catalog is known to hold zero dangling pool references.
     ///
     /// ```
@@ -763,19 +683,12 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Unsupported`] naming the first record that fails
-    /// its checksum or references a fleet slot outside the pool vector.
+    /// [`IndexError::Unsupported`] if the record fails its checksum or
+    /// references a fleet slot outside the pool vector.
     pub fn verify(&self) -> Result<usize, IndexError> {
-        let mut cur = self.index.cursor();
-        cur.seek(b"");
-        let mut n = 0;
-        while let Some((name, off)) = cur.next() {
-            self.read_record(off).map_err(|e| {
-                corrupt(&format!("store {:?}: {e}", String::from_utf8_lossy(&name)))
-            })?;
-            n += 1;
-        }
-        Ok(n)
+        let names = read(self.root(), self.pools.len())?
+            .ok_or_else(|| corrupt("root pool holds no catalog"))?;
+        Ok(names.len())
     }
 
     // ---- internals -----------------------------------------------------
@@ -784,165 +697,82 @@ impl Catalog {
         if name.is_empty() {
             return Err(corrupt("store names must be non-empty"));
         }
-        for slot in kind.slots() {
-            if slot >= self.pools.len() {
-                return Err(corrupt(&format!(
-                    "record references fleet slot {slot} but the fleet has {} pools",
-                    self.pools.len()
-                )));
-            }
-        }
-        Ok(())
+        check_slots(kind, self.pools.len())
     }
 
     fn kind_of(&self, name: &str) -> Result<StoreKind, IndexError> {
-        let off = self
-            .index
-            .get(name.as_bytes())
-            .ok_or_else(|| corrupt(&format!("no store named {name:?}")))?;
-        self.read_record(off)
+        self.lookup(name)
+            .ok_or_else(|| corrupt(&format!("no store named {name:?}")))
     }
 
-    /// Writes an immutable store record and persists it in full. The
-    /// record is unreachable until the caller publishes its offset.
-    fn write_record(&self, kind: &StoreKind) -> Result<PmOffset, IndexError> {
-        let (tag, payload) = kind.encode();
-        let words = 3 + payload.len() as u64 + 1;
-        let root = self.root();
-        let off = root.alloc(words * 8, 8)?;
-        root.store_u64(off, REC_MAGIC);
-        root.store_u64(off + 8, tag);
-        root.store_u64(off + 16, payload.len() as u64);
-        for (i, w) in payload.iter().enumerate() {
-            root.store_u64(off + 24 + 8 * i as u64, *w);
-        }
-        let mut sum = vec![REC_MAGIC, tag, payload.len() as u64];
-        sum.extend_from_slice(&payload);
-        root.store_u64(off + 24 + 8 * payload.len() as u64, fnv1a(&sum));
-        root.persist(off, words * 8);
-        Ok(off)
+    /// Applies `change` to a copy of the registry, commits the copy, and
+    /// only then makes it the registry readers see.
+    fn mutate(
+        &self,
+        change: impl FnOnce(&mut Names) -> Result<(), IndexError>,
+    ) -> Result<(), IndexError> {
+        let mut names = self.names.lock();
+        let mut next = names.clone();
+        change(&mut next)?;
+        self.commit(&next)?;
+        *names = next;
+        Ok(())
     }
 
-    fn read_record(&self, off: PmOffset) -> Result<StoreKind, IndexError> {
-        let root = self.root();
-        // The name index hands over a bare offset: check it before the
-        // first load, and again once the payload length sizes the record.
-        let fits = |len: u64| {
-            off.is_multiple_of(8) && off.checked_add(len).is_some_and(|end| end <= root.size())
-        };
-        if off == NULL_OFFSET || !fits(24) {
-            return Err(corrupt(&format!(
-                "store record offset {off:#x} is outside the root pool"
-            )));
-        }
-        if root.load_u64(off) != REC_MAGIC {
-            return Err(corrupt("store record magic mismatch"));
-        }
-        let tag = root.load_u64(off + 8);
-        let n = root.load_u64(off + 16);
-        if n > MAX_WORDS {
-            return Err(corrupt("store record payload length is absurd"));
-        }
-        if !fits(8 * (n + 4)) {
-            return Err(corrupt("store record runs past the end of the root pool"));
-        }
-        let mut words = vec![REC_MAGIC, tag, n];
-        for i in 0..n {
-            words.push(root.load_u64(off + 24 + 8 * i));
-        }
-        if root.load_u64(off + 24 + 8 * n) != fnv1a(&words) {
-            return Err(corrupt("store record failed its checksum"));
-        }
-        let kind = StoreKind::decode(tag, &words[3..])?;
-        for slot in kind.slots() {
-            if slot >= self.pools.len() {
-                return Err(corrupt(&format!(
-                    "record references fleet slot {slot} but the fleet has {} pools",
-                    self.pools.len()
-                )));
-            }
-        }
-        Ok(kind)
-    }
-
-    /// Writes and persists a rename intent record; the caller publishes
-    /// it with a single store into the superblock's intent slot.
-    fn write_intent(&self, rec: u64, old: &[u8], new: &[u8]) -> Result<PmOffset, IndexError> {
-        let mut bytes = Vec::with_capacity(old.len() + new.len());
-        bytes.extend_from_slice(old);
-        bytes.extend_from_slice(new);
-        let packed: Vec<u64> = bytes
-            .chunks(8)
-            .map(|c| {
+    /// Writes `names` as the new registry record and publishes it.
+    fn commit(&self, names: &Names) -> Result<(), IndexError> {
+        let mut words = Vec::new();
+        for (name, kind) in names {
+            let (tag, anchor, slots) = kind.parts();
+            words.push(name.len() as u64);
+            words.extend(name.as_bytes().chunks(8).map(|c| {
                 let mut b = [0u8; 8];
                 b[..c.len()].copy_from_slice(c);
                 u64::from_le_bytes(b)
-            })
+            }));
+            words.extend([tag, anchor, slots.len() as u64]);
+            words.extend(slots.iter().map(|&s| s as u64));
+        }
+        Ok(CommitCell::CATALOG.publish_record(self.root(), MAGIC, &words)?)
+    }
+}
+
+/// Decodes the registry record `root` publishes, `Ok(None)` if none, and
+/// checks every fleet slot it names against a fleet of `fleet` pools.
+fn read(root: &Pool, fleet: usize) -> Result<Option<Names>, IndexError> {
+    let Some(record) = CommitCell::CATALOG.record(root, MAGIC)? else {
+        return Ok(None);
+    };
+    let mut words = record.as_slice();
+    let mut names = Names::new();
+    while !words.is_empty() {
+        let len = take(&mut words, 1)?[0];
+        let mut bytes: Vec<u8> = take(&mut words, len.div_ceil(8))?
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
             .collect();
-        let words = 4 + packed.len() as u64 + 1;
-        let root = self.root();
-        let off = root.alloc(words * 8, 8)?;
-        let mut all = vec![INTENT_MAGIC, rec, old.len() as u64, new.len() as u64];
-        all.extend_from_slice(&packed);
-        for (i, w) in all.iter().enumerate() {
-            root.store_u64(off + 8 * i as u64, *w);
-        }
-        root.store_u64(off + 8 * all.len() as u64, fnv1a(&all));
-        root.persist(off, words * 8);
-        Ok(off)
-    }
-
-    /// Applies a rename's two index mutations so that re-running after
-    /// any prefix of them is a no-op: insert the new mapping unless it
-    /// already exists, then drop the old one if it still does.
-    fn complete_rename(&self, rec: u64, old: &[u8], new: &[u8]) -> Result<(), IndexError> {
-        if self.index.get(new).is_none() {
-            self.index.insert(new, rec)?;
-        }
-        self.index.remove(old);
-        Ok(())
-    }
-
-    /// The superblock's rename-intent slot.
-    fn intent(&self) -> CommitCell {
-        CommitCell::at(self.superblock + SB_INTENT)
-    }
-
-    /// Replays a published-but-unretired rename intent on open.
-    fn replay_intent(&self) -> Result<(), IndexError> {
-        let root = self.root();
-        let Some(off) = self.intent().target(root, 32)? else {
-            return Ok(());
+        bytes.truncate(len as usize);
+        let name = String::from_utf8(bytes).map_err(|_| corrupt("a name is not UTF-8"))?;
+        let &[tag, anchor, n] = take(&mut words, 3)? else {
+            return Err(corrupt("record is truncated"));
         };
-        if root.load_u64(off) != INTENT_MAGIC {
-            return Err(corrupt("rename intent magic mismatch"));
+        let slots: Vec<usize> = take(&mut words, n)?.iter().map(|&s| s as usize).collect();
+        let kind = StoreKind::from_parts(tag, anchor, &slots)
+            .ok_or_else(|| corrupt(&format!("store {name:?} has a malformed kind")))?;
+        check_slots(&kind, fleet).map_err(|e| corrupt(&format!("store {name:?}: {e}")))?;
+        if name.is_empty() || names.insert(name, kind).is_some() {
+            return Err(corrupt("record holds an empty or repeated name"));
         }
-        let rec = root.load_u64(off + 8);
-        let old_len = root.load_u64(off + 16);
-        let new_len = root.load_u64(off + 24);
-        if old_len > MAX_WORDS || new_len > MAX_WORDS {
-            return Err(corrupt("rename intent name length is absurd"));
-        }
-        let packed_words = (old_len + new_len).div_ceil(8);
-        // The lengths size the read below: the whole record, checksum
-        // included, must lie inside the pool.
-        self.intent().target(root, 8 * (4 + packed_words + 1))?;
-        let mut all = vec![INTENT_MAGIC, rec, old_len, new_len];
-        for i in 0..packed_words {
-            all.push(root.load_u64(off + 32 + 8 * i));
-        }
-        if root.load_u64(off + 8 * all.len() as u64) != fnv1a(&all) {
-            return Err(corrupt("rename intent failed its checksum"));
-        }
-        let mut bytes = Vec::with_capacity((packed_words * 8) as usize);
-        for w in &all[4..] {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let old = bytes[..old_len as usize].to_vec();
-        let new = bytes[old_len as usize..(old_len + new_len) as usize].to_vec();
-        self.complete_rename(rec, &old, &new)?;
-        self.intent().publish(root, 0);
-        Ok(())
+    }
+    Ok(Some(names))
+}
+
+fn check_slots(kind: &StoreKind, fleet: usize) -> Result<(), IndexError> {
+    match kind.parts().2.into_iter().find(|&slot| slot >= fleet) {
+        Some(slot) => Err(corrupt(&format!(
+            "record references fleet slot {slot} but the fleet has {fleet} pools"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -953,6 +783,7 @@ fn wrong_kind(name: &str, wanted: &str, got: &StoreKind) -> IndexError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastfair::FastFairTree;
     use pmem::PoolConfig;
     use pmindex::PmIndex;
 
@@ -1030,32 +861,22 @@ mod tests {
     }
 
     #[test]
-    fn rename_intent_replays_idempotently() {
-        let pools = vec![pool()];
-        let cat = Catalog::create(pools.clone()).unwrap();
-        cat.register("src", &StoreKind::Txn { pool: 0 }).unwrap();
-        let rec = cat.index.get(b"src").unwrap();
-        // Simulate a crash after the intent published but before either
-        // index mutation: write + publish the intent by hand.
-        let intent = cat.write_intent(rec, b"src", b"dst").unwrap();
-        let root = cat.root();
-        cat.intent().publish(root, intent);
-
-        let cat2 = Catalog::open(reopen(&pools)).unwrap();
-        assert_eq!(cat2.lookup("src"), None);
-        assert_eq!(cat2.lookup("dst"), Some(StoreKind::Txn { pool: 0 }));
-        // Replaying again (intent already retired) changes nothing.
-        let cat3 = Catalog::open(reopen(&cat2.pools)).unwrap();
-        assert_eq!(cat3.lookup("dst"), Some(StoreKind::Txn { pool: 0 }));
-    }
-
-    #[test]
     fn open_requires_a_catalog_and_create_refuses_a_second() {
         let p = pool();
         assert!(Catalog::open(vec![Arc::clone(&p)]).is_err());
         let _cat = Catalog::create(vec![Arc::clone(&p)]).unwrap();
         assert!(Catalog::create(vec![Arc::clone(&p)]).is_err());
         assert!(Catalog::open(vec![p]).is_ok());
+
+        // The superblock a catalog kept before it was one record: magic,
+        // name tree superblock, rename-intent slot.
+        let old = pool();
+        let sb = old.alloc(24, 64).unwrap();
+        old.store_u64(sb, u64::from_le_bytes(*b"FFCATLOG"));
+        old.persist(sb, 24);
+        CommitCell::CATALOG.publish(&old, sb);
+        let err = Catalog::open(vec![old]).unwrap_err();
+        assert!(matches!(err, IndexError::Unsupported(_)), "{err:?}");
     }
 
     #[test]
@@ -1063,16 +884,11 @@ mod tests {
         let pools = vec![pool()];
         let cat = Catalog::create(pools.clone()).unwrap();
         cat.register("kv", &StoreKind::Txn { pool: 0 }).unwrap();
-        let rec = cat.index.get(b"kv").unwrap();
         let image = cat.root().volatile_image();
         // The one word of the root pool that holds the record offset: the
-        // name index's value slot for "kv".
-        let at: Vec<usize> = (0..image.len())
-            .step_by(8)
-            .filter(|&i| u64::from_le_bytes(image[i..i + 8].try_into().unwrap()) == rec)
-            .collect();
-        assert_eq!(at.len(), 1, "record offset {rec:#x} stored at {at:?}");
-        let at = at[0];
+        // CATALOG commit cell.
+        let at = CommitCell::CATALOG.offset() as usize;
+        let rec = CommitCell::CATALOG.load(cat.root());
         let mut panicked = Vec::new();
         for bit in 0..64 {
             let mut img = image.clone();
@@ -1080,7 +896,8 @@ mod tests {
             img[at..at + 8].copy_from_slice(&v.to_le_bytes());
             let root = Arc::new(Pool::from_image(&img, PoolConfig::default()).unwrap());
             match std::panic::catch_unwind(|| Catalog::open(vec![root])) {
-                Ok(Ok(_) | Err(IndexError::Unsupported(_))) => {}
+                Ok(Err(IndexError::Unsupported(_))) => {}
+                Ok(Ok(_)) => panic!("bit {bit}: flipped record offset opened"),
                 Ok(Err(e)) => panic!("bit {bit}: untyped refusal {e:?}"),
                 Err(_) => panicked.push(bit),
             }
@@ -1092,13 +909,31 @@ mod tests {
     }
 
     #[test]
+    fn superseded_records_are_freed() {
+        // A leaked record a mutation would fill this pool long before the
+        // loop ends.
+        let root = Arc::new(Pool::new(PoolConfig::default().size(256 << 10)).unwrap());
+        let cat = Catalog::create(vec![root]).unwrap();
+        cat.register("t", &StoreKind::Txn { pool: 0 }).unwrap();
+        for i in 0..10_000 {
+            let kind = StoreKind::Index {
+                pool: 0,
+                superblock: 64 * (i % 7),
+            };
+            cat.update("t", &kind).unwrap();
+        }
+        assert_eq!(cat.verify().unwrap(), 1);
+    }
+
+    #[test]
     fn verify_catches_a_corrupted_record() {
         let pools = vec![pool()];
         let cat = Catalog::create(pools.clone()).unwrap();
         cat.register("ok", &StoreKind::Txn { pool: 0 }).unwrap();
-        let rec = cat.index.get(b"ok").unwrap();
-        // Flip a payload bit without updating the checksum.
-        cat.root().store_u64(rec + 24, 99);
+        let rec = CommitCell::CATALOG.load(cat.root());
+        // Overwrite the kind tag (payload word 2) without updating the
+        // checksum.
+        cat.root().store_u64(rec + 8 * (3 + 2), 99);
         assert!(cat.verify().is_err());
         assert!(Catalog::open(reopen(&pools)).is_err());
     }

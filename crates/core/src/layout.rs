@@ -95,6 +95,13 @@ const HIGH_KEY_OFF: u64 = 56;
 
 const DELETED_BIT: u64 = 1 << 32;
 
+/// Whether `bytes` is a node size a tree may use: a multiple of 64 that
+/// holds at least four record slots and at most 1 MiB, so that its
+/// capacity fits a `u16`.
+pub fn node_size_fits(bytes: u64) -> bool {
+    bytes.is_multiple_of(64) && (HEADER_SIZE + 4 * RECORD_SIZE..=1 << 20).contains(&bytes)
+}
+
 /// Number of record slots in a node of `node_size` bytes.
 ///
 /// The last two slots are never counted as capacity: one is the permanent

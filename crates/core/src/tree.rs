@@ -32,7 +32,7 @@ use pmem::{stats, CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
 use crate::hint::LeafDirectory;
-use crate::layout::{capacity, NodeRef};
+use crate::layout::{capacity, node_size_fits, NodeRef};
 use crate::lock::ReadGuard;
 use crate::scan::TreeCursor;
 
@@ -107,14 +107,13 @@ impl TreeOptions {
     ///
     /// # Panics
     ///
-    /// Panics if the size is not a multiple of 64 or holds fewer than four
-    /// records.
+    /// Panics if the size is not a multiple of 64, holds fewer than four
+    /// records or is over 1 MiB.
     pub fn node_size(mut self, bytes: u32) -> Self {
         assert!(
-            bytes.is_multiple_of(64),
-            "node size must be a multiple of 64"
+            node_size_fits(u64::from(bytes)),
+            "node size {bytes} is not a multiple of 64 between 128 and 1 MiB"
         );
-        let _ = capacity(bytes); // panics if too small
         self.node_size = bytes;
         self
     }
@@ -245,36 +244,45 @@ impl FastFairTree {
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::PoolExhausted`] wrapping a description if the
-    /// superblock magic does not match, and [`IndexError::Unsupported`] if
-    /// the tree was created with a removed node layout (leaf fingerprints
-    /// or the circular record frame) — its records are not where this
-    /// crate looks for them — or before nodes kept a high key.
+    /// Returns [`IndexError::Unsupported`] if `meta` is not a 64-aligned
+    /// offset inside the pool, the superblock magic does not match, its
+    /// node size is one [`TreeOptions::node_size`] would refuse, or its
+    /// root is not a 64-aligned node inside the pool; and if the tree was
+    /// created with a removed node layout (leaf fingerprints or the
+    /// circular record frame) — its records are not where this crate looks
+    /// for them — or before nodes kept a high key.
     pub fn open(pool: Arc<Pool>, meta: PmOffset, opts: TreeOptions) -> Result<Self, IndexError> {
+        let refuse = |what: &str| {
+            Err(IndexError::Unsupported(format!(
+                "tree superblock at offset {meta:#x}: {what}"
+            )))
+        };
+        if !meta.is_multiple_of(64) || meta.checked_add(64).is_none_or(|end| end > pool.size()) {
+            return refuse("not a 64-aligned offset inside the pool");
+        }
         if pool.load_u64(meta) != META_MAGIC {
-            return Err(IndexError::PoolExhausted(format!(
-                "no tree superblock at offset {meta:#x}"
-            )));
+            return refuse("magic mismatch");
         }
         let strategy = pool.load_u64(meta + META_STRATEGY);
         if strategy & RETIRED_STRATEGY_BITS != 0 {
-            let layout = if strategy & 2 != 0 {
-                "leaf fingerprints"
+            return refuse(if strategy & 2 != 0 {
+                "created with leaf fingerprints; that node layout was removed"
             } else {
-                "the circular record frame"
-            };
-            return Err(IndexError::Unsupported(format!(
-                "tree at offset {meta:#x} was created with {layout}; \
-                 that node layout was removed, so its records cannot be read"
-            )));
+                "created with the circular record frame; that node layout was removed"
+            });
         }
         if strategy & HIGH_KEY_BIT == 0 {
-            return Err(IndexError::Unsupported(format!(
-                "tree at offset {meta:#x} was created before nodes kept a high key; \
-                 its node bounds cannot be read"
-            )));
+            return refuse("created before nodes kept a high key; its node bounds cannot be read");
         }
-        let node_size = pool.load_u64(meta + META_NODE_SIZE) as u32;
+        let node_size = pool.load_u64(meta + META_NODE_SIZE);
+        if !node_size_fits(node_size) {
+            return refuse("node size out of range");
+        }
+        let node_size = node_size as u32; // at most 1 MiB
+        let root = CommitCell::at(meta + META_ROOT).target(&pool, u64::from(node_size));
+        if !matches!(root, Ok(Some(root)) if root.is_multiple_of(64)) {
+            return refuse("root is not a 64-aligned node inside the pool");
+        }
         let mut opts = opts;
         opts.node_size = node_size;
         opts.split = if strategy & 1 == 1 {

@@ -63,6 +63,14 @@ pub enum PmError {
         /// Bytes the reader needed there.
         len: u64,
     },
+    /// A record a [`CommitCell`](crate::CommitCell) names, or one offered
+    /// to it, fails the record codec: magic, length cap or checksum.
+    BadRecord {
+        /// Offset of the commit word.
+        cell: PmOffset,
+        /// Which check failed.
+        why: &'static str,
+    },
 }
 
 impl std::fmt::Display for PmError {
@@ -81,6 +89,7 @@ impl std::fmt::Display for PmError {
                 f,
                 "commit word at {cell:#x} names {len} bytes at {target:#x}, unaligned or outside the pool"
             ),
+            PmError::BadRecord { cell, why } => write!(f, "record of commit word {cell:#x}: {why}"),
         }
     }
 }

@@ -73,7 +73,9 @@ impl From<pmem::PmError> for IndexError {
     fn from(e: pmem::PmError) -> Self {
         match e {
             // Corrupt metadata, like a failed magic or checksum check.
-            pmem::PmError::BadTarget { .. } => IndexError::Unsupported(e.to_string()),
+            pmem::PmError::BadTarget { .. } | pmem::PmError::BadRecord { .. } => {
+                IndexError::Unsupported(e.to_string())
+            }
             _ => IndexError::PoolExhausted(e.to_string()),
         }
     }

@@ -9,15 +9,16 @@
 //! down, so it fails the test too. The words:
 //!
 //! * the pool header's three commit cells (manifest, journal, catalog);
-//! * the shard manifest record's entry count;
+//! * the shard manifest record's length word;
 //! * the journal's entry count and capacity, with a committed batch left
 //!   unapplied so that `recover` replays it, and one of its entries' op
 //!   kind, which must not replay as the other op;
-//! * the catalog superblock's rename-intent slot.
+//! * every word of the catalog record;
+//! * a FAST+FAIR superblock's magic, node-size and root words.
 //!
 //! The word offsets inside each record are the layouts documented in
-//! `crates/shard/src/manifest.rs`, `crates/txn/src/lib.rs` and
-//! `crates/catalog/src/lib.rs`.
+//! `pmem::CommitCell::publish_record`, `crates/txn/src/lib.rs` and
+//! `crates/core/src/tree.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -30,8 +31,8 @@ use fastfair_repro::shard::{Partitioning, ShardedStore};
 use fastfair_repro::txn::{TxnEngine, WriteBatch};
 
 const POOL: usize = 1 << 20;
-/// Manifest record word 3: the number of shard entries.
-const MANIFEST_COUNT: u64 = 24;
+/// Manifest record word 1: the payload length, which sizes the entries.
+const MANIFEST_COUNT: u64 = 8;
 /// Journal region words 2–4: the applied sequence, the staged entry
 /// count and the capacity; entries of four words (table, kind, key,
 /// value) start at word 5.
@@ -40,8 +41,10 @@ const J_COUNT: u64 = 24;
 const J_CAP: u64 = 32;
 const J_ENTRIES: u64 = 40;
 const ENTRY_BYTES: u64 = 32;
-/// Catalog superblock word 2: the rename-intent slot.
-const SB_INTENT: u64 = 16;
+/// Tree superblock words: magic, root, node size.
+const TREE_MAGIC: u64 = 0;
+const TREE_ROOT: u64 = 8;
+const TREE_NODE_SIZE: u64 = 16;
 
 fn mkpool() -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(POOL)).unwrap())
@@ -56,6 +59,8 @@ fn remap(image: &[u8]) -> Arc<Pool> {
 struct Outcome {
     ok: usize,
     refused: usize,
+    /// Bit `b` is set if flipping bit `b` was refused as `Unsupported`.
+    unsupported: u64,
 }
 
 /// Flips each bit of the word at `word` in `image` in turn and runs
@@ -77,7 +82,12 @@ fn flip_each_bit<T>(
         let pool = remap(&img);
         match catch_unwind(AssertUnwindSafe(|| reopen(pool))) {
             Ok(Ok(_)) => outcome.ok += 1,
-            Ok(Err(_)) => outcome.refused += 1,
+            Ok(Err(e)) => {
+                outcome.refused += 1;
+                if matches!(e, IndexError::Unsupported(_)) {
+                    outcome.unsupported |= 1 << bit;
+                }
+            }
             Err(_) => panicked.push(bit),
         }
     }
@@ -233,7 +243,7 @@ fn open_catalog(pool: Arc<Pool>) -> Result<Vec<String>, IndexError> {
 }
 
 #[test]
-fn a_flipped_catalog_slot_or_intent_slot_is_refused() {
+fn a_flipped_catalog_slot_or_record_word_is_refused() {
     let image = catalog();
     let pool = remap(&image);
     assert_eq!(open_catalog(Arc::clone(&pool)).unwrap(), vec!["log"]);
@@ -246,7 +256,53 @@ fn a_flipped_catalog_slot_or_intent_slot_is_refused() {
     );
     assert_eq!(slot.refused, 64, "{slot:?}");
 
-    let intent = CommitCell::CATALOG.load(&pool) + SB_INTENT;
-    let intent = flip_each_bit("catalog intent slot", &image, intent, open_catalog);
-    assert_eq!(intent.refused, 64, "{intent:?}");
+    // The record: magic, payload length, checksum, then the payload.
+    let record = CommitCell::CATALOG.load(&pool);
+    let words = 3 + pool.load_u64(record + 8);
+    for w in 0..words {
+        let what = format!("catalog record word {w}");
+        let word = flip_each_bit(&what, &image, record + 8 * w, open_catalog);
+        assert_eq!(word.unsupported, u64::MAX, "{what}: {word:?}");
+    }
+}
+
+/// A 199-key tree: its image and superblock offset.
+fn tree() -> (Vec<u8>, u64) {
+    let pool = mkpool();
+    let tree = FastFairTree::create_in(Arc::clone(&pool)).unwrap();
+    for k in 1..=199 {
+        tree.insert(k, k * 10).unwrap();
+    }
+    (pool.volatile_image(), tree.superblock())
+}
+
+/// Every flip of a tree superblock's magic, node-size or root word opens
+/// to `Ok` or `Unsupported`; a root flipped off 64-byte alignment or out
+/// of the pool is refused. A root flipped onto another aligned in-pool
+/// offset opens, and reads through whatever lies there: telling it from
+/// the real root would take a superblock checksum, which the tree does
+/// not keep.
+#[test]
+fn a_flipped_tree_superblock_is_refused_not_a_panic() {
+    let (image, meta) = tree();
+    let open = |p| FastFairTree::open_in(p, meta);
+    assert_eq!(open(remap(&image)).unwrap().get(5), Some(50));
+    for (what, word) in [
+        ("tree magic", TREE_MAGIC),
+        ("tree node size", TREE_NODE_SIZE),
+        ("tree root", TREE_ROOT),
+    ] {
+        let out = flip_each_bit(what, &image, meta + word, open);
+        assert_eq!(
+            out.ok + out.unsupported.count_ones() as usize,
+            64,
+            "{what}: {out:?}"
+        );
+        if word == TREE_ROOT {
+            let misaligned = (1 << 6) - 1;
+            let outside = !((POOL as u64) - 1);
+            let must = misaligned | outside;
+            assert_eq!(out.unsupported & must, must, "{what}: {out:?}");
+        }
+    }
 }
