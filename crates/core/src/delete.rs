@@ -86,10 +86,11 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
             repair_node_locked(tree, node);
             match node.right_of(key) {
                 Some(sib) => {
-                    let next = WriteGuard::lock(&tree.pool, tree.node(sib).lock_word_off());
+                    let right = tree.visit(sib, 0);
+                    let next = WriteGuard::lock(&tree.pool, right.lock_word_off());
                     guard.unlock();
                     guard = next;
-                    node = tree.visit(sib);
+                    node = right;
                     hops += 1;
                 }
                 None => break,

@@ -248,7 +248,7 @@ impl FastFairTree {
     pub(crate) fn locate_leaf(&self, key: Key, pin: &Guard) -> (PmOffset, bool) {
         stats::count_leaf_hint_lookup();
         let named = self.directory.lookup(key, pin).filter(|&off| {
-            let leaf = self.visit(off);
+            let leaf = self.visit(off, 0);
             leaf.is_leaf() && !leaf.is_deleted()
         });
         let located = match named {
@@ -289,11 +289,12 @@ impl FastFairTree {
         // down to its leftmost child. A node that splits under the walk
         // hides its new sibling's children (a short directory: sibling
         // hops) or shows them twice (dropped: separators must ascend).
-        let mut nodes = vec![(Key::MIN, self.root())];
-        for _ in 0..self.node(nodes[0].1).level() {
+        let root = self.root();
+        let mut nodes = vec![(Key::MIN, root)];
+        for level in (1..=self.node(root).level()).rev() {
             let mut below: Vec<(Key, PmOffset)> = Vec::new();
             for &(lower, off) in &nodes {
-                let node = self.visit(off);
+                let node = self.visit(off, level);
                 let children = std::iter::once((lower, node.leftmost()));
                 for (sep, child) in children.chain(read_entries(self, node)) {
                     if below.last().is_none_or(|&(last, _)| last < sep) {

@@ -128,11 +128,12 @@ fn write_entry(
             match node.right_of(key) {
                 Some(sib) => {
                     // Hand-over-hand to the right (B-link).
-                    let next = WriteGuard::lock(&tree.pool, tree.node(sib).lock_word_off());
+                    let right = tree.visit(sib, level);
+                    let next = WriteGuard::lock(&tree.pool, right.lock_word_off());
                     redirected = Some((sib, node.high_key()));
                     guard.unlock();
                     guard = next;
-                    node = tree.visit(sib);
+                    node = right;
                     hops += 1;
                 }
                 None => break,

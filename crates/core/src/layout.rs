@@ -113,6 +113,15 @@ pub fn capacity(node_size: u32) -> u16 {
     (slots - 2) as u16
 }
 
+/// Whether landing on a node at `level` costs a PM miss: the two lowest
+/// levels do, anything above is LLC-resident and free. The rule and its
+/// reason are documented on `FastFairTree::visit`, which applies it to the
+/// level a walk expects before it reads the node.
+#[inline]
+pub(crate) fn is_cold(level: u32) -> bool {
+    level <= 1
+}
+
 /// A borrowed view of one persistent node.
 ///
 /// All accessors go through the pool's atomic load/store primitives; the
@@ -412,30 +421,6 @@ impl<'a> NodeRef<'a> {
         if level == 0 {
             self.set_leftmost(LEAF_ANCHOR);
         }
-    }
-
-    /// The crate's one read-charging rule: reading a node on the two
-    /// lowest levels costs PM misses, anything above is free.
-    ///
-    /// That models the paper's testbed (§5.1): Quartz stalls only real
-    /// last-level-cache misses, and a B+-tree's few upper levels — at
-    /// 4 M keys and 512-byte nodes the leaves are ≈ 80 MB, level 1
-    /// ≈ 3 MB, level 2 ≈ 0.1 MB — stay LLC-resident. Readers, writers,
-    /// parent updates, merges and the leaf-directory build all land on
-    /// nodes through `FastFairTree::visit`, which asks this (as `wbtree`'s
-    /// descent does for its reads and writes): an access the leaf
-    /// directory settles costs one miss, a full descent two.
-    #[inline]
-    pub fn is_cold(&self) -> bool {
-        self.level() <= 1
-    }
-
-    /// Charges the read-latency cost of landing on this node (one serial
-    /// miss for the header line). Walks call `FastFairTree::visit`, which
-    /// applies [`is_cold`](Self::is_cold) first.
-    #[inline]
-    pub fn charge_hop(&self) {
-        self.pool.charge_serial_reads(1);
     }
 
     /// Charges a linear scan that touched records `[0, n)` of this node as

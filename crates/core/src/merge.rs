@@ -137,7 +137,7 @@ impl FastFairTree {
         let mut off = self.descend_to_level(1, key)?;
         // Move right at level 1 if the key now belongs to a sibling.
         while let Some(sib) = self.node(off).right_of(key) {
-            off = self.visit(sib).offset();
+            off = self.visit(sib, 1).offset();
         }
         Some(off)
     }

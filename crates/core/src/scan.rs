@@ -52,7 +52,7 @@ impl LeafChain for TreeChain<'_> {
         // reads this one leaf and has no later chance to move right.
         let mut hops = 0;
         while let Some(sib) = self.tree.node(off).right_of(target) {
-            off = self.tree.visit(sib).offset();
+            off = self.tree.visit(sib, 0).offset();
             hops += 1;
         }
         self.tree.settle(directed, hops);
@@ -77,8 +77,18 @@ impl LeafChain for TreeChain<'_> {
         if sib == NULL_OFFSET {
             None
         } else {
-            Some(self.tree.visit(sib).offset())
+            Some(self.tree.visit(sib, 0).offset())
         }
+    }
+
+    /// The leaf's high key and sibling, read after its entries (Algorithm
+    /// 3's sibling rule): a split links the sibling and lowers the high key
+    /// before it truncates, so entries that miss the moved-out half come
+    /// with a bound that sends the scan right. An unlinked leaf covers
+    /// nothing: its range went to its left neighbour.
+    fn covers(&self, off: PmOffset, key: Key) -> bool {
+        let leaf = self.tree.node(off);
+        !leaf.is_deleted() && leaf.right_of(key).is_none()
     }
 }
 

@@ -21,7 +21,7 @@
 use pmem::NULL_OFFSET;
 use pmindex::{Key, Value};
 
-use crate::layout::{NodeRef, INVALID_PTR};
+use crate::layout::{is_cold, NodeRef, INVALID_PTR};
 use crate::tree::FastFairTree;
 
 /// Lock-free exact-match search within one leaf (Algorithm 3).
@@ -194,7 +194,7 @@ pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, 
             out.reverse();
             top + 1
         };
-        if node.is_cold() {
+        if is_cold(node.level()) {
             node.charge_linear_scan(scanned);
         }
         if node.switch_counter() == sc {

@@ -121,6 +121,32 @@ fn cursor_streams_and_reseeks() {
     assert_eq!(c.next(), None);
 }
 
+/// A reverse cursor whose located leaf splits before its first `prev`
+/// still returns the keys at and below its bound, not the ones that stayed
+/// in the leaf: the read confirms, after the entries, that the leaf still
+/// covers the running upper bound, and re-locates when it does not.
+#[test]
+fn a_reverse_cursor_follows_the_upper_half_its_leaf_split_away() {
+    let p = pool(16);
+    let t = tiny_tree(&p);
+    for k in (10..=100).step_by(10) {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    assert_eq!(t.height(), 0, "set-up: one leaf");
+    let mut c = t.cursor();
+    c.seek_for_prev(100);
+    for k in 11..=50 {
+        t.insert(k, value_for(k)).unwrap();
+    }
+    assert!(t.height() > 0, "set-up: the leaf split");
+    let got: Vec<u64> = std::iter::from_fn(|| c.prev()).map(|(k, _)| k).collect();
+    let want: Vec<u64> = (10..=100)
+        .rev()
+        .filter(|&k| k <= 50 || k % 10 == 0)
+        .collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn bulk_load_builds_packed_tree() {
     let (_p, t) = small_tree();

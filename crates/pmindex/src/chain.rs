@@ -76,6 +76,17 @@ pub trait LeafChain {
     /// read cannot hide the moved upper half: either the entries still
     /// contain it, or the freshly linked sibling does.
     fn read(&self, leaf: Self::Leaf, buf: &mut Vec<(Key, Value)>) -> Option<Self::Leaf>;
+
+    /// Whether `leaf`, whose entries [`read`](Self::read) has just
+    /// returned, still covers `key`. A reverse scan asks this after each
+    /// read, with its running upper bound, and locates again when the
+    /// answer is no: the leaf it stands on may have split since it was
+    /// located, moving the keys at and below the bound to a new right
+    /// sibling. Like the sibling pointer, the bound must be read *after*
+    /// the entries. The default trusts the located leaf.
+    fn covers(&self, _leaf: Self::Leaf, _key: Key) -> bool {
+        true
+    }
 }
 
 /// Where a [`LeafChainCursor`] currently stands in the chain.
@@ -161,14 +172,23 @@ impl<H: LeafChain> LeafChainCursor<H> {
         // Primary path: one descent to the leaf covering `ub` (the seek
         // seeded it; later refills re-locate). The hook's `read` applies
         // its own re-validation protocol, so a leaf observed mid-split is
-        // retried or snapshotted consistently — same as forward scans.
-        let leaf = match std::mem::replace(&mut self.pos, Pos::Unpositioned) {
+        // retried or snapshotted consistently — same as forward scans —
+        // and `covers`, read after the entries, says whether the leaf
+        // still holds `ub`'s range or has split it away since it was
+        // located.
+        let mut leaf = match std::mem::replace(&mut self.pos, Pos::Unpositioned) {
             Pos::End => return false,
             Pos::At(leaf) => leaf,
             Pos::Unpositioned => self.hook.locate(ub),
         };
-        self.buf.clear();
-        let _ = self.hook.read(leaf, &mut self.buf);
+        loop {
+            self.buf.clear();
+            let _ = self.hook.read(leaf, &mut self.buf);
+            if self.hook.covers(leaf, ub) {
+                break;
+            }
+            leaf = self.hook.locate(ub);
+        }
         if self.buf.iter().any(|&(k, _)| k <= ub) {
             self.idx = self.buf.len();
             return true;
