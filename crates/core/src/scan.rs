@@ -86,7 +86,7 @@ impl LeafChain for TreeChain<'_> {
     /// before it truncates, so entries that miss the moved-out half come
     /// with a bound that sends the scan right. An unlinked leaf covers
     /// nothing: its range went to its left neighbour.
-    fn covers(&self, off: PmOffset, key: Key) -> bool {
+    fn covers(&self, off: PmOffset, _next: Option<PmOffset>, key: Key) -> bool {
         let leaf = self.tree.node(off);
         !leaf.is_deleted() && leaf.right_of(key).is_none()
     }

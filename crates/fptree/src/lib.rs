@@ -623,6 +623,16 @@ impl pmindex::chain::LeafChain for FpChain<'_> {
         let sib = leaf.sibling();
         (sib != NULL_OFFSET).then_some(sib)
     }
+
+    /// Leaves keep no high key, so the bound is the smallest key of
+    /// `next`, the sibling `read` returned after the entries: a split
+    /// links the new sibling before it truncates the leaf.
+    fn covers(&self, _off: PmOffset, next: Option<PmOffset>, key: Key) -> bool {
+        let Some(sib) = next else { return true };
+        let sib = self.tree.leaf(sib);
+        sib.seq_read(|| sib.min_key())
+            .is_none_or(|first| first > key)
+    }
 }
 
 /// Streaming cursor over the FP-tree's sibling-linked leaves.

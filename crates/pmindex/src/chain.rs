@@ -44,6 +44,9 @@ use crate::{Cursor, Key, Value};
 ///         buf.extend_from_slice(&self.0[leaf]);
 ///         (leaf + 1 < self.0.len()).then_some(leaf + 1)
 ///     }
+///     fn covers(&self, _leaf: usize, _next: Option<usize>, _key: Key) -> bool {
+///         true // the toy never splits
+///     }
 /// }
 ///
 /// let toy = Toy(vec![vec![(1, 10), (2, 20)], vec![(5, 50)]]);
@@ -78,15 +81,13 @@ pub trait LeafChain {
     fn read(&self, leaf: Self::Leaf, buf: &mut Vec<(Key, Value)>) -> Option<Self::Leaf>;
 
     /// Whether `leaf`, whose entries [`read`](Self::read) has just
-    /// returned, still covers `key`. A reverse scan asks this after each
-    /// read, with its running upper bound, and locates again when the
-    /// answer is no: the leaf it stands on may have split since it was
-    /// located, moving the keys at and below the bound to a new right
-    /// sibling. Like the sibling pointer, the bound must be read *after*
-    /// the entries. The default trusts the located leaf.
-    fn covers(&self, _leaf: Self::Leaf, _key: Key) -> bool {
-        true
-    }
+    /// returned along with `next`, still covers `key`. A reverse scan asks
+    /// this after each read, with its running upper bound, and locates
+    /// again when the answer is no: the leaf it stands on may have split
+    /// since it was located, moving the keys at and below the bound to a
+    /// new right sibling. Like the sibling pointer, the bound must be read
+    /// *after* the entries: a high key, or the first key of `next`.
+    fn covers(&self, leaf: Self::Leaf, next: Option<Self::Leaf>, key: Key) -> bool;
 }
 
 /// Where a [`LeafChainCursor`] currently stands in the chain.
@@ -148,6 +149,9 @@ impl<H: LeafChain> LeafChainCursor<H> {
     ///         buf.push((7, 70));
     ///         None
     ///     }
+    ///     fn covers(&self, _l: (), _next: Option<()>, _key: Key) -> bool {
+    ///         true
+    ///     }
     /// }
     ///
     /// let mut cur = LeafChainCursor::new(One);
@@ -183,8 +187,8 @@ impl<H: LeafChain> LeafChainCursor<H> {
         };
         loop {
             self.buf.clear();
-            let _ = self.hook.read(leaf, &mut self.buf);
-            if self.hook.covers(leaf, ub) {
+            let next = self.hook.read(leaf, &mut self.buf);
+            if self.hook.covers(leaf, next, ub) {
                 break;
             }
             leaf = self.hook.locate(ub);
@@ -350,6 +354,9 @@ mod tests {
                 }
             }
         }
+        fn covers(&self, _leaf: u8, _next: Option<u8>, _key: Key) -> bool {
+            true
+        }
     }
 
     #[test]
@@ -438,6 +445,9 @@ mod tests {
                     None
                 }
             }
+        }
+        fn covers(&self, _leaf: u8, _next: Option<u8>, _key: Key) -> bool {
+            true
         }
     }
 

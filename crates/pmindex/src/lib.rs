@@ -17,7 +17,9 @@
 //! one index into another through [`PmIndex::bulk_load`]) — plus the
 //! [`chain`] module, the shared leaf-chain cursor adapter that the three
 //! sibling-linked indexes (FAST+FAIR, wB+-tree, FP-tree) build their
-//! cursors from.
+//! cursors from. [`HeldApply`] wraps any index so that a test can hold
+//! its batch applies, parking a commit between its sequence store and
+//! its apply.
 
 #![deny(missing_docs)]
 
@@ -26,6 +28,7 @@ pub mod workload;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pmem::{PmOffset, Pool};
@@ -582,6 +585,19 @@ pub trait PmIndex: Send + Sync {
 
 macro_rules! forward_pmindex {
     () => {
+        forward_pmindex!(all_but_apply);
+        fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
+            (**self).apply_batch(ops)
+        }
+        fn apply_batch_prev(
+            &self,
+            ops: &[BatchOp],
+            prev: &mut Vec<Option<Value>>,
+        ) -> Result<(), IndexError> {
+            (**self).apply_batch_prev(ops, prev)
+        }
+    };
+    (all_but_apply) => {
         fn insert(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
             (**self).insert(key, value)
         }
@@ -612,16 +628,6 @@ macro_rules! forward_pmindex {
         ) -> Result<usize, IndexError> {
             (**self).bulk_load(items)
         }
-        fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
-            (**self).apply_batch(ops)
-        }
-        fn apply_batch_prev(
-            &self,
-            ops: &[BatchOp],
-            prev: &mut Vec<Option<Value>>,
-        ) -> Result<(), IndexError> {
-            (**self).apply_batch_prev(ops, prev)
-        }
         fn name(&self) -> &'static str {
             (**self).name()
         }
@@ -638,6 +644,95 @@ impl<T: PmIndex + ?Sized> PmIndex for Box<T> {
 
 impl<T: PmIndex + ?Sized> PmIndex for std::sync::Arc<T> {
     forward_pmindex!();
+}
+
+/// A [`PmIndex`] whose batch applies can be held: while an [`ApplyHold`]
+/// from [`HeldApply::hold`] lives, [`PmIndex::apply_batch`] and
+/// [`PmIndex::apply_batch_prev`] wait before they touch the index. Every
+/// other method, reads included, forwards at once, and the wrapper
+/// dereferences to the index it wraps.
+///
+/// Tests use it to park a commit: take a hold, then submit a write, and
+/// the committer stops between `txn`'s sequence store and its apply, so
+/// the write is provably in flight until the hold drops.
+///
+/// ```
+/// use std::sync::Arc;
+/// use pmindex::{BatchOp, HeldApply, PmIndex};
+///
+/// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
+/// let tree = HeldApply::new(fastfair::FastFairTree::create(pool, fastfair::TreeOptions::new())?);
+/// let hold = tree.hold();
+/// std::thread::scope(|s| {
+///     let apply = s.spawn(|| tree.apply_batch(&[BatchOp::Put(1, 10), BatchOp::Put(2, 20)]));
+///     std::thread::sleep(std::time::Duration::from_millis(10));
+///     assert!(!apply.is_finished()); // held: the batch waits...
+///     assert_eq!((tree.get(1), tree.get(2)), (None, None)); // ...and shows none of it
+///     drop(hold);
+///     apply.join().expect("apply thread")
+/// })?;
+/// assert_eq!((tree.get(1), tree.get(2)), (Some(10), Some(20))); // released: all of it
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct HeldApply<I> {
+    inner: I,
+    holds: AtomicUsize,
+}
+
+impl<I> HeldApply<I> {
+    /// Wraps `inner` with no hold taken.
+    pub fn new(inner: I) -> Self {
+        HeldApply {
+            inner,
+            holds: AtomicUsize::new(0),
+        }
+    }
+
+    /// Holds every batch apply until the returned guard (and any other
+    /// live one) drops.
+    pub fn hold(&self) -> ApplyHold<'_> {
+        self.holds.fetch_add(1, Ordering::SeqCst);
+        ApplyHold(&self.holds)
+    }
+
+    fn wait_for_release(&self) {
+        while self.holds.load(Ordering::SeqCst) > 0 {
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl<I> std::ops::Deref for HeldApply<I> {
+    type Target = I;
+    fn deref(&self) -> &I {
+        &self.inner
+    }
+}
+
+impl<I: PmIndex> PmIndex for HeldApply<I> {
+    forward_pmindex!(all_but_apply);
+    fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
+        self.wait_for_release();
+        self.inner.apply_batch(ops)
+    }
+    fn apply_batch_prev(
+        &self,
+        ops: &[BatchOp],
+        prev: &mut Vec<Option<Value>>,
+    ) -> Result<(), IndexError> {
+        self.wait_for_release();
+        self.inner.apply_batch_prev(ops, prev)
+    }
+}
+
+/// A hold on a [`HeldApply`]'s batch applies; dropping it releases them.
+#[must_use = "the hold is released as soon as the guard drops"]
+pub struct ApplyHold<'a>(&'a AtomicUsize);
+
+impl Drop for ApplyHold<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A [`PmIndex`] that lives inside a [`pmem::Pool`] and can be re-opened

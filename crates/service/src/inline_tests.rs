@@ -1,6 +1,7 @@
 //! The inline `get` (crate docs, "Reads") with its interleavings forced,
-//! not hoped for: a held `txn::Snapshot` parks the worker between a
-//! commit's sequence store and its apply — a write provably *in flight*.
+//! not hoped for: a hold on the store's batch applies
+//! (`pmindex::HeldApply`) parks the worker between a commit's sequence
+//! store and its apply — a write provably *in flight*.
 //! Here, not under `tests/`, because the proofs need `inflight_is_zero()`
 //! and a pair of keys that share a slot. The statistical half is
 //! `tests/inline_reads.rs`.
@@ -12,7 +13,7 @@ use std::time::{Duration, Instant};
 use fastfair::FastFairTree;
 use pmem::crash::Eviction;
 use pmem::{Pool, PoolConfig};
-use pmindex::{IndexError, Key, PmIndex, Value};
+use pmindex::{HeldApply, IndexError, Key, PmIndex, Value};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
 
@@ -20,19 +21,19 @@ use super::{
     Admission, ClientHandle, OpClass, Service, ServiceConfig, ServiceError, ServiceStats, Ticket,
 };
 
-type Store = ShardedStore<FastFairTree>;
+type Store = HeldApply<ShardedStore<FastFairTree>>;
 
 const POOL: usize = 16 << 20;
 
 fn store_in(pool: &Arc<Pool>) -> Arc<Store> {
-    Arc::new(
+    Arc::new(HeldApply::new(
         ShardedStore::create(
             Arc::clone(pool),
             vec![Arc::clone(pool); 2],
             Partitioning::Hash { shards: 2 },
         )
         .unwrap(),
-    )
+    ))
 }
 
 /// A one-lane engine service over a fresh store.
@@ -54,8 +55,8 @@ fn spin_until(what: &str, done: impl Fn() -> bool) {
 }
 
 /// Submits `insert(key, value)` and returns once the worker is inside its
-/// commit, stopped at the apply gate `snap` holds: the write is staged,
-/// sequenced and not applied until `snap` drops.
+/// commit, stopped at the store's held apply: the write is staged,
+/// sequenced and not applied until the hold drops.
 fn park_worker_on<I: PmIndex + 'static>(
     engine: &TxnEngine,
     c: &ClientHandle<I>,
@@ -98,7 +99,7 @@ fn own_writes_a_pipelined_read_queues_behind_its_write() {
     store.insert(7, 70).unwrap();
     store.insert(9, 90).unwrap();
 
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let write = park_worker_on(&engine, &c, 7, 71);
     let fill = backlog(&service, &c, 9);
     // The lane is backlogged and key 9 is quiet: answered here and now,
@@ -110,7 +111,7 @@ fn own_writes_a_pipelined_read_queues_behind_its_write() {
     assert_eq!(store.get(7), Some(70));
     let read = c.submit_get(7).unwrap();
     assert_eq!(gets(service.stats()), (1, 0, 1));
-    drop(snap);
+    drop(hold);
 
     assert_eq!(write.wait().unwrap(), Some(70));
     assert_eq!(read.wait().unwrap(), Some(71));
@@ -136,14 +137,14 @@ fn collisions_only_queue_a_slot_mates_read_waits_and_is_right() {
         store.insert(k, v).unwrap();
     }
 
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let write = park_worker_on(&engine, &c, 7, 71);
     let fill = backlog(&service, &c, 9);
     // Nothing writes `mate`, but it shares 7's slot: its read cannot tell,
     // so it queues — the safe direction — and still answers correctly.
     let read = c.submit_get(mate).unwrap();
     assert_eq!(gets(service.stats()), (0, 0, 1));
-    drop(snap);
+    drop(hold);
 
     assert_eq!(read.wait().unwrap(), Some(80));
     assert_eq!(write.wait().unwrap(), Some(70));
@@ -164,7 +165,7 @@ fn refused_requests_leave_nothing_in_flight() {
     let (store, engine, mut service) = rig(config);
     let c = service.handle();
     store.insert(9, 90).unwrap();
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let parked = park_worker_on(&engine, &c, 1, 10);
     let queued: Vec<_> = (2..6).map(|k| c.submit_insert(k, k).unwrap()).collect();
     assert!(matches!(c.submit_delete(2), Err(ServiceError::Overloaded)));
@@ -183,7 +184,7 @@ fn refused_requests_leave_nothing_in_flight() {
     // One of a key with a write queued does, and is shed like the rest.
     assert!(matches!(c.get(2), Err(ServiceError::Overloaded)));
     assert_eq!(service.stats().conflict_gets(), 1);
-    drop(snap);
+    drop(hold);
     parked.wait().unwrap();
     for t in queued {
         t.wait().unwrap();
@@ -212,7 +213,7 @@ fn writes_that_change_nothing_leave_nothing_in_flight() {
     // All in ONE group, behind a parked commit: a reserved value, an
     // update of an absent key, a delete the overlay already deleted, an
     // empty batch, a batch naming a table that is not there.
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let parked = park_worker_on(&engine, &c, 1, 10);
     let reserved = c.submit_insert(2, 0).unwrap();
     let absent = c.submit_update(3, 30).unwrap();
@@ -222,7 +223,7 @@ fn writes_that_change_nothing_leave_nothing_in_flight() {
     let mut stray = WriteBatch::new();
     stray.put(4, 6, 60);
     let stray = c.submit_batch(stray).unwrap();
-    drop(snap);
+    drop(hold);
 
     assert_eq!(parked.wait().unwrap(), None);
     assert!(matches!(
@@ -263,8 +264,9 @@ fn a_failed_commit_leaves_nothing_in_flight() {
             engine.pending().then_some((pool, engine))
         })
         .expect("some cut falls between the sequence store and the retire");
-    let store: Arc<Store> =
-        Arc::new(ShardedStore::open(Arc::clone(&pool), vec![Arc::clone(&pool); 2]).unwrap());
+    let store: Arc<Store> = Arc::new(HeldApply::new(
+        ShardedStore::open(Arc::clone(&pool), vec![Arc::clone(&pool); 2]).unwrap(),
+    ));
     let config = ServiceConfig {
         lanes: 1,
         ..ServiceConfig::default()
@@ -294,7 +296,7 @@ fn a_shutdown_over_queued_work_leaves_nothing_in_flight() {
     let (store, engine, mut service) = rig(ServiceConfig::default());
     let c = service.handle();
     let shared = Arc::clone(&service.shared);
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let parked = park_worker_on(&engine, &c, 1, 10);
     let tickets: Vec<_> = (2..=40u64)
         .map(|k| c.submit_insert(k, k * 10).unwrap())
@@ -306,7 +308,7 @@ fn a_shutdown_over_queued_work_leaves_nothing_in_flight() {
         // service that is stopping answers nothing new, on either route.
         assert!(shared.inflight.backlogged(0) && shared.inflight.no_write_to(1 << 40));
         assert!(matches!(c.get(1 << 40), Err(ServiceError::ShuttingDown)));
-        drop(snap);
+        drop(hold);
     });
     parked.wait().unwrap();
     for t in tickets {

@@ -18,7 +18,7 @@
 //! * Writes commit through **group commit**: every drained client
 //!   write is staged into one [`txn::TxnEngine::commit_grouped_prev`] call —
 //!   one staging persist, ONE sequence-number store + fence, one
-//!   apply-gate acquisition and one retire fence for the whole group —
+//!   apply per table and one retire fence for the whole group —
 //!   the amortization lever Marathe et al. (*Persistent Memory
 //!   Transactions*) show dominates pmem transaction cost. An upsert's
 //!   reply (the replaced value) and a delete's (was it there) come from

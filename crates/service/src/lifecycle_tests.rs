@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use catalog::{Catalog, StoreKind};
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::{Key, PersistentIndex, PmIndex};
+use pmindex::{HeldApply, Key, PersistentIndex, PmIndex};
 use txn::TxnEngine;
 
 use super::{Service, ServiceConfig, ServiceError};
@@ -205,13 +205,15 @@ fn groups_drained_at_shutdown_are_harvested() {
     assert!(twin.0 > 0 && twin.1 > 0);
 
     let pool = pool();
-    let tree = Arc::new(FastFairTree::create_in(Arc::clone(&pool)).unwrap());
+    let tree = Arc::new(HeldApply::new(
+        FastFairTree::create_in(Arc::clone(&pool)).unwrap(),
+    ));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
-    let mut service = Service::with_engine(vec![tree], Arc::clone(&engine), lanes(1));
+    let mut service = Service::with_engine(vec![Arc::clone(&tree)], Arc::clone(&engine), lanes(1));
     let c = service.handle();
     let shared = Arc::clone(&service.shared);
-    // Key 1's group waits at the apply gate; key 2 queues behind it.
-    let snap = engine.snapshot();
+    // Key 1's group waits at the held apply; key 2 queues behind it.
+    let hold = tree.hold();
     let first = c.submit_insert(1, 10).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     while engine.last_committed() == 0 {
@@ -224,7 +226,7 @@ fn groups_drained_at_shutdown_are_harvested() {
         while !shared.stop.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
-        drop(snap);
+        drop(hold);
     });
     assert_eq!(first.wait().unwrap(), None);
     assert_eq!(second.wait().unwrap(), None);

@@ -10,23 +10,23 @@ use std::time::{Duration, Instant};
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::PmIndex;
+use pmindex::{HeldApply, PmIndex};
 use service::{Admission, OpClass, Service, ServiceConfig, ServiceError, Ticket};
 use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
 
-type Store = ShardedStore<FastFairTree>;
+type Store = HeldApply<ShardedStore<FastFairTree>>;
 
 fn rig(config: ServiceConfig) -> (Arc<Store>, Arc<TxnEngine>, Service<Store>) {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(32 << 20)).unwrap());
-    let store: Arc<Store> = Arc::new(
+    let store: Arc<Store> = Arc::new(HeldApply::new(
         ShardedStore::create(
             Arc::clone(&pool),
             vec![Arc::clone(&pool); 2],
             Partitioning::Hash { shards: 2 },
         )
         .unwrap(),
-    );
+    ));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     let service = Service::with_engine(vec![Arc::clone(&store)], Arc::clone(&engine), config);
     (store, engine, service)
@@ -44,7 +44,7 @@ fn spin_until(what: &str, done: impl Fn() -> bool) {
 /// refused by a stopped service never were.
 #[test]
 fn only_accepted_requests_count_as_submitted() {
-    let (_store, engine, mut service) = rig(ServiceConfig {
+    let (store, engine, mut service) = rig(ServiceConfig {
         lanes: 1,
         queue_capacity: 2,
         max_group: 1,
@@ -53,7 +53,7 @@ fn only_accepted_requests_count_as_submitted() {
     });
     let client = service.handle();
     // Hold the worker inside its first commit so the lane fills.
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let wedged = client.submit_insert(1_000, 1).unwrap();
     spin_until("worker inside its commit", || engine.last_committed() == 1);
 
@@ -71,7 +71,7 @@ fn only_accepted_requests_count_as_submitted() {
     assert_eq!(inserts.shed(), attempts - 2);
     assert_eq!(inserts.submitted() + inserts.shed(), attempts + 1);
 
-    drop(snap);
+    drop(hold);
     wedged.wait().unwrap();
     for t in tickets {
         t.wait().unwrap();
@@ -90,12 +90,12 @@ fn only_accepted_requests_count_as_submitted() {
 /// the waiter to give up spinning (200 µs) and park.
 #[test]
 fn a_ticket_can_be_waited_on_another_thread() {
-    let (_store, engine, service) = rig(ServiceConfig {
+    let (store, engine, service) = rig(ServiceConfig {
         lanes: 1,
         ..ServiceConfig::default()
     });
     let client = service.handle();
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let ticket = client.submit_insert(5, 50).unwrap();
     spin_until("worker inside its commit", || engine.last_committed() == 1);
     let waiting = Arc::new(Barrier::new(2));
@@ -108,7 +108,7 @@ fn a_ticket_can_be_waited_on_another_thread() {
     };
     waiting.wait();
     std::thread::sleep(Duration::from_millis(2));
-    drop(snap);
+    drop(hold);
     assert_eq!(waiter.join().unwrap(), Ok(None));
     assert_eq!(client.get(5), Ok(Some(50)));
 }

@@ -3,31 +3,32 @@
 //! value" (a `delete`'s "was it there") is either what the same group
 //! already staged for the key, or what the group's apply found in the
 //! tree. Both cases, with the group boundary
-//! and the cross-lane interleaving forced rather than hoped for: a held
-//! `txn::Snapshot` stops a commit between its sequence store and its
-//! apply, and `last_committed()` says when a worker has got there.
+//! and the cross-lane interleaving forced rather than hoped for: a hold
+//! on the store's batch applies (`pmindex::HeldApply`) stops a commit
+//! between its sequence store and its apply, and `last_committed()` says
+//! when a worker has got there.
 
 use std::sync::Arc;
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::PmIndex;
+use pmindex::{HeldApply, PmIndex};
 use service::{Service, ServiceConfig};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
 
-type Store = ShardedStore<FastFairTree>;
+type Store = HeldApply<ShardedStore<FastFairTree>>;
 
 fn rig(lanes: usize) -> (Arc<Store>, Arc<TxnEngine>, Service<Store>) {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(16 << 20)).unwrap());
-    let store: Arc<Store> = Arc::new(
+    let store: Arc<Store> = Arc::new(HeldApply::new(
         ShardedStore::create(
             Arc::clone(&pool),
             vec![Arc::clone(&pool); 2],
             Partitioning::Hash { shards: 2 },
         )
         .unwrap(),
-    );
+    ));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     let service = Service::with_engine(
         vec![Arc::clone(&store)],
@@ -57,7 +58,7 @@ fn one_group_answers_from_the_tree_then_from_itself() {
 
     // Park the worker inside a commit so the five requests below queue
     // up behind it and are drained as ONE group.
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let parked = c.submit_insert(1_000, 1).unwrap();
     spin_until("worker inside its commit", || engine.last_committed() == 1);
     let t1 = c.submit_insert(7, 71).unwrap();
@@ -65,7 +66,7 @@ fn one_group_answers_from_the_tree_then_from_itself() {
     let t3 = c.submit_delete(7).unwrap();
     let t4 = c.submit_insert(7, 73).unwrap();
     let t5 = c.submit_get(7).unwrap();
-    drop(snap);
+    drop(hold);
 
     assert_eq!(parked.wait().unwrap(), None);
     assert_eq!(
@@ -99,7 +100,7 @@ fn a_delete_is_answered_by_the_apply_not_by_a_pre_read() {
     let c = service.handle();
     store.insert(7, 70).unwrap();
 
-    let snap = engine.snapshot();
+    let hold = store.hold();
     let parked = c.submit_insert(1_000, 1).unwrap();
     spin_until("worker inside its commit", || engine.last_committed() == 1);
     let present = c.submit_delete(7).unwrap();
@@ -108,7 +109,7 @@ fn a_delete_is_answered_by_the_apply_not_by_a_pre_read() {
     let read = c.submit_get(7).unwrap();
     let reinsert = c.submit_insert(8, 80).unwrap();
     let own = c.submit_delete(8).unwrap();
-    drop(snap);
+    drop(hold);
 
     assert_eq!(parked.wait().unwrap(), None);
     assert!(present.wait().unwrap(), "first touch: the apply found it");
@@ -149,7 +150,7 @@ fn reply_sees_a_cross_lane_batch_that_committed_first() {
     let other = (1..).find(|&k| part.shard_of(k) == 1).unwrap();
     store.insert(k, 10).unwrap();
 
-    let snap = engine.snapshot();
+    let hold = store.hold();
     // Lane 1 (routed by the batch's first key) commits a rewrite of `k`
     // and stops before applying it, holding the journal.
     let mut batch = WriteBatch::new();
@@ -160,7 +161,7 @@ fn reply_sees_a_cross_lane_batch_that_committed_first() {
     // Lane 0 takes an upsert of `k` and queues for the journal behind it.
     let upsert = c.submit_insert(k, 30).unwrap();
     spin_until("lane 0 dequeued the upsert", || service.queue_depth(0) == 0);
-    drop(snap);
+    drop(hold);
 
     rewrite.wait().unwrap();
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Backpressure soak.
 //!
-//! * **Shedding**: a 2-capacity lane whose worker is wedged (a held
-//!   `txn::Snapshot` blocks the apply gate) must reject overflow with
+//! * **Shedding**: a 2-capacity lane whose worker is wedged (a hold on
+//!   the store's batch applies, `pmindex::HeldApply`) must reject overflow with
 //!   `ServiceError::Overloaded` — and once the wedge lifts, every
 //!   ticket the service *accepted* resolves: zero lost acks.
 //! * **Parking**: the same wedge under `Admission::Park` blocks
@@ -14,31 +14,27 @@ use std::time::Duration;
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::PmIndex;
+use pmindex::{HeldApply, PmIndex};
 use service::{Admission, OpClass, Service, ServiceConfig, ServiceError};
 use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
 
-fn tiny_service(
-    admission: Admission,
-) -> (
-    Arc<ShardedStore<FastFairTree>>,
-    Arc<TxnEngine>,
-    Service<ShardedStore<FastFairTree>>,
-) {
+type Store = HeldApply<ShardedStore<FastFairTree>>;
+
+fn tiny_service(admission: Admission) -> (Arc<Store>, Service<Store>) {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(16 << 20)).unwrap());
-    let store: Arc<ShardedStore<FastFairTree>> = Arc::new(
+    let store: Arc<Store> = Arc::new(HeldApply::new(
         ShardedStore::create(
             Arc::clone(&pool),
             vec![Arc::clone(&pool)],
             Partitioning::Hash { shards: 1 },
         )
         .unwrap(),
-    );
+    ));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     let service = Service::with_engine(
         vec![Arc::clone(&store)],
-        Arc::clone(&engine),
+        engine,
         ServiceConfig {
             lanes: 1,
             queue_capacity: 2,
@@ -48,17 +44,17 @@ fn tiny_service(
             ..ServiceConfig::default()
         },
     );
-    (store, engine, service)
+    (store, service)
 }
 
 #[test]
 fn saturated_queue_sheds_then_drains_with_zero_lost_acks() {
-    let (store, engine, service) = tiny_service(Admission::Shed);
+    let (store, service) = tiny_service(Admission::Shed);
     let client = service.handle();
 
-    // Wedge the lane: the snapshot holds the apply gate, so the worker
+    // Wedge the lane: the store holds its applies, so the worker
     // stalls inside its first group commit; capacity-2 queue backs up.
-    let snap = engine.snapshot();
+    let hold = store.hold();
     std::thread::sleep(Duration::from_millis(20)); // let the worker wedge
     let mut accepted = Vec::new();
     let mut shed = 0u64;
@@ -80,7 +76,7 @@ fn saturated_queue_sheds_then_drains_with_zero_lost_acks() {
     assert_eq!(service.stats().shed(), shed);
 
     // Lift the wedge: every accepted ticket must resolve successfully.
-    drop(snap);
+    drop(hold);
     for (k, t) in accepted {
         assert_eq!(t.wait().unwrap(), None, "accepted insert {k} lost");
         assert_eq!(
@@ -98,8 +94,8 @@ fn saturated_queue_sheds_then_drains_with_zero_lost_acks() {
 
 #[test]
 fn park_admission_blocks_instead_of_shedding() {
-    let (store, engine, service) = tiny_service(Admission::Park);
-    let snap = engine.snapshot();
+    let (store, service) = tiny_service(Admission::Park);
+    let hold = store.hold();
     std::thread::sleep(Duration::from_millis(20));
 
     let submitters: Vec<_> = (1..=6u64)
@@ -111,7 +107,7 @@ fn park_admission_blocks_instead_of_shedding() {
     // Submitters beyond the queue capacity are parked inside send();
     // give them time to pile up, then release the wedge.
     std::thread::sleep(Duration::from_millis(50));
-    drop(snap);
+    drop(hold);
     for s in submitters {
         assert_eq!(s.join().unwrap(), None);
     }
@@ -122,7 +118,7 @@ fn park_admission_blocks_instead_of_shedding() {
 
 #[test]
 fn histograms_are_monotone_after_traffic() {
-    let (_store, _engine, service) = tiny_service(Admission::Park);
+    let (_store, service) = tiny_service(Admission::Park);
     let client = service.handle();
     for k in 1..=300u64 {
         client.insert(k, k + 1).unwrap();

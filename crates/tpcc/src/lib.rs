@@ -607,12 +607,6 @@ impl<I: PmIndex> TpccDb<I> {
         self
     }
 
-    /// The attached transaction engine, if any — e.g. to take a
-    /// [`txn::Snapshot`] for consistent reads across a live run.
-    pub fn txn_engine(&self) -> Option<&txn::TxnEngine> {
-        self.txn.as_ref()
-    }
-
     /// The nine `u64`-keyed table indexes in journal table-id order
     /// ([`Table::txn_id`]). Pass exactly this slice to
     /// [`txn::TxnEngine::commit`] and [`txn::TxnEngine::recover`]; the
@@ -1354,7 +1348,7 @@ mod tests {
             assert_eq!(table_contents(*p), table_contents(t));
         }
         // Every Payment and New-Order went through the journal.
-        let engine = txn_db.txn_engine().unwrap();
+        let engine = txn_db.txn.as_ref().unwrap();
         assert_eq!(engine.last_committed(), a.payment + a.new_order);
         assert!(!engine.pending());
     }
@@ -1379,7 +1373,7 @@ mod tests {
         for (p, t) in plain.txn_tables().iter().zip(db.txn_tables()) {
             assert_eq!(table_contents(*p), table_contents(t));
         }
-        assert!(!db.txn_engine().unwrap().pending());
+        assert!(!db.txn.as_ref().unwrap().pending());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # Atomic multi-key write batches and snapshot reads
+//! # Atomic multi-key write batches
 //!
 //! The paper's discipline commits every index mutation with a single
 //! failure-atomic 8-byte store — but each mutation commits *alone*. A
@@ -26,10 +26,9 @@
 //! crash safe). `crates/txn/tests/crash_txn.rs` sweeps every crash cut,
 //! including the cross-shard case, to prove it.
 //!
-//! [`Snapshot`] is the read half: it pins the engine's epoch domain
-//! (keeping reclaimed nodes out from under in-flight scans) and excludes
-//! the apply phase, so reads taken under a snapshot observe every batch
-//! entirely or not at all — never a half-applied one.
+//! Readers take no part in the protocol: they read the tables directly,
+//! as every FAST+FAIR reader does, and may observe a group's apply half
+//! done. All-or-nothing is a durability guarantee, not an isolation one.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -62,7 +61,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::Mutex;
 use pmem::{CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{check_value, BatchOp, IndexError, PmIndex, Value};
 
@@ -287,17 +286,6 @@ pub struct TxnEngine {
     /// Last committed sequence number (volatile mirror of the journal's
     /// committed word; re-derived by `open`/`recover`).
     seq: AtomicU64,
-    /// Last *applied* sequence number — trails `seq` during the window
-    /// between the commit store and the end of the apply phase. This is
-    /// what [`Snapshot::seq`] reports: a snapshot taken mid-commit must
-    /// not claim visibility for a batch whose apply has not run.
-    applied: AtomicU64,
-    /// Excludes the apply phase (exclusive) against open snapshots
-    /// (shared): a batch becomes visible to snapshot readers entirely or
-    /// not at all.
-    apply_gate: RwLock<()>,
-    /// Pin point for snapshot reads; drained quiescently by `recover`.
-    epoch: Arc<epoch::EpochDomain>,
 }
 
 impl std::fmt::Debug for TxnEngine {
@@ -383,9 +371,6 @@ impl TxnEngine {
             pool,
             journal: Mutex::new(j),
             seq: AtomicU64::new(committed),
-            applied: AtomicU64::new(applied),
-            apply_gate: RwLock::new(()),
-            epoch: epoch::EpochDomain::new(),
         })
     }
 
@@ -413,13 +398,6 @@ impl TxnEngine {
         j.committed().load(&self.pool) != j.applied().load(&self.pool)
     }
 
-    /// The engine's epoch domain — the pin point [`Snapshot`]s use, and
-    /// a shared reclamation home for callers that want batch-applied
-    /// unlinks to wait out snapshot readers.
-    pub fn epoch(&self) -> &Arc<epoch::EpochDomain> {
-        &self.epoch
-    }
-
     /// Grows the journal region to hold at least `need` entries. Only
     /// called with the journal quiescent (committed == applied), so the
     /// staged entries need not move: the fresh region carries the
@@ -442,8 +420,7 @@ impl TxnEngine {
     /// Commits `batch` against `tables` atomically and returns its
     /// sequence number: stages the ops in the journal, commits them with
     /// a single failure-atomic 8-byte sequence store, applies them to
-    /// the tables (excluded against open [`Snapshot`]s), and retires the
-    /// journal. Concurrent commits serialize on the journal.
+    /// the tables, and retires the journal. Concurrent commits serialize on the journal.
     ///
     /// An empty batch is a no-op and returns the current sequence.
     ///
@@ -486,7 +463,7 @@ impl TxnEngine {
     /// store + fence — the amortization lever `crates/service` pulls.
     /// Per group, not per client batch: one staging persist (the entry
     /// lines coalesce into a single flush+fence round), one commit
-    /// fence, one apply-gate acquisition, one retire fence.
+    /// fence, one `apply_batch` call per table, one retire fence.
     ///
     /// The group is all-or-nothing as a unit: a crash before the commit
     /// store recovers *none* of the member batches, after it *all* of
@@ -634,17 +611,10 @@ impl TxnEngine {
         j.committed().publish(&self.pool, seq);
         pmem::stats::count_txn_commit();
         self.seq.store(seq, Ordering::SeqCst);
-        // 3. APPLY: idempotent redo onto the live tables, atomically
-        // with respect to snapshot readers. The applied counter advances
-        // inside the gate so a snapshot's seq always matches what its
-        // reads can observe.
-        {
-            let _excl = self.apply_gate.write();
-            match prev {
-                Some(prev) => apply_grouped_prev(&ops, tables, prev)?,
-                None => apply_grouped(&ops, tables)?,
-            }
-            self.applied.store(seq, Ordering::SeqCst);
+        // 3. APPLY: idempotent redo onto the live tables.
+        match prev {
+            Some(prev) => apply_grouped_prev(&ops, tables, prev)?,
+            None => apply_grouped(&ops, tables)?,
         }
         // 4. RETIRE: mark applied so the next commit can reuse the
         // region. Crashing before this store merely makes recovery
@@ -659,9 +629,7 @@ impl TxnEngine {
     /// the same slice, in the same order, as the commits used.
     ///
     /// Replay is idempotent redo from the top: a crash *during* recovery
-    /// is absorbed by simply recovering again. The engine's epoch domain
-    /// is quiescently flushed on every call, mirroring the index
-    /// `recover()` contract (nothing stays in limbo across a recovery).
+    /// is absorbed by simply recovering again.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -688,8 +656,6 @@ impl TxnEngine {
         let applied = j.applied().load(&self.pool);
         self.seq.store(committed, Ordering::SeqCst);
         if committed == applied {
-            self.applied.store(committed, Ordering::SeqCst);
-            self.epoch.flush();
             return Ok(0);
         }
         let n = self.pool.load_u64(j.off + J_COUNT);
@@ -725,104 +691,10 @@ impl TxnEngine {
             };
             ops.push((t, op));
         }
-        {
-            let _excl = self.apply_gate.write();
-            apply_grouped(&ops, tables)?;
-            self.applied.store(committed, Ordering::SeqCst);
-        }
+        apply_grouped(&ops, tables)?;
         pmem::stats::count_txn_replays(n);
         j.applied().publish(&self.pool, committed);
-        self.epoch.flush();
         Ok(n as usize)
-    }
-
-    /// Opens a consistent read view: the returned [`Snapshot`] pins the
-    /// engine's epoch domain and shares the apply gate, so every batch
-    /// is observed fully applied or not at all for as long as the
-    /// snapshot lives. Taking a snapshot waits out an in-flight apply;
-    /// it never blocks stage/commit themselves.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmindex::PmIndex;
-    /// use txn::{TxnEngine, WriteBatch};
-    ///
-    /// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let tree = fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())?;
-    /// let engine = TxnEngine::create(Arc::clone(&pool))?;
-    /// let mut batch = WriteBatch::new();
-    /// batch.put(0, 1, 10);
-    /// engine.commit(batch, &[&tree])?;
-    /// let snap = engine.snapshot();
-    /// assert_eq!(snap.seq(), 1); // the batch is fully visible
-    /// assert_eq!(tree.get(1), Some(10));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn snapshot(&self) -> Snapshot<'_> {
-        let gate = self.apply_gate.read();
-        // Report the *applied* sequence, not the committed one: between
-        // a group's commit store and the end of its apply, `seq` already
-        // names a batch whose writes no read can observe. The applied
-        // counter only advances inside the (write-held) gate, so under
-        // our read guard it exactly matches table state.
-        Snapshot {
-            seq: self.applied.load(Ordering::SeqCst),
-            _gate: gate,
-            guards: vec![self.epoch.pin()],
-        }
-    }
-}
-
-/// A consistent read view over the tables a [`TxnEngine`] coordinates.
-///
-/// While a snapshot lives, no batch apply can run (the apply phase takes
-/// the gate exclusively), and nodes retired into the pinned epoch
-/// domain(s) cannot be recycled — so scans performed under the snapshot
-/// see every committed batch entirely or not at all, on stable memory.
-///
-/// The snapshot does not copy anything; it is a pair of guards plus the
-/// sequence number of the last batch guaranteed visible.
-pub struct Snapshot<'a> {
-    seq: u64,
-    _gate: RwLockReadGuard<'a, ()>,
-    guards: Vec<epoch::Guard>,
-}
-
-impl std::fmt::Debug for Snapshot<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot").field("seq", &self.seq).finish()
-    }
-}
-
-impl Snapshot<'_> {
-    /// Sequence number of the last batch fully applied before this
-    /// snapshot was taken: every batch with `seq <= snapshot.seq()` is
-    /// entirely visible, every later one entirely invisible or entirely
-    /// visible (if it applied after the snapshot dropped and a new one
-    /// observed it).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Additionally pins `domain` for the life of the snapshot — for
-    /// reads over tables that reclaim through their *own* epoch domains
-    /// (each tree and each `VarKeyStore` owns one), so their unlinked
-    /// nodes also wait out this snapshot.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmindex::PmIndex;
-    /// use txn::TxnEngine;
-    ///
-    /// let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let tree = fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())?;
-    /// let engine = TxnEngine::create(pool)?;
-    /// let mut snap = engine.snapshot();
-    /// snap.also_pin(tree.epoch()); // tree unlinks now wait for us too
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn also_pin(&mut self, domain: &Arc<epoch::EpochDomain>) {
-        self.guards.push(domain.pin());
     }
 }
 
@@ -952,47 +824,8 @@ mod tests {
         assert_eq!(engine.commit(b, &[&tree]).unwrap(), 4);
     }
 
-    #[test]
-    fn snapshot_excludes_apply() {
-        use std::sync::atomic::AtomicBool;
-        let (_pool, tree, engine) = mk();
-        let engine = Arc::new(engine);
-        let tree = Arc::new(tree);
-        let committed = Arc::new(AtomicBool::new(false));
-        let snap = engine.snapshot();
-        assert_eq!(snap.seq(), 0);
-        std::thread::scope(|s| {
-            let engine2 = Arc::clone(&engine);
-            let tree2 = Arc::clone(&tree);
-            let committed2 = Arc::clone(&committed);
-            let h = s.spawn(move || {
-                let mut b = WriteBatch::new();
-                b.put(0, 1, 10);
-                b.put(0, 2, 20);
-                engine2.commit(b, &[tree2.as_ref()]).unwrap();
-                committed2.store(true, Ordering::SeqCst);
-            });
-            // Give the committer time to reach the apply gate; the batch
-            // must not become visible while our snapshot is open.
-            for _ in 0..50 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                let a = tree.get(1).is_some();
-                let b = tree.get(2).is_some();
-                assert_eq!(a, b, "snapshot observed a half-applied batch");
-                if committed.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            drop(snap); // release the gate: the apply proceeds
-            h.join().unwrap();
-        });
-        assert_eq!(tree.get(1), Some(10));
-        assert_eq!(tree.get(2), Some(20));
-    }
-
     /// Wrapper whose `apply_batch` fails once on demand — freezing the
-    /// engine in the committed-but-unapplied window a snapshot could
-    /// previously misreport.
+    /// engine in the committed-but-unapplied window.
     struct FailingApply {
         inner: FastFairTree,
         fail_next: std::sync::atomic::AtomicBool,
@@ -1025,13 +858,11 @@ mod tests {
         }
     }
 
-    /// Regression (PR 8): `Snapshot::seq` must report the last *applied*
-    /// group, not the last *committed* one. With the apply frozen after
-    /// the commit store (injected failure here; the mid-group window in
-    /// live service traffic), a snapshot used to claim seq 1 while the
-    /// tables still showed nothing of the batch.
+    /// A group whose apply fails after the commit store stays committed:
+    /// the journal reports it pending, the tables hold none of it, and
+    /// `recover` replays all of it.
     #[test]
-    fn snapshot_mid_group_sees_none_of_it() {
+    fn a_failed_apply_leaves_the_group_committed_for_recover() {
         let pool = Arc::new(Pool::new(PoolConfig::new().size(8 << 20)).unwrap());
         let table = FailingApply {
             inner: FastFairTree::create(Arc::clone(&pool), TreeOptions::new()).unwrap(),
@@ -1046,17 +877,9 @@ mod tests {
         assert!(engine.commit_grouped(&[a, b], &[&table]).is_err());
         assert_eq!(engine.last_committed(), 1);
         assert!(engine.pending());
-        {
-            let snap = engine.snapshot();
-            // Committed-but-unapplied: the snapshot must not claim the
-            // group is visible — and indeed no read can see it.
-            assert_eq!(snap.seq(), 0, "snapshot leaked an unapplied group");
-            assert_eq!((table.get(1), table.get(2)), (None, None));
-        }
-        // Recovery replays the group; snapshots then see all of it.
+        assert_eq!((table.get(1), table.get(2)), (None, None));
         assert_eq!(engine.recover(&[&table]).unwrap(), 2);
-        let snap = engine.snapshot();
-        assert_eq!(snap.seq(), 1);
+        assert!(!engine.pending());
         assert_eq!((table.get(1), table.get(2)), (Some(10), Some(20)));
     }
 
@@ -1084,17 +907,5 @@ mod tests {
         b.put(0, 99, 999);
         assert_eq!(engine.commit_grouped(&[b], &[&tree]).unwrap(), 2);
         assert!(!engine.pending());
-    }
-
-    #[test]
-    fn snapshot_seq_tracks_commits() {
-        let (_pool, tree, engine) = mk();
-        assert_eq!(engine.snapshot().seq(), 0);
-        let mut b = WriteBatch::new();
-        b.put(0, 1, 10);
-        engine.commit(b, &[&tree]).unwrap();
-        let mut snap = engine.snapshot();
-        snap.also_pin(tree.epoch());
-        assert_eq!(snap.seq(), 1);
     }
 }

@@ -23,13 +23,8 @@
 //! A group big enough for `ShardedStore` to apply its two shards on two
 //! threads gets the same zero-or-all sweep over the interleaved stores of
 //! both.
-//!
-//! A separate live (crash-free) test drives committers against
-//! snapshot readers and asserts a `Snapshot` never observes a
-//! half-applied batch.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fastfair::{FastFairTree, TreeOptions};
@@ -463,61 +458,4 @@ fn split_apply_batch_crash_sweep() {
         }
     }
     assert_eq!(outcomes, BTreeSet::from([0, effects]));
-}
-
-/// Live (crash-free) consistency: while a committer applies batches
-/// whose three keys always share one value, snapshot readers must never
-/// observe two keys disagreeing — a half-applied batch.
-#[test]
-fn snapshots_never_observe_a_half_applied_batch() {
-    const BATCHES: u64 = 150;
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(8 << 20)).unwrap());
-    let tree = Arc::new(FastFairTree::create(Arc::clone(&pool), TreeOptions::new()).unwrap());
-    let engine = Arc::new(TxnEngine::create(Arc::clone(&pool)).unwrap());
-    let keys = [10u64, 20, 30];
-    let done = Arc::new(AtomicBool::new(false));
-
-    std::thread::scope(|s| {
-        {
-            let engine = Arc::clone(&engine);
-            let tree = Arc::clone(&tree);
-            let done = Arc::clone(&done);
-            s.spawn(move || {
-                for i in 1..=BATCHES {
-                    let mut b = WriteBatch::new();
-                    for k in keys {
-                        b.put(0, k, 1000 + i);
-                    }
-                    engine.commit(b, &[tree.as_ref()]).unwrap();
-                }
-                done.store(true, Ordering::SeqCst);
-            });
-        }
-        for _ in 0..2 {
-            let engine = Arc::clone(&engine);
-            let tree = Arc::clone(&tree);
-            let done = Arc::clone(&done);
-            s.spawn(move || {
-                let mut observed = 0u64;
-                while !done.load(Ordering::SeqCst) || observed == 0 {
-                    let snap = engine.snapshot();
-                    let vals: Vec<Option<u64>> = keys.iter().map(|&k| tree.get(k)).collect();
-                    drop(snap);
-                    // Before the first batch all three are absent; after,
-                    // all three must carry the same batch's value.
-                    assert!(
-                        vals.iter().all(|v| v.is_none()) || vals.windows(2).all(|w| w[0] == w[1]),
-                        "snapshot observed a half-applied batch: {vals:?}"
-                    );
-                    if vals[0].is_some() {
-                        observed += 1;
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(engine.last_committed(), BATCHES);
-    for k in keys {
-        assert_eq!(tree.get(k), Some(1000 + BATCHES));
-    }
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use fastfair::FastFairTree;
-use pmem::stats::{self, Snapshot};
+use pmem::stats;
 use pmem::{Pool, PoolConfig};
 use pmindex::{PersistentIndex, PmIndex};
 use shard::{Partitioning, ShardedStore};
@@ -67,7 +67,7 @@ fn gate<I: PmIndex>(make: impl Fn(Arc<Pool>) -> I) {
     for (k, v) in puts() {
         assert_eq!(table.insert(k, v).unwrap(), preloaded(k));
     }
-    let direct: Snapshot = stats::take();
+    let direct: stats::Snapshot = stats::take();
 
     // The old service path: a previous-value get per put, then the commit.
     let (table, engine) = rig(&make);

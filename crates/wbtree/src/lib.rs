@@ -591,6 +591,17 @@ impl pmindex::chain::LeafChain for WbChain<'_> {
             Some(sib)
         }
     }
+
+    /// Leaves keep no high key, so the bound is the first key of `next`,
+    /// the sibling `read` returned under the same lock as the entries: a
+    /// leaf read after a split comes with the sibling that took its upper
+    /// half.
+    fn covers(&self, _off: PmOffset, next: Option<PmOffset>, key: Key) -> bool {
+        let Some(sib) = next else { return true };
+        let _g = self.tree.op_lock.lock();
+        let n = self.tree.node(sib);
+        n.sorted_slots().first().is_none_or(|&s| n.key_at(s) > key)
+    }
 }
 
 /// Streaming cursor over the wB+-tree's sibling-linked leaves.

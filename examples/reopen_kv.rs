@@ -15,7 +15,7 @@ use fastfair_repro::catalog::{Catalog, StoreKind};
 use fastfair_repro::fastfair::FastFairTree;
 use fastfair_repro::pmem::crash::Eviction;
 use fastfair_repro::pmem::{Pool, PoolConfig};
-use fastfair_repro::pmindex::{PersistentIndex, PmIndex};
+use fastfair_repro::pmindex::{HeldApply, PersistentIndex, PmIndex};
 use fastfair_repro::service::{Service, ServiceConfig};
 use fastfair_repro::txn::{TxnEngine, WriteBatch};
 
@@ -61,25 +61,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(newest, (ORDERS, ORDERS * 2));
 
     // ---- kill between a journal commit and its apply -----------------
-    // A held snapshot stops the committer at the apply gate: the batch's
-    // sequence store is durable, its orders are in no tree yet. The data
-    // pool is imaged right there — the process dies with the batch
-    // committed and unapplied.
+    // A hold on the tree's batch applies stops the committer between its
+    // sequence store and its apply: the batch is durable, its orders are
+    // in no tree yet. The data pool is imaged right there — the process
+    // dies with the batch committed and unapplied.
     let before = engine.last_committed();
-    let snap = engine.snapshot();
+    let held = HeldApply::new(&tree);
+    let hold = held.hold();
     let data_image = std::thread::scope(|s| {
         let committer = s.spawn(|| {
             let mut late = WriteBatch::new();
             for k in ORDERS + 1..=ORDERS + LATE {
                 late.put(0, k, k * 2);
             }
-            engine.commit(late, &[&tree])
+            engine.commit(late, &[&held])
         });
         while engine.last_committed() == before {
             std::thread::yield_now();
         }
         let image = data.volatile_image();
-        drop(snap);
+        drop(hold);
         committer.join().expect("committer panicked").map(|_| image)
     })?;
     println!("killed with {LATE} orders committed to the journal, unapplied");

@@ -16,10 +16,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastfair_repro::fastfair::{FastFairTree, InNodeSearch, SplitStrategy, TreeOptions};
-use fastfair_repro::pmem::stats::{self, Snapshot};
+use fastfair_repro::pmem::stats;
 use fastfair_repro::pmem::{FenceMode, LatencyProfile, Pool, PoolConfig};
 use fastfair_repro::pmindex::workload::{generate_keys, value_for, KeyDist};
-use fastfair_repro::pmindex::PmIndex;
+use fastfair_repro::pmindex::{HeldApply, PmIndex};
 use fastfair_repro::service::{Service, ServiceConfig};
 use fastfair_repro::txn::TxnEngine;
 use fastfair_repro::{fptree, pskiplist, wbtree, wort};
@@ -60,14 +60,14 @@ fn preload(index: &dyn PmIndex) -> Vec<u64> {
 }
 
 /// This thread's counters over `f` alone.
-fn measure(f: impl FnOnce()) -> Snapshot {
+fn measure(f: impl FnOnce()) -> stats::Snapshot {
     stats::reset();
     f();
     stats::take()
 }
 
 /// Counters over inserting `EXTRA` fresh keys into a preloaded `index`.
-fn inserts(index: &dyn PmIndex) -> Snapshot {
+fn inserts(index: &dyn PmIndex) -> stats::Snapshot {
     preload(index);
     let fresh = generate_keys(EXTRA, KeyDist::Uniform, 4);
     measure(|| {
@@ -78,7 +78,7 @@ fn inserts(index: &dyn PmIndex) -> Snapshot {
 }
 
 /// Counters over one `get` of every preloaded key.
-fn gets(index: &dyn PmIndex) -> Snapshot {
+fn gets(index: &dyn PmIndex) -> stats::Snapshot {
     let keys = preload(index);
     measure(|| {
         for &k in &keys {
@@ -263,14 +263,16 @@ fn spin_until(what: &str, done: impl Fn() -> bool) {
 /// The service's group-commit lever, a repo extension beyond the paper:
 /// sixteen updates that drain as one group share one commit's fixed
 /// fences, so the group pays < 0.5 × a lone update's fences per op
-/// (measured 1.19 against 4: 0.30 ×). A held `txn::Snapshot` parks the
-/// worker inside a commit so the sixteen queue behind it
-/// deterministically. One unsharded tree keeps every fence on the lane
+/// (measured 1.19 against 4: 0.30 ×). A hold on the tree's batch applies
+/// (`HeldApply`) parks the worker inside a commit so the sixteen queue
+/// behind it deterministically. One unsharded tree keeps every fence on the lane
 /// worker.
 #[test]
 fn group_commit_shares_fences_across_sixteen_updates() {
     let p = pool(LatencyProfile::dram());
-    let tree = Arc::new(FastFairTree::create(Arc::clone(&p), TreeOptions::new()).unwrap());
+    let tree = Arc::new(HeldApply::new(
+        FastFairTree::create(Arc::clone(&p), TreeOptions::new()).unwrap(),
+    ));
     for k in 1..=32 {
         tree.insert(k, value_for(k)).unwrap();
     }
@@ -279,7 +281,7 @@ fn group_commit_shares_fences_across_sixteen_updates() {
         lanes: 1,
         ..ServiceConfig::default()
     };
-    let mut service = Service::with_engine(vec![tree], Arc::clone(&engine), config);
+    let mut service = Service::with_engine(vec![Arc::clone(&tree)], Arc::clone(&engine), config);
     let stats = Arc::clone(service.stats());
     let c = service.handle();
 
@@ -293,13 +295,13 @@ fn group_commit_shares_fences_across_sixteen_updates() {
     assert_eq!(stats.fences(), 2 * lone, "lone updates differ in fences");
 
     // A third lone update parks inside its commit; sixteen more queue.
-    let snap = engine.snapshot();
+    let hold = tree.hold();
     let parked = c.submit_update(3, 30).unwrap();
     spin_until("worker inside its commit", || engine.last_committed() == 3);
     let group: Vec<_> = (4..20)
         .map(|k| c.submit_update(k, k * 10).unwrap())
         .collect();
-    drop(snap);
+    drop(hold);
     assert_eq!(parked.wait().unwrap(), Some(value_for(3)));
     for (k, reply) in (4..).zip(group) {
         assert_eq!(reply.wait().unwrap(), Some(value_for(k)));

@@ -146,6 +146,26 @@ fn reverse_scans_agree_with_model_across_backends() {
     }
 }
 
+/// The leaf `seek_for_prev` located splits before the first `prev`: the
+/// keys at and below the bound moved to a new right sibling, and the
+/// cursor must follow them rather than read what stayed behind.
+#[test]
+fn a_reverse_cursor_follows_keys_its_located_leaf_split_away() {
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
+    for idx in all_indexes(&pool) {
+        for k in (10..=20_000u64).step_by(10) {
+            idx.insert(k, k + 7).unwrap();
+        }
+        let mut cur = idx.cursor();
+        cur.seek_for_prev(20_000);
+        for k in 19_951..=19_999u64 {
+            idx.insert(k, k + 7).unwrap();
+        }
+        let got: Vec<u64> = (0..3).filter_map(|_| cur.prev()).map(|(k, _)| k).collect();
+        assert_eq!(got, [20_000, 19_999, 19_998], "{}", idx.name());
+    }
+}
+
 #[test]
 fn varkey_reverse_scans_agree_with_model() {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
@@ -239,6 +259,8 @@ fn reverse_scan_survives_concurrent_splits_and_merges() {
             )
             .unwrap(),
         ),
+        Arc::new(fastfair_repro::fptree::FpTree::create(Arc::clone(&pool)).unwrap()),
+        Arc::new(fastfair_repro::wbtree::WbTree::create(Arc::clone(&pool)).unwrap()),
     ];
     const FROZEN: u64 = 500;
     for idx in &contended {
