@@ -34,7 +34,7 @@
 //!
 //! ```text
 //! name length in bytes, name bytes packed little-endian 8 per word,
-//! kind tag (1 index, 2 varkey, 3 sharded, 4 txn),
+//! kind tag (1 index, 3 sharded, 4 txn; 2 is retired and refused),
 //! superblock offset (0 for sharded and txn: a pool header anchors them),
 //! fleet slot count n, n fleet slots (sharded: the manifest's, then each
 //! shard's in manifest slot-id order)
@@ -60,13 +60,14 @@ use pmem::{CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{IndexError, PersistentIndex};
 use shard::ShardedStore;
 use txn::TxnEngine;
-use varkey::VarKeyStore;
 
 /// `"FFCATREC"` — the magic of the catalog record.
 const MAGIC: u64 = u64::from_le_bytes(*b"FFCATREC");
 
 /// Kind tags: the first of a name's kind words.
 const TAG_INDEX: u64 = 1;
+/// Retired with the byte-key store it named; never reused, so a record
+/// that still holds it is refused rather than misread.
 const TAG_VARKEY: u64 = 2;
 const TAG_SHARDED: u64 = 3;
 const TAG_TXN: u64 = 4;
@@ -101,15 +102,6 @@ pub enum StoreKind {
         /// The index's [`PersistentIndex::superblock`] offset.
         superblock: PmOffset,
     },
-    /// A variable-length-key store: the *inner* index's coordinates;
-    /// reopened via [`Catalog::open_varkey`] (chains are reachable from
-    /// the inner index's values, so no extra anchor is needed).
-    VarKey {
-        /// Fleet slot of the pool holding the inner index and chains.
-        pool: usize,
-        /// The inner index's superblock offset.
-        superblock: PmOffset,
-    },
     /// A sharded deployment: reopened via [`Catalog::open_sharded`]
     /// from the manifest in `manifest_pool`'s header.
     Sharded {
@@ -133,7 +125,6 @@ impl StoreKind {
     fn parts(&self) -> (u64, PmOffset, Vec<usize>) {
         match self {
             StoreKind::Index { pool, superblock } => (TAG_INDEX, *superblock, vec![*pool]),
-            StoreKind::VarKey { pool, superblock } => (TAG_VARKEY, *superblock, vec![*pool]),
             StoreKind::Sharded {
                 manifest_pool,
                 shard_pools,
@@ -149,10 +140,6 @@ impl StoreKind {
     fn from_parts(tag: u64, anchor: PmOffset, slots: &[usize]) -> Option<StoreKind> {
         Some(match (tag, slots) {
             (TAG_INDEX, &[pool]) => StoreKind::Index {
-                pool,
-                superblock: anchor,
-            },
-            (TAG_VARKEY, &[pool]) => StoreKind::VarKey {
                 pool,
                 superblock: anchor,
             },
@@ -541,49 +528,6 @@ impl Catalog {
         }
     }
 
-    /// Re-opens the variable-length-key store registered as `name`:
-    /// recovers the inner index from its superblock and rewraps it —
-    /// overflow chains are already reachable from the inner values.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use catalog::{Catalog, StoreKind};
-    /// use pmindex::PersistentIndex;
-    /// use varkey::{VarKeyIndex, VarKeyStore};
-    ///
-    /// let root = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
-    /// let cat = Catalog::create(vec![Arc::clone(&root)])?;
-    /// let tree = fastfair::FastFairTree::create_in(Arc::clone(&root))?;
-    /// let store = VarKeyStore::new(tree, Arc::clone(&root));
-    /// store.insert(b"a-rather-long-key", 9)?;
-    /// cat.register("names", &StoreKind::VarKey {
-    ///     pool: 0,
-    ///     superblock: store.inner().superblock(),
-    /// })?;
-    ///
-    /// let again: VarKeyStore<fastfair::FastFairTree> = cat.open_varkey("names")?;
-    /// assert_eq!(again.get(b"a-rather-long-key"), Some(9));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::Unsupported`] if `name` is unmapped or not a
-    /// [`StoreKind::VarKey`] record; inner-open failures propagate.
-    pub fn open_varkey<T: PersistentIndex>(
-        &self,
-        name: &str,
-    ) -> Result<VarKeyStore<T>, IndexError> {
-        match self.kind_of(name)? {
-            StoreKind::VarKey { pool, superblock } => {
-                let p = Arc::clone(&self.pools[pool]);
-                let inner = T::open_in(Arc::clone(&p), superblock)?;
-                Ok(VarKeyStore::new(inner, p))
-            }
-            other => Err(wrong_kind(name, "a varkey store", &other)),
-        }
-    }
-
     /// Re-opens the sharded deployment registered as `name` by
     /// replaying the manifest in its manifest pool, with the record's
     /// slot list translating manifest pool-slot ids to fleet pools.
@@ -757,6 +701,11 @@ fn read(root: &Pool, fleet: usize) -> Result<Option<Names>, IndexError> {
             return Err(corrupt("record is truncated"));
         };
         let slots: Vec<usize> = take(&mut words, n)?.iter().map(|&s| s as usize).collect();
+        if tag == TAG_VARKEY {
+            return Err(corrupt(&format!(
+                "store {name:?} has retired kind {TAG_VARKEY} (varkey byte-key store)"
+            )));
+        }
         let kind = StoreKind::from_parts(tag, anchor, &slots)
             .ok_or_else(|| corrupt(&format!("store {name:?} has a malformed kind")))?;
         check_slots(&kind, fleet).map_err(|e| corrupt(&format!("store {name:?}: {e}")))?;
@@ -909,6 +858,22 @@ mod tests {
     }
 
     #[test]
+    fn a_record_holding_the_retired_kind_2_is_refused() {
+        // A well-checksummed record as a catalog that registered a byte-key
+        // store wrote it: name "names", kind 2, the inner index's
+        // superblock, one fleet slot.
+        let root = pool();
+        let words = [5, u64::from_le_bytes(*b"names\0\0\0"), 2, 64, 1, 0];
+        CommitCell::CATALOG
+            .publish_record(&root, MAGIC, &words)
+            .unwrap();
+        match Catalog::open(vec![root]) {
+            Err(IndexError::Unsupported(msg)) => assert!(msg.contains("retired kind 2"), "{msg}"),
+            other => panic!("a kind-2 record must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn superseded_records_are_freed() {
         // A leaked record a mutation would fill this pool long before the
         // loop ends.
@@ -939,7 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn all_four_kinds_roundtrip_through_records() {
+    fn all_three_kinds_roundtrip_through_records() {
         let pools = vec![pool(), pool(), pool()];
         let cat = Catalog::create(pools.clone()).unwrap();
         let kinds = [
@@ -947,7 +912,7 @@ mod tests {
                 pool: 1,
                 superblock: 128,
             },
-            StoreKind::VarKey {
+            StoreKind::Index {
                 pool: 2,
                 superblock: 256,
             },

@@ -97,7 +97,7 @@ fn crash_sweep_catalog_mutations_old_or_new() {
         ),
         (
             "beta-long-name-beyond-inline",
-            StoreKind::VarKey {
+            StoreKind::Index {
                 pool: 1,
                 superblock: 128,
             },
@@ -140,7 +140,7 @@ fn crash_sweep_catalog_mutations_old_or_new() {
         Op::Remove("delta"),
         Op::Register(
             "delta",
-            StoreKind::VarKey {
+            StoreKind::Index {
                 pool: 0,
                 superblock: 320,
             },

@@ -3,10 +3,9 @@
 //! Reproduces the workload of Fig. 6 of the FAST+FAIR paper: the five
 //! TPC-C transaction types (New-Order, Payment, Order-Status, Delivery,
 //! Stock-Level) run against ten tables, each indexed by one [`PmIndex`]
-//! instance (the customer-by-last-name secondary index through a
-//! byte-keyed adapter over one). The measured quantity is *index*
-//! throughput: every table access is a point get, insert, delete or
-//! range scan on the index under test; row payloads live in a volatile arena (the paper's storage engine
+//! instance. The measured quantity is *index* throughput: every table
+//! access is a point get, insert, delete or range scan on the index under
+//! test; row payloads live in a volatile arena (the paper's storage engine
 //! is likewise not the object of measurement).
 //!
 //! The four mixes W1–W4 shift weight from New-Order (insert-heavy, many
@@ -16,13 +15,13 @@
 //! transaction materializes an unbounded result set — which is what sinks
 //! WORT in this figure.
 //!
-//! Beyond the paper, the substrate carries the spec's *string-keyed*
-//! access path: Payment and Order-Status select the customer **by last
-//! name** 60 % of the time (TPC-C §2.5.2/§2.6.2), served by a real
-//! byte-keyed secondary index — a [`varkey::VarKeyStore`] over the same
-//! index type as every other table ([`Table::CustomerName`]), keyed by
-//! [`k_customer_name`] and scanned with a streaming [`varkey::ByteCursor`]
-//! prefix walk instead of any synthetic integer packing.
+//! Beyond the paper, the substrate carries the spec's by-name access
+//! path: Payment and Order-Status select the customer **by last name**
+//! 60 % of the time (TPC-C §2.5.2/§2.6.2), served by a secondary index of
+//! the same type as every other table ([`Table::CustomerName`]). A last
+//! name is three of the spec's ten syllables, so it spells a number below
+//! 1000; [`k_customer_name`] packs that number beside the district and
+//! customer, and a lookup decodes the name and scans one key range.
 //!
 //! With a [`txn::TxnEngine`] attached ([`TpccDb::with_txn_engine`]),
 //! Payment and New-Order become real multi-key transactions: every index
@@ -39,13 +38,11 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmindex::{Cursor, IndexError, Key, PmIndex, Value};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use varkey::{ByteCursor, VarKeyIndex, VarKeyStore};
 
 /// Sizing parameters (scaled-down defaults; [`TpccConfig::paper`] restores
 /// the spec sizes).
@@ -198,8 +195,8 @@ pub enum Table {
     District,
     /// Customer rows.
     Customer,
-    /// Customer-by-last-name secondary index (string-keyed: served
-    /// through a [`varkey::VarKeyStore`] over the same index type).
+    /// Customer-by-last-name secondary index, keyed by
+    /// [`k_customer_name`].
     CustomerName,
     /// Order rows.
     Order,
@@ -231,9 +228,8 @@ impl Table {
     ];
 
     /// This table's id in the transaction journal — its position in
-    /// [`TpccDb::txn_tables`] — or `None` for the byte-keyed
-    /// CustomerName index, which is not journaled (its writes happen
-    /// only at populate time).
+    /// [`TpccDb::txn_tables`] — or `None` for the CustomerName index,
+    /// which is not journaled (its writes happen only at populate time).
     ///
     /// The mapping is part of the journal format: recovery must pass
     /// `TxnEngine::recover` the same tables in the same order the
@@ -314,10 +310,7 @@ pub fn warehouse_bounds(table: Table, warehouses: u64, shards: usize) -> Option<
         Table::Warehouse => k_warehouse,
         Table::District => |w| k_district(w, 0),
         Table::Customer => |w| k_customer(w, 0, 0),
-        // The name index is byte-keyed; its inner index sees encoded
-        // chunks, so the split points are chunk-space prefix bounds of
-        // the warehouse-id key prefix (exact: the prefix is 2 bytes).
-        Table::CustomerName => |w| varkey::codec::prefix_bound(&((w + 1) as u16).to_be_bytes()),
+        Table::CustomerName => |w| k_customer_name(w, 0, 0, 0),
         Table::Order | Table::NewOrder => |w| k_order(w, 0, 0),
         Table::OrderLine => |w| k_orderline(w, 0, 0, 0),
         Table::Stock => |w| k_stock(w, 0),
@@ -389,42 +382,43 @@ pub fn k_item(i: u64) -> Key {
     i + 1
 }
 
+/// The spec's ten last-name syllables, indexed by decimal digit.
+const SYLLABLES: [&str; 10] = [
+    "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
+];
+
 /// TPC-C last names: the spec's ten syllables indexed by the digits of
 /// `num % 1000` (§4.3.2.3). Customer `c` carries `last_name(c % 1000)`.
 pub fn last_name(num: u64) -> String {
-    const SYL: [&str; 10] = [
-        "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
-    ];
     let n = num % 1000;
     format!(
         "{}{}{}",
-        SYL[(n / 100) as usize],
-        SYL[(n / 10 % 10) as usize],
-        SYL[(n % 10) as usize]
+        SYLLABLES[(n / 100) as usize],
+        SYLLABLES[(n / 10 % 10) as usize],
+        SYLLABLES[(n % 10) as usize]
     )
 }
 
-/// Byte key of the customer-by-last-name secondary index:
-/// `[w+1 (u16 BE)][d (u8)][last name][0x00][c (u32 BE)]`.
-///
-/// Within one `(w, d)` the keys sort by name then customer id; the NUL
-/// separator (names are NUL-free ASCII) keeps a name that is a prefix of
-/// another sorting first, and makes [`customer_name_prefix`] scans exact.
-pub fn k_customer_name(w: u64, d: u64, name: &str, c: u64) -> Vec<u8> {
-    let mut k = customer_name_prefix(w, d, name);
-    k.extend_from_slice(&(c as u32).to_be_bytes());
-    k
+/// The `num % 1000` that [`last_name`] spelled `name` from, or `None` if
+/// `name` is not exactly three syllables. No syllable is a prefix of
+/// another, so a name splits into syllables at most one way.
+fn last_name_id(name: &str) -> Option<u64> {
+    let mut rest = name;
+    let mut id = 0;
+    for _ in 0..3 {
+        let digit = SYLLABLES.iter().position(|s| rest.starts_with(s))?;
+        rest = &rest[SYLLABLES[digit].len()..];
+        id = id * 10 + digit as u64;
+    }
+    rest.is_empty().then_some(id)
 }
 
-/// The shared prefix of every [`k_customer_name`] key with this
-/// `(w, d, name)` — what the by-name lookup seeks to and matches on.
-pub fn customer_name_prefix(w: u64, d: u64, name: &str) -> Vec<u8> {
-    let mut k = Vec::with_capacity(name.len() + 8);
-    k.extend_from_slice(&((w + 1) as u16).to_be_bytes());
-    k.push(d as u8);
-    k.extend_from_slice(name.as_bytes());
-    k.push(0);
-    k
+/// Key of the customer-by-last-name secondary index (`name_id` < 1000 is
+/// the number [`last_name`] spells, `c` < 2²⁰). Within one `(w, d)` the
+/// keys sort by name then customer number, so every customer sharing a
+/// name is one contiguous run.
+pub fn k_customer_name(w: u64, d: u64, name_id: u64, c: u64) -> Key {
+    ((w + 1) << 40) | (d << 32) | (name_id << 20) | c
 }
 
 // ---- volatile row arena -----------------------------------------------------
@@ -514,10 +508,8 @@ pub struct TpccDb<I: PmIndex> {
     warehouse: I,
     district: I,
     customer: I,
-    /// String-keyed secondary index: customer by (warehouse, district,
-    /// last name). Same index type underneath, adapted by `VarKeyStore`;
-    /// overflow records live in a dedicated pool sized at build time.
-    customer_name: VarKeyStore<I>,
+    /// Secondary index: customer by (warehouse, district, last name).
+    customer_name: I,
     order: I,
     new_order_idx: I,
     order_line: I,
@@ -538,8 +530,7 @@ pub struct TpccDb<I: PmIndex> {
 
 impl<I: PmIndex> TpccDb<I> {
     /// Builds and populates a database; `mk` creates one fresh index per
-    /// table (ten calls; the CustomerName index is wrapped in a
-    /// byte-keyed [`VarKeyStore`]).
+    /// table (ten calls).
     ///
     /// # Errors
     ///
@@ -563,21 +554,12 @@ impl<I: PmIndex> TpccDb<I> {
         cfg: TpccConfig,
         mut mk: impl FnMut(Table) -> Result<I, IndexError>,
     ) -> Result<Self, IndexError> {
-        // Overflow pool for the name index's byte keys: every customer
-        // costs one ~48-byte record; size generously and round up.
-        let customers = cfg.warehouses * cfg.districts_per_warehouse * cfg.customers_per_district;
-        let name_pool = Arc::new(
-            pmem::Pool::new(
-                pmem::PoolConfig::new().size(((customers as usize) * 128).max(1 << 20)),
-            )
-            .map_err(IndexError::from)?,
-        );
         let db = TpccDb {
             cfg,
             warehouse: mk(Table::Warehouse)?,
             district: mk(Table::District)?,
             customer: mk(Table::Customer)?,
-            customer_name: VarKeyStore::new(mk(Table::CustomerName)?, name_pool),
+            customer_name: mk(Table::CustomerName)?,
             order: mk(Table::Order)?,
             new_order_idx: mk(Table::NewOrder)?,
             order_line: mk(Table::OrderLine)?,
@@ -679,7 +661,7 @@ impl<I: PmIndex> TpccDb<I> {
                     });
                     self.customer.insert(k_customer(w, d, c), cid)?;
                     self.customer_name
-                        .insert(&k_customer_name(w, d, &last_name(c), c), cid)?;
+                        .insert(k_customer_name(w, d, c % 1000, c), cid)?;
                 }
                 for o in 0..cfg.initial_orders_per_district {
                     self.create_order(w, d, o, (o % 5) + 1, o % cfg.items, o % 3 != 0)?;
@@ -714,22 +696,24 @@ impl<I: PmIndex> TpccDb<I> {
         Ok(())
     }
 
-    /// The string-keyed secondary index itself — for harnesses that want
-    /// to scan or audit the by-name keyspace directly.
-    pub fn customer_name_index(&self) -> &VarKeyStore<I> {
+    /// The by-name secondary index itself — for harnesses that want to
+    /// scan or audit its keyspace directly.
+    pub fn customer_name_index(&self) -> &I {
         &self.customer_name
     }
 
     /// TPC-C's customer-by-last-name selection (§2.5.2.2): streams the
-    /// name index over the `(w, d, name)` prefix and returns the
-    /// middle matching customer's row id, or `None` for an unused name.
+    /// name index over the `(w, d, name)` key range and returns the
+    /// middle matching customer's row id, or `None` for an unused name or
+    /// one [`last_name`] cannot spell.
     pub fn customer_by_name(&self, w: u64, d: u64, name: &str) -> Option<u64> {
-        let prefix = customer_name_prefix(w, d, name);
+        let id = last_name_id(name)?;
+        let hi = k_customer_name(w, d, id + 1, 0);
         let mut ids = Vec::new();
         let mut cur = self.customer_name.cursor();
-        cur.seek(&prefix);
+        cur.seek(k_customer_name(w, d, id, 0));
         while let Some((k, cid)) = cur.next() {
-            if !k.starts_with(&prefix) {
+            if k >= hi {
                 break;
             }
             ids.push(cid);
@@ -1120,20 +1104,9 @@ mod tests {
                             Table::Warehouse => (k_warehouse(w), k_warehouse(w)),
                             Table::District => (k_district(w, 0), k_district(w, 9)),
                             Table::Customer => (k_customer(w, 0, 0), k_customer(w, 9, 2999)),
-                            // The name index routes by encoded chunk.
                             Table::CustomerName => (
-                                varkey::codec::first_chunk(&k_customer_name(
-                                    w,
-                                    0,
-                                    &last_name(200), // ABLE...: smallest first syllable
-                                    0,
-                                )),
-                                varkey::codec::first_chunk(&k_customer_name(
-                                    w,
-                                    9,
-                                    &last_name(311), // PRI...: largest first syllable
-                                    2999,
-                                )),
+                                k_customer_name(w, 0, 0, 0),
+                                k_customer_name(w, 9, 999, 2999),
                             ),
                             Table::Order | Table::NewOrder => {
                                 (k_order(w, 0, 0), k_order(w, 9, u32::MAX as u64 - 1))
@@ -1238,7 +1211,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(db.customer_by_name(0, 0, "NOSUCHNAME"), None);
+        // Not three syllables: too few, too many, or not the spec's case.
+        for name in ["NOSUCHNAME", "BARBAR", "BARBARBARBAR", "barbarbar"] {
+            assert_eq!(db.customer_by_name(0, 0, name), None, "{name}");
+        }
     }
 
     #[test]
@@ -1293,8 +1269,8 @@ mod tests {
                 }
             }
         }
-        // The two name indexes hold byte-identical content.
-        fn drain<I: PmIndex>(db: &TpccDb<I>) -> Vec<(Vec<u8>, u64)> {
+        // The two name indexes hold identical content.
+        fn drain<I: PmIndex>(db: &TpccDb<I>) -> Vec<(u64, u64)> {
             let mut out = Vec::new();
             let mut c = db.customer_name_index().cursor();
             while let Some(e) = c.next() {

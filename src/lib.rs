@@ -15,6 +15,5 @@ pub use service;
 pub use shard;
 pub use tpcc;
 pub use txn;
-pub use varkey;
 pub use wbtree;
 pub use wort;

@@ -11,8 +11,9 @@
 //! * the pool header's three commit cells (manifest, journal, catalog);
 //! * the shard manifest record's length word;
 //! * the journal's entry count and capacity, with a committed batch left
-//!   unapplied so that `recover` replays it, and one of its entries' op
-//!   kind, which must not replay as the other op;
+//!   unapplied so that `recover` replays it, and one of its entries' table
+//!   id and op kind, which must not replay into another table or as the
+//!   other op;
 //! * every word of the catalog record;
 //! * a FAST+FAIR superblock's magic, node-size and root words.
 //!
@@ -54,6 +55,15 @@ fn remap(image: &[u8]) -> Arc<Pool> {
     Arc::new(Pool::from_image(image, PoolConfig::new().size(POOL)).unwrap())
 }
 
+/// `image` with bit `bit` of the word at byte `at` flipped.
+fn flipped(image: &[u8], at: u64, bit: u32) -> Vec<u8> {
+    let mut img = image.to_vec();
+    let at = at as usize;
+    let v = u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) ^ (1 << bit);
+    img[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    img
+}
+
 /// How the 64 reopens of one word went.
 #[derive(Debug, Default)]
 struct Outcome {
@@ -72,14 +82,10 @@ fn flip_each_bit<T>(
     word: u64,
     reopen: impl Fn(Arc<Pool>) -> Result<T, IndexError>,
 ) -> Outcome {
-    let at = word as usize;
     let mut outcome = Outcome::default();
     let mut panicked = Vec::new();
     for bit in 0..64 {
-        let mut img = image.to_vec();
-        let v = u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) ^ (1 << bit);
-        img[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        let pool = remap(&img);
+        let pool = remap(&flipped(image, word, bit));
         match catch_unwind(AssertUnwindSafe(|| reopen(pool))) {
             Ok(Ok(_)) => outcome.ok += 1,
             Ok(Err(e)) => {
@@ -163,6 +169,17 @@ fn recover_journal(pool: Arc<Pool>, tree: u64) -> Result<usize, IndexError> {
     TxnEngine::open(pool)?.recover(&[&tree])
 }
 
+/// Replays the journal in `img` against its one table and returns what
+/// `recover` said and every row the table then holds.
+fn replay(img: &[u8], tree: u64) -> (Result<usize, IndexError>, Vec<(u64, u64)>) {
+    let pool = remap(img);
+    let table = FastFairTree::open_in(Arc::clone(&pool), tree).unwrap();
+    let replayed = TxnEngine::open(pool).unwrap().recover(&[&table]);
+    let mut got = Vec::new();
+    table.range(0, u64::MAX, &mut got);
+    (replayed, got)
+}
+
 #[test]
 fn a_flipped_journal_slot_count_or_capacity_is_survived() {
     let (image, tree) = pending_journal();
@@ -194,21 +211,9 @@ fn a_flipped_journal_entry_kind_is_refused() {
     let (image, tree) = pending_journal();
     let entry = CommitCell::JOURNAL.load(&remap(&image)) + J_ENTRIES + 2 * ENTRY_BYTES;
     let rows: Vec<(u64, u64)> = (1..=5).map(|k| (k, k * 10)).collect();
-    let replay = |img: &[u8]| {
-        let pool = remap(img);
-        let table = FastFairTree::open_in(Arc::clone(&pool), tree).unwrap();
-        let replayed = TxnEngine::open(pool).unwrap().recover(&[&table]);
-        let mut got = Vec::new();
-        table.range(0, u64::MAX, &mut got);
-        (replayed, got)
-    };
     let mut damaged = Vec::new();
     for bit in 0..64 {
-        let mut img = image.clone();
-        let at = (entry + 8) as usize;
-        let kind = u64::from_le_bytes(img[at..at + 8].try_into().unwrap()) ^ (1 << bit);
-        img[at..at + 8].copy_from_slice(&kind.to_le_bytes());
-        let (replayed, got) = replay(&img);
+        let (replayed, got) = replay(&flipped(&image, entry + 8, bit), tree);
         if !matches!(replayed, Ok(_) | Err(IndexError::Unsupported(_))) || got != rows {
             damaged.push((bit, replayed));
         }
@@ -221,12 +226,32 @@ fn a_flipped_journal_entry_kind_is_refused() {
     let mut img = image.clone();
     let at = (entry + 24) as usize;
     img[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    let (replayed, got) = replay(&img);
+    let (replayed, got) = replay(&img, tree);
     assert!(
         matches!(replayed, Err(IndexError::Unsupported(_))),
         "{replayed:?}"
     );
     assert_eq!(got, rows);
+}
+
+/// A flipped table id names a table `recover` was not passed (it was
+/// passed one): replay refuses the batch before applying any entry.
+#[test]
+fn a_flipped_journal_table_id_is_refused() {
+    let (image, tree) = pending_journal();
+    let entry = CommitCell::JOURNAL.load(&remap(&image)) + J_ENTRIES + 2 * ENTRY_BYTES;
+    let rows: Vec<(u64, u64)> = (1..=5).map(|k| (k, k * 10)).collect();
+    let mut damaged = Vec::new();
+    for bit in 0..64 {
+        let (replayed, got) = replay(&flipped(&image, entry, bit), tree);
+        if !matches!(replayed, Err(IndexError::Unsupported(_))) || got != rows {
+            damaged.push((bit, replayed));
+        }
+    }
+    assert!(
+        damaged.is_empty(),
+        "flipped table-id bits replayed wrongly: {damaged:?}"
+    );
 }
 
 fn catalog() -> Vec<u8> {

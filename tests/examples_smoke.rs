@@ -43,19 +43,6 @@ fn quickstart_runs_to_completion() {
 }
 
 #[test]
-fn varkey_kv_runs_to_completion() {
-    run_example(
-        "varkey_kv",
-        &[
-            "inserted 20000 string keys",
-            "reopened store: 20001 keys intact",
-            "cross-shard scan: 12 keys, globally sorted",
-            "varkey_kv example finished OK",
-        ],
-    );
-}
-
-#[test]
 fn reopen_kv_runs_to_completion() {
     run_example(
         "reopen_kv",

@@ -7,7 +7,6 @@
 //! reopened in a new process yields exactly the pre-crash committed
 //! contents".
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fastfair_repro::catalog::{Catalog, StoreKind};
@@ -15,7 +14,6 @@ use fastfair_repro::fastfair::FastFairTree;
 use fastfair_repro::pmem::{Pool, PoolConfig};
 use fastfair_repro::pmindex::{PersistentIndex, PmIndex};
 use fastfair_repro::shard::{Partitioning, ShardedStore};
-use fastfair_repro::varkey::{VarKeyIndex, VarKeyStore};
 
 const POOL: usize = 64 << 20;
 
@@ -40,18 +38,9 @@ fn tree_contents(idx: &dyn PmIndex) -> Vec<(u64, u64)> {
     v
 }
 
-fn varkey_contents(store: &VarKeyStore<FastFairTree>) -> BTreeMap<Vec<u8>, u64> {
-    let mut out = BTreeMap::new();
-    let mut cur = store.cursor();
-    while let Some((k, v)) = cur.next() {
-        out.insert(k, v);
-    }
-    out
-}
-
 #[test]
 fn whole_deployment_reopens_by_name_twice() {
-    // ---- create: one fleet, four stores, all registered by name ------
+    // ---- create: one fleet, three stores, all registered by name ------
     let fleet = vec![mkpool(), mkpool(), mkpool()];
     let cat = Catalog::create(fleet.clone()).unwrap();
 
@@ -64,22 +53,6 @@ fn whole_deployment_reopens_by_name_twice() {
         &StoreKind::Index {
             pool: 1,
             superblock: kv.superblock(),
-        },
-    )
-    .unwrap();
-
-    let names_inner = FastFairTree::create_in(Arc::clone(&fleet[2])).unwrap();
-    let names = VarKeyStore::new(names_inner, Arc::clone(&fleet[2]));
-    for i in 0..200u64 {
-        names
-            .insert(format!("customer:{i:05}:last-name").as_bytes(), i + 1)
-            .unwrap();
-    }
-    cat.register(
-        "names",
-        &StoreKind::VarKey {
-            pool: 2,
-            superblock: names.inner().superblock(),
         },
     )
     .unwrap();
@@ -110,23 +83,15 @@ fn whole_deployment_reopens_by_name_twice() {
         .unwrap();
 
     let want_kv = tree_contents(&kv);
-    let want_names = varkey_contents(&names);
     let want_wide = tree_contents(&wide);
 
     // ---- kill, reopen #1, diff ---------------------------------------
     let fleet2 = kill_and_remap(&fleet);
     let cat2 = Catalog::open(fleet2.clone()).unwrap();
-    assert_eq!(cat2.names(), vec!["journal", "kv", "names", "wide"]);
+    assert_eq!(cat2.names(), vec!["journal", "kv", "wide"]);
 
     let kv2: FastFairTree = cat2.open_store("kv").unwrap();
     assert_eq!(tree_contents(&kv2), want_kv, "kv diverged across reopen");
-
-    let names2: VarKeyStore<FastFairTree> = cat2.open_varkey("names").unwrap();
-    assert_eq!(
-        varkey_contents(&names2),
-        want_names,
-        "names diverged across reopen"
-    );
 
     let wide2: ShardedStore<FastFairTree> = cat2.open_sharded("wide").unwrap();
     assert_eq!(
@@ -152,12 +117,6 @@ fn whole_deployment_reopens_by_name_twice() {
     let cat3 = Catalog::open(fleet3).unwrap();
     let kv3: FastFairTree = cat3.open_store("kv").unwrap();
     assert_eq!(tree_contents(&kv3), want_kv2, "kv diverged on 2nd reopen");
-    let names3: VarKeyStore<FastFairTree> = cat3.open_varkey("names").unwrap();
-    assert_eq!(
-        varkey_contents(&names3),
-        want_names,
-        "names diverged on 2nd reopen"
-    );
     let wide3: ShardedStore<FastFairTree> = cat3.open_sharded("wide").unwrap();
     assert_eq!(
         tree_contents(&wide3),

@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use fastfair_repro::pmem::{Pool, PoolConfig};
 use fastfair_repro::pmindex::{Cursor, PmIndex};
-use fastfair_repro::varkey::{ByteCursor, VarKeyIndex, VarKeyStore};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -163,72 +162,6 @@ fn a_reverse_cursor_follows_keys_its_located_leaf_split_away() {
         }
         let got: Vec<u64> = (0..3).filter_map(|_| cur.prev()).map(|(k, _)| k).collect();
         assert_eq!(got, [20_000, 19_999, 19_998], "{}", idx.name());
-    }
-}
-
-#[test]
-fn varkey_reverse_scans_agree_with_model() {
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
-    let tree = fastfair_repro::fastfair::FastFairTree::create(
-        Arc::clone(&pool),
-        fastfair_repro::fastfair::TreeOptions::new(),
-    )
-    .unwrap();
-    let store = VarKeyStore::new(tree, Arc::clone(&pool));
-    let mut rng = StdRng::seed_from_u64(0xcafe);
-
-    // Inline (short) and overflow-chain (long, shared-prefix) keys mixed.
-    let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-    for i in 0..600u64 {
-        let key = match i % 3 {
-            0 => format!("s{:03}", rng.gen_range(0..400)).into_bytes(),
-            1 => format!("chain:shared-prefix-{:04}", rng.gen_range(0..200)).into_bytes(),
-            _ => format!("mix{:02}:tail-{:05}", i % 7, rng.gen_range(0..9000)).into_bytes(),
-        };
-        let v = i + 1;
-        store.insert(&key, v).unwrap();
-        model.insert(key, v);
-    }
-    let removed: Vec<Vec<u8>> = model.keys().step_by(4).cloned().collect();
-    for k in &removed {
-        assert!(store.remove(k));
-        model.remove(k);
-    }
-
-    // Bare prev: whole store descending.
-    let all_rev: Vec<(Vec<u8>, u64)> = model.iter().rev().map(|(k, &v)| (k.clone(), v)).collect();
-    let mut cur = store.cursor();
-    let mut got = Vec::new();
-    while let Some(kv) = cur.prev() {
-        got.push(kv);
-    }
-    assert_eq!(got, all_rev, "bare reverse walk");
-
-    // Bounded: present keys, removed keys, prefixes, and out-of-range
-    // targets on both ends.
-    let mut targets: Vec<Vec<u8>> = model.keys().step_by(37).cloned().collect();
-    targets.extend(removed.iter().take(10).cloned());
-    targets.extend([
-        b"".to_vec(),
-        b"chain:".to_vec(),
-        b"chain:shared-prefix-0100".to_vec(),
-        b"zzzz-above-everything".to_vec(),
-        b"a".to_vec(),
-    ]);
-    for t in &targets {
-        let mut cur = store.cursor();
-        cur.seek_for_prev(t);
-        let mut got = Vec::new();
-        while let Some(kv) = cur.prev() {
-            got.push(kv);
-        }
-        let want: Vec<(Vec<u8>, u64)> = model
-            .iter()
-            .rev()
-            .filter(|(k, _)| k.as_slice() <= t.as_slice())
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        assert_eq!(got, want, "reverse from {:?}", String::from_utf8_lossy(t));
     }
 }
 

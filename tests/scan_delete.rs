@@ -1,11 +1,11 @@
 //! Delete-while-scanning: removing keys out from under a live cursor must
 //! never panic, tear a value, or corrupt the remainder of the scan — for
-//! every index in the repository and for the byte-keyed store.
+//! every index in the repository.
 //!
-//! The contract checked here is the seam the `txn` crate's snapshot reads
-//! sit on top of: a key deleted *after* the cursor was positioned but
-//! *before* it is yielded may still appear once with its old value, or be
-//! skipped — both are linearizable outcomes. Every other live key must
+//! The contract checked here is the one every lock-free scan relies on: a
+//! key deleted *after* the cursor was positioned but *before* it is
+//! yielded may still appear once with its old value, or be skipped — both
+//! are linearizable outcomes. Every other live key must
 //! appear exactly once, in ascending order, with exactly the value that
 //! was written for it. The sweep includes a block of keys sharing one
 //! value, the equal-adjacent-values shape that used to defeat the FAST
@@ -18,7 +18,6 @@ use std::sync::Arc;
 use fastfair_repro::pmem::{Pool, PoolConfig};
 use fastfair_repro::pmindex::workload::value_for;
 use fastfair_repro::pmindex::{Cursor, PmIndex};
-use fastfair_repro::varkey::{ByteCursor, VarKeyIndex, VarKeyStore};
 
 const POOL_BYTES: usize = 48 << 20;
 
@@ -202,63 +201,6 @@ fn concurrent_scans_tolerate_deletes() {
             .collect();
         assert_eq!(seen, want, "{}: survivors diverged", idx.name());
     }
-}
-
-/// The byte-keyed store's cursor gets the same treatment, with a mix of
-/// inline (≤ 7 byte) and overflow keys so deletes also exercise the
-/// epoch-retired overflow-record path mid-scan.
-#[test]
-fn byte_cursor_survives_deletes_under_its_feet() {
-    let pool = Arc::new(Pool::new(PoolConfig::default().size(POOL_BYTES)).unwrap());
-    let tree = fastfair_repro::fastfair::FastFairTree::create(
-        Arc::clone(&pool),
-        fastfair_repro::fastfair::TreeOptions::new(),
-    )
-    .unwrap();
-    let store = VarKeyStore::new(tree, Arc::clone(&pool));
-
-    let key_at = |i: u64| -> Vec<u8> {
-        if i.is_multiple_of(3) {
-            format!("k:{i:04}").into_bytes() // inline
-        } else {
-            format!("session-token:{i:04}:padding-to-overflow").into_bytes()
-        }
-    };
-    let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-    for i in 1..=300u64 {
-        store.insert(&key_at(i), value_for(i)).unwrap();
-        model.insert(key_at(i), value_for(i));
-    }
-
-    for i in (1..=300u64).step_by(9) {
-        let victim = key_at(i);
-        let mut cur = store.cursor();
-        cur.seek(&victim);
-        assert!(store.remove(&victim));
-        let old = model.remove(&victim).unwrap();
-        match cur.next() {
-            Some((k, v)) if k == victim => {
-                assert_eq!(v, old, "deleted byte key yielded a torn value")
-            }
-            Some((k, v)) => {
-                let succ = model.range(victim..).next();
-                assert_eq!(succ, Some((&k, &v)), "byte cursor skipped to wrong entry");
-            }
-            None => assert!(model.range(victim..).next().is_none()),
-        }
-    }
-
-    let mut cur = store.cursor();
-    cur.seek(b"");
-    let mut seen = Vec::new();
-    while let Some((k, v)) = cur.next() {
-        seen.push((k, v));
-    }
-    let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    assert_eq!(
-        seen, want,
-        "byte-keyed post-delete scan diverged from model"
-    );
 }
 
 /// Scans *through the service* while deletes stream through the same
