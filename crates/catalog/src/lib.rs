@@ -873,6 +873,184 @@ mod tests {
         }
     }
 
+    /// Publishes a well-checksummed catalog record holding `words` and
+    /// returns what [`Catalog::open`] makes of it over a fleet of one.
+    fn open_record(words: &[u64]) -> Result<Catalog, IndexError> {
+        let root = pool();
+        CommitCell::CATALOG
+            .publish_record(&root, MAGIC, words)
+            .unwrap();
+        Catalog::open(vec![root])
+    }
+
+    fn refused(res: Result<Catalog, IndexError>) -> String {
+        match res {
+            Err(IndexError::Unsupported(msg)) => msg,
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_record_holding_an_unknown_kind_tag_is_refused() {
+        let name = u64::from_le_bytes(*b"t\0\0\0\0\0\0\0");
+        for tag in [0, TAG_TXN + 1, u64::MAX] {
+            let msg = refused(open_record(&[1, name, tag, 0, 1, 0]));
+            assert!(msg.contains("malformed kind"), "tag {tag}: {msg}");
+        }
+        // A known tag with the wrong number of slots is malformed too.
+        let msg = refused(open_record(&[1, name, TAG_TXN, 0, 2, 0, 0]));
+        assert!(msg.contains("malformed kind"), "{msg}");
+    }
+
+    #[test]
+    fn a_record_whose_lengths_overrun_it_is_refused_not_a_panic() {
+        let name = u64::from_le_bytes(*b"t\0\0\0\0\0\0\0");
+        for words in [
+            // The name claims two words; the record ends after one.
+            vec![9, name],
+            // The kind words are cut short.
+            vec![1, name, TAG_TXN],
+            // The slot count runs past the end, and past usize.
+            vec![1, name, TAG_TXN, 0, 3, 0],
+            vec![1, name, TAG_TXN, 0, u64::MAX],
+            // The name length is so large its word count overflows.
+            vec![u64::MAX, name],
+        ] {
+            let msg = refused(open_record(&words));
+            assert!(msg.contains("truncated"), "{words:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_record_with_a_non_utf8_empty_or_repeated_name_is_refused() {
+        let t = u64::from_le_bytes(*b"t\0\0\0\0\0\0\0");
+        let txn = [TAG_TXN, 0, 1, 0];
+        let entry = |len: u64, name: &[u64]| [&[len], name, &txn[..]].concat();
+        let msg = refused(open_record(&entry(1, &[0xff])));
+        assert!(msg.contains("UTF-8"), "{msg}");
+        let msg = refused(open_record(&entry(0, &[])));
+        assert!(msg.contains("empty or repeated"), "{msg}");
+        let msg = refused(open_record(&[entry(1, &[t]), entry(1, &[t])].concat()));
+        assert!(msg.contains("empty or repeated"), "{msg}");
+        // The same two entries under distinct names open.
+        let u = u64::from_le_bytes(*b"u\0\0\0\0\0\0\0");
+        let cat = open_record(&[entry(1, &[t]), entry(1, &[u])].concat()).unwrap();
+        assert_eq!(cat.names(), vec!["t", "u"]);
+    }
+
+    #[test]
+    fn names_of_every_length_around_a_word_and_multibyte_names_roundtrip() {
+        let pools = vec![pool()];
+        let cat = Catalog::create(pools.clone()).unwrap();
+        let mut names: Vec<String> = (1..=17).map(|n| "x".repeat(n)).collect();
+        names.extend(["ключ", "名前", "naïve ☃"].map(String::from));
+        for (i, name) in names.iter().enumerate() {
+            cat.register(name, &StoreKind::Txn { pool: 0 }).unwrap();
+            assert_eq!(cat.len(), i + 1);
+        }
+        let cat2 = Catalog::open(reopen(&pools)).unwrap();
+        names.sort();
+        assert_eq!(cat2.names(), names);
+    }
+
+    #[test]
+    fn opening_a_store_as_the_wrong_kind_is_refused() {
+        let cat = Catalog::create(vec![pool()]).unwrap();
+        cat.register("journal", &StoreKind::Txn { pool: 0 })
+            .unwrap();
+        cat.register(
+            "tree",
+            &StoreKind::Index {
+                pool: 0,
+                superblock: 64,
+            },
+        )
+        .unwrap();
+        let msg = |e: IndexError| match e {
+            IndexError::Unsupported(msg) => msg,
+            other => panic!("expected Unsupported, got {other:?}"),
+        };
+        let e = cat.open_store::<FastFairTree>("journal").unwrap_err();
+        assert!(msg(e).contains("is not a single index"));
+        let e = cat.open_sharded::<FastFairTree>("journal").unwrap_err();
+        assert!(msg(e).contains("is not a sharded store"));
+        let e = cat.open_txn("tree").unwrap_err();
+        assert!(msg(e).contains("is not a transaction engine"));
+        let e = cat.open_txn("absent").unwrap_err();
+        assert!(msg(e).contains("no store named"));
+    }
+
+    #[test]
+    fn refused_renames_leave_both_mappings_in_place() {
+        let pools = vec![pool()];
+        let cat = Catalog::create(pools.clone()).unwrap();
+        let a = StoreKind::Txn { pool: 0 };
+        let b = StoreKind::Index {
+            pool: 0,
+            superblock: 64,
+        };
+        cat.register("a", &a).unwrap();
+        cat.register("b", &b).unwrap();
+        let published = CommitCell::CATALOG.load(cat.root());
+        assert!(cat.rename("a", "b").is_err()); // target taken
+        assert!(cat.rename("missing", "c").is_err()); // no source
+        assert!(cat.rename("a", "").is_err()); // empty target
+
+        // No refused rename published a record.
+        assert_eq!(CommitCell::CATALOG.load(cat.root()), published);
+        assert_eq!(
+            (cat.lookup("a"), cat.lookup("b")),
+            (Some(a.clone()), Some(b))
+        );
+        // Renaming a name onto itself keeps it.
+        cat.rename("a", "a").unwrap();
+        let cat2 = Catalog::open(reopen(&pools)).unwrap();
+        assert_eq!(cat2.lookup("a"), Some(a));
+        assert_eq!(cat2.len(), 2);
+    }
+
+    #[test]
+    fn a_remove_is_durable_and_a_missing_remove_publishes_nothing() {
+        let pools = vec![pool()];
+        let cat = Catalog::create(pools.clone()).unwrap();
+        cat.register("keep", &StoreKind::Txn { pool: 0 }).unwrap();
+        cat.register("drop", &StoreKind::Txn { pool: 0 }).unwrap();
+        assert!(cat.remove("drop"));
+        let published = CommitCell::CATALOG.load(cat.root());
+        assert!(!cat.remove("drop"));
+        assert_eq!(CommitCell::CATALOG.load(cat.root()), published);
+        let cat2 = Catalog::open(reopen(&pools)).unwrap();
+        assert_eq!(cat2.names(), vec!["keep"]);
+    }
+
+    #[test]
+    fn a_catalog_needs_a_root_pool() {
+        for res in [Catalog::create(vec![]), Catalog::open(vec![])] {
+            let msg = refused(res);
+            assert!(msg.contains("at least a root pool"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn an_update_to_an_out_of_fleet_slot_keeps_the_old_coordinates() {
+        let pools = vec![pool(), pool()];
+        let cat = Catalog::create(pools.clone()).unwrap();
+        cat.register("t", &StoreKind::Txn { pool: 1 }).unwrap();
+        assert!(cat.update("t", &StoreKind::Txn { pool: 2 }).is_err());
+        assert!(cat
+            .update(
+                "t",
+                &StoreKind::Sharded {
+                    manifest_pool: 1,
+                    shard_pools: vec![0, 5],
+                },
+            )
+            .is_err());
+        assert_eq!(cat.lookup("t"), Some(StoreKind::Txn { pool: 1 }));
+        let cat2 = Catalog::open(reopen(&pools)).unwrap();
+        assert_eq!(cat2.lookup("t"), Some(StoreKind::Txn { pool: 1 }));
+    }
+
     #[test]
     fn superseded_records_are_freed() {
         // A leaked record a mutation would fill this pool long before the

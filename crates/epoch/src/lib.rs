@@ -829,6 +829,84 @@ mod tests {
     }
 
     #[test]
+    fn a_pin_in_one_domain_does_not_hold_another() {
+        let (a, b) = (EpochDomain::new(), EpochDomain::new());
+        let _g = a.pin();
+        assert!(a.try_advance());
+        assert!(!a.try_advance());
+        for want in 1..=5 {
+            assert!(b.try_advance());
+            assert_eq!(b.global_epoch(), want);
+        }
+    }
+
+    #[test]
+    fn collect_frees_each_bucket_two_epochs_after_its_own() {
+        let d = EpochDomain::new();
+        d.defer_units(|| 1); // retired at epoch 0
+        d.try_advance();
+        d.defer_units(|| 10); // retired at epoch 1
+        d.defer_units(|| 100);
+        d.try_advance();
+        assert_eq!(d.collect(), 1);
+        assert_eq!(d.limbo_len(), 2);
+        d.try_advance();
+        assert_eq!(d.collect(), 110);
+        assert_eq!((d.limbo_len(), d.recycled()), (0, 111));
+    }
+
+    #[test]
+    fn retire_pressure_recycles_without_pins_or_explicit_collects() {
+        let d = EpochDomain::new();
+        let p = Arc::new(Pool::new(PoolConfig::new().size(4 << 20)).unwrap());
+        for _ in 0..3 * LIMBO_PRESSURE {
+            let block = p.alloc(64, 64).unwrap();
+            d.retire_pm(&p, block, 64);
+            assert!(d.limbo_len() <= LIMBO_PRESSURE + 1, "limbo kept growing");
+        }
+        assert!(d.recycled() >= LIMBO_PRESSURE, "recycled {}", d.recycled());
+        assert_eq!(d.recycled() + d.limbo_len(), 3 * LIMBO_PRESSURE);
+    }
+
+    #[test]
+    fn a_reader_on_another_thread_holds_the_clock_until_it_unpins() {
+        let d = EpochDomain::new();
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let reader = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || {
+                let g = d.pin();
+                pinned_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                drop(g);
+            })
+        };
+        pinned_rx.recv().unwrap();
+        assert!(d.try_advance()); // the reader is at the current epoch
+        assert!(!d.try_advance());
+        assert!(!d.try_advance());
+        release_tx.send(()).unwrap();
+        reader.join().unwrap();
+        assert!(d.try_advance());
+    }
+
+    #[test]
+    fn participants_of_exited_threads_are_pruned() {
+        let d = EpochDomain::new();
+        for _ in 0..4 {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || drop(d.pin())).join().unwrap();
+        }
+        assert!(d.try_advance());
+        assert_eq!(d.participants.lock().len(), 0);
+        // A live thread's participant stays registered.
+        drop(d.pin());
+        assert!(d.try_advance());
+        assert_eq!(d.participants.lock().len(), 1);
+    }
+
+    #[test]
     fn guard_moved_across_threads_still_unpins_safely() {
         let d = EpochDomain::new();
         let g = d.pin();

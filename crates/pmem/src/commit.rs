@@ -182,3 +182,174 @@ pub fn fnv1a(words: &[u64]) -> u64 {
     }
     h
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::PoolConfig;
+    use crate::stats;
+
+    const MAGIC: u64 = u64::from_le_bytes(*b"TESTREC\0");
+
+    fn pool() -> Pool {
+        Pool::new(PoolConfig::default().size(1 << 20)).unwrap()
+    }
+
+    fn is_bad_record(r: Result<Option<Vec<u64>>, PmError>, why: &str) -> bool {
+        matches!(r, Err(PmError::BadRecord { why: w, .. }) if w.contains(why))
+    }
+
+    #[test]
+    fn an_empty_payload_roundtrips_and_a_null_cell_reads_none() {
+        let pool = pool();
+        assert_eq!(CommitCell::MANIFEST.record(&pool, MAGIC), Ok(None));
+        CommitCell::MANIFEST
+            .publish_record(&pool, MAGIC, &[])
+            .unwrap();
+        assert_eq!(CommitCell::MANIFEST.record(&pool, MAGIC), Ok(Some(vec![])));
+        // Another cell of the same pool is untouched.
+        assert_eq!(CommitCell::CATALOG.record(&pool, MAGIC), Ok(None));
+    }
+
+    #[test]
+    fn a_payload_over_the_cap_is_refused_and_the_cell_kept() {
+        let pool = pool();
+        CommitCell::CATALOG
+            .publish_record(&pool, MAGIC, &[7])
+            .unwrap();
+        let before = CommitCell::CATALOG.load(&pool);
+        let high = pool.high_water();
+        let big = vec![1u64; MAX_RECORD_WORDS as usize + 1];
+        let err = CommitCell::CATALOG.publish_record(&pool, MAGIC, &big);
+        assert!(matches!(err, Err(PmError::BadRecord { .. })), "{err:?}");
+        assert_eq!(CommitCell::CATALOG.load(&pool), before);
+        assert_eq!(pool.high_water(), high, "a refused payload allocated");
+        assert_eq!(CommitCell::CATALOG.record(&pool, MAGIC), Ok(Some(vec![7])));
+    }
+
+    #[test]
+    fn republishing_recycles_the_superseded_record() {
+        let pool = pool();
+        let cell = CommitCell::CATALOG;
+        cell.publish_record(&pool, MAGIC, &[1, 2]).unwrap();
+        let first = cell.load(&pool);
+        cell.publish_record(&pool, MAGIC, &[3, 4]).unwrap();
+        let second = cell.load(&pool);
+        assert_ne!(first, second, "a record is never rewritten in place");
+        cell.publish_record(&pool, MAGIC, &[5, 6]).unwrap();
+        assert_eq!(cell.load(&pool), first, "the freed record is reused");
+        let high = pool.high_water();
+        for i in 0..1000 {
+            cell.publish_record(&pool, MAGIC, &[i + 1, i + 2]).unwrap();
+        }
+        assert_eq!(pool.high_water(), high);
+        assert_eq!(cell.record(&pool, MAGIC), Ok(Some(vec![1000, 1001])));
+    }
+
+    #[test]
+    fn a_corrupt_predecessor_leaks_instead_of_blocking_a_publish() {
+        let pool = pool();
+        let cell = CommitCell::MANIFEST;
+        cell.publish_record(&pool, MAGIC, &[1]).unwrap();
+        let old = cell.load(&pool);
+        pool.store_u64(old, MAGIC ^ 1);
+        assert!(is_bad_record(cell.record(&pool, MAGIC), "magic"));
+        let _ = stats::take();
+        cell.publish_record(&pool, MAGIC, &[2]).unwrap();
+        assert_eq!(stats::take().nodes_recycled, 0, "freed an unchecked block");
+        assert_eq!(cell.record(&pool, MAGIC), Ok(Some(vec![2])));
+    }
+
+    #[test]
+    fn a_corrupt_length_word_is_refused() {
+        // Small enough that a length past its end is under the cap.
+        let pool = Pool::new(PoolConfig::default().size(256 << 10)).unwrap();
+        let cell = CommitCell::CATALOG;
+        cell.publish_record(&pool, MAGIC, &[1, 2, 3]).unwrap();
+        let off = cell.load(&pool);
+        // Over the cap.
+        pool.store_u64(off + 8, MAX_RECORD_WORDS + 1);
+        assert!(is_bad_record(cell.record(&pool, MAGIC), "over the cap"));
+        // Under the cap, but past the end of the pool.
+        let past = (pool.size() - off) / 8;
+        pool.store_u64(off + 8, past);
+        let err = cell.record(&pool, MAGIC);
+        assert!(matches!(err, Err(PmError::BadTarget { .. })), "{err:?}");
+        // Shorter than written: the checksum no longer matches.
+        pool.store_u64(off + 8, 2);
+        assert!(is_bad_record(cell.record(&pool, MAGIC), "checksum"));
+    }
+
+    #[test]
+    fn every_flipped_payload_bit_fails_the_checksum() {
+        let pool = pool();
+        let cell = CommitCell::MANIFEST;
+        let words = [0, 1, u64::MAX, 0x0123_4567_89ab_cdef];
+        cell.publish_record(&pool, MAGIC, &words).unwrap();
+        let off = cell.load(&pool);
+        for (i, &w) in words.iter().enumerate() {
+            let at = off + 8 * (3 + i as u64);
+            for bit in 0..64 {
+                pool.store_u64(at, w ^ (1 << bit));
+                assert!(
+                    is_bad_record(cell.record(&pool, MAGIC), "checksum"),
+                    "word {i} bit {bit}"
+                );
+            }
+            pool.store_u64(at, w);
+        }
+        assert_eq!(cell.record(&pool, MAGIC), Ok(Some(words.to_vec())));
+    }
+
+    #[test]
+    fn target_refuses_unaligned_and_wrapping_offsets() {
+        let pool = pool();
+        let cell = CommitCell::JOURNAL;
+        for bad in [12, pool.size() - 8, u64::MAX - 7] {
+            cell.publish(&pool, bad);
+            let err = cell.target(&pool, 16);
+            assert_eq!(
+                err,
+                Err(PmError::BadTarget {
+                    cell: cell.offset(),
+                    target: bad,
+                    len: 16,
+                })
+            );
+        }
+        // The last 16 bytes of the pool are a valid target.
+        cell.publish(&pool, pool.size() - 16);
+        assert_eq!(cell.target(&pool, 16), Ok(Some(pool.size() - 16)));
+    }
+
+    #[test]
+    fn fnv1a_is_the_offset_basis_on_nothing_and_sees_length() {
+        assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
+        // Zero words still change the hash, so a payload cut short by a
+        // zero word does not keep its checksum.
+        assert_ne!(fnv1a(&[0]), fnv1a(&[]));
+        assert_ne!(fnv1a(&[0, 0]), fnv1a(&[0]));
+        assert_ne!(fnv1a(&[1 << 8]), fnv1a(&[1]));
+    }
+
+    #[test]
+    fn record_charges_one_serial_miss_and_a_parallel_line_per_further_line() {
+        let pool = pool();
+        let cell = CommitCell::CATALOG;
+        for len in [0u64, 5, 20, 100] {
+            let words: Vec<u64> = (1..=len).collect();
+            cell.publish_record(&pool, MAGIC, &words).unwrap();
+            let off = cell.load(&pool);
+            let line = CACHE_LINE as u64;
+            let lines = (off + record_bytes(len) - 1) / line - off / line + 1;
+            let _ = stats::take();
+            cell.record(&pool, MAGIC).unwrap();
+            let s = stats::take();
+            assert_eq!(
+                (s.serial_misses, s.parallel_lines),
+                (1, lines - 1),
+                "len {len}"
+            );
+        }
+    }
+}

@@ -1085,4 +1085,203 @@ mod tests {
         c.seek(u64::MAX);
         assert_eq!(c.next(), None);
     }
+
+    fn model() -> ModelIndex {
+        ModelIndex(std::sync::Mutex::new(Default::default()))
+    }
+
+    fn contents(idx: &dyn PmIndex) -> Vec<(Key, Value)> {
+        let mut out = Vec::new();
+        idx.range(0, Key::MAX, &mut out);
+        out
+    }
+
+    #[test]
+    fn default_apply_batch_stops_at_the_first_failing_op() {
+        let idx = model();
+        let err = idx.apply_batch(&[BatchOp::Put(1, 10), BatchOp::Put(2, 0), BatchOp::Put(3, 30)]);
+        assert!(matches!(err, Err(IndexError::ReservedValue(0))), "{err:?}");
+        assert_eq!(contents(&idx), vec![(1, 10)]);
+    }
+
+    #[test]
+    fn default_apply_batch_prev_sees_earlier_ops_on_the_same_key() {
+        let idx = model();
+        idx.insert(2, 20).unwrap();
+        let mut prev = vec![Some(7)]; // entries already there are kept
+        idx.apply_batch_prev(
+            &[
+                BatchOp::Delete(2),
+                BatchOp::Put(2, 21),
+                BatchOp::Put(2, 22),
+                BatchOp::Delete(9),
+                BatchOp::Put(9, 90),
+            ],
+            &mut prev,
+        )
+        .unwrap();
+        assert_eq!(prev, vec![Some(7), Some(20), None, Some(21), None, None]);
+        assert_eq!(contents(&idx), vec![(2, 22), (9, 90)]);
+    }
+
+    #[test]
+    fn default_bulk_load_keeps_the_items_before_a_failure() {
+        let idx = model();
+        let items = [(1u64, 10u64), (2, u64::MAX), (3, 30)];
+        let err = idx.bulk_load(&mut items.iter().copied());
+        assert!(
+            matches!(err, Err(IndexError::ReservedValue(u64::MAX))),
+            "{err:?}"
+        );
+        assert_eq!(contents(&idx), vec![(1, 10)]);
+    }
+
+    #[test]
+    fn range_is_half_open_at_both_ends_of_the_keyspace() {
+        let idx = model();
+        for k in [0, 1, Key::MAX - 1, Key::MAX] {
+            idx.insert(k, k / 2 + 1).unwrap();
+        }
+        let range = |lo, hi| {
+            let mut out = Vec::new();
+            idx.range(lo, hi, &mut out);
+            out.iter().map(|&(k, _)| k).collect::<Vec<_>>()
+        };
+        assert_eq!(range(0, 1), vec![0]);
+        assert_eq!(range(0, Key::MAX), vec![0, 1, Key::MAX - 1]);
+        assert_eq!(range(Key::MAX - 1, Key::MAX), vec![Key::MAX - 1]);
+        assert!(range(5, 5).is_empty());
+        assert!(range(Key::MAX, Key::MAX).is_empty());
+        assert_eq!(idx.len(), 4);
+    }
+
+    #[test]
+    fn apply_bucketed_prev_appends_in_input_order() {
+        let mut seen: Vec<(usize, Vec<BatchOp>)> = Vec::new();
+        let mut prev = vec![None];
+        let ops = [
+            (2, BatchOp::Put(20, 1)),
+            (0, BatchOp::Put(1, 1)),
+            (2, BatchOp::Delete(21)),
+            (0, BatchOp::Delete(2)),
+        ];
+        apply_bucketed_prev(3, ops.into_iter(), &mut prev, |b, group, out| {
+            seen.push((b, group.to_vec()));
+            // Report each op's key back, so the order is visible.
+            out.extend(group.iter().map(|op| Some(op.key() + 100)));
+            Ok(())
+        })
+        .unwrap();
+        // One call per non-empty bucket, in bucket order, ops in input
+        // order within it.
+        assert_eq!(
+            seen,
+            vec![
+                (0, vec![BatchOp::Put(1, 1), BatchOp::Delete(2)]),
+                (2, vec![BatchOp::Put(20, 1), BatchOp::Delete(21)]),
+            ]
+        );
+        assert_eq!(prev, vec![None, Some(120), Some(101), Some(121), Some(102)]);
+    }
+
+    #[test]
+    fn apply_bucketed_prev_stops_at_the_first_failing_bucket() {
+        let mut applied = Vec::new();
+        let ops = [
+            (0, BatchOp::Put(1, 1)),
+            (1, BatchOp::Put(2, 2)),
+            (2, BatchOp::Put(3, 3)),
+        ];
+        let err = apply_bucketed_prev(3, ops.into_iter(), &mut Vec::new(), |b, group, out| {
+            if b == 1 {
+                return Err(IndexError::PoolExhausted("bucket 1".into()));
+            }
+            applied.push(b);
+            out.extend(group.iter().map(|_| None));
+            Ok(())
+        });
+        assert!(matches!(err, Err(IndexError::PoolExhausted(_))), "{err:?}");
+        assert_eq!(applied, vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one prev entry per op")]
+    fn apply_bucketed_prev_panics_on_a_short_report() {
+        let ops = [(0, BatchOp::Put(1, 1)), (0, BatchOp::Put(2, 2))];
+        let _ = apply_bucketed_prev(1, ops.into_iter(), &mut Vec::new(), |_, _, out| {
+            out.push(None);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn held_apply_waits_for_every_hold_and_forwards_everything_else() {
+        let idx = HeldApply::new(model());
+        let first = idx.hold();
+        let second = idx.hold();
+        // Single-key writes and reads pass straight through a hold.
+        idx.insert(1, 10).unwrap();
+        assert_eq!(idx.update(1, 11).unwrap(), Some(10));
+        assert_eq!(idx.get(1), Some(11));
+        assert!(idx.remove(1));
+        std::thread::scope(|s| {
+            let apply = s.spawn(|| idx.apply_batch(&[BatchOp::Put(2, 20)]));
+            drop(first);
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            assert!(!apply.is_finished(), "one hold released the apply");
+            assert_eq!(idx.get(2), None);
+            drop(second);
+            apply.join().unwrap().unwrap();
+        });
+        assert_eq!(idx.get(2), Some(20));
+        assert_eq!(idx.name(), "model");
+    }
+
+    /// Counts the batches it is handed, so forwarding can be observed.
+    struct CountingApply(ModelIndex, std::sync::atomic::AtomicUsize);
+
+    impl PmIndex for CountingApply {
+        fn insert(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
+            self.0.insert(key, value)
+        }
+        fn update(&self, key: Key, value: Value) -> Result<Option<Value>, IndexError> {
+            self.0.update(key, value)
+        }
+        fn get(&self, key: Key) -> Option<Value> {
+            self.0.get(key)
+        }
+        fn remove(&self, key: Key) -> bool {
+            self.0.remove(key)
+        }
+        fn cursor(&self) -> Box<dyn Cursor + '_> {
+            self.0.cursor()
+        }
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn apply_batch(&self, ops: &[BatchOp]) -> Result<(), IndexError> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.apply_batch(ops)
+        }
+    }
+
+    #[test]
+    fn forwarding_impls_reach_an_overridden_apply_batch() {
+        let idx = std::sync::Arc::new(CountingApply(model(), Default::default()));
+        let ops = [BatchOp::Put(1, 10)];
+        let by_ref: &dyn PmIndex = &&*idx;
+        by_ref.apply_batch(&ops).unwrap();
+        let by_arc: &dyn PmIndex = &idx;
+        by_arc.apply_batch(&ops).unwrap();
+        let boxed: Box<dyn PmIndex> = Box::new(std::sync::Arc::clone(&idx));
+        boxed.apply_batch(&ops).unwrap();
+        // The default apply_batch_prev applies through apply_batch too.
+        let mut prev = Vec::new();
+        boxed
+            .apply_batch_prev(&[BatchOp::Put(1, 12)], &mut prev)
+            .unwrap();
+        assert_eq!(prev, vec![Some(10)]);
+        assert_eq!(idx.1.load(Ordering::SeqCst), 4);
+        assert_eq!(idx.get(1), Some(12));
+    }
 }

@@ -54,6 +54,11 @@ fn keep_backlogged(c: &ClientHandle<Store>, keys: std::ops::Range<u64>, stop: &A
         }
         window.push_back((k, c.submit_get(k).unwrap()));
     }
+    // Waits out its last requests too, so no filler `get` completes after
+    // the caller has joined it and reads the service's counters.
+    for (k, t) in window {
+        assert_eq!(t.wait().unwrap(), Some(k + 1), "filler key {k}");
+    }
 }
 
 enum Pending {

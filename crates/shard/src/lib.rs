@@ -1087,6 +1087,136 @@ mod tests {
         assert_eq!(reopened.get(1500), Some(7));
     }
 
+    /// Publishes a manifest of `kind` whose shards are fresh trees in
+    /// `pool` with the given bounds, and opens it.
+    fn open_manifest(kind: u64, bounds: &[u64]) -> Result<ShardedStore<FastFairTree>, IndexError> {
+        let p = pool(4 << 20);
+        let entries = bounds
+            .iter()
+            .map(|&bound| manifest::Entry {
+                slot: 0,
+                meta: FastFairTree::create_in(Arc::clone(&p))
+                    .unwrap()
+                    .superblock(),
+                bound,
+            })
+            .collect();
+        let rec = manifest::Record {
+            epoch: 0,
+            kind,
+            entries,
+        };
+        manifest::commit(&p, &rec).unwrap();
+        ShardedStore::open(Arc::clone(&p), vec![p])
+    }
+
+    fn refusal(res: Result<ShardedStore<FastFairTree>, IndexError>) -> String {
+        match res {
+            Err(IndexError::Unsupported(msg)) => msg,
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_manifest_naming_no_shard_is_refused() {
+        for kind in [manifest::KIND_HASH, manifest::KIND_RANGE] {
+            let msg = refusal(open_manifest(kind, &[]));
+            assert!(msg.contains("no shard"), "kind {kind}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_manifest_of_an_unknown_kind_is_refused() {
+        for kind in [2, u64::MAX] {
+            let msg = refusal(open_manifest(kind, &[0, 0]));
+            assert!(msg.contains("unknown partitioning kind"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_manifest_with_descending_bounds_is_refused_not_a_panic() {
+        let msg = refusal(open_manifest(manifest::KIND_RANGE, &[200, 100, u64::MAX]));
+        assert!(msg.contains("descending"), "{msg}");
+        // Equal bounds (an empty middle shard) and any last bound open.
+        let store = open_manifest(manifest::KIND_RANGE, &[100, 100, 7]).unwrap();
+        assert_eq!(
+            store.partitioning(),
+            &Partitioning::Range {
+                bounds: vec![100, 100]
+            }
+        );
+    }
+
+    #[test]
+    fn a_manifest_slot_past_the_supplied_pools_is_refused() {
+        let p = pool(4 << 20);
+        let store = ShardedStore::<FastFairTree>::create(
+            Arc::clone(&p),
+            vec![Arc::clone(&p), Arc::clone(&p)],
+            Partitioning::Hash { shards: 2 },
+        )
+        .unwrap();
+        store.insert(1, 10).unwrap();
+        drop(store);
+        // Re-point shard 1 at slot 5 of a one-pool fleet.
+        let mut rec = manifest::read(&p).unwrap();
+        rec.entries[1].slot = 5;
+        manifest::commit(&p, &rec).unwrap();
+        let msg = refusal(ShardedStore::open(Arc::clone(&p), vec![p]));
+        assert!(msg.contains("pool slot 5"), "{msg}");
+    }
+
+    #[test]
+    fn range_cursors_cross_an_empty_shard_both_ways() {
+        let p = pool(8 << 20);
+        let store: ShardedStore<FastFairTree> = ShardedStore::create(
+            Arc::clone(&p),
+            vec![Arc::clone(&p), Arc::clone(&p), p],
+            Partitioning::Range {
+                bounds: vec![100, 200],
+            },
+        )
+        .unwrap();
+        let keys = [1u64, 50, 99, 200, 250, u64::MAX];
+        for &k in &keys {
+            store.insert(k, k / 2 + 1).unwrap();
+        }
+        assert_eq!(store.shard_len(1), 0);
+        let mut cur = store.cursor();
+        cur.seek(120); // inside the empty shard
+        assert_eq!(cur.next(), Some((200, 101)));
+        cur.seek_for_prev(199);
+        assert_eq!(cur.prev(), Some((99, 50)));
+        let mut down = Vec::new();
+        cur.seek_for_prev(u64::MAX);
+        while let Some((k, _)) = cur.prev() {
+            down.push(k);
+        }
+        assert_eq!(down, keys.iter().rev().copied().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn hash_cursor_scans_descending_and_reseeks() {
+        let store = hash_store(4);
+        let keys: Vec<u64> = (1..600).step_by(5).collect();
+        for &k in &keys {
+            store.insert(k, k + 1).unwrap();
+        }
+        let mut cur = store.cursor();
+        cur.seek_for_prev(u64::MAX);
+        let mut down = Vec::new();
+        while let Some((k, v)) = cur.prev() {
+            assert_eq!(v, k + 1);
+            down.push(k);
+        }
+        assert_eq!(down, keys.iter().rev().copied().collect::<Vec<_>>());
+        // Re-seek between keys, then turn back to ascending.
+        cur.seek_for_prev(300);
+        assert_eq!(cur.prev().map(|e| e.0), Some(296));
+        cur.seek(300);
+        assert_eq!(cur.next().map(|e| e.0), Some(301));
+    }
+
     #[test]
     fn apply_batch_routes_and_groups_per_shard() {
         let store = hash_store(4);

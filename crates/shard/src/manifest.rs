@@ -76,7 +76,7 @@ pub(crate) fn read(pool: &Pool) -> Result<Record, IndexError> {
             ))
         }
     };
-    let entries = rows
+    let entries: Vec<Entry> = rows
         .chunks_exact(3)
         .map(|e| Entry {
             slot: e[0],
@@ -84,6 +84,28 @@ pub(crate) fn read(pool: &Pool) -> Result<Record, IndexError> {
             bound: e[2],
         })
         .collect();
+    // What `ShardedStore::open` builds from the record must be a map
+    // `ShardedStore::create` could have written: at least one shard, a
+    // known kind, and ascending split points (every bound but the last).
+    let Some((_, splits)) = entries.split_last() else {
+        return Err(IndexError::Unsupported(
+            "manifest record names no shard".into(),
+        ));
+    };
+    match kind {
+        KIND_HASH => {}
+        KIND_RANGE if splits.windows(2).all(|w| w[0].bound <= w[1].bound) => {}
+        KIND_RANGE => {
+            return Err(IndexError::Unsupported(
+                "manifest record has descending range bounds".into(),
+            ))
+        }
+        _ => {
+            return Err(IndexError::Unsupported(format!(
+                "manifest record has unknown partitioning kind {kind}"
+            )))
+        }
+    }
     Ok(Record {
         epoch,
         kind,

@@ -1367,4 +1367,181 @@ mod tests {
             .iter()
             .all(|&(k, _)| next.iter().all(|&(n, _)| n != k)));
     }
+
+    fn only(txn: Txn) -> Mix {
+        let pct = |t: Txn| if t == txn { 100 } else { 0 };
+        Mix {
+            new_order: pct(Txn::NewOrder),
+            payment: pct(Txn::Payment),
+            order_status: pct(Txn::OrderStatus),
+            delivery: pct(Txn::Delivery),
+            stock_level: pct(Txn::StockLevel),
+        }
+    }
+
+    #[test]
+    fn last_name_id_inverts_last_name() {
+        for n in 0..1000 {
+            assert_eq!(last_name_id(&last_name(n)), Some(n), "{n}");
+        }
+        // A syllable cut short, a fourth syllable's first letters, an
+        // unknown syllable in the middle, or nothing at all.
+        for name in ["", "BARBARBA", "BARBARBARB", "BARXYZBAR", "OUGHTABLE"] {
+            assert_eq!(last_name_id(name), None, "{name:?}");
+        }
+    }
+
+    #[test]
+    fn customer_name_keys_sort_by_district_then_name_then_customer() {
+        let c_max = (1 << 20) - 1;
+        // Inside one (w, d): name first, then customer number.
+        assert!(k_customer_name(0, 3, 5, c_max) < k_customer_name(0, 3, 6, 0));
+        assert!(k_customer_name(0, 3, 5, 7) < k_customer_name(0, 3, 5, 8));
+        // The largest key of a district sorts below the next district's
+        // and the next warehouse's smallest.
+        assert!(k_customer_name(0, 3, 999, c_max) < k_customer_name(0, 4, 0, 0));
+        assert!(k_customer_name(0, 9, 999, c_max) < k_customer_name(1, 0, 0, 0));
+        // No two (d, name, c) of one warehouse share a key.
+        let keys: std::collections::HashSet<Key> = (0..10)
+            .flat_map(|d| (0..1000).step_by(37).map(move |n| (d, n)))
+            .flat_map(|(d, n)| [0, 1, c_max].map(|c| k_customer_name(2, d, n, c)))
+            .collect();
+        assert_eq!(keys.len(), 10 * 1000usize.div_ceil(37) * 3);
+    }
+
+    #[test]
+    fn mix_pick_follows_the_cumulative_percentages() {
+        for (name, mix) in Mix::paper_mixes() {
+            let mut got = [0u32; 5];
+            for r in 0..100 {
+                let i = match mix.pick(r) {
+                    Txn::NewOrder => 0,
+                    Txn::Payment => 1,
+                    Txn::OrderStatus => 2,
+                    Txn::Delivery => 3,
+                    Txn::StockLevel => 4,
+                };
+                got[i] += 1;
+            }
+            let want = [
+                mix.new_order,
+                mix.payment,
+                mix.order_status,
+                mix.delivery,
+                mix.stock_level,
+            ];
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn new_order_writes_clamp_the_line_count_and_use_journal_ids() {
+        for (asked, lines) in [(0, 5), (5, 5), (9, 9), (15, 15), (99, 15)] {
+            let writes = new_order_writes(1, 2, 3, asked);
+            assert_eq!(writes.len(), 2 + lines, "asked {asked}");
+            assert_eq!(writes[0].0, Table::Order.txn_id().unwrap());
+            assert_eq!(writes[1].0, Table::NewOrder.txn_id().unwrap());
+            assert!(writes[2..]
+                .iter()
+                .all(|w| w.0 == Table::OrderLine.txn_id().unwrap()));
+            for &(_, _, v) in &writes {
+                assert!(pmindex::check_value(v).is_ok(), "value {v} is reserved");
+            }
+        }
+    }
+
+    #[test]
+    fn txn_ids_name_each_journaled_table_once_in_txn_tables_order() {
+        let db = fastfair_db();
+        let tables = db.txn_tables();
+        let mut seen = [false; 9];
+        for table in Table::ALL {
+            let Some(id) = table.txn_id() else {
+                assert_eq!(table, Table::CustomerName);
+                continue;
+            };
+            assert!(!std::mem::replace(&mut seen[id], true), "{table:?}");
+            let field: &fastfair::FastFairTree = match table {
+                Table::Warehouse => &db.warehouse,
+                Table::District => &db.district,
+                Table::Customer => &db.customer,
+                Table::Order => &db.order,
+                Table::NewOrder => &db.new_order_idx,
+                Table::OrderLine => &db.order_line,
+                Table::Stock => &db.stock,
+                Table::Item => &db.item,
+                Table::History => &db.history,
+                Table::CustomerName => unreachable!(),
+            };
+            assert!(std::ptr::eq(tables[id], field), "{table:?}");
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn each_payment_appends_three_history_rows() {
+        let db = fastfair_db();
+        assert!(db.history.is_empty());
+        let stats = db.run(only(Txn::Payment), 40, 5).unwrap();
+        assert_eq!(stats.payment, 40);
+        let rows = table_contents(&db.history);
+        assert_eq!(rows.len(), 3 * 40);
+        // Payment h writes keys h*4+1 ..= h*4+3, h counting from 1.
+        let want: Vec<u64> = (1..=40)
+            .flat_map(|h| [h * 4 + 1, h * 4 + 2, h * 4 + 3])
+            .collect();
+        assert_eq!(rows.iter().map(|&(k, _)| k).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn read_only_transactions_change_no_table() {
+        let db = fastfair_db();
+        let before = db.txn_tables().map(|t| table_contents(t));
+        let names = table_contents(&db.customer_name);
+        db.run(only(Txn::OrderStatus), 60, 21).unwrap();
+        db.run(only(Txn::StockLevel), 60, 22).unwrap();
+        assert_eq!(db.txn_tables().map(|t| table_contents(t)), before);
+        assert_eq!(table_contents(&db.customer_name), names);
+    }
+
+    #[test]
+    fn one_delivery_takes_the_oldest_pending_order_of_each_district() {
+        let db = fastfair_db();
+        let cfg = TpccConfig::small();
+        let before = table_contents(&db.new_order_idx);
+        db.run(only(Txn::Delivery), 1, 13).unwrap();
+        let after = table_contents(&db.new_order_idx);
+        let gone: Vec<u64> = before
+            .iter()
+            .filter(|e| !after.contains(e))
+            .map(|&(k, _)| k)
+            .collect();
+        assert_eq!(gone.len() as u64, cfg.districts_per_warehouse);
+        // All from one warehouse, one per district, each its district's
+        // smallest pending order key.
+        let w = (gone[0] >> 40) - 1;
+        for (d, &k) in gone.iter().enumerate() {
+            let lo = k_order(w, d as u64, 0);
+            let oldest = before.iter().map(|&(k, _)| k).find(|&k| k >= lo);
+            assert_eq!(Some(k), oldest, "w{w} d{d}");
+        }
+    }
+
+    #[test]
+    fn by_name_lookups_outside_the_populated_districts_find_nothing() {
+        let db = fastfair_db();
+        let cfg = TpccConfig::small();
+        let name = last_name(0);
+        assert!(db.customer_by_name(0, 0, &name).is_some());
+        assert_eq!(db.customer_by_name(cfg.warehouses, 0, &name), None);
+        assert_eq!(
+            db.customer_by_name(0, cfg.districts_per_warehouse, &name),
+            None
+        );
+        // A spellable name no customer carries (60 per district).
+        assert_eq!(
+            db.customer_by_name(0, 0, &last_name(cfg.customers_per_district)),
+            None
+        );
+    }
 }

@@ -883,6 +883,153 @@ mod tests {
         assert_eq!((table.get(1), table.get(2)), (Some(10), Some(20)));
     }
 
+    fn failing_table(pool: &Arc<Pool>) -> FailingApply {
+        FailingApply {
+            inner: FastFairTree::create(Arc::clone(pool), TreeOptions::new()).unwrap(),
+            fail_next: std::sync::atomic::AtomicBool::new(true),
+        }
+    }
+
+    /// Commits `batch` against a table whose apply fails once, leaving
+    /// the journal committed but unapplied.
+    fn stranded(batch: WriteBatch) -> (Arc<Pool>, FailingApply, TxnEngine) {
+        let pool = Arc::new(Pool::new(PoolConfig::new().size(8 << 20)).unwrap());
+        let table = failing_table(&pool);
+        let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
+        assert!(engine.commit(batch, &[&table]).is_err());
+        assert!(engine.pending());
+        (pool, table, engine)
+    }
+
+    fn one_put(key: u64, value: u64) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        b.put(0, key, value);
+        b
+    }
+
+    #[test]
+    fn commits_are_refused_while_a_committed_group_is_unapplied() {
+        let (_pool, table, engine) = stranded(one_put(1, 10));
+        let err = engine.commit(one_put(2, 20), &[&table]);
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "{err:?}");
+        assert_eq!(engine.last_committed(), 1);
+        assert_eq!(table.get(2), None);
+        assert_eq!(engine.recover(&[&table]).unwrap(), 1);
+        assert_eq!(engine.commit(one_put(2, 20), &[&table]).unwrap(), 2);
+        assert_eq!((table.get(1), table.get(2)), (Some(10), Some(20)));
+    }
+
+    #[test]
+    fn recover_replays_puts_and_deletes_once_and_then_is_clean() {
+        let pool = Arc::new(Pool::new(PoolConfig::new().size(8 << 20)).unwrap());
+        let table = failing_table(&pool);
+        table.inner.insert(5, 50).unwrap();
+        table.inner.insert(6, 60).unwrap();
+        let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
+        let mut b = WriteBatch::new();
+        b.put(0, 5, 51);
+        b.delete(0, 6);
+        b.delete(0, 7); // absent
+        b.put(0, 8, 80);
+        assert!(engine.commit(b, &[&table]).is_err());
+        pmem::stats::reset();
+        assert_eq!(engine.recover(&[&table]).unwrap(), 4);
+        assert_eq!(engine.recover(&[&table]).unwrap(), 0);
+        assert_eq!(pmem::stats::take().txn_replays, 4);
+        let mut got = Vec::new();
+        table.range(0, u64::MAX, &mut got);
+        assert_eq!(got, vec![(5, 51), (8, 80)]);
+    }
+
+    #[test]
+    fn recover_refuses_an_entry_count_past_the_region() {
+        let (pool, table, engine) = stranded(one_put(1, 10));
+        let off = CommitCell::JOURNAL.load(&pool);
+        pool.store_u64(off + J_COUNT, INITIAL_CAPACITY + 1);
+        let err = engine.recover(&[&table]);
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "{err:?}");
+        assert!(engine.pending());
+        assert_eq!(table.get(1), None);
+    }
+
+    #[test]
+    fn recover_refuses_a_delete_entry_that_carries_a_value() {
+        let mut b = WriteBatch::new();
+        b.put(0, 1, 10);
+        b.delete(0, 2);
+        let (pool, table, engine) = stranded(b);
+        let off = CommitCell::JOURNAL.load(&pool);
+        // Entry 1's value word: a delete stages 0 there.
+        pool.store_u64(off + J_ENTRIES + ENTRY_WORDS * 8 + 24, 7);
+        let err = engine.recover(&[&table]);
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "{err:?}");
+        // Entry 0 was checked clean, but nothing applies before every
+        // entry is.
+        assert_eq!(table.get(1), None);
+    }
+
+    #[test]
+    fn open_refuses_a_journal_applied_past_committed() {
+        let (pool, tree, engine) = mk();
+        engine.commit(one_put(1, 10), &[&tree]).unwrap();
+        drop(engine);
+        let off = CommitCell::JOURNAL.load(&pool);
+        pool.store_u64(off + J_APPLIED, 2);
+        let err = TxnEngine::open(Arc::clone(&pool));
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "{err:?}");
+    }
+
+    #[test]
+    fn open_refuses_a_region_without_the_journal_magic() {
+        let pool = Arc::new(Pool::new(PoolConfig::new().size(1 << 20)).unwrap());
+        let region = pool.alloc(region_bytes(INITIAL_CAPACITY), 64).unwrap();
+        CommitCell::JOURNAL.publish(&pool, region);
+        let err = TxnEngine::open(Arc::clone(&pool));
+        assert!(matches!(err, Err(IndexError::Unsupported(_))), "{err:?}");
+        // The slot is taken, so create refuses too rather than
+        // overwriting it.
+        assert!(TxnEngine::create(pool).is_err());
+    }
+
+    #[test]
+    fn a_grown_journal_reopens_and_keeps_committing() {
+        let (pool, tree, engine) = mk();
+        let mut b = WriteBatch::new();
+        for k in 1..=(2 * INITIAL_CAPACITY + 1) {
+            b.put(0, k, k + 1);
+        }
+        engine.commit(b, &[&tree]).unwrap();
+        drop(engine);
+        let engine = TxnEngine::open(Arc::clone(&pool)).unwrap();
+        assert_eq!(engine.last_committed(), 1);
+        assert!(!engine.pending());
+        assert_eq!(engine.commit(one_put(500, 5), &[&tree]).unwrap(), 2);
+        assert_eq!(tree.len() as u64, 2 * INITIAL_CAPACITY + 2);
+    }
+
+    #[test]
+    fn groups_of_empty_or_invalid_batches_push_no_prev_entries() {
+        let (_pool, tree, engine) = mk();
+        let mut prev = vec![Some(99)];
+        let empty = [WriteBatch::new(), WriteBatch::new()];
+        pmem::stats::reset();
+        assert_eq!(
+            engine
+                .commit_grouped_prev(&empty, &[&tree], &mut prev)
+                .unwrap(),
+            0
+        );
+        let mut bad = WriteBatch::new();
+        bad.put(0, 1, 10);
+        bad.put(3, 2, 20); // one table passed
+        assert!(engine
+            .commit_grouped_prev(&[bad], &[&tree], &mut prev)
+            .is_err());
+        assert_eq!(prev, vec![Some(99)]);
+        assert_eq!(pmem::stats::take().txn_commits, 0);
+        assert!(tree.is_empty());
+    }
+
     #[test]
     fn grouped_commit_is_one_sequence_and_one_commit_fence_set() {
         let (_pool, tree, engine) = mk();

@@ -2,7 +2,9 @@
 //! `BTreeMap` (and therefore with each other) on identical operation
 //! sequences — inserts, upserts, deletes, point gets and range scans —
 //! and must survive four concurrency storms: one test per (index,
-//! storm), named `storms::<index>::<storm>`.
+//! storm), named `storms::<index>::<storm>`. Two single-threaded edge
+//! cases of the trait's contract run per index as
+//! `contract::<index>::<case>`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,7 +17,8 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 /// Declares the index list once: `all_indexes` builds one of each, and
-/// each entry gets a `storms::<name>` module with one test per storm.
+/// each entry gets a `storms::<name>` module with one test per storm and
+/// a `contract::<name>` module with one test per edge case.
 macro_rules! indexes {
     ($($name:ident => $make:expr,)*) => {
         fn all_indexes(pool: &Arc<Pool>) -> Vec<Box<dyn PmIndex>> {
@@ -49,6 +52,24 @@ macro_rules! indexes {
                     #[test]
                     fn removes_and_reads_with_merges() {
                         storm_removes_and_reads_with_merges(make);
+                    }
+                }
+            )*
+        }
+
+        mod contract {
+            $(
+                pub mod $name {
+                    use super::super::*;
+
+                    #[test]
+                    fn reserved_values_are_refused_by_every_write() {
+                        reserved_values_are_refused(storms::$name::make);
+                    }
+
+                    #[test]
+                    fn extreme_keys_roundtrip_both_ways() {
+                        extreme_keys_roundtrip(storms::$name::make);
                     }
                 }
             )*
@@ -385,6 +406,76 @@ type Make = fn(&Arc<Pool>) -> Box<dyn PmIndex>;
 
 fn storm_pool() -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap())
+}
+
+fn contents(idx: &dyn PmIndex) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    idx.range(0, u64::MAX, &mut out);
+    out
+}
+
+/// 0 and `u64::MAX` are refused as values by insert (fresh key or
+/// upsert), update, `apply_batch` and `bulk_load`, and no refusal leaves
+/// a trace.
+fn reserved_values_are_refused(make: Make) {
+    let idx = make(&storm_pool());
+    idx.insert(5, 50).unwrap();
+    for bad in [0, u64::MAX] {
+        let refused = |r: Result<(), IndexError>| {
+            assert!(
+                matches!(r, Err(IndexError::ReservedValue(v)) if v == bad),
+                "{}: value {bad:#x}: {r:?}",
+                idx.name()
+            )
+        };
+        refused(idx.insert(6, bad).map(drop));
+        refused(idx.insert(5, bad).map(drop));
+        refused(idx.update(5, bad).map(drop));
+        refused(idx.apply_batch(&[BatchOp::Put(7, bad)]));
+        refused(idx.bulk_load(&mut [(8, bad)].into_iter()).map(drop));
+    }
+    assert_eq!(contents(idx.as_ref()), vec![(5, 50)], "{}", idx.name());
+}
+
+/// The smallest and largest keys are ordinary keys: stored, found,
+/// scanned in both directions, sought exactly, and removed.
+fn extreme_keys_roundtrip(make: Make) {
+    let idx = make(&storm_pool());
+    let keys = [0, 1, 2, u64::MAX - 1, u64::MAX];
+    for &k in &keys {
+        assert_eq!(idx.insert(k, k / 2 + 1).unwrap(), None, "{}", idx.name());
+    }
+    for &k in &keys {
+        assert_eq!(idx.get(k), Some(k / 2 + 1), "{}: key {k:#x}", idx.name());
+    }
+    let name = idx.name();
+    let mut cur = idx.cursor();
+    let mut up = Vec::new();
+    while let Some((k, _)) = cur.next() {
+        up.push(k);
+    }
+    assert_eq!(up, keys, "{name}: ascending");
+    cur.seek(u64::MAX);
+    assert_eq!(cur.next().map(|e| e.0), Some(u64::MAX), "{name}: seek(MAX)");
+    assert_eq!(cur.next(), None, "{name}: past MAX");
+    cur.seek_for_prev(0);
+    assert_eq!(cur.prev().map(|e| e.0), Some(0), "{name}: seek_for_prev(0)");
+    assert_eq!(cur.prev(), None, "{name}: below 0");
+    cur.seek_for_prev(u64::MAX);
+    let mut down = Vec::new();
+    while let Some((k, _)) = cur.prev() {
+        down.push(k);
+    }
+    drop(cur);
+    assert_eq!(
+        down,
+        [u64::MAX, u64::MAX - 1, 2, 1, 0],
+        "{name}: descending"
+    );
+    assert!(idx.remove(0) && idx.remove(u64::MAX), "{name}: remove");
+    assert_eq!((idx.get(0), idx.get(u64::MAX)), (None, None), "{name}");
+    let left: Vec<u64> = contents(idx.as_ref()).iter().map(|e| e.0).collect();
+    assert_eq!(left, [1, 2, u64::MAX - 1], "{name}: after removes");
 }
 
 /// Raises `stop` when dropped, so a panicking thread still releases the
