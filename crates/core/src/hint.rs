@@ -6,12 +6,14 @@
 //! tolerates an entry point that is *at or left of* the key's leaf — the
 //! sibling chain and lazy repair (§4.2) take it the rest of the way — so a
 //! handle keeps, in DRAM, one immutable sorted array `separator → leaf`
-//! copied from the routing entries above the leaves, binary-searches it,
-//! and starts at the leaf it names. The directory is a cache of *where to
-//! start*, never of *what is there*: nothing in it is persistent, nothing
-//! in it is needed for recovery, it is built on demand, and a crash or a
-//! reopen simply starts cold (`open` stays instant — what the FP-tree
-//! baseline gives up for the same read cost).
+//! copied from the routing entries above the leaves, and starts at the leaf
+//! it names. It is laid out for DRAM as §5.2 lays a node out for PM: a
+//! binary search of a cache-resident top level picks one block of adjacent
+//! lines, and a linear scan of that block names the leaf. The directory is
+//! a cache of *where to start*, never of *what is there*: nothing in it is
+//! persistent, nothing in it is needed for recovery, it is built on
+//! demand, and a crash or a reopen simply starts cold (`open` stays
+//! instant — what the FP-tree baseline gives up for the same read cost).
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,11 +30,42 @@ use crate::tree::FastFairTree;
 /// short-lived handle (a restart probe, a test fixture) never allocates.
 const MIN_REGRET: u64 = 4096;
 
+/// Entries per block: four adjacent cache lines, scanned linearly.
+const B: usize = 16;
+
+/// `B` entries, line-aligned: the scan that finds a separator has fetched
+/// its leaf too.
+#[repr(C, align(64))]
+struct Block([(Key, PmOffset); B]);
+
 /// One build: `(separator, leaf)` ascending by separator, the first
 /// separator 0, stamped with the generation read before the first node.
+/// `top` holds each block's first separator; the last block is padded with
+/// copies of its last entry (every `u64` is a key, so no sentinel).
 struct Directory {
     gen: u64,
-    entries: Box<[(Key, PmOffset)]>,
+    top: Box<[Key]>,
+    blocks: Box<[Block]>,
+}
+
+impl Directory {
+    fn new(gen: u64, entries: &[(Key, PmOffset)]) -> Directory {
+        let pad = |c: &[(Key, PmOffset)]| {
+            let mut block = Block([c[c.len() - 1]; B]);
+            block.0[..c.len()].copy_from_slice(c);
+            block
+        };
+        let blocks: Box<[Block]> = entries.chunks(B).map(pad).collect();
+        let top = blocks.iter().map(|b| b.0[0].0).collect();
+        Directory { gen, top, blocks }
+    }
+
+    /// The leaf of entry `partition_point(|(sep, _)| sep <= key) - 1`;
+    /// `top[0]` is 0, so both counts are ≥ 1.
+    fn leaf(&self, key: Key) -> PmOffset {
+        let block = &self.blocks[self.top.partition_point(|&sep| sep <= key) - 1].0;
+        block[block.iter().filter(|&&(sep, _)| sep <= key).count() - 1].1
+    }
 }
 
 /// A tree handle's leaf directory and the rule that (re)builds it.
@@ -137,10 +170,7 @@ impl LeafDirectory {
         if dir.gen != self.gen.load(Ordering::SeqCst) {
             return None;
         }
-        // The first separator is 0 (checked by `publish`), so at least one
-        // entry is at or below any key.
-        let at = dir.entries.partition_point(|&(sep, _)| sep <= key);
-        Some(dir.entries[at - 1].1)
+        Some(dir.leaf(key))
     }
 
     /// Adds `n` to the regret. True if a build is now due and the caller
@@ -162,10 +192,7 @@ impl LeafDirectory {
             assert_eq!(entries.first().map(|e| e.0), Some(Key::MIN));
             self.due
                 .store((entries.len() as u64).max(MIN_REGRET), Ordering::Relaxed);
-            let new = Box::into_raw(Box::new(Directory {
-                gen,
-                entries: entries.into_boxed_slice(),
-            }));
+            let new = Box::into_raw(Box::new(Directory::new(gen, &entries)));
             let old = self.current.swap(new, Ordering::SeqCst);
             if !old.is_null() {
                 // An `AtomicPtr` only to carry the pointer into a `Send`
@@ -219,7 +246,11 @@ impl LeafDirectory {
     /// Test hook: the entries of the directory in use, stale or not.
     #[cfg(test)]
     pub(crate) fn entries(&self, pin: &Guard) -> Option<Vec<(Key, PmOffset)>> {
-        Some(self.current(pin)?.entries.to_vec())
+        let blocks = self.current(pin)?.blocks.iter();
+        let mut entries: Vec<_> = blocks.flat_map(|b| b.0).collect();
+        // Separators ascend strictly, so only the padding repeats.
+        entries.dedup();
+        Some(entries)
     }
 }
 
@@ -236,7 +267,7 @@ impl FastFairTree {
     /// directory chose it (`true`) or a root-to-leaf descent did (`false`).
     ///
     /// `get`, leaf-level `insert` / `update`, `remove` and both cursor
-    /// seeks enter through here: a binary search of the directory and one
+    /// seeks enter through here: a lookup in the directory and one
     /// charged hop to the leaf it names — believed only if invariant 2
     /// holds and the block is a live leaf — otherwise [`find_leaf`]. Either
     /// way the caller moves right from there while the leaf's high key says
@@ -305,5 +336,51 @@ impl FastFairTree {
             nodes = below;
         }
         self.directory.publish(gen, nodes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The blocked lookup names exactly the leaf the binary search of
+        /// the flat array named, for 1, B − 1, B, B + 1 and ≈ 10 B entries
+        /// (some ending in a partial block), at every separator, one either
+        /// side of it, 0 and `u64::MAX`.
+        #[test]
+        fn a_blocked_lookup_names_the_leaf_the_flat_search_named(
+            size in 0usize..5,
+            draws in prop::collection::vec(1..u64::MAX, 10 * B + 3..10 * B + 4),
+            dense in 0u8..3,
+        ) {
+            let len = [1, B - 1, B, B + 1, 10 * B + 3][size];
+            // Dense separators make `sep ± 1` land on a neighbour; one run
+            // in three ends on `u64::MAX` itself.
+            let drawn: BTreeSet<Key> = draws
+                .iter()
+                .map(|&d| if dense == 0 { d % (4 * len as u64) + 1 } else { d })
+                .collect();
+            let mut seps: Vec<Key> = std::iter::once(0).chain(drawn).take(len).collect();
+            if dense == 2 && len > 1 {
+                seps[len - 1] = u64::MAX;
+            }
+            let entries: Vec<(Key, PmOffset)> =
+                seps.iter().enumerate().map(|(i, &s)| (s, 4096 + 512 * i as u64)).collect();
+            let dir = Directory::new(0, &entries);
+            let flat = |key: Key| entries[entries.partition_point(|&(sep, _)| sep <= key) - 1].1;
+            let probes = seps
+                .iter()
+                .flat_map(|&s| [s, s.wrapping_sub(1), s.wrapping_add(1)])
+                .chain([0, u64::MAX]);
+            for key in probes {
+                prop_assert_eq!(dir.leaf(key), flat(key), "key {} of {:?}", key, seps);
+            }
+        }
     }
 }

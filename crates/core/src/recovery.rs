@@ -164,7 +164,7 @@ impl FastFairTree {
     pub fn recover(&self) -> Result<RecoveryReport, IndexError> {
         let mut report = RecoveryReport::default();
         if self.pool.load_u64(self.meta + crate::tree::META_LOG_HEAD) != NULL_OFFSET {
-            self.undo_log_rollback();
+            self.undo_log_rollback()?;
             report.log_rollbacks = 1;
         }
         // Reset the superblock lock word.

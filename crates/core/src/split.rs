@@ -276,22 +276,34 @@ pub(crate) fn ensure_parent_entry(
 impl FastFairTree {
     /// Rolls back a half-finished logging split on open. FAIR trees keep
     /// the log head at zero, so this is a no-op for them.
-    pub(crate) fn undo_log_rollback(&self) {
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::Unsupported`] if the head names no node inside the
+    /// pool, or the log area is null, outside the pool, or holds the image
+    /// of another node than the head names — a corrupt word the rollback
+    /// would otherwise follow.
+    pub(crate) fn undo_log_rollback(&self) -> Result<(), IndexError> {
         let pool = &self.pool;
-        let head = pool.load_u64(self.meta + META_LOG_HEAD);
-        if head == NULL_OFFSET {
-            return;
-        }
-        let area = pool.load_u64(self.meta + META_LOG_AREA);
-        let target = pool.load_u64(area);
-        debug_assert_eq!(target, head);
-        let words = u64::from(self.node_size) / 8;
-        for w in 0..words {
-            pool.store_u64(target + w * 8, pool.load_u64(area + 8 + w * 8));
+        let len = u64::from(self.node_size);
+        let Some(head) = CommitCell::at(self.meta + META_LOG_HEAD).target(pool, len)? else {
+            return Ok(());
+        };
+        let area = CommitCell::at(self.meta + META_LOG_AREA).target(pool, 8 + len)?;
+        let Some(area) = area.filter(|&a| pool.load_u64(a) == head && head.is_multiple_of(64))
+        else {
+            return Err(IndexError::Unsupported(format!(
+                "tree superblock at offset {:#x}: undo-log head {head:#x} has no undo image",
+                self.meta
+            )));
+        };
+        for w in 0..len / 8 {
+            pool.store_u64(head + w * 8, pool.load_u64(area + 8 + w * 8));
         }
         // The lock word inside the restored image is volatile state.
-        pool.store_u64_volatile(target + crate::layout::LOCK_OFF, 0);
-        pool.persist(target, u64::from(self.node_size));
+        pool.store_u64_volatile(head + crate::layout::LOCK_OFF, 0);
+        pool.persist(head, len);
         CommitCell::at(self.meta + META_LOG_HEAD).publish(pool, 0);
+        Ok(())
     }
 }

@@ -247,7 +247,9 @@ impl FastFairTree {
     /// Returns [`IndexError::Unsupported`] if `meta` is not a 64-aligned
     /// offset inside the pool, the superblock magic does not match, its
     /// node size is one [`TreeOptions::node_size`] would refuse, or its
-    /// root is not a 64-aligned node inside the pool; and if the tree was
+    /// root is not a 64-aligned node inside the pool; if it is a logging
+    /// tree whose undo-log area is not inside the pool, or whose pending
+    /// undo image does not match the log head; and if the tree was
     /// created with a removed node layout (leaf fingerprints or the
     /// circular record frame) — its records are not where this crate looks
     /// for them — or before nodes kept a high key.
@@ -286,12 +288,16 @@ impl FastFairTree {
         let mut opts = opts;
         opts.node_size = node_size;
         opts.split = if strategy & 1 == 1 {
+            let area = CommitCell::at(meta + META_LOG_AREA).target(&pool, 8 + u64::from(node_size));
+            if !matches!(area, Ok(Some(_))) {
+                return refuse("a logging tree whose undo-log area is not inside the pool");
+            }
             SplitStrategy::Logging
         } else {
             SplitStrategy::Fair
         };
         let tree = Self::with_meta(pool, meta, node_size, opts);
-        tree.undo_log_rollback();
+        tree.undo_log_rollback()?;
         Ok(tree)
     }
 

@@ -2,12 +2,17 @@
 //! counts.
 //!
 //! A change to how a walk lands on a node (what it prefetches, when it
-//! stalls) must not change what the model charges: the same serial misses,
-//! parallel lines, flushes and fences, op for op. This file runs one
-//! fixed-seed mix over a bulk-loaded 100 k-key tree with 512-byte nodes and
-//! compares the four counters with the values the mix produced before
-//! `FastFairTree::visit` learned the expected level and started to
-//! prefetch. CI runs it by name ("Read charges are pinned").
+//! stalls) or to how the volatile leaf directory is laid out must not
+//! change what the model charges: the same serial misses, parallel lines,
+//! flushes and fences, op for op, and the same leaf-directory lookups, hits
+//! and rebuilds. This file runs one fixed-seed mix over a bulk-loaded
+//! 100 k-key tree with 512-byte nodes and compares the four charge counters
+//! with the values the mix produced before `FastFairTree::visit` learned
+//! the expected level and started to prefetch, and the three directory
+//! counters with the values it produced while the directory was one flat
+//! binary-searched array. A second run of the same mix under a 300 ns
+//! profile pins the model's nominal time, `model_ns`. CI runs both by
+//! file ("Read charges are pinned").
 //!
 //! The mix covers every charged read path: directed and descending `get`
 //! (hit and miss), `seek` followed by 100 `next`, `seek_for_prev` followed
@@ -19,7 +24,7 @@
 use std::sync::Arc;
 
 use fastfair::{FastFairTree, TreeOptions};
-use pmem::{stats, Pool, PoolConfig};
+use pmem::{stats, LatencyProfile, Pool, PoolConfig};
 use pmindex::workload::value_for;
 use pmindex::{Cursor, PmIndex};
 use rand::rngs::StdRng;
@@ -70,9 +75,11 @@ fn one_op(tree: &FastFairTree, rng: &mut StdRng) {
     }
 }
 
-#[test]
-fn a_fixed_mix_charges_exactly_what_it_charged_before_prefetching() {
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(32 << 20)).unwrap());
+/// Runs the mix on a fresh tree in a pool with `latency`, and returns the
+/// counters of the mix alone (not of the load).
+fn run_mix(latency: LatencyProfile) -> stats::Snapshot {
+    let config = PoolConfig::new().size(32 << 20).latency(latency);
+    let pool = Arc::new(Pool::new(config).unwrap());
     let tree = FastFairTree::create(pool, TreeOptions::new()).unwrap();
     let loaded = tree
         .bulk_load(&mut (1..=KEYS).map(|i| (2 * i, value_for(2 * i))))
@@ -100,11 +107,45 @@ fn a_fixed_mix_charges_exactly_what_it_charged_before_prefetching() {
         "no rebuild after the unlink: {} builds",
         s.leaf_hint_rebuilds
     );
-    // (serial misses, parallel lines, flushes, fences), recorded before
-    // the hop began to prefetch.
-    assert_eq!(
-        (s.serial_misses, s.parallel_lines, s.flushes, s.fences),
-        (46_394, 181_723, 20_930, 16_758),
-        "{s:?}"
-    );
+    s
+}
+
+/// (serial misses, parallel lines, flushes, fences), recorded before the
+/// hop began to prefetch.
+const CHARGES: (u64, u64, u64, u64) = (46_394, 181_723, 20_930, 16_758);
+
+/// (lookups, hits, rebuilds) of the leaf directory, recorded while it was
+/// one flat array searched by `partition_point`: a layout that names
+/// another leaf for some key moves the hits, and with them the rest.
+const DIRECTORY: (u64, u64, u64) = (12_626, 4_325, 2);
+
+fn charges(s: &stats::Snapshot) -> (u64, u64, u64, u64) {
+    (s.serial_misses, s.parallel_lines, s.flushes, s.fences)
+}
+
+fn directory(s: &stats::Snapshot) -> (u64, u64, u64) {
+    (s.leaf_hint_lookups, s.leaf_hint_hits, s.leaf_hint_rebuilds)
+}
+
+#[test]
+fn a_fixed_mix_charges_exactly_what_it_charged_before_prefetching() {
+    let s = run_mix(LatencyProfile::dram());
+    assert_eq!(charges(&s), CHARGES, "{s:?}");
+    assert_eq!(directory(&s), DIRECTORY, "{s:?}");
+    // DRAM charges nothing: counts without time.
+    assert_eq!(s.model_ns, 0, "{s:?}");
+}
+
+/// The same mix under the paper's 300 ns profile charges the same counts,
+/// and exactly this much nominal model time: `read_ns` per serial miss,
+/// `ceil(lines / 4) * read_ns` per parallel scan, `write_ns` per issued
+/// flush (no `dmb` under TSO).
+#[test]
+fn a_fixed_mix_charges_exactly_this_model_time_at_300_ns() {
+    let s = run_mix(LatencyProfile::symmetric(300));
+    assert_eq!(charges(&s), CHARGES, "{s:?}");
+    assert_eq!(directory(&s), DIRECTORY, "{s:?}");
+    // Of which 46 394 × 300 serial and 20 930 × 300 flushed; the rest,
+    // 15 770 100, is 52 567 parallel stalls.
+    assert_eq!(s.model_ns, 35_967_300, "{s:?}");
 }

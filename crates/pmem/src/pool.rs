@@ -482,6 +482,7 @@ impl Pool {
         let ns = self.latency.write_ns;
         spin_ns(ns);
         stats::count_flush(u64::from(ns));
+        stats::count_model_ns(u64::from(ns));
     }
 
     /// Store fence ordering prior flushes (emulated `sfence`/`mfence`).
@@ -527,6 +528,7 @@ impl Pool {
                 std::sync::atomic::fence(Ordering::SeqCst);
                 spin_ns(dmb_ns);
                 stats::count_dmb();
+                stats::count_model_ns(u64::from(dmb_ns));
             }
         }
     }
@@ -543,6 +545,7 @@ impl Pool {
         stats::count_serial(u64::from(n));
         let ns = self.latency.read_ns;
         if ns != 0 {
+            stats::count_model_ns(u64::from(ns) * u64::from(n));
             spin_ns(ns.saturating_mul(n));
         }
     }
@@ -561,6 +564,7 @@ impl Pool {
         let ns = self.latency.read_ns;
         if ns != 0 {
             let serial = lines.div_ceil(self.latency.mlp.max(1));
+            stats::count_model_ns(u64::from(ns) * u64::from(serial));
             spin_ns(ns.saturating_mul(serial));
         }
     }
@@ -997,6 +1001,27 @@ mod tests {
         p.fence_if_not_tso();
         p.fence_if_not_tso();
         assert_eq!(stats::take().dmb_barriers, 2);
+    }
+
+    #[test]
+    fn model_ns_sums_the_nominal_charges() {
+        let latency = LatencyProfile::new(3, 5)
+            .with_mlp(4)
+            .with_fence(FenceMode::NonTso { dmb_ns: 7 });
+        let p = Pool::new(PoolConfig::new().size(1 << 16).latency(latency)).unwrap();
+        let off = p.alloc(64, 64).unwrap();
+        stats::reset();
+        p.charge_serial_reads(2); // 2 × 3
+        p.charge_parallel_lines(9); // ceil(9 / 4) × 3
+        p.charge_parallel_lines(0);
+        p.store_u64(off, 1);
+        p.flush_line(off); // issued: 5
+        p.flush_line(off); // coalesced: free
+        p.sfence(); // fences are free
+        p.fence_if_not_tso(); // 7
+        let s = stats::take();
+        assert_eq!(s.model_ns, 6 + 9 + 5 + 7, "{s:?}");
+        assert_eq!((s.flushes, s.flushes_coalesced, s.dmb_barriers), (1, 1, 1));
     }
 
     #[test]

@@ -97,6 +97,12 @@ pub struct Snapshot {
     pub leaf_hint_hits: u64,
     /// Leaf directories built and swapped in — rebuild churn.
     pub leaf_hint_rebuilds: u64,
+    /// Nanoseconds the latency model charged, at the profile's nominal
+    /// values rather than as spun: `read_ns` per serial miss,
+    /// `ceil(lines / mlp) * read_ns` per parallel scan, `write_ns` per
+    /// issued (not coalesced) flush and `dmb_ns` per non-TSO barrier.
+    /// Deterministic for a deterministic run, unlike the wall clock.
+    pub model_ns: u64,
     /// Nanoseconds spent in flush operations (including injected latency).
     pub flush_ns: u64,
     /// Nanoseconds attributed to the search phase.
@@ -133,6 +139,7 @@ impl Add for Snapshot {
             leaf_hint_lookups: self.leaf_hint_lookups + rhs.leaf_hint_lookups,
             leaf_hint_hits: self.leaf_hint_hits + rhs.leaf_hint_hits,
             leaf_hint_rebuilds: self.leaf_hint_rebuilds + rhs.leaf_hint_rebuilds,
+            model_ns: self.model_ns + rhs.model_ns,
             flush_ns: self.flush_ns + rhs.flush_ns,
             search_ns: self.search_ns + rhs.search_ns,
             update_ns: self.update_ns + rhs.update_ns,
@@ -154,6 +161,7 @@ thread_local! {
     static HINT_LOOKUPS: Cell<u64> = const { Cell::new(0) };
     static HINT_HITS: Cell<u64> = const { Cell::new(0) };
     static HINT_REBUILDS: Cell<u64> = const { Cell::new(0) };
+    static MODEL_NS: Cell<u64> = const { Cell::new(0) };
     static FENCES: Cell<u64> = const { Cell::new(0) };
     static DMB: Cell<u64> = const { Cell::new(0) };
     static SERIAL: Cell<u64> = const { Cell::new(0) };
@@ -207,6 +215,11 @@ pub fn count_leaf_hint_hit() {
 #[inline]
 pub fn count_leaf_hint_rebuild() {
     HINT_REBUILDS.with(|c| c.set(c.get() + 1));
+}
+
+#[inline]
+pub(crate) fn count_model_ns(ns: u64) {
+    MODEL_NS.with(|c| c.set(c.get() + ns));
 }
 
 #[inline]
@@ -288,6 +301,7 @@ pub fn reset() {
     HINT_LOOKUPS.with(|c| c.set(0));
     HINT_HITS.with(|c| c.set(0));
     HINT_REBUILDS.with(|c| c.set(0));
+    MODEL_NS.with(|c| c.set(0));
     FENCES.with(|c| c.set(0));
     DMB.with(|c| c.set(0));
     SERIAL.with(|c| c.set(0));
@@ -323,6 +337,7 @@ pub fn snapshot() -> Snapshot {
         leaf_hint_lookups: HINT_LOOKUPS.with(Cell::get),
         leaf_hint_hits: HINT_HITS.with(Cell::get),
         leaf_hint_rebuilds: HINT_REBUILDS.with(Cell::get),
+        model_ns: MODEL_NS.with(Cell::get),
         flush_ns: FLUSH_NS.with(Cell::get),
         search_ns: SEARCH_NS.with(Cell::get),
         update_ns: UPDATE_NS.with(Cell::get),
@@ -350,6 +365,7 @@ pub fn absorb(s: Snapshot) {
     add(&HINT_LOOKUPS, s.leaf_hint_lookups);
     add(&HINT_HITS, s.leaf_hint_hits);
     add(&HINT_REBUILDS, s.leaf_hint_rebuilds);
+    add(&MODEL_NS, s.model_ns);
     add(&FENCES, s.fences);
     add(&DMB, s.dmb_barriers);
     add(&SERIAL, s.serial_misses);
@@ -412,6 +428,8 @@ mod tests {
         count_leaf_hint_lookup();
         count_leaf_hint_hit();
         count_leaf_hint_rebuild();
+        count_model_ns(300);
+        count_model_ns(45);
         let s = take();
         assert_eq!(s.flushes, 2);
         assert_eq!(s.flushes_coalesced, 2);
@@ -420,6 +438,7 @@ mod tests {
         assert_eq!(s.leaf_hint_lookups, 2);
         assert_eq!(s.leaf_hint_hits, 1);
         assert_eq!(s.leaf_hint_rebuilds, 1);
+        assert_eq!(s.model_ns, 345);
         assert_eq!(s.flush_ns, 15);
         assert_eq!(s.fences, 1);
         assert_eq!(s.serial_misses, 3);
@@ -488,6 +507,7 @@ mod tests {
             leaf_hint_lookups: 19,
             leaf_hint_hits: 20,
             leaf_hint_rebuilds: 21,
+            model_ns: 22,
             flush_ns: 6,
             search_ns: 7,
             update_ns: 8,
@@ -500,6 +520,7 @@ mod tests {
         assert_eq!(sum.leaf_hint_lookups, 38);
         assert_eq!(sum.leaf_hint_hits, 40);
         assert_eq!(sum.leaf_hint_rebuilds, 42);
+        assert_eq!(sum.model_ns, 44);
         assert_eq!(sum.epoch_advances, 22);
         assert_eq!(sum.nodes_recycled_online, 26);
         assert_eq!(sum.txn_commits, 28);
@@ -532,6 +553,7 @@ mod tests {
             leaf_hint_lookups: 16,
             leaf_hint_hits: 17,
             leaf_hint_rebuilds: 18,
+            model_ns: 22,
             flush_ns: 19,
             search_ns: 20,
             update_ns: 21,

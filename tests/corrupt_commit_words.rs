@@ -15,7 +15,9 @@
 //!   id and op kind, which must not replay into another table or as the
 //!   other op;
 //! * every word of the catalog record;
-//! * a FAST+FAIR superblock's magic, node-size and root words.
+//! * a FAST+FAIR superblock's magic, node-size and root words, and its
+//!   strategy, undo-log head and undo-log area words on a FAIR tree and
+//!   on a logging tree with a pending undo image.
 //!
 //! The word offsets inside each record are the layouts documented in
 //! `pmem::CommitCell::publish_record`, `crates/txn/src/lib.rs` and
@@ -25,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use fastfair_repro::catalog::{Catalog, StoreKind};
-use fastfair_repro::fastfair::FastFairTree;
+use fastfair_repro::fastfair::{FastFairTree, SplitStrategy, TreeOptions};
 use fastfair_repro::pmem::{CommitCell, Pool, PoolConfig};
 use fastfair_repro::pmindex::{IndexError, PersistentIndex, PmIndex};
 use fastfair_repro::shard::{Partitioning, ShardedStore};
@@ -42,10 +44,15 @@ const J_COUNT: u64 = 24;
 const J_CAP: u64 = 32;
 const J_ENTRIES: u64 = 40;
 const ENTRY_BYTES: u64 = 32;
-/// Tree superblock words: magic, root, node size.
+/// Tree superblock words: magic, root, node size, strategy bits, undo-log
+/// head (the node a logging split is rewriting) and undo-log area (its
+/// target tag, then the node's image).
 const TREE_MAGIC: u64 = 0;
 const TREE_ROOT: u64 = 8;
 const TREE_NODE_SIZE: u64 = 16;
+const TREE_STRATEGY: u64 = 24;
+const TREE_LOG_HEAD: u64 = 32;
+const TREE_LOG_AREA: u64 = 48;
 
 fn mkpool() -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(POOL)).unwrap())
@@ -327,6 +334,70 @@ fn a_flipped_tree_superblock_is_refused_not_a_panic() {
             let misaligned = (1 << 6) - 1;
             let outside = !((POOL as u64) - 1);
             let must = misaligned | outside;
+            assert_eq!(out.unsupported & must, must, "{what}: {out:?}");
+        }
+    }
+}
+
+/// A 199-key logging tree caught mid-split: the root's undo image is in
+/// the log area, tagged with the root, and the log head names the root.
+/// Its image and superblock offset.
+fn logging_tree_mid_split() -> (Vec<u8>, u64) {
+    let pool = mkpool();
+    let opts = TreeOptions::new().split(SplitStrategy::Logging);
+    let tree = FastFairTree::create(Arc::clone(&pool), opts).unwrap();
+    for k in 1..=199 {
+        tree.insert(k, k * 10).unwrap();
+    }
+    let meta = tree.meta_offset();
+    let node = pool.load_u64(meta + TREE_ROOT);
+    let area = pool.load_u64(meta + TREE_LOG_AREA);
+    pool.store_u64(area, node);
+    for w in 0..512 / 8 {
+        pool.store_u64(area + 8 + w * 8, pool.load_u64(node + w * 8));
+    }
+    CommitCell::at(meta + TREE_LOG_HEAD).publish(&pool, node);
+    (pool.volatile_image(), meta)
+}
+
+/// Every flip of a tree's strategy, undo-log head or undo-log area word
+/// opens to `Ok` or `Unsupported`, on a FAIR tree and on a logging tree
+/// with a pending undo image. The rollback follows the head and the area
+/// only once the area's target tag names the head's node: a FAIR tree has
+/// no area, so any head is refused, and so is any flipped head of the
+/// logging tree; a strategy that turns a FAIR tree into a logging one
+/// names no area and is refused too.
+#[test]
+fn a_flipped_tree_log_word_is_refused_not_a_panic() {
+    let open = |meta| move |p| FastFairTree::open(p, meta, TreeOptions::new());
+    let (fair, fair_meta) = tree();
+    let (logging, logging_meta) = logging_tree_mid_split();
+    let reopened = open(logging_meta)(remap(&logging)).unwrap();
+    assert_eq!(reopened.name(), "FAST+Logging");
+    assert_eq!(reopened.pool().load_u64(logging_meta + TREE_LOG_HEAD), 0);
+    assert!((1..=199).all(|k| reopened.get(k) == Some(k * 10)));
+    for (tree, image, meta) in [
+        ("FAIR", &fair, fair_meta),
+        ("logging", &logging, logging_meta),
+    ] {
+        for (what, word) in [
+            ("strategy", TREE_STRATEGY),
+            ("undo-log head", TREE_LOG_HEAD),
+            ("undo-log area", TREE_LOG_AREA),
+        ] {
+            let what = format!("{tree} tree {what}");
+            let out = flip_each_bit(&what, image, meta + word, open(meta));
+            assert_eq!(
+                out.ok + out.unsupported.count_ones() as usize,
+                64,
+                "{what}: {out:?}"
+            );
+            let must = match (tree, word) {
+                ("FAIR", TREE_STRATEGY) => 1,
+                ("FAIR", TREE_LOG_HEAD) => u64::MAX,
+                ("logging", TREE_LOG_HEAD | TREE_LOG_AREA) => u64::MAX,
+                _ => 0,
+            };
             assert_eq!(out.unsupported & must, must, "{what}: {out:?}");
         }
     }
