@@ -151,7 +151,10 @@ pub(crate) fn shift_left_from(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, c
     // Flush the line holding the last copied record (which now carries the
     // new NULL terminator).
     pool.persist(node.key_off(cnt.saturating_sub(1).max(d)), 16);
-    stats::count_shift(u64::from(cnt - d).saturating_sub(1));
+    stats::count(|s| {
+        s.shift_ops += 1;
+        s.shift_steps += u64::from(cnt - d).saturating_sub(1);
+    });
 }
 
 /// Lazy recovery, run by every writer right after locking a node (§4.2):

@@ -204,7 +204,7 @@ impl LeafDirectory {
                 self.epoch
                     .defer(move || unsafe { Self::free(old.into_inner()) });
             }
-            stats::count_leaf_hint_rebuild();
+            stats::count(|s| s.leaf_hint_rebuilds += 1);
         }
         self.regret.store(0, Ordering::Relaxed);
         self.building.store(false, Ordering::Release);
@@ -277,7 +277,7 @@ impl FastFairTree {
     /// [`find_leaf`]: Self::find_leaf
     /// [`settle`]: Self::settle
     pub(crate) fn locate_leaf(&self, key: Key, pin: &Guard) -> (PmOffset, bool) {
-        stats::count_leaf_hint_lookup();
+        stats::count(|s| s.leaf_hint_lookups += 1);
         let named = self.directory.lookup(key, pin).filter(|&off| {
             let leaf = self.visit(off, 0);
             leaf.is_leaf() && !leaf.is_deleted()
@@ -302,7 +302,7 @@ impl FastFairTree {
     /// [`locate_leaf`]: Self::locate_leaf
     pub(crate) fn settle(&self, directed: bool, hops: u64) {
         if directed {
-            stats::count_leaf_hint_hit();
+            stats::count(|s| s.leaf_hint_hits += 1);
             if hops > 0 {
                 self.regret_directory(hops);
             }

@@ -318,5 +318,8 @@ pub(crate) fn fast_insert_locked(
     }
 
     node.set_count_hint(cnt + 1);
-    stats::count_shift(moved);
+    stats::count(|s| {
+        s.shift_ops += 1;
+        s.shift_steps += moved;
+    });
 }

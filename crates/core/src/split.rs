@@ -25,7 +25,7 @@ use pmindex::{IndexError, Key, Value};
 use crate::insert::{fast_insert_locked, insert_entry};
 use crate::layout::NodeRef;
 use crate::lock::{lock_write, unlock_write, WriteGuard};
-use crate::tree::{FastFairTree, META_LOCK, META_LOG_AREA, META_LOG_HEAD};
+use crate::tree::{FastFairTree, SplitStrategy, LOG_AREA, META_LOCK, META_LOG_HEAD};
 
 /// A freshly linked right sibling: its offset, the separator key, and its
 /// latch — taken before the link made it reachable.
@@ -164,7 +164,8 @@ pub(crate) fn fair_split_insert(
 /// Legacy logging split — the `FAST+Logging` baseline of Fig. 5(a)/(c).
 ///
 /// Before modifying the node it writes an undo image (node-size bytes plus
-/// a target tag) to the tree's log area and persists a log-valid marker;
+/// a target tag) to the tree's undo area, which follows its superblock,
+/// and persists a log-valid marker;
 /// the split itself then needs no careful store ordering. The extra
 /// `node_size/64 + 2` flushes are the 7–18 % overhead the paper measures.
 pub(crate) fn logging_split_insert(
@@ -180,8 +181,7 @@ pub(crate) fn logging_split_insert(
 
     // One log buffer per tree, serialized by the superblock lock word.
     lock_write(pool, tree.meta + META_LOCK);
-    let area = pool.load_u64(tree.meta + META_LOG_AREA);
-    debug_assert_ne!(area, NULL_OFFSET);
+    let area = tree.meta + LOG_AREA;
     pool.store_u64(area, node_off);
     let words = u64::from(tree.node_size) / 8;
     for w in 0..words {
@@ -280,23 +280,26 @@ impl FastFairTree {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if the head names no node inside the
-    /// pool, or the log area is null, outside the pool, or holds the image
-    /// of another node than the head names — a corrupt word the rollback
-    /// would otherwise follow.
+    /// pool, the tree is not a logging tree, or its undo area holds the
+    /// image of another node than the head names — a corrupt word the
+    /// rollback would otherwise follow.
     pub(crate) fn undo_log_rollback(&self) -> Result<(), IndexError> {
         let pool = &self.pool;
         let len = u64::from(self.node_size);
         let Some(head) = CommitCell::at(self.meta + META_LOG_HEAD).target(pool, len)? else {
             return Ok(());
         };
-        let area = CommitCell::at(self.meta + META_LOG_AREA).target(pool, 8 + len)?;
-        let Some(area) = area.filter(|&a| pool.load_u64(a) == head && head.is_multiple_of(64))
-        else {
+        // `open` checked that a logging tree's area is inside the pool.
+        let area = self.meta + LOG_AREA;
+        if self.opts.split != SplitStrategy::Logging
+            || pool.load_u64(area) != head
+            || !head.is_multiple_of(64)
+        {
             return Err(IndexError::Unsupported(format!(
                 "tree superblock at offset {:#x}: undo-log head {head:#x} has no undo image",
                 self.meta
             )));
-        };
+        }
         for w in 0..len / 8 {
             pool.store_u64(head + w * 8, pool.load_u64(area + 8 + w * 8));
         }

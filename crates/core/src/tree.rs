@@ -8,7 +8,9 @@
 //! Persistent superblock layout (64 bytes, one cache line):
 //!
 //! ```text
-//!  0  magic
+//!  0  magic                      ("FAIRTREE"; "UNDOTREE" on the logging
+//!                                 variant, whose strategy bit 0 it must
+//!                                 agree with)
 //!  8  root node offset           (updated by a single persisted store —
 //!                                 the commit point of a root split)
 //! 16  node size in bytes
@@ -21,9 +23,14 @@
 //!                                 without it is rejected on open)
 //! 32  log head                   (logging variant: node being split, 0 = idle)
 //! 40  lock word                  (volatile; serializes root growth)
-//! 48  log area offset            (logging variant's preallocated undo buffer)
+//! 48  retired                    (held the logging variant's undo-area
+//!                                 offset; must read 0)
 //! 56  reserved
 //! ```
+//!
+//! The logging variant's undo area — an 8-byte target tag and one node
+//! image — follows its superblock in the same allocation, at byte 64, so
+//! no stored word can point it elsewhere.
 
 use std::sync::Arc;
 
@@ -37,12 +44,15 @@ use crate::lock::ReadGuard;
 use crate::scan::TreeCursor;
 
 pub(crate) const META_MAGIC: u64 = 0x4641_4952_5452_4545; // "FAIRTREE"
+const LOGGING_MAGIC: u64 = 0x554e_444f_5452_4545; // "UNDOTREE"
 pub(crate) const META_ROOT: u64 = 8;
 pub(crate) const META_NODE_SIZE: u64 = 16;
 pub(crate) const META_STRATEGY: u64 = 24;
 pub(crate) const META_LOG_HEAD: u64 = 32;
 pub(crate) const META_LOCK: u64 = 40;
-pub(crate) const META_LOG_AREA: u64 = 48;
+const META_RETIRED: u64 = 48;
+/// A logging tree's undo area, relative to its superblock.
+pub(crate) const LOG_AREA: u64 = 64;
 
 /// Strategy bits of node layouts this crate no longer reads: bit 1 marked
 /// leaf fingerprints (records start one or more lines later), bit 2 the
@@ -213,23 +223,18 @@ impl FastFairTree {
     /// Returns an error if the pool cannot fit the superblock and root node.
     pub fn create(pool: Arc<Pool>, opts: TreeOptions) -> Result<Self, IndexError> {
         let node_size = opts.node_size;
-        let meta = pool.alloc(64, 64)?;
+        let logging = opts.split == SplitStrategy::Logging;
+        // A logging tree's undo area (target tag + a full node image)
+        // follows its superblock in the same allocation.
+        let undo = if logging { 8 + u64::from(node_size) } else { 0 };
+        let meta = pool.alloc(LOG_AREA + undo, 64)?;
         pool.zero_region(meta, 64);
         let root = pool.alloc(u64::from(node_size), 64)?;
         NodeRef::new(&pool, root, node_size).init(0);
         pool.persist(root, u64::from(node_size));
-        pool.store_u64(meta, META_MAGIC);
+        pool.store_u64(meta, if logging { LOGGING_MAGIC } else { META_MAGIC });
         pool.store_u64(meta + META_NODE_SIZE, u64::from(node_size));
-        let strategy = match opts.split {
-            SplitStrategy::Fair => HIGH_KEY_BIT,
-            SplitStrategy::Logging => HIGH_KEY_BIT | 1,
-        };
-        pool.store_u64(meta + META_STRATEGY, strategy);
-        if opts.split == SplitStrategy::Logging {
-            // Undo buffer: 8-byte target tag + a full node image.
-            let area = pool.alloc(8 + u64::from(node_size), 64)?;
-            pool.store_u64(meta + META_LOG_AREA, area);
-        }
+        pool.store_u64(meta + META_STRATEGY, HIGH_KEY_BIT | u64::from(logging));
         pool.store_u64(meta + META_ROOT, root);
         pool.persist(meta, 64);
         Ok(Self::with_meta(pool, meta, node_size, opts))
@@ -247,8 +252,11 @@ impl FastFairTree {
     /// Returns [`IndexError::Unsupported`] if `meta` is not a 64-aligned
     /// offset inside the pool, the superblock magic does not match, its
     /// node size is one [`TreeOptions::node_size`] would refuse, or its
-    /// root is not a 64-aligned node inside the pool; if it is a logging
-    /// tree whose undo-log area is not inside the pool, or whose pending
+    /// root is not a 64-aligned node inside the pool, or its retired word
+    /// 48 is not zero; if its magic and its strategy disagree on whether
+    /// it is a logging tree (a logging tree from before the undo area
+    /// followed the superblock has the FAIR magic); if it is a logging
+    /// tree whose undo area is not inside the pool, or whose pending
     /// undo image does not match the log head; and if the tree was
     /// created with a removed node layout (leaf fingerprints or the
     /// circular record frame) — its records are not where this crate looks
@@ -262,7 +270,8 @@ impl FastFairTree {
         if !meta.is_multiple_of(64) || meta.checked_add(64).is_none_or(|end| end > pool.size()) {
             return refuse("not a 64-aligned offset inside the pool");
         }
-        if pool.load_u64(meta) != META_MAGIC {
+        let magic = pool.load_u64(meta);
+        if magic != META_MAGIC && magic != LOGGING_MAGIC {
             return refuse("magic mismatch");
         }
         let strategy = pool.load_u64(meta + META_STRATEGY);
@@ -276,6 +285,17 @@ impl FastFairTree {
         if strategy & HIGH_KEY_BIT == 0 {
             return refuse("created before nodes kept a high key; its node bounds cannot be read");
         }
+        let logging = strategy & 1 == 1;
+        if logging != (magic == LOGGING_MAGIC) {
+            return refuse(if logging {
+                "a logging tree with the FAIR magic: from before its undo area followed the superblock"
+            } else {
+                "a FAIR tree with the logging magic"
+            });
+        }
+        if pool.load_u64(meta + META_RETIRED) != 0 {
+            return refuse("retired word 48 is not zero");
+        }
         let node_size = pool.load_u64(meta + META_NODE_SIZE);
         if !node_size_fits(node_size) {
             return refuse("node size out of range");
@@ -287,10 +307,9 @@ impl FastFairTree {
         }
         let mut opts = opts;
         opts.node_size = node_size;
-        opts.split = if strategy & 1 == 1 {
-            let area = CommitCell::at(meta + META_LOG_AREA).target(&pool, 8 + u64::from(node_size));
-            if !matches!(area, Ok(Some(_))) {
-                return refuse("a logging tree whose undo-log area is not inside the pool");
+        opts.split = if logging {
+            if meta + LOG_AREA + 8 + u64::from(node_size) > pool.size() {
+                return refuse("a logging tree whose undo area is not inside the pool");
             }
             SplitStrategy::Logging
         } else {

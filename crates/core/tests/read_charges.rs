@@ -12,7 +12,7 @@
 //! counters with the values it produced while the directory was one flat
 //! binary-searched array. A second run of the same mix under a 300 ns
 //! profile pins the model's nominal time, `model_ns`. CI runs both by
-//! file ("Read charges are pinned").
+//! file ("Counters are pinned").
 //!
 //! The mix covers every charged read path: directed and descending `get`
 //! (hit and miss), `seek` followed by 100 `next`, `seek_for_prev` followed

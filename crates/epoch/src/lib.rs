@@ -428,7 +428,7 @@ impl EpochDomain {
             }
         }
         self.limbo_len.fetch_add(1, Ordering::SeqCst);
-        pmem::stats::count_nodes_limbo(1);
+        pmem::stats::count(|s| s.nodes_limbo += 1);
     }
 
     /// Attempts to advance the global epoch by one. Succeeds — and counts
@@ -471,7 +471,7 @@ impl EpochDomain {
             .is_ok()
         {
             self.advances.fetch_add(1, Ordering::SeqCst);
-            pmem::stats::count_epoch_advance();
+            pmem::stats::count(|s| s.epoch_advances += 1);
             true
         } else {
             // Another thread advanced first; that is progress too.
@@ -525,11 +525,11 @@ impl EpochDomain {
         }
         if items > 0 {
             self.limbo_len.fetch_sub(items, Ordering::SeqCst);
-            pmem::stats::count_limbo_drained(items);
+            pmem::stats::count(|s| s.nodes_limbo = s.nodes_limbo.saturating_sub(items));
         }
         if units > 0 {
             self.recycled.fetch_add(units as u64, Ordering::SeqCst);
-            pmem::stats::count_recycled_online(units as u64);
+            pmem::stats::count(|s| s.nodes_recycled_online += units as u64);
         }
         units
     }
@@ -566,7 +566,7 @@ impl EpochDomain {
         }
         if items > 0 {
             self.limbo_len.fetch_sub(items, Ordering::SeqCst);
-            pmem::stats::count_limbo_drained(items);
+            pmem::stats::count(|s| s.nodes_limbo = s.nodes_limbo.saturating_sub(items));
         }
         units
     }
@@ -777,6 +777,24 @@ mod tests {
         assert_eq!(s.nodes_limbo, 0);
         assert_eq!(s.nodes_recycled_online, 0); // not an online free
         assert_eq!(s.nodes_recycled, 1);
+    }
+
+    #[test]
+    fn draining_another_threads_items_saturates_the_gauge_at_zero() {
+        let d = EpochDomain::new();
+        pmem::stats::reset();
+        d.defer_units(|| 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                d.defer_units(|| 0);
+                d.defer_units(|| 0);
+            });
+        });
+        assert_eq!(pmem::stats::snapshot().nodes_limbo, 1);
+        // Three drained here, one of them retired here: the gauge stops
+        // at zero instead of wrapping.
+        d.flush();
+        assert_eq!(pmem::stats::take().nodes_limbo, 0);
     }
 
     #[test]

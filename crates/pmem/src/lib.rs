@@ -19,10 +19,11 @@
 //!   store-store fences FAST relies on are free; in [`FenceMode::NonTso`]
 //!   each `fence_if_not_tso` costs a configurable `dmb` delay, which is what
 //!   Fig. 5(d) measures.
-//! * [`stats`] — thread-local counters for flushes, fences, serial misses and
-//!   per-phase timings, used to regenerate the Fig. 5(a) breakdown and the
-//!   flush-count claims in the text (e.g. wB+-tree calls 1.7× the flushes of
-//!   FAST+FAIR).
+//! * [`stats`] — one thread-local counter record ([`stats::Snapshot`]) of
+//!   flushes, fences, serial misses, the model's charged time and
+//!   per-phase timings, updated through [`stats::count`]; used to
+//!   regenerate the Fig. 5(a) breakdown and the flush-count claims in the
+//!   text (e.g. wB+-tree calls 1.7× the flushes of FAST+FAIR).
 //! * [`CommitCell`] — the one commit primitive: a persisted 8-byte word
 //!   published by one store, flush and fence, read back through a
 //!   bounds-checked [`CommitCell::target`].

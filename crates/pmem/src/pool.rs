@@ -468,21 +468,24 @@ impl Pool {
                     true
                 });
                 if !issued {
-                    stats::count_flush_coalesced(1);
+                    stats::count(|s| s.flushes_coalesced += 1);
                     return;
                 }
             }
             None => {
                 if !self.test_and_clear_dirty(line) {
-                    stats::count_flush_coalesced(1);
+                    stats::count(|s| s.flushes_coalesced += 1);
                     return;
                 }
             }
         }
         let ns = self.latency.write_ns;
         spin_ns(ns);
-        stats::count_flush(u64::from(ns));
-        stats::count_model_ns(u64::from(ns));
+        stats::count(|s| {
+            s.flushes += 1;
+            s.flush_ns += u64::from(ns);
+            s.model_ns += u64::from(ns);
+        });
     }
 
     /// Store fence ordering prior flushes (emulated `sfence`/`mfence`).
@@ -492,7 +495,7 @@ impl Pool {
     #[inline]
     pub fn sfence(&self) {
         compiler_fence(Ordering::SeqCst);
-        stats::count_fence();
+        stats::count(|s| s.fences += 1);
     }
 
     /// Flushes every cache line covering `[off, off + len)` and fences.
@@ -527,8 +530,10 @@ impl Pool {
             FenceMode::NonTso { dmb_ns } => {
                 std::sync::atomic::fence(Ordering::SeqCst);
                 spin_ns(dmb_ns);
-                stats::count_dmb();
-                stats::count_model_ns(u64::from(dmb_ns));
+                stats::count(|s| {
+                    s.dmb_barriers += 1;
+                    s.model_ns += u64::from(dmb_ns);
+                });
             }
         }
     }
@@ -542,10 +547,12 @@ impl Pool {
         if n == 0 {
             return;
         }
-        stats::count_serial(u64::from(n));
         let ns = self.latency.read_ns;
+        stats::count(|s| {
+            s.serial_misses += u64::from(n);
+            s.model_ns += u64::from(ns) * u64::from(n);
+        });
         if ns != 0 {
-            stats::count_model_ns(u64::from(ns) * u64::from(n));
             spin_ns(ns.saturating_mul(n));
         }
     }
@@ -560,11 +567,11 @@ impl Pool {
         if lines == 0 {
             return;
         }
-        stats::count_parallel(u64::from(lines));
+        stats::count(|s| s.parallel_lines += u64::from(lines));
         let ns = self.latency.read_ns;
         if ns != 0 {
             let serial = lines.div_ceil(self.latency.mlp.max(1));
-            stats::count_model_ns(u64::from(ns) * u64::from(serial));
+            stats::count(|s| s.model_ns += u64::from(ns) * u64::from(serial));
             spin_ns(ns.saturating_mul(serial));
         }
     }
@@ -662,7 +669,7 @@ impl Pool {
     /// leak, as in PM allocators without offline GC.
     pub fn free(&self, off: PmOffset, size: u64) {
         let size = size.max(8);
-        stats::count_recycled(1);
+        stats::count(|s| s.nodes_recycled += 1);
         self.freelists.lock().entry(size).or_default().push(off);
     }
 

@@ -992,11 +992,11 @@ fn worker_loop<I: PmIndex>(shared: &Shared<I>, lane: usize, rx: &Receiver<Msg>) 
             group.extend(rx.try_iter().take(rest).flatten());
         }
         process_group(shared, lane, group, backlog as u64, &mut write_keys);
-        // Self-harvest this thread's persistence counters into the
-        // service-level gauges (thread-local stats never leave the
-        // worker otherwise) — after every group, those served once
+        // Self-harvest this thread's `pmem::stats` into the service's
+        // summed record (thread-local stats never leave the worker
+        // otherwise) — after every group, those served once
         // shutdown began included, so no way out leaves any behind.
-        shared.stats.harvest_pmem(&pmem::stats::take());
+        shared.stats.harvest_pmem(pmem::stats::take());
     }
 }
 

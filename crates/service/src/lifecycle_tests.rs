@@ -189,9 +189,10 @@ fn shutdown_wakes_a_sleeping_worker() {
     assert_eq!(c.shared.running.load(Ordering::SeqCst), 0);
 }
 
-/// The persistence counters of a group served after shutdown began reach
-/// `ServiceStats` like any other group's: compared with a twin service
-/// that ran the same two single-write groups before its shutdown.
+/// The `pmem::stats` counters of a group served after shutdown began
+/// reach `ServiceStats` like any other group's: compared, every counter,
+/// with a twin service that ran the same two single-write groups before
+/// its shutdown.
 #[test]
 fn groups_drained_at_shutdown_are_harvested() {
     let twin = {
@@ -200,9 +201,10 @@ fn groups_drained_at_shutdown_are_harvested() {
         c.insert(1, 10).unwrap();
         c.insert(2, 20).unwrap();
         service.shutdown();
-        (service.stats().flushes(), service.stats().fences())
+        service.stats().pmem()
     };
-    assert!(twin.0 > 0 && twin.1 > 0);
+    assert!(twin.flushes > 0 && twin.fences > 0);
+    assert_eq!(twin.txn_commits, 2);
 
     let pool = pool();
     let tree = Arc::new(HeldApply::new(
@@ -231,5 +233,5 @@ fn groups_drained_at_shutdown_are_harvested() {
     assert_eq!(first.wait().unwrap(), None);
     assert_eq!(second.wait().unwrap(), None);
     assert_eq!(service.stats().groups(), 2);
-    assert_eq!((service.stats().flushes(), service.stats().fences()), twin);
+    assert_eq!(service.stats().pmem(), twin);
 }

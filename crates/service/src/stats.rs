@@ -1,14 +1,18 @@
-//! Lock-free service observability: per-op-class latency histograms
+//! Service observability: per-op-class latency histograms
 //! (p50/p99/p999), throughput and error counters, group-commit batch
-//! size, queue-depth high-water and harvested persistence-cost counters.
+//! size, queue-depth high-water and the workers' harvested `pmem::stats`.
 //!
-//! Everything here is plain relaxed atomics — recording a sample is a
-//! handful of `fetch_add`s, cheap enough to sit on the completion path
-//! of every request. Percentile queries walk the histogram without
-//! stopping writers; a racing reader sees some slightly-stale bucket
-//! counts, never a torn one.
+//! The per-request counters are plain relaxed atomics — recording a
+//! sample is a handful of `fetch_add`s, cheap enough to sit on the
+//! completion path of every request. Percentile queries walk the
+//! histogram without stopping writers; a racing reader sees some
+//! slightly-stale bucket counts, never a torn one. The harvested
+//! `pmem::stats` are one `Snapshot` under a mutex a worker takes once
+//! per group.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 /// Number of histogram buckets: 4 sub-buckets per power of two of
 /// nanoseconds — ~25 % relative resolution across the full `u64` range.
@@ -210,11 +214,7 @@ pub struct ServiceStats {
     queue_high_water: AtomicU64,
     inline_gets: AtomicU64,
     conflict_gets: AtomicU64,
-    fences: AtomicU64,
-    flushes: AtomicU64,
-    leaf_hint_lookups: AtomicU64,
-    leaf_hint_hits: AtomicU64,
-    leaf_hint_rebuilds: AtomicU64,
+    pmem: Mutex<pmem::stats::Snapshot>,
 }
 
 impl ServiceStats {
@@ -294,39 +294,43 @@ impl ServiceStats {
         self.conflict_gets.load(Ordering::Relaxed)
     }
 
-    /// Store fences issued by the **worker threads** — harvested from
-    /// `pmem::stats` after every group, so `fences() / completed()` is
-    /// the amortized persistence cost per request. This gauge and the
-    /// four below it cover workers only: a `get` answered on its
-    /// client's thread leaves its `pmem::stats` (no fences or flushes —
-    /// a search stores nothing — but its leaf-directory lookups) on that
-    /// thread.
-    pub fn fences(&self) -> u64 {
-        self.fences.load(Ordering::Relaxed)
+    /// Every `pmem::stats` counter of the **worker threads**, summed —
+    /// harvested after every group. Workers only: a `get` answered on
+    /// its client's thread leaves its counters (no fences or flushes — a
+    /// search stores nothing — but its reads and leaf-directory lookups)
+    /// on that thread. `nodes_limbo`, a per-thread gauge that each
+    /// harvest resets, sums here to what the groups retired less what
+    /// they drained; the epoch domain's `limbo_len` is the depth.
+    pub fn pmem(&self) -> pmem::stats::Snapshot {
+        *self.pmem.lock()
     }
 
-    /// Cache-line flushes issued by the worker threads (see
-    /// [`ServiceStats::fences`]).
+    /// Store fences issued by the worker threads (see
+    /// [`ServiceStats::pmem`]): `fences() / completed()` is the amortized
+    /// persistence cost per request.
+    pub fn fences(&self) -> u64 {
+        self.pmem().fences
+    }
+
+    /// Cache-line flushes issued by the worker threads.
     pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
+        self.pmem().flushes
     }
 
     /// Point operations for which the workers' trees consulted their
-    /// leaf directory (`pmem::stats`' `leaf_hint_lookups`, harvested like
-    /// [`ServiceStats::fences`] — worker threads only, so inline `get`s'
-    /// lookups are not in it).
+    /// leaf directory.
     pub fn leaf_hint_lookups(&self) -> u64 {
-        self.leaf_hint_lookups.load(Ordering::Relaxed)
+        self.pmem().leaf_hint_lookups
     }
 
     /// Those of them settled without a root-to-leaf descent.
     pub fn leaf_hint_hits(&self) -> u64 {
-        self.leaf_hint_hits.load(Ordering::Relaxed)
+        self.pmem().leaf_hint_hits
     }
 
     /// Leaf directories the workers built and swapped in — rebuild churn.
     pub fn leaf_hint_rebuilds(&self) -> u64 {
-        self.leaf_hint_rebuilds.load(Ordering::Relaxed)
+        self.pmem().leaf_hint_rebuilds
     }
 
     pub(crate) fn note_submitted(&self, class: OpClass) {
@@ -372,18 +376,11 @@ impl ServiceStats {
         self.queue_high_water.fetch_max(backlog, Ordering::Relaxed);
     }
 
-    /// Adds one worker group's thread-local `pmem::stats` to the gauges —
-    /// called by workers only; client threads' counters are never
-    /// harvested.
-    pub(crate) fn harvest_pmem(&self, s: &pmem::stats::Snapshot) {
-        self.fences.fetch_add(s.fences, Ordering::Relaxed);
-        self.flushes.fetch_add(s.flushes, Ordering::Relaxed);
-        self.leaf_hint_lookups
-            .fetch_add(s.leaf_hint_lookups, Ordering::Relaxed);
-        self.leaf_hint_hits
-            .fetch_add(s.leaf_hint_hits, Ordering::Relaxed);
-        self.leaf_hint_rebuilds
-            .fetch_add(s.leaf_hint_rebuilds, Ordering::Relaxed);
+    /// Adds one worker group's thread-local `pmem::stats` to the
+    /// harvested sum — called by workers only; client threads' counters
+    /// are never harvested.
+    pub(crate) fn harvest_pmem(&self, s: pmem::stats::Snapshot) {
+        *self.pmem.lock() += s;
     }
 }
 

@@ -149,6 +149,9 @@ fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static)
         .unwrap_or_else(|_| panic!("{what}: hung"))
 }
 
+/// A split batch's `pmem::stats` — every counter, the helper's absorbed
+/// into the caller's — equal those of the same groups applied one shard
+/// after the other on one thread.
 #[test]
 fn split_counters_match_the_groups_applied_shard_by_shard() {
     let store = latched_store();
@@ -182,18 +185,15 @@ fn split_counters_match_the_groups_applied_shard_by_shard() {
         twin.shards[shard].apply_batch(group).unwrap();
     }
     let serial = pmem::stats::take();
-    let counted = |s: &pmem::stats::Snapshot| {
-        (
-            s.flushes,
-            s.fences,
-            s.serial_misses,
-            s.parallel_lines,
-            s.shift_ops,
-            s.shift_steps,
-        )
+    // Every counter but the wall-clock ones, which no two runs share.
+    let counted = |s: pmem::stats::Snapshot| pmem::stats::Snapshot {
+        flush_ns: 0,
+        search_ns: 0,
+        update_ns: 0,
+        ..s
     };
     assert!(serial.flushes > 0 && serial.shift_ops > 0);
-    assert_eq!(counted(&split), counted(&serial));
+    assert_eq!(counted(split), counted(serial));
     let contents = |s: &dyn PmIndex| CursorIter(s.cursor()).collect::<Vec<_>>();
     assert_eq!(contents(&store), contents(&twin));
 }

@@ -609,7 +609,7 @@ impl TxnEngine {
         // them all.
         let seq = committed + 1;
         j.committed().publish(&self.pool, seq);
-        pmem::stats::count_txn_commit();
+        pmem::stats::count(|s| s.txn_commits += 1);
         self.seq.store(seq, Ordering::SeqCst);
         // 3. APPLY: idempotent redo onto the live tables.
         match prev {
@@ -692,7 +692,7 @@ impl TxnEngine {
             ops.push((t, op));
         }
         apply_grouped(&ops, tables)?;
-        pmem::stats::count_txn_replays(n);
+        pmem::stats::count(|s| s.txn_replays += n);
         j.applied().publish(&self.pool, committed);
         Ok(n as usize)
     }

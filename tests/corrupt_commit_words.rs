@@ -16,8 +16,10 @@
 //!   other op;
 //! * every word of the catalog record;
 //! * a FAST+FAIR superblock's magic, node-size and root words, and its
-//!   strategy, undo-log head and undo-log area words on a FAIR tree and
-//!   on a logging tree with a pending undo image.
+//!   strategy, undo-log head and retired word 48 (which held the undo
+//!   area's offset) on a FAIR tree and on a logging tree with a pending
+//!   undo image, and word 48 again on a logging tree at rest, which then
+//!   takes inserts.
 //!
 //! The word offsets inside each record are the layouts documented in
 //! `pmem::CommitCell::publish_record`, `crates/txn/src/lib.rs` and
@@ -45,14 +47,16 @@ const J_CAP: u64 = 32;
 const J_ENTRIES: u64 = 40;
 const ENTRY_BYTES: u64 = 32;
 /// Tree superblock words: magic, root, node size, strategy bits, undo-log
-/// head (the node a logging split is rewriting) and undo-log area (its
-/// target tag, then the node's image).
+/// head (the node a logging split is rewriting) and word 48, retired: it
+/// held the undo area's offset. A logging tree's undo area (a target tag,
+/// then the node's image) follows its superblock at byte 64.
 const TREE_MAGIC: u64 = 0;
 const TREE_ROOT: u64 = 8;
 const TREE_NODE_SIZE: u64 = 16;
 const TREE_STRATEGY: u64 = 24;
 const TREE_LOG_HEAD: u64 = 32;
 const TREE_LOG_AREA: u64 = 48;
+const TREE_UNDO_AREA: u64 = 64;
 
 fn mkpool() -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(POOL)).unwrap())
@@ -340,7 +344,7 @@ fn a_flipped_tree_superblock_is_refused_not_a_panic() {
 }
 
 /// A 199-key logging tree caught mid-split: the root's undo image is in
-/// the log area, tagged with the root, and the log head names the root.
+/// the undo area, tagged with the root, and the log head names the root.
 /// Its image and superblock offset.
 fn logging_tree_mid_split() -> (Vec<u8>, u64) {
     let pool = mkpool();
@@ -351,7 +355,7 @@ fn logging_tree_mid_split() -> (Vec<u8>, u64) {
     }
     let meta = tree.meta_offset();
     let node = pool.load_u64(meta + TREE_ROOT);
-    let area = pool.load_u64(meta + TREE_LOG_AREA);
+    let area = meta + TREE_UNDO_AREA;
     pool.store_u64(area, node);
     for w in 0..512 / 8 {
         pool.store_u64(area + 8 + w * 8, pool.load_u64(node + w * 8));
@@ -401,4 +405,37 @@ fn a_flipped_tree_log_word_is_refused_not_a_panic() {
             assert_eq!(out.unsupported & must, must, "{what}: {out:?}");
         }
     }
+}
+
+/// Every flip of word 48 of a logging tree with no split pending opens to
+/// `Ok` or `Unsupported`, and a tree that opens takes 1 800 inserts — each
+/// leaf split writing its undo image — and stays whole. Word 48 once held
+/// the undo area's offset, and a flip that kept it inside the pool sent
+/// the next split's undo image over live nodes.
+#[test]
+fn a_flipped_undo_area_word_cannot_redirect_a_split() {
+    let pool = mkpool();
+    let opts = TreeOptions::new().split(SplitStrategy::Logging);
+    let tree = FastFairTree::create(Arc::clone(&pool), opts).unwrap();
+    for k in 1..=199 {
+        tree.insert(k, k * 10).unwrap();
+    }
+    let (image, meta) = (pool.volatile_image(), tree.meta_offset());
+    let reopen = |p| {
+        let tree = FastFairTree::open(p, meta, TreeOptions::new())?;
+        for k in 200..2_000 {
+            tree.insert(k, k * 10).unwrap();
+        }
+        assert!((1..2_000).all(|k| tree.get(k) == Some(k * 10)));
+        tree.check_consistency(true).unwrap();
+        Ok::<_, IndexError>(())
+    };
+    reopen(remap(&image)).unwrap();
+    let what = "logging tree at rest, word 48";
+    let out = flip_each_bit(what, &image, meta + TREE_LOG_AREA, reopen);
+    assert_eq!(
+        out.ok + out.unsupported.count_ones() as usize,
+        64,
+        "{what}: {out:?}"
+    );
 }
