@@ -40,7 +40,7 @@ use crate::tree::FastFairTree;
 /// long-lived cursor stalls reclamation, never correctness.
 struct TreeChain<'a> {
     tree: &'a FastFairTree,
-    pin: epoch::Guard,
+    pin: epoch::Guard<'a>,
 }
 
 impl LeafChain for TreeChain<'_> {

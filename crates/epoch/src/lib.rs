@@ -13,10 +13,13 @@
 //! offsets instead of heap pointers:
 //!
 //! * an [`EpochDomain`] owns a **global epoch clock** and a registry of
-//!   per-thread participants;
+//!   per-thread participants; it holds each participant strongly, beside
+//!   the thread-local that names it;
 //! * every reader/writer critical section is wrapped in a [`Guard`]
 //!   obtained from [`EpochDomain::pin`] — pinning announces the epoch the
-//!   thread observed, and nested pins are free;
+//!   thread observed, and nested pins are free. A guard borrows its domain
+//!   and points at its participant, so a pin plus its unpin costs two
+//!   atomic read-modify-writes (one CAS each) outside maintenance;
 //! * an unlinked node is [*retired*](EpochDomain::retire_pm) onto the
 //!   **limbo list** of the current epoch rather than freed;
 //! * [`EpochDomain::try_advance`] moves the clock forward once every
@@ -75,7 +78,8 @@
 #![deny(missing_docs)]
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
@@ -122,9 +126,19 @@ const DEPTH_MASK: u64 = 0xFFFE;
 const EPOCH_SHIFT: u32 = 16;
 
 /// Per-thread (per domain) epoch announcement slot.
+///
+/// A participant lives as long as its domain holds it. The domain drops
+/// it in [`EpochDomain::try_advance`] only once no thread-local names it
+/// (its thread exited) and it is unpinned: with the thread-local gone
+/// nothing can pin it again, and while any guard lives it stays pinned,
+/// so a guard's pointer to it never dangles.
 struct Participant {
     state: AtomicU64,
-    /// Unpins since registration; drives the amortized maintenance.
+    /// Outermost unpins since registration; drives the amortized
+    /// maintenance. A relaxed load and store, not an RMW: the owner thread
+    /// is its only writer unless a guard was moved to another thread, and
+    /// then a lost or doubled increment only shifts when the next
+    /// maintenance step runs, which no guarantee depends on.
     ops: AtomicU64,
 }
 
@@ -136,25 +150,37 @@ impl Participant {
         }
     }
 
-    /// Decrements the pin depth; returns `true` when this was the last
-    /// guard (the participant became unpinned).
-    fn unpin_one(&self) -> bool {
+    /// Decrements the pin depth. With `tick`, an outermost unpin also
+    /// counts one op; returns `true` when that count makes the amortized
+    /// maintenance due.
+    ///
+    /// The count is updated *before* the CAS that unpins, because once the
+    /// participant is unpinned a thread whose thread-local is gone may
+    /// have it pruned and freed. A CAS that fails after the count moved
+    /// counts that unpin twice — only under a moved guard racing its
+    /// owner, and only the cadence shifts.
+    fn unpin(&self, tick: bool) -> bool {
         loop {
             let s = self.state.load(Ordering::SeqCst);
             let depth = (s & DEPTH_MASK) / DEPTH_UNIT;
             debug_assert!(depth > 0, "unpin without a matching pin");
-            let ns = if depth == 1 {
+            let (ns, due) = if depth == 1 {
+                let due = tick && {
+                    let n = self.ops.load(Ordering::Relaxed) + 1;
+                    self.ops.store(n, Ordering::Relaxed);
+                    n.is_multiple_of(maintenance_interval())
+                };
                 // Keep the epoch bits, clear depth + pinned.
-                (s >> EPOCH_SHIFT) << EPOCH_SHIFT
+                ((s >> EPOCH_SHIFT) << EPOCH_SHIFT, due)
             } else {
-                s - DEPTH_UNIT
+                (s - DEPTH_UNIT, false)
             };
             if self
                 .state
                 .compare_exchange(s, ns, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                return depth == 1;
+                return due;
             }
         }
     }
@@ -182,7 +208,7 @@ thread_local! {
 pub struct EpochDomain {
     id: u64,
     global: AtomicU64,
-    participants: Mutex<Vec<Weak<Participant>>>,
+    participants: Mutex<Vec<Arc<Participant>>>,
     limbo: Mutex<Vec<Bucket>>,
     /// Retired items not yet collected (cross-thread gauge).
     limbo_len: AtomicU64,
@@ -271,11 +297,14 @@ impl EpochDomain {
         self.recycled.load(Ordering::SeqCst)
     }
 
-    fn participant(self: &Arc<Self>) -> Arc<Participant> {
+    /// This thread's participant, registered on first use. A pointer, not
+    /// a clone: the domain holds the participant for as long as a pin of
+    /// it can live (see [`Participant`]), so taking it costs no RMW.
+    fn participant(self: &Arc<Self>) -> NonNull<Participant> {
         PARTICIPANTS.with(|tls| {
             let mut tls = tls.borrow_mut();
             if let Some((_, _, p)) = tls.iter().find(|(id, _, _)| *id == self.id) {
-                return Arc::clone(p);
+                return NonNull::from(&**p);
             }
             // Registering with a fresh domain: prune entries whose domain
             // died so a thread touching many short-lived trees stays O(1).
@@ -283,9 +312,10 @@ impl EpochDomain {
                 tls.retain(|(_, w, _)| w.strong_count() > 0);
             }
             let p = Arc::new(Participant::new());
-            self.participants.lock().push(Arc::downgrade(&p));
-            tls.push((self.id, Arc::downgrade(self), Arc::clone(&p)));
-            p
+            let ptr = NonNull::from(&*p);
+            self.participants.lock().push(Arc::clone(&p));
+            tls.push((self.id, Arc::downgrade(self), p));
+            ptr
         })
     }
 
@@ -298,6 +328,11 @@ impl EpochDomain {
     /// While any guard pinned at epoch `e` is live, no block retired at
     /// `e` or later can be freed.
     ///
+    /// Outside maintenance a pin plus its unpin does two atomic
+    /// read-modify-writes: the CAS that announces the epoch and the CAS
+    /// that retracts it. The guard borrows the domain and points at the
+    /// participant, so neither is reference-counted per pin.
+    ///
     /// ```
     /// let d = epoch::EpochDomain::new();
     /// let outer = d.pin(); // pinned at epoch 0
@@ -309,8 +344,11 @@ impl EpochDomain {
     /// drop(outer);
     /// assert!(d.try_advance());
     /// ```
-    pub fn pin(self: &Arc<Self>) -> Guard {
-        let part = self.participant();
+    pub fn pin(self: &Arc<Self>) -> Guard<'_> {
+        let ptr = self.participant();
+        // SAFETY: the domain holds the participant, and cannot prune it
+        // while this thread's thread-local names it (see `Participant`).
+        let part = unsafe { ptr.as_ref() };
         loop {
             let s = part.state.load(Ordering::SeqCst);
             if s & DEPTH_MASK != 0 {
@@ -338,12 +376,12 @@ impl EpochDomain {
                 if self.global.load(Ordering::SeqCst) == g {
                     break;
                 }
-                part.unpin_one();
+                part.unpin(false);
             }
         }
         Guard {
-            domain: Arc::clone(self),
-            participant: part,
+            domain: self,
+            participant: ptr,
         }
     }
 
@@ -437,7 +475,9 @@ impl EpochDomain {
     /// reader holds the clock (and therefore all reclamation) back, which
     /// is the safety property.
     ///
-    /// Dead participants (exited threads) are pruned here.
+    /// Participants of exited threads are pruned here once unpinned; a
+    /// guard moved off such a thread keeps its participant registered, and
+    /// holding the clock, until it drops.
     ///
     /// ```
     /// let d = epoch::EpochDomain::new();
@@ -451,15 +491,19 @@ impl EpochDomain {
         {
             let mut parts = self.participants.lock();
             let mut all_caught_up = true;
-            parts.retain(|w| match w.upgrade() {
-                Some(p) => {
-                    let s = p.state.load(Ordering::SeqCst);
-                    if s & PINNED == PINNED && (s >> EPOCH_SHIFT) != g {
-                        all_caught_up = false;
-                    }
-                    true
+            parts.retain(|p| {
+                // Count first: once it reads 1 no thread-local names `p`
+                // and nothing can pin it again. The fence pairs with the
+                // thread-local's releasing drop, so the state read next
+                // sees every pin its thread made.
+                let orphan = Arc::strong_count(p) == 1;
+                fence(Ordering::Acquire);
+                let s = p.state.load(Ordering::SeqCst);
+                let pinned = s & PINNED == PINNED;
+                if pinned && (s >> EPOCH_SHIFT) != g {
+                    all_caught_up = false;
                 }
-                None => false,
+                pinned || !orphan
             });
             if !all_caught_up {
                 return false;
@@ -574,7 +618,7 @@ impl EpochDomain {
 
 impl Drop for EpochDomain {
     fn drop(&mut self) {
-        // No Guard can outlive the domain (each holds an Arc), so this is
+        // No Guard can outlive the domain (each borrows it), so this is
         // quiescent by construction: run whatever is still in limbo so
         // pool blocks return to their free lists for whoever shares the
         // pool.
@@ -591,12 +635,22 @@ impl Drop for EpochDomain {
 /// maintenance step every [`MAINTENANCE_INTERVAL`] unpins (every unpin
 /// with `FF_EPOCH_STRESS=1`), which is what makes reclamation *online*:
 /// ordinary traffic ticks the clock and drains limbo as a side effect.
-pub struct Guard {
-    domain: Arc<EpochDomain>,
-    participant: Arc<Participant>,
+///
+/// A guard borrows its domain and points at its participant, which the
+/// domain owns; it clones no `Arc`. It may be moved to another thread and
+/// may outlive the thread that pinned: the participant stays registered,
+/// and holds the clock, until the guard drops.
+pub struct Guard<'a> {
+    domain: &'a EpochDomain,
+    participant: NonNull<Participant>,
 }
 
-impl Guard {
+// SAFETY: the participant is only touched through atomics, and stays
+// alive while the guard lives (see `Participant`); the domain is `Sync`.
+unsafe impl Send for Guard<'_> {}
+unsafe impl Sync for Guard<'_> {}
+
+impl Guard<'_> {
     /// True if this guard pins `domain` — lets a structure that hands out
     /// epoch-protected references check that its caller holds the right
     /// pin.
@@ -607,24 +661,24 @@ impl Guard {
     /// assert!(g.pins(&a) && !g.pins(&b));
     /// ```
     pub fn pins(&self, domain: &Arc<EpochDomain>) -> bool {
-        Arc::ptr_eq(&self.domain, domain)
+        std::ptr::eq(self.domain, Arc::as_ptr(domain))
     }
 }
 
-impl std::fmt::Debug for Guard {
+impl std::fmt::Debug for Guard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Guard").finish_non_exhaustive()
     }
 }
 
-impl Drop for Guard {
+impl Drop for Guard<'_> {
     fn drop(&mut self) {
-        if self.participant.unpin_one() {
-            let n = self.participant.ops.fetch_add(1, Ordering::Relaxed) + 1;
-            if n.is_multiple_of(maintenance_interval()) {
-                self.domain.try_advance();
-                self.domain.collect();
-            }
+        // SAFETY: this guard's pin keeps the participant alive; `unpin`
+        // touches it only before the CAS that may drop that pin.
+        let due = unsafe { self.participant.as_ref() }.unpin(true);
+        if due {
+            self.domain.try_advance();
+            self.domain.collect();
         }
     }
 }
@@ -928,13 +982,38 @@ mod tests {
     fn guard_moved_across_threads_still_unpins_safely() {
         let d = EpochDomain::new();
         let g = d.pin();
-        let d2 = Arc::clone(&d);
-        std::thread::spawn(move || drop(g)).join().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || drop(g));
+        });
         // The origin thread can pin again and the clock moves normally.
         {
-            let _g = d2.pin();
-            assert!(d2.try_advance());
+            let _g = d.pin();
+            assert!(d.try_advance());
         }
-        assert!(d2.try_advance());
+        assert!(d.try_advance());
+    }
+
+    #[test]
+    fn a_moved_guard_keeps_its_participant_after_the_pinning_thread_exits() {
+        let d = EpochDomain::new();
+        let pinned_at = d.global_epoch();
+        // The scoped thread pins, hands its guard out and exits, taking
+        // its thread-local (the participant's other owner) with it.
+        let g = std::thread::scope(|s| s.spawn(|| d.pin()).join().unwrap());
+        assert_eq!(d.participants.lock().len(), 1);
+        assert!(d.try_advance()); // the guard is at the current epoch
+        for _ in 0..3 {
+            assert!(!d.try_advance(), "advanced two past a live guard");
+        }
+        assert_eq!(d.global_epoch(), pinned_at + 1);
+        assert_eq!(
+            d.participants.lock().len(),
+            1,
+            "pruned a pinned participant"
+        );
+        drop(g);
+        // The drop may run the maintenance step itself (FF_EPOCH_STRESS=1).
+        d.try_advance();
+        assert_eq!(d.participants.lock().len(), 0);
     }
 }

@@ -590,7 +590,7 @@ impl PmIndex for FpTree {
 /// next-leaf offset stays valid across an empty-leaf merge.
 struct FpChain<'a> {
     tree: &'a FpTree,
-    _pin: epoch::Guard,
+    _pin: epoch::Guard<'a>,
 }
 
 impl pmindex::chain::LeafChain for FpChain<'_> {

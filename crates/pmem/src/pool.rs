@@ -313,11 +313,56 @@ impl Pool {
         self.mark_dirty(off);
     }
 
-    /// Sets the dirty bit of the line containing `off`.
+    /// Sets the dirty bit of the line containing `off`, after a store to
+    /// it. It loads the bitmap word first and pays the atomic `fetch_or`
+    /// only when the line's bit is clear, so a store to an already-dirty
+    /// line — every store to a line after its first since a flush — does
+    /// no atomic read-modify-write. The load looks at this line's bit
+    /// only; the `fetch_or` and the flush's `fetch_and` stay RMWs, so
+    /// lines that share a bitmap word never lose each other's bits.
+    ///
+    /// *In crash mode* every logged store and every flush runs under the
+    /// crash log's event lock, so the load reads the bit exactly as the
+    /// `fetch_or` would have, and the log, the bits and every crash image
+    /// are what they were with an unconditional `fetch_or`.
+    ///
+    /// *Outside crash mode* the bitmap decides only whether a later flush
+    /// of the line is issued or coalesced. Suppose every store to the line
+    /// and every flush of it are ordered by happens-before: through the
+    /// node latch, a lock word's release/acquire, or a single writer per
+    /// lane. Then each flush's clear either happens before this load, which
+    /// therefore reads that clear or a later value (coherence), or happens
+    /// after this store. So a set bit seen here was set by a store since
+    /// the last clear, and the next flush, which follows this store,
+    /// finds it still set: the decision the `fetch_or` would have made.
+    /// A successful [`cas_u64`](Pool::cas_u64) is covered without that
+    /// premise: its RMW and this load are both `SeqCst`, so the load
+    /// cannot pass the CAS, and a flush whose clear it did not yet see
+    /// comes after the CAS in the single `SeqCst` order, as a `clflush`
+    /// issued after the store would on hardware.
+    ///
+    /// The one pattern the argument does not cover is an unlatched plain
+    /// store racing a flush of the same line on another thread: the load
+    /// may read a bit that the flush is about to clear, and that flush
+    /// is not ordered after the store as an acquire of our `fetch_or`
+    /// would have ordered it. No persistent store does this. FAST+FAIR,
+    /// wB+-tree and FP-tree store to a node under its latch or lock, or
+    /// before the node is published; the transaction journal, the shard
+    /// manifest and the catalog have one writer at a time; the skip list
+    /// publishes under its link lock and writes values with `cas_u64`.
+    /// The unlatched plain stores that remain are volatile words —
+    /// lock-word and seqlock releases and skip-list express lanes
+    /// ([`store_u64_volatile`](Pool::store_u64_volatile)), and the
+    /// allocator cursor — whose contents recovery resets, rebuilds or
+    /// treats as failure-atomic, so no flush has to cover them.
     #[inline]
     fn mark_dirty(&self, off: PmOffset) {
         let line = (off as usize) / CACHE_LINE;
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::AcqRel);
+        let word = &self.dirty[line / 64];
+        let bit = 1 << (line % 64);
+        if word.load(Ordering::SeqCst) & bit == 0 {
+            word.fetch_or(bit, Ordering::SeqCst);
+        }
     }
 
     /// Clears the dirty bit of `line` (a line-aligned offset); returns
@@ -326,7 +371,7 @@ impl Pool {
     fn test_and_clear_dirty(&self, line: u64) -> bool {
         let idx = (line as usize) / CACHE_LINE;
         let mask = 1u64 << (idx % 64);
-        self.dirty[idx / 64].fetch_and(!mask, Ordering::AcqRel) & mask != 0
+        self.dirty[idx / 64].fetch_and(!mask, Ordering::SeqCst) & mask != 0
     }
 
     #[inline]
@@ -339,6 +384,11 @@ impl Pool {
     /// This is *the* primitive of the paper: every FAST/FAIR mutation is a
     /// sequence of these, ordered by TSO (or explicit fences) and made
     /// durable by [`flush_line`](Pool::flush_line).
+    ///
+    /// A store to a line that is already dirty does no atomic
+    /// read-modify-write on the dirty bitmap: its bit is set only when it
+    /// is clear (`mark_dirty` holds the argument for why that is safe).
+    /// In crash mode the store still takes the crash log's event lock.
     #[inline]
     pub fn store_u64(&self, off: PmOffset, val: u64) {
         match &self.crash {
@@ -366,13 +416,15 @@ impl Pool {
     /// 8-byte compare-and-swap; returns the previous value on failure.
     ///
     /// Used by the lock-free persistent skip list baseline. The store is
-    /// recorded in the crash log on success.
+    /// recorded in the crash log on success. The CAS is `SeqCst`, which is
+    /// what lets its dirty bit skip the RMW when already set (see
+    /// `mark_dirty`).
     #[inline]
     pub fn cas_u64(&self, off: PmOffset, current: u64, new: u64) -> Result<u64, u64> {
         let cas = || {
             let r =
                 self.atom(off)
-                    .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
+                    .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst);
             if r.is_ok() {
                 self.mark_dirty(off);
             }
@@ -789,6 +841,74 @@ mod tests {
         assert_eq!(stats::take(), stats::Snapshot::default());
         assert_eq!(p.crash_log().unwrap().len(), events);
         assert_eq!(p.volatile_image(), image);
+    }
+
+    /// A store to a dirty line skips the `fetch_or`; the flush decisions
+    /// must be exactly those of an unconditional one.
+    #[test]
+    fn stores_to_a_dirty_line_keep_exactly_one_flush() {
+        let p = small_pool();
+        // Two adjacent lines at the start of a bitmap word (64 lines).
+        let a = p.alloc(4096, 4096).unwrap();
+        let b = a + CACHE_LINE as u64;
+        let counts = || {
+            let s = stats::snapshot();
+            (s.flushes, s.flushes_coalesced)
+        };
+        stats::reset();
+        p.store_u64(a, 1);
+        p.store_u64(a + 8, 2);
+        p.persist(a, 8);
+        assert_eq!(counts(), (1, 0));
+        p.persist(a, 8);
+        assert_eq!(counts(), (1, 1));
+        p.store_u64(a + 16, 3);
+        p.persist(a, 8);
+        assert_eq!(counts(), (2, 1));
+        // Lines sharing one bitmap word keep separate bits.
+        p.store_u64(a, 4);
+        p.store_u64(b, 5);
+        p.store_u64(b + 8, 6);
+        p.persist(a, 8);
+        assert_eq!(counts(), (3, 1));
+        p.persist(b, 8);
+        assert_eq!(counts(), (4, 1));
+        p.persist(a, 8);
+        p.persist(b, 8);
+        assert_eq!(counts(), (4, 3));
+    }
+
+    /// Stores and flushes of one line ordered by a latch: every round's
+    /// flush finds the bit its own store set, whichever thread flushed
+    /// last.
+    #[test]
+    fn latched_same_line_stores_and_flushes_count_exactly() {
+        const ROUNDS: u64 = 100_000;
+        let p = small_pool();
+        let off = p.alloc(64, 64).unwrap();
+        let latch = Mutex::new(());
+        let start = std::sync::Barrier::new(2);
+        let per_thread: Vec<stats::Snapshot> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let (p, latch, start) = (&p, &latch, &start);
+                    s.spawn(move || {
+                        stats::reset();
+                        start.wait();
+                        for i in 0..ROUNDS {
+                            let _held = latch.lock();
+                            p.store_u64(off + 8 * t, i);
+                            p.persist(off, 8);
+                        }
+                        stats::take()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let issued: u64 = per_thread.iter().map(|s| s.flushes).sum();
+        let coalesced: u64 = per_thread.iter().map(|s| s.flushes_coalesced).sum();
+        assert_eq!((issued, coalesced), (2 * ROUNDS, 0));
     }
 
     #[test]

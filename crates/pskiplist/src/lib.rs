@@ -288,7 +288,7 @@ pub struct SkipCursor<'a> {
     /// A reverse scan has moved below the smallest key.
     done: bool,
     /// Keeps retired nodes out of the free list while this cursor lives.
-    _pin: epoch::Guard,
+    _pin: epoch::Guard<'a>,
 }
 
 impl Cursor for SkipCursor<'_> {

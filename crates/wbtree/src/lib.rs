@@ -550,7 +550,7 @@ impl WbTree {
 /// the retired block cannot be recycled until this cursor drops.
 struct WbChain<'a> {
     tree: &'a WbTree,
-    _pin: epoch::Guard,
+    _pin: epoch::Guard<'a>,
 }
 
 impl pmindex::chain::LeafChain for WbChain<'_> {
