@@ -993,6 +993,47 @@ mod tests {
         assert!(d.try_advance());
     }
 
+    /// Guards handed out by threads that then exit, while another thread
+    /// advances the clock and prunes as fast as it can: no guard's
+    /// participant may be pruned under it, and the clock never runs two
+    /// epochs past a live guard.
+    #[test]
+    fn moved_guards_hold_the_clock_while_a_racing_advancer_prunes() {
+        let d = EpochDomain::new();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let mut ran_past = false;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    d.try_advance();
+                }
+            });
+            // No assert in here: a panic would wait forever on the advancer.
+            'guards: for _ in 0..64 {
+                // The epoch read after the pin is at least the guard's.
+                let (g, seen) = s
+                    .spawn(|| {
+                        let g = d.pin();
+                        let seen = d.global_epoch();
+                        (g, seen)
+                    })
+                    .join()
+                    .unwrap();
+                for _ in 0..100 {
+                    if d.global_epoch() > seen + 1 {
+                        ran_past = true;
+                        break 'guards;
+                    }
+                }
+                drop(g);
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert!(!ran_past, "the clock ran two epochs past a live guard");
+        d.try_advance();
+        assert_eq!(d.participants.lock().len(), 0);
+    }
+
     #[test]
     fn a_moved_guard_keeps_its_participant_after_the_pinning_thread_exits() {
         let d = EpochDomain::new();
