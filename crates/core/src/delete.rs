@@ -72,7 +72,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
             Some(pin) => tree.locate_leaf(key, pin),
             None => (tree.find_leaf(key), false),
         });
-        let mut guard = WriteGuard::lock(&tree.pool, tree.node(off).lock_word_off());
+        let mut guard = WriteGuard::lock(tree.latch(off));
         let mut node = tree.node(off);
         let mut hops = 0;
         loop {
@@ -87,7 +87,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
             match node.right_of(key) {
                 Some(sib) => {
                     let right = tree.visit(sib, 0);
-                    let next = WriteGuard::lock(&tree.pool, right.lock_word_off());
+                    let next = WriteGuard::lock(tree.latch(right.offset()));
                     guard.unlock();
                     guard = next;
                     node = right;

@@ -108,7 +108,7 @@ fn write_entry(
         };
 
         // Phase 2: lock, repair leftovers, move right as needed.
-        let mut guard = WriteGuard::lock(&tree.pool, tree.node(off).lock_word_off());
+        let mut guard = WriteGuard::lock(tree.latch(off));
         let mut node = tree.node(off);
         // The last node reached through a sibling pointer, with its lower
         // bound: the high key of the node the writer moved right from.
@@ -129,7 +129,7 @@ fn write_entry(
                 Some(sib) => {
                     // Hand-over-hand to the right (B-link).
                     let right = tree.visit(sib, level);
-                    let next = WriteGuard::lock(&tree.pool, right.lock_word_off());
+                    let next = WriteGuard::lock(tree.latch(right.offset()));
                     redirected = Some((sib, node.high_key()));
                     guard.unlock();
                     guard = next;

@@ -14,7 +14,9 @@
 //!  32     count_hint      (writer-maintained entry count; advisory only —
 //!                          correctness always re-derives from the
 //!                          NULL-pointer terminator)
-//!  40     lock_word       (volatile embedded RW spin lock; reset on open)
+//!  40     reserved        (never written, ignored on open: a pool written
+//!                          by an earlier version may hold a latch bit
+//!                          here; latches are handle state, see `lock`)
 //!  48     reserved        (always 0; once the seal of removed leaf
 //!                          fingerprints)
 //!  56     high_key        (exclusive upper bound of the node's key range;
@@ -89,8 +91,6 @@ const SIBLING_OFF: u64 = 8;
 const SWITCH_OFF: u64 = 16;
 const LEVEL_OFF: u64 = 24;
 const COUNT_OFF: u64 = 32;
-/// Offset of the volatile lock word within a node header.
-pub const LOCK_OFF: u64 = 40;
 const HIGH_KEY_OFF: u64 = 56;
 
 const DELETED_BIT: u64 = 1 << 32;
@@ -280,11 +280,6 @@ impl<'a> NodeRef<'a> {
     /// Stores the count hint.
     pub fn set_count_hint(&self, v: u16) {
         self.pool.store_u64(self.off + COUNT_OFF, u64::from(v));
-    }
-
-    /// Pool offset of the embedded lock word.
-    pub fn lock_word_off(&self) -> PmOffset {
-        self.off + LOCK_OFF
     }
 
     // ---- records ---------------------------------------------------------

@@ -59,7 +59,7 @@ mod delete;
 mod hint;
 mod insert;
 pub mod layout;
-pub mod lock;
+mod lock;
 mod merge;
 mod recovery;
 mod scan;

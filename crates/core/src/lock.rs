@@ -1,84 +1,66 @@
-//! Embedded per-node reader-writer spin lock.
+//! Per-node reader-writer spin latches, held in DRAM by the tree handle.
 //!
 //! The paper's implementation guards each node with a `std::mutex` for
 //! writers; readers are lock-free by default, or take *leaf read locks* in
-//! the serializable `FAST+FAIR+LeafLock` variant (§4.1, Fig. 7). We embed a
-//! word-sized RW spin lock in the node header. The lock word is volatile
-//! state: it is never flushed, never crash-logged, and is reset when a pool
-//! is reopened (see `recovery`).
+//! the serializable `FAST+FAIR+LeafLock` variant (§4.1, Fig. 7). A latch
+//! here is one `AtomicU32` of the handle's latch table
+//! ([`FastFairTree`](crate::FastFairTree) owns it, one word per
+//! `node_size` slot of the pool), and the superblock's latch is a handle
+//! field. A latch is DRAM state, as the paper's mutex is: no store to it
+//! reaches the pool, so no crash image can hold one, and a reopened tree
+//! starts with every latch free. Header word 40 is reserved: never
+//! written, and ignored on open, since a pool written by an earlier
+//! version may hold a latch bit there.
 //!
-//! Layout of the lock word: bit 63 = writer held; bits 0..62 = reader count.
+//! Layout of a latch: bit 31 = writer held; bits 0..30 = reader count.
 
-use pmem::{PmOffset, Pool};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-const WRITER: u64 = 1 << 63;
+const WRITER: u32 = 1 << 31;
 
-/// Acquires the write lock at `off`, spinning until free.
-pub fn lock_write(pool: &Pool, off: PmOffset) {
-    loop {
-        if pool.cas_u64_volatile(off, 0, WRITER).is_ok() {
-            return;
-        }
-        while pool.load_u64(off) != 0 {
-            std::hint::spin_loop();
-        }
-    }
+/// A zeroed latch for every `node_size`-byte slot of a pool of
+/// `pool_size` bytes. A node at offset `off` takes slot
+/// `off / node_size`: two live nodes of one tree never overlap, so they
+/// never share a slot.
+pub(crate) fn latch_table(pool_size: u64, node_size: u32) -> Box<[AtomicU32]> {
+    let slots = (pool_size / u64::from(node_size)) as usize;
+    // SAFETY: an all-zero `AtomicU32` is a valid free latch. A zeroed
+    // allocation costs no per-slot work, which every `open` would pay.
+    unsafe { Box::new_zeroed_slice(slots).assume_init() }
 }
 
-/// Tries once to acquire the write lock; returns `true` on success.
-pub fn try_lock_write(pool: &Pool, off: PmOffset) -> bool {
-    pool.cas_u64_volatile(off, 0, WRITER).is_ok()
+fn try_lock_write(latch: &AtomicU32) -> bool {
+    latch
+        .compare_exchange_weak(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
+        .is_ok()
 }
 
-/// Releases the write lock.
-pub fn unlock_write(pool: &Pool, off: PmOffset) {
-    debug_assert_eq!(pool.load_u64(off) & WRITER, WRITER);
-    pool.store_u64_volatile(off, 0);
-}
-
-/// Acquires a shared read lock (used only by the LeafLock variant).
-pub fn lock_read(pool: &Pool, off: PmOffset) {
-    loop {
-        let w = pool.load_u64(off);
-        if w & WRITER == 0 && pool.cas_u64_volatile(off, w, w + 1).is_ok() {
-            return;
-        }
-        std::hint::spin_loop();
-    }
-}
-
-/// Releases a shared read lock.
-pub fn unlock_read(pool: &Pool, off: PmOffset) {
-    let prev = pool.fetch_sub_u64_volatile(off, 1);
-    debug_assert!(prev & !WRITER > 0, "read-unlock without lock");
-}
-
-/// RAII guard for a node write lock.
-pub struct WriteGuard<'a> {
-    pool: &'a Pool,
-    off: PmOffset,
+/// RAII guard for a node write latch.
+pub(crate) struct WriteGuard<'a> {
+    latch: &'a AtomicU32,
     armed: bool,
 }
 
 impl<'a> WriteGuard<'a> {
-    /// Acquires the write lock at `off`.
-    pub fn lock(pool: &'a Pool, off: PmOffset) -> Self {
-        lock_write(pool, off);
-        WriteGuard {
-            pool,
-            off,
-            armed: true,
+    /// Acquires the write latch, spinning until it is free.
+    pub(crate) fn lock(latch: &'a AtomicU32) -> Self {
+        while !try_lock_write(latch) {
+            while latch.load(Ordering::Relaxed) != 0 {
+                std::hint::spin_loop();
+            }
         }
+        WriteGuard { latch, armed: true }
     }
 
-    /// Releases the lock early (before drop).
-    pub fn unlock(mut self) {
+    /// Releases the latch early (before drop).
+    pub(crate) fn unlock(mut self) {
         self.release();
     }
 
     fn release(&mut self) {
         if self.armed {
-            unlock_write(self.pool, self.off);
+            debug_assert_eq!(self.latch.load(Ordering::Relaxed), WRITER);
+            self.latch.store(0, Ordering::Release);
             self.armed = false;
         }
     }
@@ -90,106 +72,127 @@ impl Drop for WriteGuard<'_> {
     }
 }
 
-/// RAII guard for a node read lock.
-pub struct ReadGuard<'a> {
-    pool: &'a Pool,
-    off: PmOffset,
+/// RAII guard for a shared leaf read latch (the LeafLock variant only).
+pub(crate) struct ReadGuard<'a> {
+    latch: &'a AtomicU32,
 }
 
 impl<'a> ReadGuard<'a> {
-    /// Acquires a read lock at `off`.
-    pub fn lock(pool: &'a Pool, off: PmOffset) -> Self {
-        lock_read(pool, off);
-        ReadGuard { pool, off }
+    /// Acquires a read latch, spinning while a writer holds it.
+    pub(crate) fn lock(latch: &'a AtomicU32) -> Self {
+        loop {
+            let w = latch.load(Ordering::Relaxed);
+            if w & WRITER == 0
+                && latch
+                    .compare_exchange_weak(w, w + 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return ReadGuard { latch };
+            }
+            std::hint::spin_loop();
+        }
     }
 }
 
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
-        unlock_read(self.pool, self.off);
+        let prev = self.latch.fetch_sub(1, Ordering::Release);
+        debug_assert!(prev & !WRITER > 0, "read-unlock without lock");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::PoolConfig;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::{FastFairTree, TreeOptions};
+    use pmem::{Pool, PoolConfig};
+    use pmindex::PmIndex;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    fn pool() -> Arc<Pool> {
-        Arc::new(Pool::new(PoolConfig::new().size(1 << 16)).unwrap())
+    /// `try_lock_write`, retried past a weak CAS's spurious failures: false
+    /// only if the latch is held.
+    fn lockable(latch: &AtomicU32) -> bool {
+        let free = (0..64).any(|_| try_lock_write(latch));
+        if free {
+            latch.store(0, Ordering::Release);
+        }
+        free
     }
 
     #[test]
     fn write_lock_excludes_writers() {
-        let p = pool();
-        let off = p.alloc(8, 8).unwrap();
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let p = Arc::clone(&p);
-            let c = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    let _g = WriteGuard::lock(&p, off);
-                    // Non-atomic-looking RMW protected by the lock.
-                    let v = c.load(Ordering::Relaxed);
-                    c.store(v + 1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let latch = AtomicU32::new(0);
+        let counter = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        let _g = WriteGuard::lock(&latch);
+                        // Non-atomic-looking RMW protected by the latch.
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 4000);
-        assert_eq!(p.load_u64(off), 0, "lock word released");
+        assert_eq!(latch.load(Ordering::Relaxed), 0, "latch released");
     }
 
     #[test]
     fn readers_share_writers_exclude() {
-        let p = pool();
-        let off = p.alloc(8, 8).unwrap();
-        lock_read(&p, off);
-        lock_read(&p, off);
-        assert!(!try_lock_write(&p, off));
-        unlock_read(&p, off);
-        assert!(!try_lock_write(&p, off));
-        unlock_read(&p, off);
-        assert!(try_lock_write(&p, off));
-        unlock_write(&p, off);
+        let latch = AtomicU32::new(0);
+        let r1 = ReadGuard::lock(&latch);
+        let r2 = ReadGuard::lock(&latch);
+        assert!(!lockable(&latch));
+        drop(r1);
+        assert!(!lockable(&latch));
+        drop(r2);
+        assert!(lockable(&latch));
     }
 
     #[test]
     fn guard_releases_on_drop() {
-        let p = pool();
-        let off = p.alloc(8, 8).unwrap();
+        let latch = AtomicU32::new(0);
         {
-            let _g = WriteGuard::lock(&p, off);
-            assert!(!try_lock_write(&p, off));
+            let _g = WriteGuard::lock(&latch);
+            assert!(!lockable(&latch));
         }
-        assert!(try_lock_write(&p, off));
-        unlock_write(&p, off);
+        assert!(lockable(&latch));
     }
 
     #[test]
     fn explicit_unlock_consumes_guard() {
-        let p = pool();
-        let off = p.alloc(8, 8).unwrap();
-        let g = WriteGuard::lock(&p, off);
+        let latch = AtomicU32::new(0);
+        let g = WriteGuard::lock(&latch);
         g.unlock();
-        assert!(try_lock_write(&p, off));
+        assert!(lockable(&latch));
     }
 
+    /// A latch round trip writes nothing to the pool: the crash log, the
+    /// image and the header line's dirty bit are what they were, so a flush
+    /// of the clean header line right after it is coalesced.
     #[test]
-    fn lock_word_not_in_crash_log() {
-        let p = Pool::new(PoolConfig::new().size(1 << 16).crash_log(true)).unwrap();
-        let off = p.alloc(8, 8).unwrap();
-        let before = p.crash_log().unwrap().len();
-        lock_write(&p, off);
-        unlock_write(&p, off);
-        lock_read(&p, off);
-        unlock_read(&p, off);
-        assert_eq!(p.crash_log().unwrap().len(), before);
+    fn a_latch_round_trip_leaves_the_pool_untouched() {
+        let p = Arc::new(Pool::new(PoolConfig::new().size(1 << 16).crash_log(true)).unwrap());
+        let t = FastFairTree::create(Arc::clone(&p), TreeOptions::new().node_size(256)).unwrap();
+        t.insert(7, 70).unwrap();
+        let leaf = t.find_leaf(7);
+        p.flush_line(leaf);
+        p.sfence();
+        let (events, image) = (p.crash_log().unwrap().len(), p.volatile_image());
+        drop(WriteGuard::lock(t.latch(leaf)));
+        drop(ReadGuard::lock(t.latch(leaf)));
+        drop(WriteGuard::lock(&t.meta_latch));
+        assert_eq!(p.crash_log().unwrap().len(), events);
+        assert!(p.volatile_image() == image, "a latch wrote to the pool");
+        let coalesced = pmem::stats::snapshot().flushes_coalesced;
+        p.flush_line(leaf);
+        assert_eq!(
+            pmem::stats::snapshot().flushes_coalesced,
+            coalesced + 1,
+            "the header line was dirtied"
+        );
     }
 }

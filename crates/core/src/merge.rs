@@ -52,7 +52,7 @@ impl FastFairTree {
         let Some(parent_off) = self.descend_to_parent(probe_key) else {
             return;
         };
-        let parent_guard = WriteGuard::lock(&self.pool, self.node(parent_off).lock_word_off());
+        let parent_guard = WriteGuard::lock(self.latch(parent_off));
         let parent = self.node(parent_off);
         if parent.is_deleted() || parent.level() != 1 {
             return; // tree changed shape under us; give up quietly
@@ -78,8 +78,8 @@ impl FastFairTree {
         debug_assert_ne!(left_off, node_off, "node routed twice");
 
         // Lock left-to-right, as all writers do.
-        let left_guard = WriteGuard::lock(&self.pool, self.node(left_off).lock_word_off());
-        let node_guard = WriteGuard::lock(&self.pool, self.node(node_off).lock_word_off());
+        let left_guard = WriteGuard::lock(self.latch(left_off));
+        let node_guard = WriteGuard::lock(self.latch(node_off));
         let left = self.node(left_off);
         let node = self.node(node_off);
         // Re-verify every precondition under the locks.

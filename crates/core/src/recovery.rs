@@ -5,7 +5,8 @@
 //! lazily. [`FastFairTree::recover`] is the *eager* version of that lazy
 //! repair, useful right after a crash to reclaim garbage slots, finish
 //! half-done splits and re-attach dangling siblings in one sweep; it also
-//! resets the volatile lock words and recomputes count hints.
+//! recomputes count hints. It has no latch to reset: latches are DRAM
+//! state of the handle, and a reopened handle starts with all of them free.
 //!
 //! [`FastFairTree::check_consistency`] is the test oracle: it walks the
 //! whole structure and verifies the B+-tree invariants, in either *strict*
@@ -150,7 +151,7 @@ impl FastFairTree {
     }
 
     /// Eagerly repairs every transient artifact a crash may have left:
-    /// resets lock words, rolls back the undo log (logging strategy),
+    /// rolls back the undo log (logging strategy),
     /// completes truncations, compacts garbage entries, re-attaches
     /// dangling siblings and grows the root over a split root.
     ///
@@ -167,9 +168,6 @@ impl FastFairTree {
             self.undo_log_rollback()?;
             report.log_rollbacks = 1;
         }
-        // Reset the superblock lock word.
-        self.pool
-            .store_u64_volatile(self.meta + crate::tree::META_LOCK, 0);
 
         // Grow the root while it has a sibling (a crash can interrupt a
         // root split before the new root is published), once its high key
@@ -179,9 +177,7 @@ impl FastFairTree {
             if root.sibling() == NULL_OFFSET {
                 break;
             }
-            // Reset the lock word before locking through the normal path.
-            self.pool.store_u64_volatile(root.lock_word_off(), 0);
-            let guard = WriteGuard::lock(&self.pool, root.lock_word_off());
+            let guard = WriteGuard::lock(self.latch(root.offset()));
             if crate::delete::repair_node_locked(self, root) {
                 report.splits_completed += 1;
             }
@@ -198,8 +194,7 @@ impl FastFairTree {
             for &off in &chain {
                 report.nodes_visited += 1;
                 let node = self.node(off);
-                self.pool.store_u64_volatile(node.lock_word_off(), 0);
-                let guard = WriteGuard::lock(&self.pool, node.lock_word_off());
+                let guard = WriteGuard::lock(self.latch(node.offset()));
                 let before_garbage = count_garbage(node);
                 if crate::delete::repair_node_locked(self, node) {
                     report.splits_completed += 1;

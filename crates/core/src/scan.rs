@@ -66,7 +66,7 @@ impl LeafChain for TreeChain<'_> {
     fn read(&self, off: PmOffset, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
         let leaf = self.tree.node(off);
         let entries = if self.tree.options().leaf_locks {
-            let _g = ReadGuard::lock(self.tree.pool(), leaf.lock_word_off());
+            let _g = ReadGuard::lock(self.tree.latch(off));
             read_entries(self.tree, leaf)
         } else {
             read_entries(self.tree, leaf)

@@ -24,8 +24,8 @@ use pmindex::{IndexError, Key, Value};
 
 use crate::insert::{fast_insert_locked, insert_entry};
 use crate::layout::NodeRef;
-use crate::lock::{lock_write, unlock_write, WriteGuard};
-use crate::tree::{FastFairTree, SplitStrategy, LOG_AREA, META_LOCK, META_LOG_HEAD};
+use crate::lock::WriteGuard;
+use crate::tree::{FastFairTree, SplitStrategy, LOG_AREA, META_LOG_HEAD};
 
 /// A freshly linked right sibling: its offset, the separator key, and its
 /// latch — taken before the link made it reachable.
@@ -59,7 +59,7 @@ fn build_and_link_sibling<'a>(
     // but a lock-free reader can find a key in it the moment it is linked
     // and leave a leaf hint, and a hinted writer latches that leaf
     // directly: hold the sibling's latch until the pending insert is in.
-    let guard = WriteGuard::lock(pool, sib.lock_word_off());
+    let guard = WriteGuard::lock(tree.latch(sib_off));
     if level == 0 {
         let mut j = 0u16;
         for i in median..cnt {
@@ -179,8 +179,8 @@ pub(crate) fn logging_split_insert(
     let level = node.level();
     let node_off = node.offset();
 
-    // One log buffer per tree, serialized by the superblock lock word.
-    lock_write(pool, tree.meta + META_LOCK);
+    // One log buffer per tree, serialized by the superblock latch.
+    let meta_guard = WriteGuard::lock(&tree.meta_latch);
     let area = tree.meta + LOG_AREA;
     pool.store_u64(area, node_off);
     let words = u64::from(tree.node_size) / 8;
@@ -191,13 +191,12 @@ pub(crate) fn logging_split_insert(
     CommitCell::at(tree.meta + META_LOG_HEAD).publish(pool, node_off);
 
     // Guarded by the undo log, the split needs no ordered persists.
-    // (On allocation failure the log head must be rolled back and the
-    // superblock lock released before the error propagates.)
+    // (On allocation failure the log head must be rolled back before the
+    // error propagates.)
     let sibling = match build_and_link_sibling(tree, node, false) {
         Ok(sibling) => sibling,
         Err(e) => {
             CommitCell::at(tree.meta + META_LOG_HEAD).publish(pool, 0);
-            unlock_write(pool, tree.meta + META_LOCK);
             return Err(e);
         }
     };
@@ -206,7 +205,7 @@ pub(crate) fn logging_split_insert(
     pool.persist(node_off, u64::from(tree.node_size));
 
     CommitCell::at(tree.meta + META_LOG_HEAD).publish(pool, 0);
-    unlock_write(pool, tree.meta + META_LOCK);
+    meta_guard.unlock();
 
     insert_pending_and_unlock(tree, node, guard, sibling, key, value);
     insert_entry(tree, level + 1, split_key, sib_off)
@@ -214,7 +213,7 @@ pub(crate) fn logging_split_insert(
 
 /// Creates a new root at `new_level` with the current root as leftmost
 /// child and `(key, right)` as its single record. Racing growers are
-/// serialized by the superblock lock; the loser re-routes through the
+/// serialized by the superblock latch; the loser re-routes through the
 /// normal insert path.
 pub(crate) fn grow_root(
     tree: &FastFairTree,
@@ -223,23 +222,16 @@ pub(crate) fn grow_root(
     right: PmOffset,
 ) -> Result<(), IndexError> {
     let pool = &tree.pool;
-    lock_write(pool, tree.meta + META_LOCK);
+    let meta_guard = WriteGuard::lock(&tree.meta_latch);
     let root_off = tree.root();
     let root = tree.node(root_off);
     if root.level() >= new_level {
         // Another thread grew the tree first; take the ordinary path.
-        unlock_write(pool, tree.meta + META_LOCK);
+        meta_guard.unlock();
         return insert_entry(tree, new_level, key, right);
     }
     debug_assert_eq!(root.level() + 1, new_level);
-    let nr_off = match pool.alloc(u64::from(tree.node_size), 64) {
-        Ok(off) => off,
-        Err(e) => {
-            // Don't leak the superblock lock on pool exhaustion.
-            unlock_write(pool, tree.meta + META_LOCK);
-            return Err(e.into());
-        }
-    };
+    let nr_off = pool.alloc(u64::from(tree.node_size), 64)?;
     let nr = tree.node(nr_off);
     nr.init(new_level);
     nr.set_leftmost(root_off);
@@ -248,7 +240,6 @@ pub(crate) fn grow_root(
     nr.set_count_hint(1);
     pool.persist(nr_off, u64::from(tree.node_size));
     tree.root_cell().publish(pool, nr_off);
-    unlock_write(pool, tree.meta + META_LOCK);
     Ok(())
 }
 
@@ -303,8 +294,6 @@ impl FastFairTree {
         for w in 0..len / 8 {
             pool.store_u64(head + w * 8, pool.load_u64(area + 8 + w * 8));
         }
-        // The lock word inside the restored image is volatile state.
-        pool.store_u64_volatile(head + crate::layout::LOCK_OFF, 0);
         pool.persist(head, len);
         CommitCell::at(self.meta + META_LOG_HEAD).publish(pool, 0);
         Ok(())

@@ -1172,27 +1172,88 @@ fn readers_never_miss_a_key_being_overwritten_in_place() {
 /// a search that took the latch would spin here forever.
 #[test]
 fn search_reads_through_a_write_latched_leaf() {
-    let (p, t) = small_tree();
+    let (_p, t) = small_tree();
     for k in 1..=2_000u64 {
         t.insert(k, value_for(k)).unwrap();
     }
     let k = 1_000;
-    let latch = t.node(t.find_leaf(k)).lock_word_off();
+    let latch = t.latch(t.find_leaf(k));
     let latched_read = || {
-        crate::lock::lock_write(&p, latch);
-        let seen = directed(|| {
+        let _held = crate::lock::WriteGuard::lock(latch);
+        directed(|| {
             assert_eq!(t.get(k), Some(value_for(k)));
             let mut c = t.cursor();
             c.seek(k);
             assert_eq!(c.next(), Some((k, value_for(k))));
-        });
-        crate::lock::unlock_write(&p, latch);
-        seen
+        })
     };
     assert_eq!(latched_read(), (2, 0), "by descent");
     rebuild(&t);
     assert_eq!(latched_read(), (2, 2), "through the directory");
     t.check_consistency(true).unwrap();
+}
+
+// ---- latches are handle state -----------------------------------------------
+//
+// The product reopens a tree with `open` alone; nothing resets a latch on
+// that path, so a latch a crash image could hold would wedge the first
+// writer that needs it. Each test takes an image while a latch is held,
+// also sets header word 40 (where a pool written with latches in PM kept
+// them) to a held writer latch, reopens without `recover`, and writes.
+
+/// Sets word 40 of the header at `off` in `img` to a held writer latch of
+/// the layout that kept latches in PM.
+fn set_word_40(img: &mut [u8], off: u64) {
+    let at = (off + 40) as usize;
+    img[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+}
+
+/// Opens `img` as the product does, without `recover`, inserts `keys`
+/// and reads them back, failing if that hangs.
+fn reopen_and_insert(img: &[u8], meta: u64, keys: Vec<u64>) -> Arc<FastFairTree> {
+    let p = Arc::new(Pool::from_image(img, PoolConfig::new().size(img.len())).unwrap());
+    let t = Arc::new(FastFairTree::open(p, meta, TreeOptions::new()).unwrap());
+    let writer = Arc::clone(&t);
+    pmindex::workload::within(move || {
+        for k in keys {
+            writer.insert(k, value_for(k)).unwrap();
+            assert_eq!(writer.get(k), Some(value_for(k)));
+        }
+    })
+    .expect("insert after reopen: did not finish");
+    t.check_consistency(false).unwrap();
+    t
+}
+
+#[test]
+fn an_image_taken_while_a_leaf_latch_is_held_reopens_writable() {
+    let (p, t) = small_tree();
+    for k in 1..=2_000u64 {
+        t.insert(k * 2, value_for(k * 2)).unwrap();
+    }
+    let leaf = t.find_leaf(2_001);
+    let held = crate::lock::WriteGuard::lock(t.latch(leaf));
+    let mut img = p.volatile_image();
+    drop(held);
+    set_word_40(&mut img, leaf);
+    let t2 = reopen_and_insert(&img, t.meta_offset(), vec![2_001, 1_999]);
+    assert_eq!(t2.len(), 2_002);
+}
+
+#[test]
+fn an_image_taken_while_the_root_growth_latch_is_held_reopens_writable() {
+    let p = pool(1);
+    let t = tree_with(&p, TreeOptions::new().node_size(256));
+    for k in 1..=9u64 {
+        t.insert(k * 10, value_for(k * 10)).unwrap();
+    }
+    assert_eq!(t.height(), 0);
+    let held = crate::lock::WriteGuard::lock(&t.meta_latch);
+    let mut img = p.volatile_image();
+    drop(held);
+    set_word_40(&mut img, t.meta_offset());
+    let t2 = reopen_and_insert(&img, t.meta_offset(), (1..=9).map(|k| k * 10 + 5).collect());
+    assert_eq!(t2.height(), 1, "the inserts grew the root");
 }
 
 // ---- leaf directory ---------------------------------------------------------

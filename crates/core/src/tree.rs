@@ -22,7 +22,10 @@
 //!                                 high key in header word 56 — a tree
 //!                                 without it is rejected on open)
 //! 32  log head                   (logging variant: node being split, 0 = idle)
-//! 40  lock word                  (volatile; serializes root growth)
+//! 40  reserved                   (never written, ignored on open: a
+//!                                 pool written by an earlier version may
+//!                                 hold a latch bit here; the root-growth
+//!                                 latch is handle state)
 //! 48  retired                    (held the logging variant's undo-area
 //!                                 offset; must read 0)
 //! 56  reserved
@@ -32,6 +35,7 @@
 //! image — follows its superblock in the same allocation, at byte 64, so
 //! no stored word can point it elsewhere.
 
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 use epoch::EpochDomain;
@@ -40,7 +44,7 @@ use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
 use crate::hint::LeafDirectory;
 use crate::layout::{capacity, is_cold, node_size_fits, NodeRef};
-use crate::lock::ReadGuard;
+use crate::lock::{latch_table, ReadGuard};
 use crate::scan::TreeCursor;
 
 pub(crate) const META_MAGIC: u64 = 0x4641_4952_5452_4545; // "FAIRTREE"
@@ -49,7 +53,6 @@ pub(crate) const META_ROOT: u64 = 8;
 pub(crate) const META_NODE_SIZE: u64 = 16;
 pub(crate) const META_STRATEGY: u64 = 24;
 pub(crate) const META_LOG_HEAD: u64 = 32;
-pub(crate) const META_LOCK: u64 = 40;
 const META_RETIRED: u64 = 48;
 /// A logging tree's undo area, relative to its superblock.
 pub(crate) const LOG_AREA: u64 = 64;
@@ -163,6 +166,11 @@ impl Default for TreeOptions {
 /// [`FastFairTree::recover`] eagerly repairs any transient inconsistency a
 /// crash left behind.
 ///
+/// The latches, like the epoch domain and the leaf directory, belong to
+/// the handle, not to the pool: a tree's concurrent writers must share one
+/// handle. Two handles open on one tree at once do not exclude each
+/// other's writers.
+///
 /// # Example
 ///
 /// ```
@@ -196,6 +204,12 @@ pub struct FastFairTree {
     /// Volatile `key range → leaf` directory consulted before a descent
     /// (see [`crate::hint`]). Empty on every `create` / `open`.
     pub(crate) directory: LeafDirectory,
+    /// One node latch per `node_size` slot of the pool (see
+    /// [`crate::lock`]); [`latch`](Self::latch) maps a node to its own.
+    latches: Box<[AtomicU32]>,
+    /// The superblock's latch: serializes root growth, and a logging
+    /// tree's splits over its one undo area.
+    pub(crate) meta_latch: AtomicU32,
     name: &'static str,
 }
 
@@ -329,6 +343,7 @@ impl FastFairTree {
         };
         let epoch = EpochDomain::new();
         FastFairTree {
+            latches: latch_table(pool.size(), node_size),
             pool,
             meta,
             node_size,
@@ -336,6 +351,7 @@ impl FastFairTree {
             opts,
             directory: LeafDirectory::new(Arc::clone(&epoch)),
             epoch,
+            meta_latch: AtomicU32::new(0),
             name,
         }
     }
@@ -385,6 +401,12 @@ impl FastFairTree {
     /// Tree height: the root's level (0 = the tree is a single leaf).
     pub fn height(&self) -> u32 {
         self.node(self.root()).level()
+    }
+
+    /// The latch of the node at `off`.
+    #[inline]
+    pub(crate) fn latch(&self, off: PmOffset) -> &AtomicU32 {
+        &self.latches[(off / u64::from(self.node_size)) as usize]
     }
 
     /// Borrowed view of the node at `off`.
@@ -611,7 +633,7 @@ impl FastFairTree {
         let _guard = self
             .opts
             .leaf_locks
-            .then(|| ReadGuard::lock(&self.pool, leaf.lock_word_off()));
+            .then(|| ReadGuard::lock(self.latch(leaf.offset())));
         match self.opts.search {
             InNodeSearch::Linear => crate::search::leaf_search_linear(self, leaf, key),
             InNodeSearch::Binary => crate::search::leaf_search_binary(self, leaf, key),

@@ -16,6 +16,12 @@
 //!    allowed).
 //! 3. **Writers repair lazily / recovery is idempotent**: after
 //!    `recover()`, strict consistency holds and the data is unchanged.
+//! 4. **The product path keeps working**: a second copy of the image,
+//!    opened as a service reopens a tree — `open` alone, no `recover` —
+//!    re-runs the in-flight op, updates every key, inserts a neighbour of
+//!    each and deletes two of every three, and then agrees with the model
+//!    on tolerant consistency, every `get` and a full scan. Every image
+//!    runs it, under a timeout.
 //!
 //! The randomized parts of each sweep (pseudo-random eviction prefixes,
 //! generated key streams) are salted with `pmem::crash::env_seed()`
@@ -31,7 +37,9 @@ use pmem::{Pool, PoolConfig};
 use pmindex::workload::{generate_keys, value_for, KeyDist};
 use pmindex::PmIndex;
 
-const POOL_BYTES: usize = 8 << 20;
+/// Room for every sweep's tree many times over. Each image is copied into
+/// two pools of this size, so it sets most of a sweep's cost.
+const POOL_BYTES: usize = 1 << 20;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
@@ -45,6 +53,74 @@ enum Op {
 /// equally legal (odd, never 0 / `u64::MAX`).
 fn updated_value_for(k: u64) -> u64 {
     value_for(k ^ 0x00ff_00ff_00ff_00ff)
+}
+
+/// Applies `op` to `tree` and to `model`.
+fn apply(tree: &FastFairTree, model: &mut BTreeMap<u64, u64>, op: Op) {
+    match op {
+        Op::Insert(k) => {
+            tree.insert(k, value_for(k)).unwrap();
+            model.insert(k, value_for(k));
+        }
+        Op::Delete(k) => {
+            tree.remove(k);
+            model.remove(&k);
+        }
+        Op::Update(k) => {
+            assert!(tree.update(k, updated_value_for(k)).unwrap().is_some());
+            model.insert(k, updated_value_for(k));
+        }
+    }
+}
+
+/// Check 4: opens a copy of `img` without recovering it, lets `rerun`
+/// re-run the in-flight op on it (and on `model`, the committed state
+/// before that op), then writes to every key and checks the result.
+fn continue_unrecovered(
+    img: &[u8],
+    meta: u64,
+    opts: TreeOptions,
+    mut model: BTreeMap<u64, u64>,
+    rerun: impl FnOnce(&FastFairTree, &mut BTreeMap<u64, u64>) + Send + 'static,
+    what: String,
+) {
+    let p = Arc::new(Pool::from_image(img, PoolConfig::new().size(POOL_BYTES)).unwrap());
+    let t = FastFairTree::open(p, meta, opts).unwrap();
+    let hung = format!("{what}: did not finish");
+    pmindex::workload::within(move || {
+        rerun(&t, &mut model);
+        let keys: Vec<u64> = model.keys().copied().collect();
+        for &k in &keys {
+            let v = value_for(k.rotate_left(17));
+            assert_eq!(
+                t.update(k, v).unwrap(),
+                model.insert(k, v),
+                "{what}: update {k}"
+            );
+            let n = k + 1;
+            assert_eq!(
+                t.insert(n, value_for(n)).unwrap(),
+                model.insert(n, value_for(n))
+            );
+        }
+        let keys: Vec<u64> = model.keys().copied().collect();
+        for (i, &k) in keys.iter().enumerate().filter(|(i, _)| i % 3 != 0) {
+            assert!(t.remove(k), "{what}: remove {k} ({i})");
+            model.remove(&k);
+        }
+        t.check_consistency(false)
+            .unwrap_or_else(|e| panic!("{what}: tolerant consistency after writes: {e}"));
+        for &k in &keys {
+            assert_eq!(t.get(k), model.get(&k).copied(), "{what}: get {k}");
+        }
+        let mut scan = Vec::new();
+        t.for_each(|k, v| scan.push((k, v)));
+        assert!(
+            scan.iter().copied().eq(model.into_iter()),
+            "{what}: scan disagrees with the model"
+        );
+    })
+    .expect(&hung);
 }
 
 /// Applies `ops` on a crash-logged tree, recording the event-log boundary
@@ -91,20 +167,7 @@ fn crash_sweep_logged(
     let hits_before_ops = pmem::stats::snapshot().leaf_hint_hits;
     for &op in ops {
         boundaries.push((log.len(), op, committed.clone()));
-        match op {
-            Op::Insert(k) => {
-                tree.insert(k, value_for(k)).unwrap();
-                committed.insert(k, value_for(k));
-            }
-            Op::Delete(k) => {
-                tree.remove(k);
-                committed.remove(&k);
-            }
-            Op::Update(k) => {
-                assert!(tree.update(k, updated_value_for(k)).unwrap().is_some());
-                committed.insert(k, updated_value_for(k));
-            }
-        }
+        apply(&tree, &mut committed, op);
     }
     if warm_hints {
         // Updates never leave the leaf they are directed to; inserts and
@@ -139,6 +202,20 @@ fn crash_sweep_logged(
 
         for policy in &policies {
             let img = pool.crash_image(cut, policy.clone());
+            // The sentinel after the last op has nothing in flight.
+            let rerun = (idx < ops.len()).then_some(*inflight);
+            continue_unrecovered(
+                &img,
+                meta,
+                opts,
+                state.clone(),
+                move |t, model| {
+                    if let Some(op) = rerun {
+                        apply(t, model, op);
+                    }
+                },
+                format!("cut {cut} policy {policy:?}: continuation"),
+            );
             let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL_BYTES)).unwrap());
             let t2 = FastFairTree::open(Arc::clone(&p2), meta, opts).unwrap();
 
@@ -427,6 +504,26 @@ fn crash_during_bulk_load_recovers_old_or_new() {
             t2.check_consistency(false)
                 .unwrap_or_else(|e| panic!("cut {cut} {policy:?}: {e}"));
             let len = t2.len();
+            // The in-flight op is the load: re-run it if the image lost it.
+            let loaded = move || (1..=n).map(|k| (k * 5, value_for(k * 5)));
+            let model = if len > 0 {
+                loaded().collect()
+            } else {
+                BTreeMap::new()
+            };
+            continue_unrecovered(
+                &img,
+                meta,
+                opts,
+                model,
+                move |t, model| {
+                    if len == 0 {
+                        assert_eq!(t.bulk_load(&mut loaded()).unwrap(), n as usize);
+                        model.extend(loaded());
+                    }
+                },
+                format!("cut {cut} policy {policy:?}: continuation"),
+            );
             assert!(
                 len == 0 || len == n as usize,
                 "cut {cut} {policy:?}: bulk load half-visible ({len} of {n} keys)"

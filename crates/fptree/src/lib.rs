@@ -15,7 +15,11 @@
 //! Concurrency: the original uses Intel TSX for inner nodes. As documented
 //! in DESIGN.md we substitute an `RwLock`-protected volatile inner map
 //! (readers share, splits exclude) plus per-leaf sequence locks, giving the
-//! same non-blocking read behaviour the paper measures in Fig. 7.
+//! same non-blocking read behaviour the paper measures in Fig. 7. The
+//! sequence locks are DRAM state of the handle, one per leaf-sized slot
+//! of the pool, so no crash image holds one. Leaf word 16 is reserved:
+//! never written, and ignored on open, since a pool written by an earlier
+//! version may hold a seqlock count there.
 //!
 //! Because the inner structure is volatile, *instant recovery is
 //! impossible*: [`FpTree::open`] must scan the whole leaf chain — exactly
@@ -24,6 +28,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use epoch::EpochDomain;
@@ -38,7 +43,7 @@ pub const LEAF_CAPACITY: usize = 56;
 
 const OFF_BITMAP: u64 = 0;
 const OFF_SIBLING: u64 = 8;
-const OFF_VERSION: u64 = 16; // volatile seqlock word
+// Leaf word 16 is reserved (see the module docs).
 const OFF_FINGERPRINTS: u64 = 24; // 56 bytes
 const OFF_RECORDS: u64 = 80;
 
@@ -63,6 +68,10 @@ pub struct FpTree {
     meta: PmOffset,
     /// Volatile inner "nodes": first key of each leaf except the head.
     inner: RwLock<BTreeMap<Key, PmOffset>>,
+    /// Leaf seqlocks, one per `LEAF_SIZE` slot of the pool: a leaf at
+    /// `off` uses slot `off / LEAF_SIZE`, which no other live leaf shares.
+    /// Odd = a writer holds the leaf.
+    versions: Box<[AtomicU64]>,
     /// Reclamation domain for leaves unlinked by the empty-leaf merge:
     /// `get` probes leaves after dropping the inner lock, and cursors
     /// keep a raw next-leaf offset between calls, so an unlinked leaf is
@@ -83,6 +92,7 @@ impl std::fmt::Debug for FpTree {
 struct Leaf<'a> {
     pool: &'a Pool,
     off: PmOffset,
+    version: &'a AtomicU64,
 }
 
 impl<'a> Leaf<'a> {
@@ -114,19 +124,19 @@ impl<'a> Leaf<'a> {
             .load_u64(self.off + OFF_RECORDS + slot as u64 * 16 + 8)
     }
 
-    // ---- volatile seqlock ------------------------------------------------
+    // ---- seqlock (DRAM) ---------------------------------------------------
 
     fn version(&self) -> u64 {
-        self.pool.load_u64(self.off + OFF_VERSION)
+        self.version.load(Ordering::Acquire)
     }
 
     fn lock(&self) {
         loop {
-            let v = self.version();
+            let v = self.version.load(Ordering::Relaxed);
             if v.is_multiple_of(2)
                 && self
-                    .pool
-                    .cas_u64_volatile(self.off + OFF_VERSION, v, v + 1)
+                    .version
+                    .compare_exchange_weak(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
                 return;
@@ -136,9 +146,9 @@ impl<'a> Leaf<'a> {
     }
 
     fn unlock(&self) {
-        let v = self.version();
+        let v = self.version.load(Ordering::Relaxed);
         debug_assert!(v % 2 == 1);
-        self.pool.store_u64_volatile(self.off + OFF_VERSION, v + 1);
+        self.version.store(v + 1, Ordering::Release);
     }
 
     /// Runs `f` under the seqlock read protocol (retrying on concurrent
@@ -231,12 +241,7 @@ impl FpTree {
         pool.store_u64(meta + META_HEAD_LEAF, head);
         pool.store_u64(meta + META_ULOG, ulog);
         pool.persist(meta, 64);
-        Ok(FpTree {
-            pool,
-            meta,
-            inner: RwLock::new(BTreeMap::new()),
-            epoch: EpochDomain::new(),
-        })
+        Ok(Self::with_meta(pool, meta))
     }
 
     /// Opens an FP-tree, replaying the micro-log and **rebuilding the
@@ -252,15 +257,22 @@ impl FpTree {
                 "no FP-tree superblock at {meta:#x}"
             )));
         }
-        let t = FpTree {
+        let t = Self::with_meta(pool, meta);
+        t.replay_ulog();
+        t.rebuild_inner();
+        Ok(t)
+    }
+
+    fn with_meta(pool: Arc<Pool>, meta: PmOffset) -> Self {
+        let slots = (pool.size() / LEAF_SIZE) as usize;
+        FpTree {
+            // SAFETY: an all-zero `AtomicU64` is a valid unlocked seqlock.
+            versions: unsafe { Box::new_zeroed_slice(slots).assume_init() },
             pool,
             meta,
             inner: RwLock::new(BTreeMap::new()),
             epoch: EpochDomain::new(),
-        };
-        t.replay_ulog();
-        t.rebuild_inner();
-        Ok(t)
+        }
     }
 
     /// Superblock offset.
@@ -279,6 +291,7 @@ impl FpTree {
         Leaf {
             pool: &self.pool,
             off,
+            version: &self.versions[(off / LEAF_SIZE) as usize],
         }
     }
 
@@ -677,7 +690,7 @@ impl Cursor for FpCursor<'_> {
 mod tests {
     use super::*;
     use pmem::PoolConfig;
-    use pmindex::workload::{generate_keys, value_for, KeyDist};
+    use pmindex::workload::{generate_keys, value_for, within, KeyDist};
 
     fn mk() -> (Arc<Pool>, FpTree) {
         let p = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
@@ -776,6 +789,35 @@ mod tests {
         // Still writable after rebuild.
         t2.insert(keys[0] ^ 0x55aa, 777).unwrap();
         assert_eq!(t2.get(keys[0] ^ 0x55aa), Some(777));
+    }
+
+    /// A crash image taken while a writer holds a leaf's seqlock reopens
+    /// readable and writable: the seqlock is handle state, so the image
+    /// cannot hold it, and an odd leaf word 16 (where a pool written with
+    /// seqlocks in PM kept them) is ignored.
+    #[test]
+    fn an_image_taken_while_a_leaf_seqlock_is_odd_reopens_writable() {
+        let p = Arc::new(Pool::new(PoolConfig::new().size(4 << 20)).unwrap());
+        let t = FpTree::create(Arc::clone(&p)).unwrap();
+        for k in 1..=20u64 {
+            t.insert(k * 3, value_for(k * 3)).unwrap();
+        }
+        let head = t.leaf(t.head_leaf());
+        head.lock();
+        let mut img = p.volatile_image();
+        head.unlock();
+        let at = (head.off + 16) as usize;
+        img[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(4 << 20)).unwrap());
+        let t2 = Arc::new(FpTree::open(p2, t.meta_offset()).unwrap());
+        let writer = Arc::clone(&t2);
+        within(move || {
+            writer.insert(1, value_for(1)).unwrap();
+            assert_eq!(writer.get(1), Some(value_for(1)));
+            assert_eq!(writer.get(3), Some(value_for(3)));
+        })
+        .expect("insert into the head leaf after reopen: did not finish");
+        assert_eq!(t2.len(), 21);
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl Pool {
     /// *Outside crash mode* the bitmap decides only whether a later flush
     /// of the line is issued or coalesced. Suppose every store to the line
     /// and every flush of it are ordered by happens-before: through the
-    /// node latch, a lock word's release/acquire, or a single writer per
+    /// node latch, a lock's release/acquire, or a single writer per
     /// lane. Then each flush's clear either happens before this load, which
     /// therefore reads that clear or a later value (coherence), or happens
     /// after this store. So a set bit seen here was set by a store since
@@ -347,14 +347,13 @@ impl Pool {
     /// is not ordered after the store as an acquire of our `fetch_or`
     /// would have ordered it. No persistent store does this. FAST+FAIR,
     /// wB+-tree and FP-tree store to a node under its latch or lock, or
-    /// before the node is published; the transaction journal, the shard
-    /// manifest and the catalog have one writer at a time; the skip list
-    /// publishes under its link lock and writes values with `cas_u64`.
-    /// The unlatched plain stores that remain are volatile words —
-    /// lock-word and seqlock releases and skip-list express lanes
-    /// ([`store_u64_volatile`](Pool::store_u64_volatile)), and the
-    /// allocator cursor — whose contents recovery resets, rebuilds or
-    /// treats as failure-atomic, so no flush has to cover them.
+    /// before the node is published, and keep their latches in DRAM; the
+    /// transaction journal, the shard manifest and the catalog have one
+    /// writer at a time; the skip list links, unlinks and marks with
+    /// `cas_u64` under its link lock and writes values with `cas_u64`.
+    /// The one unlatched plain store that remains is the allocator
+    /// cursor, which recovery treats as failure-atomic, so no flush has
+    /// to cover it.
     #[inline]
     fn mark_dirty(&self, off: PmOffset) {
         let line = (off as usize) / CACHE_LINE;
@@ -441,33 +440,6 @@ impl Pool {
             }),
             None => cas(),
         }
-    }
-
-    /// Volatile (unlogged) 8-byte compare-and-swap.
-    ///
-    /// For *volatile* node state embedded in PM — lock words and other
-    /// fields whose post-crash contents are reset on recovery. These stores
-    /// never enter the crash log, matching the paper's treatment of
-    /// `std::mutex` state as non-persistent.
-    #[inline]
-    pub fn cas_u64_volatile(&self, off: PmOffset, current: u64, new: u64) -> Result<u64, u64> {
-        self.atom(off)
-            .compare_exchange_weak(current, new, Ordering::Acquire, Ordering::Relaxed)
-    }
-
-    /// Volatile (unlogged) 8-byte store with release ordering.
-    #[inline]
-    pub fn store_u64_volatile(&self, off: PmOffset, val: u64) {
-        // Marks the line dirty too: volatile state is never flushed on its
-        // own, but it shares header lines with persistent fields, and a
-        // conservative dirty bit only costs an already-justified flush.
-        self.raw_store(off, val);
-    }
-
-    /// Volatile (unlogged) fetch-sub, used to release read locks.
-    #[inline]
-    pub fn fetch_sub_u64_volatile(&self, off: PmOffset, delta: u64) -> u64 {
-        self.atom(off).fetch_sub(delta, Ordering::Release)
     }
 
     /// Stores one byte by read-modify-write of the containing 8-byte word.

@@ -6,6 +6,8 @@
 //! * The mixed workload of Fig. 7(c): each thread alternates four inserts,
 //!   sixteen searches and one delete.
 //! * [`partition`], which splits a key set across threads.
+//! * [`within`], which bounds a test step that could hang, so that it
+//!   fails instead of stalling the suite.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -109,6 +111,16 @@ pub fn partition<T: Clone>(items: &[T], n_threads: usize) -> Vec<Vec<T>> {
         .chain(std::iter::repeat_with(Vec::new))
         .take(n_threads)
         .collect()
+}
+
+/// Runs `f` on its own thread and returns its result, or `None` if it
+/// panicked or has not returned within 30 s — so a test step that hangs (a
+/// writer spinning on a latch a crash image kept, say) fails instead of
+/// stalling the suite. A hung thread is left running.
+pub fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(30)).ok()
 }
 
 #[cfg(test)]

@@ -43,12 +43,14 @@ const NODE_VAL: u64 = 8;
 const NODE_LEVEL: u64 = 16;
 const NODE_NEXT: u64 = 24; // next[0..level]
 
-/// Volatile deletion mark on a dying node's level-0 pointer (node offsets
-/// are 64-aligned, so bit 0 is free). Set — unlogged, never persisted —
-/// right before the node is unlinked: a racing insert whose predecessor
-/// snapshot is the dying node sees its publish CAS fail against the marked
-/// value and retries from a fresh search. A crash never observes the mark
-/// (volatile stores don't enter the crash log).
+/// Deletion mark on a dying node's level-0 pointer (node offsets are
+/// 64-aligned, so bit 0 is free). Set right before the node is unlinked:
+/// a racing insert whose predecessor snapshot is the dying node sees its
+/// publish CAS fail against the marked value and retries from a fresh
+/// search. The mark is an ordinary logged store that nothing flushes, so
+/// a crash image may hold it without the cut that followed it; `open`
+/// clears such a mark (see `rebuild_towers`), or the first insert behind
+/// the still-linked node would retry forever.
 const MARK: u64 = 1;
 
 /// Deterministic tower height for a key: geometric(1/2), capped.
@@ -175,10 +177,11 @@ impl PSkipList {
     /// Serialized with publishes and revivals by `link_lock`; bails if a
     /// racing insert revived the key or another remove already unlinked
     /// it. The bottom-list cut is one persisted 8-byte store (the same
-    /// failure-atomic commit shape as the publish); express-lane unhooks
-    /// are volatile. A crash before the cut leaves a tombstoned node
-    /// (absent either way); after it, an unreachable block that leaks like
-    /// any pre-crash free.
+    /// failure-atomic commit shape as the publish); the express-lane
+    /// unhooks and the mark are unflushed, and `open` rebuilds the lanes
+    /// and clears the mark. A crash before the cut leaves a tombstoned
+    /// node (absent either way); after it, an unreachable block that leaks
+    /// like any pre-crash free.
     fn unlink_tombstone(&self, key: Key, node: PmOffset) {
         let _lk = self.link_lock.lock();
         if self.val_of(node) != 0 {
@@ -190,17 +193,21 @@ impl PSkipList {
         }
         let level = self.level_of(node).min(MAX_LEVEL);
         for (l, &pred) in preds.iter().enumerate().take(level).skip(1) {
-            if self.next(pred, l) == node {
-                self.pool
-                    .store_u64_volatile(Self::next_off(pred, l), self.next(node, l));
-            }
+            // Unhook where `pred` still links `node` (an insert may have
+            // stopped the tower short). Links are written with `cas_u64`
+            // even under the link lock: a value update, which takes no
+            // lock, may flush the same line (see `Pool::mark_dirty`).
+            let _ = self
+                .pool
+                .cas_u64(Self::next_off(pred, l), node, self.next(node, l));
         }
         let succ = self.next(node, 0);
-        // Mark, then cut: after the volatile mark, a lock-free insert that
+        // Mark, then cut: after the mark, a lock-free insert that
         // snapshotted `node` as its predecessor can no longer publish
         // behind it (its CAS sees the marked value and retries).
-        self.pool
-            .store_u64_volatile(Self::next_off(node, 0), succ | MARK);
+        let _ = self
+            .pool
+            .cas_u64(Self::next_off(node, 0), succ, succ | MARK);
         if self
             .pool
             .cas_u64(Self::next_off(preds[0], 0), node, succ)
@@ -212,7 +219,9 @@ impl PSkipList {
         } else {
             // Unreachable under the lock; restore the unmarked pointer so
             // a still-linked node never wedges publishes behind it.
-            self.pool.store_u64_volatile(Self::next_off(node, 0), succ);
+            let _ = self
+                .pool
+                .cas_u64(Self::next_off(node, 0), succ | MARK, succ);
         }
     }
 
@@ -243,7 +252,10 @@ impl PSkipList {
     }
 
     /// Rebuilds the volatile upper levels by walking the persistent bottom
-    /// list (open-time cost, like LSNVMM's volatile mapping tree).
+    /// list (open-time cost, like LSNVMM's volatile mapping tree), and
+    /// clears any deletion mark a crash kept without its cut: that node
+    /// is still linked, tombstoned, and the next insert behind it must be
+    /// able to publish.
     fn rebuild_towers(&self) {
         let head = self.head();
         let mut last = [head; MAX_LEVEL];
@@ -253,6 +265,10 @@ impl PSkipList {
         }
         let mut cur = self.next(head, 0);
         while cur != NULL_OFFSET {
+            let link = self.pool.load_u64(Self::next_off(cur, 0));
+            if link & MARK != 0 {
+                self.pool.store_u64(Self::next_off(cur, 0), link & !MARK);
+            }
             let lvl = self.level_of(cur).min(MAX_LEVEL);
             for (l, slot) in last.iter_mut().enumerate().take(lvl).skip(1) {
                 self.pool.store_u64(Self::next_off(cur, l), 0);
@@ -563,7 +579,7 @@ impl PmIndex for PSkipList {
 mod tests {
     use super::*;
     use pmem::PoolConfig;
-    use pmindex::workload::{generate_keys, value_for, KeyDist};
+    use pmindex::workload::{generate_keys, value_for, within, KeyDist};
     use std::collections::BTreeMap;
 
     fn mk() -> (Arc<Pool>, PSkipList) {
@@ -866,6 +882,39 @@ mod tests {
         assert_eq!(t2.get(keys[0] ^ 0xf0f0), Some(99));
     }
 
+    /// A persisted mark whose cut was lost — the node still linked and
+    /// tombstoned, its level-0 pointer marked — is cleared on open, so an
+    /// insert behind the node publishes instead of retrying forever.
+    #[test]
+    fn a_persisted_mark_without_its_cut_is_cleared_on_open() {
+        let p = Arc::new(Pool::new(PoolConfig::new().size(4 << 20)).unwrap());
+        let t = PSkipList::create(Arc::clone(&p)).unwrap();
+        for k in 1..=20u64 {
+            t.insert(k * 10, value_for(k * 10)).unwrap();
+        }
+        let node = t.find_preds(100).1[0];
+        let mut img = p.volatile_image();
+        let mut set = |off: PmOffset, val: u64| {
+            img[off as usize..off as usize + 8].copy_from_slice(&val.to_le_bytes());
+        };
+        set(node + NODE_VAL, 0);
+        set(PSkipList::next_off(node, 0), t.next(node, 0) | MARK);
+        let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(4 << 20)).unwrap());
+        let t2 = Arc::new(PSkipList::open(p2, t.meta_offset()).unwrap());
+        assert_eq!(t2.get(100), None, "tombstoned");
+        let writer = Arc::clone(&t2);
+        within(move || writer.insert(105, value_for(105)).unwrap())
+            .expect("insert behind a marked node after reopen: did not finish");
+        assert_eq!(t2.get(105), Some(value_for(105)));
+        assert_towers(&t2);
+    }
+
+    /// Every image of an insert, a delete and an insert reopens with the
+    /// committed keys, atomic in-flight ops and sound towers, and takes an
+    /// insert of 105, whose predecessor is the delete's target 100. The
+    /// delete's mark is a logged store that nothing flushes, so some
+    /// images keep it without the cut; `open` must clear it, or the insert
+    /// of 105 behind the still-linked node retries forever.
     #[test]
     fn crash_sweep_bottom_level_is_consistent() {
         let p = Arc::new(Pool::new(PoolConfig::new().size(4 << 20).crash_log(true)).unwrap());
@@ -876,10 +925,22 @@ mod tests {
         }
         let log = p.crash_log().unwrap();
         log.set_baseline(p.volatile_image());
+        let (preds, succs) = t.find_preds(100);
+        let (pred, node) = (preds[0], succs[0]);
         t.insert(55, value_for(55)).unwrap();
         t.remove(100);
         t.insert(155, value_for(155)).unwrap();
+        // The swept ops' stores and flushes. Pinned: a change here changes
+        // the images swept below. It was 20 while the mark and the
+        // express-lane unhooks went unlogged; 100's tower is three levels
+        // tall, so they add three stores (the mark, two unhooks).
+        assert_eq!(height_for(100), 3);
+        assert_eq!(log.len(), 23, "crash-log events of the swept ops");
         let meta = t.meta_offset();
+        let word = |img: &[u8], off: PmOffset| {
+            u64::from_le_bytes(img[off as usize..off as usize + 8].try_into().unwrap())
+        };
+        let mut marked_without_cut = 0;
         for cut in 0..=log.len() {
             for policy in [
                 pmem::crash::Eviction::None,
@@ -887,8 +948,14 @@ mod tests {
                 pmem::crash::Eviction::Random(cut as u64),
             ] {
                 let img = p.crash_image(cut, policy);
+                if word(&img, PSkipList::next_off(node, 0)) & MARK != 0
+                    && word(&img, PSkipList::next_off(pred, 0)) == node
+                {
+                    marked_without_cut += 1;
+                }
                 let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(4 << 20)).unwrap());
-                let t2 = PSkipList::open(Arc::clone(&p2), meta).unwrap();
+                let t2 = Arc::new(PSkipList::open(Arc::clone(&p2), meta).unwrap());
+                assert_towers(&t2);
                 for &k in &preload {
                     if k == 100 {
                         continue; // the in-flight delete target
@@ -902,8 +969,18 @@ mod tests {
                         Some(v) => assert_eq!(v, value_for(k)),
                     }
                 }
+                let writer = Arc::clone(&t2);
+                within(move || writer.insert(105, value_for(105)).unwrap()).unwrap_or_else(|| {
+                    panic!("cut {cut}: insert behind the delete target did not finish")
+                });
+                assert_eq!(t2.get(105), Some(value_for(105)), "cut {cut}");
+                assert_towers(&t2);
             }
         }
+        assert!(
+            marked_without_cut > 0,
+            "no image kept the mark without the cut"
+        );
     }
 
     #[test]

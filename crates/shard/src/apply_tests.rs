@@ -5,12 +5,12 @@
 //! calling thread is busy with its own group until then.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::mpsc;
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use fastfair::{FastFairTree, TreeOptions};
 use pmem::PoolConfig;
+use pmindex::workload::within;
 use pmindex::CursorIter;
 
 use super::*;
@@ -140,15 +140,6 @@ fn split_batch(salt: u64) -> Vec<BatchOp> {
     low.chain(high).collect()
 }
 
-/// Runs `f` on its own thread and fails the test if it has not returned
-/// within 30 s, so a hang reports instead of stalling the suite.
-fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || tx.send(f()));
-    rx.recv_timeout(Duration::from_secs(30))
-        .unwrap_or_else(|_| panic!("{what}: hung"))
-}
-
 /// A split batch's `pmem::stats` — every counter, the helper's absorbed
 /// into the caller's — equal those of the same groups applied one shard
 /// after the other on one thread.
@@ -223,7 +214,7 @@ fn an_error_in_the_helpers_group_reaches_the_caller() {
 
 #[test]
 fn a_panic_in_the_helpers_group_reraises_on_the_caller() {
-    within("apply after a helper panic", || {
+    within(|| {
         let store = latched_store();
         *probe(&store, 0).fault.lock().unwrap() = Some(Fault::Panic);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -237,23 +228,25 @@ fn a_panic_in_the_helpers_group_reraises_on_the_caller() {
         assert_eq!(store.split_applies(), 2);
         assert_ne!(probe(&store, 0).last_thread(), thread::current().id());
         assert_eq!(store.get(11), Some(8));
-    });
+    })
+    .expect("apply after a helper panic: did not finish");
 }
 
 #[test]
 fn dropping_the_store_joins_a_spinning_helper() {
-    within("drop with a spinning helper", || {
+    within(|| {
         let store = latched_store();
         store.apply_batch(&split_batch(0)).unwrap();
         let watch = store.helper.get().unwrap().as_ref().unwrap().watch();
         drop(store);
         assert!(watch.upgrade().is_none(), "helper outlived its store");
-    });
+    })
+    .expect("drop with a spinning helper: did not finish");
 }
 
 #[test]
 fn dropping_the_store_joins_a_parked_helper() {
-    within("drop with a parked helper", || {
+    within(|| {
         let store = latched_store();
         store.apply_batch(&split_batch(0)).unwrap();
         let helper = store.helper.get().unwrap().as_ref().unwrap();
@@ -263,7 +256,8 @@ fn dropping_the_store_joins_a_parked_helper() {
         let watch = helper.watch();
         drop(store);
         assert!(watch.upgrade().is_none(), "helper outlived its store");
-    });
+    })
+    .expect("drop with a parked helper: did not finish");
 }
 
 #[test]
