@@ -31,8 +31,9 @@ use crate::tree::FastFairTree;
 /// never persist an odd switch counter without the nulled slots.
 ///
 /// (The original implementation trusts its `last_index` hint here and can
-/// read a truncated node's stale slots after a delete; this is the second
-/// documented deviation in DESIGN.md §3.1.)
+/// read a truncated node's stale slots after a delete. This note is where
+/// that deviation from it is recorded; the other is the poison store, in
+/// the deviation note of `layout`.)
 pub(crate) fn enter_delete_direction(tree: &FastFairTree, node: NodeRef<'_>, cnt: u16) {
     let sc = node.switch_counter();
     if sc % 2 == 1 {
@@ -185,9 +186,7 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool
                 sib.first_key()
             } else {
                 let child = sib.leftmost();
-                (0..node.count_records())
-                    .find(|&i| node.ptr(i) == child)
-                    .map(|i| node.key(i))
+                node.records().find(|r| r.ptr == child).map(|r| r.key)
             };
             if let Some(sep) = sep {
                 node.set_high_key(sep);
@@ -195,6 +194,11 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool
                 completed = true;
             }
         }
+        // Up to the terminator `count_records` finds, not the first NULL:
+        // a split's truncation can persist without the header line's count
+        // hint, which then sits above the new terminator, over stale copies
+        // of the moved-out half that every writer trusting the count would
+        // take for records. Truncating there heals the hint.
         let high = node.high_key();
         let cnt = node.count_records();
         if let Some(s) = (0..cnt).find(|&i| node.entry_valid(i) && node.key(i) >= high) {
@@ -215,24 +219,11 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool
     // Step 2: compact away shift garbage — poisoned slots and exact
     // adjacent duplicates (keys are unique within a node, so an adjacent
     // repeat is always the residue of an interrupted shift copy).
-    loop {
+    while let Some(r) = node.records().find(|r| r.residue) {
         let cnt = node.count_records();
-        let mut fixed = false;
-        for i in 0..cnt {
-            let p = node.ptr(i);
-            let residue =
-                p == INVALID_PTR || (p != NULL_OFFSET && i > 0 && node.key(i) == node.key(i - 1));
-            if residue {
-                enter_delete_direction(tree, node, cnt);
-                shift_left_from(tree, node, i, cnt);
-                node.set_count_hint(cnt - 1);
-                fixed = true;
-                break;
-            }
-        }
-        if !fixed {
-            break;
-        }
+        enter_delete_direction(tree, node, cnt);
+        shift_left_from(tree, node, r.slot, cnt);
+        node.set_count_hint(cnt - 1);
     }
     completed
 }

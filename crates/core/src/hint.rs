@@ -327,7 +327,7 @@ impl FastFairTree {
             for &(lower, off) in &nodes {
                 let node = self.visit(off, level);
                 let children = std::iter::once((lower, node.leftmost()));
-                for (sep, child) in children.chain(read_entries(self, node)) {
+                for (sep, child) in children.chain(read_entries(node)) {
                     if below.last().is_none_or(|&(last, _)| last < sep) {
                         below.push((sep, child));
                     }

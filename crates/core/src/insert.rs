@@ -217,18 +217,9 @@ fn overwrite_in_place(tree: &FastFairTree, node: NodeRef<'_>, slot: u16, value: 
 /// Finds the slot of a *valid* entry with exactly `key`, scanning under the
 /// node lock.
 pub(crate) fn find_valid_slot(node: NodeRef<'_>, key: Key) -> Option<u16> {
-    let mut i = 0u16;
-    while i <= node.capacity() {
-        let p = node.ptr(i);
-        if p == NULL_OFFSET {
-            return None;
-        }
-        if p != INVALID_PTR && node.key(i) == key {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
+    node.records()
+        .find(|r| !r.residue && r.key == key)
+        .map(|r| r.slot)
 }
 
 /// The FAST shift insert (Algorithm 1), on a node that is locked, repaired

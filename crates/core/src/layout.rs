@@ -122,6 +122,20 @@ pub(crate) fn is_cold(level: u32) -> bool {
     level <= 1
 }
 
+/// One slot of a node's [`records`](NodeRef::records).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record {
+    pub(crate) slot: u16,
+    pub(crate) key: Key,
+    pub(crate) ptr: u64,
+    /// The residue of an interrupted shift, which readers skip and repair
+    /// compacts: a poisoned slot, or an exact duplicate (same key, same
+    /// pointer) of its left neighbour — keys are unique within a node, so
+    /// an adjacent repeat is always a finished copy whose source was not
+    /// yet poisoned.
+    pub(crate) residue: bool,
+}
+
 /// A borrowed view of one persistent node.
 ///
 /// All accessors go through the pool's atomic load/store primitives; the
@@ -351,7 +365,10 @@ impl<'a> NodeRef<'a> {
     /// entries too, since they occupy slots), found from the hint in either
     /// direction. Writers count under the node lock; a right-to-left reader
     /// starts its scan here, not at the hint, which a crash can leave below
-    /// records an unflushed header line never counted.
+    /// records an unflushed header line never counted. A hint a crash left
+    /// above a split's truncation finds the end of the moved-out half past
+    /// the truncation's NULL instead; `repair_node_locked` truncates there,
+    /// which heals the hint before a writer counts.
     pub fn count_records(&self) -> u16 {
         let cap = self.capacity();
         // Start from the hint and self-heal in either direction.
@@ -370,38 +387,43 @@ impl<'a> NodeRef<'a> {
         c
     }
 
-    /// Collects the valid `(key, ptr)` entries in slot order, dropping the
-    /// exact duplicate of its left neighbour that a finished copy step of
-    /// an interrupted shift leaves behind (same key, same value — keys are
-    /// unique within a node, so an adjacent repeat is always shift residue).
-    pub fn valid_entries(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut i = 0u16;
-        while i <= self.capacity() {
-            let p = self.ptr(i);
-            if p == NULL_OFFSET {
-                break;
-            }
-            if p != INVALID_PTR {
-                let k = self.key(i);
-                if out.last().map(|&(lk, _)| lk) != Some(k) {
-                    out.push((k, p));
+    /// The records before the terminator, in slot order, poisoned slots
+    /// included: the one latched walk of a node's slots. Not for lock-free
+    /// readers (those use `search::read_node`): every caller holds the
+    /// node's latch, or is the only one that can reach it, or runs
+    /// quiescent.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record> + 'a {
+        let node = *self;
+        let mut left = None;
+        (0..=self.capacity()).map_while(move |slot| {
+            let ptr = node.ptr(slot);
+            (ptr != NULL_OFFSET).then(|| {
+                let key = node.key(slot);
+                let residue = ptr == INVALID_PTR || left == Some((key, ptr));
+                left = Some((key, ptr));
+                Record {
+                    slot,
+                    key,
+                    ptr,
+                    residue,
                 }
-            }
-            i += 1;
-        }
-        out
+            })
+        })
     }
 
-    /// Key of the first *valid* entry, if any. Not for lock-free readers:
-    /// every caller holds the node's latch, or is the only one that can
-    /// reach it, or runs quiescent.
+    /// Collects the valid `(key, ptr)` entries in slot order: the records
+    /// that are not shift residue.
+    pub fn valid_entries(&self) -> Vec<(u64, u64)> {
+        self.records()
+            .filter(|r| !r.residue)
+            .map(|r| (r.key, r.ptr))
+            .collect()
+    }
+
+    /// Key of the first *valid* entry, if any (latched or quiescent, as
+    /// [`records`](Self::records)).
     pub fn first_key(&self) -> Option<u64> {
-        (0..=self.capacity())
-            .map(|i| (i, self.ptr(i)))
-            .take_while(|&(_, p)| p != NULL_OFFSET)
-            .find(|&(_, p)| p != INVALID_PTR)
-            .map(|(i, _)| self.key(i))
+        self.records().find(|r| !r.residue).map(|r| r.key)
     }
 
     /// Initializes a freshly allocated node (zeroing all record slots).

@@ -58,16 +58,13 @@ impl FastFairTree {
             return; // tree changed shape under us; give up quietly
         }
         crate::delete::repair_node_locked(self, parent);
-        // Locate the routing entry for the node and its left neighbour.
-        let cnt = parent.count_records();
-        let mut slot = None;
-        for i in 0..cnt {
-            if parent.entry_valid(i) && parent.ptr(i) == node_off {
-                slot = Some(i);
-                break;
-            }
-        }
-        let Some(s) = slot else {
+        // Locate the routing entries for the node and its left neighbour.
+        let routes: Vec<u16> = parent
+            .records()
+            .filter(|r| !r.residue && r.ptr == node_off)
+            .map(|r| r.slot)
+            .collect();
+        let Some(&s) = routes.first() else {
             return; // not routed from this parent (moved right, or leftmost child)
         };
         let left_off = parent.left_ptr(s);
@@ -96,15 +93,14 @@ impl FastFairTree {
         // update never adds a second (it stops at the child's separator or
         // at the child as leftmost); should one exist, none may outlive the
         // unlink and route into a retired block.
-        for i in (s..parent.count_records()).rev() {
-            if parent.ptr(i) == node_off {
-                let pcnt = parent.count_records();
-                crate::delete::enter_delete_direction(self, parent, pcnt);
-                parent.set_ptr(i, crate::layout::INVALID_PTR);
-                self.pool.fence_if_not_tso();
-                crate::delete::shift_left_from(self, parent, i, pcnt);
-                parent.set_count_hint(pcnt - 1);
-            }
+        // Right to left, so a delete shifts no route still to go.
+        for &i in routes.iter().rev() {
+            let pcnt = parent.count_records();
+            crate::delete::enter_delete_direction(self, parent, pcnt);
+            parent.set_ptr(i, crate::layout::INVALID_PTR);
+            self.pool.fence_if_not_tso();
+            crate::delete::shift_left_from(self, parent, i, pcnt);
+            parent.set_count_hint(pcnt - 1);
         }
 
         // Steps 2 and 3.

@@ -195,7 +195,7 @@ impl FastFairTree {
                 report.nodes_visited += 1;
                 let node = self.node(off);
                 let guard = WriteGuard::lock(self.latch(node.offset()));
-                let before_garbage = count_garbage(node);
+                let before_garbage = node.records().filter(|r| r.residue).count();
                 if crate::delete::repair_node_locked(self, node) {
                     report.splits_completed += 1;
                 }
@@ -280,7 +280,7 @@ impl FastFairTree {
                         return Err(ConsistencyError::UnsortedNode { node: off });
                     }
                 }
-                garbage += count_garbage(node);
+                garbage += node.records().filter(|r| r.residue).count();
                 // Bound rule 1: every key below the high key; the rightmost
                 // node is unbounded. Tolerated: the residue of a split the
                 // crash cut before its truncation — a copy of the records
@@ -357,22 +357,4 @@ fn is_split_residue(tree: &FastFairTree, node: NodeRef<'_>, residue: &[(Key, Val
     residue
         .iter()
         .all(|e| moved.contains(e) || (!node.is_leaf() && *e == median))
-}
-
-/// Counts garbage entries before the terminator: poisoned slots and exact
-/// adjacent duplicates (the two residues of an interrupted shift).
-fn count_garbage(node: NodeRef<'_>) -> usize {
-    let mut n = 0;
-    let mut i = 0u16;
-    while i <= node.capacity() {
-        let p = node.ptr(i);
-        if p == NULL_OFFSET {
-            break;
-        }
-        if p == crate::layout::INVALID_PTR || (i > 0 && node.key(i) == node.key(i - 1)) {
-            n += 1;
-        }
-        i += 1;
-    }
-    n
 }

@@ -65,13 +65,11 @@ impl LeafChain for TreeChain<'_> {
 
     fn read(&self, off: PmOffset, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
         let leaf = self.tree.node(off);
-        let entries = if self.tree.options().leaf_locks {
-            let _g = ReadGuard::lock(self.tree.latch(off));
-            read_entries(self.tree, leaf)
-        } else {
-            read_entries(self.tree, leaf)
-        };
-        buf.extend(entries);
+        {
+            let locks = self.tree.options().leaf_locks;
+            let _g = locks.then(|| ReadGuard::lock(self.tree.latch(off)));
+            buf.extend(read_entries(leaf));
+        }
         // Read the sibling only after the entries (see module docs).
         let sib = leaf.sibling();
         if sib == NULL_OFFSET {

@@ -1,166 +1,80 @@
-//! Lock-free leaf search (Algorithm 3) and leaf-entry reads.
+//! The lock-free node reader (Algorithm 3) and its clients: leaf search,
+//! leaf-entry reads and, in `tree.rs`, child routing.
 //!
-//! Readers never latch a node. Instead they:
+//! Readers never latch a node. [`read_node`], the crate's one reader:
 //!
-//! 1. read the node's `switch_counter` and scan **left to right** if it is
+//! 1. reads the node's `switch_counter` and scans **left to right** if it is
 //!    even (the last writer was inserting, shifting entries right) or
 //!    **right to left** if odd (the last writer was deleting, shifting
 //!    left) — scanning in the same direction as the writer guarantees no
 //!    entry is missed, though one may be seen twice;
-//! 2. skip *invalid* entries — those whose pointer is the
+//! 2. skips *invalid* entries — those whose pointer is the
 //!    [`INVALID_PTR`] poison a shift stores before rewriting a slot
 //!    (§3.1; see the deviation note in `layout` for why poison replaces
 //!    the paper's pointer-duplication test);
-//! 3. re-read the switch counter, retrying if a writer shifted this node
+//! 3. re-reads the switch counter, retrying if a writer shifted this node
 //!    during the scan (every shift bumps the counter).
 //!
-//! A reader that falls off the right edge of a node consults the sibling
-//! pointer (B-link), which also covers the "virtual single node" state of a
-//! half-finished FAIR split.
+//! [`leaf_search_linear`], [`read_entries`] and `FastFairTree::route_linear`
+//! are folds over it, each charging by its own rule. A reader that falls
+//! off the right edge of a node consults the sibling pointer (B-link),
+//! which also covers the "virtual single node" state of a half-finished
+//! FAIR split.
 
 use pmem::NULL_OFFSET;
 use pmindex::{Key, Value};
 
 use crate::layout::{is_cold, NodeRef, INVALID_PTR};
-use crate::tree::FastFairTree;
 
-/// Lock-free exact-match search within one leaf (Algorithm 3).
+/// Reads `node` by the protocol above, folding its valid `(key, pointer)`
+/// entries in scan order: each attempt starts from `fresh(forward)`, and
+/// `step` folds in one entry whose key `wants` takes, returning true to end
+/// the scan there; the scan passes the others by without reading their
+/// pointer again. It returns the state of the first attempt whose re-check
+/// finds the counter unchanged. With `charge`, each attempt charges the
+/// slots it scanned: left to right, up to the terminator or the entry that
+/// ended the scan; right to left, all from its start down.
 ///
-/// Returns the value for `key` or `None` if it is not in this node (the
-/// caller then consults the sibling pointer).
-pub(crate) fn leaf_search_linear(
-    tree: &FastFairTree,
+/// A right-to-left scan starts two slots above the terminator
+/// `count_records()` finds, not above the count hint, which a crash can
+/// leave below records an unflushed header line never counted; the slots
+/// above the terminator were nulled before the counter went odd
+/// (`enter_delete_direction`).
+///
+/// The pointer is read again after the key: the slot may have been
+/// poisoned and rewritten for another key since the first read. A slot
+/// whose pointer changed is read again, not stepped past — it may hold the
+/// same key overwritten in place, one store that bumps no counter. Every
+/// shift starts with a counter bump, so the retry covers any pointer change
+/// a shift makes. The one other store below an internal node's terminator
+/// is a split's or a repair's truncation (`split.rs`, `delete.rs`): reading
+/// its NULL again ends the scan there, and the B-link move-right one level
+/// down reaches the child the moved-out half routes to.
+pub(crate) fn read_node<S>(
     node: NodeRef<'_>,
-    key: Key,
-) -> Option<Value> {
-    let cap = tree.cap;
+    charge: bool,
+    mut fresh: impl FnMut(bool) -> S,
+    wants: impl Fn(Key) -> bool,
+    mut step: impl FnMut(&mut S, Key, Value) -> bool,
+) -> S {
+    let cap = node.capacity();
     loop {
         let sc = node.switch_counter();
-        let mut ret: Option<Value> = None;
-        let mut scanned: u16 = 0;
-        if sc.is_multiple_of(2) {
-            // Scan left to right, following the insert shift direction.
-            let mut i: u16 = 0;
-            while i <= cap {
-                let p = node.ptr(i);
-                if p == NULL_OFFSET {
-                    break;
-                }
-                scanned = i + 1;
-                if p != INVALID_PTR && node.key(i) == key {
-                    // Re-read the pointer: the slot may have been poisoned
-                    // and rewritten for a different key since `p` was read,
-                    // in which case the key match above was against the new
-                    // occupant and `p` is stale.
-                    if node.ptr(i) == p {
-                        ret = Some(p);
-                        break;
-                    }
-                    // Or the same key was overwritten in place (one pointer
-                    // store, no shift, no counter bump): look at the slot
-                    // again rather than stepping past a key that is there.
-                    continue;
-                }
-                i += 1;
-            }
-        } else {
-            // Scan right to left, following the delete shift direction.
-            let mut i = cap.min(node.count_records().saturating_add(2));
-            scanned = i + 1;
-            loop {
-                let p = node.ptr(i);
-                if p != NULL_OFFSET && p != INVALID_PTR && node.key(i) == key {
-                    // Re-read the pointer (same staleness guard as the
-                    // forward scan above, same second look on a change).
-                    if node.ptr(i) == p {
-                        ret = Some(p);
-                        break;
-                    }
-                    continue;
-                }
-                if i == 0 {
-                    break;
-                }
-                i -= 1;
-            }
-        }
-        node.charge_linear_scan(scanned);
-        if node.switch_counter() == sc {
-            return ret;
-        }
-        // A writer shifted this node mid-scan: retry (Algorithm 3, the
-        // `until prev_switch = node.switch` loop).
-        std::hint::spin_loop();
-    }
-}
-
-/// Binary exact-match search within one leaf.
-///
-/// Only sound when no writer is concurrently shifting this node — the
-/// reason the paper's lock-free design is restricted to linear search (§4).
-/// Exposed for the single-threaded Fig. 3 comparison.
-pub(crate) fn leaf_search_binary(
-    tree: &FastFairTree,
-    node: NodeRef<'_>,
-    key: Key,
-) -> Option<Value> {
-    let cnt = node.count_records();
-    if cnt == 0 {
-        return None;
-    }
-    // Each probe is a dependent (serial) cache miss: binary search defeats
-    // the prefetcher, which is why it loses below 4 KB nodes (§5.2).
-    let probes = (u32::from(cnt) * 16 / 64).max(1).ilog2() + 1;
-    tree.pool.charge_serial_reads(probes);
-    let (mut lo, mut hi) = (0u16, cnt);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if node.key(mid) < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    if lo < cnt && node.key(lo) == key && node.entry_valid(lo) {
-        Some(node.ptr(lo))
-    } else {
-        None
-    }
-}
-
-/// Reads the valid `(key, pointer)` entries of a node with the lock-free
-/// retry protocol; used by range scans and the full-tree iterator on
-/// leaves, and by the leaf-directory build on the levels above them.
-///
-/// Entries are returned in slot order, read in the direction the switch
-/// counter names (Algorithm 3, as [`leaf_search_linear`]): a delete bumps
-/// the counter odd *before* it shifts left, so a scan that read the odd
-/// counter sees the same value at its re-check — only scanning against the
-/// shift (right to left) keeps a survivor from moving into a slot the scan
-/// has already passed. During a shift the same key can transiently occupy
-/// two adjacent slots as an exact duplicate (same value); the key dedup
-/// below keeps one of them, and the switch-counter re-check discards any
-/// scan that overlapped a later shift.
-pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, Value)> {
-    let cap = tree.cap;
-    loop {
-        let sc = node.switch_counter();
-        let mut out = Vec::new();
-        // Slot `i`, whose pointer read `p`: `None` when empty or poisoned,
-        // `Err(())` when the pointer was rewritten before the key read was
-        // confirmed — possibly the same key overwritten in place, which
-        // bumps no counter: look again rather than skip a key that is there.
-        let entry = |i: u16, p: Value| -> Result<Option<(Key, Value)>, ()> {
+        let forward = sc.is_multiple_of(2);
+        let mut state = fresh(forward);
+        // Slot `i`, whose pointer read `p`: `None` to read it again,
+        // `Some(true)` when the fold ends the scan.
+        let mut visit = |i: u16, p: Value| {
             if p == NULL_OFFSET || p == INVALID_PTR {
-                return Ok(None);
+                return Some(false);
             }
             let k = node.key(i);
-            if node.ptr(i) != p {
-                return Err(());
+            if !wants(k) {
+                return Some(false);
             }
-            Ok(Some((k, p)))
+            (node.ptr(i) == p).then(|| step(&mut state, k, p))
         };
-        let scanned = if sc.is_multiple_of(2) {
+        let scanned = if forward {
             // Left to right, following the insert shift direction.
             let mut i: u16 = 0;
             while i <= cap {
@@ -168,42 +82,113 @@ pub(crate) fn read_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, 
                 if p == NULL_OFFSET {
                     break;
                 }
-                match entry(i, p) {
-                    Err(()) => continue,
-                    Ok(found) => out.extend(found),
-                }
+                let Some(stop) = visit(i, p) else { continue };
                 i += 1;
+                if stop {
+                    break;
+                }
             }
             i
         } else {
-            // Right to left, following the delete shift direction; slots
-            // above the terminator were nulled before the counter went odd
-            // (`enter_delete_direction`).
+            // Right to left, following the delete shift direction.
             let top = cap.min(node.count_records().saturating_add(2));
             let mut i = top;
             loop {
-                match entry(i, node.ptr(i)) {
-                    Err(()) => continue,
-                    Ok(found) => out.extend(found),
+                match visit(i, node.ptr(i)) {
+                    None => continue,
+                    Some(false) if i > 0 => i -= 1,
+                    Some(_) => break,
                 }
-                if i == 0 {
-                    break;
-                }
-                i -= 1;
             }
-            out.reverse();
             top + 1
         };
-        if is_cold(node.level()) {
+        if charge {
             node.charge_linear_scan(scanned);
         }
         if node.switch_counter() == sc {
-            // A crashed shift can leave an entry twice at adjacent slots
-            // (an exact duplicate — same key, same value); keep one
-            // occurrence of each key.
-            out.dedup_by(|b, a| a.0 == b.0);
-            return out;
+            return state;
         }
         std::hint::spin_loop();
     }
+}
+
+/// Lock-free exact-match search within one leaf (Algorithm 3).
+///
+/// Returns the value for `key` or `None` if it is not in this node (the
+/// caller then consults the sibling pointer). Always charges its scan.
+pub(crate) fn leaf_search_linear(node: NodeRef<'_>, key: Key) -> Option<Value> {
+    read_node(
+        node,
+        true,
+        |_| None,
+        |k| k == key,
+        |found, _, p| {
+            *found = Some(p);
+            true
+        },
+    )
+}
+
+/// Reads the valid `(key, pointer)` entries of a node with the lock-free
+/// retry protocol; used by range scans and the full-tree iterator on
+/// leaves, and by the leaf-directory build on the levels above them.
+/// Charges its scan iff the node's level [`is_cold`].
+///
+/// Entries are returned in slot order, read in the direction the switch
+/// counter names: a delete bumps the counter odd *before* it shifts left,
+/// so a scan that read the odd counter sees the same value at its
+/// re-check — only scanning against the shift (right to left) keeps a
+/// survivor from moving into a slot the scan has already passed. During a
+/// shift the same key can transiently occupy two adjacent slots as an
+/// exact duplicate (same value); the key dedup below keeps one of them,
+/// and the switch-counter re-check discards any scan that overlapped a
+/// later shift.
+pub(crate) fn read_entries(node: NodeRef<'_>) -> Vec<(Key, Value)> {
+    let (forward, mut out) = read_node(
+        node,
+        is_cold(node.level()),
+        |forward| (forward, Vec::new()),
+        |_| true,
+        |(_, out), k, p| {
+            out.push((k, p));
+            false
+        },
+    );
+    if !forward {
+        out.reverse();
+    }
+    // A crashed shift can leave an entry twice at adjacent slots (an exact
+    // duplicate — same key, same value); keep one occurrence of each key.
+    out.dedup_by(|b, a| a.0 == b.0);
+    out
+}
+
+/// The rank search of the binary ablation ([`crate::InNodeSearch::Binary`]):
+/// the first of the node's records whose key fails `before`, or `None` if
+/// the node is empty.
+///
+/// Only sound when no writer is concurrently shifting this node — the
+/// reason the paper's lock-free design is restricted to linear search (§4).
+/// Each probe is a dependent (serial) cache miss, charged iff the node's
+/// level [`is_cold`]: binary search defeats the prefetcher, which is why it
+/// loses below 4 KB nodes (§5.2).
+pub(crate) fn binary_rank(node: NodeRef<'_>, before: impl Fn(Key) -> bool) -> Option<u16> {
+    let cnt = node.count_records();
+    if cnt == 0 {
+        return None;
+    }
+    if is_cold(node.level()) {
+        let probes = (u32::from(cnt) * 16 / 64).max(1).ilog2() + 1;
+        node.pool().charge_serial_reads(probes);
+    }
+    let (mut lo, mut hi) = (0u16, cnt);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if before(node.key(mid)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }

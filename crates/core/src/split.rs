@@ -60,26 +60,19 @@ fn build_and_link_sibling<'a>(
     // and leave a leaf hint, and a hinted writer latches that leaf
     // directly: hold the sibling's latch until the pending insert is in.
     let guard = WriteGuard::lock(tree.latch(sib_off));
-    if level == 0 {
-        let mut j = 0u16;
-        for i in median..cnt {
-            sib.set_key(j, node.key(i));
-            sib.set_ptr(j, node.ptr(i));
-            j += 1;
-        }
-        sib.set_count_hint(j);
+    let from = if level == 0 {
+        median
     } else {
         // The median key is pushed up; its child becomes the sibling's
         // leftmost child.
         sib.set_leftmost(node.ptr(median));
-        let mut j = 0u16;
-        for i in median + 1..cnt {
-            sib.set_key(j, node.key(i));
-            sib.set_ptr(j, node.ptr(i));
-            j += 1;
-        }
-        sib.set_count_hint(j);
+        median + 1
+    };
+    for i in from..cnt {
+        sib.set_key(i - from, node.key(i));
+        sib.set_ptr(i - from, node.ptr(i));
     }
+    sib.set_count_hint(cnt - from);
     sib.set_sibling(node.sibling());
     sib.set_high_key(node.high_key());
     if ordered_persists {

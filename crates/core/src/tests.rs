@@ -1738,7 +1738,7 @@ fn split_hides_the_moved_out_half_from_late_readers() {
     t.insert(moved + 5, 7).unwrap();
     assert_ne!(t.find_leaf(moved), left, "key did not move");
     assert_eq!(t.update(moved, 9).unwrap(), Some(value_for(cap / 2 + 2)));
-    let late = crate::search::leaf_search_linear(&t, t.node(left), moved);
+    let late = crate::search::leaf_search_linear(t.node(left), moved);
     assert_eq!(late, None, "stale copy left of the split");
     t.check_consistency(true).unwrap();
 }
@@ -2040,6 +2040,95 @@ fn a_stale_count_hint_hides_no_record_from_a_right_to_left_reader() {
         assert_eq!(t.get(k * 10), Some(value_for(k)), "key {}", k * 10);
     }
     assert_eq!(t.len() as u64, cap);
+}
+
+/// The transient and crash states a node can hold, each hand-built on a
+/// leaf and on a level-1 node in the scan directions it can be read in:
+/// the one lock-free reader's three folds — `route_linear`'s child,
+/// `leaf_search_linear`'s hits and misses, `read_entries` — agree with the
+/// latched walk's model (`valid_entries`) on every one.
+#[test]
+fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
+    use crate::layout::{NodeRef, INVALID_PTR};
+    let p = pool(16);
+    let t = tree_with(&p, TreeOptions::new());
+    // A state's name, the switch counters it is read under, and how it
+    // edits the frame: keys 10, 20, …, 100 in slots 0–9.
+    type State = (&'static str, &'static [u64], fn(NodeRef<'_>));
+    let states: [State; 8] = [
+        ("clean", &[0, 1], |_| {}),
+        ("poisoned slot", &[0, 1], |n| n.set_ptr(3, INVALID_PTR)),
+        ("adjacent exact duplicate", &[0, 1], |n| {
+            for i in (4..10).rev() {
+                n.set_key(i + 1, n.key(i));
+                n.set_ptr(i + 1, n.ptr(i));
+            }
+            n.set_count_hint(11);
+        }),
+        // A split's truncation: the moved-out half stays above the new
+        // terminator, and the split left the counter even.
+        ("stale records above the terminator", &[0], |n| {
+            n.set_ptr(5, 0);
+            n.set_count_hint(5);
+        }),
+        // Odd: `enter_delete_direction` nulled the slots above the
+        // terminator, and a right-to-left scan starts two above it — not
+        // at the top, where records a crash left stale still sit.
+        (
+            "stale records past the two slots above the terminator",
+            &[1],
+            |n| {
+                for i in 5..8 {
+                    n.set_ptr(i, 0);
+                }
+                n.set_count_hint(5);
+            },
+        ),
+        ("count hint below the records", &[0, 1], |n| {
+            n.set_count_hint(2)
+        }),
+        ("count hint above the terminator", &[0, 1], |n| {
+            n.set_count_hint(26)
+        }),
+        ("empty", &[0, 1], |n| {
+            for i in 0..10 {
+                n.set_ptr(i, 0);
+            }
+            n.set_count_hint(0);
+        }),
+    ];
+    for (what, counters, build) in states {
+        for level in [0, 1] {
+            for &sc in counters {
+                let n = t.node(t.pool.alloc(512, 64).unwrap());
+                n.init(level);
+                if level > 0 {
+                    n.set_leftmost(1 << 20);
+                }
+                for (i, k) in (10..=100u64).step_by(10).enumerate() {
+                    n.set_key(i as u16, k);
+                    n.set_ptr(i as u16, k * 64);
+                }
+                n.set_count_hint(10);
+                build(n);
+                n.set_switch_counter(sc);
+                let ctx = format!("{what}, level {level}, counter {sc}");
+                let model = n.valid_entries();
+                assert_eq!(crate::search::read_entries(n), model, "{ctx}");
+                for key in (0..=110).step_by(5) {
+                    let hit = model.iter().find(|e| e.0 == key).map(|e| e.1);
+                    let child = model.iter().rev().find(|e| e.0 <= key);
+                    let child = child.map_or(n.leftmost(), |e| e.1);
+                    assert_eq!(
+                        crate::search::leaf_search_linear(n, key),
+                        hit,
+                        "{ctx}, key {key}"
+                    );
+                    assert_eq!(t.route_linear(n, key), child, "{ctx}, key {key}");
+                }
+            }
+        }
+    }
 }
 
 // ---- node bounds (ROADMAP item 5) -----------------------------------------

@@ -46,6 +46,7 @@ use crate::hint::LeafDirectory;
 use crate::layout::{capacity, is_cold, node_size_fits, NodeRef};
 use crate::lock::{latch_table, ReadGuard};
 use crate::scan::TreeCursor;
+use crate::search::{binary_rank, leaf_search_linear, read_node};
 
 pub(crate) const META_MAGIC: u64 = 0x4641_4952_5452_4545; // "FAIRTREE"
 const LOGGING_MAGIC: u64 = 0x554e_444f_5452_4545; // "UNDOTREE"
@@ -488,104 +489,39 @@ impl FastFairTree {
     fn route(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
         match self.opts.search {
             InNodeSearch::Linear => self.route_linear(node, key),
-            InNodeSearch::Binary => self.route_binary(node, key),
+            // The child left of the first key above `key`.
+            InNodeSearch::Binary => match binary_rank(node, |k| k <= key) {
+                None | Some(0) => node.leftmost(),
+                Some(at) => node.ptr(at - 1),
+            },
         }
     }
 
-    /// Direction-aware lock-free child routing (the internal-node analogue
-    /// of Algorithm 3).
-    fn route_linear(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
-        let cap = self.cap;
+    /// Direction-aware lock-free child routing: a fold over the one
+    /// reader, [`crate::search::read_node`].
+    pub(crate) fn route_linear(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
         loop {
-            let sc = node.switch_counter();
-            let mut child = node.leftmost();
-            let mut scanned: u16 = 0;
-            if sc.is_multiple_of(2) {
-                // Insert direction: scan left to right.
-                let mut i: u16 = 0;
-                while i <= cap {
-                    let p = node.ptr(i);
-                    if p == NULL_OFFSET {
-                        break;
-                    }
-                    scanned = i + 1;
-                    if p != crate::layout::INVALID_PTR {
-                        // Re-read the pointer after reading the key (TOCTOU
-                        // guard, as in the original implementation).
-                        let k = node.key(i);
-                        if p == node.ptr(i) {
-                            if key < k {
-                                break;
-                            }
-                            child = p;
-                        }
-                    }
-                    i += 1;
-                }
-            } else {
-                // Delete direction: scan right to left.
-                let hint = node.count_records().min(cap);
-                let mut found = false;
-                let mut i = cap.min(hint.saturating_add(2));
-                loop {
-                    let p = node.ptr(i);
-                    if p != NULL_OFFSET && p != crate::layout::INVALID_PTR {
-                        let k = node.key(i);
-                        if p == node.ptr(i) && k <= key {
-                            child = p;
-                            found = true;
-                            break;
-                        }
-                    }
-                    if i == 0 {
-                        break;
-                    }
-                    i -= 1;
-                }
-                scanned = if found { i + 1 } else { hint };
-                if !found {
-                    child = node.leftmost();
-                }
-            }
             // Internal-node lines are LLC-resident on the modelled testbed;
             // no scan charge here (the leaf scan is charged in `search`).
-            let _ = scanned;
-            if node.switch_counter() == sc {
-                if child == NULL_OFFSET {
-                    // Transient empty view; retry.
-                    std::hint::spin_loop();
-                    continue;
-                }
+            let (_, child) = read_node(
+                node,
+                false,
+                |forward| (forward, node.leftmost()),
+                |_| true,
+                |(forward, child), k, p| {
+                    // The last entry at or below `key` routes: left to
+                    // right, the scan ends past it; right to left, at it.
+                    if k <= key {
+                        *child = p;
+                    }
+                    (k <= key) != *forward
+                },
+            );
+            if child != NULL_OFFSET {
                 return child;
             }
-        }
-    }
-
-    /// Binary-search routing (single-threaded benchmarking only; see
-    /// [`InNodeSearch::Binary`]).
-    fn route_binary(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
-        let cnt = node.count_records();
-        if cnt == 0 {
-            return node.leftmost();
-        }
-        if is_cold(node.level()) {
-            let probes = (u32::from(cnt) * 16 / 64).max(1).ilog2() + 1;
-            self.pool.charge_serial_reads(probes);
-        }
-        let (mut lo, mut hi) = (0u16, cnt);
-        // Find the first index with key(i) > key.
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if node.key(mid) <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            node.leftmost()
-        } else {
-            node.ptr(lo - 1)
+            // Transient empty view; retry.
+            std::hint::spin_loop();
         }
     }
 
@@ -635,8 +571,12 @@ impl FastFairTree {
             .leaf_locks
             .then(|| ReadGuard::lock(self.latch(leaf.offset())));
         match self.opts.search {
-            InNodeSearch::Linear => crate::search::leaf_search_linear(self, leaf, key),
-            InNodeSearch::Binary => crate::search::leaf_search_binary(self, leaf, key),
+            InNodeSearch::Linear => leaf_search_linear(leaf, key),
+            // The first record not below `key`; the slot after the last
+            // record is the terminator, which no entry matches.
+            InNodeSearch::Binary => binary_rank(leaf, |k| k < key)
+                .filter(|&at| leaf.entry_valid(at) && leaf.key(at) == key)
+                .map(|at| leaf.ptr(at)),
         }
     }
 

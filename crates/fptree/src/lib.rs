@@ -12,14 +12,15 @@
 //! than FAST+FAIR: 4.8 vs 4.2 per insert). Leaf splits are guarded by a
 //! micro-log that is rolled back or forward on open.
 //!
-//! Concurrency: the original uses Intel TSX for inner nodes. As documented
-//! in DESIGN.md we substitute an `RwLock`-protected volatile inner map
-//! (readers share, splits exclude) plus per-leaf sequence locks, giving the
-//! same non-blocking read behaviour the paper measures in Fig. 7. The
-//! sequence locks are DRAM state of the handle, one per leaf-sized slot
-//! of the pool, so no crash image holds one. Leaf word 16 is reserved:
-//! never written, and ignored on open, since a pool written by an earlier
-//! version may hold a seqlock count there.
+//! Concurrency: the original uses Intel TSX for inner nodes. This crate
+//! substitutes an `RwLock`-protected volatile inner map (readers share,
+//! splits exclude) plus per-leaf sequence locks, giving the same
+//! non-blocking read behaviour the paper measures in Fig. 7. The sequence
+//! locks are DRAM state of the handle, one per leaf-sized slot of the pool,
+//! so no crash image holds one (ARCHITECTURE.md, "Volatile state: what
+//! lives only in DRAM"). Leaf word 16 is reserved: never written, and
+//! ignored on open, since a pool written by an earlier version may hold a
+//! seqlock count there.
 //!
 //! Because the inner structure is volatile, *instant recovery is
 //! impossible*: [`FpTree::open`] must scan the whole leaf chain — exactly

@@ -134,7 +134,8 @@ proptest! {
         // Replay at cut k, then append more events; replaying at k again
         // must give the identical image — except the pool header, whose
         // allocator cursor is deliberately taken from the live pool
-        // (allocator metadata is treated as failure-atomic, DESIGN.md §3).
+        // (allocator metadata is treated as failure-atomic; see the doc of
+        // `pmem::POOL_HEADER_SIZE`).
         let (pool, _base) = run_trace(&ops);
         let k = pool.crash_log().unwrap().len() / 2;
         let img1 = pool.crash_image(k, Eviction::random_with_env(7));

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use fastfair::FastFairTree;
 use pmem::crash::{Event, Eviction};
 use pmem::{Pool, PoolConfig};
-use pmindex::PmIndex;
+use pmindex::{HeldApply, PmIndex};
 use service::{Service, ServiceConfig};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
@@ -307,11 +307,13 @@ fn grouped_rewrite_with_warm_hints_enumerates_the_same_images() {
 
 /// Crash under a live `Service`: acknowledged writes must survive the
 /// crash image taken after shutdown (acks imply durability), and
-/// recovery finds a clean journal.
+/// recovery finds a clean journal. The history's group boundaries are
+/// fixed, so its crash log is too: the same events, in the same order,
+/// on every run.
 #[test]
 fn acknowledged_service_writes_survive_a_crash() {
     let pool = crash_pool();
-    let store = Arc::new(crash_store(&pool));
+    let store = Arc::new(HeldApply::new(crash_store(&pool)));
     let engine = Arc::new(TxnEngine::create(Arc::clone(&pool)).unwrap());
     let log = pool.crash_log().unwrap();
     log.set_baseline(pool.volatile_image());
@@ -328,21 +330,49 @@ fn acknowledged_service_writes_survive_a_crash() {
         );
         let client = service.handle();
         // Forty fresh inserts, then an upsert of every other key, all
-        // pipelined: each ack must also carry the value it replaced.
-        let writes = (1..=40u64)
+        // pipelined: each ack must also carry the value it replaced. The
+        // writes go lane by lane (a key's own writes keep their order), in
+        // groups of up to eight: a group's first write commits alone, and
+        // while a hold parks its worker inside that commit the rest queue
+        // up, so the worker takes them as the next group whatever the
+        // thread timing.
+        let lane = |k: u64| store.partitioning().shard_of(k);
+        let mut writes: Vec<(u64, u64)> = (1..=40u64)
             .map(|k| (k, k * 10))
-            .chain((2..=40u64).step_by(2).map(|k| (k, k * 10 + 1)));
-        let tickets: Vec<_> = writes
-            .map(|(k, v)| (k, v, client.submit_insert(k, v).unwrap()))
+            .chain((2..=40u64).step_by(2).map(|k| (k, k * 10 + 1)))
             .collect();
+        writes.sort_by_key(|&(k, _)| lane(k));
         let mut model = BTreeMap::new();
-        for (k, v, t) in tickets {
-            assert_eq!(t.wait().unwrap(), model.insert(k, v), "ack of {k} → {v}");
+        let mut commits = 0;
+        for group in writes
+            .chunk_by(|a, b| lane(a.0) == lane(b.0))
+            .flat_map(|run| run.chunks(8))
+        {
+            let hold = store.hold();
+            let head = client.submit_insert(group[0].0, group[0].1).unwrap();
+            commits += 1;
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while engine.last_committed() < commits {
+                assert!(Instant::now() < deadline, "worker never committed");
+                std::thread::yield_now();
+            }
+            let rest: Vec<_> = group[1..]
+                .iter()
+                .map(|&(k, v)| client.submit_insert(k, v).unwrap())
+                .collect();
+            drop(hold);
+            commits += u64::from(group.len() > 1);
+            for (&(k, v), t) in group.iter().zip(std::iter::once(head).chain(rest)) {
+                assert_eq!(t.wait().unwrap(), model.insert(k, v), "ack of {k} → {v}");
+            }
         }
+        assert_eq!(engine.last_committed(), commits);
         model.into_iter().collect()
         // Service drops here: queues drain, workers join.
     };
     assert_eq!(acked.len(), 40);
+    // Fixed groups fix the log: the same events on every run.
+    assert_eq!(log.len(), 703, "events the history logged");
 
     // Crash at the END of the log (power loss after the last ack) under
     // every eviction policy: acknowledged writes are durable by then.
