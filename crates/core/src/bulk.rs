@@ -75,7 +75,6 @@ impl<'a> LevelBuilder<'a> {
                     // The batch's first child routes everything below the
                     // first separator key.
                     node.set_leftmost(ptr);
-                    node.set_count_hint(0);
                     self.open = Some((off, key, 0));
                     return Ok(());
                 }
@@ -86,7 +85,6 @@ impl<'a> LevelBuilder<'a> {
         let node = self.tree.node(off);
         node.set_key(slot, key);
         node.set_ptr(slot, ptr);
-        node.set_count_hint(slot + 1);
         Ok(())
     }
 

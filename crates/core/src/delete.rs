@@ -30,10 +30,10 @@ use crate::tree::FastFairTree;
 /// direction flipped. The flush ordering guarantees that a crash can
 /// never persist an odd switch counter without the nulled slots.
 ///
-/// (The original implementation trusts its `last_index` hint here and can
-/// read a truncated node's stale slots after a delete. This note is where
-/// that deviation from it is recorded; the other is the poison store, in
-/// the deviation note of `layout`.)
+/// (The original implementation trusts its `last_index` count here and can
+/// read a truncated node's stale slots after a delete. This reproduction
+/// keeps no count and nulls them instead; the deviation note of `layout`
+/// records both differences from it: no count, and the poison store.)
 pub(crate) fn enter_delete_direction(tree: &FastFairTree, node: NodeRef<'_>, cnt: u16) {
     let sc = node.switch_counter();
     if sc % 2 == 1 {
@@ -110,8 +110,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
                 tree.pool.fence_if_not_tso();
                 // Reclaim the slot; a crash here leaves one garbage entry
                 // for lazy recovery.
-                shift_left_from(tree, node, d, cnt);
-                node.set_count_hint(cnt - 1);
+                shift_left_from(node, d, cnt);
                 emptied = cnt == 1;
             });
             old
@@ -134,7 +133,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
 /// terminator. Works whether slot `d` was already poisoned (the delete
 /// commit) or still holds a complete record (repair compacting an exact
 /// shift-residue duplicate): the poison store invalidates it either way.
-pub(crate) fn shift_left_from(_tree: &FastFairTree, node: NodeRef<'_>, d: u16, cnt: u16) {
+pub(crate) fn shift_left_from(node: NodeRef<'_>, d: u16, cnt: u16) {
     debug_assert!(d < cnt);
     let pool = node.pool();
     for j in d..cnt {
@@ -194,14 +193,10 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool
                 completed = true;
             }
         }
-        // Up to the terminator `count_records` finds, not the first NULL:
-        // a split's truncation can persist without the header line's count
-        // hint, which then sits above the new terminator, over stale copies
-        // of the moved-out half that every writer trusting the count would
-        // take for records. Truncating there heals the hint.
+        // Redo a truncation the crash lost; one that persisted left the
+        // moved-out half above the terminator, out of this walk.
         let high = node.high_key();
-        let cnt = node.count_records();
-        if let Some(s) = (0..cnt).find(|&i| node.entry_valid(i) && node.key(i) >= high) {
+        if let Some(cut) = node.records().find(|r| !r.residue && r.key >= high) {
             // Insert direction first, as the split itself does: readers
             // must not start above the terminator this is about to set.
             let sc = node.switch_counter();
@@ -209,9 +204,8 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool
                 node.set_switch_counter(sc + 1);
                 node.persist_header();
             }
-            node.set_ptr(s, NULL_OFFSET);
-            pool.persist(node.ptr_off(s), 8);
-            node.set_count_hint(s);
+            node.set_ptr(cut.slot, NULL_OFFSET);
+            pool.persist(node.ptr_off(cut.slot), 8);
             completed = true;
         }
     }
@@ -222,8 +216,7 @@ pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool
     while let Some(r) = node.records().find(|r| r.residue) {
         let cnt = node.count_records();
         enter_delete_direction(tree, node, cnt);
-        shift_left_from(tree, node, r.slot, cnt);
-        node.set_count_hint(cnt - 1);
+        shift_left_from(node, r.slot, cnt);
     }
     completed
 }

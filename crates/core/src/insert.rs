@@ -308,7 +308,6 @@ pub(crate) fn fast_insert_locked(
         pool.persist(node.key_off(0), 16);
     }
 
-    node.set_count_hint(cnt + 1);
     stats::count(|s| {
         s.shift_ops += 1;
         s.shift_steps += moved;

@@ -11,9 +11,9 @@
 //!  16     switch_counter  (even: last writer inserted → readers scan L→R;
 //!                          odd:  last writer deleted  → readers scan R→L)
 //!  24     level_flags     (low 32 bits: level, 0 = leaf; bit 32: deleted)
-//!  32     count_hint      (writer-maintained entry count; advisory only —
-//!                          correctness always re-derives from the
-//!                          NULL-pointer terminator)
+//!  32     reserved        (never written, ignored on open: a pool written
+//!                          by an earlier version may hold a stale count
+//!                          hint here; the count is the NULL terminator)
 //!  40     reserved        (never written, ignored on open: a pool written
 //!                          by an earlier version may hold a latch bit
 //!                          here; latches are handle state, see `lock`)
@@ -67,6 +67,11 @@
 //! shares the sentinel's bit pattern, so invalidating entry 0 of a leaf is
 //! the same store it always was. This is why values may not be 0 or
 //! `u64::MAX`.
+//!
+//! The original also keeps a record count (`last_index`) in the header and
+//! trusts it. This reproduction keeps none: a node's count is the slot of
+//! its first NULL pointer ([`NodeRef::count_records`]), the terminator
+//! every reader stops at, which no crash can set apart from the records.
 
 use pmem::{PmOffset, Pool, CACHE_LINE, NULL_OFFSET};
 use pmindex::Key;
@@ -90,7 +95,6 @@ const LEFTMOST_OFF: u64 = 0;
 const SIBLING_OFF: u64 = 8;
 const SWITCH_OFF: u64 = 16;
 const LEVEL_OFF: u64 = 24;
-const COUNT_OFF: u64 = 32;
 const HIGH_KEY_OFF: u64 = 56;
 
 const DELETED_BIT: u64 = 1 << 32;
@@ -153,7 +157,6 @@ impl std::fmt::Debug for NodeRef<'_> {
         f.debug_struct("NodeRef")
             .field("off", &self.off)
             .field("level", &self.level())
-            .field("count_hint", &self.count_hint())
             .field("sibling", &self.sibling())
             .finish()
     }
@@ -285,17 +288,6 @@ impl<'a> NodeRef<'a> {
         self.pool.store_u64(self.off + LEVEL_OFF, v | DELETED_BIT);
     }
 
-    /// Writer-maintained count hint. Advisory: may be stale after a crash.
-    pub fn count_hint(&self) -> u16 {
-        let c = self.pool.load_u64(self.off + COUNT_OFF);
-        (c.min(u64::from(self.capacity()))) as u16
-    }
-
-    /// Stores the count hint.
-    pub fn set_count_hint(&self, v: u16) {
-        self.pool.store_u64(self.off + COUNT_OFF, u64::from(v));
-    }
-
     // ---- records ---------------------------------------------------------
 
     /// Pool offset of record `i`'s key field.
@@ -361,30 +353,14 @@ impl<'a> NodeRef<'a> {
         p != NULL_OFFSET && p != INVALID_PTR
     }
 
-    /// Exact number of records before the NULL terminator (counts invalid
-    /// entries too, since they occupy slots), found from the hint in either
-    /// direction. Writers count under the node lock; a right-to-left reader
-    /// starts its scan here, not at the hint, which a crash can leave below
-    /// records an unflushed header line never counted. A hint a crash left
-    /// above a split's truncation finds the end of the moved-out half past
-    /// the truncation's NULL instead; `repair_node_locked` truncates there,
-    /// which heals the hint before a writer counts.
+    /// Number of records before the NULL terminator (poisoned slots count:
+    /// they occupy slots), the node's only count; a split's moved-out half,
+    /// above its truncation's NULL, is not counted. Writers count under the
+    /// node lock; a right-to-left reader starts its scan here.
     pub fn count_records(&self) -> u16 {
-        let cap = self.capacity();
-        // Start from the hint and self-heal in either direction.
-        let mut c = self.count_hint();
-        if c > cap {
-            c = cap;
-        }
-        // The terminator may be earlier than the hint…
-        while c > 0 && self.ptr(c - 1) == NULL_OFFSET {
-            c -= 1;
-        }
-        // …or later.
-        while c < cap + 1 && self.ptr(c) != NULL_OFFSET {
-            c += 1;
-        }
-        c
+        (0..=self.capacity())
+            .take_while(|&i| self.ptr(i) != NULL_OFFSET)
+            .count() as u16
     }
 
     /// The records before the terminator, in slot order, poisoned slots
@@ -530,8 +506,6 @@ mod tests {
         assert_eq!(n.sibling(), 4096);
         n.set_switch_counter(5);
         assert_eq!(n.switch_counter(), 5);
-        n.set_count_hint(7);
-        assert_eq!(n.count_hint(), 7);
         n.mark_deleted();
         assert!(n.is_deleted());
         assert_eq!(n.level(), 3);
@@ -573,6 +547,8 @@ mod tests {
         assert!(n.entry_valid(1));
     }
 
+    /// Header word 32 held a count hint in earlier versions, which a crash
+    /// could leave stale either way; the count ignores whatever it holds.
     #[test]
     fn count_records_self_heals_stale_hint() {
         let p = pool();
@@ -581,10 +557,11 @@ mod tests {
             n.set_key(i, u64::from(i) * 10 + 10);
             n.set_ptr(i, u64::from(i) + 100);
         }
-        n.set_count_hint(0); // stale low
-        assert_eq!(n.count_records(), 5);
-        n.set_count_hint(20); // stale high
-        assert_eq!(n.count_records(), 5);
+        let past_cap = u64::from(n.capacity()) + 1;
+        for word in [0, 2, 20, past_cap, u64::MAX] {
+            p.store_u64(n.offset() + 32, word);
+            assert_eq!(n.count_records(), 5, "word 32 = {word}");
+        }
     }
 
     #[test]

@@ -99,8 +99,7 @@ impl FastFairTree {
             crate::delete::enter_delete_direction(self, parent, pcnt);
             parent.set_ptr(i, crate::layout::INVALID_PTR);
             self.pool.fence_if_not_tso();
-            crate::delete::shift_left_from(self, parent, i, pcnt);
-            parent.set_count_hint(pcnt - 1);
+            crate::delete::shift_left_from(parent, i, pcnt);
         }
 
         // Steps 2 and 3.

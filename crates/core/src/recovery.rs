@@ -4,9 +4,10 @@
 //! the paper: readers tolerate every crash state and writers repair nodes
 //! lazily. [`FastFairTree::recover`] is the *eager* version of that lazy
 //! repair, useful right after a crash to reclaim garbage slots, finish
-//! half-done splits and re-attach dangling siblings in one sweep; it also
-//! recomputes count hints. It has no latch to reset: latches are DRAM
-//! state of the handle, and a reopened handle starts with all of them free.
+//! half-done splits and re-attach dangling siblings in one sweep. It has
+//! no count to recompute (a node's count is its NULL terminator) and no
+//! latch to reset: latches are DRAM state of the handle, and a reopened
+//! handle starts with all of them free.
 //!
 //! [`FastFairTree::check_consistency`] is the test oracle: it walks the
 //! whole structure and verifies the B+-tree invariants, in either *strict*
@@ -199,7 +200,6 @@ impl FastFairTree {
                 if crate::delete::repair_node_locked(self, node) {
                     report.splits_completed += 1;
                 }
-                node.set_count_hint(node.count_records());
                 report.garbage_removed += before_garbage;
                 guard.unlock();
             }

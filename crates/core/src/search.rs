@@ -36,10 +36,8 @@ use crate::layout::{is_cold, NodeRef, INVALID_PTR};
 /// ended the scan; right to left, all from its start down.
 ///
 /// A right-to-left scan starts two slots above the terminator
-/// `count_records()` finds, not above the count hint, which a crash can
-/// leave below records an unflushed header line never counted; the slots
-/// above the terminator were nulled before the counter went odd
-/// (`enter_delete_direction`).
+/// `count_records()` finds; the slots above the terminator were nulled
+/// before the counter went odd (`enter_delete_direction`).
 ///
 /// The pointer is read again after the key: the slot may have been
 /// poisoned and rewritten for another key since the first read. A slot

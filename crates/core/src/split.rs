@@ -72,7 +72,6 @@ fn build_and_link_sibling<'a>(
         sib.set_key(i - from, node.key(i));
         sib.set_ptr(i - from, node.ptr(i));
     }
-    sib.set_count_hint(cnt - from);
     sib.set_sibling(node.sibling());
     sib.set_high_key(node.high_key());
     if ordered_persists {
@@ -110,7 +109,6 @@ fn build_and_link_sibling<'a>(
     if ordered_persists {
         pool.persist(node.ptr_off(median), 8);
     }
-    node.set_count_hint(median);
     Ok(Sibling {
         off: sib_off,
         split_key,
@@ -230,7 +228,6 @@ pub(crate) fn grow_root(
     nr.set_leftmost(root_off);
     nr.set_key(0, key);
     nr.set_ptr(0, right);
-    nr.set_count_hint(1);
     pool.persist(nr_off, u64::from(tree.node_size));
     tree.root_cell().publish(pool, nr_off);
     Ok(())

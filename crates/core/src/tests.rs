@@ -1731,9 +1731,9 @@ fn split_hides_the_moved_out_half_from_late_readers() {
     let node = t.node(left);
     assert_eq!(node.count_records(), t.cap, "set-up");
     node.set_switch_counter(node.switch_counter() + 1);
-    // Split it, the pending key going to the new sibling. The reader
-    // starts two slots above the count hint: look for a key that close
-    // to the new terminator.
+    // Split it, the pending key going to the new sibling. A right-to-left
+    // reader starts two slots above the terminator: look for a key that
+    // close to the new one.
     let moved = (cap / 2 + 2) * 10;
     t.insert(moved + 5, 7).unwrap();
     assert_ne!(t.find_leaf(moved), left, "key did not move");
@@ -2019,11 +2019,11 @@ fn unlink_removes_every_routing_entry_of_the_leaf() {
     t.check_consistency(true).unwrap();
 }
 
-/// The count hint is never flushed on its own, so a crash can keep a
-/// delete's odd switch counter and an old hint from the header line while
-/// the records that later inserts wrote and flushed survive above it. A
-/// right-to-left reader must still see every record: it starts from the
-/// terminator, not from the hint.
+/// Earlier versions kept a count hint in header word 32 and never flushed
+/// it on its own, so a pool they wrote can hold a delete's odd switch
+/// counter and an old hint below records that later inserts wrote and
+/// flushed, or any other stale value. A right-to-left reader must still see
+/// every record: it starts from the terminator and ignores word 32.
 #[test]
 fn a_stale_count_hint_hides_no_record_from_a_right_to_left_reader() {
     let p = pool(16);
@@ -2035,11 +2035,13 @@ fn a_stale_count_hint_hides_no_record_from_a_right_to_left_reader() {
     assert_eq!(t.height(), 0, "set-up");
     let leaf = t.node(t.find_leaf(10));
     leaf.set_switch_counter(leaf.switch_counter() | 1);
-    leaf.set_count_hint(t.node_capacity() - 4);
-    for k in 1..=cap {
-        assert_eq!(t.get(k * 10), Some(value_for(k)), "key {}", k * 10);
+    for word in [cap - 4, 0, cap + 1, u64::MAX] {
+        p.store_u64(leaf.offset() + 32, word);
+        for k in 1..=cap {
+            assert_eq!(t.get(k * 10), Some(value_for(k)), "key {}, {word}", k * 10);
+        }
+        assert_eq!(t.len() as u64, cap);
     }
-    assert_eq!(t.len() as u64, cap);
 }
 
 /// The transient and crash states a node can hold, each hand-built on a
@@ -2055,7 +2057,12 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
     // A state's name, the switch counters it is read under, and how it
     // edits the frame: keys 10, 20, …, 100 in slots 0–9.
     type State = (&'static str, &'static [u64], fn(NodeRef<'_>));
-    let states: [State; 8] = [
+    // Header word 32 as a pool written by an earlier version leaves it: a
+    // count hint that a crash could leave stale either way.
+    fn word_32(n: NodeRef<'_>, v: u64) {
+        n.pool().store_u64(n.offset() + 32, v);
+    }
+    let states: [State; 11] = [
         ("clean", &[0, 1], |_| {}),
         ("poisoned slot", &[0, 1], |n| n.set_ptr(3, INVALID_PTR)),
         ("adjacent exact duplicate", &[0, 1], |n| {
@@ -2063,13 +2070,11 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
                 n.set_key(i + 1, n.key(i));
                 n.set_ptr(i + 1, n.ptr(i));
             }
-            n.set_count_hint(11);
         }),
         // A split's truncation: the moved-out half stays above the new
         // terminator, and the split left the counter even.
         ("stale records above the terminator", &[0], |n| {
-            n.set_ptr(5, 0);
-            n.set_count_hint(5);
+            n.set_ptr(5, 0)
         }),
         // Odd: `enter_delete_direction` nulled the slots above the
         // terminator, and a right-to-left scan starts two above it — not
@@ -2081,20 +2086,21 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
                 for i in 5..8 {
                     n.set_ptr(i, 0);
                 }
-                n.set_count_hint(5);
             },
         ),
-        ("count hint below the records", &[0, 1], |n| {
-            n.set_count_hint(2)
-        }),
+        ("count hint below the records", &[0, 1], |n| word_32(n, 2)),
         ("count hint above the terminator", &[0, 1], |n| {
-            n.set_count_hint(26)
+            word_32(n, 26)
         }),
+        ("count hint zero", &[0, 1], |n| word_32(n, 0)),
+        ("count hint one past the capacity", &[0, 1], |n| {
+            word_32(n, u64::from(n.capacity()) + 1)
+        }),
+        ("count hint all ones", &[0, 1], |n| word_32(n, u64::MAX)),
         ("empty", &[0, 1], |n| {
             for i in 0..10 {
                 n.set_ptr(i, 0);
             }
-            n.set_count_hint(0);
         }),
     ];
     for (what, counters, build) in states {
@@ -2109,7 +2115,6 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
                     n.set_key(i as u16, k);
                     n.set_ptr(i as u16, k * 64);
                 }
-                n.set_count_hint(10);
                 build(n);
                 n.set_switch_counter(sc);
                 let ctx = format!("{what}, level {level}, counter {sc}");
@@ -2131,6 +2136,136 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
     }
 }
 
+/// The state a crash left in earlier versions when a split's truncation
+/// persisted and its count-hint store did not: the truncation's NULL at the
+/// median, the moved-out half above it, and header word 32 still holding
+/// the full count. Hand-built on a leaf and on a level-1 node, under an
+/// even and an odd switch counter: the count ends at the truncation, an
+/// insert below it and the split that insert's successors force copy no
+/// stale entry, and `recover` leaves the tree strictly consistent.
+#[test]
+fn a_split_truncation_under_a_stale_full_count_counts_to_its_null() {
+    for level in [0u32, 1] {
+        for odd in [false, true] {
+            for write_first in [false, true] {
+                let ctx = format!("level {level}, odd {odd}, write first {write_first}");
+                let p = pool(16);
+                let t = tiny_tree(&p);
+                let mut model = BTreeMap::new();
+                // Ascending inserts up to the first split at `level`: its
+                // pending entry is the largest, so it goes to the sibling
+                // and the truncation's NULL stays at the median.
+                let mut k = 0u64;
+                while t.height() <= level {
+                    k += 10;
+                    t.insert(k, value_for(k)).unwrap();
+                    model.insert(k, value_for(k));
+                }
+                let node = t.node(t.level_chain(level)[0]);
+                let median = t.cap / 2;
+                assert_eq!(node.ptr(median), 0, "{ctx}: set-up");
+                assert!(
+                    (median + 1..t.cap).all(|i| node.ptr(i) != 0),
+                    "{ctx}: set-up"
+                );
+                p.store_u64(node.offset() + 32, u64::from(t.cap));
+                if odd {
+                    node.set_switch_counter(node.switch_counter() | 1);
+                }
+                assert_eq!(node.count_records(), median, "{ctx}");
+
+                if write_first {
+                    // Keys below the node's high key, into it or into the
+                    // leaves under it, until it splits.
+                    let (high, sib) = (node.high_key(), node.sibling());
+                    let mut fresh = (1..high).filter(|k| k % 10 != 0);
+                    while node.sibling() == sib {
+                        let k = fresh.next().expect("node did not split");
+                        t.insert(k, value_for(k)).unwrap();
+                        model.insert(k, value_for(k));
+                    }
+                    let split = t.node(node.sibling());
+                    let (low, high) = (node.high_key(), split.high_key());
+                    let copied = split.valid_entries();
+                    assert!(
+                        copied.iter().all(|e| low <= e.0 && e.0 < high),
+                        "{ctx}: stale entry copied: {copied:?}"
+                    );
+                    t.check_consistency(true)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                }
+                t.recover().unwrap();
+                t.check_consistency(true)
+                    .unwrap_or_else(|e| panic!("{ctx}: after recover: {e}"));
+                // An odd counter over the moved-out half is a state no
+                // version persists (a split persists its even counter
+                // before its truncation), and a right-to-left scan reads
+                // two slots above the terminator: scan once a write has
+                // made the counter even.
+                if write_first || !odd {
+                    let mut scan = Vec::new();
+                    t.for_each(|k, v| scan.push((k, v)));
+                    assert!(scan.into_iter().eq(model.into_iter()), "{ctx}: scan");
+                }
+            }
+        }
+    }
+}
+
+/// Header words 32, 40 and 48 are reserved (see the table in `layout.rs`):
+/// no writer stores to them. An insert / delete / split / merge /
+/// bulk-load / update mix on a crash-logged pool logs no store there on
+/// any node it ever had.
+#[test]
+fn no_writer_stores_to_a_reserved_header_word() {
+    use std::collections::BTreeSet;
+    let p = Arc::new(Pool::new(PoolConfig::new().size(4 << 20).crash_log(true)).unwrap());
+    let t = tiny_tree(&p);
+    let mut nodes = BTreeSet::new();
+    let mut seen = |t: &FastFairTree| {
+        for level in 0..=t.height() {
+            nodes.extend(t.level_chain(level));
+        }
+    };
+    seen(&t);
+    t.bulk_load(&mut (1..=300u64).map(|k| (k * 10, value_for(k))))
+        .unwrap();
+    seen(&t);
+    let leaves = t.level_chain(0).len();
+    for k in (1..=300u64).map(|k| k * 10 + 5) {
+        t.insert(k, value_for(k)).unwrap();
+        seen(&t);
+    }
+    let split = t.level_chain(0).len();
+    assert!(split > leaves, "no split: {leaves} leaves");
+    for k in 1..=1_000u64 {
+        t.remove(k);
+        seen(&t);
+    }
+    assert!(t.level_chain(0).len() < split, "no merge");
+    for k in (1_000..3_000u64).step_by(10) {
+        t.update(k, value_for(k ^ 1)).unwrap();
+    }
+    t.check_consistency(true).unwrap();
+
+    let mut header_stores = 0;
+    for e in p.crash_log().unwrap().events() {
+        let pmem::crash::Event::Store { off, .. } = e else {
+            continue;
+        };
+        let line = off & !63;
+        if nodes.contains(&line) {
+            header_stores += 1;
+            assert!(
+                ![32, 40, 48].contains(&(off - line)),
+                "store to word {} of node {line:#x}",
+                off - line
+            );
+        }
+    }
+    assert!(header_stores > 1_000, "{header_stores} header stores");
+}
+
 // ---- node bounds (ROADMAP item 5) -----------------------------------------
 //
 // A crash between a split's truncation and its parent update leaves the
@@ -2149,8 +2284,7 @@ fn unroute(t: &FastFairTree, level: u32, child: u64) -> u64 {
             let sep = parent.key(i);
             crate::delete::enter_delete_direction(t, parent, cnt);
             parent.set_ptr(i, crate::layout::INVALID_PTR);
-            crate::delete::shift_left_from(t, parent, i, cnt);
-            parent.set_count_hint(cnt - 1);
+            crate::delete::shift_left_from(parent, i, cnt);
             return sep;
         }
     }

@@ -618,3 +618,39 @@ fn crash_with_larger_nodes() {
         .collect();
     crash_sweep(TreeOptions::new().node_size(512), &preload, &ops, 9);
 }
+
+/// The crash log of one fixed single-thread mix, pinned kind by kind, so a
+/// store, flush or fence added to or removed from the write paths names
+/// itself here: ascending inserts through two leaf splits, the deletes that
+/// empty the middle leaf (a merge), and an update of every survivor. The
+/// log holds stores and line flushes; fences are not log events, so they
+/// come from this thread's `pmem::stats`.
+#[test]
+fn crash_log_of_a_fixed_mix_is_pinned() {
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL_BYTES).crash_log(true)).unwrap());
+    let tree = FastFairTree::create(Arc::clone(&pool), TreeOptions::new().node_size(256)).unwrap();
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image());
+    pmem::stats::reset();
+    // 256-byte nodes hold 10 records: leaves [1, 5], [6, 10], [11, 16].
+    for k in 1..=16u64 {
+        tree.insert(k, value_for(k)).unwrap();
+    }
+    assert_eq!(tree.check_consistency(true).unwrap().nodes, 4, "two splits");
+    for k in 6..=10u64 {
+        assert!(tree.remove(k));
+    }
+    assert_eq!(tree.check_consistency(true).unwrap().nodes, 3, "one merge");
+    for k in (1..=5).chain(11..=16u64) {
+        assert!(tree.update(k, updated_value_for(k)).unwrap().is_some());
+    }
+    let fences = pmem::stats::take().fences;
+    let (mut stores, mut flushes) = (0, 0);
+    for e in log.events() {
+        match e {
+            pmem::crash::Event::Store { .. } => stores += 1,
+            pmem::crash::Event::FlushLine { .. } => flushes += 1,
+        }
+    }
+    assert_eq!((stores, flushes, fences), (208, 54, 49));
+}

@@ -372,7 +372,7 @@ fn acknowledged_service_writes_survive_a_crash() {
     };
     assert_eq!(acked.len(), 40);
     // Fixed groups fix the log: the same events on every run.
-    assert_eq!(log.len(), 703, "events the history logged");
+    assert_eq!(log.len(), 663, "events the history logged");
 
     // Crash at the END of the log (power loss after the last ack) under
     // every eviction policy: acknowledged writes are durable by then.

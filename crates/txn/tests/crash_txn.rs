@@ -342,7 +342,7 @@ fn cross_shard_payment_batch_crash_sweep() {
 /// threads, whose events interleave differently from run to run, but
 /// each thread's own stores and flushes do not change, so their number
 /// is fixed.
-const SPLIT_GROUP_EVENTS: usize = 351;
+const SPLIT_GROUP_EVENTS: usize = 337;
 
 /// A group whose apply splits across the store's two shards: per shard,
 /// `MIN_SPLIT` + 1 fresh puts, `MIN_SPLIT` deletes of preloaded keys and
