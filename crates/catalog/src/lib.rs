@@ -3,13 +3,14 @@
 //!
 //! Every store in this workspace already knows how to recover itself —
 //! [`pmindex::PersistentIndex::open_in`] re-opens a tree from its
-//! superblock, [`shard::ShardedStore::open`] replays a manifest,
-//! [`txn::TxnEngine::open`] replays its journal — but each of those
-//! entry points needs *coordinates* (a pool and an offset) that, before
-//! this crate, lived only in the process that created the store. A
+//! superblock, [`txn::TxnEngine::open`] replays its journal — but each of
+//! those entry points needs *coordinates* (a pool and an offset) that,
+//! before this crate, lived only in the process that created the store. A
 //! [`Catalog`] persists those coordinates under human-readable names in
 //! a **root pool**, so a restarted process can ask for `"orders"` and
-//! get its tree back:
+//! get its tree back. A sharded deployment is nothing but coordinates —
+//! its partitioning and each shard's pool and superblock — so it is one
+//! entry too, and [`Catalog::open_sharded`] rebuilds it:
 //!
 //! ```text
 //! root pool header ──CommitCell::CATALOG──▶ catalog record
@@ -34,10 +35,12 @@
 //!
 //! ```text
 //! name length in bytes, name bytes packed little-endian 8 per word,
-//! kind tag (1 index, 3 sharded, 4 txn; 2 is retired and refused),
-//! superblock offset (0 for sharded and txn: a pool header anchors them),
-//! fleet slot count n, n fleet slots (sharded: the manifest's, then each
-//! shard's in manifest slot-id order)
+//! kind tag (1 index, 4 txn, 5 sharded; 2 and 3 are retired and refused),
+//! anchor (index: superblock offset; txn: 0, a pool header anchors it;
+//!         sharded: partitioning, 0 hash / 1 range),
+//! word count n, n words (index, txn: the fleet slot; sharded: each
+//! shard's fleet slot and superblock in shard order, then a range
+//! deployment's N - 1 ascending bounds)
 //! ```
 //!
 //! Pools are identified by **fleet slot**: the position of the pool in
@@ -58,7 +61,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pmem::{CommitCell, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{IndexError, PersistentIndex};
-use shard::ShardedStore;
+use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
 
 /// `"FFCATREC"` — the magic of the catalog record.
@@ -66,11 +69,17 @@ const MAGIC: u64 = u64::from_le_bytes(*b"FFCATREC");
 
 /// Kind tags: the first of a name's kind words.
 const TAG_INDEX: u64 = 1;
-/// Retired with the byte-key store it named; never reused, so a record
-/// that still holds it is refused rather than misread.
+/// Retired kinds, never reused, so a record that still holds one is
+/// refused rather than misread: 2 named a byte-key store, 3 a sharded
+/// store whose map was a separate shard-manifest record.
 const TAG_VARKEY: u64 = 2;
-const TAG_SHARDED: u64 = 3;
+const TAG_MANIFEST: u64 = 3;
 const TAG_TXN: u64 = 4;
+const TAG_SHARDED: u64 = 5;
+
+/// A sharded entry's anchor word: its partitioning.
+const PART_HASH: u64 = 0;
+const PART_RANGE: u64 = 1;
 
 type Names = BTreeMap<String, StoreKind>;
 
@@ -83,8 +92,8 @@ fn corrupt(what: &str) -> IndexError {
 ///
 /// Pool references are **fleet slots**: indexes into the pool vector
 /// handed to [`Catalog::open`] (slot 0 is the root pool). Offsets are
-/// the store's own recovery anchors ([`PersistentIndex::superblock`],
-/// or implicit header slots for sharded/transactional stores).
+/// the stores' own recovery anchors ([`PersistentIndex::superblock`]; a
+/// transaction engine's is an implicit pool-header slot).
 ///
 /// ```
 /// use catalog::StoreKind;
@@ -102,14 +111,15 @@ pub enum StoreKind {
         /// The index's [`PersistentIndex::superblock`] offset.
         superblock: PmOffset,
     },
-    /// A sharded deployment: reopened via [`Catalog::open_sharded`]
-    /// from the manifest in `manifest_pool`'s header.
+    /// A sharded deployment: reopened via [`Catalog::open_sharded`],
+    /// each shard from its superblock.
     Sharded {
-        /// Fleet slot of the pool whose header slot holds the manifest.
-        manifest_pool: usize,
-        /// Fleet slot per manifest *pool slot id*: the manifest's
-        /// entries index this list, so it must stay in slot-id order.
-        shard_pools: Vec<usize>,
+        /// How keys route to the shards; its shard count must be
+        /// `shards.len()` and its range bounds ascending.
+        partitioning: Partitioning,
+        /// Each shard's fleet slot and [`PersistentIndex::superblock`],
+        /// in shard order.
+        shards: Vec<(usize, PmOffset)>,
     },
     /// A transaction engine: reopened via [`Catalog::open_txn`] from
     /// the journal in `pool`'s header slot.
@@ -120,36 +130,101 @@ pub enum StoreKind {
 }
 
 impl StoreKind {
-    /// The kind's tag, its offset anchor (0 for the stores anchored in a
-    /// pool header) and every fleet slot it names.
-    fn parts(&self) -> (u64, PmOffset, Vec<usize>) {
+    /// The kind's tag, its anchor word and its counted words.
+    fn parts(&self) -> (u64, u64, Vec<u64>) {
         match self {
-            StoreKind::Index { pool, superblock } => (TAG_INDEX, *superblock, vec![*pool]),
+            StoreKind::Index { pool, superblock } => (TAG_INDEX, *superblock, vec![*pool as u64]),
             StoreKind::Sharded {
-                manifest_pool,
-                shard_pools,
-            } => (
-                TAG_SHARDED,
-                0,
-                [&[*manifest_pool], &shard_pools[..]].concat(),
-            ),
-            StoreKind::Txn { pool } => (TAG_TXN, 0, vec![*pool]),
+                partitioning,
+                shards,
+            } => {
+                let map = shards.iter().flat_map(|&(slot, sb)| [slot as u64, sb]);
+                match partitioning {
+                    Partitioning::Hash { .. } => (TAG_SHARDED, PART_HASH, map.collect()),
+                    Partitioning::Range { bounds } => (
+                        TAG_SHARDED,
+                        PART_RANGE,
+                        map.chain(bounds.iter().copied()).collect(),
+                    ),
+                }
+            }
+            StoreKind::Txn { pool } => (TAG_TXN, 0, vec![*pool as u64]),
         }
     }
 
-    fn from_parts(tag: u64, anchor: PmOffset, slots: &[usize]) -> Option<StoreKind> {
-        Some(match (tag, slots) {
-            (TAG_INDEX, &[pool]) => StoreKind::Index {
-                pool,
+    /// Decodes one name's kind words; the refusal names what is wrong.
+    fn from_parts(tag: u64, anchor: u64, words: &[u64]) -> Result<StoreKind, String> {
+        match (tag, words) {
+            (TAG_INDEX, &[pool]) => Ok(StoreKind::Index {
+                pool: pool as usize,
                 superblock: anchor,
-            },
-            (TAG_SHARDED, [manifest_pool, shards @ ..]) => StoreKind::Sharded {
-                manifest_pool: *manifest_pool,
-                shard_pools: shards.to_vec(),
-            },
-            (TAG_TXN, &[pool]) => StoreKind::Txn { pool },
-            _ => return None,
-        })
+            }),
+            (TAG_TXN, &[pool]) => Ok(StoreKind::Txn {
+                pool: pool as usize,
+            }),
+            (TAG_VARKEY, _) => Err(format!("retired kind {tag} (varkey byte-key store)")),
+            (TAG_MANIFEST, _) => Err(format!(
+                "retired kind {tag} (sharded store over a shard manifest)"
+            )),
+            (TAG_SHARDED, _) => {
+                // N shards take 2N words under hash, 3N - 1 under range;
+                // no word at all is a map of no shard, which `check`
+                // refuses by name.
+                let shards = match anchor {
+                    PART_HASH if words.len().is_multiple_of(2) => words.len() / 2,
+                    PART_RANGE if words.is_empty() => 0,
+                    PART_RANGE if words.len() % 3 == 2 => words.len() / 3 + 1,
+                    PART_HASH | PART_RANGE => return Err("a malformed kind".into()),
+                    _ => return Err(format!("unknown partitioning kind {anchor}")),
+                };
+                let (map, bounds) = words.split_at(2 * shards);
+                Ok(StoreKind::Sharded {
+                    partitioning: match anchor {
+                        PART_HASH => Partitioning::Hash { shards },
+                        _ => Partitioning::Range {
+                            bounds: bounds.to_vec(),
+                        },
+                    },
+                    shards: map.chunks_exact(2).map(|w| (w[0] as usize, w[1])).collect(),
+                })
+            }
+            _ => Err("a malformed kind".into()),
+        }
+    }
+
+    /// Refuses a kind that names a fleet slot outside a fleet of `fleet`
+    /// pools, or a sharded map [`ShardedStore::from_indexes`] would
+    /// reject: no shard, a shard count its partitioning disagrees with,
+    /// or descending range bounds.
+    fn check(&self, fleet: usize) -> Result<(), IndexError> {
+        let slots = match self {
+            StoreKind::Index { pool, .. } | StoreKind::Txn { pool } => vec![*pool],
+            StoreKind::Sharded {
+                partitioning,
+                shards,
+            } => {
+                if shards.is_empty() {
+                    return Err(corrupt("sharded store names no shard"));
+                } else if partitioning.shards() != shards.len() {
+                    return Err(corrupt(&format!(
+                        "partitioning has {} shards but the map lists {}",
+                        partitioning.shards(),
+                        shards.len()
+                    )));
+                } else if let Partitioning::Range { bounds } = partitioning {
+                    if !bounds.is_sorted() {
+                        return Err(corrupt("sharded store has descending range bounds"));
+                    }
+                }
+                shards.iter().map(|&(slot, _)| slot).collect()
+            }
+        };
+        match slots.into_iter().find(|&slot| slot >= fleet) {
+            Some(slot) => Err(corrupt(&format!(
+                "record references fleet slot {slot} but the fleet has {fleet} pools"
+            ))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -356,8 +431,10 @@ impl Catalog {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if `name` is empty or already
-    /// registered (use [`Catalog::update`] to repoint a live name), or
-    /// if `kind` references a fleet slot outside the pool fleet.
+    /// registered (use [`Catalog::update`] to repoint a live name), if
+    /// `kind` references a fleet slot outside the pool fleet, or if it is
+    /// a sharded map with no shard, a shard count its partitioning
+    /// disagrees with, or descending range bounds.
     pub fn register(&self, name: &str, kind: &StoreKind) -> Result<(), IndexError> {
         self.check(name, kind)?;
         // A failed mutation discards the copy it changed.
@@ -386,8 +463,8 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Unsupported`] if the name is not registered or
-    /// `kind` references a slot outside the fleet.
+    /// [`IndexError::Unsupported`] if the name is not registered, or
+    /// `kind` is refused as [`Catalog::register`] refuses it.
     pub fn update(&self, name: &str, kind: &StoreKind) -> Result<(), IndexError> {
         self.check(name, kind)?;
         self.mutate(|names| match names.insert(name.into(), kind.clone()) {
@@ -497,7 +574,7 @@ impl Catalog {
     ///
     /// The type parameter picks the backend and must match what the
     /// record was created from — the catalog stores coordinates, not
-    /// Rust types, exactly as a shard manifest does.
+    /// Rust types.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -528,30 +605,30 @@ impl Catalog {
         }
     }
 
-    /// Re-opens the sharded deployment registered as `name` by
-    /// replaying the manifest in its manifest pool, with the record's
-    /// slot list translating manifest pool-slot ids to fleet pools.
+    /// Re-opens the sharded deployment registered as `name`: each shard's
+    /// index from its recorded pool and superblock, routed by the
+    /// recorded partitioning.
     ///
     /// ```
     /// use std::sync::Arc;
     /// use catalog::{Catalog, StoreKind};
-    /// use pmindex::PmIndex;
+    /// use fastfair::FastFairTree;
+    /// use pmindex::{PersistentIndex, PmIndex};
     /// use shard::{Partitioning, ShardedStore};
     ///
     /// let root = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(1 << 20))?);
     /// let cat = Catalog::create(vec![Arc::clone(&root)])?;
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&root),
-    ///     vec![Arc::clone(&root), Arc::clone(&root)],
-    ///     Partitioning::Hash { shards: 2 },
-    /// )?;
+    /// let trees = vec![
+    ///     FastFairTree::create_in(Arc::clone(&root))?,
+    ///     FastFairTree::create_in(Arc::clone(&root))?,
+    /// ];
+    /// let partitioning = Partitioning::Hash { shards: 2 };
+    /// let shards = trees.iter().map(|t| (0, t.superblock())).collect();
+    /// let store = ShardedStore::from_indexes(trees, partitioning.clone());
     /// store.insert(11, 110)?;
-    /// cat.register("wide", &StoreKind::Sharded {
-    ///     manifest_pool: 0,
-    ///     shard_pools: vec![0, 0],
-    /// })?;
+    /// cat.register("wide", &StoreKind::Sharded { partitioning, shards })?;
     ///
-    /// let again: ShardedStore<fastfair::FastFairTree> = cat.open_sharded("wide")?;
+    /// let again: ShardedStore<FastFairTree> = cat.open_sharded("wide")?;
     /// assert_eq!(again.get(11), Some(110));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -559,23 +636,24 @@ impl Catalog {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if `name` is unmapped or not a
-    /// [`StoreKind::Sharded`] record; manifest and index-open failures
-    /// propagate.
+    /// [`StoreKind::Sharded`] record; index-open failures propagate.
     pub fn open_sharded<T: PersistentIndex>(
         &self,
         name: &str,
     ) -> Result<ShardedStore<T>, IndexError> {
         match self.kind_of(name)? {
             StoreKind::Sharded {
-                manifest_pool,
-                shard_pools,
-            } => ShardedStore::open(
-                Arc::clone(&self.pools[manifest_pool]),
-                shard_pools
+                partitioning,
+                shards,
+            } => {
+                let indexes = shards
                     .iter()
-                    .map(|&s| Arc::clone(&self.pools[s]))
-                    .collect(),
-            ),
+                    .map(|&(pool, superblock)| {
+                        T::open_in(Arc::clone(&self.pools[pool]), superblock)
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(ShardedStore::from_indexes(indexes, partitioning))
+            }
             other => Err(wrong_kind(name, "a sharded store", &other)),
         }
     }
@@ -641,7 +719,7 @@ impl Catalog {
         if name.is_empty() {
             return Err(corrupt("store names must be non-empty"));
         }
-        check_slots(kind, self.pools.len())
+        kind.check(self.pools.len())
     }
 
     fn kind_of(&self, name: &str) -> Result<StoreKind, IndexError> {
@@ -667,15 +745,15 @@ impl Catalog {
     fn commit(&self, names: &Names) -> Result<(), IndexError> {
         let mut words = Vec::new();
         for (name, kind) in names {
-            let (tag, anchor, slots) = kind.parts();
+            let (tag, anchor, counted) = kind.parts();
             words.push(name.len() as u64);
             words.extend(name.as_bytes().chunks(8).map(|c| {
                 let mut b = [0u8; 8];
                 b[..c.len()].copy_from_slice(c);
                 u64::from_le_bytes(b)
             }));
-            words.extend([tag, anchor, slots.len() as u64]);
-            words.extend(slots.iter().map(|&s| s as u64));
+            words.extend([tag, anchor, counted.len() as u64]);
+            words.extend(counted);
         }
         Ok(CommitCell::CATALOG.publish_record(self.root(), MAGIC, &words)?)
     }
@@ -700,29 +778,15 @@ fn read(root: &Pool, fleet: usize) -> Result<Option<Names>, IndexError> {
         let &[tag, anchor, n] = take(&mut words, 3)? else {
             return Err(corrupt("record is truncated"));
         };
-        let slots: Vec<usize> = take(&mut words, n)?.iter().map(|&s| s as usize).collect();
-        if tag == TAG_VARKEY {
-            return Err(corrupt(&format!(
-                "store {name:?} has retired kind {TAG_VARKEY} (varkey byte-key store)"
-            )));
-        }
-        let kind = StoreKind::from_parts(tag, anchor, &slots)
-            .ok_or_else(|| corrupt(&format!("store {name:?} has a malformed kind")))?;
-        check_slots(&kind, fleet).map_err(|e| corrupt(&format!("store {name:?}: {e}")))?;
+        let kind = StoreKind::from_parts(tag, anchor, take(&mut words, n)?)
+            .map_err(|why| corrupt(&format!("store {name:?} has {why}")))?;
+        kind.check(fleet)
+            .map_err(|e| corrupt(&format!("store {name:?}: {e}")))?;
         if name.is_empty() || names.insert(name, kind).is_some() {
             return Err(corrupt("record holds an empty or repeated name"));
         }
     }
     Ok(Some(names))
-}
-
-fn check_slots(kind: &StoreKind, fleet: usize) -> Result<(), IndexError> {
-    match kind.parts().2.into_iter().find(|&slot| slot >= fleet) {
-        Some(slot) => Err(corrupt(&format!(
-            "record references fleet slot {slot} but the fleet has {fleet} pools"
-        ))),
-        None => Ok(()),
-    }
 }
 
 fn wrong_kind(name: &str, wanted: &str, got: &StoreKind) -> IndexError {
@@ -735,6 +799,12 @@ mod tests {
     use fastfair::FastFairTree;
     use pmem::PoolConfig;
     use pmindex::PmIndex;
+
+    fn name(s: &str) -> u64 {
+        let mut b = [0u8; 8];
+        b[..s.len()].copy_from_slice(s.as_bytes());
+        u64::from_le_bytes(b)
+    }
 
     fn pool() -> Arc<Pool> {
         Arc::new(Pool::new(PoolConfig::default().size(4 << 20)).unwrap())
@@ -787,8 +857,8 @@ mod tests {
             .register(
                 "bad",
                 &StoreKind::Sharded {
-                    manifest_pool: 0,
-                    shard_pools: vec![0, 7],
+                    partitioning: Partitioning::Hash { shards: 2 },
+                    shards: vec![(0, 64), (7, 64)],
                 },
             )
             .is_err());
@@ -858,6 +928,22 @@ mod tests {
     }
 
     #[test]
+    fn a_record_holding_the_retired_kind_3_is_refused() {
+        // A well-checksummed record as a catalog that registered a sharded
+        // store over a shard manifest wrote it: name "wide", kind 3, no
+        // anchor, the manifest's fleet slot, then two shards'.
+        let root = pool();
+        let words = [4, name("wide"), 3, 0, 3, 0, 0, 0];
+        CommitCell::CATALOG
+            .publish_record(&root, MAGIC, &words)
+            .unwrap();
+        match Catalog::open(vec![root]) {
+            Err(IndexError::Unsupported(msg)) => assert!(msg.contains("retired kind 3"), "{msg}"),
+            other => panic!("a kind-3 record must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn a_record_holding_the_retired_kind_2_is_refused() {
         // A well-checksummed record as a catalog that registered a byte-key
         // store wrote it: name "names", kind 2, the inner index's
@@ -883,7 +969,7 @@ mod tests {
         Catalog::open(vec![root])
     }
 
-    fn refused(res: Result<Catalog, IndexError>) -> String {
+    fn refused<T: std::fmt::Debug>(res: Result<T, IndexError>) -> String {
         match res {
             Err(IndexError::Unsupported(msg)) => msg,
             other => panic!("expected Unsupported, got {other:?}"),
@@ -893,13 +979,22 @@ mod tests {
     #[test]
     fn a_record_holding_an_unknown_kind_tag_is_refused() {
         let name = u64::from_le_bytes(*b"t\0\0\0\0\0\0\0");
-        for tag in [0, TAG_TXN + 1, u64::MAX] {
+        for tag in [0, TAG_SHARDED + 1, u64::MAX] {
             let msg = refused(open_record(&[1, name, tag, 0, 1, 0]));
             assert!(msg.contains("malformed kind"), "tag {tag}: {msg}");
         }
-        // A known tag with the wrong number of slots is malformed too.
-        let msg = refused(open_record(&[1, name, TAG_TXN, 0, 2, 0, 0]));
-        assert!(msg.contains("malformed kind"), "{msg}");
+        // A known tag with a word count that fits none of its shapes is
+        // malformed too: a txn names one slot, a hash map two words a
+        // shard, a range map three a shard but one.
+        for kind in [
+            vec![TAG_TXN, 0, 2, 0, 0],
+            vec![TAG_SHARDED, PART_HASH, 3, 0, 64, 0],
+            vec![TAG_SHARDED, PART_RANGE, 3, 0, 64, 10],
+            vec![TAG_SHARDED, PART_RANGE, 4, 0, 64, 0, 64],
+        ] {
+            let msg = refused(open_record(&[&[1, name], &kind[..]].concat()));
+            assert!(msg.contains("malformed kind"), "{kind:?}: {msg}");
+        }
     }
 
     #[test]
@@ -1041,8 +1136,8 @@ mod tests {
             .update(
                 "t",
                 &StoreKind::Sharded {
-                    manifest_pool: 1,
-                    shard_pools: vec![0, 5],
+                    partitioning: Partitioning::Hash { shards: 2 },
+                    shards: vec![(0, 64), (5, 64)],
                 },
             )
             .is_err());
@@ -1095,8 +1190,14 @@ mod tests {
                 superblock: 256,
             },
             StoreKind::Sharded {
-                manifest_pool: 0,
-                shard_pools: vec![1, 2],
+                partitioning: Partitioning::Hash { shards: 2 },
+                shards: vec![(1, 128), (2, 256)],
+            },
+            StoreKind::Sharded {
+                partitioning: Partitioning::Range {
+                    bounds: vec![10, 10],
+                },
+                shards: vec![(2, 64), (0, 64), (1, 512)],
             },
             StoreKind::Txn { pool: 1 },
         ];
@@ -1108,5 +1209,150 @@ mod tests {
             assert_eq!(cat2.lookup(&format!("s{i}")).as_ref(), Some(k));
         }
         assert_eq!(cat2.verify().unwrap(), kinds.len());
+    }
+
+    #[test]
+    fn index_txn_and_sharded_entries_keep_their_payload_words() {
+        let cat = Catalog::create(vec![pool(), pool()]).unwrap();
+        cat.register(
+            "kv",
+            &StoreKind::Index {
+                pool: 1,
+                superblock: 4160,
+            },
+        )
+        .unwrap();
+        cat.register("txn", &StoreKind::Txn { pool: 0 }).unwrap();
+        cat.register(
+            "wide",
+            &StoreKind::Sharded {
+                partitioning: Partitioning::Range { bounds: vec![500] },
+                shards: vec![(1, 64), (0, 128)],
+            },
+        )
+        .unwrap();
+        let words = CommitCell::CATALOG.record(cat.root(), MAGIC).unwrap();
+        #[rustfmt::skip]
+        let want = vec![
+            2, name("kv"), TAG_INDEX, 4160, 1, 1,
+            3, name("txn"), TAG_TXN, 0, 1, 0,
+            4, name("wide"), TAG_SHARDED, PART_RANGE, 5, 1, 64, 0, 128, 500,
+        ];
+        assert_eq!(words, Some(want));
+        assert_eq!((TAG_INDEX, TAG_TXN, TAG_SHARDED), (1, 4, 5));
+    }
+
+    #[test]
+    fn a_sharded_kind_whose_partitioning_disagrees_with_its_map_is_refused() {
+        let cat = Catalog::create(vec![pool()]).unwrap();
+        let sharded = |partitioning, shards: usize| StoreKind::Sharded {
+            partitioning,
+            shards: vec![(0, 64); shards],
+        };
+        cat.register("s", &sharded(Partitioning::Hash { shards: 1 }, 1))
+            .unwrap();
+        let published = CommitCell::CATALOG.load(cat.root());
+        for (kind, why) in [
+            (
+                sharded(Partitioning::Hash { shards: 3 }, 2),
+                "3 shards but the map lists 2",
+            ),
+            (
+                sharded(Partitioning::Range { bounds: vec![10] }, 3),
+                "2 shards but the map lists 3",
+            ),
+            (
+                sharded(
+                    Partitioning::Range {
+                        bounds: vec![20, 10],
+                    },
+                    3,
+                ),
+                "descending",
+            ),
+            (sharded(Partitioning::Hash { shards: 0 }, 0), "no shard"),
+        ] {
+            let msg = refused(cat.register("t", &kind));
+            assert!(msg.contains(why), "register {kind:?}: {msg}");
+            let msg = refused(cat.update("s", &kind));
+            assert!(msg.contains(why), "update {kind:?}: {msg}");
+        }
+        assert_eq!(CommitCell::CATALOG.load(cat.root()), published);
+        assert_eq!(cat.names(), vec!["s"]);
+    }
+
+    /// Publishes a record naming one sharded store, `"s"`, of partitioning
+    /// word `kind` — one fresh tree in the root pool per entry of `slots`,
+    /// recorded at that fleet slot, then `bounds` — and opens the store
+    /// over a fleet of one.
+    fn open_sharded_record(
+        kind: u64,
+        slots: &[u64],
+        bounds: &[u64],
+    ) -> Result<ShardedStore<FastFairTree>, IndexError> {
+        let root = pool();
+        let mut counted = Vec::new();
+        for &slot in slots {
+            let tree = FastFairTree::create_in(Arc::clone(&root)).unwrap();
+            counted.extend([slot, tree.superblock()]);
+        }
+        counted.extend(bounds);
+        let words = [
+            &[1, name("s"), TAG_SHARDED, kind, counted.len() as u64],
+            &counted[..],
+        ]
+        .concat();
+        CommitCell::CATALOG
+            .publish_record(&root, MAGIC, &words)
+            .unwrap();
+        Catalog::open(vec![root])?.open_sharded("s")
+    }
+
+    // The next four keep the names they had when a sharded store's map was
+    // its own shard-manifest record; the checks now run on the catalog's
+    // sharded entry.
+
+    #[test]
+    fn a_manifest_naming_no_shard_is_refused() {
+        for kind in [PART_HASH, PART_RANGE] {
+            let msg = refused(open_sharded_record(kind, &[], &[]));
+            assert!(msg.contains("no shard"), "kind {kind}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_manifest_of_an_unknown_kind_is_refused() {
+        for kind in [2, u64::MAX] {
+            let msg = refused(open_sharded_record(kind, &[0, 0], &[]));
+            assert!(msg.contains("unknown partitioning kind"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_manifest_with_descending_bounds_is_refused_not_a_panic() {
+        let msg = refused(open_sharded_record(PART_RANGE, &[0, 0, 0], &[200, 100]));
+        assert!(msg.contains("descending"), "{msg}");
+        // Equal bounds (an empty middle shard) open.
+        let store = open_sharded_record(PART_RANGE, &[0, 0, 0], &[100, 100]).unwrap();
+        assert_eq!(
+            store.partitioning(),
+            &Partitioning::Range {
+                bounds: vec![100, 100]
+            }
+        );
+    }
+
+    #[test]
+    fn a_manifest_slot_past_the_supplied_pools_is_refused() {
+        // Shard 1 at slot 5 of a one-pool fleet.
+        let msg = refused(open_sharded_record(PART_HASH, &[0, 5], &[]));
+        assert!(msg.contains("slot 5"), "{msg}");
+        // The same map at slot 0 opens.
+        assert_eq!(
+            open_sharded_record(PART_HASH, &[0, 0], &[])
+                .unwrap()
+                .shard_count(),
+            2
+        );
     }
 }

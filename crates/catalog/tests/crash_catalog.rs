@@ -16,13 +16,19 @@
 //!   state, never a blend (a rename never shows both names or neither);
 //! * the reopen wrote nothing: the reopened root pool's image is the
 //!   crash image, byte for byte.
+//!
+//! The same sweep covers a sharded deployment's creation and population,
+//! whose map is one catalog entry committed by that same publish.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use catalog::{Catalog, StoreKind};
+use fastfair::FastFairTree;
 use pmem::crash::Eviction;
 use pmem::{Pool, PoolConfig};
+use pmindex::{CursorIter, PersistentIndex, PmIndex};
+use shard::{Partitioning, ShardedStore};
 
 const POOL: usize = 1 << 20;
 
@@ -105,8 +111,8 @@ fn crash_sweep_catalog_mutations_old_or_new() {
         (
             "gamma",
             StoreKind::Sharded {
-                manifest_pool: 0,
-                shard_pools: vec![0, 1],
+                partitioning: Partitioning::Range { bounds: vec![100] },
+                shards: vec![(0, 192), (1, 64)],
             },
         ),
         ("delta", StoreKind::Txn { pool: 1 }),
@@ -214,4 +220,98 @@ fn reopen_with_a_smaller_fleet_is_rejected() {
         err.to_string().contains("fleet slot"),
         "expected a dangling-slot error, got: {err}"
     );
+}
+
+const SHARDS: usize = 3;
+/// About 50 keys a shard: more than one 512-byte leaf holds, so every
+/// shard's population includes a FAIR split.
+const KEYS: u64 = 150;
+
+fn key(i: u64) -> u64 {
+    i * 49_999
+}
+
+/// Sweeps a sharded deployment's creation and population. Everything —
+/// the catalog, three shards and the entry naming them — lives in ONE
+/// crash-logged pool, so the event log totally orders every store of the
+/// creation (the trees, then the register) and of the inserts that
+/// follow it. Each image either has no such name (the crash came before
+/// the publish) or opens to the full shard map, holding exactly the keys
+/// whose inserts returned before the cut, plus at most the one in
+/// flight. Returns the number of cuts tested.
+fn sharded_sweep(partitioning: Partitioning) -> usize {
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL).crash_log(true)).unwrap());
+    let cat = Catalog::create(vec![Arc::clone(&pool)]).unwrap();
+    let log = pool.crash_log().unwrap();
+    log.set_baseline(pool.volatile_image());
+
+    let trees: Vec<FastFairTree> = (0..SHARDS)
+        .map(|_| FastFairTree::create_in(Arc::clone(&pool)).unwrap())
+        .collect();
+    let kind = StoreKind::Sharded {
+        partitioning: partitioning.clone(),
+        shards: trees.iter().map(|t| (0, t.superblock())).collect(),
+    };
+    let store = ShardedStore::from_indexes(trees, partitioning.clone());
+    cat.register("wide", &kind).unwrap();
+    let created = log.len();
+    // `done[i]`: the log length once insert `i` had returned — the cut
+    // from which that key is committed.
+    let mut done = Vec::new();
+    for i in 1..=KEYS {
+        store.insert(key(i), key(i) + 1).unwrap();
+        done.push(log.len());
+    }
+    let shards_hit = (0..SHARDS).filter(|&s| store.shard_len(s) > 0).count();
+    assert_eq!(shards_hit, SHARDS, "every shard should hold a piece");
+
+    let total = log.len();
+    let mut absent = 0;
+    for cut in 0..=total {
+        for policy in [
+            Eviction::None,
+            Eviction::All,
+            Eviction::random_with_env(cut as u64),
+        ] {
+            let img = pool.crash_image(cut, policy.clone());
+            let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
+            let cat2 = Catalog::open(vec![p2]).expect("catalog must reopen at every cut");
+            if cat2.lookup("wide").is_none() {
+                assert!(cut < created, "cut {cut} {policy:?}: registered name lost");
+                absent += 1;
+                continue;
+            }
+            let reopened: ShardedStore<FastFairTree> = cat2
+                .open_sharded("wide")
+                .unwrap_or_else(|e| panic!("cut {cut} {policy:?}: open failed: {e}"));
+            assert_eq!(reopened.partitioning(), &partitioning, "cut {cut}");
+            // Keys committed at this cut, and the one insert in flight.
+            let committed = done.iter().take_while(|&&d| d <= cut).count() as u64;
+            let want: BTreeMap<u64, u64> = (1..=committed).map(|i| (key(i), key(i) + 1)).collect();
+            let mut got: BTreeMap<u64, u64> = CursorIter(reopened.cursor()).collect();
+            if committed < KEYS {
+                let pending = key(committed + 1);
+                if let Some(v) = got.remove(&pending) {
+                    assert_eq!(v, pending + 1, "cut {cut} {policy:?}: torn in-flight value");
+                }
+            }
+            assert_eq!(got, want, "cut {cut} {policy:?}");
+        }
+    }
+    assert!(absent > 0, "no cut fell before the register's publish");
+    total + 1
+}
+
+#[test]
+fn sharded_deployment_crash_sweep_hash() {
+    let cuts = sharded_sweep(Partitioning::Hash { shards: SHARDS });
+    assert!(cuts > 100);
+}
+
+#[test]
+fn sharded_deployment_crash_sweep_range() {
+    let cuts = sharded_sweep(Partitioning::Range {
+        bounds: vec![KEYS / 3 * 49_999, 2 * KEYS / 3 * 49_999],
+    });
+    assert!(cuts > 100);
 }

@@ -183,20 +183,9 @@ impl<'a> NodeRef<'a> {
         self.off
     }
 
-    /// Node size in bytes.
-    pub fn node_size(&self) -> u32 {
-        self.node_size
-    }
-
     /// Usable record capacity.
     pub fn capacity(&self) -> u16 {
         capacity(self.node_size)
-    }
-
-    /// Total record slots (capacity + terminator + shift slack).
-    #[inline]
-    pub fn slots(&self) -> u16 {
-        self.capacity() + 2
     }
 
     // ---- header ----------------------------------------------------------
@@ -444,6 +433,11 @@ mod tests {
         n
     }
 
+    /// Total record slots of `n`: capacity, terminator and shift slack.
+    fn slots(n: &NodeRef<'_>) -> u16 {
+        n.capacity() + 2
+    }
+
     #[test]
     fn capacity_matches_paper_geometry() {
         // 512-byte node: (512-64)/16 = 28 slots, 26 usable.
@@ -458,7 +452,7 @@ mod tests {
         let p = pool();
         let n = fresh_node(&p, 512, 0);
         let base = n.offset() + HEADER_SIZE;
-        for i in 0..n.slots() {
+        for i in 0..slots(&n) {
             assert_eq!(n.key_off(i), base + u64::from(i) * RECORD_SIZE);
             assert_eq!(n.ptr_off(i), n.key_off(i) + 8);
             // Four records to a line: the line changes every fourth slot.
@@ -478,7 +472,7 @@ mod tests {
             // The slots, terminator and slack included, tile the node up
             // to its last byte.
             assert_eq!(
-                n.key_off(n.slots() - 1) + RECORD_SIZE,
+                n.key_off(slots(&n) - 1) + RECORD_SIZE,
                 n.offset() + u64::from(ns)
             );
             let cap = n.capacity();

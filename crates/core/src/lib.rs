@@ -58,7 +58,7 @@ mod bulk;
 mod delete;
 mod hint;
 mod insert;
-pub mod layout;
+mod layout;
 mod lock;
 mod merge;
 mod recovery;
@@ -67,7 +67,6 @@ mod search;
 mod split;
 mod tree;
 
-pub use layout::{capacity, NodeRef, INVALID_PTR, LEAF_ANCHOR};
 pub use recovery::{ConsistencyError, ConsistencyReport, RecoveryReport};
 pub use scan::TreeCursor;
 pub use tree::{FastFairTree, InNodeSearch, SplitStrategy, TreeOptions};

@@ -127,19 +127,3 @@ impl Cursor for TreeCursor<'_> {
         self.0.prev()
     }
 }
-
-/// Appends all `(key, value)` with `lo <= key < hi` to `out`, ascending —
-/// the materialized convenience path, driven by a [`TreeCursor`].
-pub(crate) fn tree_range(tree: &FastFairTree, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) {
-    if lo >= hi {
-        return;
-    }
-    let mut c = TreeCursor::new(tree);
-    c.seek(lo);
-    while let Some((k, v)) = c.next() {
-        if k >= hi {
-            return;
-        }
-        out.push((k, v));
-    }
-}

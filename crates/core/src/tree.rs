@@ -652,21 +652,6 @@ impl PmIndex for FastFairTree {
         Box::new(TreeCursor::new(self))
     }
 
-    fn len(&self) -> usize {
-        let mut n = 0;
-        self.for_each(|_, _| n += 1);
-        n
-    }
-
-    fn is_empty(&self) -> bool {
-        let mut c = TreeCursor::new(self);
-        Cursor::next(&mut c).is_none()
-    }
-
-    fn range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) {
-        crate::scan::tree_range(self, lo, hi, out);
-    }
-
     fn bulk_load(
         &self,
         items: &mut dyn Iterator<Item = (Key, Value)>,

@@ -13,14 +13,14 @@ const MAX_RECORD_WORDS: u64 = 1 << 16;
 /// persist the payload where nothing points at it yet, then
 /// [`publish`](CommitCell::publish) it with one failure-atomic 8-byte
 /// store, flushed and fenced. A crash exposes the old value or the new
-/// one, never a mixture. The pool header holds three cells; tree roots
+/// one, never a mixture. The pool header holds two cells; tree roots
 /// and the journal's sequence words are cells at other offsets.
 ///
 /// A cell can also own a whole **record**:
 /// [`publish_record`](CommitCell::publish_record) persists
 /// `[magic, len, fnv1a(payload), payload…]` in fresh space, publishes it
 /// and frees the record it replaces; [`record`](CommitCell::record) reads
-/// it back checked. The shard manifest and the catalog are such records.
+/// it back checked. The catalog is such a record.
 ///
 /// ```
 /// use pmem::{CommitCell, Pool, PoolConfig};
@@ -29,8 +29,8 @@ const MAX_RECORD_WORDS: u64 = 1 << 16;
 /// let rec = pool.alloc(64, 64)?;
 /// pool.store_u64(rec, 42);
 /// pool.persist(rec, 8); // the payload is durable first …
-/// CommitCell::MANIFEST.publish(&pool, rec); // … then one store publishes it
-/// assert_eq!(CommitCell::MANIFEST.target(&pool, 64), Ok(Some(rec)));
+/// CommitCell::JOURNAL.publish(&pool, rec); // … then one store publishes it
+/// assert_eq!(CommitCell::JOURNAL.target(&pool, 64), Ok(Some(rec)));
 /// assert_eq!(CommitCell::CATALOG.target(&pool, 64), Ok(None)); // never published
 ///
 /// CommitCell::CATALOG.publish_record(&pool, 7, &[1, 2, 3])?; // the codec does the same
@@ -42,8 +42,6 @@ const MAX_RECORD_WORDS: u64 = 1 << 16;
 pub struct CommitCell(PmOffset);
 
 impl CommitCell {
-    /// Pool-header word 24: the shard manifest record.
-    pub const MANIFEST: CommitCell = CommitCell(24);
     /// Pool-header word 32: the transaction journal region.
     pub const JOURNAL: CommitCell = CommitCell(32);
     /// Pool-header word 40: the catalog record.
@@ -202,11 +200,11 @@ mod tests {
     #[test]
     fn an_empty_payload_roundtrips_and_a_null_cell_reads_none() {
         let pool = pool();
-        assert_eq!(CommitCell::MANIFEST.record(&pool, MAGIC), Ok(None));
-        CommitCell::MANIFEST
+        assert_eq!(CommitCell::JOURNAL.record(&pool, MAGIC), Ok(None));
+        CommitCell::JOURNAL
             .publish_record(&pool, MAGIC, &[])
             .unwrap();
-        assert_eq!(CommitCell::MANIFEST.record(&pool, MAGIC), Ok(Some(vec![])));
+        assert_eq!(CommitCell::JOURNAL.record(&pool, MAGIC), Ok(Some(vec![])));
         // Another cell of the same pool is untouched.
         assert_eq!(CommitCell::CATALOG.record(&pool, MAGIC), Ok(None));
     }
@@ -249,7 +247,7 @@ mod tests {
     #[test]
     fn a_corrupt_predecessor_leaks_instead_of_blocking_a_publish() {
         let pool = pool();
-        let cell = CommitCell::MANIFEST;
+        let cell = CommitCell::JOURNAL;
         cell.publish_record(&pool, MAGIC, &[1]).unwrap();
         let old = cell.load(&pool);
         pool.store_u64(old, MAGIC ^ 1);
@@ -283,7 +281,7 @@ mod tests {
     #[test]
     fn every_flipped_payload_bit_fails_the_checksum() {
         let pool = pool();
-        let cell = CommitCell::MANIFEST;
+        let cell = CommitCell::JOURNAL;
         let words = [0, 1, u64::MAX, 0x0123_4567_89ab_cdef];
         cell.publish_record(&pool, MAGIC, &words).unwrap();
         let off = cell.load(&pool);

@@ -341,11 +341,11 @@ mod tests {
         let off = p.alloc(64, 64).unwrap();
         p.store_u64(off, 5);
         p.persist(off, 8);
-        CommitCell::MANIFEST.publish(&p, off);
+        CommitCell::JOURNAL.publish(&p, off);
         let cut = p.crash_log().unwrap().len();
         let img = p.crash_image(cut, Eviction::None);
         let p2 = Pool::from_image(&img, PoolConfig::new().size(1 << 16)).unwrap();
-        assert_eq!(CommitCell::MANIFEST.target(&p2, 8), Ok(Some(off)));
+        assert_eq!(CommitCell::JOURNAL.target(&p2, 8), Ok(Some(off)));
         assert_eq!(p2.load_u64(off), 5);
     }
 

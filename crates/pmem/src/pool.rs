@@ -27,10 +27,12 @@ pub const NULL_OFFSET: PmOffset = 0;
 /// Bytes reserved at the start of the pool for pool metadata.
 ///
 /// Layout: `[0..8)` magic, `[8..16)` reserved (zero), `[16..24)`
-/// allocation cursor, `[24..48)` the [`CommitCell`](crate::CommitCell)s
-/// `MANIFEST`, `JOURNAL` and `CATALOG`; the rest is reserved. The cursor
-/// is failure-atomic allocator metadata (PM allocator recovery is
-/// outside the paper's scope); the cells follow normal crash semantics.
+/// allocation cursor, `[24..32)` reserved (never written, ignored on
+/// open: a pool written by an earlier version may hold a shard-manifest
+/// pointer there), `[32..48)` the [`CommitCell`](crate::CommitCell)s
+/// `JOURNAL` and `CATALOG`; the rest is reserved. The cursor is
+/// failure-atomic allocator metadata (PM allocator recovery is outside
+/// the paper's scope); the cells follow normal crash semantics.
 pub const POOL_HEADER_SIZE: u64 = CACHE_LINE as u64;
 
 const MAGIC: u64 = 0x46_41_53_54_46_41_49_52; // "FASTFAIR"
@@ -348,9 +350,9 @@ impl Pool {
     /// would have ordered it. No persistent store does this. FAST+FAIR,
     /// wB+-tree and FP-tree store to a node under its latch or lock, or
     /// before the node is published, and keep their latches in DRAM; the
-    /// transaction journal, the shard manifest and the catalog have one
-    /// writer at a time; the skip list links, unlinks and marks with
-    /// `cas_u64` under its link lock and writes values with `cas_u64`.
+    /// transaction journal and the catalog have one writer at a time;
+    /// the skip list links, unlinks and marks with `cas_u64` under its
+    /// link lock and writes values with `cas_u64`.
     /// The one unlatched plain store that remains is the allocator
     /// cursor, which recovery treats as failure-atomic, so no flush has
     /// to cover it.
@@ -944,18 +946,19 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrip_and_commit_count() {
+    fn a_cell_at_any_offset_roundtrips_and_commits_in_one_line() {
         let p = small_pool();
-        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(None));
+        let cell = CommitCell::at(p.alloc(8, 8).unwrap());
+        assert_eq!(cell.target(&p, 8), Ok(None));
         stats::reset();
-        CommitCell::MANIFEST.publish(&p, 8192);
+        cell.publish(&p, 8192);
         let s = stats::take();
         assert_eq!((s.flushes, s.fences), (1, 1)); // one 8-byte word: one line
-        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(Some(8192)));
-        // The manifest cell is independent of the other header cells.
+        assert_eq!(cell.target(&p, 8), Ok(Some(8192)));
+        // The cell is independent of the header cells.
         CommitCell::JOURNAL.publish(&p, 16384);
         CommitCell::CATALOG.publish(&p, 24576);
-        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(Some(8192)));
+        assert_eq!(cell.target(&p, 8), Ok(Some(8192)));
     }
 
     #[test]
@@ -967,11 +970,10 @@ mod tests {
         let s = stats::take();
         assert_eq!((s.flushes, s.fences), (1, 1));
         assert_eq!(CommitCell::JOURNAL.target(&p, 8), Ok(Some(16384)));
-        // The journal cell is independent of the manifest and catalog cells.
-        CommitCell::MANIFEST.publish(&p, 8192);
+        // The journal cell is independent of the catalog cell.
         CommitCell::CATALOG.publish(&p, 24576);
         assert_eq!(CommitCell::JOURNAL.target(&p, 8), Ok(Some(16384)));
-        assert_eq!(CommitCell::MANIFEST.target(&p, 8), Ok(Some(8192)));
+        assert_eq!(CommitCell::CATALOG.target(&p, 8), Ok(Some(24576)));
     }
 
     #[test]
@@ -983,24 +985,23 @@ mod tests {
         let s = stats::take();
         assert_eq!((s.flushes, s.fences), (1, 1));
         assert_eq!(CommitCell::CATALOG.target(&p, 8), Ok(Some(24576)));
-        // The catalog cell is independent of the other header cells, and
-        // all three survive a clean-image reopen like any persisted store.
-        CommitCell::MANIFEST.publish(&p, 8192);
+        // The catalog cell is independent of the journal cell, and both
+        // survive a clean-image reopen like any persisted store.
         CommitCell::JOURNAL.publish(&p, 16384);
         assert_eq!(CommitCell::CATALOG.target(&p, 8), Ok(Some(24576)));
         let img = p.volatile_image();
         let p2 = Pool::from_image(&img, PoolConfig::new().size(1 << 20)).unwrap();
         assert_eq!(CommitCell::CATALOG.target(&p2, 8), Ok(Some(24576)));
-        assert_eq!(CommitCell::MANIFEST.target(&p2, 8), Ok(Some(8192)));
         assert_eq!(CommitCell::JOURNAL.target(&p2, 8), Ok(Some(16384)));
-        // Word 8 (the retired root slot) stays zero.
-        assert_eq!(p2.load_u64(8), 0);
+        // Words 8 (the retired root slot) and 24 (the retired shard
+        // manifest cell) stay zero.
+        assert_eq!((p2.load_u64(8), p2.load_u64(24)), (0, 0));
     }
 
     #[test]
     fn cell_target_refuses_what_the_pool_cannot_hold() {
         let p = small_pool();
-        let cell = CommitCell::MANIFEST;
+        let cell = CommitCell::JOURNAL;
         let size = p.size();
         cell.publish(&p, size - 64);
         assert_eq!(cell.target(&p, 64), Ok(Some(size - 64)));

@@ -42,7 +42,7 @@ fn read_payload(pool: &Pool, cell: CommitCell) -> u64 {
 #[test]
 fn every_cut_reads_the_old_payload_or_the_new_one() {
     let pool = Pool::new(PoolConfig::new().size(POOL).crash_log(true)).unwrap();
-    let cell = CommitCell::MANIFEST;
+    let cell = CommitCell::JOURNAL;
     let old = pool.alloc(WORDS * 8, 64).unwrap();
     write_payload(&pool, old, 1);
     pool.persist(old, WORDS * 8);

@@ -54,7 +54,7 @@ pub enum IndexError {
     ReservedValue(Value),
     /// The operation is not supported by this store configuration, or
     /// persistent metadata it needs is missing or corrupt (e.g. a pool
-    /// without a valid shard manifest).
+    /// without a valid catalog record).
     Unsupported(String),
 }
 
@@ -736,10 +736,10 @@ impl Drop for ApplyHold<'_> {
 }
 
 /// A [`PmIndex`] that lives inside a [`pmem::Pool`] and can be re-opened
-/// from its persistent superblock — the contract a *router* (such as
-/// `crates/shard`'s `ShardedStore`) needs to create per-shard indexes,
-/// record them in a crash-consistent manifest, and reconstruct the whole
-/// deployment after a restart.
+/// from its persistent superblock — the contract a *registry* (such as
+/// `crates/catalog`'s `Catalog`) needs to record each index, or each shard
+/// of a sharded deployment, in a crash-consistent record and reconstruct
+/// the whole deployment after a restart.
 ///
 /// Every index in this repository (FAST+FAIR, wB+-tree, FP-tree, WORT,
 /// the persistent skip list) implements it.
@@ -786,7 +786,7 @@ pub trait PersistentIndex: PmIndex + Sized {
     fn open_in(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError>;
 
     /// Offset of the persistent superblock identifying this index inside
-    /// its pool — what a directory object (or shard manifest) stores so
+    /// its pool — what a directory object (such as a catalog) stores so
     /// [`PersistentIndex::open_in`] can find the index again.
     ///
     /// ```

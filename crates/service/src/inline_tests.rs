@@ -10,10 +10,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use catalog::{Catalog, StoreKind};
 use fastfair::FastFairTree;
 use pmem::crash::Eviction;
 use pmem::{Pool, PoolConfig};
-use pmindex::{HeldApply, IndexError, Key, PmIndex, Value};
+use pmindex::{HeldApply, IndexError, Key, PersistentIndex, PmIndex, Value};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
 
@@ -25,15 +26,18 @@ type Store = HeldApply<ShardedStore<FastFairTree>>;
 
 const POOL: usize = 16 << 20;
 
+/// Two fresh trees in `pool`, the shards of every store here.
+fn trees_in(pool: &Arc<Pool>) -> Vec<FastFairTree> {
+    (0..2)
+        .map(|_| FastFairTree::create_in(Arc::clone(pool)).unwrap())
+        .collect()
+}
+
 fn store_in(pool: &Arc<Pool>) -> Arc<Store> {
-    Arc::new(HeldApply::new(
-        ShardedStore::create(
-            Arc::clone(pool),
-            vec![Arc::clone(pool); 2],
-            Partitioning::Hash { shards: 2 },
-        )
-        .unwrap(),
-    ))
+    Arc::new(HeldApply::new(ShardedStore::from_indexes(
+        trees_in(pool),
+        Partitioning::Hash { shards: 2 },
+    )))
 }
 
 /// A one-lane engine service over a fresh store.
@@ -247,7 +251,20 @@ fn writes_that_change_nothing_leave_nothing_in_flight() {
 #[test]
 fn a_failed_commit_leaves_nothing_in_flight() {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL).crash_log(true)).unwrap());
-    let store = store_in(&pool);
+    // Registered in a catalog the pool roots, so a crash image reopens it.
+    let trees = trees_in(&pool);
+    let partitioning = Partitioning::Hash { shards: 2 };
+    let kind = StoreKind::Sharded {
+        partitioning: partitioning.clone(),
+        shards: trees.iter().map(|t| (0, t.superblock())).collect(),
+    };
+    Catalog::create(vec![Arc::clone(&pool)])
+        .and_then(|cat| cat.register("store", &kind))
+        .unwrap();
+    let store = Arc::new(HeldApply::new(ShardedStore::from_indexes(
+        trees,
+        partitioning,
+    )));
     let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
     let log = pool.crash_log().unwrap();
     log.set_baseline(pool.volatile_image());
@@ -265,7 +282,9 @@ fn a_failed_commit_leaves_nothing_in_flight() {
         })
         .expect("some cut falls between the sequence store and the retire");
     let store: Arc<Store> = Arc::new(HeldApply::new(
-        ShardedStore::open(Arc::clone(&pool), vec![Arc::clone(&pool); 2]).unwrap(),
+        Catalog::open(vec![Arc::clone(&pool)])
+            .and_then(|cat| cat.open_sharded("store"))
+            .unwrap(),
     ));
     let config = ServiceConfig {
         lanes: 1,

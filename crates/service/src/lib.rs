@@ -69,15 +69,17 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use fastfair::FastFairTree;
+//! use pmindex::PersistentIndex;
 //! use service::{Service, ServiceConfig};
 //! use shard::{Partitioning, ShardedStore};
 //!
 //! let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(4 << 20))?);
-//! let store: Arc<ShardedStore<fastfair::FastFairTree>> = Arc::new(ShardedStore::create(
-//!     Arc::clone(&pool),
-//!     vec![Arc::clone(&pool), Arc::clone(&pool)],
-//!     Partitioning::Hash { shards: 2 },
-//! )?);
+//! let trees = vec![
+//!     FastFairTree::create_in(Arc::clone(&pool))?,
+//!     FastFairTree::create_in(Arc::clone(&pool))?,
+//! ];
+//! let store = Arc::new(ShardedStore::from_indexes(trees, Partitioning::Hash { shards: 2 }));
 //! let engine = Arc::new(txn::TxnEngine::create(Arc::clone(&pool))?);
 //!
 //! let service = Service::with_engine(vec![store], engine, ServiceConfig::default());
@@ -1274,6 +1276,7 @@ fn finish<I, T>(
 mod tests {
     use super::*;
     use fastfair::FastFairTree;
+    use pmindex::PersistentIndex;
     use shard::{Partitioning, ShardedStore};
 
     fn engine_service(
@@ -1283,14 +1286,13 @@ mod tests {
         Service<ShardedStore<FastFairTree>>,
     ) {
         let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::default().size(16 << 20)).unwrap());
-        let store = Arc::new(
-            ShardedStore::create(
-                Arc::clone(&pool),
-                vec![Arc::clone(&pool), Arc::clone(&pool)],
-                Partitioning::Hash { shards: 2 },
-            )
-            .unwrap(),
-        );
+        let trees = (0..2)
+            .map(|_| FastFairTree::create_in(Arc::clone(&pool)).unwrap())
+            .collect();
+        let store = Arc::new(ShardedStore::from_indexes(
+            trees,
+            Partitioning::Hash { shards: 2 },
+        ));
         let engine = Arc::new(TxnEngine::create(pool).unwrap());
         let config = ServiceConfig {
             lanes,

@@ -16,17 +16,19 @@
 //! crash log totally orders the stores) against the same
 //! `ShardedStore` + engine layout the service's workers use; a separate
 //! live test crashes *under* a running `Service` and recovers what the
-//! workers actually committed.
+//! workers actually committed. The store is registered in a catalog in
+//! the same pool before the baseline, and each image reopens it by name.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use catalog::{Catalog, StoreKind};
 use fastfair::FastFairTree;
 use pmem::crash::{Event, Eviction};
 use pmem::{Pool, PoolConfig};
-use pmindex::{HeldApply, PmIndex};
+use pmindex::{HeldApply, PersistentIndex, PmIndex};
 use service::{Service, ServiceConfig};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
@@ -38,13 +40,28 @@ fn crash_pool() -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(POOL).crash_log(true)).unwrap())
 }
 
+/// A hash-partitioned store of `SHARDS` trees in `pool`, registered as
+/// `"store"` in a catalog the pool roots.
 fn crash_store(pool: &Arc<Pool>) -> ShardedStore<FastFairTree> {
-    ShardedStore::create(
-        Arc::clone(pool),
-        vec![Arc::clone(pool); SHARDS],
-        Partitioning::Hash { shards: SHARDS },
-    )
-    .unwrap()
+    let partitioning = Partitioning::Hash { shards: SHARDS };
+    let trees: Vec<FastFairTree> = (0..SHARDS)
+        .map(|_| FastFairTree::create_in(Arc::clone(pool)).unwrap())
+        .collect();
+    let kind = StoreKind::Sharded {
+        partitioning: partitioning.clone(),
+        shards: trees.iter().map(|t| (0, t.superblock())).collect(),
+    };
+    Catalog::create(vec![Arc::clone(pool)])
+        .and_then(|cat| cat.register("store", &kind))
+        .unwrap();
+    ShardedStore::from_indexes(trees, partitioning)
+}
+
+/// The store [`crash_store`] registered, reopened from `pool`.
+fn reopen_store(pool: &Arc<Pool>) -> ShardedStore<FastFairTree> {
+    Catalog::open(vec![Arc::clone(pool)])
+        .and_then(|cat| cat.open_sharded("store"))
+        .unwrap_or_else(|e| panic!("store open failed: {e}"))
 }
 
 /// Three clients' worth of writes for one group: a TPC-C Payment
@@ -120,9 +137,7 @@ fn grouped_commit_crash_sweep_is_atomic_per_client_and_per_group() {
             let ctx = format!("cut {cut}/{total} {policy:?}");
             let img = pool.crash_image(cut, policy);
             let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
-            let s2: ShardedStore<FastFairTree> =
-                ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS])
-                    .unwrap_or_else(|e| panic!("{ctx}: store open failed: {e}"));
+            let s2 = reopen_store(&p2);
             let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
             e2.recover(&[&s2]).unwrap();
 
@@ -280,8 +295,7 @@ fn grouped_rewrite_with_warm_hints_enumerates_the_same_images() {
             let ctx = format!("cut {cut}/{} {policy:?}", warm.len());
             let img = pool.crash_image(cut, policy);
             let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
-            let s2: ShardedStore<FastFairTree> =
-                ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS]).unwrap();
+            let s2 = reopen_store(&p2);
             let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
             e2.recover(&[&s2]).unwrap();
             let new_rows = clients
@@ -371,8 +385,11 @@ fn acknowledged_service_writes_survive_a_crash() {
         // Service drops here: queues drain, workers join.
     };
     assert_eq!(acked.len(), 40);
-    // Fixed groups fix the log: the same events on every run.
-    assert_eq!(log.len(), 663, "events the history logged");
+    // Fixed groups fix the log: the same events on every run. Its length
+    // also counts the lines each journal persist spans, so it moves with
+    // where the allocations before the baseline leave the 8-byte-aligned
+    // journal region within a cache line.
+    assert_eq!(log.len(), 647, "events the history logged");
 
     // Crash at the END of the log (power loss after the last ack) under
     // every eviction policy: acknowledged writes are durable by then.
@@ -381,8 +398,7 @@ fn acknowledged_service_writes_survive_a_crash() {
         let ctx = format!("post-ack crash {policy:?}");
         let img = pool.crash_image(total, policy);
         let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
-        let s2: ShardedStore<FastFairTree> =
-            ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS]).unwrap();
+        let s2 = reopen_store(&p2);
         let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
         e2.recover(&[&s2]).unwrap();
         for &(k, v) in &acked {
@@ -483,8 +499,7 @@ fn inline_reads_leave_the_event_log_as_it_was() {
 
     let img = pool.crash_image(busy.len(), Eviction::None);
     let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
-    let s2: ShardedStore<FastFairTree> =
-        ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS]).unwrap();
+    let s2 = reopen_store(&p2);
     let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
     assert_eq!(e2.recover(&[&s2]).unwrap(), 0);
     for k in 1..=200u64 {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::PmIndex;
+use pmindex::{PersistentIndex, PmIndex};
 use service::{ClientHandle, Service, ServiceConfig};
 use shard::{Partitioning, ShardedStore};
 use txn::{TxnEngine, WriteBatch};
@@ -33,7 +33,12 @@ fn build_store(
     part: Partitioning,
     shards: usize,
 ) -> Arc<ShardedStore<FastFairTree>> {
-    Arc::new(ShardedStore::create(Arc::clone(pool), vec![Arc::clone(pool); shards], part).unwrap())
+    Arc::new(ShardedStore::from_indexes(
+        (0..shards)
+            .map(|_| FastFairTree::create_in(Arc::clone(pool)).unwrap())
+            .collect(),
+        part,
+    ))
 }
 
 /// xorshift64* — deterministic per-thread op stream.

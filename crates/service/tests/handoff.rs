@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::{HeldApply, PmIndex};
+use pmindex::{HeldApply, PersistentIndex, PmIndex};
 use service::{Admission, OpClass, Service, ServiceConfig, ServiceError, Ticket};
 use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
@@ -19,14 +19,12 @@ type Store = HeldApply<ShardedStore<FastFairTree>>;
 
 fn rig(config: ServiceConfig) -> (Arc<Store>, Arc<TxnEngine>, Service<Store>) {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(32 << 20)).unwrap());
-    let store: Arc<Store> = Arc::new(HeldApply::new(
-        ShardedStore::create(
-            Arc::clone(&pool),
-            vec![Arc::clone(&pool); 2],
-            Partitioning::Hash { shards: 2 },
-        )
-        .unwrap(),
-    ));
+    let store: Arc<Store> = Arc::new(HeldApply::new(ShardedStore::from_indexes(
+        (0..2)
+            .map(|_| FastFairTree::create_in(Arc::clone(&pool)).unwrap())
+            .collect(),
+        Partitioning::Hash { shards: 2 },
+    )));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     let service = Service::with_engine(vec![Arc::clone(&store)], Arc::clone(&engine), config);
     (store, engine, service)

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::PmIndex;
+use pmindex::{PersistentIndex, PmIndex};
 use service::{ClientHandle, Service, ServiceConfig, Ticket};
 use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
@@ -20,14 +20,12 @@ type Store = ShardedStore<FastFairTree>;
 
 fn rig(lanes: usize) -> (Arc<Store>, Service<Store>) {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(32 << 20)).unwrap());
-    let store: Arc<Store> = Arc::new(
-        ShardedStore::create(
-            Arc::clone(&pool),
-            vec![Arc::clone(&pool); 2],
-            Partitioning::Hash { shards: 2 },
-        )
-        .unwrap(),
-    );
+    let store: Arc<Store> = Arc::new(ShardedStore::from_indexes(
+        (0..2)
+            .map(|_| FastFairTree::create_in(Arc::clone(&pool)).unwrap())
+            .collect(),
+        Partitioning::Hash { shards: 2 },
+    ));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     let config = ServiceConfig {
         lanes,

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use fastfair::FastFairTree;
 use pmem::{Pool, PoolConfig};
-use pmindex::{HeldApply, PmIndex};
+use pmindex::{HeldApply, PersistentIndex, PmIndex};
 use service::{Admission, OpClass, Service, ServiceConfig, ServiceError};
 use shard::{Partitioning, ShardedStore};
 use txn::TxnEngine;
@@ -23,14 +23,10 @@ type Store = HeldApply<ShardedStore<FastFairTree>>;
 
 fn tiny_service(admission: Admission) -> (Arc<Store>, Service<Store>) {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(16 << 20)).unwrap());
-    let store: Arc<Store> = Arc::new(HeldApply::new(
-        ShardedStore::create(
-            Arc::clone(&pool),
-            vec![Arc::clone(&pool)],
-            Partitioning::Hash { shards: 1 },
-        )
-        .unwrap(),
-    ));
+    let store: Arc<Store> = Arc::new(HeldApply::new(ShardedStore::from_indexes(
+        vec![FastFairTree::create_in(Arc::clone(&pool)).unwrap()],
+        Partitioning::Hash { shards: 1 },
+    )));
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     let service = Service::with_engine(
         vec![Arc::clone(&store)],

@@ -9,7 +9,7 @@ use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use fastfair::{FastFairTree, TreeOptions};
-use pmem::PoolConfig;
+use pmem::{Pool, PoolConfig};
 use pmindex::workload::within;
 use pmindex::CursorIter;
 

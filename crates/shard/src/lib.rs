@@ -1,4 +1,4 @@
-//! # Sharded `PmIndex` router with a crash-atomic shard map
+//! # Sharded `PmIndex` router
 //!
 //! The paper removes logging from *one* B+-tree; this crate scales the
 //! result *out*. A [`ShardedStore`] routes every operation of the
@@ -16,12 +16,11 @@
 //!   Per-shard entries are pulled in small refill batches, so a cross-shard
 //!   scan never materializes a result set.
 //! * **The shard map commits like a FAST store.** A persistent deployment
-//!   records its shard map in a checksummed [manifest](self) record,
-//!   written once by [`ShardedStore::create`]; the only commit point is
-//!   its publish through [`pmem::CommitCell::MANIFEST`]. A crash before the flip leaves a pool
-//!   [`ShardedStore::open`] refuses; after it, the whole map. The map
-//!   never changes after that: the shards stay compact the paper's way,
-//!   by FAIR splits and merges inside each tree.
+//!   is one `catalog` entry (its partitioning and each shard's pool and
+//!   superblock), committed by the catalog record's one failure-atomic
+//!   publish and reopened by `Catalog::open_sharded`. The map never
+//!   changes after that: the shards stay compact the paper's way, by FAIR
+//!   splits and merges inside each tree.
 //! * **A batch applies its shards in parallel.** Shards hold disjoint
 //!   keys, so only ops within one shard must keep their order.
 //!   [`PmIndex::apply_batch`] and [`PmIndex::apply_batch_prev`] route a
@@ -35,17 +34,16 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use fastfair::FastFairTree;
 //! use pmem::{Pool, PoolConfig};
 //! use pmindex::{PersistentIndex, PmIndex};
 //! use shard::{Partitioning, ShardedStore};
 //!
 //! // Four FAST+FAIR shards, each in its own pool, hash partitioned.
-//! let pools: Vec<_> = (0..4)
-//!     .map(|_| Arc::new(Pool::new(PoolConfig::default().size(1 << 20)).unwrap()))
-//!     .collect();
-//! let manifest = Arc::clone(&pools[0]);
-//! let store: ShardedStore<fastfair::FastFairTree> =
-//!     ShardedStore::create(manifest, pools, Partitioning::Hash { shards: 4 })?;
+//! let trees = (0..4)
+//!     .map(|_| FastFairTree::create_in(Arc::new(Pool::new(PoolConfig::default().size(1 << 20))?)))
+//!     .collect::<Result<Vec<_>, _>>()?;
+//! let store = ShardedStore::from_indexes(trees, Partitioning::Hash { shards: 4 });
 //! for k in 1..=1000u64 {
 //!     store.insert(k, k + 7)?;
 //! }
@@ -61,15 +59,13 @@
 #[cfg(test)]
 mod apply_tests;
 mod helper;
-mod manifest;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use pmem::Pool;
-use pmindex::{BatchOp, Cursor, IndexError, Key, PersistentIndex, PmIndex, Value};
+use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
 /// How keys are distributed across shards.
 ///
@@ -142,22 +138,6 @@ impl Partitioning {
         }
     }
 
-    /// Exclusive upper key bound of shard `i` (`u64::MAX` for the last
-    /// range shard; unused — 0 — under hash partitioning).
-    fn upper_bound(&self, i: usize) -> u64 {
-        match self {
-            Partitioning::Hash { .. } => 0,
-            Partitioning::Range { bounds } => bounds.get(i).copied().unwrap_or(u64::MAX),
-        }
-    }
-
-    fn kind(&self) -> u64 {
-        match self {
-            Partitioning::Hash { .. } => manifest::KIND_HASH,
-            Partitioning::Range { .. } => manifest::KIND_RANGE,
-        }
-    }
-
     fn assert_valid(&self) {
         assert!(self.shards() >= 1, "a sharded store needs at least 1 shard");
         if let Partitioning::Range { bounds } = self {
@@ -172,11 +152,10 @@ impl Partitioning {
 /// A router over `N` per-shard [`PmIndex`] instances that is itself a
 /// [`PmIndex`].
 ///
-/// Construct it volatile with [`ShardedStore::from_indexes`] (any index,
-/// no manifest), or persistent with [`ShardedStore::create`] /
-/// [`ShardedStore::open`] (indexes implementing [`PersistentIndex`],
-/// crash-consistent manifest). Either way the shard map is fixed for the
-/// store's lifetime.
+/// Construct it with [`ShardedStore::from_indexes`] over any indexes. A
+/// persistent deployment registers its shard map in a `catalog`, which
+/// reopens it the same way after a restart. The shard map is fixed for
+/// the store's lifetime.
 pub struct ShardedStore<I> {
     shards: Vec<I>,
     partitioning: Partitioning,
@@ -207,9 +186,9 @@ impl<I> std::fmt::Debug for ShardedStore<I> {
 }
 
 impl<I: PmIndex> ShardedStore<I> {
-    /// Builds a *volatile* router over caller-constructed indexes: no
-    /// manifest is written, so the shard map lives only as long as the
-    /// store.
+    /// Builds a router over caller-constructed indexes. It persists
+    /// nothing itself: the shard map lives only as long as the store
+    /// unless the caller registers it in a `catalog`.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -443,132 +422,6 @@ impl<I: PmIndex> ShardedStore<I> {
             .get_or_init(|| helper::Helper::spawn().ok())
             .as_ref()?;
         Some((posted, helper))
-    }
-}
-
-impl<I: PersistentIndex> ShardedStore<I> {
-    /// Creates a fresh persistent deployment: one empty index per pool in
-    /// `shard_pools` (pool *slot* `i` backs shard `i`), and a manifest
-    /// committed into `manifest_pool` with a single failure-atomic
-    /// pointer flip — the deployment's only commit point.
-    ///
-    /// `manifest_pool` may be one of the shard pools (small deployments,
-    /// crash tests) or a dedicated pool (a real fleet).
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmem::{Pool, PoolConfig};
-    /// use shard::{Partitioning, ShardedStore};
-    ///
-    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(1 << 20))?);
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&pool),
-    ///     vec![Arc::clone(&pool), Arc::clone(&pool)], // both shards share one pool
-    ///     Partitioning::Range { bounds: vec![1000] },
-    /// )?;
-    /// assert_eq!(store.shard_count(), 2);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool exhaustion from index creation or the manifest
-    /// write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_pools.len()` disagrees with the partitioning's
-    /// shard count, or if range bounds are not ascending.
-    pub fn create(
-        manifest_pool: Arc<Pool>,
-        shard_pools: Vec<Arc<Pool>>,
-        partitioning: Partitioning,
-    ) -> Result<Self, IndexError> {
-        partitioning.assert_valid();
-        assert_eq!(
-            shard_pools.len(),
-            partitioning.shards(),
-            "pool count must match the partitioning's shard count"
-        );
-        let indexes = shard_pools
-            .into_iter()
-            .map(I::create_in)
-            .collect::<Result<Vec<_>, _>>()?;
-        let rec = manifest::Record {
-            epoch: 0,
-            kind: partitioning.kind(),
-            entries: indexes
-                .iter()
-                .enumerate()
-                .map(|(i, index)| manifest::Entry {
-                    slot: i as u64,
-                    meta: index.superblock(),
-                    bound: partitioning.upper_bound(i),
-                })
-                .collect(),
-        };
-        manifest::commit(&manifest_pool, &rec)?;
-        Ok(Self::from_indexes(indexes, partitioning))
-    }
-
-    /// Re-opens a deployment from its manifest: reads the record
-    /// `manifest_pool` points at, validates its checksum, reconstructs the
-    /// partitioning, and re-opens every shard's index from the pool its
-    /// manifest entry names (`pools[slot]`) — the sharded analogue of the
-    /// paper's instantaneous recovery. Any record epoch is accepted, so a
-    /// map an older version of this crate rebalanced still opens.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use pmem::{Pool, PoolConfig};
-    /// use pmindex::PmIndex;
-    /// use shard::{Partitioning, ShardedStore};
-    ///
-    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(1 << 20))?);
-    /// let store: ShardedStore<fastfair::FastFairTree> = ShardedStore::create(
-    ///     Arc::clone(&pool),
-    ///     vec![Arc::clone(&pool), Arc::clone(&pool)],
-    ///     Partitioning::Hash { shards: 2 },
-    /// )?;
-    /// store.insert(17, 170)?;
-    /// drop(store);
-    ///
-    /// let again: ShardedStore<fastfair::FastFairTree> =
-    ///     ShardedStore::open(Arc::clone(&pool), vec![Arc::clone(&pool), pool])?;
-    /// assert_eq!(again.get(17), Some(170));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::Unsupported`] if the pool holds no manifest, the
-    /// record fails its checksum, or an entry names a slot outside
-    /// `pools`; index-open failures propagate.
-    pub fn open(manifest_pool: Arc<Pool>, pools: Vec<Arc<Pool>>) -> Result<Self, IndexError> {
-        let rec = manifest::read(&manifest_pool)?;
-        let n = rec.entries.len();
-        let partitioning = if rec.kind == manifest::KIND_RANGE {
-            Partitioning::Range {
-                bounds: rec.entries[..n.saturating_sub(1)]
-                    .iter()
-                    .map(|e| e.bound)
-                    .collect(),
-            }
-        } else {
-            Partitioning::Hash { shards: n }
-        };
-        let mut indexes = Vec::with_capacity(n);
-        for e in &rec.entries {
-            let pool = pools.get(e.slot as usize).ok_or_else(|| {
-                IndexError::Unsupported(format!(
-                    "manifest names pool slot {} but only {} pools were supplied",
-                    e.slot,
-                    pools.len()
-                ))
-            })?;
-            indexes.push(I::open_in(Arc::clone(pool), e.meta)?);
-        }
-        Ok(Self::from_indexes(indexes, partitioning))
     }
 }
 
@@ -908,20 +761,24 @@ impl<I: PmIndex> Cursor for RangeChainCursor<'_, I> {
 mod tests {
     use super::*;
     use fastfair::FastFairTree;
-    use pmem::PoolConfig;
+    use pmem::{Pool, PoolConfig};
+    use pmindex::PersistentIndex;
 
     fn pool(bytes: usize) -> Arc<Pool> {
         Arc::new(Pool::new(PoolConfig::new().size(bytes)).unwrap())
     }
 
-    fn hash_store(shards: usize) -> ShardedStore<FastFairTree> {
+    /// A store whose shards are trees in one shared pool.
+    fn store(partitioning: Partitioning) -> ShardedStore<FastFairTree> {
         let p = pool(32 << 20);
-        ShardedStore::create(
-            Arc::clone(&p),
-            vec![p; shards],
-            Partitioning::Hash { shards },
-        )
-        .unwrap()
+        let trees = (0..partitioning.shards())
+            .map(|_| FastFairTree::create_in(Arc::clone(&p)).unwrap())
+            .collect();
+        ShardedStore::from_indexes(trees, partitioning)
+    }
+
+    fn hash_store(shards: usize) -> ShardedStore<FastFairTree> {
+        store(Partitioning::Hash { shards })
     }
 
     #[test]
@@ -949,12 +806,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match")]
     fn mismatched_shard_count_panics() {
-        let p = pool(1 << 20);
-        let _ = ShardedStore::<FastFairTree>::create(
-            Arc::clone(&p),
-            vec![p],
-            Partitioning::Hash { shards: 2 },
-        );
+        let _ =
+            ShardedStore::from_indexes(vec![tree_in_own_pool()], Partitioning::Hash { shards: 2 });
     }
 
     #[test]
@@ -994,15 +847,9 @@ mod tests {
 
     #[test]
     fn merged_cursor_is_globally_sorted_range() {
-        let p = pool(32 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p), p],
-            Partitioning::Range {
-                bounds: vec![700, 1400],
-            },
-        )
-        .unwrap();
+        let store = store(Partitioning::Range {
+            bounds: vec![700, 1400],
+        });
         let keys: Vec<u64> = (1..2100).step_by(7).collect();
         for &k in &keys {
             store.insert(k, k + 1).unwrap();
@@ -1038,145 +885,10 @@ mod tests {
     }
 
     #[test]
-    fn reopen_after_rebalance_uses_new_map() {
-        // A record as a rebalance before this version would have left it:
-        // epoch 3, shards moved off their initial slots, and slot 1
-        // evacuated. Each value names the pool slot it was written to.
-        let pools: Vec<Arc<Pool>> = (0..4).map(|_| pool(4 << 20)).collect();
-        let partitioning = Partitioning::Range {
-            bounds: vec![1000, 2000],
-        };
-        let slots = [2u64, 0, 3];
-        let keys =
-            |shard: usize| ((shard as u64 * 1000).max(1)..(shard as u64 + 1) * 1000).step_by(7);
-        let mut entries = Vec::new();
-        for (shard, &slot) in slots.iter().enumerate() {
-            let tree = FastFairTree::create_in(Arc::clone(&pools[slot as usize])).unwrap();
-            for k in keys(shard) {
-                tree.insert(k, k * 10 + slot).unwrap();
-            }
-            entries.push(manifest::Entry {
-                slot,
-                meta: tree.superblock(),
-                bound: partitioning.upper_bound(shard),
-            });
-        }
-        let rec = manifest::Record {
-            epoch: 3,
-            kind: partitioning.kind(),
-            entries,
-        };
-        manifest::commit(&pools[1], &rec).unwrap();
-
-        let store: ShardedStore<FastFairTree> =
-            ShardedStore::open(Arc::clone(&pools[1]), pools.clone()).unwrap();
-        assert_eq!(store.partitioning(), &partitioning);
-        let mut want = Vec::new();
-        for (shard, &slot) in slots.iter().enumerate() {
-            assert_eq!(store.shard_len(shard), keys(shard).count());
-            for k in keys(shard) {
-                assert_eq!(store.get(k), Some(k * 10 + slot), "key {k}");
-                want.push((k, k * 10 + slot));
-            }
-        }
-        let scanned: Vec<_> = pmindex::CursorIter(store.cursor()).collect();
-        assert_eq!(scanned, want);
-        // Writes land in the pool the record names.
-        store.insert(1500, 7).unwrap();
-        let reopened = FastFairTree::open_in(Arc::clone(&pools[0]), rec.entries[1].meta).unwrap();
-        assert_eq!(reopened.get(1500), Some(7));
-    }
-
-    /// Publishes a manifest of `kind` whose shards are fresh trees in
-    /// `pool` with the given bounds, and opens it.
-    fn open_manifest(kind: u64, bounds: &[u64]) -> Result<ShardedStore<FastFairTree>, IndexError> {
-        let p = pool(4 << 20);
-        let entries = bounds
-            .iter()
-            .map(|&bound| manifest::Entry {
-                slot: 0,
-                meta: FastFairTree::create_in(Arc::clone(&p))
-                    .unwrap()
-                    .superblock(),
-                bound,
-            })
-            .collect();
-        let rec = manifest::Record {
-            epoch: 0,
-            kind,
-            entries,
-        };
-        manifest::commit(&p, &rec).unwrap();
-        ShardedStore::open(Arc::clone(&p), vec![p])
-    }
-
-    fn refusal(res: Result<ShardedStore<FastFairTree>, IndexError>) -> String {
-        match res {
-            Err(IndexError::Unsupported(msg)) => msg,
-            other => panic!("expected Unsupported, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_manifest_naming_no_shard_is_refused() {
-        for kind in [manifest::KIND_HASH, manifest::KIND_RANGE] {
-            let msg = refusal(open_manifest(kind, &[]));
-            assert!(msg.contains("no shard"), "kind {kind}: {msg}");
-        }
-    }
-
-    #[test]
-    fn a_manifest_of_an_unknown_kind_is_refused() {
-        for kind in [2, u64::MAX] {
-            let msg = refusal(open_manifest(kind, &[0, 0]));
-            assert!(msg.contains("unknown partitioning kind"), "{msg}");
-        }
-    }
-
-    #[test]
-    fn a_manifest_with_descending_bounds_is_refused_not_a_panic() {
-        let msg = refusal(open_manifest(manifest::KIND_RANGE, &[200, 100, u64::MAX]));
-        assert!(msg.contains("descending"), "{msg}");
-        // Equal bounds (an empty middle shard) and any last bound open.
-        let store = open_manifest(manifest::KIND_RANGE, &[100, 100, 7]).unwrap();
-        assert_eq!(
-            store.partitioning(),
-            &Partitioning::Range {
-                bounds: vec![100, 100]
-            }
-        );
-    }
-
-    #[test]
-    fn a_manifest_slot_past_the_supplied_pools_is_refused() {
-        let p = pool(4 << 20);
-        let store = ShardedStore::<FastFairTree>::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p)],
-            Partitioning::Hash { shards: 2 },
-        )
-        .unwrap();
-        store.insert(1, 10).unwrap();
-        drop(store);
-        // Re-point shard 1 at slot 5 of a one-pool fleet.
-        let mut rec = manifest::read(&p).unwrap();
-        rec.entries[1].slot = 5;
-        manifest::commit(&p, &rec).unwrap();
-        let msg = refusal(ShardedStore::open(Arc::clone(&p), vec![p]));
-        assert!(msg.contains("pool slot 5"), "{msg}");
-    }
-
-    #[test]
     fn range_cursors_cross_an_empty_shard_both_ways() {
-        let p = pool(8 << 20);
-        let store: ShardedStore<FastFairTree> = ShardedStore::create(
-            Arc::clone(&p),
-            vec![Arc::clone(&p), Arc::clone(&p), p],
-            Partitioning::Range {
-                bounds: vec![100, 200],
-            },
-        )
-        .unwrap();
+        let store = store(Partitioning::Range {
+            bounds: vec![100, 200],
+        });
         let keys = [1u64, 50, 99, 200, 250, u64::MAX];
         for &k in &keys {
             store.insert(k, k / 2 + 1).unwrap();

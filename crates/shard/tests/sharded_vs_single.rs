@@ -11,13 +11,22 @@ use std::sync::Arc;
 
 use fastfair::{FastFairTree, TreeOptions};
 use pmem::{Pool, PoolConfig};
-use pmindex::{BatchOp, Cursor, PmIndex};
+use pmindex::{BatchOp, Cursor, PersistentIndex, PmIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use shard::{Partitioning, ShardedStore};
 
 fn pool(bytes: usize) -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(bytes)).unwrap())
+}
+
+/// A store over one tree per shard, all in one 128 MiB pool.
+fn sharded(partitioning: Partitioning) -> ShardedStore<FastFairTree> {
+    let p = pool(128 << 20);
+    let trees = (0..partitioning.shards())
+        .map(|_| FastFairTree::create_in(Arc::clone(&p)).unwrap())
+        .collect();
+    ShardedStore::from_indexes(trees, partitioning)
 }
 
 fn scan(idx: &dyn PmIndex, lo: u64, hi: u64) -> Vec<(u64, u64)> {
@@ -93,23 +102,15 @@ fn run_against(sharded: &ShardedStore<FastFairTree>, key_space: u64, seed: u64) 
 
 #[test]
 fn hash_sharded_matches_single_tree() {
-    let p = pool(128 << 20);
-    let sharded: ShardedStore<FastFairTree> =
-        ShardedStore::create(Arc::clone(&p), vec![p; 4], Partitioning::Hash { shards: 4 }).unwrap();
+    let sharded = sharded(Partitioning::Hash { shards: 4 });
     run_against(&sharded, 3_000, 0xcafe);
 }
 
 #[test]
 fn range_sharded_matches_single_tree() {
-    let p = pool(128 << 20);
-    let sharded: ShardedStore<FastFairTree> = ShardedStore::create(
-        Arc::clone(&p),
-        vec![p; 3],
-        Partitioning::Range {
-            bounds: vec![1_000, 2_000],
-        },
-    )
-    .unwrap();
+    let sharded = sharded(Partitioning::Range {
+        bounds: vec![1_000, 2_000],
+    });
     run_against(&sharded, 3_000, 0xd1ff);
 }
 
@@ -117,9 +118,7 @@ fn range_sharded_matches_single_tree() {
 fn sparse_keyspace_matches_single_tree() {
     // Inserts over the full u64 keyspace, checked by a full scan every
     // 500: the router must stay indistinguishable from the single tree.
-    let p = pool(128 << 20);
-    let sharded: ShardedStore<FastFairTree> =
-        ShardedStore::create(Arc::clone(&p), vec![p; 3], Partitioning::Hash { shards: 3 }).unwrap();
+    let sharded = sharded(Partitioning::Hash { shards: 3 });
     let single = FastFairTree::create(pool(64 << 20), TreeOptions::new()).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let mut value = 0x8000u64;
@@ -178,9 +177,7 @@ fn random_group(rng: &mut StdRng, version: &mut u64) -> Vec<BatchOp> {
 #[test]
 fn parallel_apply_matches_a_serial_model_under_readers() {
     const GROUPS: usize = 5_000;
-    let p = pool(128 << 20);
-    let store: ShardedStore<FastFairTree> =
-        ShardedStore::create(Arc::clone(&p), vec![p; 2], Partitioning::Hash { shards: 2 }).unwrap();
+    let store = sharded(Partitioning::Hash { shards: 2 });
     let mut model = BTreeMap::new();
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {

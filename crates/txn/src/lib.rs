@@ -402,7 +402,7 @@ impl TxnEngine {
     /// called with the journal quiescent (committed == applied), so the
     /// staged entries need not move: the fresh region carries the
     /// committed/applied words forward and is published through
-    /// [`CommitCell::JOURNAL`], as a shard manifest is. A crash
+    /// [`CommitCell::JOURNAL`], as a catalog record is. A crash
     /// between flip and free leaks the old region — the documented PM
     /// allocator trade-off.
     fn ensure_capacity(&self, j: &mut Journal, need: u64) -> Result<(), IndexError> {

@@ -22,15 +22,17 @@
 //!
 //! A group big enough for `ShardedStore` to apply its two shards on two
 //! threads gets the same zero-or-all sweep over the interleaved stores of
-//! both.
+//! both. A sharded deployment is registered in a catalog in the same pool
+//! before the baseline, and each image reopens it by name.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use catalog::{Catalog, StoreKind};
 use fastfair::{FastFairTree, TreeOptions};
 use pmem::crash::Eviction;
 use pmem::{Pool, PoolConfig};
-use pmindex::{BatchOp, PersistentIndex, PmIndex};
+use pmindex::{BatchOp, IndexError, PersistentIndex, PmIndex};
 use shard::{Partitioning, ShardedStore, MIN_SPLIT};
 use txn::{TxnEngine, WriteBatch};
 
@@ -38,6 +40,27 @@ const POOL: usize = 4 << 20;
 
 fn crash_pool() -> Arc<Pool> {
     Arc::new(Pool::new(PoolConfig::new().size(POOL).crash_log(true)).unwrap())
+}
+
+/// One tree per shard of `partitioning` in `pool`, registered as
+/// `"store"` in a catalog the pool roots.
+fn deployment(pool: &Arc<Pool>, partitioning: Partitioning) -> ShardedStore<FastFairTree> {
+    let trees: Vec<FastFairTree> = (0..partitioning.shards())
+        .map(|_| FastFairTree::create_in(Arc::clone(pool)).unwrap())
+        .collect();
+    let kind = StoreKind::Sharded {
+        partitioning: partitioning.clone(),
+        shards: trees.iter().map(|t| (0, t.superblock())).collect(),
+    };
+    Catalog::create(vec![Arc::clone(pool)])
+        .and_then(|cat| cat.register("store", &kind))
+        .unwrap();
+    ShardedStore::from_indexes(trees, partitioning)
+}
+
+/// The deployment [`deployment`] registered, reopened from `pool`.
+fn reopen_deployment(pool: &Arc<Pool>) -> Result<ShardedStore<FastFairTree>, IndexError> {
+    Catalog::open(vec![Arc::clone(pool)])?.open_sharded("store")
 }
 
 /// The swept batch: the three History rows of TPC-C Payment #9
@@ -278,12 +301,7 @@ fn recovery_replay_is_itself_crash_safe() {
 fn cross_shard_payment_batch_crash_sweep() {
     const SHARDS: usize = 2;
     let pool = crash_pool();
-    let store: ShardedStore<FastFairTree> = ShardedStore::create(
-        Arc::clone(&pool),
-        vec![Arc::clone(&pool); SHARDS],
-        Partitioning::Hash { shards: SHARDS },
-    )
-    .unwrap();
+    let store = deployment(&pool, Partitioning::Hash { shards: SHARDS });
     let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
 
     // The Payment trio must genuinely span shards for this sweep to
@@ -318,9 +336,8 @@ fn cross_shard_payment_batch_crash_sweep() {
             let ctx = format!("cut {cut}/{total} {policy:?}");
             let img = pool.crash_image(cut, policy);
             let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
-            let s2: ShardedStore<FastFairTree> =
-                ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS])
-                    .unwrap_or_else(|e| panic!("{ctx}: store open failed: {e}"));
+            let s2 =
+                reopen_deployment(&p2).unwrap_or_else(|e| panic!("{ctx}: store open failed: {e}"));
             let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
             e2.recover(&[&s2]).unwrap();
             let n = survivors(|k| s2.get(k), &ctx);
@@ -405,12 +422,7 @@ fn split_apply_batch_crash_sweep() {
     const SHARDS: usize = 2;
     let part = Partitioning::Hash { shards: SHARDS };
     let pool = crash_pool();
-    let store: ShardedStore<FastFairTree> = ShardedStore::create(
-        Arc::clone(&pool),
-        vec![Arc::clone(&pool); SHARDS],
-        part.clone(),
-    )
-    .unwrap();
+    let store = deployment(&pool, part.clone());
     let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
     let (preload, ops) = split_group(&part, 700_000);
     for &(k, v) in &preload {
@@ -445,9 +457,8 @@ fn split_apply_batch_crash_sweep() {
             let ctx = format!("cut {cut}/{total} {policy:?}");
             let img = pool.crash_image(cut, policy);
             let p2 = Arc::new(Pool::from_image(&img, PoolConfig::new().size(POOL)).unwrap());
-            let s2: ShardedStore<FastFairTree> =
-                ShardedStore::open(Arc::clone(&p2), vec![Arc::clone(&p2); SHARDS])
-                    .unwrap_or_else(|e| panic!("{ctx}: store open failed: {e}"));
+            let s2 =
+                reopen_deployment(&p2).unwrap_or_else(|e| panic!("{ctx}: store open failed: {e}"));
             let e2 = TxnEngine::open(Arc::clone(&p2)).unwrap();
             e2.recover(&[&s2]).unwrap();
             let n = split_group_applied(|k| s2.get(k), &preload, &ops, &ctx);

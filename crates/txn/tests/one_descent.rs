@@ -119,11 +119,12 @@ fn prev_costs_no_descent_fence_or_flush_on_a_tree() {
 #[test]
 fn prev_costs_no_descent_fence_or_flush_on_a_sharded_store() {
     gate(|pool| {
-        ShardedStore::<FastFairTree>::create(
-            Arc::clone(&pool),
-            vec![Arc::clone(&pool); 2],
+        ShardedStore::from_indexes(
+            vec![
+                FastFairTree::create_in(Arc::clone(&pool)).unwrap(),
+                FastFairTree::create_in(pool).unwrap(),
+            ],
             Partitioning::Hash { shards: 2 },
         )
-        .unwrap()
     });
 }

@@ -1,31 +1,34 @@
 //! Sharded key-value store tour: partitioned inserts across per-shard
 //! pools, a cross-shard streaming range scan, and a crash injected partway
-//! through populating a store, re-opened from its manifest with every
+//! through populating a store, re-opened by name from a catalog with every
 //! acknowledged insert intact.
 //!
 //! Run with: `cargo run --release --example sharded_kv`
 
 use std::sync::Arc;
 
+use fastfair_repro::catalog::{Catalog, StoreKind};
 use fastfair_repro::fastfair::FastFairTree;
 use fastfair_repro::pmem::crash::Eviction;
 use fastfair_repro::pmem::{Pool, PoolConfig};
-use fastfair_repro::pmindex::{Cursor, PmIndex};
+use fastfair_repro::pmindex::{Cursor, PersistentIndex, PmIndex};
 use fastfair_repro::shard::{Partitioning, ShardedStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. A range-partitioned deployment: one pool per shard ----------
     // Shard 0 owns [0, 40_000), shard 1 [40_000, 80_000), shard 2 the rest.
-    let pools: Vec<Arc<Pool>> = (0..3)
-        .map(|_| Ok(Arc::new(Pool::new(PoolConfig::default().size(16 << 20))?)))
-        .collect::<Result<_, fastfair_repro::pmem::PmError>>()?;
-    let store: ShardedStore<FastFairTree> = ShardedStore::create(
-        Arc::clone(&pools[0]), // manifest lives alongside shard 0
-        pools,
+    let trees = (0..3)
+        .map(|_| {
+            let pool = Pool::new(PoolConfig::default().size(16 << 20))?;
+            Ok(FastFairTree::create_in(Arc::new(pool))?)
+        })
+        .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
+    let store = ShardedStore::from_indexes(
+        trees,
         Partitioning::Range {
             bounds: vec![40_000, 80_000],
         },
-    )?;
+    );
 
     for k in (1..=120_000u64).step_by(2) {
         store.insert(k, k + 1)?;
@@ -59,16 +62,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. A crash partway through population ----------------------------
     // Everything in ONE crash-logged pool so the event log totally orders
-    // the inserts; then materialize the persistent image as if the machine
-    // had died halfway through and re-open from the manifest.
+    // the inserts. The deployment is registered by name in a catalog the
+    // pool roots; then materialize the persistent image as if the machine
+    // had died halfway through and re-open it by that name.
     let pool = Arc::new(Pool::new(
         PoolConfig::default().size(8 << 20).crash_log(true),
     )?);
-    let small: ShardedStore<FastFairTree> = ShardedStore::create(
-        Arc::clone(&pool),
-        vec![Arc::clone(&pool), Arc::clone(&pool)],
-        Partitioning::Hash { shards: 2 },
-    )?;
+    let partitioning = Partitioning::Hash { shards: 2 };
+    let trees = vec![
+        FastFairTree::create_in(Arc::clone(&pool))?,
+        FastFairTree::create_in(Arc::clone(&pool))?,
+    ];
+    let kind = StoreKind::Sharded {
+        partitioning: partitioning.clone(),
+        shards: trees.iter().map(|t| (0, t.superblock())).collect(),
+    };
+    Catalog::create(vec![Arc::clone(&pool)])?.register("small", &kind)?;
+    let small = ShardedStore::from_indexes(trees, partitioning);
     let log = pool.crash_log().unwrap();
     log.set_baseline(pool.volatile_image()); // the committed map is durable context
     let mut acked = Vec::new(); // log length once each insert returned
@@ -84,15 +94,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let durable = acked.iter().take_while(|&&at| at <= cut).count() as u64;
     let img = pool.crash_image(cut, Eviction::Random(42));
     let half = Arc::new(Pool::from_image(&img, PoolConfig::default().size(8 << 20))?);
-    let recovered: ShardedStore<FastFairTree> =
-        ShardedStore::open(Arc::clone(&half), vec![Arc::clone(&half), half])?;
+    let recovered: ShardedStore<FastFairTree> = Catalog::open(vec![half])?.open_sharded("small")?;
     assert_eq!(recovered.partitioning(), small.partitioning());
     for k in 1..=durable {
         assert_eq!(recovered.get(k), Some(k + 7), "acknowledged key {k} lost");
     }
     assert!((durable..=durable + 1).contains(&(recovered.len() as u64)));
     println!(
-        "crash partway through population: reopened {} shards from the manifest, \
+        "crash partway through population: reopened {} shards from the catalog, \
          all {} acknowledged inserts intact",
         recovered.shard_count(),
         durable

@@ -8,13 +8,13 @@
 //! allocation sized by a corrupt length word) takes the whole binary
 //! down, so it fails the test too. The words:
 //!
-//! * the pool header's three commit cells (manifest, journal, catalog);
-//! * the shard manifest record's length word;
+//! * the pool header's two commit cells (journal, catalog);
 //! * the journal's entry count and capacity, with a committed batch left
 //!   unapplied so that `recover` replays it, and one of its entries' table
 //!   id and op kind, which must not replay into another table or as the
 //!   other op;
-//! * every word of the catalog record;
+//! * every word of the catalog record, which names a sharded store among
+//!   others;
 //! * a FAST+FAIR superblock's magic, node-size and root words, and its
 //!   strategy, undo-log head and retired word 48 (which held the undo
 //!   area's offset) on a FAIR tree and on a logging tree with a pending
@@ -36,8 +36,6 @@ use fastfair_repro::shard::{Partitioning, ShardedStore};
 use fastfair_repro::txn::{TxnEngine, WriteBatch};
 
 const POOL: usize = 1 << 20;
-/// Manifest record word 1: the payload length, which sizes the entries.
-const MANIFEST_COUNT: u64 = 8;
 /// Journal region words 2–4: the applied sequence, the staged entry
 /// count and the capacity; entries of four words (table, kind, key,
 /// value) start at word 5.
@@ -113,49 +111,6 @@ fn flip_each_bit<T>(
         "{what}: reopening panicked with bit(s) {panicked:?} flipped"
     );
     outcome
-}
-
-/// A two-shard hash store whose manifest lives in its own pool.
-fn sharded() -> (Vec<u8>, Vec<Vec<u8>>) {
-    let manifest = mkpool();
-    let shards = vec![mkpool(), mkpool()];
-    let store = ShardedStore::<FastFairTree>::create(
-        Arc::clone(&manifest),
-        shards.clone(),
-        Partitioning::Hash { shards: 2 },
-    )
-    .unwrap();
-    for k in 1..=100 {
-        store.insert(k, k * 10).unwrap();
-    }
-    let images = shards.iter().map(|p| p.volatile_image()).collect();
-    (manifest.volatile_image(), images)
-}
-
-fn open_sharded(manifest: Arc<Pool>, shards: &[Vec<u8>]) -> Result<usize, IndexError> {
-    let pools = shards.iter().map(|i| remap(i)).collect();
-    ShardedStore::<FastFairTree>::open(manifest, pools).map(|s| s.len())
-}
-
-#[test]
-fn a_flipped_manifest_slot_or_count_is_refused() {
-    let (image, shards) = sharded();
-    let pool = remap(&image);
-    assert_eq!(open_sharded(Arc::clone(&pool), &shards).unwrap(), 100);
-
-    let slot = flip_each_bit(
-        "manifest slot",
-        &image,
-        CommitCell::MANIFEST.offset(),
-        |p| open_sharded(p, &shards),
-    );
-    assert_eq!(slot.refused, 64, "{slot:?}");
-
-    let count = CommitCell::MANIFEST.load(&pool) + MANIFEST_COUNT;
-    let count = flip_each_bit("manifest count", &image, count, |p| {
-        open_sharded(p, &shards)
-    });
-    assert_eq!(count.refused, 64, "{count:?}");
 }
 
 /// A pool holding one tree and a journal whose last batch is committed
@@ -265,24 +220,45 @@ fn a_flipped_journal_table_id_is_refused() {
     );
 }
 
+/// A catalog naming a journal and a two-shard range store whose trees
+/// share its pool.
 fn catalog() -> Vec<u8> {
     let root = mkpool();
     let cat = Catalog::create(vec![Arc::clone(&root)]).unwrap();
     cat.register("journal", &StoreKind::Txn { pool: 0 })
         .unwrap();
     cat.rename("journal", "log").unwrap();
+    let trees: Vec<FastFairTree> = (0..2)
+        .map(|_| FastFairTree::create_in(Arc::clone(&root)).unwrap())
+        .collect();
+    let partitioning = Partitioning::Range { bounds: vec![50] };
+    let kind = StoreKind::Sharded {
+        partitioning: partitioning.clone(),
+        shards: trees.iter().map(|t| (0, t.superblock())).collect(),
+    };
+    let store = ShardedStore::from_indexes(trees, partitioning);
+    for k in 1..=100 {
+        store.insert(k, k * 10).unwrap();
+    }
+    cat.register("wide", &kind).unwrap();
     root.volatile_image()
 }
 
-fn open_catalog(pool: Arc<Pool>) -> Result<Vec<String>, IndexError> {
-    Catalog::open(vec![pool]).map(|c| c.names())
+/// The catalog's names and the sharded store's length.
+fn open_catalog(pool: Arc<Pool>) -> Result<(Vec<String>, usize), IndexError> {
+    let cat = Catalog::open(vec![pool])?;
+    let wide = cat.open_sharded::<FastFairTree>("wide")?;
+    Ok((cat.names(), wide.len()))
 }
 
 #[test]
 fn a_flipped_catalog_slot_or_record_word_is_refused() {
     let image = catalog();
     let pool = remap(&image);
-    assert_eq!(open_catalog(Arc::clone(&pool)).unwrap(), vec!["log"]);
+    assert_eq!(
+        open_catalog(Arc::clone(&pool)).unwrap(),
+        (vec!["log".to_string(), "wide".to_string()], 100)
+    );
 
     let slot = flip_each_bit(
         "catalog slot",

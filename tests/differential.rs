@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use fastfair_repro::pmem::{Pool, PoolConfig};
 use fastfair_repro::pmindex::workload::{generate_keys, partition, value_for, KeyDist};
-use fastfair_repro::pmindex::{BatchOp, Cursor, IndexError, PmIndex};
+use fastfair_repro::pmindex::{BatchOp, Cursor, IndexError, PersistentIndex, PmIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -107,17 +107,14 @@ indexes! {
     // The shard router is itself a PmIndex: it must agree with the model
     // (and hence with every single-tree index) verbatim.
     sharded_hash => |pool: Arc<Pool>| {
-        fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
-            Arc::clone(&pool),
-            vec![pool; 4],
+        fastfair_repro::shard::ShardedStore::from_indexes(
+            shard_trees(&pool, 4),
             fastfair_repro::shard::Partitioning::Hash { shards: 4 },
         )
-        .unwrap()
     },
     sharded_range => |pool: Arc<Pool>| {
-        fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
-            Arc::clone(&pool),
-            vec![pool; 3],
+        fastfair_repro::shard::ShardedStore::from_indexes(
+            shard_trees(&pool, 3),
             fastfair_repro::shard::Partitioning::Range {
                 // Splits chosen so the dense workload (keys < 2000)
                 // exercises all three shards and the sparse workload
@@ -125,8 +122,14 @@ indexes! {
                 bounds: vec![700, 1400],
             },
         )
-        .unwrap()
     },
+}
+
+/// `n` fresh FAST+FAIR trees in `pool`: the shards of a sharded store.
+fn shard_trees(pool: &Arc<Pool>, n: usize) -> Vec<fastfair_repro::fastfair::FastFairTree> {
+    (0..n)
+        .map(|_| fastfair_repro::fastfair::FastFairTree::create_in(Arc::clone(pool)).unwrap())
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -64,7 +64,7 @@ fn sharded_kv_runs_to_completion() {
         "sharded_kv",
         &[
             "inserted 60000 keys across 3 shards",
-            "crash partway through population: reopened 2 shards from the manifest",
+            "crash partway through population: reopened 2 shards from the catalog",
             "sharded_kv example finished OK",
         ],
     );

@@ -57,22 +57,23 @@ fn whole_deployment_reopens_by_name_twice() {
     )
     .unwrap();
 
-    let wide: ShardedStore<FastFairTree> = ShardedStore::create(
-        Arc::clone(&fleet[0]),
-        vec![Arc::clone(&fleet[1]), Arc::clone(&fleet[2])],
-        Partitioning::Range {
-            bounds: vec![500_000],
-        },
-    )
-    .unwrap();
+    let partitioning = Partitioning::Range {
+        bounds: vec![500_000],
+    };
+    let trees = vec![
+        FastFairTree::create_in(Arc::clone(&fleet[1])).unwrap(),
+        FastFairTree::create_in(Arc::clone(&fleet[2])).unwrap(),
+    ];
+    let shards = vec![(1, trees[0].superblock()), (2, trees[1].superblock())];
+    let wide = ShardedStore::from_indexes(trees, partitioning.clone());
     for k in (0..1000u64).map(|i| i * 997) {
         wide.insert(k + 1, k + 2).unwrap();
     }
     cat.register(
         "wide",
         &StoreKind::Sharded {
-            manifest_pool: 0,
-            shard_pools: vec![1, 2],
+            partitioning,
+            shards,
         },
     )
     .unwrap();

@@ -8,9 +8,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fastfair_repro::pmem::{Pool, PoolConfig};
-use fastfair_repro::pmindex::{Cursor, PmIndex};
+use fastfair_repro::pmindex::{Cursor, PersistentIndex, PmIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+
+/// `n` fresh FAST+FAIR trees in `pool`: the shards of a sharded store.
+fn shard_trees(pool: &Arc<Pool>, n: usize) -> Vec<fastfair_repro::fastfair::FastFairTree> {
+    (0..n)
+        .map(|_| fastfair_repro::fastfair::FastFairTree::create_in(Arc::clone(pool)).unwrap())
+        .collect()
+}
 
 fn all_indexes(pool: &Arc<Pool>) -> Vec<Box<dyn PmIndex>> {
     vec![
@@ -32,24 +39,16 @@ fn all_indexes(pool: &Arc<Pool>) -> Vec<Box<dyn PmIndex>> {
         Box::new(fastfair_repro::wbtree::WbTree::create(Arc::clone(pool)).unwrap()),
         Box::new(fastfair_repro::wort::Wort::create(Arc::clone(pool)).unwrap()),
         Box::new(fastfair_repro::pskiplist::PSkipList::create(Arc::clone(pool)).unwrap()),
-        Box::new(
-            fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
-                Arc::clone(pool),
-                vec![Arc::clone(pool); 4],
-                fastfair_repro::shard::Partitioning::Hash { shards: 4 },
-            )
-            .unwrap(),
-        ),
-        Box::new(
-            fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
-                Arc::clone(pool),
-                vec![Arc::clone(pool); 3],
-                fastfair_repro::shard::Partitioning::Range {
-                    bounds: vec![700, 1400],
-                },
-            )
-            .unwrap(),
-        ),
+        Box::new(fastfair_repro::shard::ShardedStore::from_indexes(
+            shard_trees(pool, 4),
+            fastfair_repro::shard::Partitioning::Hash { shards: 4 },
+        )),
+        Box::new(fastfair_repro::shard::ShardedStore::from_indexes(
+            shard_trees(pool, 3),
+            fastfair_repro::shard::Partitioning::Range {
+                bounds: vec![700, 1400],
+            },
+        )),
     ]
 }
 
@@ -182,16 +181,12 @@ fn reverse_scan_survives_concurrent_splits_and_merges() {
             )
             .unwrap(),
         ),
-        Arc::new(
-            fastfair_repro::shard::ShardedStore::<fastfair_repro::fastfair::FastFairTree>::create(
-                Arc::clone(&pool),
-                vec![Arc::clone(&pool); 2],
-                fastfair_repro::shard::Partitioning::Range {
-                    bounds: vec![1_000_000],
-                },
-            )
-            .unwrap(),
-        ),
+        Arc::new(fastfair_repro::shard::ShardedStore::from_indexes(
+            shard_trees(&pool, 2),
+            fastfair_repro::shard::Partitioning::Range {
+                bounds: vec![1_000_000],
+            },
+        )),
         Arc::new(fastfair_repro::fptree::FpTree::create(Arc::clone(&pool)).unwrap()),
         Arc::new(fastfair_repro::wbtree::WbTree::create(Arc::clone(&pool)).unwrap()),
     ];

@@ -213,19 +213,17 @@ fn concurrent_scans_tolerate_deletes() {
 /// later ones.
 #[test]
 fn service_scans_observe_delete_prefixes() {
+    use fastfair_repro::fastfair::FastFairTree;
+    use fastfair_repro::pmindex::PersistentIndex;
     use fastfair_repro::service::{Service, ServiceConfig};
     use fastfair_repro::shard::{Partitioning, ShardedStore};
     use fastfair_repro::txn::TxnEngine;
 
     let pool = Arc::new(Pool::new(PoolConfig::default().size(POOL_BYTES)).unwrap());
-    let store: Arc<ShardedStore<fastfair_repro::fastfair::FastFairTree>> = Arc::new(
-        ShardedStore::create(
-            Arc::clone(&pool),
-            vec![Arc::clone(&pool)],
-            Partitioning::Hash { shards: 1 },
-        )
-        .unwrap(),
-    );
+    let store = Arc::new(ShardedStore::from_indexes(
+        vec![FastFairTree::create_in(Arc::clone(&pool)).unwrap()],
+        Partitioning::Hash { shards: 1 },
+    ));
     let engine = Arc::new(TxnEngine::create(Arc::clone(&pool)).unwrap());
     let service = Service::with_engine(
         vec![Arc::clone(&store)],
