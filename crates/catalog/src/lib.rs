@@ -9,8 +9,8 @@
 //! [`Catalog`] persists those coordinates under human-readable names in
 //! a **root pool**, so a restarted process can ask for `"orders"` and
 //! get its tree back. A sharded deployment is nothing but coordinates —
-//! its partitioning and each shard's pool and superblock — so it is one
-//! entry too, and [`Catalog::open_sharded`] rebuilds it:
+//! each shard's pool and superblock — so it is one entry too, and
+//! [`Catalog::open_sharded`] rebuilds it:
 //!
 //! ```text
 //! root pool header ──CommitCell::CATALOG──▶ catalog record
@@ -37,10 +37,10 @@
 //! name length in bytes, name bytes packed little-endian 8 per word,
 //! kind tag (1 index, 4 txn, 5 sharded; 2 and 3 are retired and refused),
 //! anchor (index: superblock offset; txn: 0, a pool header anchors it;
-//!         sharded: partitioning, 0 hash / 1 range),
+//!         sharded: 0, hash partitioning; 1 named a range-partitioned
+//!         deployment and is retired and refused),
 //! word count n, n words (index, txn: the fleet slot; sharded: each
-//! shard's fleet slot and superblock in shard order, then a range
-//! deployment's N - 1 ascending bounds)
+//! shard's fleet slot and superblock in shard order)
 //! ```
 //!
 //! Pools are identified by **fleet slot**: the position of the pool in
@@ -77,9 +77,10 @@ const TAG_MANIFEST: u64 = 3;
 const TAG_TXN: u64 = 4;
 const TAG_SHARDED: u64 = 5;
 
-/// A sharded entry's anchor word: its partitioning.
+/// A sharded entry's anchor word: its partitioning. Hash is the only one;
+/// 1 named a range-partitioned deployment, retired and refused.
 const PART_HASH: u64 = 0;
-const PART_RANGE: u64 = 1;
+const PART_RETIRED_RANGE: u64 = 1;
 
 type Names = BTreeMap<String, StoreKind>;
 
@@ -112,11 +113,9 @@ pub enum StoreKind {
         superblock: PmOffset,
     },
     /// A sharded deployment: reopened via [`Catalog::open_sharded`],
-    /// each shard from its superblock.
+    /// each shard from its superblock, with keys routed by
+    /// [`Partitioning::Hash`] over `shards.len()` shards.
     Sharded {
-        /// How keys route to the shards; its shard count must be
-        /// `shards.len()` and its range bounds ascending.
-        partitioning: Partitioning,
         /// Each shard's fleet slot and [`PersistentIndex::superblock`],
         /// in shard order.
         shards: Vec<(usize, PmOffset)>,
@@ -134,20 +133,14 @@ impl StoreKind {
     fn parts(&self) -> (u64, u64, Vec<u64>) {
         match self {
             StoreKind::Index { pool, superblock } => (TAG_INDEX, *superblock, vec![*pool as u64]),
-            StoreKind::Sharded {
-                partitioning,
-                shards,
-            } => {
-                let map = shards.iter().flat_map(|&(slot, sb)| [slot as u64, sb]);
-                match partitioning {
-                    Partitioning::Hash { .. } => (TAG_SHARDED, PART_HASH, map.collect()),
-                    Partitioning::Range { bounds } => (
-                        TAG_SHARDED,
-                        PART_RANGE,
-                        map.chain(bounds.iter().copied()).collect(),
-                    ),
-                }
-            }
+            StoreKind::Sharded { shards } => (
+                TAG_SHARDED,
+                PART_HASH,
+                shards
+                    .iter()
+                    .flat_map(|&(slot, sb)| [slot as u64, sb])
+                    .collect(),
+            ),
             StoreKind::Txn { pool } => (TAG_TXN, 0, vec![*pool as u64]),
         }
     }
@@ -166,58 +159,35 @@ impl StoreKind {
             (TAG_MANIFEST, _) => Err(format!(
                 "retired kind {tag} (sharded store over a shard manifest)"
             )),
-            (TAG_SHARDED, _) => {
-                // N shards take 2N words under hash, 3N - 1 under range;
-                // no word at all is a map of no shard, which `check`
-                // refuses by name.
-                let shards = match anchor {
-                    PART_HASH if words.len().is_multiple_of(2) => words.len() / 2,
-                    PART_RANGE if words.is_empty() => 0,
-                    PART_RANGE if words.len() % 3 == 2 => words.len() / 3 + 1,
-                    PART_HASH | PART_RANGE => return Err("a malformed kind".into()),
-                    _ => return Err(format!("unknown partitioning kind {anchor}")),
-                };
-                let (map, bounds) = words.split_at(2 * shards);
-                Ok(StoreKind::Sharded {
-                    partitioning: match anchor {
-                        PART_HASH => Partitioning::Hash { shards },
-                        _ => Partitioning::Range {
-                            bounds: bounds.to_vec(),
-                        },
-                    },
-                    shards: map.chunks_exact(2).map(|w| (w[0] as usize, w[1])).collect(),
-                })
-            }
+            // N shards take 2N words; no word at all is a map of no
+            // shard, which `check` refuses by name.
+            (TAG_SHARDED, _) => match anchor {
+                PART_HASH if words.len().is_multiple_of(2) => Ok(StoreKind::Sharded {
+                    shards: words
+                        .chunks_exact(2)
+                        .map(|w| (w[0] as usize, w[1]))
+                        .collect(),
+                }),
+                PART_HASH => Err("a malformed kind".into()),
+                PART_RETIRED_RANGE => Err(format!(
+                    "retired partitioning kind {anchor} (range-partitioned deployment)"
+                )),
+                _ => Err(format!("unknown partitioning kind {anchor}")),
+            },
             _ => Err("a malformed kind".into()),
         }
     }
 
     /// Refuses a kind that names a fleet slot outside a fleet of `fleet`
-    /// pools, or a sharded map [`ShardedStore::from_indexes`] would
-    /// reject: no shard, a shard count its partitioning disagrees with,
-    /// or descending range bounds.
+    /// pools, or a sharded map of no shard, which
+    /// [`ShardedStore::from_indexes`] would reject.
     fn check(&self, fleet: usize) -> Result<(), IndexError> {
         let slots = match self {
             StoreKind::Index { pool, .. } | StoreKind::Txn { pool } => vec![*pool],
-            StoreKind::Sharded {
-                partitioning,
-                shards,
-            } => {
-                if shards.is_empty() {
-                    return Err(corrupt("sharded store names no shard"));
-                } else if partitioning.shards() != shards.len() {
-                    return Err(corrupt(&format!(
-                        "partitioning has {} shards but the map lists {}",
-                        partitioning.shards(),
-                        shards.len()
-                    )));
-                } else if let Partitioning::Range { bounds } = partitioning {
-                    if !bounds.is_sorted() {
-                        return Err(corrupt("sharded store has descending range bounds"));
-                    }
-                }
-                shards.iter().map(|&(slot, _)| slot).collect()
+            StoreKind::Sharded { shards } if shards.is_empty() => {
+                return Err(corrupt("sharded store names no shard"));
             }
+            StoreKind::Sharded { shards } => shards.iter().map(|&(slot, _)| slot).collect(),
         };
         match slots.into_iter().find(|&slot| slot >= fleet) {
             Some(slot) => Err(corrupt(&format!(
@@ -433,8 +403,7 @@ impl Catalog {
     /// [`IndexError::Unsupported`] if `name` is empty or already
     /// registered (use [`Catalog::update`] to repoint a live name), if
     /// `kind` references a fleet slot outside the pool fleet, or if it is
-    /// a sharded map with no shard, a shard count its partitioning
-    /// disagrees with, or descending range bounds.
+    /// a sharded map with no shard.
     pub fn register(&self, name: &str, kind: &StoreKind) -> Result<(), IndexError> {
         self.check(name, kind)?;
         // A failed mutation discards the copy it changed.
@@ -606,8 +575,8 @@ impl Catalog {
     }
 
     /// Re-opens the sharded deployment registered as `name`: each shard's
-    /// index from its recorded pool and superblock, routed by the
-    /// recorded partitioning.
+    /// index from its recorded pool and superblock, hash-routed over the
+    /// recorded shards.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -622,11 +591,10 @@ impl Catalog {
     ///     FastFairTree::create_in(Arc::clone(&root))?,
     ///     FastFairTree::create_in(Arc::clone(&root))?,
     /// ];
-    /// let partitioning = Partitioning::Hash { shards: 2 };
     /// let shards = trees.iter().map(|t| (0, t.superblock())).collect();
-    /// let store = ShardedStore::from_indexes(trees, partitioning.clone());
+    /// let store = ShardedStore::from_indexes(trees, Partitioning::Hash { shards: 2 });
     /// store.insert(11, 110)?;
-    /// cat.register("wide", &StoreKind::Sharded { partitioning, shards })?;
+    /// cat.register("wide", &StoreKind::Sharded { shards })?;
     ///
     /// let again: ShardedStore<FastFairTree> = cat.open_sharded("wide")?;
     /// assert_eq!(again.get(11), Some(110));
@@ -642,16 +610,16 @@ impl Catalog {
         name: &str,
     ) -> Result<ShardedStore<T>, IndexError> {
         match self.kind_of(name)? {
-            StoreKind::Sharded {
-                partitioning,
-                shards,
-            } => {
+            StoreKind::Sharded { shards } => {
                 let indexes = shards
                     .iter()
                     .map(|&(pool, superblock)| {
                         T::open_in(Arc::clone(&self.pools[pool]), superblock)
                     })
                     .collect::<Result<_, _>>()?;
+                let partitioning = Partitioning::Hash {
+                    shards: shards.len(),
+                };
                 Ok(ShardedStore::from_indexes(indexes, partitioning))
             }
             other => Err(wrong_kind(name, "a sharded store", &other)),
@@ -857,7 +825,6 @@ mod tests {
             .register(
                 "bad",
                 &StoreKind::Sharded {
-                    partitioning: Partitioning::Hash { shards: 2 },
                     shards: vec![(0, 64), (7, 64)],
                 },
             )
@@ -984,13 +951,11 @@ mod tests {
             assert!(msg.contains("malformed kind"), "tag {tag}: {msg}");
         }
         // A known tag with a word count that fits none of its shapes is
-        // malformed too: a txn names one slot, a hash map two words a
-        // shard, a range map three a shard but one.
+        // malformed too: a txn names one slot, a sharded map two words a
+        // shard.
         for kind in [
             vec![TAG_TXN, 0, 2, 0, 0],
             vec![TAG_SHARDED, PART_HASH, 3, 0, 64, 0],
-            vec![TAG_SHARDED, PART_RANGE, 3, 0, 64, 10],
-            vec![TAG_SHARDED, PART_RANGE, 4, 0, 64, 0, 64],
         ] {
             let msg = refused(open_record(&[&[1, name], &kind[..]].concat()));
             assert!(msg.contains("malformed kind"), "{kind:?}: {msg}");
@@ -1136,7 +1101,6 @@ mod tests {
             .update(
                 "t",
                 &StoreKind::Sharded {
-                    partitioning: Partitioning::Hash { shards: 2 },
                     shards: vec![(0, 64), (5, 64)],
                 },
             )
@@ -1190,13 +1154,9 @@ mod tests {
                 superblock: 256,
             },
             StoreKind::Sharded {
-                partitioning: Partitioning::Hash { shards: 2 },
                 shards: vec![(1, 128), (2, 256)],
             },
             StoreKind::Sharded {
-                partitioning: Partitioning::Range {
-                    bounds: vec![10, 10],
-                },
                 shards: vec![(2, 64), (0, 64), (1, 512)],
             },
             StoreKind::Txn { pool: 1 },
@@ -1226,7 +1186,6 @@ mod tests {
         cat.register(
             "wide",
             &StoreKind::Sharded {
-                partitioning: Partitioning::Range { bounds: vec![500] },
                 shards: vec![(1, 64), (0, 128)],
             },
         )
@@ -1236,7 +1195,7 @@ mod tests {
         let want = vec![
             2, name("kv"), TAG_INDEX, 4160, 1, 1,
             3, name("txn"), TAG_TXN, 0, 1, 0,
-            4, name("wide"), TAG_SHARDED, PART_RANGE, 5, 1, 64, 0, 128, 500,
+            4, name("wide"), TAG_SHARDED, PART_HASH, 4, 1, 64, 0, 128,
         ];
         assert_eq!(words, Some(want));
         assert_eq!((TAG_INDEX, TAG_TXN, TAG_SHARDED), (1, 4, 5));
@@ -1244,51 +1203,48 @@ mod tests {
 
     #[test]
     fn a_sharded_kind_whose_partitioning_disagrees_with_its_map_is_refused() {
+        // A sharded kind's partitioning is its shard count, so a map of no
+        // shard is the one disagreement it can hold.
         let cat = Catalog::create(vec![pool()]).unwrap();
-        let sharded = |partitioning, shards: usize| StoreKind::Sharded {
-            partitioning,
-            shards: vec![(0, 64); shards],
-        };
-        cat.register("s", &sharded(Partitioning::Hash { shards: 1 }, 1))
-            .unwrap();
+        cat.register(
+            "s",
+            &StoreKind::Sharded {
+                shards: vec![(0, 64)],
+            },
+        )
+        .unwrap();
         let published = CommitCell::CATALOG.load(cat.root());
-        for (kind, why) in [
-            (
-                sharded(Partitioning::Hash { shards: 3 }, 2),
-                "3 shards but the map lists 2",
-            ),
-            (
-                sharded(Partitioning::Range { bounds: vec![10] }, 3),
-                "2 shards but the map lists 3",
-            ),
-            (
-                sharded(
-                    Partitioning::Range {
-                        bounds: vec![20, 10],
-                    },
-                    3,
-                ),
-                "descending",
-            ),
-            (sharded(Partitioning::Hash { shards: 0 }, 0), "no shard"),
-        ] {
-            let msg = refused(cat.register("t", &kind));
-            assert!(msg.contains(why), "register {kind:?}: {msg}");
-            let msg = refused(cat.update("s", &kind));
-            assert!(msg.contains(why), "update {kind:?}: {msg}");
-        }
+        let none = StoreKind::Sharded { shards: vec![] };
+        let msg = refused(cat.register("t", &none));
+        assert!(msg.contains("no shard"), "register: {msg}");
+        let msg = refused(cat.update("s", &none));
+        assert!(msg.contains("no shard"), "update: {msg}");
         assert_eq!(CommitCell::CATALOG.load(cat.root()), published);
         assert_eq!(cat.names(), vec!["s"]);
     }
 
+    #[test]
+    fn a_range_partitioned_deployment_is_refused_as_retired() {
+        // A well-checksummed record as a catalog that registered a
+        // two-shard range deployment wrote it: name "wide", kind 5,
+        // partitioning word 1, both shards' slot and superblock, then the
+        // one bound.
+        #[rustfmt::skip]
+        let words = [4, name("wide"), TAG_SHARDED, PART_RETIRED_RANGE, 5, 1, 64, 0, 128, 500];
+        let msg = refused(open_record(&words));
+        assert!(
+            msg.contains("retired partitioning kind 1 (range-partitioned"),
+            "{msg}"
+        );
+    }
+
     /// Publishes a record naming one sharded store, `"s"`, of partitioning
     /// word `kind` — one fresh tree in the root pool per entry of `slots`,
-    /// recorded at that fleet slot, then `bounds` — and opens the store
-    /// over a fleet of one.
+    /// recorded at that fleet slot — and opens the store over a fleet of
+    /// one.
     fn open_sharded_record(
         kind: u64,
         slots: &[u64],
-        bounds: &[u64],
     ) -> Result<ShardedStore<FastFairTree>, IndexError> {
         let root = pool();
         let mut counted = Vec::new();
@@ -1296,7 +1252,6 @@ mod tests {
             let tree = FastFairTree::create_in(Arc::clone(&root)).unwrap();
             counted.extend([slot, tree.superblock()]);
         }
-        counted.extend(bounds);
         let words = [
             &[1, name("s"), TAG_SHARDED, kind, counted.len() as u64],
             &counted[..],
@@ -1308,48 +1263,32 @@ mod tests {
         Catalog::open(vec![root])?.open_sharded("s")
     }
 
-    // The next four keep the names they had when a sharded store's map was
+    // The next three keep the names they had when a sharded store's map was
     // its own shard-manifest record; the checks now run on the catalog's
     // sharded entry.
 
     #[test]
     fn a_manifest_naming_no_shard_is_refused() {
-        for kind in [PART_HASH, PART_RANGE] {
-            let msg = refused(open_sharded_record(kind, &[], &[]));
-            assert!(msg.contains("no shard"), "kind {kind}: {msg}");
-        }
+        let msg = refused(open_sharded_record(PART_HASH, &[]));
+        assert!(msg.contains("no shard"), "{msg}");
     }
 
     #[test]
     fn a_manifest_of_an_unknown_kind_is_refused() {
         for kind in [2, u64::MAX] {
-            let msg = refused(open_sharded_record(kind, &[0, 0], &[]));
+            let msg = refused(open_sharded_record(kind, &[0, 0]));
             assert!(msg.contains("unknown partitioning kind"), "{msg}");
         }
     }
 
     #[test]
-    fn a_manifest_with_descending_bounds_is_refused_not_a_panic() {
-        let msg = refused(open_sharded_record(PART_RANGE, &[0, 0, 0], &[200, 100]));
-        assert!(msg.contains("descending"), "{msg}");
-        // Equal bounds (an empty middle shard) open.
-        let store = open_sharded_record(PART_RANGE, &[0, 0, 0], &[100, 100]).unwrap();
-        assert_eq!(
-            store.partitioning(),
-            &Partitioning::Range {
-                bounds: vec![100, 100]
-            }
-        );
-    }
-
-    #[test]
     fn a_manifest_slot_past_the_supplied_pools_is_refused() {
         // Shard 1 at slot 5 of a one-pool fleet.
-        let msg = refused(open_sharded_record(PART_HASH, &[0, 5], &[]));
+        let msg = refused(open_sharded_record(PART_HASH, &[0, 5]));
         assert!(msg.contains("slot 5"), "{msg}");
         // The same map at slot 0 opens.
         assert_eq!(
-            open_sharded_record(PART_HASH, &[0, 0], &[])
+            open_sharded_record(PART_HASH, &[0, 0])
                 .unwrap()
                 .shard_count(),
             2

@@ -111,7 +111,6 @@ fn crash_sweep_catalog_mutations_old_or_new() {
         (
             "gamma",
             StoreKind::Sharded {
-                partitioning: Partitioning::Range { bounds: vec![100] },
                 shards: vec![(0, 192), (1, 64)],
             },
         ),
@@ -238,8 +237,9 @@ fn key(i: u64) -> u64 {
 /// follow it. Each image either has no such name (the crash came before
 /// the publish) or opens to the full shard map, holding exactly the keys
 /// whose inserts returned before the cut, plus at most the one in
-/// flight. Returns the number of cuts tested.
-fn sharded_sweep(partitioning: Partitioning) -> usize {
+/// flight.
+#[test]
+fn sharded_deployment_crash_sweep_hash() {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(POOL).crash_log(true)).unwrap());
     let cat = Catalog::create(vec![Arc::clone(&pool)]).unwrap();
     let log = pool.crash_log().unwrap();
@@ -249,9 +249,9 @@ fn sharded_sweep(partitioning: Partitioning) -> usize {
         .map(|_| FastFairTree::create_in(Arc::clone(&pool)).unwrap())
         .collect();
     let kind = StoreKind::Sharded {
-        partitioning: partitioning.clone(),
         shards: trees.iter().map(|t| (0, t.superblock())).collect(),
     };
+    let partitioning = Partitioning::Hash { shards: SHARDS };
     let store = ShardedStore::from_indexes(trees, partitioning.clone());
     cat.register("wide", &kind).unwrap();
     let created = log.len();
@@ -299,19 +299,5 @@ fn sharded_sweep(partitioning: Partitioning) -> usize {
         }
     }
     assert!(absent > 0, "no cut fell before the register's publish");
-    total + 1
-}
-
-#[test]
-fn sharded_deployment_crash_sweep_hash() {
-    let cuts = sharded_sweep(Partitioning::Hash { shards: SHARDS });
-    assert!(cuts > 100);
-}
-
-#[test]
-fn sharded_deployment_crash_sweep_range() {
-    let cuts = sharded_sweep(Partitioning::Range {
-        bounds: vec![KEYS / 3 * 49_999, 2 * KEYS / 3 * 49_999],
-    });
-    assert!(cuts > 100);
+    assert!(total >= 100, "{total} events");
 }

@@ -255,7 +255,6 @@ fn a_failed_commit_leaves_nothing_in_flight() {
     let trees = trees_in(&pool);
     let partitioning = Partitioning::Hash { shards: 2 };
     let kind = StoreKind::Sharded {
-        partitioning: partitioning.clone(),
         shards: trees.iter().map(|t| (0, t.superblock())).collect(),
     };
     Catalog::create(vec![Arc::clone(&pool)])

@@ -9,8 +9,8 @@
 //! model's answer exactly, concurrency or not. After the storm the
 //! service's table must equal the union of all models, key for key.
 //!
-//! Runs against both routing backends (hash and range partitioning),
-//! every write group-committed through the engine. `FF_EPOCH_STRESS=1`
+//! Runs against a four-shard hash-routed store, every write
+//! group-committed through the engine. `FF_EPOCH_STRESS=1`
 //! coverage comes from the `service-soak` CI job, which re-runs this
 //! binary with the flag set.
 
@@ -28,16 +28,12 @@ const THREADS: u64 = 8;
 const SPAN: u64 = 10_000;
 const OPS: usize = 600;
 
-fn build_store(
-    pool: &Arc<Pool>,
-    part: Partitioning,
-    shards: usize,
-) -> Arc<ShardedStore<FastFairTree>> {
+fn build_store(pool: &Arc<Pool>, shards: usize) -> Arc<ShardedStore<FastFairTree>> {
     Arc::new(ShardedStore::from_indexes(
         (0..shards)
             .map(|_| FastFairTree::create_in(Arc::clone(pool)).unwrap())
             .collect(),
-        part,
+        Partitioning::Hash { shards },
     ))
 }
 
@@ -165,22 +161,7 @@ fn run_storm(store: Arc<ShardedStore<FastFairTree>>, engine: Arc<TxnEngine>) {
 #[test]
 fn storm_hash_backend_group_commit() {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
-    let store = build_store(&pool, Partitioning::Hash { shards: 4 }, 4);
-    let engine = Arc::new(TxnEngine::create(pool).unwrap());
-    run_storm(store, engine);
-}
-
-#[test]
-fn storm_range_backend_group_commit() {
-    let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
-    // Bounds at thread-range edges: each client's keys stay on one shard.
-    let store = build_store(
-        &pool,
-        Partitioning::Range {
-            bounds: vec![2 * SPAN, 4 * SPAN, 6 * SPAN],
-        },
-        4,
-    );
+    let store = build_store(&pool, 4);
     let engine = Arc::new(TxnEngine::create(pool).unwrap());
     run_storm(store, engine);
 }

@@ -15,8 +15,13 @@ use pmindex::CursorIter;
 
 use super::*;
 
-/// Keys below this route to shard 0 of every store here, the rest to 1.
-const BOUND: Key = 1_000;
+/// Every two-shard store here.
+const PAIR: Partitioning = Partitioning::Hash { shards: 2 };
+
+/// The keys from `from` up that route to `shard` of [`PAIR`], ascending.
+fn keys_of(shard: usize, from: Key) -> impl Iterator<Item = Key> {
+    (from..).filter(move |&k| PAIR.shard_of(k) == shard)
+}
 
 enum Fault {
     Fail,
@@ -115,17 +120,12 @@ fn tree() -> FastFairTree {
     FastFairTree::create(pool, TreeOptions::new()).unwrap()
 }
 
-/// Two range shards whose shard-1 batch applies wait for shard 0's to
-/// begin: every batch here must split with shard 0 posted.
+/// Two shards whose shard-1 batch applies wait for shard 0's to begin:
+/// every batch here must split with shard 0 posted.
 fn latched_store() -> ShardedStore<Probe<FastFairTree>> {
     let first = Probe::new(tree(), None);
     let second = Probe::new(tree(), Some(Arc::clone(&first.began)));
-    ShardedStore::from_indexes(
-        vec![first, second],
-        Partitioning::Range {
-            bounds: vec![BOUND],
-        },
-    )
+    ShardedStore::from_indexes(vec![first, second], PAIR)
 }
 
 fn probe<I>(store: &ShardedStore<Probe<I>>, shard: usize) -> &Probe<I> {
@@ -135,9 +135,18 @@ fn probe<I>(store: &ShardedStore<Probe<I>>, shard: usize) -> &Probe<I> {
 /// `MIN_SPLIT` ops for shard 0 and one more for shard 1, so shard 0 is
 /// the smaller group and the one posted. `salt` varies keys and values.
 fn split_batch(salt: u64) -> Vec<BatchOp> {
-    let low = (0..MIN_SPLIT as u64).map(|i| BatchOp::Put(10 + i + salt, 7 + salt));
-    let high = (0..=MIN_SPLIT as u64).map(|i| BatchOp::Put(BOUND + 10 + i + salt, 9 + salt));
+    let low = keys_of(0, 10 + salt)
+        .take(MIN_SPLIT)
+        .map(|k| BatchOp::Put(k, 7 + salt));
+    let high = keys_of(1, 10 + salt)
+        .take(MIN_SPLIT + 1)
+        .map(|k| BatchOp::Put(k, 9 + salt));
     low.chain(high).collect()
+}
+
+/// The first key of `shard`'s group in `split_batch(salt)`.
+fn first_of(shard: usize, salt: u64) -> Key {
+    keys_of(shard, 10 + salt).next().unwrap()
 }
 
 /// A split batch's `pmem::stats` — every counter, the helper's absorbed
@@ -146,24 +155,23 @@ fn split_batch(salt: u64) -> Vec<BatchOp> {
 #[test]
 fn split_counters_match_the_groups_applied_shard_by_shard() {
     let store = latched_store();
-    let twin = ShardedStore::from_indexes(
-        vec![tree(), tree()],
-        Partitioning::Range {
-            bounds: vec![BOUND],
-        },
-    );
+    let twin = ShardedStore::from_indexes(vec![tree(), tree()], PAIR);
     for k in (1..400u64).map(|i| i * 5) {
         store.insert(k, k + 1).unwrap();
         twin.insert(k, k + 1).unwrap();
     }
+    let fresh = keys_of(0, 1).filter(|k| k % 5 != 0);
+    let present = |from| keys_of(1, from).filter(|k| k % 5 == 0);
+    let deleted: Vec<Key> = present(1_500).take(12).collect();
     let mut ops = Vec::new();
-    for i in 0..12u64 {
-        ops.push(BatchOp::Put(3 + i * 11, 50 + i)); // shard 0: fresh keys
-        ops.push(BatchOp::Put(BOUND + i * 7, 60 + i)); // shard 1: overwrites
-        ops.push(BatchOp::Delete(BOUND + 500 + i * 5)); // shard 1: deletes
+    for ((i, put), (over, del)) in fresh.enumerate().zip(present(1_000).zip(&deleted)) {
+        let i = i as u64;
+        ops.push(BatchOp::Put(put, 50 + i)); // shard 0: fresh keys
+        ops.push(BatchOp::Put(over, 60 + i)); // shard 1: overwrites
+        ops.push(BatchOp::Delete(*del)); // shard 1: deletes
     }
-    ops.push(BatchOp::Put(1_500, 2)); // a put then a delete of one key
-    ops.push(BatchOp::Delete(1_500));
+    ops.push(BatchOp::Put(deleted[0], 2)); // a put then a delete of one key
+    ops.push(BatchOp::Delete(deleted[0]));
 
     pmem::stats::reset();
     store.apply_batch(&ops).unwrap();
@@ -198,8 +206,8 @@ fn an_error_in_the_helpers_group_reaches_the_caller() {
     let me = thread::current().id();
     assert_ne!(probe(&store, 0).last_thread(), me);
     // The caller's own group applied; the failed one did not.
-    assert_eq!(store.get(BOUND + 10), Some(9));
-    assert_eq!(store.get(10), None);
+    assert_eq!(store.get(first_of(1, 0)), Some(9));
+    assert_eq!(store.get(first_of(0, 0)), None);
 
     // The next batch splits normally, through `apply_batch_prev` too.
     let mut prev = Vec::new();
@@ -209,7 +217,7 @@ fn an_error_in_the_helpers_group_reaches_the_caller() {
     let mut want = vec![None; MIN_SPLIT];
     want.extend(vec![Some(9); MIN_SPLIT + 1]);
     assert_eq!(prev, want);
-    assert_eq!(store.get(10), Some(7));
+    assert_eq!(store.get(first_of(0, 0)), Some(7));
 }
 
 #[test]
@@ -227,7 +235,7 @@ fn a_panic_in_the_helpers_group_reraises_on_the_caller() {
         store.apply_batch(&split_batch(1)).unwrap();
         assert_eq!(store.split_applies(), 2);
         assert_ne!(probe(&store, 0).last_thread(), thread::current().id());
-        assert_eq!(store.get(11), Some(8));
+        assert_eq!(store.get(first_of(0, 1)), Some(8));
     })
     .expect("apply after a helper panic: did not finish");
 }
@@ -262,19 +270,18 @@ fn dropping_the_store_joins_a_parked_helper() {
 
 #[test]
 fn a_store_that_never_splits_never_spawns_a_helper() {
-    let many: Vec<BatchOp> = (1..=64u64).map(|k| BatchOp::Put(k, k)).collect();
+    let many: Vec<BatchOp> = keys_of(0, 1).take(64).map(|k| BatchOp::Put(k, k)).collect();
     let single = ShardedStore::from_indexes(vec![tree()], Partitioning::Hash { shards: 1 });
     single.apply_batch(&many).unwrap();
 
-    let pair = ShardedStore::from_indexes(
-        vec![tree(), tree()],
-        Partitioning::Range {
-            bounds: vec![BOUND],
-        },
-    );
+    let pair = ShardedStore::from_indexes(vec![tree(), tree()], PAIR);
     pair.apply_batch(&many).unwrap(); // all in shard 0
     let mut lopsided = many.clone();
-    lopsided.extend((1..MIN_SPLIT as u64).map(|i| BatchOp::Put(BOUND + i, 1)));
+    lopsided.extend(
+        keys_of(1, 1)
+            .take(MIN_SPLIT - 1)
+            .map(|k| BatchOp::Put(k, 1)),
+    );
     pair.apply_batch_prev(&lopsided, &mut Vec::new()).unwrap();
 
     for store in [&single, &pair] {

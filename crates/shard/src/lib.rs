@@ -3,24 +3,23 @@
 //! The paper removes logging from *one* B+-tree; this crate scales the
 //! result *out*. A [`ShardedStore`] routes every operation of the
 //! [`PmIndex`] trait across `N` per-shard indexes — each typically in its
-//! own [`pmem::Pool`] — under a pluggable [`Partitioning`] (multiplicative
-//! hash or contiguous key ranges). Because `ShardedStore` itself
-//! implements [`PmIndex`], every harness in this repository (differential
-//! tests, TPC-C, the figure benches) runs against it unchanged.
+//! own [`pmem::Pool`] — by a multiplicative hash of the key
+//! ([`Partitioning`]). Because `ShardedStore` itself implements
+//! [`PmIndex`], every harness in this repository (differential tests,
+//! TPC-C, the figure benches) runs against it unchanged.
 //!
 //! Three design points carry the paper's spirit upward a layer:
 //!
-//! * **Scans stay streaming.** [`PmIndex::cursor`] returns a K-way merged
-//!   cursor over per-shard [`Cursor`]s: a binary-heap merge under hash
-//!   partitioning, plain shard-order chaining under range partitioning.
-//!   Per-shard entries are pulled in small refill batches, so a cross-shard
-//!   scan never materializes a result set.
+//! * **Scans stay streaming.** [`PmIndex::cursor`] returns a K-way
+//!   binary-heap merge over per-shard [`Cursor`]s. Per-shard entries are
+//!   pulled in small refill batches, so a cross-shard scan never
+//!   materializes a result set.
 //! * **The shard map commits like a FAST store.** A persistent deployment
-//!   is one `catalog` entry (its partitioning and each shard's pool and
-//!   superblock), committed by the catalog record's one failure-atomic
-//!   publish and reopened by `Catalog::open_sharded`. The map never
-//!   changes after that: the shards stay compact the paper's way, by FAIR
-//!   splits and merges inside each tree.
+//!   is one `catalog` entry (each shard's pool and superblock), committed
+//!   by the catalog record's one failure-atomic publish and reopened by
+//!   `Catalog::open_sharded`. The map never changes after that: the
+//!   shards stay compact the paper's way, by FAIR splits and merges
+//!   inside each tree.
 //! * **A batch applies its shards in parallel.** Shards hold disjoint
 //!   keys, so only ops within one shard must keep their order.
 //!   [`PmIndex::apply_batch`] and [`PmIndex::apply_batch_prev`] route a
@@ -67,33 +66,22 @@ use std::sync::{Arc, OnceLock};
 
 use pmindex::{BatchOp, Cursor, IndexError, Key, PmIndex, Value};
 
-/// How keys are distributed across shards.
+/// How keys are distributed across shards: a multiplicative hash of the
+/// key, so load is uniform and key order is destroyed across shards
+/// (scans use a heap merge).
 ///
 /// ```
 /// use shard::Partitioning;
 ///
 /// let hash = Partitioning::Hash { shards: 4 };
 /// assert_eq!(hash.shards(), 4);
-///
-/// // Three contiguous ranges: [0, 100), [100, 200), [200, MAX].
-/// let range = Partitioning::Range { bounds: vec![100, 200] };
-/// assert_eq!(range.shards(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Partitioning {
-    /// Multiplicative hashing of the key: uniform load, order destroyed
-    /// across shards (scans use a heap merge).
+    /// Multiplicative hashing of the key.
     Hash {
         /// Number of shards.
         shards: usize,
-    },
-    /// Contiguous key ranges: shard `i` owns `[bounds[i-1], bounds[i])`
-    /// (with implicit 0 and `u64::MAX` ends), preserving global key order
-    /// shard-to-shard (scans chain shards sequentially). `bounds` holds
-    /// the `N - 1` ascending split points of an `N`-shard deployment.
-    Range {
-        /// Exclusive upper bounds between adjacent shards, ascending.
-        bounds: Vec<Key>,
     },
 }
 
@@ -102,50 +90,28 @@ impl Partitioning {
     ///
     /// ```
     /// assert_eq!(shard::Partitioning::Hash { shards: 8 }.shards(), 8);
-    /// assert_eq!(shard::Partitioning::Range { bounds: vec![] }.shards(), 1);
     /// ```
     pub fn shards(&self) -> usize {
-        match self {
-            Partitioning::Hash { shards } => *shards,
-            Partitioning::Range { bounds } => bounds.len() + 1,
-        }
+        let Partitioning::Hash { shards } = self;
+        *shards
     }
 
-    /// The shard a key routes to.
+    /// The shard a key routes to. A persistent deployment's keys sit where
+    /// this put them, so the function never changes.
     ///
     /// ```
     /// use shard::Partitioning;
-    ///
-    /// let p = Partitioning::Range { bounds: vec![100, 200] };
-    /// assert_eq!(p.shard_of(5), 0);
-    /// assert_eq!(p.shard_of(100), 1); // bounds are exclusive above
-    /// assert_eq!(p.shard_of(u64::MAX), 2);
     ///
     /// let h = Partitioning::Hash { shards: 3 };
     /// assert!(h.shard_of(42) < 3);
     /// ```
     pub fn shard_of(&self, key: Key) -> usize {
-        match self {
-            Partitioning::Hash { shards } => {
-                // Murmur-style finalizer: spread adjacent keys uniformly.
-                let mut h = key;
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-                h ^= h >> 33;
-                (h % *shards as u64) as usize
-            }
-            Partitioning::Range { bounds } => bounds.partition_point(|&b| b <= key),
-        }
-    }
-
-    fn assert_valid(&self) {
-        assert!(self.shards() >= 1, "a sharded store needs at least 1 shard");
-        if let Partitioning::Range { bounds } = self {
-            assert!(
-                bounds.windows(2).all(|w| w[0] <= w[1]),
-                "range partition bounds must be ascending"
-            );
-        }
+        // Murmur-style finalizer: spread adjacent keys uniformly.
+        let mut h = key;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        (h % self.shards() as u64) as usize
     }
 }
 
@@ -211,10 +177,13 @@ impl<I: PmIndex> ShardedStore<I> {
     ///
     /// # Panics
     ///
-    /// Panics if `indexes.len()` disagrees with the partitioning's shard
-    /// count, or if range bounds are not ascending.
+    /// Panics if `indexes` is empty or its length disagrees with the
+    /// partitioning's shard count.
     pub fn from_indexes(indexes: Vec<I>, partitioning: Partitioning) -> Self {
-        partitioning.assert_valid();
+        assert!(
+            partitioning.shards() >= 1,
+            "a sharded store needs at least 1 shard"
+        );
         assert_eq!(
             indexes.len(),
             partitioning.shards(),
@@ -262,7 +231,7 @@ impl<I: PmIndex> ShardedStore<I> {
     ///
     /// let store = ShardedStore::from_indexes(
     ///     vec![tree()?, tree()?],
-    ///     Partitioning::Range { bounds: vec![500] },
+    ///     Partitioning::Hash { shards: 2 },
     /// );
     /// assert_eq!(store.shard_count(), 2);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -283,13 +252,13 @@ impl<I: PmIndex> ShardedStore<I> {
     /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
     /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
-    /// let store = ShardedStore::from_indexes(
-    ///     vec![tree()?, tree()?],
-    ///     Partitioning::Range { bounds: vec![100] },
-    /// );
-    /// store.insert(5, 50)?;   // -> shard 0
-    /// store.insert(150, 51)?; // -> shard 1
-    /// assert_eq!((store.shard_len(0), store.shard_len(1)), (1, 1));
+    /// let part = Partitioning::Hash { shards: 2 };
+    /// let store = ShardedStore::from_indexes(vec![tree()?, tree()?], part.clone());
+    /// for k in 1..=100 {
+    ///     store.insert(k, k)?;
+    /// }
+    /// let low = (1..=100).filter(|&k| part.shard_of(k) == 0).count();
+    /// assert_eq!((store.shard_len(0), store.shard_len(1)), (low, 100 - low));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn shard_len(&self, shard: usize) -> usize {
@@ -324,10 +293,6 @@ impl<I: PmIndex> ShardedStore<I> {
         &self.shards[self.partitioning.shard_of(key)]
     }
 
-    fn feeds(&self) -> Vec<Feed<'_, I>> {
-        self.shards.iter().map(Feed::new).collect()
-    }
-
     /// Batch applies ([`PmIndex::apply_batch`] /
     /// [`PmIndex::apply_batch_prev`]) that split their shards' groups
     /// across the calling thread and the store's helper thread. A split
@@ -343,16 +308,16 @@ impl<I: PmIndex> ShardedStore<I> {
     /// # let pool = Arc::new(Pool::new(PoolConfig::new())?);
     /// # let tree = || FastFairTree::create(Arc::clone(&pool), TreeOptions::new());
     ///
-    /// let store = ShardedStore::from_indexes(
-    ///     vec![tree()?, tree()?],
-    ///     Partitioning::Range { bounds: vec![100] },
-    /// );
-    /// store.apply_batch(&[BatchOp::Put(1, 10), BatchOp::Put(200, 20)])?;
+    /// let part = &Partitioning::Hash { shards: 2 };
+    /// let store = ShardedStore::from_indexes(vec![tree()?, tree()?], part.clone());
+    /// // The first `n` keys of each shard.
+    /// let ops = |n| -> Vec<BatchOp> {
+    ///     let keys = |shard| (1..).filter(move |&k| part.shard_of(k) == shard).take(n);
+    ///     keys(0).chain(keys(1)).map(|k| BatchOp::Put(k, k)).collect()
+    /// };
+    /// store.apply_batch(&ops(1))?;
     /// assert_eq!(store.split_applies(), 0); // one op per shard: serial
-    /// let ops: Vec<_> = (0..MIN_SPLIT as u64)
-    ///     .flat_map(|i| [BatchOp::Put(1 + i, 10), BatchOp::Put(200 + i, 20)])
-    ///     .collect();
-    /// store.apply_batch(&ops)?;
+    /// store.apply_batch(&ops(MIN_SPLIT))?;
     /// assert_eq!(store.split_applies(), 1);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -443,21 +408,13 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
     }
 
     fn cursor(&self) -> Box<dyn Cursor + '_> {
-        match &self.partitioning {
-            Partitioning::Hash { .. } => Box::new(HashMergeCursor {
-                feeds: self.feeds(),
-                heap: BinaryHeap::new(),
-                heap_rev: BinaryHeap::new(),
-                primed: false,
-                reverse: false,
-            }),
-            Partitioning::Range { .. } => Box::new(RangeChainCursor {
-                feeds: self.feeds(),
-                partitioning: &self.partitioning,
-                active: 0,
-                reverse: false,
-            }),
-        }
+        Box::new(HashMergeCursor {
+            feeds: self.shards.iter().map(Feed::new).collect(),
+            heap: BinaryHeap::new(),
+            heap_rev: BinaryHeap::new(),
+            primed: false,
+            reverse: false,
+        })
     }
 
     fn len(&self) -> usize {
@@ -530,10 +487,7 @@ impl<I: PmIndex> PmIndex for ShardedStore<I> {
     }
 
     fn name(&self) -> &'static str {
-        match self.partitioning {
-            Partitioning::Hash { .. } => "Sharded(hash)",
-            Partitioning::Range { .. } => "Sharded(range)",
-        }
+        "Sharded(hash)"
     }
 }
 
@@ -621,8 +575,8 @@ impl<'a, I: PmIndex> Feed<'a, I> {
     }
 }
 
-/// K-way heap merge over per-shard feeds (hash partitioning: every shard
-/// may hold keys from anywhere in the keyspace).
+/// K-way heap merge over per-shard feeds: under hash partitioning every
+/// shard may hold keys from anywhere in the keyspace.
 struct HashMergeCursor<'a, I> {
     feeds: Vec<Feed<'a, I>>,
     /// Min-heap of the current head entry of each non-exhausted feed
@@ -699,64 +653,6 @@ impl<I: PmIndex> Cursor for HashMergeCursor<'_, I> {
     }
 }
 
-/// Sequential shard chaining (range partitioning: shard order *is* key
-/// order, so no merge is needed — and only one shard is touched until it
-/// is exhausted).
-struct RangeChainCursor<'a, I> {
-    feeds: Vec<Feed<'a, I>>,
-    partitioning: &'a Partitioning,
-    active: usize,
-    reverse: bool,
-}
-
-impl<I: PmIndex> Cursor for RangeChainCursor<'_, I> {
-    fn seek(&mut self, target: Key) {
-        self.active = self.partitioning.shard_of(target);
-        self.reverse = false;
-        for feed in &mut self.feeds[self.active..] {
-            feed.reset(target);
-        }
-    }
-
-    fn next(&mut self) -> Option<(Key, Value)> {
-        if self.reverse {
-            return None; // direction switches go through a re-seek
-        }
-        while self.active < self.feeds.len() {
-            if let Some(entry) = self.feeds[self.active].pop() {
-                return Some(entry);
-            }
-            self.active += 1;
-        }
-        None
-    }
-
-    fn seek_for_prev(&mut self, target: Key) {
-        self.active = self.partitioning.shard_of(target);
-        self.reverse = true;
-        for feed in &mut self.feeds[..=self.active] {
-            feed.reset(target);
-        }
-    }
-
-    fn prev(&mut self) -> Option<(Key, Value)> {
-        if !self.reverse {
-            // Bare prev() (or a direction switch): restart from the top —
-            // range shards chain right-to-left from the highest shard.
-            self.seek_for_prev(Key::MAX);
-        }
-        loop {
-            if let Some(entry) = self.feeds[self.active].pop_rev() {
-                return Some(entry);
-            }
-            if self.active == 0 {
-                return None;
-            }
-            self.active -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,17 +664,13 @@ mod tests {
         Arc::new(Pool::new(PoolConfig::new().size(bytes)).unwrap())
     }
 
-    /// A store whose shards are trees in one shared pool.
-    fn store(partitioning: Partitioning) -> ShardedStore<FastFairTree> {
+    /// A hash-partitioned store whose shards are trees in one shared pool.
+    fn hash_store(shards: usize) -> ShardedStore<FastFairTree> {
         let p = pool(32 << 20);
-        let trees = (0..partitioning.shards())
+        let trees = (0..shards)
             .map(|_| FastFairTree::create_in(Arc::clone(&p)).unwrap())
             .collect();
-        ShardedStore::from_indexes(trees, partitioning)
-    }
-
-    fn hash_store(shards: usize) -> ShardedStore<FastFairTree> {
-        store(Partitioning::Hash { shards })
+        ShardedStore::from_indexes(trees, Partitioning::Hash { shards })
     }
 
     #[test]
@@ -791,16 +683,20 @@ mod tests {
         assert!(hit.iter().all(|&h| h));
     }
 
+    /// A persistent deployment's keys stay in the shards this routing put
+    /// them in, so it may never change.
     #[test]
-    fn range_routing_respects_bounds() {
-        let part = Partitioning::Range {
-            bounds: vec![10, 10, 20],
-        };
-        // Equal bounds leave shard 1 empty; routing still works.
-        assert_eq!(part.shard_of(9), 0);
-        assert_eq!(part.shard_of(10), 2);
-        assert_eq!(part.shard_of(19), 2);
-        assert_eq!(part.shard_of(20), 3);
+    fn hash_routing_is_pinned() {
+        let keys: Vec<Key> = (1..=12).chain([1000, 1 << 32, u64::MAX]).collect();
+        for (shards, want) in [
+            (2, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0]),
+            (3, [0, 2, 2, 0, 0, 0, 2, 1, 2, 1, 1, 1, 0, 1, 0]),
+            (4, [2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 3, 2, 0]),
+        ] {
+            let part = Partitioning::Hash { shards };
+            let got: Vec<usize> = keys.iter().map(|&k| part.shard_of(k)).collect();
+            assert_eq!(got, want, "{shards} shards");
+        }
     }
 
     #[test]
@@ -808,17 +704,6 @@ mod tests {
     fn mismatched_shard_count_panics() {
         let _ =
             ShardedStore::from_indexes(vec![tree_in_own_pool()], Partitioning::Hash { shards: 2 });
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn descending_bounds_panic() {
-        let _ = ShardedStore::from_indexes(
-            vec![tree_in_own_pool(), tree_in_own_pool(), tree_in_own_pool()],
-            Partitioning::Range {
-                bounds: vec![20, 10],
-            },
-        );
     }
 
     fn tree_in_own_pool() -> FastFairTree {
@@ -846,30 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_cursor_is_globally_sorted_range() {
-        let store = store(Partitioning::Range {
-            bounds: vec![700, 1400],
-        });
-        let keys: Vec<u64> = (1..2100).step_by(7).collect();
-        for &k in &keys {
-            store.insert(k, k + 1).unwrap();
-        }
-        let collected: Vec<u64> = pmindex::CursorIter(store.cursor())
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(collected, keys);
-        // A window straddling both split points.
-        let mut out = Vec::new();
-        store.range(650, 1450, &mut out);
-        let want: Vec<(u64, u64)> = keys
-            .iter()
-            .filter(|&&k| (650..1450).contains(&k))
-            .map(|&k| (k, k + 1))
-            .collect();
-        assert_eq!(out, want);
-    }
-
-    #[test]
     fn bulk_load_splits_and_counts() {
         let store = hash_store(3);
         let fresh = store
@@ -882,29 +743,6 @@ mod tests {
             .unwrap();
         assert_eq!(dup, 0);
         assert_eq!(store.get(700), Some(700)); // upserted
-    }
-
-    #[test]
-    fn range_cursors_cross_an_empty_shard_both_ways() {
-        let store = store(Partitioning::Range {
-            bounds: vec![100, 200],
-        });
-        let keys = [1u64, 50, 99, 200, 250, u64::MAX];
-        for &k in &keys {
-            store.insert(k, k / 2 + 1).unwrap();
-        }
-        assert_eq!(store.shard_len(1), 0);
-        let mut cur = store.cursor();
-        cur.seek(120); // inside the empty shard
-        assert_eq!(cur.next(), Some((200, 101)));
-        cur.seek_for_prev(199);
-        assert_eq!(cur.prev(), Some((99, 50)));
-        let mut down = Vec::new();
-        cur.seek_for_prev(u64::MAX);
-        while let Some((k, _)) = cur.prev() {
-            down.push(k);
-        }
-        assert_eq!(down, keys.iter().rev().copied().collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential test: a `ShardedStore<FastFairTree>` must be
 //! operation-for-operation indistinguishable from a single `FastFairTree`
 //! over randomized mixed workloads — inserts, in-place updates, deletes,
-//! point gets, materialized ranges and streaming cursor scans — under both
-//! partitionings. A last test checks the parallel batch apply against a
+//! point gets, materialized ranges and streaming cursor scans. A last
+//! test checks the parallel batch apply against a
 //! serial model while readers run beside it.
 
 use std::collections::BTreeMap;
@@ -21,12 +21,12 @@ fn pool(bytes: usize) -> Arc<Pool> {
 }
 
 /// A store over one tree per shard, all in one 128 MiB pool.
-fn sharded(partitioning: Partitioning) -> ShardedStore<FastFairTree> {
+fn sharded(shards: usize) -> ShardedStore<FastFairTree> {
     let p = pool(128 << 20);
-    let trees = (0..partitioning.shards())
+    let trees = (0..shards)
         .map(|_| FastFairTree::create_in(Arc::clone(&p)).unwrap())
         .collect();
-    ShardedStore::from_indexes(trees, partitioning)
+    ShardedStore::from_indexes(trees, Partitioning::Hash { shards })
 }
 
 fn scan(idx: &dyn PmIndex, lo: u64, hi: u64) -> Vec<(u64, u64)> {
@@ -102,23 +102,15 @@ fn run_against(sharded: &ShardedStore<FastFairTree>, key_space: u64, seed: u64) 
 
 #[test]
 fn hash_sharded_matches_single_tree() {
-    let sharded = sharded(Partitioning::Hash { shards: 4 });
+    let sharded = sharded(4);
     run_against(&sharded, 3_000, 0xcafe);
-}
-
-#[test]
-fn range_sharded_matches_single_tree() {
-    let sharded = sharded(Partitioning::Range {
-        bounds: vec![1_000, 2_000],
-    });
-    run_against(&sharded, 3_000, 0xd1ff);
 }
 
 #[test]
 fn sparse_keyspace_matches_single_tree() {
     // Inserts over the full u64 keyspace, checked by a full scan every
     // 500: the router must stay indistinguishable from the single tree.
-    let sharded = sharded(Partitioning::Hash { shards: 3 });
+    let sharded = sharded(3);
     let single = FastFairTree::create(pool(64 << 20), TreeOptions::new()).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let mut value = 0x8000u64;
@@ -177,7 +169,7 @@ fn random_group(rng: &mut StdRng, version: &mut u64) -> Vec<BatchOp> {
 #[test]
 fn parallel_apply_matches_a_serial_model_under_readers() {
     const GROUPS: usize = 5_000;
-    let store = sharded(Partitioning::Hash { shards: 2 });
+    let store = sharded(2);
     let mut model = BTreeMap::new();
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {

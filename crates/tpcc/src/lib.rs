@@ -186,7 +186,7 @@ pub enum Txn {
 }
 
 /// The ten tables of the TPC-C substrate, in the order
-/// [`TpccDb::build_with`] creates their indexes.
+/// [`TpccDb::build`] creates their indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table {
     /// Warehouse master rows.
@@ -293,62 +293,6 @@ pub fn new_order_writes(w: u64, d: u64, o: u64, ol_cnt: u64) -> Vec<(usize, Key,
         writes.push((5, k_orderline(w, d, o, ol), (o << 8) + ol + 1));
     }
     writes
-}
-
-/// Range-partition split points that place each contiguous group of
-/// warehouses in its own shard of `table`'s index, or `None` for the two
-/// tables whose keys carry no warehouse id (Item, History) — shard those
-/// by hash instead.
-///
-/// Every warehouse-keyed table packs the warehouse id into its high bits
-/// (see the `k_*` functions), so the smallest key of a warehouse is a
-/// clean split point: all of one warehouse's rows land in one shard, and
-/// the cross-warehouse scans TPC-C never issues are the only ones that
-/// would touch two.
-pub fn warehouse_bounds(table: Table, warehouses: u64, shards: usize) -> Option<Vec<Key>> {
-    let pack: fn(u64) -> Key = match table {
-        Table::Warehouse => k_warehouse,
-        Table::District => |w| k_district(w, 0),
-        Table::Customer => |w| k_customer(w, 0, 0),
-        Table::CustomerName => |w| k_customer_name(w, 0, 0, 0),
-        Table::Order | Table::NewOrder => |w| k_order(w, 0, 0),
-        Table::OrderLine => |w| k_orderline(w, 0, 0, 0),
-        Table::Stock => |w| k_stock(w, 0),
-        Table::Item | Table::History => return None,
-    };
-    Some(
-        (1..shards)
-            .map(|s| pack(s as u64 * warehouses / shards as u64))
-            .collect(),
-    )
-}
-
-/// Builds a TPC-C database in which every table is a
-/// [`shard::ShardedStore`]: warehouse-keyed tables are **range-partitioned
-/// by warehouse id** (shard `s` serves a contiguous group of warehouses,
-/// so every transaction's index traffic stays on one shard — TPC-C's
-/// natural scale-out axis), while Item and History, whose keys carry no
-/// warehouse id, are hash-partitioned. `mk_shard(table, s)` creates shard
-/// `s` of `table`'s index (10 × `shards` calls).
-///
-/// # Errors
-///
-/// Propagates index-construction and population failures.
-pub fn build_warehouse_sharded<I: PmIndex>(
-    cfg: TpccConfig,
-    shards: usize,
-    mut mk_shard: impl FnMut(Table, usize) -> Result<I, IndexError>,
-) -> Result<TpccDb<shard::ShardedStore<I>>, IndexError> {
-    TpccDb::build_with(cfg, |table| {
-        let indexes = (0..shards)
-            .map(|s| mk_shard(table, s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let partitioning = match warehouse_bounds(table, cfg.warehouses, shards) {
-            Some(bounds) => shard::Partitioning::Range { bounds },
-            None => shard::Partitioning::Hash { shards },
-        };
-        Ok(shard::ShardedStore::from_indexes(indexes, partitioning))
-    })
 }
 
 // ---- key packing -----------------------------------------------------------
@@ -539,33 +483,18 @@ impl<I: PmIndex> TpccDb<I> {
         cfg: TpccConfig,
         mut mk: impl FnMut() -> Result<I, IndexError>,
     ) -> Result<Self, IndexError> {
-        Self::build_with(cfg, |_| mk())
-    }
-
-    /// Like [`TpccDb::build`], but tells the factory *which* table it is
-    /// creating an index for — the hook a sharded deployment needs to pick
-    /// a per-table partitioning (warehouse-range for warehouse-keyed
-    /// tables, hash for Item/History; see [`warehouse_bounds`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-construction and insertion failures.
-    pub fn build_with(
-        cfg: TpccConfig,
-        mut mk: impl FnMut(Table) -> Result<I, IndexError>,
-    ) -> Result<Self, IndexError> {
         let db = TpccDb {
             cfg,
-            warehouse: mk(Table::Warehouse)?,
-            district: mk(Table::District)?,
-            customer: mk(Table::Customer)?,
-            customer_name: mk(Table::CustomerName)?,
-            order: mk(Table::Order)?,
-            new_order_idx: mk(Table::NewOrder)?,
-            order_line: mk(Table::OrderLine)?,
-            stock: mk(Table::Stock)?,
-            item: mk(Table::Item)?,
-            history: mk(Table::History)?,
+            warehouse: mk()?,
+            district: mk()?,
+            customer: mk()?,
+            customer_name: mk()?,
+            order: mk()?,
+            new_order_idx: mk()?,
+            order_line: mk()?,
+            stock: mk()?,
+            item: mk()?,
+            history: mk()?,
             districts: Rows::new(),
             customers: Rows::new(),
             orders: Rows::new(),
@@ -964,6 +893,22 @@ mod tests {
         .unwrap()
     }
 
+    /// A database whose every table is a two-shard hash-partitioned store
+    /// of FAST+FAIR trees.
+    fn sharded_db() -> TpccDb<shard::ShardedStore<fastfair::FastFairTree>> {
+        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(256 << 20)).unwrap());
+        TpccDb::build(TpccConfig::small(), || {
+            let trees = (0..2)
+                .map(|_| {
+                    fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let partitioning = shard::Partitioning::Hash { shards: 2 };
+            Ok(shard::ShardedStore::from_indexes(trees, partitioning))
+        })
+        .unwrap()
+    }
+
     #[test]
     fn key_packing_is_injective_and_ordered() {
         // Orders of one district are contiguous and sorted.
@@ -1091,51 +1036,10 @@ mod tests {
     }
 
     #[test]
-    fn warehouse_bounds_split_contiguously() {
-        for table in Table::ALL {
-            match warehouse_bounds(table, 8, 4) {
-                Some(bounds) => {
-                    assert_eq!(bounds.len(), 3);
-                    assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-                    // Each warehouse's whole key range lands in one shard.
-                    let part = shard::Partitioning::Range { bounds };
-                    for w in 0..8u64 {
-                        let (lo, hi) = match table {
-                            Table::Warehouse => (k_warehouse(w), k_warehouse(w)),
-                            Table::District => (k_district(w, 0), k_district(w, 9)),
-                            Table::Customer => (k_customer(w, 0, 0), k_customer(w, 9, 2999)),
-                            Table::CustomerName => (
-                                k_customer_name(w, 0, 0, 0),
-                                k_customer_name(w, 9, 999, 2999),
-                            ),
-                            Table::Order | Table::NewOrder => {
-                                (k_order(w, 0, 0), k_order(w, 9, u32::MAX as u64 - 1))
-                            }
-                            Table::OrderLine => {
-                                (k_orderline(w, 0, 0, 0), k_orderline(w, 9, 99_999, 15))
-                            }
-                            Table::Stock => (k_stock(w, 0), k_stock(w, 99_999)),
-                            Table::Item | Table::History => unreachable!(),
-                        };
-                        assert_eq!(
-                            part.shard_of(lo),
-                            part.shard_of(hi),
-                            "{table:?} warehouse {w} straddles shards"
-                        );
-                    }
-                }
-                None => assert!(matches!(table, Table::Item | Table::History)),
-            }
-        }
-    }
-
-    #[test]
     fn warehouse_sharded_db_runs_all_mixes() {
-        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(256 << 20)).unwrap());
-        let db = build_warehouse_sharded(TpccConfig::small(), 2, |_table, _s| {
-            fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())
-        })
-        .unwrap();
+        // Named for the warehouse-range build it ran on until range
+        // partitioning was deleted; every table is hash-sharded now.
+        let db = sharded_db();
         for (name, mix) in Mix::paper_mixes() {
             let stats = db.run(mix, 300, 17).unwrap();
             assert_eq!(stats.total(), 300, "{name}");
@@ -1147,11 +1051,7 @@ mod tests {
         // Same seed, same mix: the sharded router must be semantically
         // invisible — per-type transaction counts match exactly.
         let plain = fastfair_db();
-        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(256 << 20)).unwrap());
-        let sharded = build_warehouse_sharded(TpccConfig::small(), 2, |_t, _s| {
-            fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())
-        })
-        .unwrap();
+        let sharded = sharded_db();
         let a = plain.run(Mix::W2, 400, 123).unwrap();
         let b = sharded.run(Mix::W2, 400, 123).unwrap();
         assert_eq!(
@@ -1251,11 +1151,7 @@ mod tests {
     #[test]
     fn sharded_and_unsharded_by_name_lookups_identical() {
         let plain = fastfair_db();
-        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(256 << 20)).unwrap());
-        let sharded = build_warehouse_sharded(TpccConfig::small(), 2, |_t, _s| {
-            fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())
-        })
-        .unwrap();
+        let sharded = sharded_db();
         let cfg = TpccConfig::small();
         for w in 0..cfg.warehouses {
             for d in 0..cfg.districts_per_warehouse {
@@ -1334,14 +1230,9 @@ mod tests {
         // History is hash-partitioned, so a Payment's three rows span
         // shards — the batch commits across them and the journal stays
         // clean afterward.
-        let pool = Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(256 << 20)).unwrap());
         let journal_pool =
             Arc::new(pmem::Pool::new(pmem::PoolConfig::new().size(4 << 20)).unwrap());
-        let db = build_warehouse_sharded(TpccConfig::small(), 2, |_t, _s| {
-            fastfair::FastFairTree::create(Arc::clone(&pool), fastfair::TreeOptions::new())
-        })
-        .unwrap()
-        .with_txn_engine(txn::TxnEngine::create(journal_pool).unwrap());
+        let db = sharded_db().with_txn_engine(txn::TxnEngine::create(journal_pool).unwrap());
         let stats = db.run(Mix::W2, 300, 17).unwrap();
         assert_eq!(stats.total(), 300);
         let plain = fastfair_db();

@@ -118,7 +118,9 @@ impl Journal {
     /// Writes and persists an empty region for `cap` entries with both
     /// sequence words at `seq`, then publishes it.
     fn publish(pool: &Pool, seq: u64, cap: u64) -> Result<Journal, IndexError> {
-        let off = pool.alloc(region_bytes(cap), 8)?;
+        // On a cache line, so the lines a commit flushes do not depend on
+        // where earlier allocations left the pool's cursor.
+        let off = pool.alloc(region_bytes(cap), pmem::CACHE_LINE as u64)?;
         pool.store_u64(off, J_MAGIC);
         pool.store_u64(off + J_COMMITTED, seq);
         pool.store_u64(off + J_APPLIED, seq);
@@ -1054,5 +1056,28 @@ mod tests {
         b.put(0, 99, 999);
         assert_eq!(engine.commit_grouped(&[b], &[&tree]).unwrap(), 2);
         assert!(!engine.pending());
+    }
+
+    #[test]
+    fn a_commit_flushes_the_same_lines_wherever_earlier_allocations_end() {
+        let flushes = |pad: u64| {
+            let pool = Arc::new(Pool::new(PoolConfig::new().size(1 << 20)).unwrap());
+            let tree = FastFairTree::create(Arc::clone(&pool), TreeOptions::new()).unwrap();
+            if pad > 0 {
+                pool.alloc(pad, 8).unwrap();
+            }
+            let engine = TxnEngine::create(Arc::clone(&pool)).unwrap();
+            let mut b = WriteBatch::new();
+            for k in 1..=3 {
+                b.put(0, k, k + 1);
+            }
+            pmem::stats::reset();
+            engine.commit(b, &[&tree]).unwrap();
+            pmem::stats::take().flushes
+        };
+        let unpadded = flushes(0);
+        for pad in [8, 24, 40, 56] {
+            assert_eq!(flushes(pad), unpadded, "{pad} bytes of padding");
+        }
     }
 }

@@ -49,7 +49,6 @@ fn deployment(pool: &Arc<Pool>, partitioning: Partitioning) -> ShardedStore<Fast
         .map(|_| FastFairTree::create_in(Arc::clone(pool)).unwrap())
         .collect();
     let kind = StoreKind::Sharded {
-        partitioning: partitioning.clone(),
         shards: trees.iter().map(|t| (0, t.superblock())).collect(),
     };
     Catalog::create(vec![Arc::clone(pool)])

@@ -1,5 +1,5 @@
-//! Sharded key-value store tour: partitioned inserts across per-shard
-//! pools, a cross-shard streaming range scan, and a crash injected partway
+//! Sharded key-value store tour: hash-partitioned inserts across
+//! per-shard pools, a cross-shard streaming range scan, and a crash injected partway
 //! through populating a store, re-opened by name from a catalog with every
 //! acknowledged insert intact.
 //!
@@ -15,20 +15,14 @@ use fastfair_repro::pmindex::{Cursor, PersistentIndex, PmIndex};
 use fastfair_repro::shard::{Partitioning, ShardedStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- 1. A range-partitioned deployment: one pool per shard ----------
-    // Shard 0 owns [0, 40_000), shard 1 [40_000, 80_000), shard 2 the rest.
+    // --- 1. A hash-partitioned deployment: one pool per shard -----------
     let trees = (0..3)
         .map(|_| {
             let pool = Pool::new(PoolConfig::default().size(16 << 20))?;
             Ok(FastFairTree::create_in(Arc::new(pool))?)
         })
         .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
-    let store = ShardedStore::from_indexes(
-        trees,
-        Partitioning::Range {
-            bounds: vec![40_000, 80_000],
-        },
-    );
+    let store = ShardedStore::from_indexes(trees, Partitioning::Hash { shards: 3 });
 
     for k in (1..=120_000u64).step_by(2) {
         store.insert(k, k + 1)?;
@@ -42,23 +36,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
-    // A streaming scan straddling both split points: the router chains the
-    // three per-shard cursors — no materialization, globally sorted.
+    // A streaming scan of a short window: adjacent keys hash to different
+    // shards, so the router heap-merges the three per-shard cursors — no
+    // materialization, globally sorted.
     let mut cur = store.cursor();
     cur.seek(39_995);
-    let mut crossed = Vec::new();
+    let mut window = Vec::new();
     while let Some((k, _)) = cur.next() {
-        if k > 80_005 {
+        if k > 40_005 {
             break;
         }
-        if !(40_010..=79_990).contains(&k) {
-            crossed.push(k);
-        }
+        window.push((k, store.partitioning().shard_of(k)));
     }
-    println!(
-        "cross-shard scan entered and left two shard boundaries: edges {:?}",
-        crossed
-    );
+    assert!(window.windows(2).all(|w| w[0].0 < w[1].0));
+    println!("merged scan of [39995, 40005] as (key, shard): {window:?}");
 
     // --- 2. A crash partway through population ----------------------------
     // Everything in ONE crash-logged pool so the event log totally orders
@@ -68,17 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pool = Arc::new(Pool::new(
         PoolConfig::default().size(8 << 20).crash_log(true),
     )?);
-    let partitioning = Partitioning::Hash { shards: 2 };
     let trees = vec![
         FastFairTree::create_in(Arc::clone(&pool))?,
         FastFairTree::create_in(Arc::clone(&pool))?,
     ];
     let kind = StoreKind::Sharded {
-        partitioning: partitioning.clone(),
         shards: trees.iter().map(|t| (0, t.superblock())).collect(),
     };
     Catalog::create(vec![Arc::clone(&pool)])?.register("small", &kind)?;
-    let small = ShardedStore::from_indexes(trees, partitioning);
+    let small = ShardedStore::from_indexes(trees, Partitioning::Hash { shards: 2 });
     let log = pool.crash_log().unwrap();
     log.set_baseline(pool.volatile_image()); // the committed map is durable context
     let mut acked = Vec::new(); // log length once each insert returned

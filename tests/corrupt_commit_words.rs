@@ -220,8 +220,8 @@ fn a_flipped_journal_table_id_is_refused() {
     );
 }
 
-/// A catalog naming a journal and a two-shard range store whose trees
-/// share its pool.
+/// A catalog naming a journal and a two-shard store whose trees share
+/// its pool.
 fn catalog() -> Vec<u8> {
     let root = mkpool();
     let cat = Catalog::create(vec![Arc::clone(&root)]).unwrap();
@@ -231,12 +231,10 @@ fn catalog() -> Vec<u8> {
     let trees: Vec<FastFairTree> = (0..2)
         .map(|_| FastFairTree::create_in(Arc::clone(&root)).unwrap())
         .collect();
-    let partitioning = Partitioning::Range { bounds: vec![50] };
     let kind = StoreKind::Sharded {
-        partitioning: partitioning.clone(),
         shards: trees.iter().map(|t| (0, t.superblock())).collect(),
     };
-    let store = ShardedStore::from_indexes(trees, partitioning);
+    let store = ShardedStore::from_indexes(trees, Partitioning::Hash { shards: 2 });
     for k in 1..=100 {
         store.insert(k, k * 10).unwrap();
     }

@@ -112,15 +112,12 @@ indexes! {
             fastfair_repro::shard::Partitioning::Hash { shards: 4 },
         )
     },
+    // Named for the range map it held until range partitioning was
+    // retired; an odd shard count beside `sharded_hash`'s four.
     sharded_range => |pool: Arc<Pool>| {
         fastfair_repro::shard::ShardedStore::from_indexes(
             shard_trees(&pool, 3),
-            fastfair_repro::shard::Partitioning::Range {
-                // Splits chosen so the dense workload (keys < 2000)
-                // exercises all three shards and the sparse workload
-                // lands mostly in the last — both are valid maps.
-                bounds: vec![700, 1400],
-            },
+            fastfair_repro::shard::Partitioning::Hash { shards: 3 },
         )
     },
 }

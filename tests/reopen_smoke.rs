@@ -57,26 +57,18 @@ fn whole_deployment_reopens_by_name_twice() {
     )
     .unwrap();
 
-    let partitioning = Partitioning::Range {
-        bounds: vec![500_000],
-    };
+    let partitioning = Partitioning::Hash { shards: 2 };
     let trees = vec![
         FastFairTree::create_in(Arc::clone(&fleet[1])).unwrap(),
         FastFairTree::create_in(Arc::clone(&fleet[2])).unwrap(),
     ];
     let shards = vec![(1, trees[0].superblock()), (2, trees[1].superblock())];
-    let wide = ShardedStore::from_indexes(trees, partitioning.clone());
+    let wide = ShardedStore::from_indexes(trees, partitioning);
     for k in (0..1000u64).map(|i| i * 997) {
         wide.insert(k + 1, k + 2).unwrap();
     }
-    cat.register(
-        "wide",
-        &StoreKind::Sharded {
-            partitioning,
-            shards,
-        },
-    )
-    .unwrap();
+    cat.register("wide", &StoreKind::Sharded { shards })
+        .unwrap();
 
     let engine = fastfair_repro::txn::TxnEngine::create(Arc::clone(&fleet[0])).unwrap();
     drop(engine);

@@ -45,9 +45,7 @@ fn all_indexes(pool: &Arc<Pool>) -> Vec<Box<dyn PmIndex>> {
         )),
         Box::new(fastfair_repro::shard::ShardedStore::from_indexes(
             shard_trees(pool, 3),
-            fastfair_repro::shard::Partitioning::Range {
-                bounds: vec![700, 1400],
-            },
+            fastfair_repro::shard::Partitioning::Hash { shards: 3 },
         )),
     ]
 }
@@ -183,9 +181,7 @@ fn reverse_scan_survives_concurrent_splits_and_merges() {
         ),
         Arc::new(fastfair_repro::shard::ShardedStore::from_indexes(
             shard_trees(&pool, 2),
-            fastfair_repro::shard::Partitioning::Range {
-                bounds: vec![1_000_000],
-            },
+            fastfair_repro::shard::Partitioning::Hash { shards: 2 },
         )),
         Arc::new(fastfair_repro::fptree::FpTree::create(Arc::clone(&pool)).unwrap()),
         Arc::new(fastfair_repro::wbtree::WbTree::create(Arc::clone(&pool)).unwrap()),
