@@ -6,12 +6,16 @@
 //! minimum the hardware allows), siblings are linked as they are built —
 //! each node's high key is the next node's fence key — and each upper
 //! level is assembled from the fence keys (first key) of the level below,
-//! exactly like an offline B+-tree build. Nothing is reachable
-//! until the very end, so the only commit point is the single persisted
-//! 8-byte store of the root pointer into the superblock — a crash at any
-//! earlier instant leaves the old (empty) tree intact and merely leaks the
-//! half-built nodes, the standard PM-allocator trade-off this repository
-//! documents on [`pmem::Pool::free`].
+//! exactly like an offline B+-tree build. Each level's nodes are
+//! persisted together once the level is linked, by
+//! [`pmem::Pool::persist_blocks`], which splits a large level across the
+//! calling thread and one helper (a crash-logged pool persists them in
+//! order on the caller). Nothing is reachable until the very end, so the
+//! only commit point is the single persisted 8-byte store of the root
+//! pointer into the superblock — a crash at any earlier instant leaves the
+//! old (empty) tree intact and merely leaks the half-built nodes, the
+//! standard PM-allocator trade-off this repository documents on
+//! [`pmem::Pool::free`].
 //!
 //! Robustness over raw speed at the edges: items that arrive out of order
 //! or duplicate an already-packed key are set aside and inserted through
@@ -29,16 +33,17 @@ type Fence = (Key, PmOffset);
 
 /// Incremental builder for one sibling-linked level.
 ///
-/// Nodes are persisted lazily — a node is flushed only once its sibling
-/// pointer is known — so every node costs exactly one `persist` (one flush
-/// per cache line plus one fence).
+/// Nodes are persisted once the whole level is linked, with one
+/// [`pmem::Pool::persist_blocks`] call: every node costs exactly one
+/// persist (one flush per cache line plus one fence), and no node is
+/// written after it.
 struct LevelBuilder<'a> {
     tree: &'a FastFairTree,
     level: u32,
     /// Node being filled (offset, fence key, records so far).
     open: Option<(PmOffset, Key, u16)>,
-    /// Previous node of this level, awaiting its sibling link + persist.
-    unflushed: Option<PmOffset>,
+    /// The level's closed nodes, in sibling order; the last one awaits
+    /// its sibling link.
     fences: Vec<Fence>,
 }
 
@@ -48,7 +53,6 @@ impl<'a> LevelBuilder<'a> {
             tree,
             level,
             open: None,
-            unflushed: None,
             fences: Vec::new(),
         }
     }
@@ -88,35 +92,27 @@ impl<'a> LevelBuilder<'a> {
         Ok(())
     }
 
-    /// Closes the node being filled and queues it for linking + persist:
+    /// Closes the node being filled and links the previous node to it:
     /// its fence key is the previous node's high key.
     fn finish_open(&mut self) {
         if let Some((off, fence, _)) = self.open.take() {
-            if let Some(prev) = self.unflushed.take() {
+            if let Some(&(_, prev)) = self.fences.last() {
                 let p = self.tree.node(prev);
                 p.set_sibling(off);
                 p.set_high_key(fence);
-                self.persist_node(prev);
             }
             self.fences.push((fence, off));
-            self.unflushed = Some(off);
         }
     }
 
-    /// Flushes the whole finished chain and returns this level's fences.
+    /// Persists the whole finished chain and returns this level's fences.
     fn finish(mut self) -> Vec<Fence> {
         self.finish_open();
-        if let Some(last) = self.unflushed.take() {
-            self.persist_node(last);
-        }
-        self.fences
-    }
-
-    /// One flush per cache line, one fence: the node's only persist.
-    fn persist_node(&self, off: PmOffset) {
+        let nodes: Vec<PmOffset> = self.fences.iter().map(|&(_, off)| off).collect();
         self.tree
             .pool()
-            .persist(off, u64::from(self.tree.node_size()));
+            .persist_blocks(&nodes, u64::from(self.tree.node_size()));
+        self.fences
     }
 }
 

@@ -654,3 +654,72 @@ fn crash_log_of_a_fixed_mix_is_pinned() {
     }
     assert_eq!((stores, flushes, fences), (208, 54, 49));
 }
+
+/// Keys of the pinned bulk loads below: 1 000 leaves of 256-byte nodes
+/// (10 records each), then 91, 9 and 1 internal nodes.
+const BULK_KEYS: u64 = 10_000;
+
+/// Bulk-loads `BULK_KEYS` ascending keys into a fresh tree of 256-byte
+/// nodes in a pool under `LatencyProfile::symmetric(300)`, with or without
+/// a crash log; returns the pool and the load's `pmem::stats`.
+fn pinned_bulk_load(crash_log: bool) -> (Arc<Pool>, FastFairTree, pmem::stats::Snapshot) {
+    let config = PoolConfig::new()
+        .size(POOL_BYTES)
+        .latency(pmem::LatencyProfile::symmetric(300))
+        .crash_log(crash_log);
+    let pool = Arc::new(Pool::new(config).unwrap());
+    let tree = FastFairTree::create(Arc::clone(&pool), TreeOptions::new().node_size(256)).unwrap();
+    if let Some(log) = pool.crash_log() {
+        log.set_baseline(pool.volatile_image());
+    }
+    pmem::stats::reset();
+    let loaded = tree
+        .bulk_load(&mut (1..=BULK_KEYS).map(|k| (k * 3, value_for(k * 3))))
+        .unwrap();
+    let counts = pmem::stats::take();
+    assert_eq!(loaded, BULK_KEYS as usize);
+    (pool, tree, counts)
+}
+
+/// A bulk load persists its levels on two threads in a plain pool and in
+/// order on one under a crash log. Both give the same flushes, fences and
+/// model time, all counted on the loading thread and pinned (one persist
+/// per node plus the root publish), and the same bytes.
+#[test]
+fn bulk_load_counts_the_same_on_both_persist_paths() {
+    let (plain, plain_tree, two_threads) = pinned_bulk_load(false);
+    let (logged, logged_tree, in_order) = pinned_bulk_load(true);
+    let leaves = BULK_KEYS.div_ceil(u64::from(plain_tree.node_capacity()));
+    assert!(
+        leaves >= pmem::PERSIST_SPLIT_MIN_BLOCKS as u64,
+        "the leaf level takes the two-thread path"
+    );
+    for (counts, path) in [(two_threads, "two threads"), (in_order, "crash log")] {
+        assert_eq!(
+            (counts.flushes, counts.fences, counts.model_ns),
+            (4_402, 1_102, 1_320_600),
+            "{path}"
+        );
+    }
+    assert!(
+        plain.volatile_image() == logged.volatile_image(),
+        "both paths leave the same bytes"
+    );
+    for tree in [&plain_tree, &logged_tree] {
+        assert_eq!(tree.check_consistency(true).unwrap().nodes, 1_101);
+    }
+}
+
+/// Two crash-logged bulk loads of one input log the same events, so a
+/// crash sweep of a load cuts the same images every run; the length is
+/// pinned.
+#[test]
+fn crash_log_of_a_bulk_load_is_deterministic_and_pinned() {
+    let events = || {
+        let (pool, _tree, _) = pinned_bulk_load(true);
+        pool.crash_log().unwrap().events()
+    };
+    let first = events();
+    assert!(first == events(), "two loads of one input log alike");
+    assert_eq!(first.len(), 31_898);
+}

@@ -57,4 +57,7 @@ pub mod stats;
 
 pub use commit::{fnv1a, CommitCell};
 pub use latency::{spin_ns, FenceMode, LatencyProfile};
-pub use pool::{PmError, PmOffset, Pool, PoolConfig, CACHE_LINE, NULL_OFFSET, POOL_HEADER_SIZE};
+pub use pool::{
+    PmError, PmOffset, Pool, PoolConfig, CACHE_LINE, NULL_OFFSET, PERSIST_SPLIT_MIN_BLOCKS,
+    POOL_HEADER_SIZE,
+};
