@@ -282,13 +282,7 @@ impl FastFairTree {
                 "tree superblock at offset {meta:#x}: {what}"
             )))
         };
-        if !meta.is_multiple_of(64) || meta.checked_add(64).is_none_or(|end| end > pool.size()) {
-            return refuse("not a 64-aligned offset inside the pool");
-        }
-        let magic = pool.load_u64(meta);
-        if magic != META_MAGIC && magic != LOGGING_MAGIC {
-            return refuse("magic mismatch");
-        }
+        let magic = pmindex::check_superblock(&pool, meta, &[META_MAGIC, LOGGING_MAGIC], "tree")?;
         let strategy = pool.load_u64(meta + META_STRATEGY);
         if strategy & RETIRED_STRATEGY_BITS != 0 {
             return refuse(if strategy & 2 != 0 {

@@ -17,9 +17,10 @@
 //!   the thread-local that names it;
 //! * every reader/writer critical section is wrapped in a [`Guard`]
 //!   obtained from [`EpochDomain::pin`] — pinning announces the epoch the
-//!   thread observed, and nested pins are free. A guard borrows its domain
-//!   and points at its participant, so a pin plus its unpin costs two
-//!   atomic read-modify-writes (one CAS each) outside maintenance;
+//!   thread observed, and nested pins are free. A guard borrows its domain,
+//!   points at its participant and stays on the thread that pinned it, so
+//!   a pin plus its unpin costs one atomic read-modify-write (the `SeqCst`
+//!   announcement) and one releasing store outside maintenance;
 //! * an unlinked node is [*retired*](EpochDomain::retire_pm) onto the
 //!   **limbo list** of the current epoch rather than freed;
 //! * [`EpochDomain::try_advance`] moves the clock forward once every
@@ -117,9 +118,9 @@ struct Bucket {
 
 /// Participant state word layout: `[epoch:48][depth:15][pinned:1]`.
 ///
-/// All transitions go through compare-exchange, so a [`Guard`] may be
-/// dropped on a different thread than the one that pinned (a cursor moved
-/// across threads) without racing the owner's own pin/unpin.
+/// The thread that registered a participant is the word's only writer:
+/// [`Guard`] is neither `Send` nor `Sync`, so every pin and unpin of a
+/// participant runs on its own thread. Advancers only read the word.
 const PINNED: u64 = 1;
 const DEPTH_UNIT: u64 = 2;
 const DEPTH_MASK: u64 = 0xFFFE;
@@ -129,16 +130,17 @@ const EPOCH_SHIFT: u32 = 16;
 ///
 /// A participant lives as long as its domain holds it. The domain drops
 /// it in [`EpochDomain::try_advance`] only once no thread-local names it
-/// (its thread exited) and it is unpinned: with the thread-local gone
-/// nothing can pin it again, and while any guard lives it stays pinned,
-/// so a guard's pointer to it never dangles.
+/// and it is unpinned. Without the thread-local nothing can pin it again.
+/// A guard lives on the thread that pinned, so it normally drops before
+/// that thread's thread-local does; one that outlives it (a guard held by
+/// another thread-local, destroyed later at thread exit) keeps the
+/// participant pinned, and so registered, until it drops. A guard's
+/// pointer to its participant therefore never dangles.
 struct Participant {
     state: AtomicU64,
     /// Outermost unpins since registration; drives the amortized
     /// maintenance. A relaxed load and store, not an RMW: the owner thread
-    /// is its only writer unless a guard was moved to another thread, and
-    /// then a lost or doubled increment only shifts when the next
-    /// maintenance step runs, which no guarantee depends on.
+    /// is its only writer.
     ops: AtomicU64,
 }
 
@@ -150,39 +152,30 @@ impl Participant {
         }
     }
 
-    /// Decrements the pin depth. With `tick`, an outermost unpin also
-    /// counts one op; returns `true` when that count makes the amortized
-    /// maintenance due.
+    /// Decrements the pin depth; an outermost unpin also counts one op and
+    /// returns `true` when that count makes the amortized maintenance due.
     ///
-    /// The count is updated *before* the CAS that unpins, because once the
-    /// participant is unpinned a thread whose thread-local is gone may
-    /// have it pruned and freed. A CAS that fails after the count moved
-    /// counts that unpin twice — only under a moved guard racing its
-    /// owner, and only the cadence shifts.
-    fn unpin(&self, tick: bool) -> bool {
-        loop {
-            let s = self.state.load(Ordering::SeqCst);
-            let depth = (s & DEPTH_MASK) / DEPTH_UNIT;
-            debug_assert!(depth > 0, "unpin without a matching pin");
-            let (ns, due) = if depth == 1 {
-                let due = tick && {
-                    let n = self.ops.load(Ordering::Relaxed) + 1;
-                    self.ops.store(n, Ordering::Relaxed);
-                    n.is_multiple_of(maintenance_interval())
-                };
-                // Keep the epoch bits, clear depth + pinned.
-                ((s >> EPOCH_SHIFT) << EPOCH_SHIFT, due)
-            } else {
-                (s - DEPTH_UNIT, false)
-            };
-            if self
-                .state
-                .compare_exchange(s, ns, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return due;
-            }
+    /// The owner reads its own word relaxed: no other thread writes it. The
+    /// outermost unpin is one `Release` store, which pairs with the
+    /// advancer's load of the word: an advancer that sees the participant
+    /// unpinned also sees every access of the critical section it closed,
+    /// so nothing the section read is freed under it. Nothing after the
+    /// unpin needs ordering against it, so it needs no RMW or fence. The op
+    /// count is updated *before* that store, because once the participant
+    /// is unpinned an orphaned one may be pruned and freed.
+    fn unpin(&self) -> bool {
+        let s = self.state.load(Ordering::Relaxed);
+        debug_assert!(s & DEPTH_MASK != 0, "unpin without a matching pin");
+        if s & DEPTH_MASK != DEPTH_UNIT {
+            self.state.store(s - DEPTH_UNIT, Ordering::Relaxed);
+            return false;
         }
+        let n = self.ops.load(Ordering::Relaxed) + 1;
+        self.ops.store(n, Ordering::Relaxed);
+        // Keep the epoch bits, clear depth + pinned.
+        self.state
+            .store(s & !(DEPTH_MASK | PINNED), Ordering::Release);
+        n.is_multiple_of(maintenance_interval())
     }
 }
 
@@ -328,10 +321,11 @@ impl EpochDomain {
     /// While any guard pinned at epoch `e` is live, no block retired at
     /// `e` or later can be freed.
     ///
-    /// Outside maintenance a pin plus its unpin does two atomic
-    /// read-modify-writes: the CAS that announces the epoch and the CAS
-    /// that retracts it. The guard borrows the domain and points at the
-    /// participant, so neither is reference-counted per pin.
+    /// Outside maintenance a pin plus its unpin does one atomic
+    /// read-modify-write, the `SeqCst` swap that announces the epoch, and
+    /// one `Release` store that retracts it. The guard borrows the domain
+    /// and points at the participant, so neither is reference-counted per
+    /// pin.
     ///
     /// ```
     /// let d = epoch::EpochDomain::new();
@@ -349,34 +343,32 @@ impl EpochDomain {
         // SAFETY: the domain holds the participant, and cannot prune it
         // while this thread's thread-local names it (see `Participant`).
         let part = unsafe { ptr.as_ref() };
-        loop {
-            let s = part.state.load(Ordering::SeqCst);
-            if s & DEPTH_MASK != 0 {
-                // Already pinned (nested, or a moved guard still live):
-                // just deepen.
-                debug_assert!((s & DEPTH_MASK) < DEPTH_MASK, "pin depth overflow");
-                if part
-                    .state
-                    .compare_exchange(s, s + DEPTH_UNIT, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
+        // This thread is the word's only writer (see `Participant`).
+        let s = part.state.load(Ordering::Relaxed);
+        if s & DEPTH_MASK != 0 {
+            // Nested: the epoch and the pinned bit stay, only the depth
+            // moves, and no advancer reads the depth.
+            debug_assert!((s & DEPTH_MASK) < DEPTH_MASK, "pin depth overflow");
+            part.state.store(s + DEPTH_UNIT, Ordering::Relaxed);
+        } else {
+            // The announcement must be `SeqCst`: it is a store followed by
+            // a load of another word (the clock), and the advancer does the
+            // mirror image (a load of this word, then its clock CAS). Only a
+            // single total order over the four makes either this thread see
+            // the advance, or the advancer see the pin; release/acquire
+            // would let both miss. The swap's acquire half keeps the
+            // section's own reads after the announcement. If the clock
+            // moved before the announcement landed, announce again, so a
+            // pin never lags the clock.
+            let mut g = self.global_epoch();
+            loop {
+                part.state
+                    .swap((g << EPOCH_SHIFT) | DEPTH_UNIT | PINNED, Ordering::SeqCst);
+                let now = self.global_epoch();
+                if now == g {
                     break;
                 }
-                continue;
-            }
-            let g = self.global.load(Ordering::SeqCst);
-            let ns = (g << EPOCH_SHIFT) | DEPTH_UNIT | PINNED;
-            if part
-                .state
-                .compare_exchange(s, ns, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                // The epoch may have moved between the load and the
-                // announcement; re-check so a pin can never lag the clock.
-                if self.global.load(Ordering::SeqCst) == g {
-                    break;
-                }
-                part.unpin(false);
+                g = now;
             }
         }
         Guard {
@@ -418,8 +410,8 @@ impl EpochDomain {
     }
 
     /// Defers an arbitrary reclamation action (e.g. dropping a retired
-    /// volatile node) until two epochs have passed. Counts as zero recycled blocks; use
-    /// [`EpochDomain::defer_units`] when the action frees pool blocks.
+    /// volatile node) until two epochs have passed. Counts as zero
+    /// recycled blocks; [`EpochDomain::retire_pm`] frees a pool block.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -444,16 +436,7 @@ impl EpochDomain {
     /// Like [`EpochDomain::defer`], but the action reports how many pool
     /// blocks it freed, which [`EpochDomain::collect`] adds to the
     /// online-recycling counters.
-    ///
-    /// ```
-    /// let d = epoch::EpochDomain::new();
-    /// d.defer_units(|| 7);
-    /// d.try_advance();
-    /// d.try_advance();
-    /// assert_eq!(d.collect(), 7);
-    /// assert_eq!(d.recycled(), 7);
-    /// ```
-    pub fn defer_units(&self, f: impl FnOnce() -> usize + Send + 'static) {
+    fn defer_units(&self, f: impl FnOnce() -> usize + Send + 'static) {
         let g = self.global.load(Ordering::SeqCst);
         {
             let mut limbo = self.limbo.lock();
@@ -475,9 +458,7 @@ impl EpochDomain {
     /// reader holds the clock (and therefore all reclamation) back, which
     /// is the safety property.
     ///
-    /// Participants of exited threads are pruned here once unpinned; a
-    /// guard moved off such a thread keeps its participant registered, and
-    /// holding the clock, until it drops.
+    /// Participants of exited threads are pruned here once unpinned.
     ///
     /// ```
     /// let d = epoch::EpochDomain::new();
@@ -495,7 +476,9 @@ impl EpochDomain {
                 // Count first: once it reads 1 no thread-local names `p`
                 // and nothing can pin it again. The fence pairs with the
                 // thread-local's releasing drop, so the state read next
-                // sees every pin its thread made.
+                // sees every pin and unpin its thread made; a guard that
+                // outlived the thread-local still reads pinned, and keeps
+                // `p` until its releasing unpin.
                 let orphan = Arc::strong_count(p) == 1;
                 fence(Ordering::Acquire);
                 let s = p.state.load(Ordering::SeqCst);
@@ -559,18 +542,7 @@ impl EpochDomain {
             }
             ready
         };
-        let mut items = 0u64;
-        let mut units = 0usize;
-        for bucket in ready {
-            for f in bucket.items {
-                units += f();
-                items += 1;
-            }
-        }
-        if items > 0 {
-            self.limbo_len.fetch_sub(items, Ordering::SeqCst);
-            pmem::stats::count(|s| s.nodes_limbo = s.nodes_limbo.saturating_sub(items));
-        }
+        let units = self.drain(ready);
         if units > 0 {
             self.recycled.fetch_add(units as u64, Ordering::SeqCst);
             pmem::stats::count(|s| s.nodes_recycled_online += units as u64);
@@ -592,21 +564,32 @@ impl EpochDomain {
     /// drop nothing is awaiting reclamation, and the gauge says so.
     ///
     /// ```
+    /// use std::sync::Arc;
+    /// use pmem::{Pool, PoolConfig};
+    ///
     /// let d = epoch::EpochDomain::new();
-    /// d.defer_units(|| 3);
+    /// let pool = Arc::new(Pool::new(PoolConfig::default().size(1 << 20))?);
+    /// for _ in 0..3 {
+    ///     d.retire_pm(&pool, pool.alloc(256, 64)?, 256);
+    /// }
     /// assert_eq!(d.flush(), 3);
     /// assert_eq!(d.limbo_len(), 0);
     /// assert_eq!(d.recycled(), 0); // not an online free
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn flush(&self) -> usize {
-        let drained: Vec<Bucket> = std::mem::take(&mut *self.limbo.lock());
+        let all = std::mem::take(&mut *self.limbo.lock());
+        self.drain(all)
+    }
+
+    /// Runs every item of `buckets`, takes them off the limbo gauges and
+    /// returns the pool blocks they freed.
+    fn drain(&self, buckets: Vec<Bucket>) -> usize {
         let mut items = 0u64;
         let mut units = 0usize;
-        for bucket in drained {
-            for f in bucket.items {
-                units += f();
-                items += 1;
-            }
+        for f in buckets.into_iter().flat_map(|b| b.items) {
+            units += f();
+            items += 1;
         }
         if items > 0 {
             self.limbo_len.fetch_sub(items, Ordering::SeqCst);
@@ -637,18 +620,21 @@ impl Drop for EpochDomain {
 /// ordinary traffic ticks the clock and drains limbo as a side effect.
 ///
 /// A guard borrows its domain and points at its participant, which the
-/// domain owns; it clones no `Arc`. It may be moved to another thread and
-/// may outlive the thread that pinned: the participant stays registered,
-/// and holds the clock, until the guard drops.
+/// domain owns; it clones no `Arc`. It stays on the thread that pinned it
+/// (the pointer makes it neither `Send` nor `Sync`), which is what lets a
+/// participant's pins and unpins be plain stores by one writer:
+///
+/// ```compile_fail,E0277
+/// let d = epoch::EpochDomain::new();
+/// let g = d.pin();
+/// std::thread::scope(|s| {
+///     s.spawn(move || drop(g)); // `Guard` cannot be sent between threads
+/// });
+/// ```
 pub struct Guard<'a> {
     domain: &'a EpochDomain,
     participant: NonNull<Participant>,
 }
-
-// SAFETY: the participant is only touched through atomics, and stays
-// alive while the guard lives (see `Participant`); the domain is `Sync`.
-unsafe impl Send for Guard<'_> {}
-unsafe impl Sync for Guard<'_> {}
 
 impl Guard<'_> {
     /// True if this guard pins `domain` — lets a structure that hands out
@@ -674,8 +660,8 @@ impl std::fmt::Debug for Guard<'_> {
 impl Drop for Guard<'_> {
     fn drop(&mut self) {
         // SAFETY: this guard's pin keeps the participant alive; `unpin`
-        // touches it only before the CAS that may drop that pin.
-        let due = unsafe { self.participant.as_ref() }.unpin(true);
+        // touches it only up to the store that drops that pin.
+        let due = unsafe { self.participant.as_ref() }.unpin();
         if due {
             self.domain.try_advance();
             self.domain.collect();
@@ -978,27 +964,11 @@ mod tests {
         assert_eq!(d.participants.lock().len(), 1);
     }
 
+    /// Pins racing an advancer that runs as fast as it can: an
+    /// announcement that lands after the clock moved is made again, so the
+    /// clock never runs two epochs past a live guard.
     #[test]
-    fn guard_moved_across_threads_still_unpins_safely() {
-        let d = EpochDomain::new();
-        let g = d.pin();
-        std::thread::scope(|s| {
-            s.spawn(move || drop(g));
-        });
-        // The origin thread can pin again and the clock moves normally.
-        {
-            let _g = d.pin();
-            assert!(d.try_advance());
-        }
-        assert!(d.try_advance());
-    }
-
-    /// Guards handed out by threads that then exit, while another thread
-    /// advances the clock and prunes as fast as it can: no guard's
-    /// participant may be pruned under it, and the clock never runs two
-    /// epochs past a live guard.
-    #[test]
-    fn moved_guards_hold_the_clock_while_a_racing_advancer_prunes() {
+    fn a_pin_racing_an_advancer_never_lets_the_clock_run_two_past_it() {
         let d = EpochDomain::new();
         let stop = std::sync::atomic::AtomicBool::new(false);
         let mut ran_past = false;
@@ -1009,20 +979,14 @@ mod tests {
                 }
             });
             // No assert in here: a panic would wait forever on the advancer.
-            'guards: for _ in 0..64 {
+            'pins: for _ in 0..10_000 {
+                let g = d.pin();
                 // The epoch read after the pin is at least the guard's.
-                let (g, seen) = s
-                    .spawn(|| {
-                        let g = d.pin();
-                        let seen = d.global_epoch();
-                        (g, seen)
-                    })
-                    .join()
-                    .unwrap();
+                let seen = d.global_epoch();
                 for _ in 0..100 {
                     if d.global_epoch() > seen + 1 {
                         ran_past = true;
-                        break 'guards;
+                        break 'pins;
                     }
                 }
                 drop(g);
@@ -1030,31 +994,5 @@ mod tests {
             stop.store(true, Ordering::SeqCst);
         });
         assert!(!ran_past, "the clock ran two epochs past a live guard");
-        d.try_advance();
-        assert_eq!(d.participants.lock().len(), 0);
-    }
-
-    #[test]
-    fn a_moved_guard_keeps_its_participant_after_the_pinning_thread_exits() {
-        let d = EpochDomain::new();
-        let pinned_at = d.global_epoch();
-        // The scoped thread pins, hands its guard out and exits, taking
-        // its thread-local (the participant's other owner) with it.
-        let g = std::thread::scope(|s| s.spawn(|| d.pin()).join().unwrap());
-        assert_eq!(d.participants.lock().len(), 1);
-        assert!(d.try_advance()); // the guard is at the current epoch
-        for _ in 0..3 {
-            assert!(!d.try_advance(), "advanced two past a live guard");
-        }
-        assert_eq!(d.global_epoch(), pinned_at + 1);
-        assert_eq!(
-            d.participants.lock().len(),
-            1,
-            "pruned a pinned participant"
-        );
-        drop(g);
-        // The drop may run the maintenance step itself (FF_EPOCH_STRESS=1).
-        d.try_advance();
-        assert_eq!(d.participants.lock().len(), 0);
     }
 }

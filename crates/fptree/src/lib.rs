@@ -251,13 +251,10 @@ impl FpTree {
     ///
     /// # Errors
     ///
-    /// Fails if `meta` does not hold an FP-tree superblock.
+    /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
+    /// the pool holding an FP-tree superblock magic.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
-        if pool.load_u64(meta) != META_MAGIC {
-            return Err(IndexError::PoolExhausted(format!(
-                "no FP-tree superblock at {meta:#x}"
-            )));
-        }
+        pmindex::check_superblock(&pool, meta, &[META_MAGIC], "FP-tree")?;
         let t = Self::with_meta(pool, meta);
         t.replay_ulog();
         t.rebuild_inner();

@@ -921,6 +921,49 @@ pub fn check_value(value: Value) -> Result<(), IndexError> {
     }
 }
 
+/// Checks that `meta` can hold the superblock of the store named `name`
+/// before an `open` reads it: a 64-aligned line inside `pool` whose first
+/// word is one of `magics`, which it returns. A bad offset or a missing
+/// magic (a corrupt or foreign catalog entry, say) is refused instead of
+/// panicking in the pool's bounds check. The words past the magic are the
+/// store's own to check.
+///
+/// ```
+/// let pool = pmem::Pool::new(pmem::PoolConfig::default().size(1 << 16))?;
+/// let meta = pool.alloc(64, 64)?;
+/// pool.store_u64(meta, 0x5EED);
+/// assert_eq!(pmindex::check_superblock(&pool, meta, &[0x5EED], "demo")?, 0x5EED);
+/// assert!(pmindex::check_superblock(&pool, meta, &[0xBAD], "demo").is_err());
+/// assert!(pmindex::check_superblock(&pool, meta + 8, &[0x5EED], "demo").is_err());
+/// assert!(pmindex::check_superblock(&pool, 1 << 16, &[0x5EED], "demo").is_err());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// # Errors
+///
+/// Returns [`IndexError::Unsupported`] if either check fails.
+pub fn check_superblock(
+    pool: &Pool,
+    meta: PmOffset,
+    magics: &[u64],
+    name: &str,
+) -> Result<u64, IndexError> {
+    let inside =
+        meta.is_multiple_of(64) && meta.checked_add(64).is_some_and(|end| end <= pool.size());
+    let why = if !inside {
+        "not a 64-aligned offset inside the pool"
+    } else {
+        let magic = pool.load_u64(meta);
+        if magics.contains(&magic) {
+            return Ok(magic);
+        }
+        "magic mismatch"
+    };
+    Err(IndexError::Unsupported(format!(
+        "{name} superblock at offset {meta:#x}: {why}"
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

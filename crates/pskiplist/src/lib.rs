@@ -109,13 +109,10 @@ impl PSkipList {
     ///
     /// # Errors
     ///
-    /// Fails if `meta` does not hold a skip-list superblock.
+    /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
+    /// the pool holding a skip-list superblock magic.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
-        if pool.load_u64(meta) != META_MAGIC {
-            return Err(IndexError::PoolExhausted(format!(
-                "no skip-list superblock at {meta:#x}"
-            )));
-        }
+        pmindex::check_superblock(&pool, meta, &[META_MAGIC], "skip-list")?;
         let s = PSkipList {
             pool,
             meta,

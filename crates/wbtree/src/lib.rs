@@ -218,13 +218,10 @@ impl WbTree {
     ///
     /// # Errors
     ///
-    /// Fails if `meta` does not hold a wB+-tree superblock.
+    /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
+    /// the pool holding a wB+-tree superblock magic.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
-        if pool.load_u64(meta) != META_MAGIC {
-            return Err(IndexError::PoolExhausted(format!(
-                "no wB+-tree superblock at {meta:#x}"
-            )));
-        }
+        pmindex::check_superblock(&pool, meta, &[META_MAGIC], "wB+-tree")?;
         let t = WbTree {
             pool,
             meta,

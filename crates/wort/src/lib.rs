@@ -137,13 +137,10 @@ impl Wort {
     ///
     /// # Errors
     ///
-    /// Fails if `meta` does not hold a WORT superblock.
+    /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
+    /// the pool holding a WORT superblock magic.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
-        if pool.load_u64(meta) != META_MAGIC {
-            return Err(IndexError::PoolExhausted(format!(
-                "no WORT superblock at {meta:#x}"
-            )));
-        }
+        pmindex::check_superblock(&pool, meta, &[META_MAGIC], "WORT")?;
         Ok(Wort {
             pool,
             meta,

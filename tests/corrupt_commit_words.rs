@@ -21,6 +21,10 @@
 //!   undo image, and word 48 again on a logging tree at rest, which then
 //!   takes inserts.
 //!
+//! A last case opens each baseline index (wB+-tree, FP-tree, WORT, skip
+//! list) at offsets that cannot hold its superblock, as a corrupt or
+//! mistaken catalog entry would name them.
+//!
 //! The word offsets inside each record are the layouts documented in
 //! `pmem::CommitCell::publish_record`, `crates/txn/src/lib.rs` and
 //! `crates/core/src/tree.rs`.
@@ -30,10 +34,14 @@ use std::sync::Arc;
 
 use fastfair_repro::catalog::{Catalog, StoreKind};
 use fastfair_repro::fastfair::{FastFairTree, SplitStrategy, TreeOptions};
+use fastfair_repro::fptree::FpTree;
 use fastfair_repro::pmem::{CommitCell, Pool, PoolConfig};
 use fastfair_repro::pmindex::{IndexError, PersistentIndex, PmIndex};
+use fastfair_repro::pskiplist::PSkipList;
 use fastfair_repro::shard::{Partitioning, ShardedStore};
 use fastfair_repro::txn::{TxnEngine, WriteBatch};
+use fastfair_repro::wbtree::WbTree;
+use fastfair_repro::wort::Wort;
 
 const POOL: usize = 1 << 20;
 /// Journal region words 2–4: the applied sequence, the staged entry
@@ -412,4 +420,46 @@ fn a_flipped_undo_area_word_cannot_redirect_a_split() {
         64,
         "{what}: {out:?}"
     );
+}
+
+/// Opens a baseline at an offset past the pool's end, at one off 8-byte
+/// (and so 64-byte) alignment, and at a zeroed block, both with its own
+/// `open` and through a catalog entry naming that offset: each must be
+/// `Unsupported`, never a panic in the pool's bounds check.
+fn refuses_bad_superblocks<T: PersistentIndex>(open: fn(Arc<Pool>, u64) -> Result<T, IndexError>) {
+    let pool = mkpool();
+    let cat = Catalog::create(vec![Arc::clone(&pool)]).unwrap();
+    let zeroed = pool.alloc(64, 64).unwrap();
+    pool.zero_region(zeroed, 64);
+    for (what, meta) in [
+        ("past_end", POOL as u64 + 64),
+        ("unaligned", zeroed + 4),
+        ("zeroed", zeroed),
+    ] {
+        cat.register(
+            what,
+            &StoreKind::Index {
+                pool: 0,
+                superblock: meta,
+            },
+        )
+        .unwrap();
+        let direct = catch_unwind(AssertUnwindSafe(|| open(Arc::clone(&pool), meta).err()));
+        let listed = catch_unwind(AssertUnwindSafe(|| cat.open_store::<T>(what).err()));
+        for (how, got) in [("open", direct), ("open_store", listed)] {
+            assert!(
+                matches!(got, Ok(Some(IndexError::Unsupported(_)))),
+                "{} {how} at {what} ({meta:#x}): {got:?}",
+                std::any::type_name::<T>()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_baseline_opened_at_a_bad_superblock_offset_is_refused_not_a_panic() {
+    refuses_bad_superblocks(WbTree::open);
+    refuses_bad_superblocks(FpTree::open);
+    refuses_bad_superblocks(Wort::open);
+    refuses_bad_superblocks(PSkipList::open);
 }
