@@ -310,10 +310,7 @@ impl FastFairTree {
             return refuse("node size out of range");
         }
         let node_size = node_size as u32; // at most 1 MiB
-        let root = CommitCell::at(meta + META_ROOT).target(&pool, u64::from(node_size));
-        if !matches!(root, Ok(Some(root)) if root.is_multiple_of(64)) {
-            return refuse("root is not a 64-aligned node inside the pool");
-        }
+        pmindex::check_link(&pool, meta + META_ROOT, u64::from(node_size), "tree root")?;
         let mut opts = opts;
         opts.node_size = node_size;
         opts.split = if logging {

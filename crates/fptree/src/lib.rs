@@ -55,6 +55,7 @@ const ULOG_VALID: u64 = 0; // within area: valid flag
 const ULOG_OLD: u64 = 8;
 const ULOG_OLD_SIBLING: u64 = 16;
 const ULOG_MOVED_MASK: u64 = 24;
+const ULOG_SIZE: u64 = 64;
 
 /// One-byte hash fingerprint of a key.
 #[inline]
@@ -236,8 +237,8 @@ impl FpTree {
         let meta = pool.alloc(64, 64)?;
         pool.zero_region(meta, 64);
         let head = Self::alloc_leaf(&pool)?;
-        let ulog = pool.alloc(64, 64)?;
-        pool.zero_region(ulog, 64);
+        let ulog = pool.alloc(ULOG_SIZE, 64)?;
+        pool.zero_region(ulog, ULOG_SIZE);
         pool.store_u64(meta, META_MAGIC);
         pool.store_u64(meta + META_HEAD_LEAF, head);
         pool.store_u64(meta + META_ULOG, ulog);
@@ -252,12 +253,16 @@ impl FpTree {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
-    /// the pool holding an FP-tree superblock magic.
+    /// the pool holding an FP-tree superblock magic; if a link it follows
+    /// (the head leaf, the micro-log, a logged leaf, a sibling) is not a
+    /// 64-aligned block inside the pool; or if the leaf chain cycles.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
         pmindex::check_superblock(&pool, meta, &[META_MAGIC], "FP-tree")?;
+        pmindex::check_link(&pool, meta + META_HEAD_LEAF, LEAF_SIZE, "FP-tree head leaf")?;
+        pmindex::check_link(&pool, meta + META_ULOG, ULOG_SIZE, "FP-tree micro-log")?;
         let t = Self::with_meta(pool, meta);
-        t.replay_ulog();
-        t.rebuild_inner();
+        t.replay_ulog()?;
+        t.rebuild_inner()?;
         Ok(t)
     }
 
@@ -299,12 +304,17 @@ impl FpTree {
 
     /// Micro-log recovery: roll a crashed split back (old bitmap still has
     /// the moved slots) or forward (truncation already persisted).
-    fn replay_ulog(&self) {
+    fn replay_ulog(&self) -> Result<(), IndexError> {
         let area = self.pool.load_u64(self.meta + META_ULOG);
         if self.pool.load_u64(area + ULOG_VALID) == 0 {
-            return;
+            return Ok(());
         }
-        let old = self.pool.load_u64(area + ULOG_OLD);
+        let old = pmindex::check_link(
+            &self.pool,
+            area + ULOG_OLD,
+            LEAF_SIZE,
+            "FP-tree logged leaf",
+        )?;
         let old_sibling = self.pool.load_u64(area + ULOG_OLD_SIBLING);
         let moved = self.pool.load_u64(area + ULOG_MOVED_MASK);
         let leaf = self.leaf(old);
@@ -316,14 +326,17 @@ impl FpTree {
         // Else: split completed; the new leaf stays linked.
         self.pool.store_u64(area + ULOG_VALID, 0);
         self.pool.persist(area + ULOG_VALID, 8);
+        Ok(())
     }
 
-    /// Rebuilds the DRAM inner map by scanning every leaf.
-    fn rebuild_inner(&self) {
+    /// Rebuilds the DRAM inner map by scanning every leaf. Refuses a
+    /// sibling link that does not name a leaf inside the pool, and a chain
+    /// longer than the pool has room for leaves (a cycle).
+    fn rebuild_inner(&self) -> Result<(), IndexError> {
         let mut map = BTreeMap::new();
         let mut off = self.head_leaf();
         let mut first = true;
-        while off != NULL_OFFSET {
+        for _ in 0..self.pool.size() / LEAF_SIZE {
             let leaf = self.leaf(off);
             if !first {
                 if let Some(min) = leaf.min_key() {
@@ -331,9 +344,15 @@ impl FpTree {
                 }
             }
             first = false;
-            off = leaf.sibling();
+            if leaf.sibling() == NULL_OFFSET {
+                *self.inner.write() = map;
+                return Ok(());
+            }
+            off = pmindex::check_link(&self.pool, off + OFF_SIBLING, LEAF_SIZE, "FP-tree sibling")?;
         }
-        *self.inner.write() = map;
+        Err(IndexError::Unsupported(
+            "FP-tree leaf chain is longer than the pool holds leaves: a cycle".into(),
+        ))
     }
 
     /// Finds the leaf covering `key` (inner lookup is DRAM: no PM charge).

@@ -33,6 +33,10 @@
 //!   unflushed 8-byte stores (exactly the states reachable under TSO with
 //!   independent cache-line eviction). This substitutes for the paper's
 //!   physical power-off test and is strictly more adversarial.
+//! * [`handoff`] — the thread hand-offs of the serving path (a lane's
+//!   request queue, a request's reply slot, the [`handoff::Bell`] a
+//!   sharded store's apply helper waits on), which all spin for up to
+//!   [`handoff::SPIN_BOUND`] before they park and wake only a parked peer.
 //!
 //! # Example
 //!
@@ -51,6 +55,7 @@
 
 mod commit;
 pub mod crash;
+pub mod handoff;
 mod latency;
 mod pool;
 pub mod stats;

@@ -31,7 +31,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pmem::{PmOffset, Pool};
+use pmem::{CommitCell, PmOffset, Pool};
 
 /// Key type: the paper indexes 8-byte integer keys.
 pub type Key = u64;
@@ -962,6 +962,36 @@ pub fn check_superblock(
     Err(IndexError::Unsupported(format!(
         "{name} superblock at offset {meta:#x}: {why}"
     )))
+}
+
+/// Reads the pointer word at `at` — a superblock's root, head or log-area
+/// word, or a link an `open` walks — and checks that it names a `len`-byte
+/// block at a 64-aligned offset inside `pool`, which it returns. A flipped
+/// or torn pointer is refused here instead of panicking in the pool's
+/// bounds check, or being written through, once the walk reaches it.
+///
+/// ```
+/// let pool = pmem::Pool::new(pmem::PoolConfig::default().size(1 << 16))?;
+/// let meta = pool.alloc(64, 64)?;
+/// for (bad, root) in [(false, 1024), (true, 0), (true, 1024 + 8), (true, 1 << 16)] {
+///     pool.store_u64(meta + 8, root);
+///     let got = pmindex::check_link(&pool, meta + 8, 64, "demo root");
+///     assert_eq!(got.is_err(), bad, "{root:#x}");
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// # Errors
+///
+/// Returns [`IndexError::Unsupported`] for NULL, an offset off 64-byte
+/// alignment, or a block that does not fit inside the pool.
+pub fn check_link(pool: &Pool, at: PmOffset, len: u64, what: &str) -> Result<PmOffset, IndexError> {
+    match CommitCell::at(at).target(pool, len) {
+        Ok(Some(off)) if off.is_multiple_of(64) => Ok(off),
+        _ => Err(IndexError::Unsupported(format!(
+            "{what} (the word at {at:#x}) is not a 64-aligned {len}-byte block inside the pool"
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -110,9 +110,12 @@ impl PSkipList {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
-    /// the pool holding a skip-list superblock magic.
+    /// the pool holding a skip-list superblock magic, or if its head word is
+    /// not a 64-aligned block inside the pool.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
         pmindex::check_superblock(&pool, meta, &[META_MAGIC], "skip-list")?;
+        let head_size = NODE_NEXT + MAX_LEVEL as u64 * 8;
+        pmindex::check_link(&pool, meta + META_HEAD, head_size, "skip-list head")?;
         let s = PSkipList {
             pool,
             meta,

@@ -23,7 +23,8 @@
 //!   Transactions*) show dominates pmem transaction cost. An upsert's
 //!   reply (the replaced value) and a delete's (was it there) come from
 //!   that apply, not a pre-read; only `update` still reads first.
-//!   Completions fan back through per-request `oneshot` reply slots.
+//!   Completions fan back through per-request reply slots
+//!   ([`pmem::handoff::slot`]).
 //! * **Admission control**: a full queue either rejects the submitter
 //!   with [`ServiceError::Overloaded`] ([`Admission::Shed`]) or parks it
 //!   until the worker catches up ([`Admission::Park`]).
@@ -113,8 +114,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, SendError, Sender, TrySendError};
 use inflight::InFlight;
+use pmem::handoff::queue::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use pmem::handoff::{slot, SendError};
 use pmindex::{check_value, BatchOp, IndexError, Key, PmIndex, Value};
 use txn::{TxnEngine, WriteBatch};
 
@@ -211,7 +213,7 @@ impl Default for ServiceConfig {
     }
 }
 
-type ReplySlot<T> = oneshot::Sender<Result<T, ServiceError>>;
+type ReplySlot<T> = slot::Sender<Result<T, ServiceError>>;
 
 /// A pipelined submission's completion: hold several, then
 /// [`Ticket::wait`] them — this is how a single client keeps a worker's
@@ -222,13 +224,13 @@ pub struct Ticket<T>(Reply<T>);
 /// submitting thread ran itself — already here, with no reply slot
 /// allocated for it.
 enum Reply<T> {
-    Pending(oneshot::Receiver<Result<T, ServiceError>>),
+    Pending(slot::Receiver<Result<T, ServiceError>>),
     Ready(Result<T, ServiceError>),
 }
 
 impl<T> Ticket<T> {
     /// Waits until the request completes: a bounded spin on the reply
-    /// slot (`oneshot::SPIN_BOUND` — the worker is usually mid-group,
+    /// slot ([`pmem::handoff::SPIN_BOUND`] — the worker is usually mid-group,
     /// and its reply wakes no one who is not asleep), then parked. Any
     /// thread may wait a ticket, not only the one that submitted it.
     ///
@@ -434,14 +436,14 @@ impl<I: PmIndex + Send + Sync + 'static> Shared<I> {
         {
             return Err((rx, std::io::Error::other("spawn refused by the test")));
         }
-        let (give, take) = oneshot::channel::<Receiver<Msg>>();
+        let (give, take) = slot::channel::<Receiver<Msg>>();
         let shared = Arc::clone(self);
         let spawned = std::thread::Builder::new()
             .name(format!("service-worker-{lane}"))
             .spawn(move || {
                 #[cfg(test)]
                 shared.running.fetch_add(1, Ordering::SeqCst);
-                if let Ok(rx) = take.recv() {
+                if let Some(rx) = take.recv() {
                     worker_loop(&shared, lane, &rx);
                 }
                 #[cfg(test)]
@@ -571,7 +573,7 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
         assert!(config.max_group > 0, "max_group must be at least 1");
         let (senders, workers): (_, Vec<_>) = (0..config.lanes)
             .map(|_| {
-                let (tx, rx) = crossbeam_channel::bounded(config.queue_capacity);
+                let (tx, rx) = queue::bounded(config.queue_capacity);
                 let worker = LaneWorker {
                     state: parking_lot::Mutex::new(WorkerState::Unstarted(rx)),
                     started: AtomicBool::new(false),
@@ -620,7 +622,7 @@ impl<I: PmIndex + Send + Sync + 'static> Service<I> {
     /// Requests currently queued on `lane`: exact when read, stale as
     /// soon as a client or the worker moves.
     pub fn queue_depth(&self, lane: usize) -> usize {
-        self.senders[lane].len()
+        self.senders[lane].depth()
     }
 
     /// Nothing admitted is still counted in flight: every key slot and
@@ -707,7 +709,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         &self,
         lane: usize,
         req: Request,
-        rx: oneshot::Receiver<Result<T, ServiceError>>,
+        rx: slot::Receiver<Result<T, ServiceError>>,
     ) -> Result<Ticket<T>, ServiceError> {
         let shared = &*self.shared;
         let class = req.class();
@@ -769,7 +771,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
             }
             shared.stats.note_conflict_get();
         }
-        let (reply, rx) = oneshot::channel();
+        let (reply, rx) = slot::channel();
         self.submit(lane, Request::Get { key, reply, start }, rx)
     }
 
@@ -783,7 +785,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         key: Key,
         value: Value,
     ) -> Result<Ticket<Option<Value>>, ServiceError> {
-        let (tx, rx) = oneshot::channel();
+        let (tx, rx) = slot::channel();
         self.submit(
             self.shared.lane_of(key),
             Request::Insert {
@@ -806,7 +808,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
         key: Key,
         value: Value,
     ) -> Result<Ticket<Option<Value>>, ServiceError> {
-        let (tx, rx) = oneshot::channel();
+        let (tx, rx) = slot::channel();
         self.submit(
             self.shared.lane_of(key),
             Request::Update {
@@ -825,7 +827,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
     ///
     /// As [`ClientHandle::submit_get`].
     pub fn submit_delete(&self, key: Key) -> Result<Ticket<bool>, ServiceError> {
-        let (tx, rx) = oneshot::channel();
+        let (tx, rx) = slot::channel();
         self.submit(
             self.shared.lane_of(key),
             Request::Delete {
@@ -849,7 +851,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
             .next()
             .map(|(_, op)| self.shared.lane_of(op.key()))
             .unwrap_or(0);
-        let (tx, rx) = oneshot::channel();
+        let (tx, rx) = slot::channel();
         self.submit(
             lane,
             Request::Batch {
@@ -867,7 +869,7 @@ impl<I: PmIndex + Send + Sync + 'static> ClientHandle<I> {
     ///
     /// As [`ClientHandle::submit_get`].
     pub fn submit_scan(&self, lo: Key, hi: Key) -> Result<Ticket<Vec<(Key, Value)>>, ServiceError> {
-        let (tx, rx) = oneshot::channel();
+        let (tx, rx) = slot::channel();
         self.submit(
             self.shared.lane_of(lo),
             Request::Scan {
@@ -970,28 +972,28 @@ fn worker_loop<I: PmIndex>(shared: &Shared<I>, lane: usize, rx: &Receiver<Msg>) 
         let first = if shared.stop.load(Ordering::SeqCst) {
             // Shutting down: serve everything already queued, then leave.
             match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(_) => return,
+                Some(msg) => msg,
+                None => return,
             }
         } else {
-            // Spins (`crossbeam_channel::SPIN_BOUND`) while the clients
+            // Spins (`pmem::handoff::SPIN_BOUND`) while the clients
             // keep pace, sleeps at once while they do not.
             match rx.recv_timeout(shared.idle_timeout) {
                 Ok(msg) => msg,
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return,
             }
         };
         // `None` is shutdown's wake-up: the stop flag is already set.
         let Some(first) = first else { continue };
-        let backlog = rx.len();
+        let backlog = rx.depth();
         let rest = backlog.min(shared.max_group - 1);
         let mut group = Vec::with_capacity(1 + rest);
         group.push(first);
         if rest > 0 {
             // The rest of the group under one acquisition of the queue; a
             // wake-up taken here is answered by the stop check above.
-            group.extend(rx.try_iter().take(rest).flatten());
+            group.extend(rx.drain(rest).flatten());
         }
         process_group(shared, lane, group, backlog as u64, &mut write_keys);
         // Self-harvest this thread's `pmem::stats` into the service's

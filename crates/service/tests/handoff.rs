@@ -1,8 +1,7 @@
 //! The request and reply hand-offs from the outside: who gets woken,
 //! what an oversubscribed lane does to session order and what admission
-//! counts. (The primitives' own
-//! interleavings — spin, park, wake-up counts — are tested in the
-//! `crossbeam_channel` and `oneshot` shims.)
+//! counts. (The primitives' own interleavings — spin, park, wake-up
+//! counts — are tested in `pmem::handoff`'s `queue` and `slot` modules.)
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Barrier};

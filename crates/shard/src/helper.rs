@@ -6,11 +6,12 @@
 //! *posts* a job, runs its own half, then *settles* the job: if the
 //! helper has not claimed it yet, the caller steals it back and runs it
 //! itself, so a helper that is busy, parked or descheduled costs the
-//! caller only the post. The helper waits for work by the hand-off shims'
-//! spin-then-park schedule (`crates/shims/spin_wait.rs`), catches a panic
-//! in the job and hands it back, and hands back its `pmem::stats`
-//! counters too, which the caller absorbs into its own. A second caller
-//! that finds the slot taken runs both halves itself.
+//! caller only the post. Both threads wait and wake through one
+//! [`pmem::handoff::Bell`] — the service's hand-offs' spin-then-park
+//! wait — the helper for work, the caller for its claimed job. The helper
+//! catches a panic in the job and hands it back, and hands back its
+//! `pmem::stats` counters too, which the caller absorbs into its own. A
+//! second caller that finds the slot taken runs both halves itself.
 //!
 //! The slot moves through five states:
 //!
@@ -24,18 +25,15 @@
 //!                                            helper: finish
 //! ```
 
-#[path = "../../shims/spin_wait.rs"]
-mod spin_wait;
-
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use spin_wait::{park_until, spin_until, POISONED};
+use pmem::handoff::Bell;
 
 const IDLE: u8 = 0;
 const FILLING: u8 = 1;
@@ -62,14 +60,18 @@ struct Shared {
     /// Written by the helper while CLAIMED, taken by the caller once it
     /// sees DONE.
     outcome: UnsafeCell<Option<Outcome>>,
-    /// Whether a thread is asleep on `wake`. At most one is: the helper
+    /// What both threads wait on. At most one is asleep on it: the helper
     /// waits for work only while no job is claimed, and the caller waits
     /// for its job only while the helper holds it.
-    parked: Mutex<bool>,
-    wake: Condvar,
+    bell: Bell,
+    /// Wake-up syscalls the bell made, and waits that parked.
+    #[cfg(test)]
+    wakes: std::sync::atomic::AtomicUsize,
+    #[cfg(test)]
+    parks: std::sync::atomic::AtomicUsize,
 }
 
-// SAFETY: `state`, `stop`, `parked` and `wake` are `Send + Sync`
+// SAFETY: `state`, `stop` and `bell` are `Send + Sync`
 // already. The two `UnsafeCell`s are only touched by the thread the state
 // machine makes their owner — `job` by the caller in FILLING and by the
 // helper in CLAIMED, `outcome` by the helper in CLAIMED and by the caller
@@ -82,33 +84,20 @@ unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
 
 impl Shared {
-    fn lock(&self) -> MutexGuard<'_, bool> {
-        self.parked.lock().expect(POISONED)
-    }
-
-    /// Moves the slot to `state` and wakes the other thread if it sleeps.
-    /// The store happens under the lock, so a waiter that re-checks the
-    /// state with the lock held and then parks cannot miss it.
-    fn publish(&self, state: u8) {
-        let mut parked = self.lock();
-        self.state.store(state, Ordering::Release);
-        let wake = std::mem::take(&mut *parked);
-        drop(parked);
-        if wake {
-            self.wake.notify_one();
-        }
+    /// Makes `change` through the bell, waking the other thread if it
+    /// sleeps.
+    fn publish(&self, change: impl FnOnce()) {
+        let _woke = self.bell.publish(change);
+        #[cfg(test)]
+        self.wakes.fetch_add(usize::from(_woke), Ordering::Relaxed);
     }
 
     /// Spins, then parks, until `ready` holds.
     fn wait(&self, ready: impl Fn() -> bool) {
-        if spin_until(None, &ready) {
-            return;
-        }
-        let mut parked = self.lock();
-        while !ready() {
-            *parked = true;
-            (parked, _) = park_until(&self.wake, parked, None);
-        }
+        let _parked = self.bell.wait(ready);
+        #[cfg(test)]
+        self.parks
+            .fetch_add(usize::from(_parked), Ordering::Relaxed);
     }
 
     /// The helper thread's life: wait for a posted job, claim it, run it,
@@ -138,7 +127,7 @@ impl Shared {
             let stats = pmem::stats::take();
             // SAFETY: still CLAIMED: this thread owns the slot.
             unsafe { *self.outcome.get() = Some(Outcome { panic, stats }) };
-            self.publish(DONE);
+            self.publish(|| self.state.store(DONE, Ordering::Release));
         }
     }
 }
@@ -208,8 +197,11 @@ impl Helper {
             stop: AtomicBool::new(false),
             job: UnsafeCell::new(None),
             outcome: UnsafeCell::new(None),
-            parked: Mutex::new(false),
-            wake: Condvar::new(),
+            bell: Bell::default(),
+            #[cfg(test)]
+            wakes: Default::default(),
+            #[cfg(test)]
+            parks: Default::default(),
         });
         let serving = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -282,7 +274,7 @@ impl Helper {
         // SAFETY: FILLING, which the caller holds, makes this thread the
         // slot's owner.
         unsafe { *shared.job.get() = Some(job) };
-        shared.publish(POSTED);
+        shared.publish(|| shared.state.store(POSTED, Ordering::Release));
         Ticket {
             shared,
             job,
@@ -294,7 +286,7 @@ impl Helper {
     /// Whether the helper thread is asleep waiting for work.
     #[cfg(test)]
     pub(crate) fn parked(&self) -> bool {
-        *self.shared.lock()
+        self.shared.bell.parked()
     }
 
     /// A handle that stays upgradable only while the helper thread (or
@@ -307,13 +299,8 @@ impl Helper {
 
 impl Drop for Helper {
     fn drop(&mut self) {
-        {
-            let mut parked = self.shared.lock();
-            self.shared.stop.store(true, Ordering::Release);
-            if std::mem::take(&mut *parked) {
-                self.shared.wake.notify_one();
-            }
-        }
+        let shared = &*self.shared;
+        shared.publish(|| shared.stop.store(true, Ordering::Release));
         if let Some(thread) = self.thread.take() {
             // The helper catches every job's panic; a join error here could
             // only come from the wait itself, and there is nothing to undo.
@@ -326,6 +313,7 @@ impl Drop for Helper {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
     use std::thread;
     use std::time::{Duration, Instant};
 
@@ -361,6 +349,36 @@ mod tests {
             || eventually("the helper claims the job", || began.load(Ordering::SeqCst)),
         );
         assert_ne!(there, here);
+    }
+
+    /// A job the helper claims while the caller runs its own half, with
+    /// neither thread asleep, makes no wake-up syscall: the post, the claim
+    /// and the finish are stores the other thread's spin sees. A run in
+    /// which a thread did park — a peer preempted past `SPIN_BOUND` — is
+    /// retried; every such run must still make no more wake-ups than
+    /// parks.
+    #[test]
+    fn a_claimed_job_with_nobody_asleep_wakes_nobody() {
+        let helper = Helper::spawn().unwrap();
+        let count = |c: &AtomicUsize| c.load(Ordering::SeqCst);
+        for _ in 0..100 {
+            // The helper comes out of a job spinning for the next one.
+            helper.join(|| (), || ());
+            let (wakes, parks) = (count(&helper.shared.wakes), count(&helper.shared.parks));
+            let began = AtomicBool::new(false);
+            helper.join(
+                || began.store(true, Ordering::SeqCst),
+                || eventually("the helper claims", || began.load(Ordering::SeqCst)),
+            );
+            let woke = count(&helper.shared.wakes) - wakes;
+            let parked = count(&helper.shared.parks) - parks;
+            assert!(woke <= parked, "{woke} wake-ups for {parked} parks");
+            if parked == 0 {
+                assert_eq!(woke, 0);
+                return;
+            }
+        }
+        panic!("every run parked a thread");
     }
 
     #[test]

@@ -59,6 +59,9 @@ const META_LOG_AREA: u64 = 24;
 /// Deepest structure modification the undo log can hold (tree height 8 is
 /// ~56^8 keys, far beyond any workload here).
 const MAX_LOGGED_NODES: u64 = 8;
+/// The undo log: the root before the modification, the entry count, then
+/// one (target, image) entry per logged node.
+const LOG_AREA_SIZE: u64 = 16 + MAX_LOGGED_NODES * (8 + NODE_SIZE);
 
 /// A persistent wB+-tree with slot+bitmap nodes.
 pub struct WbTree {
@@ -201,7 +204,7 @@ impl WbTree {
         let meta = pool.alloc(64, 64)?;
         pool.zero_region(meta, 64);
         let root = Self::alloc_node(&pool, 0)?;
-        let log = pool.alloc(16 + MAX_LOGGED_NODES * (8 + NODE_SIZE), 64)?;
+        let log = pool.alloc(LOG_AREA_SIZE, 64)?;
         pool.store_u64(meta, META_MAGIC);
         pool.store_u64(meta + META_ROOT, root);
         pool.store_u64(meta + META_LOG_AREA, log);
@@ -219,9 +222,17 @@ impl WbTree {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
-    /// the pool holding a wB+-tree superblock magic.
+    /// the pool holding a wB+-tree superblock magic, or if its root or
+    /// undo-log area word is not a 64-aligned block inside the pool.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
         pmindex::check_superblock(&pool, meta, &[META_MAGIC], "wB+-tree")?;
+        pmindex::check_link(&pool, meta + META_ROOT, NODE_SIZE, "wB+-tree root")?;
+        pmindex::check_link(
+            &pool,
+            meta + META_LOG_AREA,
+            LOG_AREA_SIZE,
+            "wB+-tree undo log",
+        )?;
         let t = WbTree {
             pool,
             meta,

@@ -138,9 +138,11 @@ impl Wort {
     /// # Errors
     ///
     /// [`IndexError::Unsupported`] if `meta` is not a 64-aligned line inside
-    /// the pool holding a WORT superblock magic.
+    /// the pool holding a WORT superblock magic, or if its root word is not a
+    /// 64-aligned block inside the pool.
     pub fn open(pool: Arc<Pool>, meta: PmOffset) -> Result<Self, IndexError> {
         pmindex::check_superblock(&pool, meta, &[META_MAGIC], "WORT")?;
+        pmindex::check_link(&pool, meta + META_ROOT, NODE_SIZE, "WORT root")?;
         Ok(Wort {
             pool,
             meta,

@@ -21,9 +21,11 @@
 //!   undo image, and word 48 again on a logging tree at rest, which then
 //!   takes inserts.
 //!
-//! A last case opens each baseline index (wB+-tree, FP-tree, WORT, skip
-//! list) at offsets that cannot hold its superblock, as a corrupt or
-//! mistaken catalog entry would name them.
+//! The last two cases are the baseline indexes (wB+-tree, FP-tree, WORT,
+//! skip list): each opened at offsets that cannot hold its superblock, as
+//! a corrupt or mistaken catalog entry would name them, and each with a bit
+//! of its root or head word (and FP-tree's micro-log word) flipped, then
+//! read key by key.
 //!
 //! The word offsets inside each record are the layouts documented in
 //! `pmem::CommitCell::publish_record`, `crates/txn/src/lib.rs` and
@@ -462,4 +464,48 @@ fn a_baseline_opened_at_a_bad_superblock_offset_is_refused_not_a_panic() {
     refuses_bad_superblocks(FpTree::open);
     refuses_bad_superblocks(Wort::open);
     refuses_bad_superblocks(PSkipList::open);
+}
+
+/// Baseline superblock words past the magic that `open` follows: the
+/// root (wB+-tree, WORT) or head (FP-tree, skip list) at word 1, and
+/// FP-tree's micro-log area at word 2.
+const BASELINE_ROOT: u64 = 8;
+const FPTREE_ULOG: u64 = 16;
+
+/// Flips each bit of each of `words` in the superblock of a 2 000-key `T`,
+/// then opens it and gets every key, all under `catch_unwind`: no flip may
+/// panic, and one that moves the word off 64-byte alignment or out of the
+/// pool must be refused as `Unsupported`. A flip onto another aligned
+/// in-pool offset may open and read wrong values: telling it from the real
+/// one would take a superblock checksum, which no baseline keeps.
+fn flipped_pointer_words_are_refused_not_a_panic<T: PersistentIndex>(words: &[u64]) {
+    const KEYS: u64 = 2_000;
+    let pool = mkpool();
+    let store = T::create_in(Arc::clone(&pool)).unwrap();
+    for k in 1..=KEYS {
+        store.insert(k, k * 10).unwrap();
+    }
+    let (image, meta) = (pool.volatile_image(), store.superblock());
+    drop(store);
+    let open_and_read = |pool| {
+        T::open_in(pool, meta).map(|t| (1..=KEYS).filter(|&k| t.get(k) == Some(k * 10)).count())
+    };
+    assert_eq!(open_and_read(remap(&image)).unwrap(), KEYS as usize);
+    let name = std::any::type_name::<T>();
+    for &word in words {
+        let what = format!("{name} superblock word {}", word / 8);
+        let out = flip_each_bit(&what, &image, meta + word, open_and_read);
+        let misaligned = (1 << 6) - 1;
+        let outside = !((POOL as u64) - 1);
+        let must = misaligned | outside;
+        assert_eq!(out.unsupported & must, must, "{what}: {out:?}");
+    }
+}
+
+#[test]
+fn a_flipped_baseline_root_or_head_word_is_refused_not_a_panic() {
+    flipped_pointer_words_are_refused_not_a_panic::<WbTree>(&[BASELINE_ROOT]);
+    flipped_pointer_words_are_refused_not_a_panic::<FpTree>(&[BASELINE_ROOT, FPTREE_ULOG]);
+    flipped_pointer_words_are_refused_not_a_panic::<Wort>(&[BASELINE_ROOT]);
+    flipped_pointer_words_are_refused_not_a_panic::<PSkipList>(&[BASELINE_ROOT]);
 }
