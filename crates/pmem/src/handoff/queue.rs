@@ -368,303 +368,41 @@ impl<T> Drop for Drain<'_, T> {
     }
 }
 
+/// A test's view of a queue's insides, through a handle that outlives
+/// both halves.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Barrier;
-    use std::thread;
+pub(crate) struct Probe<T>(Arc<Shared<T>>);
 
-    /// Longer than any test waits for a message that is on its way.
-    const LONG: Duration = Duration::from_secs(60);
-
-    fn wakes<T>(shared: &Shared<T>) -> usize {
-        shared.wakes.load(Ordering::Relaxed)
+#[cfg(test)]
+impl<T> Probe<T> {
+    /// Condvar notifications issued, i.e. wake-up syscalls.
+    pub(crate) fn wakes(&self) -> usize {
+        self.0.wakes.load(Ordering::Relaxed)
     }
 
-    /// Returns once the receiver is asleep: it sets the flag with the
-    /// lock held and releases the lock only by waiting.
-    fn until_receiver_parked<T>(shared: &Shared<T>) {
-        while !shared.lock().receiver_parked {
-            thread::yield_now();
-        }
+    /// Whether the receiver is asleep: it sets the flag with the lock
+    /// held and releases the lock only by waiting.
+    pub(crate) fn receiver_parked(&self) -> bool {
+        self.0.lock().receiver_parked
     }
 
-    /// Returns once `n` senders are asleep on the full queue.
-    fn until_senders_parked<T>(shared: &Shared<T>, n: usize) {
-        while shared.lock().senders_parked != n {
-            thread::yield_now();
-        }
+    /// Senders asleep on the full queue.
+    pub(crate) fn senders_parked(&self) -> usize {
+        self.0.lock().senders_parked
     }
+}
 
-    /// Leaves `rx` in the state where its next wait spins: its last one
-    /// found a message already queued.
-    fn warm(tx: &Sender<u32>, rx: &Receiver<u32>) {
-        tx.send(0).unwrap();
-        assert!(rx.recv_timeout(LONG).is_ok());
-        assert!(rx.spin.load(Ordering::Relaxed));
+#[cfg(test)]
+impl<T> Sender<T> {
+    pub(crate) fn probe(&self) -> Probe<T> {
+        Probe(Arc::clone(&self.shared))
     }
+}
 
-    #[test]
-    fn fifo_order_across_producers() {
-        let (tx, rx) = bounded(8);
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        tx.send(3).unwrap();
-        assert_eq!((tx.depth(), rx.depth()), (3, 3));
-        let got: Vec<_> = (0..3).map(|_| rx.recv_timeout(LONG)).collect();
-        assert_eq!(got, [Ok(1), Ok(2), Ok(3)]);
-        assert_eq!(rx.try_recv(), None);
-        assert_eq!((tx.depth(), rx.depth()), (0, 0));
-    }
-
-    #[test]
-    fn try_send_observes_capacity() {
-        let (tx, rx) = bounded(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.try_recv(), Some(1));
-        tx.try_send(3).unwrap();
-        assert_eq!((rx.try_recv(), rx.try_recv()), (Some(2), Some(3)));
-    }
-
-    #[test]
-    fn drain_takes_in_order_and_stops_at_its_max() {
-        let (tx, rx) = bounded(4);
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        let firsts: Vec<i32> = rx.drain(3).collect();
-        assert_eq!((firsts, rx.depth()), (vec![0, 1, 2], 1));
-        tx.try_send(4).unwrap();
-        assert_eq!(rx.drain(8).collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!((rx.depth(), rx.drain(8).next()), (0, None));
-        tx.send(5).unwrap();
-        assert_eq!((rx.drain(0).next(), rx.depth()), (None, 1));
-    }
-
-    #[test]
-    fn blocking_send_resumes_when_room_appears() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let tx2 = tx.clone();
-        let h = thread::spawn(move || tx2.send(2));
-        until_senders_parked(&tx.shared, 1);
-        assert_eq!(rx.try_recv(), Some(1));
-        h.join().unwrap().unwrap();
-        assert_eq!(rx.try_recv(), Some(2));
-        // One sleeper, one wake-up — and none for the pop nobody waited on.
-        assert_eq!(wakes(&tx.shared), 1);
-    }
-
-    #[test]
-    fn one_drain_wakes_every_parked_sender_once() {
-        let (tx, rx) = bounded(2);
-        tx.send(0).unwrap();
-        tx.send(0).unwrap();
-        let parked: Vec<_> = (1..=2)
-            .map(|i| {
-                let tx = tx.clone();
-                thread::spawn(move || tx.send(i))
-            })
-            .collect();
-        until_senders_parked(&tx.shared, 2);
-        assert_eq!(rx.drain(2).count(), 2);
-        for h in parked {
-            h.join().unwrap().unwrap();
-        }
-        assert_eq!(wakes(&tx.shared), 1);
-        let mut rest: Vec<i32> = rx.drain(2).collect();
-        rest.sort_unstable();
-        assert_eq!(rest, vec![1, 2]);
-    }
-
-    #[test]
-    fn nobody_asleep_nobody_woken() {
-        let (tx, rx) = bounded(4);
-        tx.send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!((rx.recv_timeout(LONG), rx.try_recv()), (Ok(1), Some(2)));
-        tx.send(3).unwrap();
-        assert_eq!(rx.drain(4).count(), 1);
-        let shared = Arc::clone(&tx.shared);
-        drop(tx);
-        drop(rx);
-        assert_eq!(wakes(&shared), 0);
-    }
-
-    #[test]
-    fn send_to_a_provably_parked_receiver_wakes_it_exactly_once() {
-        let (tx, rx) = bounded(4);
-        let shared = Arc::clone(&tx.shared);
-        let h = thread::spawn(move || rx.recv_timeout(LONG));
-        until_receiver_parked(&shared);
-        tx.send(7).unwrap();
-        assert_eq!(h.join().unwrap(), Ok(7));
-        assert_eq!(wakes(&shared), 1);
-    }
-
-    /// 100 k round trips over two queues: every interleaving of a send
-    /// with the waiter's probes, its last look under the lock and its
-    /// park gets its turn, and a lost wake-up would hang the test.
-    #[test]
-    fn ping_pong_loses_no_wake_up() {
-        const ROUNDS: u32 = 100_000;
-        let (ping_tx, ping_rx) = bounded(1);
-        let (pong_tx, pong_rx) = bounded(1);
-        let echo = thread::spawn(move || {
-            for msg in std::iter::from_fn(|| ping_rx.recv_timeout(LONG).ok()) {
-                pong_tx.send(msg).unwrap();
-            }
-        });
-        for i in 0..ROUNDS {
-            ping_tx.send(i).unwrap();
-            assert_eq!(pong_rx.recv_timeout(LONG), Ok(i));
-        }
-        drop(ping_tx);
-        echo.join().unwrap();
-        assert_eq!(
-            pong_rx.recv_timeout(LONG),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    /// The same through a full queue: the sender's wait for room races
-    /// the receiver's pops.
-    #[test]
-    fn full_queue_hand_off_loses_no_wake_up() {
-        const MESSAGES: u32 = 100_000;
-        let (tx, rx) = bounded(1);
-        let producer = thread::spawn(move || {
-            for i in 0..MESSAGES {
-                tx.send(i).unwrap();
-            }
-        });
-        for i in 0..MESSAGES {
-            assert_eq!(rx.recv_timeout(LONG), Ok(i));
-        }
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn disconnects_propagate_both_ways() {
-        let (tx, rx) = bounded::<u32>(1);
-        drop(rx);
-        assert_eq!(tx.send(1), Err(SendError(1)));
-        assert_eq!(tx.try_send(2), Err(TrySendError::Disconnected(2)));
-
-        let (tx, rx) = bounded::<u32>(1);
-        tx.send(9).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv_timeout(LONG), Ok(9));
-        assert_eq!(rx.try_recv(), None);
-        assert_eq!(rx.recv_timeout(LONG), Err(RecvTimeoutError::Disconnected));
-    }
-
-    #[test]
-    fn last_sender_dropping_wakes_a_parked_receiver() {
-        let (tx, rx) = bounded::<u32>(1);
-        let tx2 = tx.clone();
-        let shared = Arc::clone(&tx.shared);
-        let h = thread::spawn(move || rx.recv_timeout(LONG));
-        until_receiver_parked(&shared);
-        drop(tx2); // not the last: nobody to tell
-        assert_eq!(wakes(&shared), 0);
-        drop(tx);
-        assert_eq!(h.join().unwrap(), Err(RecvTimeoutError::Disconnected));
-        assert_eq!(wakes(&shared), 1);
-    }
-
-    #[test]
-    fn last_sender_dropping_ends_a_spinning_receivers_wait() {
-        for _ in 0..200 {
-            let (tx, rx) = bounded(1);
-            warm(&tx, &rx);
-            let start = Arc::new(Barrier::new(2));
-            let go = Arc::clone(&start);
-            let h = thread::spawn(move || {
-                go.wait();
-                rx.recv_timeout(LONG)
-            });
-            start.wait();
-            drop(tx);
-            assert_eq!(h.join().unwrap(), Err(RecvTimeoutError::Disconnected));
-        }
-    }
-
-    #[test]
-    fn receiver_dropping_fails_a_parked_sender() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let shared = Arc::clone(&tx.shared);
-        let h = thread::spawn(move || tx.send(2));
-        until_senders_parked(&shared, 1);
-        drop(rx);
-        assert_eq!(h.join().unwrap(), Err(SendError(2)));
-        assert_eq!(wakes(&shared), 1);
-    }
-
-    #[test]
-    fn receiver_dropping_fails_a_spinning_sender() {
-        for _ in 0..200 {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            let start = Arc::new(Barrier::new(2));
-            let go = Arc::clone(&start);
-            let h = thread::spawn(move || {
-                go.wait();
-                tx.send(2)
-            });
-            start.wait();
-            drop(rx);
-            assert_eq!(h.join().unwrap(), Err(SendError(2)));
-        }
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = bounded(1);
-        let timeout = Duration::from_millis(5);
-        let began = Instant::now();
-        assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
-        assert!(began.elapsed() >= timeout);
-        tx.send(4).unwrap();
-        assert_eq!(rx.recv_timeout(timeout), Ok(4));
-    }
-
-    /// The spin counts against the deadline: a timeout shorter than the
-    /// bound ends a spinning wait when it expires, not when the bound does.
-    #[test]
-    fn recv_timeout_cuts_the_spin_short() {
-        let timeout = SPIN_BOUND / 4;
-        let (tx, rx) = bounded(1);
-        let quickest = (0..50)
-            .map(|_| {
-                warm(&tx, &rx);
-                let began = Instant::now();
-                assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
-                began.elapsed()
-            })
-            .min()
-            .unwrap();
-        assert!(quickest >= timeout);
-        assert!(
-            quickest < SPIN_BOUND,
-            "{quickest:?}: the spin ran to its bound"
-        );
-    }
-
-    /// A receiver spins only while its producers keep pace.
-    #[test]
-    fn receiver_spins_only_after_a_short_wait() {
-        let (tx, rx) = bounded(1);
-        assert!(!rx.spin.load(Ordering::Relaxed), "fresh: parks at once");
-        warm(&tx, &rx);
-        let long = SPIN_BOUND * 2;
-        assert_eq!(rx.recv_timeout(long), Err(RecvTimeoutError::Timeout));
-        assert!(!rx.spin.load(Ordering::Relaxed), "outlasted the bound");
-        assert_eq!(rx.try_recv(), None);
-        assert!(!rx.spin.load(Ordering::Relaxed), "try_recv is not a wait");
+#[cfg(test)]
+impl<T> Receiver<T> {
+    /// Whether the next wait spins before it parks.
+    pub(crate) fn spins(&self) -> bool {
+        self.spin.load(Ordering::Relaxed)
     }
 }

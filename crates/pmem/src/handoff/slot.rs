@@ -145,106 +145,28 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
+/// A test's view of a slot's insides, through a handle that outlives
+/// both halves.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::{mpsc, Barrier};
-    use std::thread;
+pub(crate) struct Probe<T>(Arc<Shared<T>>);
 
-    fn wakes<T>(shared: &Shared<T>) -> usize {
-        shared.wakes.load(Ordering::Relaxed)
+#[cfg(test)]
+impl<T> Probe<T> {
+    /// Condvar notifications issued, i.e. wake-up syscalls.
+    pub(crate) fn wakes(&self) -> usize {
+        self.0.wakes.load(Ordering::Relaxed)
     }
 
-    /// Returns once the receiver is asleep: it sets the flag with the
-    /// lock held and releases the lock only by waiting.
-    fn until_parked<T>(shared: &Shared<T>) {
-        while !shared.lock().receiver_parked {
-            thread::yield_now();
-        }
+    /// Whether the receiver is asleep: it sets the flag with the lock
+    /// held and releases the lock only by waiting.
+    pub(crate) fn receiver_parked(&self) -> bool {
+        self.0.lock().receiver_parked
     }
+}
 
-    #[test]
-    fn send_to_a_provably_parked_receiver_wakes_it_exactly_once() {
-        let (tx, rx) = channel();
-        let shared = Arc::clone(&tx.shared);
-        let h = thread::spawn(move || rx.recv());
-        until_parked(&shared);
-        tx.send("hi").unwrap();
-        assert_eq!(h.join().unwrap(), Some("hi"));
-        // `send` completed the slot; its `Drop` had nothing left to do.
-        assert_eq!(wakes(&shared), 1);
-    }
-
-    #[test]
-    fn nobody_asleep_nobody_woken() {
-        let (tx, rx) = channel();
-        let shared = Arc::clone(&tx.shared);
-        tx.send(1).unwrap();
-        assert_eq!(rx.recv(), Some(1));
-
-        let (tx, rx) = channel::<u32>();
-        let dropped = Arc::clone(&tx.shared);
-        drop(tx);
-        assert_eq!(rx.recv(), None);
-        assert_eq!((wakes(&shared), wakes(&dropped)), (0, 0));
-    }
-
-    /// 100 k replies, each through a fresh slot, to a waiter that is
-    /// somewhere between its first probe and its park when the reply
-    /// lands: a lost wake-up would hang the test.
-    #[test]
-    fn replies_lose_no_wake_up() {
-        const ROUNDS: u32 = 100_000;
-        let (requests, inbox) = mpsc::channel::<(u32, Sender<u32>)>();
-        let echo = thread::spawn(move || loop {
-            // Polled, so that what a round waits for is the reply slot
-            // and not this inbox's own park and wake-up.
-            match inbox.try_recv() {
-                Ok((i, reply)) => reply.send(i).unwrap(),
-                Err(mpsc::TryRecvError::Empty) => thread::yield_now(),
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
-        });
-        for i in 0..ROUNDS {
-            let (tx, rx) = channel();
-            requests.send((i, tx)).unwrap();
-            assert_eq!(rx.recv(), Some(i));
-        }
-        drop(requests);
-        echo.join().unwrap();
-    }
-
-    #[test]
-    fn dropped_sender_disconnects_a_parked_receiver() {
-        let (tx, rx) = channel::<u32>();
-        let shared = Arc::clone(&tx.shared);
-        let h = thread::spawn(move || rx.recv());
-        until_parked(&shared);
-        drop(tx);
-        assert_eq!(h.join().unwrap(), None);
-        assert_eq!(wakes(&shared), 1);
-    }
-
-    #[test]
-    fn dropped_sender_disconnects_a_spinning_receiver() {
-        for _ in 0..200 {
-            let (tx, rx) = channel::<u32>();
-            let start = Arc::new(Barrier::new(2));
-            let go = Arc::clone(&start);
-            let h = thread::spawn(move || {
-                go.wait();
-                rx.recv()
-            });
-            start.wait();
-            drop(tx);
-            assert_eq!(h.join().unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn dropped_receiver_rejects_send() {
-        let (tx, rx) = channel();
-        drop(rx);
-        assert_eq!(tx.send(1), Err(SendError(1)));
+#[cfg(test)]
+impl<T> Sender<T> {
+    pub(crate) fn probe(&self) -> Probe<T> {
+        Probe(Arc::clone(&self.shared))
     }
 }

@@ -66,3 +66,6 @@ pub use pool::{
     PmError, PmOffset, Pool, PoolConfig, CACHE_LINE, NULL_OFFSET, PERSIST_SPLIT_MIN_BLOCKS,
     POOL_HEADER_SIZE,
 };
+
+#[cfg(test)]
+mod tests;
