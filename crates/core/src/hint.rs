@@ -322,12 +322,15 @@ impl FastFairTree {
         // hops) or shows them twice (dropped: separators must ascend).
         let root = self.root();
         let mut nodes = vec![(Key::MIN, root)];
+        let mut children = Vec::new();
         for level in (1..=self.node(root).level()).rev() {
             let mut below: Vec<(Key, PmOffset)> = Vec::new();
             for &(lower, off) in &nodes {
                 let node = self.visit(off, level);
-                let children = std::iter::once((lower, node.leftmost()));
-                for (sep, child) in children.chain(read_entries(node)) {
+                children.clear();
+                children.push((lower, node.leftmost()));
+                read_entries(node, &mut children);
+                for &(sep, child) in &children {
                     if below.last().is_none_or(|&(last, _)| last < sep) {
                         below.push((sep, child));
                     }

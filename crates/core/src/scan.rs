@@ -20,6 +20,15 @@
 //! The sibling pointer is read *after* the leaf's entries so that a split
 //! racing with the read cannot hide the moved upper half: either the
 //! entries still contain it, or the freshly linked sibling does.
+//!
+//! A leaf read is an append, with no per-leaf `Vec`: the hook lands on a
+//! leaf it hopped to (the hop rule of `pmindex::chain`: the next leaf is
+//! charged when the scan reads it, never when the sibling pointer is
+//! learned), and [`read_entries`] writes the leaf's valid records straight
+//! into the cursor's buffer. The buffer is reserved once per cursor;
+//! adjacent exact duplicates are dropped as they are appended; a
+//! right-to-left segment is reversed in place; and a switch-counter retry
+//! truncates the segment back to where it started.
 
 use pmem::{PmOffset, NULL_OFFSET};
 use pmindex::chain::{LeafChain, LeafChainCursor};
@@ -31,7 +40,7 @@ use crate::tree::FastFairTree;
 
 /// The per-leaf read hook: lock-free leaf snapshot (taking the leaf read
 /// latch only in the `FAST+FAIR+LeafLock` variant), sibling read after
-/// the entries, pointer-chase latency charged per hop.
+/// the entries, pointer-chase latency charged per hop the scan reads.
 ///
 /// The epoch guard pins the cursor's whole lifetime: the cursor saves the
 /// next leaf's offset between [`Cursor::next`] calls, and the pin is what
@@ -63,20 +72,22 @@ impl LeafChain for TreeChain<'_> {
         self.tree.leftmost_leaf()
     }
 
-    fn read(&self, off: PmOffset, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
-        let leaf = self.tree.node(off);
+    /// Lands on a hopped-to leaf first (`locate` landed on the others),
+    /// then appends its entries to the cursor's buffer.
+    fn read(&self, off: PmOffset, hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
+        let leaf = if hop {
+            self.tree.visit(off, 0)
+        } else {
+            self.tree.node(off)
+        };
         {
             let locks = self.tree.options().leaf_locks;
             let _g = locks.then(|| ReadGuard::lock(self.tree.latch(off)));
-            buf.extend(read_entries(leaf));
+            read_entries(leaf, buf);
         }
         // Read the sibling only after the entries (see module docs).
         let sib = leaf.sibling();
-        if sib == NULL_OFFSET {
-            None
-        } else {
-            Some(self.tree.visit(sib, 0).offset())
-        }
+        (sib != NULL_OFFSET).then_some(sib)
     }
 
     /// The leaf's high key and sibling, read after its entries (Algorithm

@@ -27,13 +27,14 @@ use pmindex::{Key, Value};
 use crate::layout::{is_cold, NodeRef, INVALID_PTR};
 
 /// Reads `node` by the protocol above, folding its valid `(key, pointer)`
-/// entries in scan order: each attempt starts from `fresh(forward)`, and
-/// `step` folds in one entry whose key `wants` takes, returning true to end
-/// the scan there; the scan passes the others by without reading their
-/// pointer again. It returns the state of the first attempt whose re-check
-/// finds the counter unchanged. With `charge`, each attempt charges the
-/// slots it scanned: left to right, up to the terminator or the entry that
-/// ended the scan; right to left, all from its start down.
+/// entries in scan order into `state`, which the caller owns: each attempt
+/// starts with `reset(state, forward)`, and `step` folds in one entry whose
+/// key `wants` takes, returning true to end the scan there; the scan passes
+/// the others by without reading their pointer again. It returns once an
+/// attempt's re-check finds the counter unchanged, with that attempt's
+/// direction (`true`: left to right). With `charge`, each attempt charges
+/// the slots it scanned: left to right, up to the terminator or the entry
+/// that ended the scan; right to left, all from its start down.
 ///
 /// A right-to-left scan starts two slots above the terminator
 /// `count_records()` finds; the slots above the terminator were nulled
@@ -51,15 +52,16 @@ use crate::layout::{is_cold, NodeRef, INVALID_PTR};
 pub(crate) fn read_node<S>(
     node: NodeRef<'_>,
     charge: bool,
-    mut fresh: impl FnMut(bool) -> S,
+    state: &mut S,
+    mut reset: impl FnMut(&mut S, bool),
     wants: impl Fn(Key) -> bool,
     mut step: impl FnMut(&mut S, Key, Value) -> bool,
-) -> S {
+) -> bool {
     let cap = node.capacity();
     loop {
         let sc = node.switch_counter();
         let forward = sc.is_multiple_of(2);
-        let mut state = fresh(forward);
+        reset(state, forward);
         // Slot `i`, whose pointer read `p`: `None` to read it again,
         // `Some(true)` when the fold ends the scan.
         let mut visit = |i: u16, p: Value| {
@@ -70,7 +72,7 @@ pub(crate) fn read_node<S>(
             if !wants(k) {
                 return Some(false);
             }
-            (node.ptr(i) == p).then(|| step(&mut state, k, p))
+            (node.ptr(i) == p).then(|| step(state, k, p))
         };
         let scanned = if forward {
             // Left to right, following the insert shift direction.
@@ -103,8 +105,10 @@ pub(crate) fn read_node<S>(
         if charge {
             node.charge_linear_scan(scanned);
         }
+        #[cfg(test)]
+        crate::tests::before_recheck(node);
         if node.switch_counter() == sc {
-            return state;
+            return forward;
         }
         std::hint::spin_loop();
     }
@@ -115,50 +119,59 @@ pub(crate) fn read_node<S>(
 /// Returns the value for `key` or `None` if it is not in this node (the
 /// caller then consults the sibling pointer). Always charges its scan.
 pub(crate) fn leaf_search_linear(node: NodeRef<'_>, key: Key) -> Option<Value> {
+    let mut found = None;
     read_node(
         node,
         true,
-        |_| None,
+        &mut found,
+        |found, _| *found = None,
         |k| k == key,
         |found, _, p| {
             *found = Some(p);
             true
         },
-    )
+    );
+    found
 }
 
-/// Reads the valid `(key, pointer)` entries of a node with the lock-free
-/// retry protocol; used by range scans and the full-tree iterator on
-/// leaves, and by the leaf-directory build on the levels above them.
+/// Appends the valid `(key, pointer)` entries of a node to `out`, in slot
+/// order, with the lock-free retry protocol; used by range scans and the
+/// full-tree iterator on leaves (appending straight into the cursor's
+/// buffer), and by the leaf-directory build on the levels above them.
 /// Charges its scan iff the node's level [`is_cold`].
 ///
-/// Entries are returned in slot order, read in the direction the switch
-/// counter names: a delete bumps the counter odd *before* it shifts left,
-/// so a scan that read the odd counter sees the same value at its
-/// re-check — only scanning against the shift (right to left) keeps a
-/// survivor from moving into a slot the scan has already passed. During a
-/// shift the same key can transiently occupy two adjacent slots as an
-/// exact duplicate (same value); the key dedup below keeps one of them,
-/// and the switch-counter re-check discards any scan that overlapped a
-/// later shift.
-pub(crate) fn read_entries(node: NodeRef<'_>) -> Vec<(Key, Value)> {
-    let (forward, mut out) = read_node(
+/// The entries are read in the direction the switch counter names: a
+/// delete bumps the counter odd *before* it shifts left, so a scan that
+/// read the odd counter sees the same value at its re-check — only
+/// scanning against the shift (right to left) keeps a survivor from moving
+/// into a slot the scan has already passed. A right-to-left segment is
+/// reversed in place once its attempt is accepted. During a shift the same
+/// key can transiently occupy two adjacent slots as an exact duplicate
+/// (same value), and a crashed shift can leave one so: an entry whose key
+/// equals the one this node last appended is dropped. Each attempt starts
+/// by truncating `out` back to its length at the call, so a switch-counter
+/// retry leaves exactly one copy of the node after what `out` held before.
+/// The first call reserves room for a full node; a buffer cleared between
+/// calls (the cursor's) never grows again.
+pub(crate) fn read_entries(node: NodeRef<'_>, out: &mut Vec<(Key, Value)>) {
+    let start = out.len();
+    out.reserve(usize::from(node.capacity()));
+    let forward = read_node(
         node,
         is_cold(node.level()),
-        |forward| (forward, Vec::new()),
+        out,
+        |out, _| out.truncate(start),
         |_| true,
-        |(_, out), k, p| {
-            out.push((k, p));
+        |out, k, p| {
+            if out[start..].last().is_none_or(|e| e.0 != k) {
+                out.push((k, p));
+            }
             false
         },
     );
     if !forward {
-        out.reverse();
+        out[start..].reverse();
     }
-    // A crashed shift can leave an entry twice at adjacent slots (an exact
-    // duplicate — same key, same value); keep one occurrence of each key.
-    out.dedup_by(|b, a| a.0 == b.0);
-    out
 }
 
 /// The rank search of the binary ablation ([`crate::InNodeSearch::Binary`]):

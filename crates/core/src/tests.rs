@@ -2119,7 +2119,13 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
                 n.set_switch_counter(sc);
                 let ctx = format!("{what}, level {level}, counter {sc}");
                 let model = n.valid_entries();
-                assert_eq!(crate::search::read_entries(n), model, "{ctx}");
+                // Appended after what a cursor buffered from an earlier
+                // leaf, whose last key equals this node's first.
+                let earlier = [(1, 64), (10, 128)];
+                let mut buf = earlier.to_vec();
+                crate::search::read_entries(n, &mut buf);
+                assert_eq!(buf[..earlier.len()], earlier, "{ctx}");
+                assert_eq!(buf[earlier.len()..], model, "{ctx}");
                 for key in (0..=110).step_by(5) {
                     let hit = model.iter().find(|e| e.0 == key).map(|e| e.1);
                     let child = model.iter().rev().find(|e| e.0 <= key);
@@ -2133,6 +2139,68 @@ fn the_readers_three_folds_agree_with_the_latched_walk_on_every_node_state() {
                 }
             }
         }
+    }
+}
+
+type RecheckHook = Option<Box<dyn FnOnce(crate::layout::NodeRef<'_>)>>;
+thread_local! {
+    /// One-shot callback `search::read_node` runs on this thread after an
+    /// attempt's scan and before its switch-counter re-check: the window in
+    /// which a writer's shift makes the reader retry.
+    static BEFORE_RECHECK: std::cell::RefCell<RecheckHook> =
+        const { std::cell::RefCell::new(None) };
+}
+
+pub(crate) fn before_recheck(node: crate::layout::NodeRef<'_>) {
+    if let Some(f) = BEFORE_RECHECK.with(|h| h.borrow_mut().take()) {
+        f(node);
+    }
+}
+
+/// A writer's shift lands between an appending read's scan and its
+/// re-check: a FAST delete of key 30 bumps the switch counter and shifts
+/// the records above it left. The cut-short attempt had appended the old
+/// records (in descending order under an odd counter); the retry truncates
+/// them, so the buffer ends with the records buffered from earlier leaves
+/// followed by exactly one clean copy of this leaf.
+#[test]
+fn a_retried_append_leaves_one_clean_copy_after_the_earlier_leaves() {
+    let p = pool(16);
+    let t = tree_with(&p, TreeOptions::new());
+    for sc in [0, 1] {
+        let n = t.node(t.pool.alloc(512, 64).unwrap());
+        n.init(0);
+        for (i, k) in (10..=100u64).step_by(10).enumerate() {
+            n.set_key(i as u16, k);
+            n.set_ptr(i as u16, k * 64);
+        }
+        n.set_switch_counter(sc);
+        BEFORE_RECHECK.with(|h| {
+            *h.borrow_mut() = Some(Box::new(|n| {
+                let sc = n.switch_counter();
+                n.set_switch_counter(sc + if sc % 2 == 1 { 2 } else { 1 });
+                for i in 2..9 {
+                    n.set_key(i, n.key(i + 1));
+                    n.set_ptr(i, n.ptr(i + 1));
+                }
+                n.set_ptr(9, 0);
+            }))
+        });
+        let earlier = [(1, 64), (5, 320)];
+        let mut buf = earlier.to_vec();
+        crate::search::read_entries(n, &mut buf);
+        assert!(
+            BEFORE_RECHECK.with(|h| h.borrow().is_none()),
+            "no attempt ran"
+        );
+        let mut want = earlier.to_vec();
+        want.extend(
+            (10..=100u64)
+                .step_by(10)
+                .filter(|&k| k != 30)
+                .map(|k| (k, k * 64)),
+        );
+        assert_eq!(buf, want, "counter {sc}");
     }
 }
 

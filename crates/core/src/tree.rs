@@ -494,10 +494,12 @@ impl FastFairTree {
         loop {
             // Internal-node lines are LLC-resident on the modelled testbed;
             // no scan charge here (the leaf scan is charged in `search`).
-            let (_, child) = read_node(
+            let mut routed = (true, NULL_OFFSET);
+            read_node(
                 node,
                 false,
-                |forward| (forward, node.leftmost()),
+                &mut routed,
+                |routed, forward| *routed = (forward, node.leftmost()),
                 |_| true,
                 |(forward, child), k, p| {
                     // The last entry at or below `key` routes: left to
@@ -508,6 +510,7 @@ impl FastFairTree {
                     (k <= key) != *forward
                 },
             );
+            let (_, child) = routed;
             if child != NULL_OFFSET {
                 return child;
             }

@@ -14,6 +14,14 @@
 //! profile pins the model's nominal time, `model_ns`. CI runs both by
 //! file ("Counters are pinned").
 //!
+//! One change moved a charge on purpose, and only the serial misses with
+//! it: the chain cursors' hop rule (`pmindex::chain`). A cursor used to
+//! land on the next leaf, and pay its miss, as soon as it read the sibling
+//! pointer; it now lands when it reads that leaf. The mix's cursors
+//! learned 23 950 sibling hops and read 22 519 of them, so its serial
+//! misses fell by the 1 431 hops never read (46 394 → 44 963) and its
+//! 300 ns model time by 1 431 × 300 ns. Every other count stayed.
+//!
 //! The mix covers every charged read path: directed and descending `get`
 //! (hit and miss), `seek` followed by 100 `next`, `seek_for_prev` followed
 //! by 10 `prev`, `insert`, `update` and `remove`, the leaf directory's
@@ -111,8 +119,9 @@ fn run_mix(latency: LatencyProfile) -> stats::Snapshot {
 }
 
 /// (serial misses, parallel lines, flushes, fences), recorded before the
-/// hop began to prefetch.
-const CHARGES: (u64, u64, u64, u64) = (46_394, 181_723, 20_930, 16_758);
+/// hop began to prefetch; the serial misses since re-recorded under the
+/// hop rule (module docs).
+const CHARGES: (u64, u64, u64, u64) = (44_963, 181_723, 20_930, 16_758);
 
 /// (lookups, hits, rebuilds) of the leaf directory, recorded while it was
 /// one flat array searched by `partition_point`: a layout that names
@@ -145,7 +154,7 @@ fn a_fixed_mix_charges_exactly_this_model_time_at_300_ns() {
     let s = run_mix(LatencyProfile::symmetric(300));
     assert_eq!(charges(&s), CHARGES, "{s:?}");
     assert_eq!(directory(&s), DIRECTORY, "{s:?}");
-    // Of which 46 394 × 300 serial and 20 930 × 300 flushed; the rest,
+    // Of which 44 963 × 300 serial and 20 930 × 300 flushed; the rest,
     // 15 770 100, is 52 567 parallel stalls.
-    assert_eq!(s.model_ns, 35_967_300, "{s:?}");
+    assert_eq!(s.model_ns, 35_538_000, "{s:?}");
 }

@@ -635,7 +635,9 @@ impl pmindex::chain::LeafChain for FpChain<'_> {
         self.tree.head_leaf()
     }
 
-    fn read(&self, off: PmOffset, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
+    /// `locate` and `first` read only the DRAM inner map and land on no
+    /// leaf, so every read lands on its leaf: one miss, hop or not.
+    fn read(&self, off: PmOffset, _hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
         let leaf = self.tree.leaf(off);
         self.tree.pool.charge_serial_reads(1);
         let mut batch = leaf.seq_read(|| {

@@ -12,6 +12,15 @@
 //! [`LeafChainCursor`] keeps that drain loop in exactly one place,
 //! parameterized over a [`LeafChain`] hook supplying the three
 //! index-specific pieces.
+//!
+//! **The hop rule.** A scan pays for the leaves it reads and for no other:
+//! [`LeafChain::locate`] lands on the leaf it returns (prefetches it and
+//! charges the miss, if its index charges one), [`LeafChain::read`] returns
+//! the next leaf's offset without landing on it, and a hook lands on a leaf
+//! it reached by a sibling hop only when it reads that leaf. So the leaf
+//! `locate` landed on is never charged twice, and a scan that ends inside a
+//! leaf pays nothing for the leaf after it. The cursor tells `read` which
+//! case it is in.
 
 use crate::{Cursor, Key, Value};
 
@@ -40,7 +49,7 @@ use crate::{Cursor, Key, Value};
 ///     fn first(&self) -> usize {
 ///         0
 ///     }
-///     fn read(&self, leaf: usize, buf: &mut Vec<(Key, Value)>) -> Option<usize> {
+///     fn read(&self, leaf: usize, _hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<usize> {
 ///         buf.extend_from_slice(&self.0[leaf]);
 ///         (leaf + 1 < self.0.len()).then_some(leaf + 1)
 ///     }
@@ -73,12 +82,19 @@ pub trait LeafChain {
     /// The leftmost leaf — where a cursor that was never sought starts.
     fn first(&self) -> Self::Leaf;
 
-    /// Reads one leaf's live entries (ascending) into `buf` and returns
+    /// Appends one leaf's live entries (ascending) to `buf` and returns
     /// the next leaf in the chain, or `None` at the end. Any sibling
     /// pointer must be read *after* the entries, so a split racing the
     /// read cannot hide the moved upper half: either the entries still
     /// contain it, or the freshly linked sibling does.
-    fn read(&self, leaf: Self::Leaf, buf: &mut Vec<(Key, Value)>) -> Option<Self::Leaf>;
+    ///
+    /// The hop rule (module docs): `hop` is true when `leaf` is the next
+    /// leaf an earlier `read` returned, which nothing has landed on yet,
+    /// and false when it came from [`locate`](Self::locate) or
+    /// [`first`](Self::first). A hook lands on a hopped-to leaf here, before
+    /// it reads it, and lands on no other leaf: the returned next leaf is
+    /// only an offset until the cursor reads it.
+    fn read(&self, leaf: Self::Leaf, hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<Self::Leaf>;
 
     /// Whether `leaf`, whose entries [`read`](Self::read) has just
     /// returned along with `next`, still covers `key`. A reverse scan asks
@@ -97,8 +113,11 @@ enum Pos<L> {
     /// In a reverse scan this doubles as "no pending leaf: re-descend
     /// from the running upper bound at the next refill".
     Unpositioned,
-    /// The next leaf to read.
+    /// The next leaf to read, which `locate` has landed on.
     At(L),
+    /// The next leaf to read, which the last `read` returned: a hop not
+    /// yet landed on.
+    Hop(L),
     /// Chain exhausted.
     End,
 }
@@ -145,7 +164,7 @@ impl<H: LeafChain> LeafChainCursor<H> {
     ///     type Leaf = ();
     ///     fn locate(&self, _t: Key) {}
     ///     fn first(&self) {}
-    ///     fn read(&self, _l: (), buf: &mut Vec<(Key, Value)>) -> Option<()> {
+    ///     fn read(&self, _l: (), _hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<()> {
     ///         buf.push((7, 70));
     ///         None
     ///     }
@@ -183,11 +202,12 @@ impl<H: LeafChain> LeafChainCursor<H> {
         let mut leaf = match std::mem::replace(&mut self.pos, Pos::Unpositioned) {
             Pos::End => return false,
             Pos::At(leaf) => leaf,
-            Pos::Unpositioned => self.hook.locate(ub),
+            // A reverse scan never hops: every left step locates.
+            Pos::Hop(_) | Pos::Unpositioned => self.hook.locate(ub),
         };
         loop {
             self.buf.clear();
-            let next = self.hook.read(leaf, &mut self.buf);
+            let next = self.hook.read(leaf, false, &mut self.buf);
             if self.hook.covers(leaf, next, ub) {
                 break;
             }
@@ -204,19 +224,19 @@ impl<H: LeafChain> LeafChainCursor<H> {
         // fallback: walk the chain forward from the head, keeping the
         // last leaf that still holds a qualifying key, and stop as soon
         // as a leaf's entries are wholly above `ub` (the chain ascends).
-        let mut probe = Some(self.hook.first());
+        let mut probe = Some((self.hook.first(), false));
         let mut found: Option<Vec<(Key, Value)>> = None;
         let mut scratch = Vec::new();
-        while let Some(at) = probe {
+        while let Some((at, hop)) = probe {
             scratch.clear();
-            let next = self.hook.read(at, &mut scratch);
+            let next = self.hook.read(at, hop, &mut scratch);
             if scratch.iter().any(|&(k, _)| k <= ub) {
                 found = Some(scratch.clone());
             }
             if scratch.iter().any(|&(k, _)| k > ub) {
                 break;
             }
-            probe = next;
+            probe = next.map(|next| (next, true));
         }
         match found {
             Some(entries) => {
@@ -258,15 +278,16 @@ impl<H: LeafChain> Cursor for LeafChainCursor<H> {
                 self.last = Some(k);
                 return Some((k, v));
             }
-            let leaf = match self.pos {
+            let (leaf, hop) = match self.pos {
                 Pos::End => return None,
-                Pos::At(leaf) => leaf,
-                Pos::Unpositioned => self.hook.first(),
+                Pos::At(leaf) => (leaf, false),
+                Pos::Hop(leaf) => (leaf, true),
+                Pos::Unpositioned => (self.hook.first(), false),
             };
             self.buf.clear();
             self.idx = 0;
-            self.pos = match self.hook.read(leaf, &mut self.buf) {
-                Some(next) => Pos::At(next),
+            self.pos = match self.hook.read(leaf, hop, &mut self.buf) {
+                Some(next) => Pos::Hop(next),
                 None => Pos::End,
             };
         }
@@ -340,7 +361,7 @@ mod tests {
         fn first(&self) -> u8 {
             0
         }
-        fn read(&self, leaf: u8, buf: &mut Vec<(Key, Value)>) -> Option<u8> {
+        fn read(&self, leaf: u8, _hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<u8> {
             match leaf {
                 // Node A still holds its upper half...
                 0 => {
@@ -434,7 +455,7 @@ mod tests {
         fn first(&self) -> u8 {
             0
         }
-        fn read(&self, leaf: u8, buf: &mut Vec<(Key, Value)>) -> Option<u8> {
+        fn read(&self, leaf: u8, _hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<u8> {
             match leaf {
                 0 => {
                     buf.push((5, 55));
@@ -466,5 +487,51 @@ mod tests {
             got.push(k);
         }
         assert_eq!(got, vec![30, 20, 5]);
+    }
+
+    /// Three leaves holding `0, 1`, `10, 11` and `20, 21`, chained left to
+    /// right, that log each read with its hop flag.
+    struct Logged(std::cell::RefCell<Vec<(u8, bool)>>);
+
+    impl LeafChain for &Logged {
+        type Leaf = u8;
+        fn locate(&self, target: Key) -> u8 {
+            target.min(29) as u8 / 10
+        }
+        fn first(&self) -> u8 {
+            0
+        }
+        fn read(&self, leaf: u8, hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<u8> {
+            self.0.borrow_mut().push((leaf, hop));
+            let low = Key::from(leaf) * 10;
+            buf.extend_from_slice(&[(low, low), (low + 1, low + 1)]);
+            (leaf < 2).then_some(leaf + 1)
+        }
+        fn covers(&self, _leaf: u8, _next: Option<u8>, _key: Key) -> bool {
+            true
+        }
+    }
+
+    /// The cursor's half of the hop rule: a located leaf is read as
+    /// landed, a leaf an earlier read returned as a hop, and a leaf the
+    /// scan never reaches is never read.
+    #[test]
+    fn a_scan_hops_only_onto_the_leaves_it_reads() {
+        let log = Logged(Default::default());
+        let mut cur = LeafChainCursor::new(&log);
+        let take = |cur: &mut LeafChainCursor<&Logged>, rows: usize, rev: bool| {
+            (0..rows)
+                .map(|_| if rev { cur.prev() } else { cur.next() }.unwrap().0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(take(&mut cur, 3, false), [0, 1, 10]);
+        assert_eq!(log.0.take(), [(0, false), (1, true)]);
+        cur.seek(11);
+        assert_eq!(take(&mut cur, 3, false), [11, 20, 21]);
+        assert_eq!(log.0.take(), [(1, false), (2, true)]);
+        // Every left step locates: no read is a hop.
+        cur.seek_for_prev(25);
+        assert_eq!(take(&mut cur, 3, true), [21, 20, 11]);
+        assert_eq!(log.0.take(), [(2, false), (1, false)]);
     }
 }

@@ -233,6 +233,16 @@ impl WbTree {
             LOG_AREA_SIZE,
             "wB+-tree undo log",
         )?;
+        // The log head is a flag: 1 while an undo image is pending. Any
+        // other value is a corrupt word, and rolling back on it would copy
+        // stale images over live nodes.
+        let head = pool.load_u64(meta + META_LOG_HEAD);
+        if head > 1 {
+            return Err(IndexError::Unsupported(format!(
+                "wB+-tree undo-log head (the word at {:#x}) is {head:#x}, neither 0 nor 1",
+                meta + META_LOG_HEAD
+            )));
+        }
         let t = WbTree {
             pool,
             meta,
@@ -581,7 +591,12 @@ impl pmindex::chain::LeafChain for WbChain<'_> {
         }
     }
 
-    fn read(&self, off: PmOffset, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
+    /// Charges the sibling hop to a hopped-to leaf when it reads it
+    /// (`find_leaf` charged the located ones).
+    fn read(&self, off: PmOffset, hop: bool, buf: &mut Vec<(Key, Value)>) -> Option<PmOffset> {
+        if hop {
+            self.tree.pool.charge_serial_reads(1);
+        }
         let _g = self.tree.op_lock.lock();
         let n = self.tree.node(off);
         // Slot indirection: records are visited out of physical order,
@@ -592,12 +607,7 @@ impl pmindex::chain::LeafChain for WbChain<'_> {
             .charge_parallel_lines((slots.len() as u32).div_ceil(2).max(1));
         buf.extend(slots.into_iter().map(|s| (n.key_at(s), n.val_at(s))));
         let sib = n.sibling();
-        if sib == NULL_OFFSET {
-            None
-        } else {
-            self.tree.pool.charge_serial_reads(1);
-            Some(sib)
-        }
+        (sib != NULL_OFFSET).then_some(sib)
     }
 
     /// Leaves keep no high key, so the bound is the first key of `next`,

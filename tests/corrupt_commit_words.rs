@@ -21,11 +21,11 @@
 //!   undo image, and word 48 again on a logging tree at rest, which then
 //!   takes inserts.
 //!
-//! The last two cases are the baseline indexes (wB+-tree, FP-tree, WORT,
+//! The last three cases are the baseline indexes (wB+-tree, FP-tree, WORT,
 //! skip list): each opened at offsets that cannot hold its superblock, as
-//! a corrupt or mistaken catalog entry would name them, and each with a bit
-//! of its root or head word (and FP-tree's micro-log word) flipped, then
-//! read key by key.
+//! a corrupt or mistaken catalog entry would name them, each with a bit of
+//! its root or head word (and FP-tree's micro-log word) flipped, then read
+//! key by key, and wB+-tree's undo-log head flipped bit by bit.
 //!
 //! The word offsets inside each record are the layouts documented in
 //! `pmem::CommitCell::publish_record`, `crates/txn/src/lib.rs` and
@@ -508,4 +508,33 @@ fn a_flipped_baseline_root_or_head_word_is_refused_not_a_panic() {
     flipped_pointer_words_are_refused_not_a_panic::<FpTree>(&[BASELINE_ROOT, FPTREE_ULOG]);
     flipped_pointer_words_are_refused_not_a_panic::<Wort>(&[BASELINE_ROOT]);
     flipped_pointer_words_are_refused_not_a_panic::<PSkipList>(&[BASELINE_ROOT]);
+}
+
+/// wB+-tree superblock word 2: the undo-log head, a flag that is 1 while a
+/// structure modification's undo images are pending.
+const WBTREE_LOG_HEAD: u64 = 16;
+
+/// Flips each bit of a resting 2 000-key wB+-tree's undo-log head (0).
+/// Bits 1–63 make a value no writer stores, which `open` must refuse as
+/// `Unsupported` instead of rolling the log area's stale images over live
+/// nodes. Bit 0 makes the head 1, a pending log: it still opens and rolls
+/// back, and only a log that carries its own validity can tell it from a
+/// real one (ROADMAP item 24).
+#[test]
+fn a_flipped_wb_tree_log_head_is_refused_unless_it_reads_pending() {
+    const KEYS: u64 = 2_000;
+    let pool = mkpool();
+    let tree = WbTree::create(Arc::clone(&pool)).unwrap();
+    for k in 1..=KEYS {
+        tree.insert(k, k * 10).unwrap();
+    }
+    let (image, meta) = (pool.volatile_image(), tree.meta_offset());
+    drop(tree);
+    let out = flip_each_bit(
+        "wB+-tree log head",
+        &image,
+        meta + WBTREE_LOG_HEAD,
+        |pool| WbTree::open(pool, meta),
+    );
+    assert_eq!((out.ok, out.unsupported), (1, !1), "{out:?}");
 }

@@ -196,10 +196,12 @@ fn fig5d_only_fast_fair_issues_dmb_barriers_under_non_tso() {
 /// paper's widest selection), a cursor over FAST+FAIR's sorted,
 /// sibling-linked leaves reads no more lines per record than wB+-tree
 /// (measured 0.31 against 0.57) and ≥ 10 × fewer dependent misses per
-/// record than WORT's trie walk or SkipList's pointer chase (0.030
+/// record than WORT's trie walk or SkipList's pointer chase (0.028
 /// against 3.43 and 1.02). It is within ± 10 % of FP-tree (0.31 against
 /// 0.30 lines): **the paper's 6–27 % lead over FP-tree does not show in
-/// counters.**
+/// counters.** Every chain cursor pays a sibling hop only when it reads
+/// that leaf (`pmindex::chain`'s hop rule), so no index is charged for
+/// the leaf after a scan's last.
 #[test]
 fn fig4_scans_read_sorted_leaves_line_by_line() {
     const SCANS: usize = 50;
