@@ -84,7 +84,7 @@ pub(crate) fn tree_remove(tree: &FastFairTree, key: Key, pin: &Guard) -> Option<
                 }
                 continue 'retry;
             }
-            repair_node_locked(tree, node);
+            repair_once(tree, node, &mut guard);
             match node.right_of(key) {
                 Some(sib) => {
                     let right = tree.visit(sib, 0);
@@ -157,7 +157,22 @@ pub(crate) fn shift_left_from(node: NodeRef<'_>, d: u16, cnt: u16) {
     });
 }
 
-/// Lazy recovery, run by every writer right after locking a node (§4.2):
+/// Lazy recovery (§4.2), run by a writer right after it locks a node:
+/// [`repair_node_locked`], once per node per open. Only a crash leaves the
+/// states the repair mends — a FAIR split cut between its sibling-pointer
+/// store and its truncation, a half-finished shift — and a live handle
+/// finishes every split and shift under the node's latch, so the
+/// "repaired" bit `guard` keeps in the handle's latch word (zeroed by
+/// every `open`) skips the repair from the node's second writer on.
+pub(crate) fn repair_once(tree: &FastFairTree, node: NodeRef<'_>, guard: &mut WriteGuard<'_>) {
+    if !guard.repaired() {
+        repair_node_locked(tree, node);
+        guard.set_repaired();
+    }
+}
+
+/// Lazy recovery of the locked `node` (§4.2); writers reach it through
+/// [`repair_once`], [`FastFairTree::recover`] on every node:
 ///
 /// 1. completes a FAIR split a crash cut short (Fig. 2 state (2)): lowers
 ///    a high key the split never lowered, then re-issues the truncation
@@ -166,9 +181,11 @@ pub(crate) fn shift_left_from(node: NodeRef<'_>, d: u16, cnt: u16) {
 ///    duplicates of their left neighbour (same key and pointer) — the
 ///    residue of a crashed FAST shift or delete compaction.
 ///
-/// Returns true if it completed a split. Idempotent and cheap on clean
-/// nodes (one linear scan).
+/// Returns true if it completed a split. Idempotent; on a clean node it
+/// still reads the sibling's header and walks the node's slots twice.
 pub(crate) fn repair_node_locked(tree: &FastFairTree, node: NodeRef<'_>) -> bool {
+    #[cfg(test)]
+    crate::tests::on_repair(node.offset());
     let pool = node.pool();
     let mut completed = false;
 

@@ -123,8 +123,9 @@ fn write_entry(
                 continue 'retry;
             }
             // Lazy recovery (§4.2): only writers repair tolerable
-            // inconsistency, and they do it before using the node.
-            crate::delete::repair_node_locked(tree, node);
+            // inconsistency, and the node's first writer since `open`
+            // does it before using the node.
+            crate::delete::repair_once(tree, node, &mut guard);
             match node.right_of(key) {
                 Some(sib) => {
                     // Hand-over-hand to the right (B-link).

@@ -12,11 +12,17 @@
 //! written, and ignored on open, since a pool written by an earlier
 //! version may hold a latch bit there.
 //!
-//! Layout of a latch: bit 31 = writer held; bits 0..30 = reader count.
+//! Layout of a latch: bit 31 = writer held; bit 30 = repaired, the node's
+//! lazy repair has run since this handle opened the tree (see
+//! [`WriteGuard::repaired`]); bits 0..29 = reader count. Lock and unlock
+//! keep bit 30: a writer swaps `keep` for `keep | WRITER` and its release
+//! stores `keep`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 const WRITER: u32 = 1 << 31;
+const REPAIRED: u32 = 1 << 30;
+const READERS: u32 = REPAIRED - 1;
 
 /// A zeroed latch for every `node_size`-byte slot of a pool of
 /// `pool_size` bytes. A node at offset `off` takes slot
@@ -29,27 +35,69 @@ pub(crate) fn latch_table(pool_size: u64, node_size: u32) -> Box<[AtomicU32]> {
     unsafe { Box::new_zeroed_slice(slots).assume_init() }
 }
 
-fn try_lock_write(latch: &AtomicU32) -> bool {
-    latch
-        .compare_exchange_weak(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
-        .is_ok()
+/// Starts fetching `latch`'s line, so that the writer which latches the
+/// node next does not miss on the table. A hint: it orders and changes
+/// nothing, and is a no-op on targets other than `x86_64`.
+#[inline]
+pub(crate) fn prefetch(latch: &AtomicU32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: the address is a live reference's; a prefetch neither
+        // reads nor writes it.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(latch.as_ptr().cast_const().cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = latch;
+}
+
+/// Takes the write latch if no writer or reader holds it; returns the bits
+/// the latch keeps while held.
+fn try_lock_write(latch: &AtomicU32) -> Option<u32> {
+    let keep = latch.load(Ordering::Relaxed);
+    (keep & !REPAIRED == 0
+        && latch
+            .compare_exchange_weak(keep, keep | WRITER, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok())
+    .then_some(keep)
 }
 
 /// RAII guard for a node write latch.
 pub(crate) struct WriteGuard<'a> {
     latch: &'a AtomicU32,
+    /// The latch word without the writer bit; the release stores it. No
+    /// reader or writer changes the word while this guard holds it.
+    keep: u32,
     armed: bool,
 }
 
 impl<'a> WriteGuard<'a> {
     /// Acquires the write latch, spinning until it is free.
     pub(crate) fn lock(latch: &'a AtomicU32) -> Self {
-        while !try_lock_write(latch) {
-            while latch.load(Ordering::Relaxed) != 0 {
+        loop {
+            if let Some(keep) = try_lock_write(latch) {
+                return WriteGuard {
+                    latch,
+                    keep,
+                    armed: true,
+                };
+            }
+            while latch.load(Ordering::Relaxed) & !REPAIRED != 0 {
                 std::hint::spin_loop();
             }
         }
-        WriteGuard { latch, armed: true }
+    }
+
+    /// Whether the node's lazy repair has run since this handle opened the
+    /// tree ([`repair_once`](crate::delete::repair_once) says why once is
+    /// enough).
+    pub(crate) fn repaired(&self) -> bool {
+        self.keep & REPAIRED != 0
+    }
+
+    /// Records that the node's repair has run; the release publishes it.
+    pub(crate) fn set_repaired(&mut self) {
+        self.keep |= REPAIRED;
     }
 
     /// Releases the latch early (before drop).
@@ -59,8 +107,12 @@ impl<'a> WriteGuard<'a> {
 
     fn release(&mut self) {
         if self.armed {
-            debug_assert_eq!(self.latch.load(Ordering::Relaxed), WRITER);
-            self.latch.store(0, Ordering::Release);
+            debug_assert_eq!(
+                self.latch.load(Ordering::Relaxed) & !REPAIRED,
+                WRITER,
+                "write-unlock of a latch this guard does not hold"
+            );
+            self.latch.store(self.keep, Ordering::Release);
             self.armed = false;
         }
     }
@@ -82,6 +134,7 @@ impl<'a> ReadGuard<'a> {
     pub(crate) fn lock(latch: &'a AtomicU32) -> Self {
         loop {
             let w = latch.load(Ordering::Relaxed);
+            debug_assert!(w & READERS < READERS, "reader count overflow");
             if w & WRITER == 0
                 && latch
                     .compare_exchange_weak(w, w + 1, Ordering::Acquire, Ordering::Relaxed)
@@ -97,7 +150,7 @@ impl<'a> ReadGuard<'a> {
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
         let prev = self.latch.fetch_sub(1, Ordering::Release);
-        debug_assert!(prev & !WRITER > 0, "read-unlock without lock");
+        debug_assert!(prev & READERS > 0, "read-unlock without lock");
     }
 }
 
@@ -113,11 +166,24 @@ mod tests {
     /// `try_lock_write`, retried past a weak CAS's spurious failures: false
     /// only if the latch is held.
     fn lockable(latch: &AtomicU32) -> bool {
-        let free = (0..64).any(|_| try_lock_write(latch));
-        if free {
-            latch.store(0, Ordering::Release);
+        match (0..64).find_map(|_| try_lock_write(latch)) {
+            Some(keep) => {
+                latch.store(keep, Ordering::Release);
+                true
+            }
+            None => false,
         }
-        free
+    }
+
+    /// A latch whose node has been repaired: the bit that a writer keeps.
+    fn repaired_latch() -> AtomicU32 {
+        let latch = AtomicU32::new(0);
+        let mut g = WriteGuard::lock(&latch);
+        assert!(!g.repaired());
+        g.set_repaired();
+        g.unlock();
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED);
+        latch
     }
 
     #[test]
@@ -138,6 +204,79 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 4000);
         assert_eq!(latch.load(Ordering::Relaxed), 0, "latch released");
+    }
+
+    #[test]
+    fn a_repaired_latch_still_excludes_writers() {
+        let latch = repaired_latch();
+        let counter = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        let g = WriteGuard::lock(&latch);
+                        assert!(g.repaired());
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 4000);
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED, "bit kept");
+    }
+
+    /// Readers under the latch never see a writer's two stores apart, and
+    /// the reader count sits below the bit.
+    #[test]
+    fn a_repaired_latch_still_excludes_readers() {
+        let latch = repaired_latch();
+        let r1 = ReadGuard::lock(&latch);
+        let r2 = ReadGuard::lock(&latch);
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED | 2);
+        assert!(!lockable(&latch));
+        drop(r1);
+        assert!(!lockable(&latch));
+        drop(r2);
+        let (a, b) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        let _g = WriteGuard::lock(&latch);
+                        let v = a.load(Ordering::Relaxed) + 1;
+                        a.store(v, Ordering::Relaxed);
+                        std::hint::spin_loop();
+                        b.store(v, Ordering::Relaxed);
+                    }
+                });
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        let _r = ReadGuard::lock(&latch);
+                        assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+                    }
+                });
+            }
+        });
+        assert_eq!(b.load(Ordering::Relaxed), 2000);
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED);
+    }
+
+    /// Lock and unlock, early or on drop, keep the bit; only a new latch
+    /// table (a new handle) clears it.
+    #[test]
+    fn unlock_keeps_the_repaired_bit() {
+        let latch = repaired_latch();
+        WriteGuard::lock(&latch).unlock();
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED);
+        drop(WriteGuard::lock(&latch));
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED);
+        drop(ReadGuard::lock(&latch));
+        assert_eq!(latch.load(Ordering::Relaxed), REPAIRED);
+        assert!(WriteGuard::lock(&latch).repaired());
+        assert!(latch_table(1 << 16, 256)
+            .iter()
+            .all(|l| l.load(Ordering::Relaxed) == 0));
     }
 
     #[test]
@@ -170,21 +309,26 @@ mod tests {
         assert!(lockable(&latch));
     }
 
-    /// A latch round trip writes nothing to the pool: the crash log, the
-    /// image and the header line's dirty bit are what they were, so a flush
-    /// of the clean header line right after it is coalesced.
+    /// A latch round trip writes nothing to the pool, whether the latch
+    /// holds the repaired bit (the leaf's) or not (the superblock's): the
+    /// crash log, the image and the header line's dirty bit are what they
+    /// were, so a flush of the clean header line right after it is
+    /// coalesced.
     #[test]
     fn a_latch_round_trip_leaves_the_pool_untouched() {
         let p = Arc::new(Pool::new(PoolConfig::new().size(1 << 16).crash_log(true)).unwrap());
         let t = FastFairTree::create(Arc::clone(&p), TreeOptions::new().node_size(256)).unwrap();
         t.insert(7, 70).unwrap();
         let leaf = t.find_leaf(7);
+        // The insert repaired the leaf: its latch holds the bit.
+        assert_eq!(t.latch(leaf).load(Ordering::Relaxed), REPAIRED);
         p.flush_line(leaf);
         p.sfence();
         let (events, image) = (p.crash_log().unwrap().len(), p.volatile_image());
         drop(WriteGuard::lock(t.latch(leaf)));
         drop(ReadGuard::lock(t.latch(leaf)));
         drop(WriteGuard::lock(&t.meta_latch));
+        assert_eq!(t.latch(leaf).load(Ordering::Relaxed), REPAIRED);
         assert_eq!(p.crash_log().unwrap().len(), events);
         assert!(p.volatile_image() == image, "a latch wrote to the pool");
         let coalesced = pmem::stats::snapshot().flushes_coalesced;

@@ -52,12 +52,12 @@ impl FastFairTree {
         let Some(parent_off) = self.descend_to_parent(probe_key) else {
             return;
         };
-        let parent_guard = WriteGuard::lock(self.latch(parent_off));
+        let mut parent_guard = WriteGuard::lock(self.latch(parent_off));
         let parent = self.node(parent_off);
         if parent.is_deleted() || parent.level() != 1 {
             return; // tree changed shape under us; give up quietly
         }
-        crate::delete::repair_node_locked(self, parent);
+        crate::delete::repair_once(self, parent, &mut parent_guard);
         // Locate the routing entries for the node and its left neighbour.
         let routes: Vec<u16> = parent
             .records()

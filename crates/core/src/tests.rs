@@ -2157,6 +2157,94 @@ pub(crate) fn before_recheck(node: crate::layout::NodeRef<'_>) {
     }
 }
 
+thread_local! {
+    /// The nodes `repair_node_locked` ran on, on this thread, while a test
+    /// records them (see [`repairs`]).
+    static REPAIRS: std::cell::RefCell<Option<Vec<u64>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+pub(crate) fn on_repair(off: u64) {
+    REPAIRS.with(|r| {
+        if let Some(log) = r.borrow_mut().as_mut() {
+            log.push(off);
+        }
+    });
+}
+
+/// The nodes repaired on this thread since the last call, which starts
+/// the recording.
+fn repairs() -> Vec<u64> {
+    REPAIRS.with(|r| r.borrow_mut().replace(Vec::new()).unwrap_or_default())
+}
+
+/// A crash image cut between a FAIR split's sibling-pointer store and its
+/// truncation (Fig. 2 state (2), the high key not yet lowered) is mended by
+/// the leaf's first writer after a reopen, and only by it: the repair
+/// lowers the high key and redoes the truncation, the write moves right and
+/// routes the sibling, and the tree is strictly consistent again. A second
+/// write to the leaf runs no repair — the handle's latch word says the leaf
+/// is repaired — and a fresh handle on the same image repairs it again.
+#[test]
+fn a_crashed_split_is_repaired_by_the_first_writer_of_each_open() {
+    const BYTES: usize = 1 << 20;
+    let p = Arc::new(Pool::new(PoolConfig::new().size(BYTES).crash_log(true)).unwrap());
+    let t = tiny_tree(&p);
+    for k in 1..=100u64 {
+        t.insert(k * 10, value_for(k)).unwrap();
+    }
+    assert!(t.height() > 0);
+    let leaf = t.find_leaf(1_000);
+    let mut k = 1_000;
+    while t.node(leaf).count_records() < t.node_capacity() {
+        k += 1;
+        t.insert(k, value_for(k)).unwrap();
+    }
+    let log = p.crash_log().unwrap();
+    log.set_baseline(p.volatile_image());
+    t.insert(k + 1, value_for(k + 1)).unwrap();
+    let link = log
+        .events()
+        .iter()
+        .position(
+            |e| matches!(*e, pmem::crash::Event::Store { off, val } if off == leaf + 8 && val != 0),
+        )
+        .expect("the split linked no sibling");
+    let img = p.crash_image(link + 1, pmem::crash::Eviction::All);
+    let reopen = || {
+        let p = Arc::new(Pool::from_image(&img, PoolConfig::new().size(BYTES)).unwrap());
+        FastFairTree::open(p, t.meta_offset(), TreeOptions::new()).unwrap()
+    };
+
+    let t2 = reopen();
+    let (node, sib) = (t2.node(leaf), t2.node(t2.node(leaf).sibling()));
+    assert_eq!(
+        node.high_key(),
+        sib.high_key(),
+        "the cut lowered the high key"
+    );
+    assert!(t2.check_consistency(true).is_err());
+    let (low, moved) = (node.first_key().unwrap(), sib.first_key().unwrap());
+    repairs();
+    assert!(t2.update(moved, 7).unwrap().is_some());
+    assert!(
+        repairs().contains(&leaf),
+        "the first write repaired no leaf"
+    );
+    assert_eq!(t2.node(leaf).high_key(), moved);
+    t2.check_consistency(true).unwrap();
+    assert_eq!(t2.get(moved), Some(7));
+
+    assert!(t2.update(low, 8).unwrap().is_some());
+    assert_eq!(repairs(), [], "a second write repaired again");
+    assert_eq!(t2.get(low), Some(8));
+
+    let t3 = reopen();
+    assert!(t3.update(low, 9).unwrap().is_some());
+    assert_eq!(repairs(), [leaf], "a fresh handle skipped the repair");
+    assert_eq!(t3.node(leaf).high_key(), moved);
+}
+
 /// A writer's shift lands between an appending read's scan and its
 /// re-check: a FAST delete of key 30 bumps the switch counter and shifts
 /// the records above it left. The cut-short attempt had appended the old

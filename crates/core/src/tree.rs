@@ -417,10 +417,12 @@ impl FastFairTree {
     /// Only the root is read first, to learn it. So the node's lines are
     /// fetched before anything waits on them: `visit` prefetches all
     /// `node_size` bytes (the pB+-tree's node prefetch, Chen, Gibbons &
-    /// Mowry, SIGMOD 2001), then charges one serial miss if the level
-    /// [`is_cold`], and only then is the header read. The host's misses on
-    /// the node overlap each other and the modelled stall instead of adding
-    /// to it; what the model charges does not depend on the prefetch.
+    /// Mowry, SIGMOD 2001) and the node's latch word, then charges one
+    /// serial miss if the level [`is_cold`], and only then is the header
+    /// read. The host's misses on the node and on the latch table, which a
+    /// writer latches next, overlap each other and the modelled stall
+    /// instead of adding to it; what the model charges does not depend on
+    /// the prefetch.
     ///
     /// The rule: landing on one of the two lowest levels costs a PM miss,
     /// anything above is free. That models the paper's testbed (§5.1):
@@ -434,6 +436,7 @@ impl FastFairTree {
     #[inline]
     pub(crate) fn visit(&self, off: PmOffset, level: u32) -> NodeRef<'_> {
         self.pool.prefetch(off, u64::from(self.node_size));
+        crate::lock::prefetch(self.latch(off));
         if is_cold(level) {
             self.pool.charge_serial_reads(1);
         }
